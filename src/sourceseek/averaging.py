@@ -324,8 +324,10 @@ def gamma_triple(i: int, j: int, m: int, system: ControlAffineSystem,
 def lie_bracket(f, g, x, step=None) -> np.ndarray:
     """Lie bracket ``[f, g](x) = Jg(x) f(x) - Jf(x) g(x)``.
 
-    Jacobians are taken by central finite differences with the per-component
-    step ``eps**(1/3) * max(1, |x_j|)`` unless ``step`` is given.
+    Jacobians are taken by central finite differences with the step
+    ``eps**(1/3) * max(1, ||x||)``, scaled by the state norm and the same
+    for every component (:func:`~sourceseek.numdiff.default_fd_step`),
+    unless ``step`` is given.
     """
     x = np.asarray(x, dtype=float)
     jf = central_jacobian(f, x, step)

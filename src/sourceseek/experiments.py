@@ -558,7 +558,9 @@ def run_omega_sweep(config: OmegaSweepConfig) -> OmegaSweepReport:
     start from matched initial conditions and are recorded on the same time
     grid; the table carries the sup-norm state deviation and the radius of
     the ball that contains the full position trajectory over the trailing
-    window. Failures are isolated per frequency.
+    window. A RuntimeError or ValueError (an aborted integration, a grid
+    mismatch, a rejected input) is recorded in that frequency's row with
+    its type; any other exception propagates.
     """
     rows: list[OmegaSweepRow] = []
     averaged_runs: dict[str, list[np.ndarray]] = {}
@@ -616,8 +618,13 @@ def run_omega_sweep(config: OmegaSweepConfig) -> OmegaSweepReport:
                 )
                 averaged_runs.setdefault(scheme.value, []).append(avg.states)
                 rows.append(OmegaSweepRow(scheme.value, omega, deviation, ball))
-            except Exception as exc:  # per-frequency isolation
-                rows.append(OmegaSweepRow(scheme.value, omega, None, None, str(exc)))
+            except (RuntimeError, ValueError) as exc:
+                # per-frequency isolation: IntegrationAborted and a grid
+                # mismatch are RuntimeErrors, bad inputs ValueErrors; any
+                # other exception is a bug and propagates
+                rows.append(OmegaSweepRow(
+                    scheme.value, omega, None, None, f"{type(exc).__name__}: {exc}"
+                ))
 
     identical = all(
         all(np.array_equal(states, runs[0]) for states in runs[1:])

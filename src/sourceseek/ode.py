@@ -5,6 +5,12 @@ step; the final step is shortened so the requested end time is hit exactly.
 There is deliberately no adaptive error control: the systems in this package
 are forced at known frequencies, so the step is tied to the fastest
 oscillation and results are bit-for-bit reproducible.
+
+The step loop runs on Python floats: ``rhs(t, y)`` and ``guard(t, y)``
+receive the state as a tuple of floats, and ``rhs`` returns a sequence of
+the same length (a tuple, a list or a 1-D array). The states are small (three
+or four components), so per-call array construction would cost more than the
+arithmetic. Recorded samples are written into arrays sized up front.
 """
 
 from __future__ import annotations
@@ -146,10 +152,13 @@ def integrate(rhs, x0, t0: float, t1: float, config: IntegratorConfig,
     Parameters
     ----------
     rhs : callable
-        ``rhs(t, x) -> dx`` with ``x`` a flat float array.
+        ``rhs(t, x) -> dx`` with ``x`` a tuple of floats and ``dx`` a
+        sequence of the same length. The length is checked once, on the
+        first evaluation.
     guard : callable, optional
-        ``guard(t, x) -> bool`` evaluated after every accepted step; a False
-        result aborts with a step-size violation report.
+        ``guard(t, x) -> bool``, with ``x`` the same tuple of floats,
+        evaluated after every accepted step; a False result aborts with a
+        step-size violation report.
 
     Returns
     -------
@@ -160,8 +169,12 @@ def integrate(rhs, x0, t0: float, t1: float, config: IntegratorConfig,
     Raises
     ------
     IntegrationAborted
-        On a non-finite state or a guard violation; carries the last valid
-        time and the partial trajectory.
+        On a non-finite state (including an ``OverflowError`` raised inside
+        a stage) or a guard violation; carries the last valid time and the
+        partial trajectory.
+    ValueError
+        On ``t1 <= t0``, an initial state that violates the guard, or an
+        ``rhs`` whose output length differs from the state length.
     """
     if not t1 > t0:
         raise ValueError(f"need t1 > t0, got [{t0}, {t1}]")
@@ -170,53 +183,76 @@ def integrate(rhs, x0, t0: float, t1: float, config: IntegratorConfig,
     n_full = int(math.floor(span / dt * (1.0 + 1e-12)))
     remainder = span - n_full * dt
     has_tail = remainder > 1e-12 * max(span, dt)
+    total_steps = n_full + (1 if has_tail else 0)
+    stride = config.output_stride
 
-    y = np.array(x0, dtype=float).ravel()
+    y = tuple(np.array(x0, dtype=float).ravel().tolist())
+    dim = len(y)
     if guard is not None and not guard(t0, y):
         raise ValueError(f"initial state violates the guard at t={t0}")
 
-    rec_times = [t0]
-    rec_states = [y.copy()]
-    stride = config.output_stride
+    # interior samples every ``stride`` steps, plus the initial and final states
+    n_samples = 1 + ((total_steps - 1) // stride + 1 if total_steps else 0)
+    times = np.empty(n_samples)
+    states = np.empty((n_samples, dim))
+    times[0] = t0
+    states[0] = y
+    n_rec = 1
     meta = dict(frame=frame, scheme=scheme, params=dict(params or {}))
 
-    def partial() -> Trajectory:
-        return Trajectory(np.array(rec_times), np.array(rec_states), **meta)
+    def aborted(what: str, last_valid_time: float, n_rec: int) -> IntegrationAborted:
+        partial = Trajectory(times[:n_rec].copy(), states[:n_rec].copy(), **meta)
+        return IntegrationAborted(
+            f"{what}; last valid time t={last_valid_time}", last_valid_time, partial
+        )
 
+    try:
+        k1 = rhs(t0, y)
+    except OverflowError as exc:
+        t_new = t1 if total_steps <= 1 else t0 + dt
+        raise aborted(f"non-finite state at t={t_new}", t0, n_rec) from exc
+    if len(k1) != dim:
+        raise ValueError(
+            f"rhs returned {len(k1)} components for a state of length {dim}"
+        )
+
+    isfinite = math.isfinite
     t = t0
-    total_steps = n_full + (1 if has_tail else 0)
+    h = dt
     for i in range(total_steps):
-        h = dt if i < n_full else remainder
-        k1 = rhs(t, y)
-        k2 = rhs(t + 0.5 * h, y + (0.5 * h) * k1)
-        k3 = rhs(t + 0.5 * h, y + (0.5 * h) * k2)
-        k4 = rhs(t + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if i == n_full:  # shortened final step
+            h = remainder
+        half = 0.5 * h
         t_new = t1 if i + 1 == total_steps else t0 + (i + 1) * dt
-        if not np.all(np.isfinite(y)):
-            raise IntegrationAborted(
-                f"non-finite state at t={t_new}; last valid time t={t}",
-                last_valid_time=t,
-                partial=partial(),
-            )
+        try:
+            if i:
+                k1 = rhs(t, y)
+            k2 = rhs(t + half, tuple([a + half * b for a, b in zip(y, k1)]))
+            k3 = rhs(t + half, tuple([a + half * b for a, b in zip(y, k2)]))
+            k4 = rhs(t + h, tuple([a + h * b for a, b in zip(y, k3)]))
+        except OverflowError as exc:
+            raise aborted(f"non-finite state at t={t_new}", t, n_rec) from exc
+        sixth = h / 6.0
+        y = tuple([
+            a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
+        ])
+        if not all(map(isfinite, y)):
+            raise aborted(f"non-finite state at t={t_new}", t, n_rec)
         if guard is not None and not guard(t_new, y):
-            raise IntegrationAborted(
+            raise aborted(
                 f"state guard violated at t={t_new} (step-size violation: "
-                f"reduce dt below {h}); last valid time t={t}",
-                last_valid_time=t,
-                partial=partial(),
+                f"reduce dt below {h})",
+                t,
+                n_rec,
             )
         t = t_new
-        if (i + 1) % stride == 0 and i != total_steps - 1:
-            rec_times.append(t)
-            rec_states.append(y.copy())
-    # final point always recorded
-    if rec_times[-1] != t:
-        rec_times.append(t)
-        rec_states.append(y.copy())
+        if i + 1 == total_steps or (i + 1) % stride == 0:
+            times[n_rec] = t
+            states[n_rec] = y
+            n_rec += 1
 
-    traj = Trajectory(np.array(rec_times), np.array(rec_states), **meta)
-    return traj
+    return Trajectory(times, states, **meta)
 
 
 def first_entry_time(traj: Trajectory, center, radius: float, components) -> float | None:

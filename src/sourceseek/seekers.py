@@ -218,23 +218,35 @@ def closed_loop_dimension(scheme: Scheme, frame: Frame) -> int:
 
 def closed_loop_rhs(scheme: Scheme, frame: Frame, t: float, state,
                     params: SeekerParams, field: FieldParams) -> np.ndarray:
-    """Right-hand side of the selected closed loop at time ``t``.
+    """Right-hand side of the selected closed loop at time ``t``, as an array.
 
     The heading is eliminated (theta = omega0 t). See the module docstring
     for the state layout per (scheme, frame). Dimension mismatches and
     scheme/frame mismatches raise ValueError.
     """
-    return closed_loop(scheme, frame, params, field)(t, np.asarray(state, dtype=float))
+    dim = closed_loop_dimension(scheme, frame)
+    state = np.asarray(state, dtype=float)
+    if state.shape != (dim,):
+        raise ValueError(
+            f"state shape {state.shape} does not match ({dim},) for "
+            f"({scheme.value}, {frame.value})"
+        )
+    rhs = closed_loop(scheme, frame, params, field)
+    return np.array(rhs(t, tuple(state.tolist())))
 
 
 def closed_loop(scheme: Scheme, frame: Frame, params: SeekerParams,
                 field: FieldParams):
     """Build ``rhs(t, state)`` for the selected closed loop.
 
-    The returned closure is immutable after construction and safe to
-    evaluate concurrently.
+    The closure follows the :func:`~sourceseek.ode.integrate` contract: it
+    takes the state as a sequence of floats and returns a tuple, without
+    checking the state length (``integrate`` checks it once). Use
+    :func:`closed_loop_rhs` for a checked single evaluation as an array.
+    The closure is immutable after construction and safe to evaluate
+    concurrently.
     """
-    dim = closed_loop_dimension(scheme, frame)
+    closed_loop_dimension(scheme, frame)  # rejects scheme/frame mismatches
     w0 = params.omega0
     h = params.h_gain
     fs, hess = field.f_star, field.hessian
@@ -242,67 +254,56 @@ def closed_loop(scheme: Scheme, frame: Frame, params: SeekerParams,
     c, at, wd = params.c, params.alpha_tilde, params.omega_d
     w, g2 = params.omega, params.demod_gain
 
-    def check(state: np.ndarray) -> None:
-        if state.shape != (dim,):
-            raise ValueError(
-                f"state shape {state.shape} does not match ({dim},) for "
-                f"({scheme.value}, {frame.value})"
-            )
-
     if scheme is Scheme.GRADIENT and frame is Frame.ORIGINAL:
 
         def rhs(t, s):
-            check(s)
-            dx1, dx2 = s[0] - xs1, s[1] - xs2
+            x1, x2, nu = s
+            dx1, dx2 = x1 - xs1, x2 - xs2
             y = fs - 0.5 * hess * (dx1 * dx1 + dx2 * dx2)
-            err = y - s[2]
+            err = y - nu
             u1 = c * err * math.sin(w * t) + at * math.cos(w * t)
-            return np.array(
-                [u1 * math.cos(w0 * t), u1 * math.sin(w0 * t), h * err]
-            )
+            return (u1 * math.cos(w0 * t), u1 * math.sin(w0 * t), h * err)
 
     elif scheme is Scheme.GRADIENT and frame is Frame.ROTATING_Z:
 
         def rhs(t, s):
-            check(s)
-            y = fs - 0.5 * hess * (s[0] * s[0] + s[1] * s[1])
-            err = y - s[2]
+            z1, z2, nu = s
+            y = fs - 0.5 * hess * (z1 * z1 + z2 * z2)
+            err = y - nu
             u1 = c * err * math.sin(w * t) + at * math.cos(w * t)
-            return np.array([w0 * s[1], -w0 * s[0] + u1, h * err])
+            return (w0 * z2, -w0 * z1 + u1, h * err)
 
     elif scheme is Scheme.NEWTON and frame is Frame.ORIGINAL:
 
         def rhs(t, s):
-            check(s)
-            dx1, dx2 = s[0] - xs1, s[1] - xs2
+            x1, x2, d, nu = s
+            dx1, dx2 = x1 - xs1, x2 - xs2
             y = fs - 0.5 * hess * (dx1 * dx1 + dx2 * dx2)
-            d, err = s[2], y - s[3]
+            err = y - nu
             u1 = c * d * err * math.sin(w * t) + at * math.cos(w * t)
             ddot = wd * d * (1.0 - d * g2 * err * math.cos(2.0 * w * t))
-            return np.array(
-                [u1 * math.cos(w0 * t), u1 * math.sin(w0 * t), ddot, h * err]
-            )
+            return (u1 * math.cos(w0 * t), u1 * math.sin(w0 * t), ddot, h * err)
 
     elif scheme is Scheme.NEWTON and frame is Frame.ROTATING_Z:
 
         def rhs(t, s):
-            check(s)
-            y = fs - 0.5 * hess * (s[0] * s[0] + s[1] * s[1])
-            d, err = s[2], y - s[3]
+            z1, z2, d, nu = s
+            y = fs - 0.5 * hess * (z1 * z1 + z2 * z2)
+            err = y - nu
             u1 = c * d * err * math.sin(w * t) + at * math.cos(w * t)
             ddot = wd * d * (1.0 - d * g2 * err * math.cos(2.0 * w * t))
-            return np.array([w0 * s[1], -w0 * s[0] + u1, ddot, h * err])
+            return (w0 * z2, -w0 * z1 + u1, ddot, h * err)
 
     elif scheme is Scheme.NEWTON and frame is Frame.ROTATING_Z_LOG_D:
         # substituting d = exp(dtilde) removes the unstable d = 0 fixed point
 
         def rhs(t, s):
-            check(s)
-            y = fs - 0.5 * hess * (s[0] * s[0] + s[1] * s[1])
-            ed, err = math.exp(s[2]), y - s[3]
+            z1, z2, dtilde, nu = s
+            y = fs - 0.5 * hess * (z1 * z1 + z2 * z2)
+            ed, err = math.exp(dtilde), y - nu
             u1 = c * ed * err * math.sin(w * t) + at * math.cos(w * t)
             dtdot = wd * (1.0 - ed * g2 * err * math.cos(2.0 * w * t))
-            return np.array([w0 * s[1], -w0 * s[0] + u1, dtdot, h * err])
+            return (w0 * z2, -w0 * z1 + u1, dtdot, h * err)
 
     else:  # pragma: no cover - closed_loop_dimension already rejected it
         raise ValueError(f"unsupported combination ({scheme}, {frame})")
@@ -320,7 +321,7 @@ def averaged_dimension(form: AveragedForm) -> int:
 
 def averaged_rhs(form: AveragedForm, state, params: SeekerParams,
                  field: FieldParams) -> np.ndarray:
-    """Closed-form averaged right-hand side (autonomous).
+    """Closed-form averaged right-hand side (autonomous), as an array.
 
     gradient:        z' = (S + L) z,          nu' = h (F(z) - nu)
     newton:          z' = (S + L d) z,        d' = omega_d d (1 - H d),
@@ -332,64 +333,64 @@ def averaged_rhs(form: AveragedForm, state, params: SeekerParams,
                      z' = (S + Lt e^dhat) z, dhat' = -omega_d (e^dhat - 1)
 
     where S is the constant-turn generator, L = diag(0, -alpha H / 2), and
-    Lt = L / H is the curvature-normalized damping.
+    Lt = L / H is the curvature-normalized damping. A state of the wrong
+    dimension raises ValueError.
     """
-    return averaged_closed_loop(form, params, field)(0.0, np.asarray(state, dtype=float))
+    dim = _AVERAGED_DIMS[form]
+    state = np.asarray(state, dtype=float)
+    if state.shape != (dim,):
+        raise ValueError(
+            f"state shape {state.shape} does not match ({dim},) for "
+            f"averaged form {form.value!r}"
+        )
+    rhs = averaged_closed_loop(form, params, field)
+    return np.array(rhs(0.0, tuple(state.tolist())))
 
 
 def averaged_closed_loop(form: AveragedForm, params: SeekerParams,
                          field: FieldParams):
-    """Build ``rhs(t, state)`` for the averaged system (ignores ``t``)."""
-    dim = _AVERAGED_DIMS[form]
+    """Build ``rhs(t, state)`` for the averaged system (ignores ``t``).
+
+    Like :func:`closed_loop`, the closure takes a sequence of floats and
+    returns a tuple without checking the state length; :func:`averaged_rhs`
+    is the checked single evaluation that returns an array.
+    """
     w0, h, wd = params.omega0, params.h_gain, params.omega_d
     fs, hess = field.f_star, field.hessian
     lam = -0.5 * params.alpha * hess  # damping entry of L
     lam_t = -0.5 * params.alpha      # damping entry of Lt = L / H
 
-    def check(state: np.ndarray) -> None:
-        if state.shape != (dim,):
-            raise ValueError(
-                f"state shape {state.shape} does not match ({dim},) for "
-                f"averaged form {form.value!r}"
-            )
-
     if form is AveragedForm.GRADIENT:
 
         def rhs(t, s):
-            check(s)
-            nu_dot = h * (fs - 0.5 * hess * (s[0] * s[0] + s[1] * s[1]) - s[2])
-            return np.array([w0 * s[1], -w0 * s[0] + lam * s[1], nu_dot])
+            z1, z2, nu = s
+            nu_dot = h * (fs - 0.5 * hess * (z1 * z1 + z2 * z2) - nu)
+            return (w0 * z2, -w0 * z1 + lam * z2, nu_dot)
 
     elif form is AveragedForm.NEWTON:
 
         def rhs(t, s):
-            check(s)
-            d = s[2]
-            nu_dot = h * (fs - 0.5 * hess * (s[0] * s[0] + s[1] * s[1]) - s[3])
-            return np.array(
-                [w0 * s[1], -w0 * s[0] + lam * d * s[1], wd * d * (1.0 - hess * d), nu_dot]
-            )
+            z1, z2, d, nu = s
+            nu_dot = h * (fs - 0.5 * hess * (z1 * z1 + z2 * z2) - nu)
+            return (w0 * z2, -w0 * z1 + lam * d * z2, wd * d * (1.0 - hess * d), nu_dot)
 
     elif form is AveragedForm.NEWTON_EXP:
 
         def rhs(t, s):
-            check(s)
-            ed = math.exp(s[2])
-            nu_dot = h * (fs - 0.5 * hess * (s[0] * s[0] + s[1] * s[1]) - s[3])
-            return np.array(
-                [w0 * s[1], -w0 * s[0] + lam * ed * s[1], wd * (1.0 - hess * ed), nu_dot]
-            )
+            z1, z2, dtilde, nu = s
+            ed = math.exp(dtilde)
+            nu_dot = h * (fs - 0.5 * hess * (z1 * z1 + z2 * z2) - nu)
+            return (w0 * z2, -w0 * z1 + lam * ed * z2, wd * (1.0 - hess * ed), nu_dot)
 
     elif form is AveragedForm.NEWTON_CASCADE:
 
         def rhs(t, s):
-            check(s)
             r, z1, z2, dhat = s
             ed = math.exp(dhat)
             dz1 = w0 * z2
             dz2 = -w0 * z1 + lam_t * ed * z2
             r_dot = -h * r + hess * (z1 * dz1 + z2 * dz2)
-            return np.array([r_dot, dz1, dz2, -wd * (ed - 1.0)])
+            return (r_dot, dz1, dz2, -wd * (ed - 1.0))
 
     else:  # pragma: no cover
         raise ValueError(f"unsupported averaged form {form}")

@@ -298,7 +298,7 @@ def test_criterion_7_numerical_hygiene(ref_params, ref_field):
 
     def final_error(dt):
         traj = integrate(
-            lambda t, y: -y, [1.0], 0.0, 1.0, IntegratorConfig(dt=dt)
+            lambda t, y: (-y[0],), [1.0], 0.0, 1.0, IntegratorConfig(dt=dt)
         )
         return abs(traj.states[-1, 0] - math.exp(-1.0))
 

@@ -81,9 +81,8 @@ class TestEstimateRate:
 
     def test_damped_rotation_envelope(self):
         # spiral with spectral abscissa 1/2: alpha 2, omega0 1, unit curvature
-        spin_damp = np.array([[0.0, 1.0], [-1.0, -1.0]])
         traj = integrate(
-            lambda t, y: spin_damp @ y, [3.0, 3.0], 0.0, 20.0,
+            lambda t, y: (y[1], -y[0] - y[1]), [3.0, 3.0], 0.0, 20.0,
             IntegratorConfig(dt=0.01),
         )
         est = estimate_rate(traj, (0.0, 20.0))
@@ -257,9 +256,22 @@ class TestRunOmegaSweep:
         by_omega = {row.omega: row for row in report.rows}
         assert by_omega[80.0].error is not None
         assert "injected failure" in by_omega[80.0].error
+        assert "RuntimeError" in by_omega[80.0].error
         assert by_omega[20.0].error is None and by_omega[20.0].deviation is not None
         assert by_omega[40.0].error is None
         assert not report.passed
+
+    def test_unexpected_errors_propagate(self, monkeypatch):
+        import sourceseek.experiments as experiments
+
+        def broken(rhs, x0, t0, t1, config, **kwargs):
+            raise TypeError("injected bug")
+
+        monkeypatch.setattr(experiments, "integrate", broken)
+        with pytest.raises(TypeError, match="injected bug"):
+            experiments.run_omega_sweep(
+                OmegaSweepConfig(schemes=(Scheme.NEWTON,), t_end=6.0)
+            )
 
 
 class TestRunHessianInvariance:

@@ -6,6 +6,7 @@ import pytest
 from sourceseek import (
     AveragedForm,
     Frame,
+    IntegrationAborted,
     IntegratorConfig,
     RotationY,
     Scheme,
@@ -188,6 +189,17 @@ class TestClosedLoopRhs:
         np.testing.assert_allclose(
             plain.states[:, 2], np.exp(logd.states[:, 2]), atol=1e-6
         )
+
+    def test_log_riccati_overflow_aborts_at_the_start(self, ref_params, ref_field):
+        # exp(710) overflows a double: the first stage raises OverflowError
+        cfg = IntegratorConfig.for_frequency(2.0 * ref_params.omega, 60)
+        with pytest.raises(IntegrationAborted, match="non-finite state") as excinfo:
+            integrate(
+                closed_loop(Scheme.NEWTON, Frame.ROTATING_Z_LOG_D, ref_params, ref_field),
+                [3.0, 3.0, 710.0, 0.0], 0.0, 1.0, cfg,
+            )
+        assert excinfo.value.last_valid_time == 0.0
+        np.testing.assert_array_equal(excinfo.value.partial.states, [[3.0, 3.0, 710.0, 0.0]])
 
     def test_riccati_stays_positive_under_guard(self, ref_params, ref_field):
         cfg = IntegratorConfig.for_frequency(2.0 * ref_params.omega, 60, output_stride=10)
