@@ -9,7 +9,6 @@ __version__ = "0.1.0"
 from .model import (
     FieldParams,
     SeekerParams,
-    SeekerState,
     VehicleState,
     eval_field,
     unicycle_rhs,
@@ -23,8 +22,9 @@ from .ode import (
 )
 from .seekers import (
     AveragedForm,
+    FRAME_SPECS,
     Frame,
-    RotationY,
+    FrameSpec,
     Scheme,
     averaged_closed_loop,
     averaged_rhs,
@@ -32,9 +32,7 @@ from .seekers import (
     closed_loop_rhs,
     from_rotating_frame,
     gradient_affine_system,
-    gradient_control,
     newton_affine_system,
-    newton_control,
     rotation_matrix,
     spin_matrix,
     to_rotating_frame,

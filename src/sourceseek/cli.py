@@ -176,7 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=Path, default=Path("out"),
                        help="output directory (default ./out)")
         p.add_argument("--seed", type=int, default=None,
-                       help="reserved for future stochastic paths")
+                       help="seed for the sample states of average and the "
+                            "ISS points of certify (default 0)")
 
     common(sub.add_parser("simulate", help="integrate one closed loop"))
     common(sub.add_parser("compare", help="gradient vs curvature-inverting run"))

@@ -29,12 +29,12 @@ import numpy as np
 from .model import FieldParams, SeekerParams, eval_field
 from .ode import IntegratorConfig, Trajectory, first_entry_time, integrate
 from .seekers import (
-    AveragedForm,
+    FRAME_SPECS,
     Frame,
+    FrameSpec,
     Scheme,
     averaged_closed_loop,
     closed_loop,
-    frame_compatible,
     to_rotating_frame,
 )
 
@@ -74,16 +74,6 @@ class ConfigError(ValueError):
     """Configuration file could not be parsed or validated."""
 
 
-_FRAME_TO_FORM = {
-    Frame.AVERAGED_GRADIENT: AveragedForm.GRADIENT,
-    Frame.AVERAGED_NEWTON: AveragedForm.NEWTON,
-    Frame.AVERAGED_NEWTON_EXP: AveragedForm.NEWTON_EXP,
-    Frame.CASCADE_SHIFTED: AveragedForm.NEWTON_CASCADE,
-}
-
-_FULL_FRAMES = {Frame.ORIGINAL, Frame.ROTATING_Z, Frame.ROTATING_Z_LOG_D}
-
-
 @dataclass(frozen=True)
 class Scenario:
     """One fully specified simulation run."""
@@ -110,15 +100,18 @@ class Scenario:
             raise ValueError("ball_radius must be positive")
         if not 0.0 < self.tail_fraction < 1.0:
             raise ValueError("tail_fraction must lie in (0, 1)")
-        if not frame_compatible(self.frame, self.scheme):
+        if (self.scheme, self.frame) not in FRAME_SPECS:
             raise ValueError(
                 f"frame {self.frame.value!r} is undefined for scheme "
                 f"{self.scheme.value!r}"
             )
-        if self.scheme is Scheme.NEWTON and not self.d0 > 0.0:
+        if not math.isfinite(self.nu0):
+            raise ValueError(f"nu0 must be finite, got {self.nu0}")
+        if self.scheme is Scheme.NEWTON and not 0.0 < self.d0 < math.inf:
             raise ValueError(
                 f"d0={self.d0} rejected: the Riccati filter state must start "
-                "strictly positive (d <= 0 leaves its invariant basin d > 0)"
+                "finite and strictly positive (d <= 0 leaves its invariant "
+                "basin d > 0)"
             )
         x0 = np.asarray(self.x0, dtype=float)
         if x0.shape != (2,) or not np.all(np.isfinite(x0)):
@@ -128,35 +121,30 @@ class Scenario:
     # -- derived pieces -----------------------------------------------------
 
     @property
+    def _spec(self) -> FrameSpec:
+        return FRAME_SPECS[(self.scheme, self.frame)]
+
+    @property
     def is_averaged(self) -> bool:
-        return self.frame not in _FULL_FRAMES
+        return self._spec.form is not None
 
     def initial_state(self) -> np.ndarray:
+        spec = self._spec
         x0 = np.asarray(self.x0, dtype=float)
-        z0 = to_rotating_frame(0.0, x0, self.field.source, self.params.omega0)
-        fr, sc = self.frame, self.scheme
-        if fr is Frame.ORIGINAL:
-            core = x0
+        if spec.plane:
+            start = x0
         else:
-            core = z0
-        if fr in (Frame.ORIGINAL, Frame.ROTATING_Z, Frame.AVERAGED_GRADIENT,
-                  Frame.AVERAGED_NEWTON):
-            if sc is Scheme.GRADIENT:
-                return np.array([core[0], core[1], self.nu0])
-            return np.array([core[0], core[1], self.d0, self.nu0])
-        if fr in (Frame.ROTATING_Z_LOG_D, Frame.AVERAGED_NEWTON_EXP):
-            return np.array([core[0], core[1], math.log(self.d0), self.nu0])
-        if fr is Frame.CASCADE_SHIFTED:
-            offset = self.nu0 - eval_field(x0, self.field)
-            dhat0 = math.log(self.d0 * self.field.hessian)
-            return np.array([offset, core[0], core[1], dhat0])
-        raise ValueError(f"unsupported frame {fr}")  # pragma: no cover
+            start = to_rotating_frame(0.0, x0, self.field.source, self.params.omega0)
+        offset = self.nu0 - eval_field(x0, self.field)
+        return np.array(
+            spec.layout(start, self.nu0, self.d0, offset, self.field.hessian)
+        )
 
     def build_rhs(self):
-        if self.is_averaged:
-            form = _FRAME_TO_FORM[self.frame]
-            return averaged_closed_loop(form, self.params, self.field)
-        return closed_loop(self.scheme, self.frame, self.params, self.field)
+        form = self._spec.form
+        if form is None:
+            return closed_loop(self.scheme, self.frame, self.params, self.field)
+        return averaged_closed_loop(form, self.params, self.field)
 
     def integrator_config(self) -> IntegratorConfig:
         if self.is_averaged:
@@ -175,32 +163,20 @@ class Scenario:
 
     def guard(self):
         """Positivity guard on the raw Riccati component, where one exists."""
-        if self.scheme is Scheme.NEWTON and self.frame in (
-            Frame.ORIGINAL, Frame.ROTATING_Z, Frame.AVERAGED_NEWTON
-        ):
+        if self._spec.raw_d:
             return lambda t, s: s[2] > 0.0
         return None
 
     def position_ball(self) -> tuple[tuple[int, int], np.ndarray]:
         """(component indices, center) of the position ball for this frame."""
-        if self.frame is Frame.ORIGINAL:
-            return (0, 1), np.asarray(self.field.source, dtype=float)
-        if self.frame is Frame.CASCADE_SHIFTED:
-            return (1, 2), np.zeros(2)
-        return (0, 1), np.zeros(2)
+        spec = self._spec
+        center = self.field.source if spec.plane else np.zeros(2)
+        return spec.position, np.asarray(center, dtype=float)
 
     def d_series(self, traj: Trajectory) -> np.ndarray | None:
         """Riccati state along the trajectory, mapped back to raw d units."""
-        if self.scheme is Scheme.GRADIENT:
-            return None
-        fr = self.frame
-        if fr in (Frame.ORIGINAL, Frame.ROTATING_Z, Frame.AVERAGED_NEWTON):
-            return traj.states[:, 2]
-        if fr in (Frame.ROTATING_Z_LOG_D, Frame.AVERAGED_NEWTON_EXP):
-            return np.exp(traj.states[:, 2])
-        if fr is Frame.CASCADE_SHIFTED:
-            return np.exp(traj.states[:, 3]) / self.field.hessian
-        return None  # pragma: no cover
+        d_of = self._spec.d_of
+        return None if d_of is None else d_of(traj.states, self.field.hessian)
 
 
 # ---------------------------------------------------------------------------
@@ -568,27 +544,23 @@ def run_omega_sweep(config: OmegaSweepConfig) -> OmegaSweepReport:
 
     for scheme in config.schemes:
         frame = Frame.ROTATING_Z
-        avg_frame = (
-            Frame.AVERAGED_GRADIENT if scheme is Scheme.GRADIENT
-            else Frame.AVERAGED_NEWTON
-        )
+        # the averaged limit has the rotating frame's state layout
+        avg_frame = Frame(f"averaged_{scheme.value}")
         for omega in config.omegas:
             try:
                 params = replace(config.params, omega=omega)
                 base = dict(
                     field=config.field, params=params, x0=config.x0,
-                    nu0=config.nu0, t_end=config.t_end,
+                    nu0=config.nu0, d0=config.d0, t_end=config.t_end,
                     samples_per_period=config.samples_per_period,
                 )
-                if scheme is Scheme.NEWTON:
-                    base["d0"] = config.d0
                 full_scn = Scenario(scheme=scheme, frame=frame, **base)
                 avg_scn = Scenario(scheme=scheme, frame=avg_frame, **base)
 
-                omega_fast = 2.0 * omega if scheme is Scheme.NEWTON else omega
-                dt_max = TWO_PI / (omega_fast * config.samples_per_period)
+                fast = full_scn.integrator_config()
                 full_cfg = _matched_config(
-                    config.record_dt, dt_max, omega_fast, config.samples_per_period
+                    config.record_dt, fast.dt, fast.omega_max,
+                    config.samples_per_period,
                 )
                 # the averaged loop has no fast forcing; a fixed substep makes
                 # its trajectory identical across the sweep
@@ -604,8 +576,8 @@ def run_omega_sweep(config: OmegaSweepConfig) -> OmegaSweepReport:
                 )
                 avg = integrate(
                     avg_scn.build_rhs(), avg_scn.initial_state(), 0.0,
-                    config.t_end, avg_cfg, frame=avg_frame.value,
-                    scheme=scheme.value,
+                    config.t_end, avg_cfg, guard=avg_scn.guard(),
+                    frame=avg_frame.value, scheme=scheme.value,
                 )
                 if full.times.shape != avg.times.shape or not np.allclose(
                     full.times, avg.times, atol=1e-9
@@ -763,7 +735,7 @@ class AppConfig:
     compare: dict
     sweep_omega: dict
     sweep_hessian: dict
-    seed: int | None = None  # reserved; no stochastic path yet
+    seed: int | None = None  # sample states of `average`, ISS points of `certify`
 
     def make_scenario(self) -> Scenario:
         kwargs = {"scheme": Scheme.NEWTON, **self.scenario}

@@ -15,7 +15,6 @@ __all__ = [
     "FieldParams",
     "VehicleState",
     "SeekerParams",
-    "SeekerState",
     "eval_field",
     "unicycle_rhs",
 ]
@@ -150,22 +149,3 @@ class SeekerParams:
             "alpha_tilde": self.alpha_tilde,
             "demod_gain": self.demod_gain,
         }
-
-
-@dataclass(frozen=True)
-class SeekerState:
-    """Closed-loop seeker state: pose, filter state ``nu``, and (for the
-    curvature-inverting scheme) the Riccati state ``dee``."""
-
-    position: np.ndarray
-    heading: float = 0.0
-    nu: float = 0.0
-    dee: float | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "position", _as_point(self.position, "position"))
-        for name in ("heading", "nu"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if self.dee is not None and not math.isfinite(self.dee):
-            raise ValueError("dee must be finite when present")

@@ -173,8 +173,9 @@ def integrate(rhs, x0, t0: float, t1: float, config: IntegratorConfig,
         a stage) or a guard violation; carries the last valid time and the
         partial trajectory.
     ValueError
-        On ``t1 <= t0``, an initial state that violates the guard, or an
-        ``rhs`` whose output length differs from the state length.
+        On ``t1 <= t0``, a non-finite initial state or one that violates
+        the guard, or an ``rhs`` whose output length differs from the
+        state length.
     """
     if not t1 > t0:
         raise ValueError(f"need t1 > t0, got [{t0}, {t1}]")
@@ -188,6 +189,8 @@ def integrate(rhs, x0, t0: float, t1: float, config: IntegratorConfig,
 
     y = tuple(np.array(x0, dtype=float).ravel().tolist())
     dim = len(y)
+    if not all(map(math.isfinite, y)):
+        raise ValueError(f"initial state is not finite: {y}")
     if guard is not None and not guard(t0, y):
         raise ValueError(f"initial state violates the guard at t={t0}")
 

@@ -13,28 +13,27 @@ Because the turn rate is constant, the heading is eliminated analytically
 three-state unicycle is only needed for demonstrations and lives in
 :mod:`sourceseek.model`.
 
-State layouts used by :func:`closed_loop_rhs`:
+Each defined (scheme, frame) pair has one entry in :data:`FRAME_SPECS`;
+any other pair is undefined. The flat states are
 
-======================  ==========================
-(scheme, frame)         flat state
-======================  ==========================
-gradient, original      ``[x1, x2, nu]``
-gradient, rotating_z    ``[z1, z2, nu]``
-newton, original        ``[x1, x2, d, nu]``
-newton, rotating_z      ``[z1, z2, d, nu]``
-newton, rotating_z_log_d  ``[z1, z2, dtilde, nu]`` with ``d = exp(dtilde)``
-======================  ==========================
+=================================  =========================  ===============
+(scheme, frame)                    flat state                 averaged form
+=================================  =========================  ===============
+gradient, original                 ``[x1, x2, nu]``
+gradient, rotating_z               ``[z1, z2, nu]``
+gradient, averaged_gradient        ``[z1, z2, nu]``           gradient
+newton, original                   ``[x1, x2, d, nu]``
+newton, rotating_z                 ``[z1, z2, d, nu]``
+newton, rotating_z_log_d           ``[z1, z2, dtilde, nu]``
+newton, averaged_newton            ``[z1, z2, d, nu]``        newton
+newton, averaged_newton_exp        ``[z1, z2, dtilde, nu]``   newton_exp
+newton, cascade_shifted            ``[r, z1, z2, dhat]``      newton_cascade
+=================================  =========================  ===============
 
-and by :func:`averaged_rhs`:
-
-================  ==========================
-form              flat state
-================  ==========================
-gradient          ``[z1, z2, nu]``
-newton            ``[z1, z2, d, nu]``
-newton_exp        ``[z1, z2, dtilde, nu]``
-newton_cascade    ``[r, z1, z2, dhat]``
-================  ==========================
+with ``z = Y(t)^T (x - x*)`` the co-rotating offset, ``dtilde = log(d)``,
+``dhat = log(d H)`` and ``r = nu - F(x)`` the filter offset. The full
+frames are integrated by :func:`closed_loop`, the averaged ones by
+:func:`averaged_closed_loop`.
 """
 
 from __future__ import annotations
@@ -42,6 +41,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -52,19 +52,16 @@ __all__ = [
     "Scheme",
     "Frame",
     "AveragedForm",
-    "RotationY",
+    "FrameSpec",
+    "FRAME_SPECS",
     "rotation_matrix",
     "spin_matrix",
     "to_rotating_frame",
     "from_rotating_frame",
-    "gradient_control",
-    "newton_control",
     "closed_loop_rhs",
     "closed_loop",
-    "closed_loop_dimension",
     "averaged_rhs",
     "averaged_closed_loop",
-    "averaged_dimension",
     "gradient_affine_system",
     "newton_affine_system",
 ]
@@ -92,37 +89,74 @@ class AveragedForm(enum.Enum):
     NEWTON_CASCADE = "newton_cascade"
 
 
-#: frames whose right-hand side carries explicit oscillatory forcing
-_FULL_FRAMES = {
-    (Scheme.GRADIENT, Frame.ORIGINAL): 3,
-    (Scheme.GRADIENT, Frame.ROTATING_Z): 3,
-    (Scheme.NEWTON, Frame.ORIGINAL): 4,
-    (Scheme.NEWTON, Frame.ROTATING_Z): 4,
-    (Scheme.NEWTON, Frame.ROTATING_Z_LOG_D): 4,
+@dataclass(frozen=True)
+class FrameSpec:
+    """What the package knows about one (scheme, frame) pair.
+
+    ``layout(p, nu0, d0, r0, hessian)`` builds the initial state from the
+    frame's start position ``p`` (``x0`` when ``plane`` is set, else
+    ``z0``), the filter start, the Riccati start, the filter offset
+    ``r0 = nu0 - F(x0)`` and the field curvature. ``d_of(states, hessian)``
+    maps recorded states back to raw ``d``.
+    """
+
+    dim: int
+    form: AveragedForm | None  # closed-form averaged system; None for a full loop
+    layout: Callable
+    d_of: Callable | None  # None for the gradient scheme, which has no d
+    raw_d: bool  # index 2 is a raw Riccati state that must stay positive
+    position: tuple[int, int]  # state components holding the position
+    plane: bool  # position is x, centred on the source; else z, centred on 0
+
+
+def _plain(p, nu, d, r, hess):
+    return (p[0], p[1], nu)
+
+
+def _riccati(p, nu, d, r, hess):
+    return (p[0], p[1], d, nu)
+
+
+def _log_riccati(p, nu, d, r, hess):
+    return (p[0], p[1], math.log(d), nu)
+
+
+def _cascade(p, nu, d, r, hess):
+    return (r, p[0], p[1], math.log(d * hess))
+
+
+def _raw_d(states, hess):
+    return states[:, 2]
+
+
+def _exp_d(states, hess):
+    return np.exp(states[:, 2])
+
+
+def _cascade_d(states, hess):
+    return np.exp(states[:, 3]) / hess
+
+
+_G, _N, _F, _A = Scheme.GRADIENT, Scheme.NEWTON, Frame, AveragedForm
+
+#: every defined (scheme, frame) pair; columns: dim, averaged form, layout,
+#: d map, raw d, position components, plane
+FRAME_SPECS: dict[tuple[Scheme, Frame], FrameSpec] = {
+    (_G, _F.ORIGINAL): FrameSpec(3, None, _plain, None, False, (0, 1), True),
+    (_G, _F.ROTATING_Z): FrameSpec(3, None, _plain, None, False, (0, 1), False),
+    (_G, _F.AVERAGED_GRADIENT):
+        FrameSpec(3, _A.GRADIENT, _plain, None, False, (0, 1), False),
+    (_N, _F.ORIGINAL): FrameSpec(4, None, _riccati, _raw_d, True, (0, 1), True),
+    (_N, _F.ROTATING_Z): FrameSpec(4, None, _riccati, _raw_d, True, (0, 1), False),
+    (_N, _F.ROTATING_Z_LOG_D):
+        FrameSpec(4, None, _log_riccati, _exp_d, False, (0, 1), False),
+    (_N, _F.AVERAGED_NEWTON):
+        FrameSpec(4, _A.NEWTON, _riccati, _raw_d, True, (0, 1), False),
+    (_N, _F.AVERAGED_NEWTON_EXP):
+        FrameSpec(4, _A.NEWTON_EXP, _log_riccati, _exp_d, False, (0, 1), False),
+    (_N, _F.CASCADE_SHIFTED):
+        FrameSpec(4, _A.NEWTON_CASCADE, _cascade, _cascade_d, False, (1, 2), False),
 }
-
-_AVERAGED_DIMS = {
-    AveragedForm.GRADIENT: 3,
-    AveragedForm.NEWTON: 4,
-    AveragedForm.NEWTON_EXP: 4,
-    AveragedForm.NEWTON_CASCADE: 4,
-}
-
-#: newton-only frames, rejected for the gradient scheme
-_NEWTON_ONLY = {
-    Frame.ROTATING_Z_LOG_D,
-    Frame.CASCADE_SHIFTED,
-    Frame.AVERAGED_NEWTON,
-    Frame.AVERAGED_NEWTON_EXP,
-}
-
-_GRADIENT_ONLY = {Frame.AVERAGED_GRADIENT}
-
-
-def frame_compatible(frame: Frame, scheme: Scheme) -> bool:
-    if scheme is Scheme.GRADIENT:
-        return frame not in _NEWTON_ONLY
-    return frame not in _GRADIENT_ONLY
 
 
 # ---------------------------------------------------------------------------
@@ -141,18 +175,6 @@ def spin_matrix(omega0: float) -> np.ndarray:
     return np.array([[0.0, omega0], [-omega0, 0.0]])
 
 
-@dataclass(frozen=True)
-class RotationY:
-    """Materialized rotation frame at a fixed time."""
-
-    time: float
-    omega0: float
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return rotation_matrix(self.time, self.omega0)
-
-
 def to_rotating_frame(t: float, x, x_star, omega0: float) -> np.ndarray:
     """Co-rotating offset z = Y(t)^T (x - x_star)."""
     x = np.asarray(x, dtype=float)
@@ -168,52 +190,7 @@ def from_rotating_frame(t: float, z, x_star, omega0: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# control laws
-
-
-def gradient_control(t: float, y: float, nu: float,
-                     params: SeekerParams) -> tuple[float, float, float]:
-    """Gradient-seeker control: returns (u1, u2, nu_dot).
-
-    u1 = c (y - nu) sin(w t) + alpha_tilde cos(w t), u2 = omega0, and the
-    high-pass filter state obeys nu_dot = h (y - nu).
-    """
-    w, wt = params.omega, params.omega * t
-    err = y - nu
-    u1 = params.c * err * math.sin(wt) + params.alpha_tilde * math.cos(wt)
-    return u1, params.omega0, params.h_gain * err
-
-
-def newton_control(t: float, y: float, nu: float, dee: float,
-                   params: SeekerParams) -> tuple[float, float, float, float]:
-    """Curvature-inverting control: returns (u1, u2, dee_dot, nu_dot).
-
-    The Riccati state multiplies the demodulated feedback in u1 and is driven
-    by the double-frequency component of the filtered measurement:
-    dee_dot = omega_d d (1 - d g (y - nu) cos(2 w t)) with g the demodulation
-    gain. dee <= 0 is not rejected here; the integrator guards it.
-    """
-    wt = params.omega * t
-    err = y - nu
-    u1 = params.c * dee * err * math.sin(wt) + params.alpha_tilde * math.cos(wt)
-    dee_dot = params.omega_d * dee * (
-        1.0 - dee * params.demod_gain * err * math.cos(2.0 * wt)
-    )
-    return u1, params.omega0, dee_dot, params.h_gain * err
-
-
-# ---------------------------------------------------------------------------
 # closed loops
-
-
-def closed_loop_dimension(scheme: Scheme, frame: Frame) -> int:
-    try:
-        return _FULL_FRAMES[(scheme, frame)]
-    except KeyError:
-        raise ValueError(
-            f"frame {frame.value!r} is not a closed-loop frame for scheme "
-            f"{scheme.value!r}"
-        ) from None
 
 
 def closed_loop_rhs(scheme: Scheme, frame: Frame, t: float, state,
@@ -224,14 +201,14 @@ def closed_loop_rhs(scheme: Scheme, frame: Frame, t: float, state,
     for the state layout per (scheme, frame). Dimension mismatches and
     scheme/frame mismatches raise ValueError.
     """
-    dim = closed_loop_dimension(scheme, frame)
+    rhs = closed_loop(scheme, frame, params, field)
+    dim = FRAME_SPECS[(scheme, frame)].dim
     state = np.asarray(state, dtype=float)
     if state.shape != (dim,):
         raise ValueError(
             f"state shape {state.shape} does not match ({dim},) for "
             f"({scheme.value}, {frame.value})"
         )
-    rhs = closed_loop(scheme, frame, params, field)
     return np.array(rhs(t, tuple(state.tolist())))
 
 
@@ -246,7 +223,6 @@ def closed_loop(scheme: Scheme, frame: Frame, params: SeekerParams,
     The closure is immutable after construction and safe to evaluate
     concurrently.
     """
-    closed_loop_dimension(scheme, frame)  # rejects scheme/frame mismatches
     w0 = params.omega0
     h = params.h_gain
     fs, hess = field.f_star, field.hessian
@@ -305,18 +281,17 @@ def closed_loop(scheme: Scheme, frame: Frame, params: SeekerParams,
             dtdot = wd * (1.0 - ed * g2 * err * math.cos(2.0 * w * t))
             return (w0 * z2, -w0 * z1 + u1, dtdot, h * err)
 
-    else:  # pragma: no cover - closed_loop_dimension already rejected it
-        raise ValueError(f"unsupported combination ({scheme}, {frame})")
+    else:
+        raise ValueError(
+            f"frame {frame.value!r} is not a closed-loop frame for scheme "
+            f"{scheme.value!r}"
+        )
 
     return rhs
 
 
 # ---------------------------------------------------------------------------
 # averaged systems (closed form)
-
-
-def averaged_dimension(form: AveragedForm) -> int:
-    return _AVERAGED_DIMS[form]
 
 
 def averaged_rhs(form: AveragedForm, state, params: SeekerParams,
@@ -336,7 +311,7 @@ def averaged_rhs(form: AveragedForm, state, params: SeekerParams,
     Lt = L / H is the curvature-normalized damping. A state of the wrong
     dimension raises ValueError.
     """
-    dim = _AVERAGED_DIMS[form]
+    dim = next(spec.dim for spec in FRAME_SPECS.values() if spec.form is form)
     state = np.asarray(state, dtype=float)
     if state.shape != (dim,):
         raise ValueError(

@@ -116,3 +116,16 @@ class TestCertifyCommand:
         assert "check_vdot = pass" in text
         assert "check_iss = pass" in text
         assert "[linearization averaged_newton]" in text
+
+    def test_seed_draws_the_iss_points(self, tmp_path):
+        def certify(seed, name):
+            out = tmp_path / name
+            assert main(["certify", "--seed", str(seed), "--out", str(out)]) == 0
+            return (out / "stability_report.txt").read_text()
+
+        def iss_margin_min(text):
+            return next(l for l in text.splitlines() if l.startswith("iss_margin_min"))
+
+        first, again, other = certify(1, "a"), certify(1, "b"), certify(2, "c")
+        assert first == again
+        assert iss_margin_min(first) != iss_margin_min(other)

@@ -3,12 +3,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sourceseek import (
     CompareConfig,
     ConfigError,
     DEFAULT_FIELD,
     DEFAULT_PARAMS,
+    FRAME_SPECS,
     Frame,
     HessianSweepConfig,
     IntegratorConfig,
@@ -35,6 +38,16 @@ class TestScenarioValidation:
 
     def test_gradient_ignores_riccati_start(self):
         Scenario(scheme=Scheme.GRADIENT, d0=-1.0)  # unused, accepted
+
+    def test_rejects_nonfinite_starts(self):
+        with pytest.raises(ValueError, match="nu0 must be finite"):
+            Scenario(scheme=Scheme.GRADIENT, nu0=math.nan)
+        with pytest.raises(ValueError, match="nu0 must be finite"):
+            Scenario(scheme=Scheme.NEWTON, nu0=math.inf)
+        with pytest.raises(ValueError, match="d0=inf rejected"):
+            Scenario(scheme=Scheme.NEWTON, d0=math.inf)
+        with pytest.raises(ValueError, match="d0=nan rejected"):
+            Scenario(scheme=Scheme.NEWTON, d0=math.nan)
 
     def test_horizon_positive(self):
         with pytest.raises(ValueError, match="horizon"):
@@ -67,6 +80,53 @@ class TestScenarioValidation:
         assert full.integrator_config().dt == pytest.approx(
             2.0 * math.pi / (2.0 * 15.0 * 60.0)
         )
+
+
+class TestFrameSpecs:
+    """Every (scheme, frame) entry of the table, read through Scenario."""
+
+    @pytest.mark.parametrize(
+        "key", sorted(FRAME_SPECS, key=lambda k: (k[0].value, k[1].value)),
+        ids=lambda k: f"{k[0].value}-{k[1].value}",
+    )
+    @settings(max_examples=20, deadline=None)
+    @given(
+        x0=st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0)),
+        nu0=st.floats(-10.0, 10.0),
+        d0=st.floats(0.01, 500.0),
+    )
+    def test_start_follows_the_spec(self, key, x0, nu0, d0):
+        scheme, frame = key
+        spec = FRAME_SPECS[key]
+        scn = Scenario(scheme=scheme, frame=frame, x0=x0, nu0=nu0, d0=d0)
+        state = scn.initial_state()
+        assert state.shape == (spec.dim,)
+        out = scn.build_rhs()(0.0, tuple(state.tolist()))
+        assert len(out) == spec.dim and all(map(math.isfinite, out))
+
+        d = scn.d_series(Trajectory(np.zeros(1), state[None, :]))
+        if scheme is Scheme.NEWTON:
+            assert d[0] == pytest.approx(d0, rel=1e-12)
+        else:
+            assert d is None
+
+        comps, center = scn.position_ball()
+        assert np.linalg.norm(state[list(comps)] - center) == pytest.approx(
+            math.dist(x0, DEFAULT_FIELD.source), rel=1e-12, abs=1e-12
+        )
+
+    def test_pairs_missing_from_the_table_are_undefined(self):
+        missing = {(s, f) for s in Scheme for f in Frame if (s, f) not in FRAME_SPECS}
+        assert missing == {
+            (Scheme.GRADIENT, Frame.ROTATING_Z_LOG_D),
+            (Scheme.GRADIENT, Frame.CASCADE_SHIFTED),
+            (Scheme.GRADIENT, Frame.AVERAGED_NEWTON),
+            (Scheme.GRADIENT, Frame.AVERAGED_NEWTON_EXP),
+            (Scheme.NEWTON, Frame.AVERAGED_GRADIENT),
+        }
+        for scheme, frame in missing:
+            with pytest.raises(ValueError, match="undefined"):
+                Scenario(scheme=scheme, frame=frame)
 
 
 class TestEstimateRate:
@@ -382,6 +442,13 @@ seed = 7
         path.write_text("[scenario]\nscheme = newton\nd0 = -1.0\n")
         with pytest.raises(ConfigError, match="d > 0"):
             load_config(path)
+
+    def test_nonfinite_start_surfaces_as_config_error(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        for line in ("nu0 = nan", "d0 = inf"):
+            path.write_text(f"[scenario]\nscheme = newton\n{line}\n")
+            with pytest.raises(ConfigError, match="finite"):
+                load_config(path)
 
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):

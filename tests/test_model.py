@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sourceseek import FieldParams, SeekerParams, SeekerState, VehicleState
+from sourceseek import FieldParams, SeekerParams, VehicleState
 from sourceseek.model import eval_field, unicycle_rhs
 
 
@@ -134,13 +134,3 @@ class TestSeekerParams:
         assert resolved["c"] == ref_params.c
         assert resolved["alpha_tilde"] == ref_params.alpha_tilde
         assert resolved["demod_gain"] == ref_params.demod_gain
-
-
-class TestSeekerState:
-    def test_defaults(self):
-        s = SeekerState(position=np.array([4.0, -4.0]))
-        assert s.nu == 0.0 and s.dee is None
-
-    def test_rejects_nonfinite_riccati_state(self):
-        with pytest.raises(ValueError):
-            SeekerState(position=np.zeros(2), dee=math.inf)

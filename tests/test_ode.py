@@ -98,6 +98,11 @@ class TestIntegrate:
         assert "step-size violation" in str(excinfo.value)
         assert excinfo.value.last_valid_time == pytest.approx(0.1, abs=0.02)
 
+    def test_rejects_nonfinite_initial_state(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="initial state is not finite"):
+                integrate(lambda t, y: (0.0, 0.0), [1.0, bad], 0.0, 1.0, _config(0.1))
+
     def test_rejects_rhs_of_wrong_length(self):
         with pytest.raises(ValueError, match="2 components for a state of length 1"):
             integrate(lambda t, y: (0.0, 0.0), [1.0], 0.0, 1.0, _config(0.1))

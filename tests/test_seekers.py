@@ -8,7 +8,6 @@ from sourceseek import (
     Frame,
     IntegrationAborted,
     IntegratorConfig,
-    RotationY,
     Scheme,
     averaged_closed_loop,
     averaged_rhs,
@@ -16,10 +15,8 @@ from sourceseek import (
     closed_loop_rhs,
     from_rotating_frame,
     gradient_affine_system,
-    gradient_control,
     integrate,
     newton_affine_system,
-    newton_control,
     rotation_matrix,
     spin_matrix,
     to_rotating_frame,
@@ -46,9 +43,10 @@ class TestRotationFrame:
                 dy, rotation_matrix(t, w0).T @ spin_matrix(w0), atol=1e-7
             )
 
-    def test_materialized_dataclass(self):
-        frame = RotationY(time=0.0, omega0=2.0)
-        np.testing.assert_allclose(frame.matrix, [[0.0, 1.0], [-1.0, 0.0]], atol=1e-15)
+    def test_frame_matrix_at_time_zero(self):
+        np.testing.assert_allclose(
+            rotation_matrix(0.0, 2.0), [[0.0, 1.0], [-1.0, 0.0]], atol=1e-15
+        )
 
     def test_roundtrip_inverse(self, rng):
         for _ in range(50):
@@ -84,37 +82,41 @@ class TestRotationFrame:
 
 
 class TestControlLaws:
-    def test_converged_filter_leaves_pure_dither(self, ref_params):
-        # sin(w t) = 0 and cos(w t) = 1 at t = 0
-        u1, u2, nu_dot = gradient_control(0.0, 3.0, 3.0, ref_params)
+    """The control laws as they act inside the rotating-frame closed loops,
+    where ``y = F(z)`` and the forward speed ``u1`` drives ``z2``."""
+
+    def test_converged_filter_leaves_pure_dither(self, ref_params, ref_field):
+        # sin(w t) = 0 and cos(w t) = 1 at t = 0; nu = F(z) zeroes the feedback
+        rhs = closed_loop(Scheme.GRADIENT, Frame.ROTATING_Z, ref_params, ref_field)
+        nu = ref_field.f_star - 0.5 * ref_field.hessian * 1.0
+        dz1, u1, nu_dot = rhs(0.0, (0.0, 1.0, nu))
         assert u1 == pytest.approx(ref_params.alpha_tilde, rel=1e-14)
-        assert u2 == ref_params.omega0
+        assert dz1 == ref_params.omega0
         assert nu_dot == 0.0
 
-    def test_turn_rate_constant(self, ref_params, rng):
-        for t in rng.uniform(0.0, 100.0, size=20):
-            _, u2, _ = gradient_control(t, rng.normal(), rng.normal(), ref_params)
-            assert u2 == ref_params.omega0
-            _, u2n, _, _ = newton_control(t, rng.normal(), rng.normal(), 1.0, ref_params)
-            assert u2n == ref_params.omega0
-
-    def test_filter_state_drive(self, ref_params):
-        _, _, nu_dot = gradient_control(0.3, 4.0, 1.0, ref_params)
+    def test_filter_state_drive(self, ref_params, ref_field):
+        rhs = closed_loop(Scheme.GRADIENT, Frame.ROTATING_Z, ref_params, ref_field)
+        _, _, nu_dot = rhs(0.3, (0.0, 0.0, ref_field.f_star - 3.0))
         assert nu_dot == pytest.approx(ref_params.h_gain * 3.0, rel=1e-14)
 
-    def test_riccati_zero_is_invariant(self, ref_params, rng):
+    def test_riccati_zero_is_invariant(self, ref_params, ref_field, rng):
+        rhs = closed_loop(Scheme.NEWTON, Frame.ROTATING_Z, ref_params, ref_field)
         for t in rng.uniform(0.0, 10.0, size=10):
-            _, _, dee_dot, _ = newton_control(t, rng.normal(), rng.normal(), 0.0, ref_params)
+            z1, z2, nu = rng.normal(size=3)
+            _, _, dee_dot, _ = rhs(t, (z1, z2, 0.0, nu))
             assert dee_dot == 0.0
 
-    def test_riccati_growth_with_converged_filter(self, ref_params):
-        _, _, dee_dot, _ = newton_control(0.7, 2.0, 2.0, 5.0, ref_params)
+    def test_riccati_growth_with_converged_filter(self, ref_params, ref_field):
+        rhs = closed_loop(Scheme.NEWTON, Frame.ROTATING_Z, ref_params, ref_field)
+        _, _, dee_dot, _ = rhs(0.7, (0.0, 0.0, 5.0, ref_field.f_star))
         assert dee_dot == pytest.approx(ref_params.omega_d * 5.0, rel=1e-14)
 
-    def test_riccati_demodulation_gain(self, ref_params):
+    def test_riccati_demodulation_gain(self, ref_params, ref_field):
         # at t = 0: cos(2wt) = 1, sin(wt) = 0
-        dee, err = 2.0, 0.3
-        _, _, dee_dot, _ = newton_control(0.0, err, 0.0, dee, ref_params)
+        rhs = closed_loop(Scheme.NEWTON, Frame.ROTATING_Z, ref_params, ref_field)
+        dee, nu = 2.0, ref_field.f_star - 0.3
+        err = ref_field.f_star - nu
+        _, _, dee_dot, _ = rhs(0.0, (0.0, 0.0, dee, nu))
         expected = ref_params.omega_d * dee * (1.0 - dee * ref_params.demod_gain * err)
         assert dee_dot == pytest.approx(expected, rel=1e-14)
 
