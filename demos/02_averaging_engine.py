@@ -4,9 +4,11 @@ Both closed loops are written as a drift plus oscillatory channels
 f_i(x) * omega**p_i * u_i(k_i omega t). The averaging engine then:
 
 1. checks the hypotheses (bounded zero-mean waveforms, exponent budgets),
-2. computes the iterated-integral coefficients by quadrature on a frequency
-   ladder and classifies their large-frequency limits,
-3. assembles drift + sum(coefficient * bracket) numerically,
+2. computes each coefficient's frequency-free iterated integral once by
+   quadrature and classifies its large-frequency limit from the exact
+   exponent omega**q,
+3. assembles drift + sum(coefficient * bracket) numerically, with brackets
+   taken as central differences along the field directions,
 
 and the result lands on the closed-form averaged systems without ever
 differentiating by hand.
@@ -27,7 +29,7 @@ from sourceseek import (
 )
 
 grid = default_omega_grid(DEFAULT_PARAMS.omega)
-print(f"frequency ladder for limit classification: {grid}")
+print(f"frequencies the report lists each coefficient at: {grid}")
 print()
 
 for name, system, form in (

@@ -44,11 +44,9 @@ from .averaging import (
     LimitClass,
     OscillatoryInput,
     QuadratureError,
-    UnclassifiableLimitError,
     averaged_vector_field,
     build_averaged_field,
     check_assumptions,
-    classify_limit,
     common_period,
     default_omega_grid,
     gamma_pair,

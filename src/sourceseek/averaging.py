@@ -12,6 +12,16 @@ brackets ``[[f_i, f_j], f_m]`` weighted by ``gamma_ijm``. This module
 computes those coefficients by quadrature, classifies their large-``omega``
 limits, and assembles the limiting vector field numerically.
 
+All quadrature is performed in the phase variable ``tau = omega * t``, where
+the integrands do not depend on ``omega``, so each coefficient is
+``gamma(omega) = omega**q * raw`` with ``raw`` computed once and the
+exponent known exactly: ``q = p_i + p_j - 1`` for a pair and
+``q = p_i + p_j + p_m - 2`` for a triple. The limit is classified from
+``q``: zero when ``q < 0`` or when ``raw`` lies within the quadrature's own
+error estimate (Richardson disagreement plus rounding allowance), the
+finite constant ``raw`` when ``q == 0``, divergent when ``q > 0``. Brackets
+are central differences along the field directions, never full Jacobians.
+
 Channel indices are 0-based everywhere (``gamma_pair(0, 1, ...)`` couples the
 first two channels).
 
@@ -23,10 +33,6 @@ Conventions fixed by the implementation:
   triple iterated integral of the antisymmetrized product; the factor 3 in
   the denominator makes the constant-coefficient reference case
   (sin/cos../cos 2. channels) come out at exactly 1/8.
-
-All quadrature is performed in the phase variable ``tau = omega * t``, where
-the integrands are independent of ``omega``; the frequency enters only
-through an exact power-law prefactor.
 """
 
 from __future__ import annotations
@@ -38,20 +44,25 @@ from fractions import Fraction
 import numpy as np
 from scipy.integrate import cumulative_simpson, simpson
 
-from .numdiff import central_jacobian
+# central_jacobian is not called here; bench/tracer.py wraps
+# averaging.central_jacobian by name, so the name stays in this namespace
+from .numdiff import central_jacobian  # noqa: F401
+from .numdiff import directional_derivative
 
 __all__ = [
     "OscillatoryInput",
     "ControlAffineSystem",
     "LimitClass",
+    "Quadrature",
     "QuadratureError",
-    "UnclassifiableLimitError",
     "DivergentAverageError",
     "common_period",
+    "pair_quadrature",
+    "triple_quadrature",
+    "coefficient_exponent",
     "gamma_pair",
     "gamma_triple",
     "lie_bracket",
-    "classify_limit",
     "default_omega_grid",
     "build_averaged_field",
     "averaged_vector_field",
@@ -69,16 +80,13 @@ QUAD_HALT_TOL = 1e-9
 QUAD_FAIL_TOL = 1e-7
 #: node cap for the Richardson ladder
 QUAD_MAX_NODES = 2**20
-#: magnitudes below this are treated as exactly zero when classifying limits
-ZERO_FILTER = 1e-8
+#: an exponent sum this many ulps from an integer is that integer
+EXPONENT_ULPS = 4
+_EPS = float(np.finfo(float).eps)
 
 
 class QuadratureError(RuntimeError):
     """Quadrature failed to converge within the node budget."""
-
-
-class UnclassifiableLimitError(RuntimeError):
-    """Coefficient samples fit no clean power law."""
 
 
 class DivergentAverageError(RuntimeError):
@@ -228,47 +236,121 @@ def _phase_span(system: ControlAffineSystem) -> float:
     return common_period([system.input(i) for i in range(system.n_channels)], 1.0)
 
 
-def _pair_raw(system: ControlAffineSystem, i: int, j: int, span: float, n: int) -> float:
-    """Iterated integral of u_j(k_j s) * u_i(k_i p) over 0 <= p <= s <= span."""
-    s = np.linspace(0.0, span, n + 1)
-    ui = np.asarray(system.input(i).wave(float(system.input(i).k) * s), dtype=float)
-    uj = np.asarray(system.input(j).wave(float(system.input(j).k) * s), dtype=float)
-    cum_i = cumulative_simpson(ui, x=s, initial=0.0)
-    return float(simpson(uj * cum_i, x=s))
+def _waves(system: ControlAffineSystem, indices, s: np.ndarray) -> list:
+    return [
+        np.asarray(system.input(i).wave(float(system.input(i).k) * s), dtype=float)
+        for i in indices
+    ]
 
 
-def _triple_raw(system: ControlAffineSystem, i: int, j: int, m: int,
-                span: float, n: int) -> float:
-    """Iterated integral of u_m(k_m tau) times the antisymmetrized double
-    integral of channels i, j, nested as p <= s <= tau <= span."""
+def _pair_integrand(system: ControlAffineSystem, i: int, j: int, span: float,
+                    n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and outer integrand of the iterated integral of
+    u_j(k_j s) * u_i(k_i p) over 0 <= p <= s <= span."""
     s = np.linspace(0.0, span, n + 1)
-    ui = np.asarray(system.input(i).wave(float(system.input(i).k) * s), dtype=float)
-    uj = np.asarray(system.input(j).wave(float(system.input(j).k) * s), dtype=float)
-    um = np.asarray(system.input(m).wave(float(system.input(m).k) * s), dtype=float)
+    ui, uj = _waves(system, (i, j), s)
+    return s, uj * cumulative_simpson(ui, x=s, initial=0.0)
+
+
+def _triple_integrand(system: ControlAffineSystem, i: int, j: int, m: int,
+                      span: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and outer integrand of the iterated integral of u_m(k_m tau)
+    times the antisymmetrized double integral of channels i, j, nested as
+    p <= s <= tau <= span."""
+    s = np.linspace(0.0, span, n + 1)
+    ui, uj, um = _waves(system, (i, j, m), s)
     cum_i = cumulative_simpson(ui, x=s, initial=0.0)
     cum_j = cumulative_simpson(uj, x=s, initial=0.0)
     inner = uj * cum_i - ui * cum_j
-    cum_inner = cumulative_simpson(inner, x=s, initial=0.0)
-    return float(simpson(um * cum_inner, x=s))
+    return s, um * cumulative_simpson(inner, x=s, initial=0.0)
 
 
-def _richardson(evaluate, n0: int = 1024) -> float:
+@dataclass(frozen=True)
+class Quadrature:
+    """One iterated integral from the Richardson ladder.
+
+    ``value`` is the estimate on the finest rung (``nodes`` intervals),
+    ``disagreement`` its distance from the rung before, and ``rounding``
+    the floating-point allowance ``nodes * eps * integral(|integrand|)`` of
+    the finest rung, all in the same normalization as ``value``.
+    """
+
+    value: float
+    disagreement: float
+    rounding: float
+    nodes: int
+
+    @property
+    def error(self) -> float:
+        return self.disagreement + self.rounding
+
+    @property
+    def is_zero(self) -> bool:
+        """The estimate cannot be told apart from zero."""
+        return abs(self.value) <= self.error
+
+
+def _richardson(integrand, scale: float, n0: int = 1024) -> Quadrature:
+    """Simpson quadrature of ``integrand(n) -> (nodes, values)`` on ``n``
+    intervals, times ``scale``, halving the step until successive estimates
+    agree."""
     n = n0
-    previous = evaluate(n)
-    disagreement = math.inf
-    while n < QUAD_MAX_NODES:
+    s, outer = integrand(n)
+    previous = scale * float(simpson(outer, x=s))
+    while True:
         n *= 2
-        current = evaluate(n)
+        s, outer = integrand(n)
+        current = scale * float(simpson(outer, x=s))
         disagreement = abs(current - previous)
-        if disagreement < QUAD_HALT_TOL:
-            return current
+        if disagreement < QUAD_HALT_TOL or n >= QUAD_MAX_NODES:
+            break
         previous = current
     if disagreement > QUAD_FAIL_TOL:
         raise QuadratureError(
             f"iterated-integral quadrature did not converge: disagreement "
             f"{disagreement:.3e} at {n} nodes"
         )
-    return previous
+    rounding = n * _EPS * abs(scale) * float(simpson(np.abs(outer), x=s))
+    return Quadrature(current, disagreement, rounding, n)
+
+
+def pair_quadrature(system: ControlAffineSystem, i: int, j: int) -> Quadrature:
+    """The omega-free part ``raw`` of the pair coefficient:
+    ``gamma_pair = omega**(p_i + p_j - 1) * raw``, with ``raw`` the double
+    iterated integral over one common phase period divided by its length."""
+    if not 0 <= i < j < system.n_channels:
+        raise ValueError(f"need channel indices 0 <= i < j < l, got ({i}, {j})")
+    span = _phase_span(system)
+    return _richardson(lambda n: _pair_integrand(system, i, j, span, n), 1.0 / span)
+
+
+def triple_quadrature(system: ControlAffineSystem, i: int, j: int,
+                      m: int) -> Quadrature:
+    """The omega-free part ``raw`` of the triple coefficient:
+    ``gamma_triple = omega**(p_i + p_j + p_m - 2) * raw``, with ``raw`` the
+    nested triple integral over one common phase period divided by three
+    times its length."""
+    if not 0 <= i < j < system.n_channels:
+        raise ValueError(f"need channel indices 0 <= i < j < l, got ({i}, {j})")
+    if not 0 <= m < system.n_channels:
+        raise ValueError(f"channel index m={m} out of range")
+    span = _phase_span(system)
+    return _richardson(
+        lambda n: _triple_integrand(system, i, j, m, span, n), 1.0 / (3.0 * span)
+    )
+
+
+def coefficient_exponent(system: ControlAffineSystem, indices) -> float:
+    """Exact growth exponent ``q`` of a coefficient, ``gamma = omega**q * raw``.
+
+    ``q = p_i + p_j - 1`` for a pair and ``p_i + p_j + p_m - 2`` for a
+    triple. A ``q`` within ``EXPONENT_ULPS`` units in the last place of the
+    exponent sum is exactly 0: it is the rounding of a sum such as
+    ``(1 - p) + p``.
+    """
+    p_sum = sum(system.input(ix).p_i for ix in indices)
+    q = p_sum - (len(indices) - 1)
+    return 0.0 if abs(q) <= EXPONENT_ULPS * math.ulp(p_sum) else q
 
 
 def gamma_pair(i: int, j: int, system: ControlAffineSystem, omega: float) -> float:
@@ -276,20 +358,13 @@ def gamma_pair(i: int, j: int, system: ControlAffineSystem, omega: float) -> flo
 
     Equals ``omega**(p_i + p_j) / T`` times the iterated double integral of
     ``u_j(k_j omega s) u_i(k_i omega p)`` over one common period ``T``,
-    evaluated by composite Simpson quadrature with Richardson halving.
+    evaluated in the phase variable by composite Simpson quadrature with
+    Richardson halving.
     """
-    if not 0 <= i < j < system.n_channels:
-        raise ValueError(f"need channel indices 0 <= i < j < l, got ({i}, {j})")
     if not omega > 0.0:
         raise ValueError("omega must be positive")
-    span = _phase_span(system)
-    exponent = system.input(i).p_i + system.input(j).p_i - 1.0
-    scale = omega**exponent / span
-
-    def estimate(n: int) -> float:
-        return scale * _pair_raw(system, i, j, span, n)
-
-    return _richardson(estimate)
+    raw = pair_quadrature(system, i, j)
+    return omega ** coefficient_exponent(system, (i, j)) * raw.value
 
 
 def gamma_triple(i: int, j: int, m: int, system: ControlAffineSystem,
@@ -301,20 +376,10 @@ def gamma_triple(i: int, j: int, m: int, system: ControlAffineSystem,
     the sin/cos/cos-double reference system, whose (1, 2, 1)-coefficient
     (0-based) is exactly 1/8.
     """
-    if not 0 <= i < j < system.n_channels:
-        raise ValueError(f"need channel indices 0 <= i < j < l, got ({i}, {j})")
-    if not 0 <= m < system.n_channels:
-        raise ValueError(f"channel index m={m} out of range")
     if not omega > 0.0:
         raise ValueError("omega must be positive")
-    span = _phase_span(system)
-    p_sum = system.input(i).p_i + system.input(j).p_i + system.input(m).p_i
-    scale = omega ** (p_sum - 2.0) / (3.0 * span)
-
-    def estimate(n: int) -> float:
-        return scale * _triple_raw(system, i, j, m, span, n)
-
-    return _richardson(estimate)
+    raw = triple_quadrature(system, i, j, m)
+    return omega ** coefficient_exponent(system, (i, j, m)) * raw.value
 
 
 # ---------------------------------------------------------------------------
@@ -322,21 +387,27 @@ def gamma_triple(i: int, j: int, m: int, system: ControlAffineSystem,
 
 
 def lie_bracket(f, g, x, step=None) -> np.ndarray:
-    """Lie bracket ``[f, g](x) = Jg(x) f(x) - Jf(x) g(x)``.
+    """Lie bracket ``[f, g](x) = Dg(x)[f(x)] - Df(x)[g(x)]``.
 
-    Jacobians are taken by central finite differences with the step
-    ``eps**(1/3) * max(1, ||x||)``, scaled by the state norm and the same
-    for every component (:func:`~sourceseek.numdiff.default_fd_step`),
-    unless ``step`` is given.
+    Each term is one central difference along a direction, not a Jacobian
+    product: ``g`` is evaluated at ``x +/- h f(x)/||f(x)||`` and ``f`` at
+    ``x +/- h g(x)/||g(x)||``, six field evaluations in all (a zero
+    direction contributes zero and costs none). ``step`` is the displacement
+    length ``h``; it defaults to ``eps**(1/3) * max(1, ||x||)``, scaled by
+    the state norm (:func:`~sourceseek.numdiff.fd_step_length`).
+
+    Raises
+    ------
+    ValueError
+        If a field evaluation is non-finite; the message names the point.
     """
     x = np.asarray(x, dtype=float)
-    jf = central_jacobian(f, x, step)
-    jg = central_jacobian(g, x, step)
     fx = np.asarray(f(x), dtype=float)
     gx = np.asarray(g(x), dtype=float)
     if not (np.all(np.isfinite(fx)) and np.all(np.isfinite(gx))):
         raise ValueError(f"non-finite field evaluation at {x}")
-    return jg @ fx - jf @ gx
+    return (directional_derivative(g, x, fx, step)
+            - directional_derivative(f, x, gx, step))
 
 
 def _nested_bracket(system: ControlAffineSystem, i: int, j: int, m: int):
@@ -357,9 +428,9 @@ def _nested_bracket(system: ControlAffineSystem, i: int, j: int, m: int):
 
 @dataclass(frozen=True)
 class LimitClass:
-    """Large-frequency behaviour of a coefficient: vanishing, a finite
-    constant (carried in ``value``), or divergent with fitted growth
-    exponent ``exponent``."""
+    """Large-frequency behaviour of a coefficient ``omega**q * raw``:
+    vanishing, a finite constant (carried in ``value``), or divergent, with
+    the exact exponent ``q`` in ``exponent``."""
 
     kind: str
     value: float | None = None
@@ -377,6 +448,20 @@ class LimitClass:
     def divergent(cls, exponent: float) -> "LimitClass":
         return cls("divergent", value=None, exponent=float(exponent))
 
+    @classmethod
+    def of(cls, raw: Quadrature, exponent: float) -> "LimitClass":
+        """Classify ``omega**exponent * raw.value`` as omega grows.
+
+        Zero when ``raw`` cannot be told apart from zero or the exponent is
+        negative; otherwise finite with value ``raw.value`` at exponent 0 and
+        divergent at a positive exponent.
+        """
+        if raw.is_zero or exponent < 0.0:
+            return cls.zero(exponent=exponent)
+        if exponent == 0.0:
+            return cls.finite(raw.value)
+        return cls.divergent(exponent)
+
     @property
     def is_zero(self) -> bool:
         return self.kind == "zero"
@@ -391,64 +476,11 @@ class LimitClass:
 
 
 def default_omega_grid(omega_anchor: float) -> tuple[float, ...]:
-    """Geometric frequency ladder {w, 2w, 4w, 8w} used for limit fits."""
+    """Geometric frequency ladder {w, 2w, 4w, 8w} on which the engine report
+    lists each coefficient."""
     if not omega_anchor > 0.0:
         raise ValueError("omega_anchor must be positive")
     return tuple(omega_anchor * 2.0**k for k in range(4))
-
-
-def classify_limit(omegas, values) -> LimitClass:
-    """Classify coefficient samples on a geometric frequency grid.
-
-    Fits ``|value| ~ c * omega**q`` by log-log least squares. Exponents
-    below -0.05 classify as vanishing, within +/-0.05 as a finite constant
-    (the mean sample value), above +0.05 as divergent.
-
-    Raises
-    ------
-    UnclassifiableLimitError
-        If the power-law fit explains less than 90% of the variance and the
-        samples are not uniformly negligible.
-    """
-    omegas = np.asarray(omegas, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if omegas.shape != values.shape or omegas.size < 4:
-        raise ValueError("need >= 4 (omega, value) samples")
-    ratios = omegas[1:] / omegas[:-1]
-    if np.any(ratios < 2.0 - 1e-9):
-        raise ValueError("omega grid ratios must be >= 2")
-
-    magnitudes = np.abs(values)
-    if np.all(magnitudes < ZERO_FILTER):
-        return LimitClass.zero()
-
-    keep = magnitudes > 1e-14
-    if keep.sum() < 2 or keep.sum() < omegas.size:
-        # mixed negligible/non-negligible samples never fit one power law
-        raise UnclassifiableLimitError(
-            f"samples mix negligible and finite magnitudes: {values}"
-        )
-    logw = np.log(omegas)
-    logv = np.log(magnitudes)
-    design = np.column_stack([np.ones_like(logw), logw])
-    coef, *_ = np.linalg.lstsq(design, logv, rcond=None)
-    fitted = design @ coef
-    ss_res = float(np.sum((logv - fitted) ** 2))
-    ss_tot = float(np.sum((logv - logv.mean()) ** 2))
-    if ss_tot < 1e-20:
-        r_squared = 1.0 if ss_res < 1e-16 else 0.0
-    else:
-        r_squared = 1.0 - ss_res / ss_tot
-    q = float(coef[1])
-    if r_squared < 0.9:
-        raise UnclassifiableLimitError(
-            f"power-law fit unreliable (R^2 = {r_squared:.3f}) for samples {values}"
-        )
-    if q < -0.05:
-        return LimitClass.zero(exponent=q)
-    if q > 0.05:
-        return LimitClass.divergent(exponent=q)
-    return LimitClass.finite(float(values.mean()))
 
 
 # ---------------------------------------------------------------------------
@@ -458,8 +490,16 @@ def classify_limit(omegas, values) -> LimitClass:
 @dataclass(frozen=True)
 class CoefficientEntry:
     indices: tuple
+    raw: Quadrature
     samples: tuple
     limit: LimitClass
+
+
+def _coefficient_entry(system: ControlAffineSystem, indices: tuple,
+                       raw: Quadrature, omega_grid: tuple) -> CoefficientEntry:
+    q = coefficient_exponent(system, indices)
+    samples = tuple(w**q * raw.value for w in omega_grid)
+    return CoefficientEntry(indices, raw, samples, LimitClass.of(raw, q))
 
 
 class AveragedField:
@@ -478,6 +518,8 @@ class AveragedField:
     def __init__(self, system: ControlAffineSystem, omega_grid):
         self.system = system
         self.omega_grid = tuple(float(w) for w in omega_grid)
+        if not self.omega_grid or not all(w > 0.0 for w in self.omega_grid):
+            raise ValueError(f"omega grid must be non-empty and positive: {omega_grid}")
         self.pairs: list[CoefficientEntry] = []
         self.triples: list[CoefficientEntry] = []
         l = system.n_channels
@@ -485,15 +527,15 @@ class AveragedField:
         # terms of the same channels, so every (i, j, m) is classified
         for i in range(l):
             for j in range(i + 1, l):
-                samples = tuple(gamma_pair(i, j, system, w) for w in self.omega_grid)
-                limit = classify_limit(self.omega_grid, samples)
-                self.pairs.append(CoefficientEntry((i, j), samples, limit))
+                raw = pair_quadrature(system, i, j)
+                self.pairs.append(
+                    _coefficient_entry(system, (i, j), raw, self.omega_grid)
+                )
                 for m in range(l):
-                    tsamples = tuple(
-                        gamma_triple(i, j, m, system, w) for w in self.omega_grid
+                    raw = triple_quadrature(system, i, j, m)
+                    self.triples.append(
+                        _coefficient_entry(system, (i, j, m), raw, self.omega_grid)
                     )
-                    tlimit = classify_limit(self.omega_grid, tsamples)
-                    self.triples.append(CoefficientEntry((i, j, m), tsamples, tlimit))
 
     @staticmethod
     def _entry(entries, indices):
@@ -635,12 +677,12 @@ def check_assumptions(system: ControlAffineSystem, seed: int = 0) -> AssumptionR
     combinations whose exponents exceed the first- or second-order budget
     (pair sums above 1, triple sums above 2), the corresponding bracket must
     vanish on a random state sample or the matching raw iterated integral
-    must vanish. Combinations whose four-exponent sum reaches 3 fall under
-    the declared ``smooth_remainder`` flag and are reported, not computed.
+    must vanish within its quadrature error estimate. Combinations whose
+    four-exponent sum reaches 3 fall under the declared
+    ``smooth_remainder`` flag and are reported, not computed.
     """
     rng = np.random.default_rng(seed)
     clauses: list[AssumptionClause] = []
-    span = _phase_span(system)
     l = system.n_channels
 
     for idx in range(l):
@@ -664,61 +706,33 @@ def check_assumptions(system: ControlAffineSystem, seed: int = 0) -> AssumptionR
             )
         )
 
-    int_tol = 1e-8
-    for i in range(l):
-        for j in range(i + 1, l):
-            p_sum = system.input(i).p_i + system.input(j).p_i
-            name = f"pair_({i},{j})_exponent_budget"
-            if p_sum <= 1.0:
-                clauses.append(AssumptionClause(name, False, True, f"p_i+p_j={p_sum:g}"))
-                continue
-            raw = _richardson(lambda n: _pair_raw(system, i, j, span, n) / span)
-            if abs(raw) < int_tol:
-                clauses.append(
-                    AssumptionClause(name, True, True, f"iterated integral {raw:.2e}")
-                )
-                continue
-            def pair_bracket(x, _i=i, _j=j):
-                return lie_bracket(system.field(_i), system.field(_j), x)
-            vanishes = _bracket_vanishes(pair_bracket, system.dimension, rng)
-            clauses.append(
-                AssumptionClause(
-                    name, True, vanishes,
-                    "bracket vanishes on sample states" if vanishes
-                    else f"integral {raw:.2e} and bracket both non-vanishing",
-                )
+    def budget(kind: str, indices: tuple, quadrature, bracket) -> AssumptionClause:
+        name = f"{kind}_({','.join(str(ix) for ix in indices)})_exponent_budget"
+        p_sum = sum(system.input(ix).p_i for ix in indices)
+        if coefficient_exponent(system, indices) <= 0.0:
+            return AssumptionClause(name, False, True, f"exponent sum {p_sum:g}")
+        raw = quadrature(system, *indices)
+        if raw.is_zero:
+            return AssumptionClause(
+                name, True, True,
+                f"iterated integral {raw.value:.2e} within error {raw.error:.1e}",
             )
+        vanishes = _bracket_vanishes(bracket, system.dimension, rng)
+        return AssumptionClause(
+            name, True, vanishes,
+            "bracket vanishes on sample states" if vanishes
+            else f"integral {raw.value:.2e} and bracket both non-vanishing",
+        )
 
-    for i in range(l):
-        for j in range(i + 1, l):
-            for m in range(l):
-                p_sum = (
-                    system.input(i).p_i + system.input(j).p_i + system.input(m).p_i
-                )
-                name = f"triple_({i},{j},{m})_exponent_budget"
-                if p_sum <= 2.0:
-                    clauses.append(
-                        AssumptionClause(name, False, True, f"sum={p_sum:g}")
-                    )
-                    continue
-                raw = _richardson(
-                    lambda n: _triple_raw(system, i, j, m, span, n) / span
-                )
-                if abs(raw) < int_tol:
-                    clauses.append(
-                        AssumptionClause(name, True, True, f"iterated integral {raw:.2e}")
-                    )
-                    continue
-                vanishes = _bracket_vanishes(
-                    _nested_bracket(system, i, j, m), system.dimension, rng
-                )
-                clauses.append(
-                    AssumptionClause(
-                        name, True, vanishes,
-                        "bracket vanishes on sample states" if vanishes
-                        else f"integral {raw:.2e} and bracket both non-vanishing",
-                    )
-                )
+    pairs = [(i, j) for i in range(l) for j in range(i + 1, l)]
+    for i, j in pairs:
+        def pair_bracket(x, _i=i, _j=j):
+            return lie_bracket(system.field(_i), system.field(_j), x)
+        clauses.append(budget("pair", (i, j), pair_quadrature, pair_bracket))
+    for i, j in pairs:
+        for m in range(l):
+            clauses.append(budget("triple", (i, j, m), triple_quadrature,
+                                  _nested_bracket(system, i, j, m)))
 
     quad_combos = [
         (i, j, m, q)

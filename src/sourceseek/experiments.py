@@ -74,6 +74,19 @@ class ConfigError(ValueError):
     """Configuration file could not be parsed or validated."""
 
 
+def _check_start(nu0: float, d0: float, newton: bool) -> None:
+    """Reject a filter start that no run can integrate; ``d0`` matters only
+    when a curvature-inverting run is made."""
+    if not math.isfinite(nu0):
+        raise ValueError(f"nu0 must be finite, got {nu0}")
+    if newton and not 0.0 < d0 < math.inf:
+        raise ValueError(
+            f"d0={d0} rejected: the Riccati filter state must start "
+            "finite and strictly positive (d <= 0 leaves its invariant "
+            "basin d > 0)"
+        )
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One fully specified simulation run."""
@@ -105,14 +118,7 @@ class Scenario:
                 f"frame {self.frame.value!r} is undefined for scheme "
                 f"{self.scheme.value!r}"
             )
-        if not math.isfinite(self.nu0):
-            raise ValueError(f"nu0 must be finite, got {self.nu0}")
-        if self.scheme is Scheme.NEWTON and not 0.0 < self.d0 < math.inf:
-            raise ValueError(
-                f"d0={self.d0} rejected: the Riccati filter state must start "
-                "finite and strictly positive (d <= 0 leaves its invariant "
-                "basin d > 0)"
-            )
+        _check_start(self.nu0, self.d0, newton=self.scheme is Scheme.NEWTON)
         x0 = np.asarray(self.x0, dtype=float)
         if x0.shape != (2,) or not np.all(np.isfinite(x0)):
             raise ValueError(f"x0 must be a finite 2-vector, got {self.x0}")
@@ -377,6 +383,9 @@ class CompareConfig:
     samples_per_period: int = 60
     output_stride: int = 10
 
+    def __post_init__(self):
+        _check_start(self.nu0, self.d0, newton=True)
+
 
 @dataclass
 class CompareReport:
@@ -456,6 +465,7 @@ class OmegaSweepConfig:
             raise ValueError("omegas must be an increasing list of >= 3 entries")
         object.__setattr__(self, "omegas", omegas)
         object.__setattr__(self, "schemes", tuple(self.schemes))
+        _check_start(self.nu0, self.d0, newton=Scheme.NEWTON in self.schemes)
 
 
 @dataclass
@@ -627,6 +637,7 @@ class HessianSweepConfig:
         if len(hs) < 2 or max(hs) / min(hs) < 100.0 * (1.0 - 1e-9):
             raise ValueError("hessians must span at least two decades")
         object.__setattr__(self, "hessians", hs)
+        _check_start(self.nu0, self.d0, newton=True)
 
 
 @dataclass

@@ -3,19 +3,22 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sourceseek.averaging as averaging
 from sourceseek import (
     ControlAffineSystem,
     DivergentAverageError,
+    FieldParams,
+    LimitClass,
     OscillatoryInput,
     QuadratureError,
-    UnclassifiableLimitError,
+    SeekerParams,
     averaged_closed_loop,
     averaged_vector_field,
     build_averaged_field,
     check_assumptions,
-    classify_limit,
     common_period,
     default_omega_grid,
     gamma_pair,
@@ -23,6 +26,12 @@ from sourceseek import (
     gradient_affine_system,
     lie_bracket,
     newton_affine_system,
+)
+from sourceseek.averaging import (
+    Quadrature,
+    coefficient_exponent,
+    pair_quadrature,
+    triple_quadrature,
 )
 from sourceseek.seekers import AveragedForm
 
@@ -255,41 +264,133 @@ class TestLieBracket:
             )
 
 
+def _live_pair_system(p: float = 0.7) -> ControlAffineSystem:
+    """Two channels whose pair exponent sum 2p exceeds 1 and whose bracket
+    [f_0, f_1] = (0, -1) never vanishes."""
+    return ControlAffineSystem(
+        drift=lambda s: np.zeros(2),
+        channels=(
+            (lambda s: np.array([0.0, s[0]]), OscillatoryInput(np.sin, 1, p)),
+            (lambda s: np.array([1.0, 0.0]), OscillatoryInput(np.cos, 1, p)),
+        ),
+        dimension=2,
+    )
+
+
 class TestClassifyLimit:
-    def test_constant_samples_are_finite(self):
-        grid = (10.0, 20.0, 40.0, 80.0)
-        limit = classify_limit(grid, (-0.5, -0.5, -0.5, -0.5))
-        assert limit.is_finite and limit.value == pytest.approx(-0.5)
+    """Limits come from the exact exponent q and the quadrature's own error
+    estimate, never from a fit over frequencies."""
 
-    def test_decaying_power_law_is_zero(self):
-        grid = np.array([15.0, 30.0, 60.0, 120.0])
-        limit = classify_limit(grid, 1.0 / (2.0 * grid**0.61))
-        assert limit.is_zero
-        assert limit.exponent == pytest.approx(-0.61, abs=1e-6)
+    def test_constant_samples_are_finite(self, gradient_system, newton_system):
+        # q == 0: the coefficient is the constant raw at every frequency
+        raw = pair_quadrature(gradient_system, 0, 1)
+        assert coefficient_exponent(gradient_system, (0, 1)) == 0.0
+        limit = LimitClass.of(raw, 0.0)
+        assert limit.is_finite and limit.exponent == 0.0
+        assert limit.value == raw.value == pytest.approx(-0.5, abs=1e-9)
+        engine = build_averaged_field(newton_system, default_omega_grid(15.0))
+        entry = engine._entry(engine.triples, (1, 2, 1))
+        assert entry.limit.is_finite
+        assert entry.limit.value == pytest.approx(0.125, abs=1e-9)
+        assert entry.samples == (entry.raw.value,) * 4
 
-    def test_negligible_samples_shortcut(self):
-        limit = classify_limit((10.0, 20.0, 40.0, 80.0), (1e-13, -2e-14, 5e-13, 0.0))
-        assert limit.is_zero
+    def test_rounded_exponent_sums_are_exactly_zero(self, ref_params, ref_field):
+        # (1 - p) + p and p + (2 - 2p) + p may round one ulp off the integer
+        from dataclasses import replace
+
+        for p in np.linspace(0.501, 0.999, 499):
+            params = replace(ref_params, p_exp=float(p))
+            gradient = gradient_affine_system(params, ref_field)
+            assert coefficient_exponent(gradient, (0, 1)) == 0.0
+            newton = newton_affine_system(params, ref_field)
+            assert coefficient_exponent(newton, (0, 1)) == 0.0
+            assert coefficient_exponent(newton, (1, 2, 1)) == 0.0
+
+    def test_small_exponent_excess_is_not_rounded_away(self):
+        system = ControlAffineSystem(
+            drift=lambda s: np.zeros(1),
+            channels=(
+                (lambda s: np.ones(1), OscillatoryInput(np.sin, 1, 0.5)),
+                (lambda s: np.ones(1), OscillatoryInput(np.cos, 1, 0.5 + 1e-12)),
+            ),
+            dimension=1,
+        )
+        q = coefficient_exponent(system, (0, 1))
+        assert q == pytest.approx(1e-12, rel=1e-3)
+        assert LimitClass.of(pair_quadrature(system, 0, 1), q).is_divergent
+
+    def test_decaying_power_law_is_zero(self, newton_system, ref_params):
+        # raw is 1/2, far from zero, but gamma = omega**(-p) / 2 vanishes
+        engine = build_averaged_field(newton_system, default_omega_grid(15.0))
+        entry = engine._entry(engine.triples, (0, 1, 0))
+        assert entry.raw.value == pytest.approx(0.5, abs=1e-9)
+        assert entry.limit.is_zero
+        assert entry.limit.exponent == pytest.approx(-ref_params.p_exp, abs=1e-12)
+        limit = LimitClass.of(Quadrature(0.5, 1e-12, 1e-13, 2048), -0.3)
+        assert limit.is_zero and limit.exponent == -0.3
 
     def test_growing_power_law_is_divergent(self):
-        grid = np.array([10.0, 20.0, 40.0, 80.0])
-        limit = classify_limit(grid, 0.3 * grid**0.4)
+        system = _live_pair_system()
+        engine = build_averaged_field(system, default_omega_grid(10.0))
+        limit = engine.pair_limit(0, 1)
         assert limit.is_divergent
-        assert limit.exponent == pytest.approx(0.4, abs=1e-6)
+        assert limit.exponent == pytest.approx(0.4, abs=1e-12)
+        raw = pair_quadrature(system, 0, 1)
+        assert abs(raw.value) > 1e3 * raw.error
 
-    def test_inconsistent_samples_unclassifiable(self):
-        with pytest.raises(UnclassifiableLimitError):
-            classify_limit((10.0, 20.0, 40.0, 80.0), (1.0, 0.01, 1.0, 0.01))
+    def test_negligible_samples_shortcut(self, ref_params, ref_field):
+        from dataclasses import replace
 
-    def test_mixed_negligible_and_finite_unclassifiable(self):
-        with pytest.raises(UnclassifiableLimitError):
-            classify_limit((10.0, 20.0, 40.0, 80.0), (1.0, 1e-12, 1.0, 1.0))
+        # at p = 0.55 the pair (0, 2) and the triple (1, 2, 2) grow like
+        # omega**0.35 but their iterated integrals vanish; for (1, 2, 2) the
+        # Richardson disagreement alone is smaller than |raw|
+        system = newton_affine_system(replace(ref_params, p_exp=0.55), ref_field)
+        engine = build_averaged_field(system, default_omega_grid(15.0))
+        for entries, indices in ((engine.pairs, (0, 2)), (engine.triples, (1, 2, 2))):
+            entry = engine._entry(entries, indices)
+            assert entry.limit.is_zero
+            assert entry.limit.exponent == pytest.approx(0.35, abs=1e-12)
+            assert abs(entry.raw.value) <= entry.raw.error
+        raw = engine._entry(engine.triples, (1, 2, 2)).raw
+        assert abs(raw.value) > raw.disagreement
+        assert raw.rounding > 0.0
 
-    def test_sample_grid_validation(self):
-        with pytest.raises(ValueError):
-            classify_limit((10.0, 20.0, 40.0), (1.0, 1.0, 1.0))
-        with pytest.raises(ValueError):
-            classify_limit((10.0, 15.0, 30.0, 60.0), (1.0, 1.0, 1.0, 1.0))
+    def test_rounding_allowance_decides_a_tiny_raw(self):
+        tiny = Quadrature(5e-17, 4e-17, 0.0, 2048)
+        assert LimitClass.of(tiny, 0.35).is_divergent
+        tiny = Quadrature(5e-17, 4e-17, 1e-13, 2048)
+        assert LimitClass.of(tiny, 0.35).is_zero
+        # a zero raw at exponent 0 is zero, not a finite zero constant
+        assert LimitClass.of(tiny, 0.0).is_zero
+
+    def test_rounding_allowance_is_measured_not_fixed(self, newton_system):
+        # nodes * eps * integral of |integrand|: tiny next to any live
+        # coefficient, and different for integrands of different size
+        eps = float(np.finfo(float).eps)
+        pair = pair_quadrature(newton_system, 0, 1)
+        triple = triple_quadrature(newton_system, 1, 2, 1)
+        for raw in (pair, triple):
+            assert raw.nodes == 2048
+            assert 0.0 < raw.rounding < raw.nodes * eps
+        assert pair.rounding != triple.rounding
+
+    def test_samples_follow_the_exact_power_law(self, newton_system):
+        grid = default_omega_grid(15.0)
+        engine = build_averaged_field(newton_system, grid)
+        for entry in engine.pairs + engine.triples:
+            q = coefficient_exponent(newton_system, entry.indices)
+            assert entry.samples == tuple(w**q * entry.raw.value for w in grid)
+
+    def test_gamma_is_the_power_law_of_raw(self, newton_system):
+        raw = triple_quadrature(newton_system, 0, 2, 0)
+        q = coefficient_exponent(newton_system, (0, 2, 0))
+        assert gamma_triple(0, 2, 0, newton_system, 40.0) == 40.0**q * raw.value
+
+    def test_sample_grid_validation(self, gradient_system):
+        with pytest.raises(ValueError, match="omega grid"):
+            build_averaged_field(gradient_system, ())
+        with pytest.raises(ValueError, match="omega grid"):
+            build_averaged_field(gradient_system, (10.0, -20.0))
 
     def test_default_grid(self):
         assert default_omega_grid(15.0) == (15.0, 30.0, 60.0, 120.0)
@@ -366,6 +467,99 @@ class TestAveragedField:
         # 3 pairs + 9 triples
         assert text.count("class=") == 12
         assert "exponent=" in text and "samples=[" in text
+
+
+_SOURCE = np.array([1.0, -1.0])
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    p_exp=st.floats(0.55, 0.8),
+    omega=st.floats(10.0, 30.0),
+    alpha=st.floats(1.0, 3.0),
+    hessian=st.floats(0.01, 1.0),
+)
+def test_engine_matches_closed_form_across_gains(p_exp, omega, alpha, hessian):
+    """Below p = 2/3 the pair (0, 2) of the Newton loop grows like
+    omega**(2 - 3p) with a vanishing integral, so the zero test is pinned
+    on part of this range."""
+    params = SeekerParams(omega=omega, omega0=1.0, alpha=alpha, p_exp=p_exp,
+                          h_gain=1.0, omega_d=0.3)
+    field = FieldParams(f_star=5.0, hessian=hessian, source=_SOURCE)
+    rng = np.random.default_rng(7)
+    for make, form, finite in (
+        (gradient_affine_system, AveragedForm.GRADIENT, {(0, 1)}),
+        (newton_affine_system, AveragedForm.NEWTON, {(0, 1), (1, 2, 1)}),
+    ):
+        system = make(params, field)
+        engine = build_averaged_field(system, default_omega_grid(omega))
+        assert {e.indices for e in engine.pairs + engine.triples
+                if e.limit.is_finite} == finite
+        closed = averaged_closed_loop(form, params, field)
+        for _ in range(5):
+            state = rng.uniform(-3.0, 3.0, size=system.dimension)
+            if system.dimension == 4:
+                state[2] = rng.uniform(0.1, 2.0 / hessian)
+            reference = closed(0.0, state)
+            defect = float(np.linalg.norm(engine(state) - reference))
+            assert defect <= 1e-4 * max(1.0, float(np.linalg.norm(reference)))
+
+
+class TestEvaluationCost:
+    """Field evaluations per bracket, counted on wrapped fields; a return to
+    Jacobian products (about 170 evaluations per nested bracket of the
+    four-state loop) fails here by name."""
+
+    @staticmethod
+    def counted(system):
+        counts = [0]
+
+        def wrap(fn):
+            def field(x):
+                counts[0] += 1
+                return fn(x)
+            return field
+
+        wrapped = ControlAffineSystem(
+            drift=wrap(system.drift),
+            channels=tuple((wrap(f), u) for f, u in system.channels),
+            dimension=system.dimension,
+        )
+        counts[0] = 0  # construction probes every field
+        return wrapped, counts
+
+    STATE = np.array([1.0, 2.0, 30.0, 4.0])
+
+    def test_pair_bracket_costs_six_evaluations(self, newton_system):
+        system, counts = self.counted(newton_system)
+        lie_bracket(system.field(1), system.field(2), self.STATE)
+        assert counts[0] == 6
+
+    def test_nested_bracket_costs_twenty_one_evaluations(self, newton_system):
+        system, counts = self.counted(newton_system)
+        averaging._nested_bracket(system, 1, 2, 1)(self.STATE)
+        assert counts[0] == 21
+
+    def test_zero_direction_costs_nothing(self):
+        calls = [0]
+
+        def g(x):
+            calls[0] += 1
+            return np.array([x[0] ** 2, 1.0])
+
+        out = lie_bracket(lambda x: np.zeros(2), g, np.array([3.0, 1.0]))
+        # f = 0: the term along f(x) is zero without evaluating g off x
+        np.testing.assert_array_equal(out, np.zeros(2))
+        assert calls[0] == 1
+
+    def test_newton_engine_evaluation_cost(self, newton_system):
+        # drift, the finite pair [f_0, f_1] and the finite triple
+        # [[f_1, f_2], f_1]; every vanishing coefficient is skipped
+        system, counts = self.counted(newton_system)
+        engine = build_averaged_field(system, default_omega_grid(15.0))
+        counts[0] = 0
+        engine(self.STATE)
+        assert counts[0] == 1 + 6 + 21
 
 
 class TestCheckAssumptions:

@@ -64,6 +64,13 @@ class TestCompareCommand:
         assert code == 1
 
 
+    def test_invalid_start_exits_two(self, tmp_path, capsys):
+        cfg = _cfg(tmp_path, "[compare]\nd0 = -1.0\n")
+        code = main(["compare", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "d > 0" in capsys.readouterr().err
+
+
 class TestSweepCommands:
     def test_omega_sweep(self, tmp_path):
         cfg = _cfg(tmp_path, "[sweep_omega]\nt_end = 8.0\n")
@@ -93,6 +100,21 @@ class TestSweepCommands:
         text = (out / "hessian_sweep_report.txt").read_text()
         assert "check_newton_invariant = pass" in text
         assert "check_gradient_proportional = pass" in text
+
+
+    def test_omega_sweep_invalid_start_exits_two(self, tmp_path, capsys):
+        cfg = _cfg(tmp_path, "[sweep_omega]\nd0 = 0.0\n")
+        code = main(["sweep-omega", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "d > 0" in capsys.readouterr().err
+
+    def test_hessian_sweep_invalid_start_exits_two(self, tmp_path, capsys):
+        cfg = _cfg(tmp_path, "[sweep_hessian]\nnu0 = nan\n")
+        code = main(
+            ["sweep-hessian", "--config", str(cfg), "--out", str(tmp_path / "o")]
+        )
+        assert code == 2
+        assert "nu0 must be finite" in capsys.readouterr().err
 
 
 class TestAverageCommand:
