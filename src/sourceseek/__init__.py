@@ -27,24 +27,19 @@ from .seekers import (
     FrameSpec,
     Scheme,
     averaged_closed_loop,
-    averaged_rhs,
     closed_loop,
-    closed_loop_rhs,
-    from_rotating_frame,
     gradient_affine_system,
     newton_affine_system,
     rotation_matrix,
-    spin_matrix,
     to_rotating_frame,
 )
 from .averaging import (
     AveragedField,
     ControlAffineSystem,
+    Coefficient,
     DivergentAverageError,
-    LimitClass,
     OscillatoryInput,
     QuadratureError,
-    averaged_vector_field,
     build_averaged_field,
     check_assumptions,
     common_period,

@@ -6,30 +6,32 @@ Systems handled here have the shape
 
 with bounded, zero-mean, 2*pi-periodic waveforms ``u_i``. As the base
 frequency ``omega`` grows, the trajectories approach those of an autonomous
-system assembled from the drift, the pairwise Lie brackets ``[f_i, f_j]``
-weighted by iterated-integral coefficients ``gamma_ij``, and the nested
-brackets ``[[f_i, f_j], f_m]`` weighted by ``gamma_ijm``. This module
-computes those coefficients by quadrature, classifies their large-``omega``
-limits, and assembles the limiting vector field numerically.
+system assembled from the drift and one bracket term per index tuple: the
+Lie bracket ``[f_i, f_j]`` of a pair ``(i, j)`` and the nested bracket
+``[[f_i, f_j], f_m]`` of a triple ``(i, j, m)``, each weighted by an
+iterated-integral coefficient. Every step below (quadrature, coefficient
+record, bracket) is one code path keyed by the index tuple.
 
 All quadrature is performed in the phase variable ``tau = omega * t``, where
 the integrands do not depend on ``omega``, so each coefficient is
 ``gamma(omega) = omega**q * raw`` with ``raw`` computed once and the
 exponent known exactly: ``q = p_i + p_j - 1`` for a pair and
-``q = p_i + p_j + p_m - 2`` for a triple. The limit is classified from
-``q``: zero when ``q < 0`` or when ``raw`` lies within the quadrature's own
-error estimate (Richardson disagreement plus rounding allowance), the
-finite constant ``raw`` when ``q == 0``, divergent when ``q > 0``. Brackets
-are central differences along the field directions, never full Jacobians.
+``q = p_i + p_j + p_m - 2`` for a triple. A :class:`Coefficient` holds
+``(indices, q, raw)``; its limit is zero when ``q < 0`` or when ``raw`` lies
+within the quadrature's own error estimate (Richardson disagreement plus
+rounding allowance), the finite constant ``raw`` when ``q == 0``, divergent
+when ``q > 0``. Brackets are central differences along the field
+directions, never full Jacobians.
 
 Channel indices are 0-based everywhere (``gamma_pair(0, 1, ...)`` couples the
 first two channels).
 
 Conventions fixed by the implementation:
 
-* ``gamma_pair``: prefactor ``omega**(p_i + p_j) / T`` on the double iterated
-  integral of ``u_j(k_j w s) u_i(k_i w p)`` over one common period ``T``.
-* ``gamma_triple``: prefactor ``omega**(p_i + p_j + p_m) / (3 T)`` on the
+* pair ``(i, j)``: prefactor ``omega**(p_i + p_j) / T`` on the double
+  iterated integral of ``u_j(k_j w s) u_i(k_i w p)`` over one common period
+  ``T``.
+* triple ``(i, j, m)``: prefactor ``omega**(p_i + p_j + p_m) / (3 T)`` on the
   triple iterated integral of the antisymmetrized product; the factor 3 in
   the denominator makes the constant-coefficient reference case
   (sin/cos../cos 2. channels) come out at exactly 1/8.
@@ -39,6 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -52,20 +55,18 @@ from .numdiff import directional_derivative
 __all__ = [
     "OscillatoryInput",
     "ControlAffineSystem",
-    "LimitClass",
+    "Coefficient",
     "Quadrature",
     "QuadratureError",
     "DivergentAverageError",
     "common_period",
-    "pair_quadrature",
-    "triple_quadrature",
+    "quadrature",
     "coefficient_exponent",
     "gamma_pair",
     "gamma_triple",
     "lie_bracket",
     "default_omega_grid",
     "build_averaged_field",
-    "averaged_vector_field",
     "AveragedField",
     "check_assumptions",
     "AssumptionClause",
@@ -243,25 +244,36 @@ def _waves(system: ControlAffineSystem, indices, s: np.ndarray) -> list:
     ]
 
 
-def _pair_integrand(system: ControlAffineSystem, i: int, j: int, span: float,
-                    n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and outer integrand of the iterated integral of
-    u_j(k_j s) * u_i(k_i p) over 0 <= p <= s <= span."""
-    s = np.linspace(0.0, span, n + 1)
-    ui, uj = _waves(system, (i, j), s)
-    return s, uj * cumulative_simpson(ui, x=s, initial=0.0)
+#: section names of the index tuples by length
+_ORDER_NAMES = {2: "pair", 3: "triple"}
 
 
-def _triple_integrand(system: ControlAffineSystem, i: int, j: int, m: int,
-                      span: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and outer integrand of the iterated integral of u_m(k_m tau)
-    times the antisymmetrized double integral of channels i, j, nested as
-    p <= s <= tau <= span."""
+def _index_tuples(l: int) -> list[tuple]:
+    """Indices of every coefficient of ``l`` channels: the pairs ``(i, j)``
+    with ``i < j``, then the triples ``(i, j, m)``, each in lexicographic
+    order. A vanishing pair does not silence the second-order terms of the
+    same channels, so every ``m`` is listed."""
+    pairs = [(i, j) for i in range(l) for j in range(i + 1, l)]
+    return pairs + [(i, j, m) for i, j in pairs for m in range(l)]
+
+
+def _integrand(system: ControlAffineSystem, indices: tuple, span: float,
+               n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and outer integrand of the iterated integral of ``indices`` on
+    ``n`` intervals of ``[0, span]``.
+
+    Pair ``(i, j)``: ``u_j(k_j s)`` times the running integral of
+    ``u_i(k_i p)``, nested as ``p <= s``. Triple ``(i, j, m)``:
+    ``u_m(k_m tau)`` times the running integral of the antisymmetrized pair
+    integrand ``u_j U_i - u_i U_j``, nested as ``p <= s <= tau``.
+    """
     s = np.linspace(0.0, span, n + 1)
-    ui, uj, um = _waves(system, (i, j, m), s)
-    cum_i = cumulative_simpson(ui, x=s, initial=0.0)
-    cum_j = cumulative_simpson(uj, x=s, initial=0.0)
-    inner = uj * cum_i - ui * cum_j
+    waves = _waves(system, indices, s)
+    cum_i = cumulative_simpson(waves[0], x=s, initial=0.0)
+    if len(indices) == 2:
+        return s, waves[1] * cum_i
+    ui, uj, um = waves
+    inner = uj * cum_i - ui * cumulative_simpson(uj, x=s, initial=0.0)
     return s, um * cumulative_simpson(inner, x=s, initial=0.0)
 
 
@@ -314,30 +326,23 @@ def _richardson(integrand, scale: float, n0: int = 1024) -> Quadrature:
     return Quadrature(current, disagreement, rounding, n)
 
 
-def pair_quadrature(system: ControlAffineSystem, i: int, j: int) -> Quadrature:
-    """The omega-free part ``raw`` of the pair coefficient:
-    ``gamma_pair = omega**(p_i + p_j - 1) * raw``, with ``raw`` the double
-    iterated integral over one common phase period divided by its length."""
+def quadrature(system: ControlAffineSystem, indices) -> Quadrature:
+    """The omega-free part ``raw`` of the coefficient of ``indices``,
+    ``gamma = omega**q * raw``: the iterated integral over one common phase
+    period divided by its length for a pair ``(i, j)``, and by three times
+    its length for a triple ``(i, j, m)``. Requires ``i < j``."""
+    indices = tuple(indices)
+    if len(indices) not in _ORDER_NAMES:
+        raise ValueError(f"need a pair (i, j) or a triple (i, j, m), got {indices}")
+    i, j, *rest = indices
     if not 0 <= i < j < system.n_channels:
         raise ValueError(f"need channel indices 0 <= i < j < l, got ({i}, {j})")
+    if rest and not 0 <= rest[0] < system.n_channels:
+        raise ValueError(f"channel index m={rest[0]} out of range")
     span = _phase_span(system)
-    return _richardson(lambda n: _pair_integrand(system, i, j, span, n), 1.0 / span)
-
-
-def triple_quadrature(system: ControlAffineSystem, i: int, j: int,
-                      m: int) -> Quadrature:
-    """The omega-free part ``raw`` of the triple coefficient:
-    ``gamma_triple = omega**(p_i + p_j + p_m - 2) * raw``, with ``raw`` the
-    nested triple integral over one common phase period divided by three
-    times its length."""
-    if not 0 <= i < j < system.n_channels:
-        raise ValueError(f"need channel indices 0 <= i < j < l, got ({i}, {j})")
-    if not 0 <= m < system.n_channels:
-        raise ValueError(f"channel index m={m} out of range")
-    span = _phase_span(system)
-    return _richardson(
-        lambda n: _triple_integrand(system, i, j, m, span, n), 1.0 / (3.0 * span)
-    )
+    weight = 1.0 if len(indices) == 2 else 3.0
+    return _richardson(lambda n: _integrand(system, indices, span, n),
+                       1.0 / (weight * span))
 
 
 def coefficient_exponent(system: ControlAffineSystem, indices) -> float:
@@ -353,33 +358,63 @@ def coefficient_exponent(system: ControlAffineSystem, indices) -> float:
     return 0.0 if abs(q) <= EXPONENT_ULPS * math.ulp(p_sum) else q
 
 
-def gamma_pair(i: int, j: int, system: ControlAffineSystem, omega: float) -> float:
-    """First-order averaging coefficient for the channel pair ``i < j``.
+@dataclass(frozen=True)
+class Coefficient:
+    """Averaging coefficient ``gamma(omega) = omega**exponent * raw.value``
+    of one index tuple, with ``exponent`` exact (:func:`coefficient_exponent`)
+    and ``raw`` from :func:`quadrature`.
 
-    Equals ``omega**(p_i + p_j) / T`` times the iterated double integral of
-    ``u_j(k_j omega s) u_i(k_i omega p)`` over one common period ``T``,
-    evaluated in the phase variable by composite Simpson quadrature with
-    Richardson halving.
+    Its large-frequency ``kind`` is ``"zero"`` when ``raw`` cannot be told
+    apart from zero or the exponent is negative, otherwise ``"finite"`` at
+    exponent 0 and ``"divergent"`` at a positive exponent.
     """
-    if not omega > 0.0:
-        raise ValueError("omega must be positive")
-    raw = pair_quadrature(system, i, j)
-    return omega ** coefficient_exponent(system, (i, j)) * raw.value
+
+    indices: tuple
+    exponent: float
+    raw: Quadrature
+
+    @classmethod
+    def of(cls, system: ControlAffineSystem, indices) -> "Coefficient":
+        indices = tuple(indices)
+        raw = quadrature(system, indices)
+        return cls(indices, coefficient_exponent(system, indices), raw)
+
+    @cached_property
+    def kind(self) -> str:
+        if self.raw.is_zero or self.exponent < 0.0:
+            return "zero"
+        return "finite" if self.exponent == 0.0 else "divergent"
+
+    @property
+    def limit(self) -> float | None:
+        """``gamma`` as omega grows: 0.0, the constant ``raw.value``, or
+        None when it diverges."""
+        kind = self.kind
+        if kind == "divergent":
+            return None
+        return self.raw.value if kind == "finite" else 0.0
+
+    def at(self, omega: float) -> float:
+        """``gamma`` at the base frequency ``omega``."""
+        if not omega > 0.0:
+            raise ValueError("omega must be positive")
+        return omega ** self.exponent * self.raw.value
+
+
+def gamma_pair(i: int, j: int, system: ControlAffineSystem, omega: float) -> float:
+    """First-order averaging coefficient for the channel pair ``i < j``:
+    ``omega**(p_i + p_j) / T`` times the iterated double integral of
+    ``u_j(k_j omega s) u_i(k_i omega p)`` over one common period ``T``."""
+    return Coefficient.of(system, (i, j)).at(omega)
 
 
 def gamma_triple(i: int, j: int, m: int, system: ControlAffineSystem,
                  omega: float) -> float:
-    """Second-order averaging coefficient for the bracket ``[[f_i, f_j], f_m]``.
-
-    Prefactor ``omega**(p_i + p_j + p_m) / (3 T)`` on the nested triple
-    integral of ``u_m * (u_j U_i - u_i U_j)``; the normalization is pinned by
-    the sin/cos/cos-double reference system, whose (1, 2, 1)-coefficient
-    (0-based) is exactly 1/8.
-    """
-    if not omega > 0.0:
-        raise ValueError("omega must be positive")
-    raw = triple_quadrature(system, i, j, m)
-    return omega ** coefficient_exponent(system, (i, j, m)) * raw.value
+    """Second-order averaging coefficient for the bracket ``[[f_i, f_j], f_m]``:
+    ``omega**(p_i + p_j + p_m) / (3 T)`` times the nested triple integral of
+    ``u_m * (u_j U_i - u_i U_j)``; the sin/cos/cos-double reference system's
+    (1, 2, 1)-coefficient (0-based) is exactly 1/8."""
+    return Coefficient.of(system, (i, j, m)).at(omega)
 
 
 # ---------------------------------------------------------------------------
@@ -410,69 +445,14 @@ def lie_bracket(f, g, x, step=None) -> np.ndarray:
             - directional_derivative(f, x, gx, step))
 
 
-def _nested_bracket(system: ControlAffineSystem, i: int, j: int, m: int):
-    """Callable for [[f_i, f_j], f_m] with the inner bracket re-differenced."""
-
-    def inner(x):
-        return lie_bracket(system.field(i), system.field(j), x)
-
-    def nested(x):
-        return lie_bracket(inner, system.field(m), x)
-
-    return nested
-
-
-# ---------------------------------------------------------------------------
-# limit classification
-
-
-@dataclass(frozen=True)
-class LimitClass:
-    """Large-frequency behaviour of a coefficient ``omega**q * raw``:
-    vanishing, a finite constant (carried in ``value``), or divergent, with
-    the exact exponent ``q`` in ``exponent``."""
-
-    kind: str
-    value: float | None = None
-    exponent: float | None = None
-
-    @classmethod
-    def zero(cls, exponent: float | None = None) -> "LimitClass":
-        return cls("zero", value=0.0, exponent=exponent)
-
-    @classmethod
-    def finite(cls, value: float) -> "LimitClass":
-        return cls("finite", value=float(value), exponent=0.0)
-
-    @classmethod
-    def divergent(cls, exponent: float) -> "LimitClass":
-        return cls("divergent", value=None, exponent=float(exponent))
-
-    @classmethod
-    def of(cls, raw: Quadrature, exponent: float) -> "LimitClass":
-        """Classify ``omega**exponent * raw.value`` as omega grows.
-
-        Zero when ``raw`` cannot be told apart from zero or the exponent is
-        negative; otherwise finite with value ``raw.value`` at exponent 0 and
-        divergent at a positive exponent.
-        """
-        if raw.is_zero or exponent < 0.0:
-            return cls.zero(exponent=exponent)
-        if exponent == 0.0:
-            return cls.finite(raw.value)
-        return cls.divergent(exponent)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.kind == "zero"
-
-    @property
-    def is_finite(self) -> bool:
-        return self.kind == "finite"
-
-    @property
-    def is_divergent(self) -> bool:
-        return self.kind == "divergent"
+def _bracket(system: ControlAffineSystem, indices):
+    """Callable ``x -> [f_i, f_j](x)`` for a pair and
+    ``x -> [[f_i, f_j], f_m](x)`` for a triple, the inner bracket
+    re-differenced by :func:`lie_bracket`."""
+    *inner, m = indices
+    f = system.field(inner[0]) if len(inner) == 1 else _bracket(system, inner)
+    g = system.field(m)
+    return lambda x: lie_bracket(f, g, x)
 
 
 def default_omega_grid(omega_anchor: float) -> tuple[float, ...]:
@@ -487,25 +467,11 @@ def default_omega_grid(omega_anchor: float) -> tuple[float, ...]:
 # averaged field assembly
 
 
-@dataclass(frozen=True)
-class CoefficientEntry:
-    indices: tuple
-    raw: Quadrature
-    samples: tuple
-    limit: LimitClass
-
-
-def _coefficient_entry(system: ControlAffineSystem, indices: tuple,
-                       raw: Quadrature, omega_grid: tuple) -> CoefficientEntry:
-    q = coefficient_exponent(system, indices)
-    samples = tuple(w**q * raw.value for w in omega_grid)
-    return CoefficientEntry(indices, raw, samples, LimitClass.of(raw, q))
-
-
 class AveragedField:
     """Assembled large-frequency limit field of a control-affine system.
 
-    Calling the object evaluates
+    ``coefficients`` holds one :class:`Coefficient` per index tuple, keyed by
+    its indices, pairs first. Calling the object evaluates
 
         drift(x) + sum finite gamma_ij * [f_i, f_j](x)
                  + sum finite gamma_ijm * [[f_i, f_j], f_m](x)
@@ -520,115 +486,59 @@ class AveragedField:
         self.omega_grid = tuple(float(w) for w in omega_grid)
         if not self.omega_grid or not all(w > 0.0 for w in self.omega_grid):
             raise ValueError(f"omega grid must be non-empty and positive: {omega_grid}")
-        self.pairs: list[CoefficientEntry] = []
-        self.triples: list[CoefficientEntry] = []
-        l = system.n_channels
-        # a vanishing pair coefficient does not silence the second-order
-        # terms of the same channels, so every (i, j, m) is classified
-        for i in range(l):
-            for j in range(i + 1, l):
-                raw = pair_quadrature(system, i, j)
-                self.pairs.append(
-                    _coefficient_entry(system, (i, j), raw, self.omega_grid)
-                )
-                for m in range(l):
-                    raw = triple_quadrature(system, i, j, m)
-                    self.triples.append(
-                        _coefficient_entry(system, (i, j, m), raw, self.omega_grid)
-                    )
-
-    @staticmethod
-    def _entry(entries, indices):
-        for e in entries:
-            if e.indices == tuple(indices):
-                return e
-        raise KeyError(indices)
-
-    def pair_limit(self, i: int, j: int) -> LimitClass:
-        return self._entry(self.pairs, (i, j)).limit
-
-    def triple_limit(self, i: int, j: int, m: int) -> LimitClass:
-        return self._entry(self.triples, (i, j, m)).limit
+        self.coefficients: dict[tuple, Coefficient] = {
+            ix: Coefficient.of(system, ix) for ix in _index_tuples(system.n_channels)
+        }
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         out = np.asarray(self.system.drift(x), dtype=float).copy()
         tol = 1e-9 * (1.0 + float(np.linalg.norm(x)))
-        for entry in self.pairs:
-            if entry.limit.is_zero:
+        for c in self.coefficients.values():
+            kind = c.kind
+            if kind == "zero":
                 continue
-            i, j = entry.indices
-            bracket = lie_bracket(self.system.field(i), self.system.field(j), x)
-            if entry.limit.is_divergent:
-                if np.linalg.norm(bracket) > tol:
-                    raise DivergentAverageError(
-                        f"coefficient for channels {entry.indices} grows like "
-                        f"omega**{entry.limit.exponent:.3f} against a "
-                        f"non-vanishing bracket at x={x}"
-                    )
-                continue
-            out += entry.limit.value * bracket
-        for entry in self.triples:
-            if entry.limit.is_zero:
-                continue
-            i, j, m = entry.indices
-            bracket = _nested_bracket(self.system, i, j, m)(x)
-            if entry.limit.is_divergent:
-                if np.linalg.norm(bracket) > tol:
-                    raise DivergentAverageError(
-                        f"coefficient for channels {entry.indices} grows like "
-                        f"omega**{entry.limit.exponent:.3f} against a "
-                        f"non-vanishing bracket at x={x}"
-                    )
-                continue
-            out += entry.limit.value * bracket
+            bracket = _bracket(self.system, c.indices)(x)
+            if kind == "finite":
+                out += c.raw.value * bracket
+            elif np.linalg.norm(bracket) > tol:
+                raise DivergentAverageError(
+                    f"coefficient for channels {c.indices} grows like "
+                    f"omega**{c.exponent:.3f} against a non-vanishing "
+                    f"bracket at x={x}"
+                )
         return out
 
     def report(self) -> str:
-        """Structured key-value text listing every coefficient, its samples'
-        classification, and the fitted exponent. Indices are 0-based."""
+        """Structured key-value text listing every coefficient with its limit
+        class, exact exponent and values on the omega grid. Indices are
+        0-based."""
         lines = [
             "[averaged_field]",
             f"channels = {self.system.n_channels}",
             f"dimension = {self.system.dimension}",
             f"omega_grid = {', '.join(f'{w:g}' for w in self.omega_grid)}",
-            "",
-            "[pair_coefficients]",
         ]
-        for entry in self.pairs:
-            lines.append(_format_entry("gamma", entry))
-        lines.append("")
-        lines.append("[triple_coefficients]")
-        for entry in self.triples:
-            lines.append(_format_entry("gamma", entry))
+        for order, name in _ORDER_NAMES.items():
+            lines += ["", f"[{name}_coefficients]"]
+            lines += [self._format(c) for c in self.coefficients.values()
+                      if len(c.indices) == order]
         return "\n".join(lines) + "\n"
 
-
-def _format_entry(prefix: str, entry: CoefficientEntry) -> str:
-    tag = "_".join(str(ix) for ix in entry.indices)
-    limit = entry.limit
-    value = "none" if limit.value is None else f"{limit.value:.12g}"
-    exponent = "none" if limit.exponent is None else f"{limit.exponent:.4f}"
-    samples = ", ".join(f"{s:.12g}" for s in entry.samples)
-    return (
-        f"{prefix}_{tag} = class={limit.kind} value={value} "
-        f"exponent={exponent} samples=[{samples}]"
-    )
+    def _format(self, c: Coefficient) -> str:
+        tag = "_".join(str(ix) for ix in c.indices)
+        limit = c.limit
+        value = "none" if limit is None else f"{limit:.12g}"
+        samples = ", ".join(f"{c.at(w):.12g}" for w in self.omega_grid)
+        return (
+            f"gamma_{tag} = class={c.kind} value={value} "
+            f"exponent={c.exponent:.4f} samples=[{samples}]"
+        )
 
 
 def build_averaged_field(system: ControlAffineSystem, omega_grid) -> AveragedField:
     """Compute all coefficients once and return the assembled limit field."""
     return AveragedField(system, omega_grid)
-
-
-def averaged_vector_field(system: ControlAffineSystem, x, omega_grid) -> np.ndarray:
-    """One-shot evaluation of the averaged field at ``x``.
-
-    For repeated evaluations build the field once with
-    :func:`build_averaged_field`; the coefficient quadratures are state
-    independent.
-    """
-    return build_averaged_field(system, omega_grid)(x)
 
 
 # ---------------------------------------------------------------------------
@@ -687,52 +597,34 @@ def check_assumptions(system: ControlAffineSystem, seed: int = 0) -> AssumptionR
 
     for idx in range(l):
         inp = system.input(idx)
-        bounded = inp.bounded_ok()
-        clauses.append(
-            AssumptionClause(
-                name=f"input_{idx}_bounded",
-                triggered=True,
-                passed=bounded,
-                detail="|u| <= 1 on phase grid" if bounded else "|u| exceeds 1",
-            )
-        )
-        defect = inp.zero_mean_defect()
-        clauses.append(
-            AssumptionClause(
-                name=f"input_{idx}_zero_mean",
-                triggered=True,
-                passed=defect < 1e-10,
-                detail=f"mean defect {defect:.3e}",
-            )
-        )
+        bounded, defect = inp.bounded_ok(), inp.zero_mean_defect()
+        clauses += [
+            AssumptionClause(f"input_{idx}_bounded", True, bounded,
+                             "|u| <= 1 on phase grid" if bounded else "|u| exceeds 1"),
+            AssumptionClause(f"input_{idx}_zero_mean", True, defect < 1e-10,
+                             f"mean defect {defect:.3e}"),
+        ]
 
-    def budget(kind: str, indices: tuple, quadrature, bracket) -> AssumptionClause:
-        name = f"{kind}_({','.join(str(ix) for ix in indices)})_exponent_budget"
+    def budget(indices: tuple) -> AssumptionClause:
+        tag = ",".join(str(ix) for ix in indices)
+        name = f"{_ORDER_NAMES[len(indices)]}_({tag})_exponent_budget"
         p_sum = sum(system.input(ix).p_i for ix in indices)
         if coefficient_exponent(system, indices) <= 0.0:
             return AssumptionClause(name, False, True, f"exponent sum {p_sum:g}")
-        raw = quadrature(system, *indices)
+        raw = quadrature(system, indices)
         if raw.is_zero:
             return AssumptionClause(
                 name, True, True,
                 f"iterated integral {raw.value:.2e} within error {raw.error:.1e}",
             )
-        vanishes = _bracket_vanishes(bracket, system.dimension, rng)
+        vanishes = _bracket_vanishes(_bracket(system, indices), system.dimension, rng)
         return AssumptionClause(
             name, True, vanishes,
             "bracket vanishes on sample states" if vanishes
             else f"integral {raw.value:.2e} and bracket both non-vanishing",
         )
 
-    pairs = [(i, j) for i in range(l) for j in range(i + 1, l)]
-    for i, j in pairs:
-        def pair_bracket(x, _i=i, _j=j):
-            return lie_bracket(system.field(_i), system.field(_j), x)
-        clauses.append(budget("pair", (i, j), pair_quadrature, pair_bracket))
-    for i, j in pairs:
-        for m in range(l):
-            clauses.append(budget("triple", (i, j, m), triple_quadrature,
-                                  _nested_bracket(system, i, j, m)))
+    clauses += [budget(indices) for indices in _index_tuples(l)]
 
     quad_combos = [
         (i, j, m, q)
@@ -743,25 +635,13 @@ def check_assumptions(system: ControlAffineSystem, seed: int = 0) -> AssumptionR
         if system.input(i).p_i + system.input(j).p_i
         + system.input(m).p_i + system.input(q).p_i >= 3.0
     ]
-    if quad_combos:
-        clauses.append(
-            AssumptionClause(
-                name="fourth_order_flatness",
-                triggered=True,
-                passed=system.smooth_remainder,
-                detail=(
-                    f"declared smooth_remainder={system.smooth_remainder} for "
-                    f"{len(quad_combos)} combination(s), first {quad_combos[0]}"
-                ),
-            )
-        )
-    else:
-        clauses.append(
-            AssumptionClause(
-                name="fourth_order_flatness",
-                triggered=False,
-                passed=True,
-                detail="no four-index exponent sum reaches 3",
-            )
-        )
+    clauses.append(AssumptionClause(
+        name="fourth_order_flatness",
+        triggered=bool(quad_combos),
+        passed=system.smooth_remainder if quad_combos else True,
+        detail=(
+            f"declared smooth_remainder={system.smooth_remainder} for "
+            f"{len(quad_combos)} combination(s), first {quad_combos[0]}"
+        ) if quad_combos else "no four-index exponent sum reaches 3",
+    ))
     return AssumptionReport(clauses)

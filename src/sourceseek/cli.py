@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +42,15 @@ def _write(out_dir: Path, name: str, text: str) -> Path:
     return path
 
 
+def _override(config, **changes):
+    """``config`` with command-line values; a value the config rejects is a
+    configuration error, as it is from a config file."""
+    try:
+        return replace(config, **changes)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _cmd_simulate(app: AppConfig, out_dir: Path, args) -> int:
     result = run_simulate(app.make_scenario(), out_dir=out_dir)
     text = result.report()
@@ -60,8 +70,7 @@ def _cmd_compare(app: AppConfig, out_dir: Path, args) -> int:
 def _cmd_sweep_omega(app: AppConfig, out_dir: Path, args) -> int:
     config = app.make_omega_sweep()
     if args.omega:
-        from dataclasses import replace
-        config = replace(config, omegas=tuple(args.omega))
+        config = _override(config, omegas=tuple(args.omega))
     report = run_omega_sweep(config)
     text = report.report()
     _write(out_dir, "omega_sweep_report.txt", text)
@@ -72,8 +81,7 @@ def _cmd_sweep_omega(app: AppConfig, out_dir: Path, args) -> int:
 def _cmd_sweep_hessian(app: AppConfig, out_dir: Path, args) -> int:
     config = app.make_hessian_sweep()
     if args.hessian:
-        from dataclasses import replace
-        config = replace(config, hessians=tuple(args.hessian))
+        config = _override(config, hessians=tuple(args.hessian))
     report = run_hessian_invariance(config)
     text = report.report()
     _write(out_dir, "hessian_sweep_report.txt", text)

@@ -87,6 +87,14 @@ def _check_start(nu0: float, d0: float, newton: bool) -> None:
         )
 
 
+def _positive(name: str, values) -> tuple:
+    """``values`` as a tuple of floats, each finite and strictly positive."""
+    values = tuple(float(v) for v in values)
+    if not all(0.0 < v < math.inf for v in values):
+        raise ValueError(f"{name} must be finite and positive, got {values}")
+    return values
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One fully specified simulation run."""
@@ -460,7 +468,7 @@ class OmegaSweepConfig:
     samples_per_period: int = 60
 
     def __post_init__(self):
-        omegas = tuple(float(w) for w in self.omegas)
+        omegas = _positive("omegas", self.omegas)
         if len(omegas) < 3 or any(b <= a for a, b in zip(omegas, omegas[1:])):
             raise ValueError("omegas must be an increasing list of >= 3 entries")
         object.__setattr__(self, "omegas", omegas)
@@ -487,7 +495,7 @@ class OmegaSweepReport:
         return [getattr(r, attr) for r in self.rows if r.scheme == scheme.value]
 
     def _monotone(self, scheme: Scheme, attr: str) -> bool:
-        values = [getattr(r, attr) for r in self.rows if r.scheme == scheme.value]
+        values = self.column(scheme, attr)
         if any(v is None for v in values):
             return False
         return all(b <= (1.0 + self.slack) * a for a, b in zip(values, values[1:]))
@@ -633,7 +641,7 @@ class HessianSweepConfig:
     gradient_tolerance: float = 0.15
 
     def __post_init__(self):
-        hs = tuple(float(h) for h in self.hessians)
+        hs = _positive("hessians", self.hessians)
         if len(hs) < 2 or max(hs) / min(hs) < 100.0 * (1.0 - 1e-9):
             raise ValueError("hessians must span at least two decades")
         object.__setattr__(self, "hessians", hs)

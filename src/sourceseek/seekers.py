@@ -55,12 +55,8 @@ __all__ = [
     "FrameSpec",
     "FRAME_SPECS",
     "rotation_matrix",
-    "spin_matrix",
     "to_rotating_frame",
-    "from_rotating_frame",
-    "closed_loop_rhs",
     "closed_loop",
-    "averaged_rhs",
     "averaged_closed_loop",
     "gradient_affine_system",
     "newton_affine_system",
@@ -169,12 +165,6 @@ def rotation_matrix(t: float, omega0: float) -> np.ndarray:
     return np.array([[s, c], [-c, s]])
 
 
-def spin_matrix(omega0: float) -> np.ndarray:
-    """Constant-turn-rate generator [[0, w0], [-w0, 0]]; satisfies
-    d/dt Y(t)^T = Y(t)^T @ spin_matrix(w0)."""
-    return np.array([[0.0, omega0], [-omega0, 0.0]])
-
-
 def to_rotating_frame(t: float, x, x_star, omega0: float) -> np.ndarray:
     """Co-rotating offset z = Y(t)^T (x - x_star)."""
     x = np.asarray(x, dtype=float)
@@ -182,46 +172,21 @@ def to_rotating_frame(t: float, x, x_star, omega0: float) -> np.ndarray:
     return rotation_matrix(t, omega0).T @ (x - x_star)
 
 
-def from_rotating_frame(t: float, z, x_star, omega0: float) -> np.ndarray:
-    """Inverse of :func:`to_rotating_frame`: x = x_star + Y(t) z."""
-    z = np.asarray(z, dtype=float)
-    x_star = np.asarray(x_star, dtype=float)
-    return x_star + rotation_matrix(t, omega0) @ z
-
-
 # ---------------------------------------------------------------------------
 # closed loops
-
-
-def closed_loop_rhs(scheme: Scheme, frame: Frame, t: float, state,
-                    params: SeekerParams, field: FieldParams) -> np.ndarray:
-    """Right-hand side of the selected closed loop at time ``t``, as an array.
-
-    The heading is eliminated (theta = omega0 t). See the module docstring
-    for the state layout per (scheme, frame). Dimension mismatches and
-    scheme/frame mismatches raise ValueError.
-    """
-    rhs = closed_loop(scheme, frame, params, field)
-    dim = FRAME_SPECS[(scheme, frame)].dim
-    state = np.asarray(state, dtype=float)
-    if state.shape != (dim,):
-        raise ValueError(
-            f"state shape {state.shape} does not match ({dim},) for "
-            f"({scheme.value}, {frame.value})"
-        )
-    return np.array(rhs(t, tuple(state.tolist())))
 
 
 def closed_loop(scheme: Scheme, frame: Frame, params: SeekerParams,
                 field: FieldParams):
     """Build ``rhs(t, state)`` for the selected closed loop.
 
-    The closure follows the :func:`~sourceseek.ode.integrate` contract: it
-    takes the state as a sequence of floats and returns a tuple, without
-    checking the state length (``integrate`` checks it once). Use
-    :func:`closed_loop_rhs` for a checked single evaluation as an array.
-    The closure is immutable after construction and safe to evaluate
-    concurrently.
+    The heading is eliminated (theta = omega0 t); see the module docstring
+    for the state layout per (scheme, frame). The closure follows the
+    :func:`~sourceseek.ode.integrate` contract: it takes the state as a
+    sequence of floats and returns a tuple, without checking the state
+    length (``integrate`` checks it once). It is immutable after
+    construction and safe to evaluate concurrently. A pair with no closed
+    loop raises ValueError.
     """
     w0 = params.omega0
     h = params.h_gain
@@ -294,9 +259,10 @@ def closed_loop(scheme: Scheme, frame: Frame, params: SeekerParams,
 # averaged systems (closed form)
 
 
-def averaged_rhs(form: AveragedForm, state, params: SeekerParams,
-                 field: FieldParams) -> np.ndarray:
-    """Closed-form averaged right-hand side (autonomous), as an array.
+def averaged_closed_loop(form: AveragedForm, params: SeekerParams,
+                         field: FieldParams):
+    """Build ``rhs(t, state)`` for the closed-form averaged system (ignores
+    ``t``):
 
     gradient:        z' = (S + L) z,          nu' = h (F(z) - nu)
     newton:          z' = (S + L d) z,        d' = omega_d d (1 - H d),
@@ -307,28 +273,10 @@ def averaged_rhs(form: AveragedForm, state, params: SeekerParams,
                      r' = -h r + H z^T (S + Lt e^dhat) z,
                      z' = (S + Lt e^dhat) z, dhat' = -omega_d (e^dhat - 1)
 
-    where S is the constant-turn generator, L = diag(0, -alpha H / 2), and
-    Lt = L / H is the curvature-normalized damping. A state of the wrong
-    dimension raises ValueError.
-    """
-    dim = next(spec.dim for spec in FRAME_SPECS.values() if spec.form is form)
-    state = np.asarray(state, dtype=float)
-    if state.shape != (dim,):
-        raise ValueError(
-            f"state shape {state.shape} does not match ({dim},) for "
-            f"averaged form {form.value!r}"
-        )
-    rhs = averaged_closed_loop(form, params, field)
-    return np.array(rhs(0.0, tuple(state.tolist())))
-
-
-def averaged_closed_loop(form: AveragedForm, params: SeekerParams,
-                         field: FieldParams):
-    """Build ``rhs(t, state)`` for the averaged system (ignores ``t``).
-
-    Like :func:`closed_loop`, the closure takes a sequence of floats and
-    returns a tuple without checking the state length; :func:`averaged_rhs`
-    is the checked single evaluation that returns an array.
+    where S = [[0, omega0], [-omega0, 0]] is the constant-turn generator,
+    L = diag(0, -alpha H / 2), and Lt = L / H is the curvature-normalized
+    damping. Like :func:`closed_loop`, the closure takes a sequence of
+    floats and returns a tuple without checking the state length.
     """
     w0, h, wd = params.omega0, params.h_gain, params.omega_d
     fs, hess = field.f_star, field.hessian

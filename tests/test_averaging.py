@@ -8,15 +8,14 @@ from hypothesis import strategies as st
 
 import sourceseek.averaging as averaging
 from sourceseek import (
+    Coefficient,
     ControlAffineSystem,
     DivergentAverageError,
     FieldParams,
-    LimitClass,
     OscillatoryInput,
     QuadratureError,
     SeekerParams,
     averaged_closed_loop,
-    averaged_vector_field,
     build_averaged_field,
     check_assumptions,
     common_period,
@@ -27,12 +26,7 @@ from sourceseek import (
     lie_bracket,
     newton_affine_system,
 )
-from sourceseek.averaging import (
-    Quadrature,
-    coefficient_exponent,
-    pair_quadrature,
-    triple_quadrature,
-)
+from sourceseek.averaging import Quadrature, coefficient_exponent, quadrature
 from sourceseek.seekers import AveragedForm
 
 TWO_PI = 2.0 * math.pi
@@ -160,6 +154,15 @@ class TestGammaQuadrature:
         with pytest.raises(ValueError):
             gamma_triple(1, 0, 0, newton_system, 15.0)
 
+    def test_other_index_tuples_and_frequencies_rejected(self, newton_system):
+        for indices in ((0,), (0, 1, 3), (0, 1, -1), (0, 1, 2, 0)):
+            with pytest.raises(ValueError):
+                quadrature(newton_system, indices)
+        with pytest.raises(ValueError, match="omega must be positive"):
+            gamma_pair(0, 1, newton_system, 0.0)
+        with pytest.raises(ValueError, match="omega must be positive"):
+            gamma_triple(1, 2, 1, newton_system, -15.0)
+
     def test_nonconvergent_quadrature_reported(self, newton_system, monkeypatch):
         # a jump off the dyadic node grid keeps composite Simpson from
         # settling within a small node budget
@@ -283,16 +286,17 @@ class TestClassifyLimit:
 
     def test_constant_samples_are_finite(self, gradient_system, newton_system):
         # q == 0: the coefficient is the constant raw at every frequency
-        raw = pair_quadrature(gradient_system, 0, 1)
+        raw = quadrature(gradient_system, (0, 1))
         assert coefficient_exponent(gradient_system, (0, 1)) == 0.0
-        limit = LimitClass.of(raw, 0.0)
-        assert limit.is_finite and limit.exponent == 0.0
-        assert limit.value == raw.value == pytest.approx(-0.5, abs=1e-9)
-        engine = build_averaged_field(newton_system, default_omega_grid(15.0))
-        entry = engine._entry(engine.triples, (1, 2, 1))
-        assert entry.limit.is_finite
-        assert entry.limit.value == pytest.approx(0.125, abs=1e-9)
-        assert entry.samples == (entry.raw.value,) * 4
+        coefficient = Coefficient((0, 1), 0.0, raw)
+        assert coefficient.kind == "finite" and coefficient.exponent == 0.0
+        assert coefficient.limit == raw.value == pytest.approx(-0.5, abs=1e-9)
+        grid = default_omega_grid(15.0)
+        engine = build_averaged_field(newton_system, grid)
+        entry = engine.coefficients[(1, 2, 1)]
+        assert entry.kind == "finite"
+        assert entry.limit == pytest.approx(0.125, abs=1e-9)
+        assert tuple(entry.at(w) for w in grid) == (entry.raw.value,) * 4
 
     def test_rounded_exponent_sums_are_exactly_zero(self, ref_params, ref_field):
         # (1 - p) + p and p + (2 - 2p) + p may round one ulp off the integer
@@ -317,25 +321,25 @@ class TestClassifyLimit:
         )
         q = coefficient_exponent(system, (0, 1))
         assert q == pytest.approx(1e-12, rel=1e-3)
-        assert LimitClass.of(pair_quadrature(system, 0, 1), q).is_divergent
+        assert Coefficient((0, 1), q, quadrature(system, (0, 1))).kind == "divergent"
 
     def test_decaying_power_law_is_zero(self, newton_system, ref_params):
         # raw is 1/2, far from zero, but gamma = omega**(-p) / 2 vanishes
         engine = build_averaged_field(newton_system, default_omega_grid(15.0))
-        entry = engine._entry(engine.triples, (0, 1, 0))
+        entry = engine.coefficients[(0, 1, 0)]
         assert entry.raw.value == pytest.approx(0.5, abs=1e-9)
-        assert entry.limit.is_zero
-        assert entry.limit.exponent == pytest.approx(-ref_params.p_exp, abs=1e-12)
-        limit = LimitClass.of(Quadrature(0.5, 1e-12, 1e-13, 2048), -0.3)
-        assert limit.is_zero and limit.exponent == -0.3
+        assert entry.kind == "zero" and entry.limit == 0.0
+        assert entry.exponent == pytest.approx(-ref_params.p_exp, abs=1e-12)
+        coefficient = Coefficient((0, 1), -0.3, Quadrature(0.5, 1e-12, 1e-13, 2048))
+        assert coefficient.kind == "zero" and coefficient.exponent == -0.3
 
     def test_growing_power_law_is_divergent(self):
         system = _live_pair_system()
         engine = build_averaged_field(system, default_omega_grid(10.0))
-        limit = engine.pair_limit(0, 1)
-        assert limit.is_divergent
-        assert limit.exponent == pytest.approx(0.4, abs=1e-12)
-        raw = pair_quadrature(system, 0, 1)
+        coefficient = engine.coefficients[(0, 1)]
+        assert coefficient.kind == "divergent" and coefficient.limit is None
+        assert coefficient.exponent == pytest.approx(0.4, abs=1e-12)
+        raw = quadrature(system, (0, 1))
         assert abs(raw.value) > 1e3 * raw.error
 
     def test_negligible_samples_shortcut(self, ref_params, ref_field):
@@ -346,29 +350,29 @@ class TestClassifyLimit:
         # Richardson disagreement alone is smaller than |raw|
         system = newton_affine_system(replace(ref_params, p_exp=0.55), ref_field)
         engine = build_averaged_field(system, default_omega_grid(15.0))
-        for entries, indices in ((engine.pairs, (0, 2)), (engine.triples, (1, 2, 2))):
-            entry = engine._entry(entries, indices)
-            assert entry.limit.is_zero
-            assert entry.limit.exponent == pytest.approx(0.35, abs=1e-12)
+        for indices in ((0, 2), (1, 2, 2)):
+            entry = engine.coefficients[indices]
+            assert entry.kind == "zero"
+            assert entry.exponent == pytest.approx(0.35, abs=1e-12)
             assert abs(entry.raw.value) <= entry.raw.error
-        raw = engine._entry(engine.triples, (1, 2, 2)).raw
+        raw = engine.coefficients[(1, 2, 2)].raw
         assert abs(raw.value) > raw.disagreement
         assert raw.rounding > 0.0
 
     def test_rounding_allowance_decides_a_tiny_raw(self):
         tiny = Quadrature(5e-17, 4e-17, 0.0, 2048)
-        assert LimitClass.of(tiny, 0.35).is_divergent
+        assert Coefficient((1, 2), 0.35, tiny).kind == "divergent"
         tiny = Quadrature(5e-17, 4e-17, 1e-13, 2048)
-        assert LimitClass.of(tiny, 0.35).is_zero
+        assert Coefficient((1, 2), 0.35, tiny).kind == "zero"
         # a zero raw at exponent 0 is zero, not a finite zero constant
-        assert LimitClass.of(tiny, 0.0).is_zero
+        assert Coefficient((1, 2), 0.0, tiny).kind == "zero"
 
     def test_rounding_allowance_is_measured_not_fixed(self, newton_system):
         # nodes * eps * integral of |integrand|: tiny next to any live
         # coefficient, and different for integrands of different size
         eps = float(np.finfo(float).eps)
-        pair = pair_quadrature(newton_system, 0, 1)
-        triple = triple_quadrature(newton_system, 1, 2, 1)
+        pair = quadrature(newton_system, (0, 1))
+        triple = quadrature(newton_system, (1, 2, 1))
         for raw in (pair, triple):
             assert raw.nodes == 2048
             assert 0.0 < raw.rounding < raw.nodes * eps
@@ -377,14 +381,33 @@ class TestClassifyLimit:
     def test_samples_follow_the_exact_power_law(self, newton_system):
         grid = default_omega_grid(15.0)
         engine = build_averaged_field(newton_system, grid)
-        for entry in engine.pairs + engine.triples:
+        text = engine.report()
+        for entry in engine.coefficients.values():
             q = coefficient_exponent(newton_system, entry.indices)
-            assert entry.samples == tuple(w**q * entry.raw.value for w in grid)
+            assert entry.exponent == q
+            samples = tuple(w**q * entry.raw.value for w in grid)
+            assert tuple(entry.at(w) for w in grid) == samples
+            listed = ", ".join(f"{v:.12g}" for v in samples)
+            assert f"samples=[{listed}]" in text
 
     def test_gamma_is_the_power_law_of_raw(self, newton_system):
-        raw = triple_quadrature(newton_system, 0, 2, 0)
+        raw = quadrature(newton_system, (0, 2, 0))
         q = coefficient_exponent(newton_system, (0, 2, 0))
         assert gamma_triple(0, 2, 0, newton_system, 40.0) == 40.0**q * raw.value
+
+    def test_one_coefficient_per_index_tuple_pairs_first(self, newton_system):
+        # the engine sums its brackets in this order, and check_assumptions
+        # draws its sample states in it
+        engine = build_averaged_field(newton_system, default_omega_grid(15.0))
+        pairs = [(0, 1), (0, 2), (1, 2)]
+        triples = [(i, j, m) for i, j in pairs for m in range(3)]
+        assert list(engine.coefficients) == pairs + triples
+        assert all(c.indices == ix for ix, c in engine.coefficients.items())
+        names = [c.name for c in check_assumptions(newton_system).clauses
+                 if c.name.endswith("_exponent_budget")]
+        assert names == [f"pair_({i},{j})_exponent_budget" for i, j in pairs] + [
+            f"triple_({i},{j},{m})_exponent_budget" for i, j, m in triples
+        ]
 
     def test_sample_grid_validation(self, gradient_system):
         with pytest.raises(ValueError, match="omega grid"):
@@ -432,10 +455,11 @@ class TestAveragedField:
                 engine(s), ref, atol=1e-4 * max(1.0, float(np.linalg.norm(ref)))
             )
 
-    def test_one_shot_wrapper(self, gradient_system, ref_params, ref_field):
+    def test_single_evaluation_matches_closed_form(self, gradient_system,
+                                                   ref_params, ref_field):
         s = np.array([1.0, -2.0, 3.0])
         reference = averaged_closed_loop(AveragedForm.GRADIENT, ref_params, ref_field)
-        out = averaged_vector_field(gradient_system, s, default_omega_grid(15.0))
+        out = build_averaged_field(gradient_system, default_omega_grid(15.0))(s)
         np.testing.assert_allclose(out, reference(0.0, s), atol=1e-6)
 
     def test_divergent_coefficient_with_live_bracket_raises(self):
@@ -455,7 +479,7 @@ class TestAveragedField:
             dimension=2,
         )
         engine = build_averaged_field(system, default_omega_grid(10.0))
-        assert engine.pair_limit(0, 1).is_divergent
+        assert engine.coefficients[(0, 1)].kind == "divergent"
         with pytest.raises(DivergentAverageError, match="grows like"):
             engine(np.array([1.0, 2.0]))
 
@@ -493,8 +517,8 @@ def test_engine_matches_closed_form_across_gains(p_exp, omega, alpha, hessian):
     ):
         system = make(params, field)
         engine = build_averaged_field(system, default_omega_grid(omega))
-        assert {e.indices for e in engine.pairs + engine.triples
-                if e.limit.is_finite} == finite
+        assert {ix for ix, c in engine.coefficients.items()
+                if c.kind == "finite"} == finite
         closed = averaged_closed_loop(form, params, field)
         for _ in range(5):
             state = rng.uniform(-3.0, 3.0, size=system.dimension)
@@ -537,7 +561,7 @@ class TestEvaluationCost:
 
     def test_nested_bracket_costs_twenty_one_evaluations(self, newton_system):
         system, counts = self.counted(newton_system)
-        averaging._nested_bracket(system, 1, 2, 1)(self.STATE)
+        averaging._bracket(system, (1, 2, 1))(self.STATE)
         assert counts[0] == 21
 
     def test_zero_direction_costs_nothing(self):

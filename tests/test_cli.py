@@ -117,6 +117,32 @@ class TestSweepCommands:
         assert "nu0 must be finite" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("argv, message", [
+        (["sweep-hessian", "--hessian", "0.01", "--hessian", "0.1"], "two decades"),
+        (["sweep-omega", "--omega", "20", "--omega", "10", "--omega", "5"],
+         "increasing"),
+        (["sweep-omega", "--omega", "-20", "--omega", "40", "--omega", "80"],
+         "finite and positive"),
+    ], ids=["hessians-one-decade", "omegas-decreasing", "omega-negative"])
+    def test_rejected_override_exits_two(self, tmp_path, capsys, argv, message):
+        code = main(argv + ["--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, text", [
+        ("sweep-hessian", "[sweep_hessian]\nhessians = 0, 1\n"),
+        ("sweep-omega", "[sweep_omega]\nomegas = -20, 40, 80\n"),
+    ], ids=["zero-curvature", "negative-omega"])
+    def test_nonpositive_sweep_value_in_config_exits_two(self, tmp_path, capsys,
+                                                         command, text):
+        cfg = _cfg(tmp_path, text)
+        code = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "must be finite and positive" in capsys.readouterr().err
+
+
 class TestAverageCommand:
     @pytest.mark.parametrize("scheme", ["gradient", "newton"])
     def test_report_and_agreement(self, tmp_path, scheme):

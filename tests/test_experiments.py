@@ -450,6 +450,23 @@ seed = 7
             with pytest.raises(ConfigError, match="finite"):
                 load_config(path)
 
+    @pytest.mark.parametrize("section, line", [
+        ("sweep_hessian", "hessians = 0, 1"),
+        ("sweep_hessian", "hessians = -1, 1"),
+        ("sweep_hessian", "hessians = nan, 0.01, 1"),
+        ("sweep_hessian", "hessians = 0.01, inf"),
+        ("sweep_omega", "omegas = -20, 40, 80"),
+        ("sweep_omega", "omegas = 0, 40, 80"),
+        ("sweep_omega", "omegas = 20, 40, inf"),
+        ("sweep_omega", "omegas = nan, 40, 80"),
+    ])
+    def test_nonpositive_sweep_values_surface_as_config_error(self, tmp_path,
+                                                              section, line):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"[{section}]\n{line}\n")
+        with pytest.raises(ConfigError, match="must be finite and positive"):
+            load_config(path)
+
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "nope.cfg")

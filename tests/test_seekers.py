@@ -10,15 +10,11 @@ from sourceseek import (
     IntegratorConfig,
     Scheme,
     averaged_closed_loop,
-    averaged_rhs,
     closed_loop,
-    closed_loop_rhs,
-    from_rotating_frame,
     gradient_affine_system,
     integrate,
     newton_affine_system,
     rotation_matrix,
-    spin_matrix,
     to_rotating_frame,
 )
 
@@ -34,13 +30,14 @@ class TestRotationFrame:
             np.testing.assert_allclose(y @ y.T, np.eye(2), atol=1e-12)
 
     def test_transpose_derivative_identity(self, rng):
-        # d/dt Y^T = Y^T S, checked by central differences
+        # d/dt Y^T = Y^T S with S = [[0, w0], [-w0, 0]], by central differences
         w0, h = 1.3, 1e-6
+        spin = np.array([[0.0, w0], [-w0, 0.0]])
         for _ in range(10):
             t = rng.uniform(0.0, 20.0)
             dy = (rotation_matrix(t + h, w0).T - rotation_matrix(t - h, w0).T) / (2 * h)
             np.testing.assert_allclose(
-                dy, rotation_matrix(t, w0).T @ spin_matrix(w0), atol=1e-7
+                dy, rotation_matrix(t, w0).T @ spin, atol=1e-7
             )
 
     def test_frame_matrix_at_time_zero(self):
@@ -54,7 +51,7 @@ class TestRotationFrame:
             x = rng.normal(size=2) * 5.0
             x_star = rng.normal(size=2)
             z = to_rotating_frame(t, x, x_star, 1.0)
-            back = from_rotating_frame(t, z, x_star, 1.0)
+            back = x_star + rotation_matrix(t, 1.0) @ z
             np.testing.assert_allclose(back, x, atol=1e-12)
 
     def test_source_maps_to_origin(self, rng):
@@ -123,32 +120,17 @@ class TestControlLaws:
 
 class TestClosedLoopRhs:
     def test_gradient_rotating_at_source(self, ref_params, ref_field, rng):
+        rhs = closed_loop(Scheme.GRADIENT, Frame.ROTATING_Z, ref_params, ref_field)
         for t in rng.uniform(0.0, 10.0, size=10):
-            out = closed_loop_rhs(
-                Scheme.GRADIENT, Frame.ROTATING_Z, t,
-                np.array([0.0, 0.0, ref_field.f_star]), ref_params, ref_field,
-            )
+            out = rhs(t, (0.0, 0.0, ref_field.f_star))
             forcing = ref_params.alpha_tilde * math.cos(ref_params.omega * t)
             np.testing.assert_allclose(out, [0.0, forcing, 0.0], atol=1e-12)
 
-    def test_dimension_mismatch_rejected(self, ref_params, ref_field):
-        with pytest.raises(ValueError, match="state shape"):
-            closed_loop_rhs(
-                Scheme.GRADIENT, Frame.ROTATING_Z, 0.0, np.zeros(4),
-                ref_params, ref_field,
-            )
-
     def test_incompatible_frame_rejected(self, ref_params, ref_field):
         with pytest.raises(ValueError):
-            closed_loop_rhs(
-                Scheme.GRADIENT, Frame.ROTATING_Z_LOG_D, 0.0, np.zeros(4),
-                ref_params, ref_field,
-            )
+            closed_loop(Scheme.GRADIENT, Frame.ROTATING_Z_LOG_D, ref_params, ref_field)
         with pytest.raises(ValueError):
-            closed_loop_rhs(
-                Scheme.NEWTON, Frame.AVERAGED_NEWTON, 0.0, np.zeros(4),
-                ref_params, ref_field,
-            )
+            closed_loop(Scheme.NEWTON, Frame.AVERAGED_NEWTON, ref_params, ref_field)
 
     def test_original_frame_equals_transformed_rotating(self, ref_params, ref_field):
         """Co-integrating both frames must agree through x = x* + Y(t) z."""
@@ -167,7 +149,7 @@ class TestClosedLoopRhs:
         assert np.allclose(orig.times, rot.times)
         worst = 0.0
         for t, xs, zs in zip(rot.times, orig.states, rot.states):
-            mapped = from_rotating_frame(t, zs[:2], ref_field.source, ref_params.omega0)
+            mapped = ref_field.source + rotation_matrix(t, ref_params.omega0) @ zs[:2]
             worst = max(worst, float(np.max(np.abs(mapped - xs[:2]))))
         assert worst < 1e-6
 
@@ -219,23 +201,18 @@ class TestClosedLoopRhs:
 class TestAveragedRhs:
     def test_riccati_equilibrium_is_stationary(self, ref_params, ref_field):
         state = np.array([0.0, 0.0, 1.0 / ref_field.hessian, ref_field.f_star])
-        out = averaged_rhs(AveragedForm.NEWTON, state, ref_params, ref_field)
+        out = averaged_closed_loop(AveragedForm.NEWTON, ref_params, ref_field)(0.0, state)
         np.testing.assert_allclose(out, np.zeros(4), atol=1e-13)
 
     def test_cascade_origin_is_equilibrium(self, ref_params, ref_field):
-        out = averaged_rhs(
-            AveragedForm.NEWTON_CASCADE, np.zeros(4), ref_params, ref_field
-        )
+        rhs = averaged_closed_loop(AveragedForm.NEWTON_CASCADE, ref_params, ref_field)
+        out = rhs(0.0, (0.0, 0.0, 0.0, 0.0))
         np.testing.assert_array_equal(out, np.zeros(4))
 
     def test_gradient_damping_entry(self, ref_params, ref_field):
         # with alpha = 2 and curvature 0.01 the damping entry is -0.01
-        out = averaged_rhs(
-            AveragedForm.GRADIENT,
-            np.array([0.0, 1.0, ref_field.f_star]),
-            ref_params,
-            ref_field,
-        )
+        rhs = averaged_closed_loop(AveragedForm.GRADIENT, ref_params, ref_field)
+        out = rhs(0.0, (0.0, 1.0, ref_field.f_star))
         expected_damping = -0.5 * ref_params.alpha * ref_field.hessian
         assert out[1] == pytest.approx(expected_damping, rel=1e-14)
         assert out[0] == ref_params.omega0
@@ -243,10 +220,6 @@ class TestAveragedRhs:
         assert out[2] == pytest.approx(
             -ref_params.h_gain * 0.5 * ref_field.hessian, rel=1e-12
         )
-
-    def test_dimension_checked(self, ref_params, ref_field):
-        with pytest.raises(ValueError, match="state shape"):
-            averaged_rhs(AveragedForm.NEWTON, np.zeros(3), ref_params, ref_field)
 
     def test_exp_form_matches_plain_form(self, ref_params, ref_field, rng):
         plain = averaged_closed_loop(AveragedForm.NEWTON, ref_params, ref_field)
