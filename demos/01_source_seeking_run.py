@@ -13,29 +13,12 @@ entry times into a 0.75-radius neighborhood of the source.
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from sourceseek import (
-    CompareConfig,
-    DEFAULT_FIELD,
-    DEFAULT_PARAMS,
-    VehicleState,
-    run_compare,
-    unicycle_rhs,
-)
+from sourceseek import CompareConfig, DEFAULT_FIELD, DEFAULT_PARAMS, run_compare
 
 out_dir = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("out_demos")
 
-# --- the raw vehicle -------------------------------------------------------
-# Heading is kept as an explicit state only here; the closed loops eliminate
-# it analytically because the turn rate is constant.
-state = VehicleState(position=np.array([0.0, 0.0]), heading=0.0)
-deriv = unicycle_rhs(state, u1=1.0, u2=0.5)
-print("raw unicycle at heading 0, forward speed 1, turn rate 0.5:")
-print(f"  velocity = {deriv.position}, heading rate = {deriv.heading}")
-print()
-
-# --- the two closed loops --------------------------------------------------
+# The turn rate is constant, so the closed loops eliminate the heading
+# analytically (theta = omega0 * t) and carry only position and filter states.
 print(f"field: peak {DEFAULT_FIELD.f_star} at {DEFAULT_FIELD.source}, "
       f"curvature {DEFAULT_FIELD.hessian}")
 print(f"gains: omega {DEFAULT_PARAMS.omega}, dither amplitude "

@@ -6,13 +6,7 @@ stability certificates for the averaged dynamics."""
 
 __version__ = "0.1.0"
 
-from .model import (
-    FieldParams,
-    SeekerParams,
-    VehicleState,
-    eval_field,
-    unicycle_rhs,
-)
+from .model import FieldParams, SeekerParams, eval_field
 from .ode import (
     IntegrationAborted,
     IntegratorConfig,

@@ -35,13 +35,6 @@ from .stability import build_certificate, iss_bound_check, linearize, \
 PASS, FAIL, CONFIG_ERROR = 0, 1, 2
 
 
-def _write(out_dir: Path, name: str, text: str) -> Path:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / name
-    path.write_text(text)
-    return path
-
-
 def _override(config, **changes):
     """``config`` with command-line values; a value the config rejects is a
     configuration error, as it is from a config file."""
@@ -51,45 +44,38 @@ def _override(config, **changes):
         raise ConfigError(str(exc)) from exc
 
 
-def _cmd_simulate(app: AppConfig, out_dir: Path, args) -> int:
-    result = run_simulate(app.make_scenario(), out_dir=out_dir)
-    text = result.report()
-    _write(out_dir, "simulate_report.txt", text)
-    print(text, end="")
-    return PASS if result.passed else FAIL
+# Each command returns (report file name, report text, whether every check
+# passed); main writes, prints and maps the verdict to the exit code.
 
 
-def _cmd_compare(app: AppConfig, out_dir: Path, args) -> int:
-    report = run_compare(app.make_compare(), out_dir=out_dir)
+def _cmd_simulate(app: AppConfig, args) -> tuple[str, str, bool]:
+    result = run_simulate(app.scenario, out_dir=args.out)
+    return "simulate_report.txt", result.report(), result.passed
+
+
+def _cmd_compare(app: AppConfig, args) -> tuple[str, str, bool]:
+    report = run_compare(app.compare, out_dir=args.out)
     text = report.report() + report.newton.report() + report.gradient.report()
-    _write(out_dir, "compare_report.txt", text)
-    print(text, end="")
-    return PASS if report.passed else FAIL
+    return "compare_report.txt", text, report.passed
 
 
-def _cmd_sweep_omega(app: AppConfig, out_dir: Path, args) -> int:
-    config = app.make_omega_sweep()
+def _cmd_sweep_omega(app: AppConfig, args) -> tuple[str, str, bool]:
+    config = app.sweep_omega
     if args.omega:
         config = _override(config, omegas=tuple(args.omega))
     report = run_omega_sweep(config)
-    text = report.report()
-    _write(out_dir, "omega_sweep_report.txt", text)
-    print(text, end="")
-    return PASS if report.passed else FAIL
+    return "omega_sweep_report.txt", report.report(), report.passed
 
 
-def _cmd_sweep_hessian(app: AppConfig, out_dir: Path, args) -> int:
-    config = app.make_hessian_sweep()
+def _cmd_sweep_hessian(app: AppConfig, args) -> tuple[str, str, bool]:
+    config = app.sweep_hessian
     if args.hessian:
         config = _override(config, hessians=tuple(args.hessian))
     report = run_hessian_invariance(config)
-    text = report.report()
-    _write(out_dir, "hessian_sweep_report.txt", text)
-    print(text, end="")
-    return PASS if report.passed else FAIL
+    return "hessian_sweep_report.txt", report.report(), report.passed
 
 
-def _cmd_average(app: AppConfig, out_dir: Path, args) -> int:
+def _cmd_average(app: AppConfig, args) -> tuple[str, str, bool]:
     scheme = Scheme(args.scheme)
     if scheme is Scheme.NEWTON:
         system = newton_affine_system(app.params, app.field)
@@ -102,7 +88,7 @@ def _cmd_average(app: AppConfig, out_dir: Path, args) -> int:
     engine = build_averaged_field(system, grid)
     closed = averaged_closed_loop(form, app.params, app.field)
 
-    rng = np.random.default_rng(app.seed if app.seed is not None else 0)
+    rng = np.random.default_rng(app.seed)
     worst = 0.0
     for _ in range(10):
         state = rng.uniform(-3.0, 3.0, size=system.dimension)
@@ -121,12 +107,11 @@ def _cmd_average(app: AppConfig, out_dir: Path, args) -> int:
         + f"worst_relative_defect = {worst:.3e}\n"
         + f"check_agreement = {'pass' if agreement_ok else 'FAIL'}\n"
     )
-    _write(out_dir, f"averaging_report_{scheme.value}.txt", text)
-    print(text, end="")
-    return PASS if assumptions.ok and agreement_ok else FAIL
+    return (f"averaging_report_{scheme.value}.txt", text,
+            assumptions.ok and agreement_ok)
 
 
-def _cmd_certify(app: AppConfig, out_dir: Path, args) -> int:
+def _cmd_certify(app: AppConfig, args) -> tuple[str, str, bool]:
     params, field = app.params, app.field
     cert = build_certificate(params.alpha, params.omega0, params.omega_d,
                              field.hessian)
@@ -137,7 +122,7 @@ def _cmd_certify(app: AppConfig, out_dir: Path, args) -> int:
     z = np.stack([z1, z2], axis=-1)
     margins = vdot_margin(z, dh, cert)
 
-    rng = np.random.default_rng(app.seed if app.seed is not None else 0)
+    rng = np.random.default_rng(app.seed)
     r = rng.uniform(-3.0, 3.0, size=1000)
     z_rand = rng.uniform(-5.0, 5.0, size=(1000, 2))
     dh_rand = rng.uniform(-2.0, 2.0, size=1000)
@@ -165,9 +150,7 @@ def _cmd_certify(app: AppConfig, out_dir: Path, args) -> int:
     )
     text += f"check_vdot = {'pass' if vdot_ok else 'FAIL'}\n"
     text += f"check_iss = {'pass' if iss_ok else 'FAIL'}\n"
-    _write(out_dir, "stability_report.txt", text)
-    print(text, end="")
-    return PASS if vdot_ok and iss_ok else FAIL
+    return "stability_report.txt", text, vdot_ok and iss_ok
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -223,16 +206,16 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         app = load_config(args.config)
+        if args.seed is not None:
+            app = _override(app, seed=args.seed)
+        name, text, passed = _COMMANDS[args.command](app, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return CONFIG_ERROR
-    if args.seed is not None:
-        app.seed = args.seed
-    try:
-        return _COMMANDS[args.command](app, args.out, args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return CONFIG_ERROR
+    args.out.mkdir(parents=True, exist_ok=True)
+    (args.out / name).write_text(text)
+    print(text, end="")
+    return PASS if passed else FAIL
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -14,14 +14,17 @@ Four studies are provided, mirroring the verification suite:
 
 Success thresholds (ball radius, Riccati tolerance, slack factors) are data,
 not code: they live in the scenario/config objects, with defaults matching
-the reference simulation setup used throughout the test suite.
+the reference simulation setup used throughout the test suite. Each study
+config builds the :class:`Scenario` objects its run integrates when it is
+constructed, so a config that constructs is one whose runs can start.
 """
 
 from __future__ import annotations
 
 import configparser
+import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -74,19 +77,6 @@ class ConfigError(ValueError):
     """Configuration file could not be parsed or validated."""
 
 
-def _check_start(nu0: float, d0: float, newton: bool) -> None:
-    """Reject a filter start that no run can integrate; ``d0`` matters only
-    when a curvature-inverting run is made."""
-    if not math.isfinite(nu0):
-        raise ValueError(f"nu0 must be finite, got {nu0}")
-    if newton and not 0.0 < d0 < math.inf:
-        raise ValueError(
-            f"d0={d0} rejected: the Riccati filter state must start "
-            "finite and strictly positive (d <= 0 leaves its invariant "
-            "basin d > 0)"
-        )
-
-
 def _positive(name: str, values) -> tuple:
     """``values`` as a tuple of floats, each finite and strictly positive."""
     values = tuple(float(v) for v in values)
@@ -126,11 +116,20 @@ class Scenario:
                 f"frame {self.frame.value!r} is undefined for scheme "
                 f"{self.scheme.value!r}"
             )
-        _check_start(self.nu0, self.d0, newton=self.scheme is Scheme.NEWTON)
+        if not math.isfinite(self.nu0):
+            raise ValueError(f"nu0 must be finite, got {self.nu0}")
+        # d0 matters only for a curvature-inverting run
+        if self.scheme is Scheme.NEWTON and not 0.0 < self.d0 < math.inf:
+            raise ValueError(
+                f"d0={self.d0} rejected: the Riccati filter state must start "
+                "finite and strictly positive (d <= 0 leaves its invariant "
+                "basin d > 0)"
+            )
         x0 = np.asarray(self.x0, dtype=float)
         if x0.shape != (2,) or not np.all(np.isfinite(x0)):
             raise ValueError(f"x0 must be a finite 2-vector, got {self.x0}")
         object.__setattr__(self, "x0", (float(x0[0]), float(x0[1])))
+        self.integrator_config()  # rejects the step policy's own bad values
 
     # -- derived pieces -----------------------------------------------------
 
@@ -175,6 +174,12 @@ class Scenario:
             omega_max, self.samples_per_period, self.output_stride
         )
 
+    def run(self, config: IntegratorConfig | None = None) -> Trajectory:
+        """Integrate this run's loop from its start over ``[0, t_end]``, with
+        ``config`` in place of :meth:`integrator_config` when given."""
+        return integrate(self.build_rhs(), self.initial_state(), 0.0, self.t_end,
+                         config or self.integrator_config(), guard=self.guard())
+
     def guard(self):
         """Positivity guard on the raw Riccati component, where one exists."""
         if self._spec.raw_d:
@@ -191,6 +196,14 @@ class Scenario:
         """Riccati state along the trajectory, mapped back to raw d units."""
         d_of = self._spec.d_of
         return None if d_of is None else d_of(traj.states, self.field.hessian)
+
+
+def _scenario(config, **changes) -> Scenario:
+    """A :class:`Scenario` that takes every field it shares by name with the
+    study ``config``, then ``changes``."""
+    shared = {f.name: getattr(config, f.name) for f in fields(Scenario)
+              if hasattr(config, f.name)}
+    return Scenario(**{**shared, **changes})
 
 
 # ---------------------------------------------------------------------------
@@ -326,18 +339,7 @@ def run_simulate(scenario: Scenario, out_dir=None) -> SimulateResult:
     trailing-window-mean Riccati state (curvature-inverting runs), and the
     first time after which the position stays inside the configured ball.
     """
-    config = scenario.integrator_config()
-    traj = integrate(
-        scenario.build_rhs(),
-        scenario.initial_state(),
-        0.0,
-        scenario.t_end,
-        config,
-        guard=scenario.guard(),
-        frame=scenario.frame.value,
-        scheme=scenario.scheme.value,
-        params=scenario.params.as_dict(),
-    )
+    traj = scenario.run()
     comps, center = scenario.position_ball()
     positions = traj.states[:, list(comps)]
     final_distance = float(np.linalg.norm(positions[-1] - center))
@@ -381,6 +383,9 @@ def run_simulate(scenario: Scenario, out_dir=None) -> SimulateResult:
 
 @dataclass(frozen=True)
 class CompareConfig:
+    """Both schemes from one start; ``scenarios`` holds the curvature-inverting
+    run and the gradient run, built at construction."""
+
     field: FieldParams = DEFAULT_FIELD
     params: SeekerParams = DEFAULT_PARAMS
     x0: tuple = DEFAULT_X0
@@ -392,7 +397,9 @@ class CompareConfig:
     output_stride: int = 10
 
     def __post_init__(self):
-        _check_start(self.nu0, self.d0, newton=True)
+        newton = _scenario(self, scheme=Scheme.NEWTON)
+        gradient = replace(newton, scheme=Scheme.GRADIENT)
+        object.__setattr__(self, "scenarios", (newton, gradient))
 
 
 @dataclass
@@ -428,20 +435,7 @@ class CompareReport:
 
 def run_compare(config: CompareConfig, out_dir=None) -> CompareReport:
     """Run both schemes on identical field and initial conditions."""
-    common = dict(
-        field=config.field,
-        params=config.params,
-        x0=config.x0,
-        nu0=config.nu0,
-        t_end=config.t_end,
-        ball_radius=config.ball_radius,
-        samples_per_period=config.samples_per_period,
-        output_stride=config.output_stride,
-    )
-    newton = run_simulate(
-        Scenario(scheme=Scheme.NEWTON, d0=config.d0, **common), out_dir=out_dir
-    )
-    gradient = run_simulate(Scenario(scheme=Scheme.GRADIENT, **common), out_dir=out_dir)
+    newton, gradient = (run_simulate(s, out_dir=out_dir) for s in config.scenarios)
     ratio = None
     if newton.entry_time is not None and gradient.entry_time is not None:
         ratio = newton.entry_time / gradient.entry_time
@@ -454,6 +448,14 @@ def run_compare(config: CompareConfig, out_dir=None) -> CompareReport:
 
 @dataclass(frozen=True)
 class OmegaSweepConfig:
+    """Full loops against their averaged limits across a frequency ladder.
+
+    ``runs`` holds, for each scheme and then each omega, the tuple (full
+    rotating-frame Scenario, its integrator config, averaged Scenario, its
+    integrator config), built at construction; both configs record every
+    ``record_dt``.
+    """
+
     omegas: tuple = (20.0, 40.0, 80.0)
     schemes: tuple = (Scheme.GRADIENT, Scheme.NEWTON)
     field: FieldParams = DEFAULT_FIELD
@@ -473,7 +475,30 @@ class OmegaSweepConfig:
             raise ValueError("omegas must be an increasing list of >= 3 entries")
         object.__setattr__(self, "omegas", omegas)
         object.__setattr__(self, "schemes", tuple(self.schemes))
-        _check_start(self.nu0, self.d0, newton=Scheme.NEWTON in self.schemes)
+        if not self.schemes:
+            raise ValueError("schemes must name at least one scheme")
+        if not 0.0 < self.record_dt < math.inf:
+            raise ValueError(f"record_dt must be finite and positive, got "
+                             f"{self.record_dt}")
+        if not self.slack >= 0.0:
+            raise ValueError(f"slack must be >= 0, got {self.slack}")
+        # the averaged loop has no fast forcing; a fixed substep makes its
+        # trajectory identical across the sweep
+        avg_config = _matched_config(self.record_dt, self.record_dt / 8.0, None,
+                                     self.samples_per_period)
+        runs = []
+        for scheme in self.schemes:
+            for omega in omegas:
+                # tail_fraction is shared, so the Scenario checks it too
+                full = _scenario(self, scheme=scheme, frame=Frame.ROTATING_Z,
+                                 params=replace(self.params, omega=omega))
+                # the averaged limit has the rotating frame's state layout
+                avg = replace(full, frame=Frame(f"averaged_{scheme.value}"))
+                fast = full.integrator_config()
+                full_config = _matched_config(self.record_dt, fast.dt,
+                                              fast.omega_max, self.samples_per_period)
+                runs.append((full, full_config, avg, avg_config))
+        object.__setattr__(self, "runs", tuple(runs))
 
 
 @dataclass
@@ -553,68 +578,34 @@ def run_omega_sweep(config: OmegaSweepConfig) -> OmegaSweepReport:
     grid; the table carries the sup-norm state deviation and the radius of
     the ball that contains the full position trajectory over the trailing
     window. A RuntimeError or ValueError (an aborted integration, a grid
-    mismatch, a rejected input) is recorded in that frequency's row with
+    mismatch, a rejected start) is recorded in that frequency's row with
     its type; any other exception propagates.
     """
     rows: list[OmegaSweepRow] = []
     averaged_runs: dict[str, list[np.ndarray]] = {}
     tail_start = config.t_end * (1.0 - config.tail_fraction)
 
-    for scheme in config.schemes:
-        frame = Frame.ROTATING_Z
-        # the averaged limit has the rotating frame's state layout
-        avg_frame = Frame(f"averaged_{scheme.value}")
-        for omega in config.omegas:
-            try:
-                params = replace(config.params, omega=omega)
-                base = dict(
-                    field=config.field, params=params, x0=config.x0,
-                    nu0=config.nu0, d0=config.d0, t_end=config.t_end,
-                    samples_per_period=config.samples_per_period,
-                )
-                full_scn = Scenario(scheme=scheme, frame=frame, **base)
-                avg_scn = Scenario(scheme=scheme, frame=avg_frame, **base)
-
-                fast = full_scn.integrator_config()
-                full_cfg = _matched_config(
-                    config.record_dt, fast.dt, fast.omega_max,
-                    config.samples_per_period,
-                )
-                # the averaged loop has no fast forcing; a fixed substep makes
-                # its trajectory identical across the sweep
-                avg_cfg = _matched_config(
-                    config.record_dt, config.record_dt / 8.0, None,
-                    config.samples_per_period,
-                )
-
-                full = integrate(
-                    full_scn.build_rhs(), full_scn.initial_state(), 0.0,
-                    config.t_end, full_cfg, guard=full_scn.guard(),
-                    frame=frame.value, scheme=scheme.value,
-                )
-                avg = integrate(
-                    avg_scn.build_rhs(), avg_scn.initial_state(), 0.0,
-                    config.t_end, avg_cfg, guard=avg_scn.guard(),
-                    frame=avg_frame.value, scheme=scheme.value,
-                )
-                if full.times.shape != avg.times.shape or not np.allclose(
-                    full.times, avg.times, atol=1e-9
-                ):
-                    raise RuntimeError("recording grids failed to match")
-                deviation = float(np.max(np.abs(full.states - avg.states)))
-                tail = full.times >= tail_start
-                ball = float(
-                    np.max(np.linalg.norm(full.states[tail][:, :2], axis=1))
-                )
-                averaged_runs.setdefault(scheme.value, []).append(avg.states)
-                rows.append(OmegaSweepRow(scheme.value, omega, deviation, ball))
-            except (RuntimeError, ValueError) as exc:
-                # per-frequency isolation: IntegrationAborted and a grid
-                # mismatch are RuntimeErrors, bad inputs ValueErrors; any
-                # other exception is a bug and propagates
-                rows.append(OmegaSweepRow(
-                    scheme.value, omega, None, None, f"{type(exc).__name__}: {exc}"
-                ))
+    for full_scn, full_config, avg_scn, avg_config in config.runs:
+        scheme, omega = full_scn.scheme.value, full_scn.params.omega
+        try:
+            full = full_scn.run(full_config)
+            avg = avg_scn.run(avg_config)
+            if full.times.shape != avg.times.shape or not np.allclose(
+                full.times, avg.times, atol=1e-9
+            ):
+                raise RuntimeError("recording grids failed to match")
+            deviation = float(np.max(np.abs(full.states - avg.states)))
+            tail = full.times >= tail_start
+            ball = float(np.max(np.linalg.norm(full.states[tail][:, :2], axis=1)))
+            averaged_runs.setdefault(scheme, []).append(avg.states)
+            rows.append(OmegaSweepRow(scheme, omega, deviation, ball))
+        except (RuntimeError, ValueError) as exc:
+            # per-frequency isolation: IntegrationAborted and a grid mismatch
+            # are RuntimeErrors, a start the guard rejects a ValueError; any
+            # other exception is a bug and propagates
+            rows.append(OmegaSweepRow(
+                scheme, omega, None, None, f"{type(exc).__name__}: {exc}"
+            ))
 
     identical = all(
         all(np.array_equal(states, runs[0]) for states in runs[1:])
@@ -631,6 +622,16 @@ def run_omega_sweep(config: OmegaSweepConfig) -> OmegaSweepReport:
 
 @dataclass(frozen=True)
 class HessianSweepConfig:
+    """Averaged decay rates across field curvatures.
+
+    ``runs`` holds, for each curvature, the averaged curvature-inverting
+    Scenario, the averaged gradient Scenario and the former's fit window,
+    built at construction. The curvature-inverting run is fitted after its
+    inverse-curvature filter has settled (ten filter time constants plus
+    margin); the gradient run is fitted from the start over a horizon scaled
+    to its expected decay, so every fit sees comparable decay depth.
+    """
+
     hessians: tuple = (0.01, 0.1, 1.0)
     params: SeekerParams = DEFAULT_PARAMS
     field: FieldParams = DEFAULT_FIELD  # hessian replaced per run
@@ -645,7 +646,20 @@ class HessianSweepConfig:
         if len(hs) < 2 or max(hs) / min(hs) < 100.0 * (1.0 - 1e-9):
             raise ValueError("hessians must span at least two decades")
         object.__setattr__(self, "hessians", hs)
-        _check_start(self.nu0, self.d0, newton=True)
+        fit_start = 10.0 / self.params.omega_d + 2.0
+        window = (fit_start, fit_start + 35.0)
+        runs = []
+        for hess in hs:
+            newton = _scenario(
+                self, scheme=Scheme.NEWTON, frame=Frame.AVERAGED_NEWTON,
+                field=replace(self.field, hessian=hess), t_end=window[1],
+                samples_per_period=120,
+            )
+            gradient = replace(newton, scheme=Scheme.GRADIENT,
+                               frame=Frame.AVERAGED_GRADIENT,
+                               t_end=48.0 / (self.params.alpha * hess))
+            runs.append((newton, gradient, window))
+        object.__setattr__(self, "runs", tuple(runs))
 
 
 @dataclass
@@ -699,42 +713,13 @@ class HessianSweepReport:
 
 
 def run_hessian_invariance(config: HessianSweepConfig) -> HessianSweepReport:
-    """Fit averaged decay rates across curvatures.
-
-    The curvature-inverting rows fit after the inverse-curvature filter has
-    settled (ten filter time constants plus margin); the gradient rows fit
-    from the start over a horizon scaled to the expected decay so every fit
-    sees comparable decay depth.
-    """
+    """Fit the decay rate of each of ``config.runs``."""
     rows = []
-    params = config.params
-    for hess in config.hessians:
-        field = replace(config.field, hessian=hess)
-        base = dict(field=field, params=params, x0=config.x0, nu0=config.nu0)
-
-        fit_start = 10.0 / params.omega_d + 2.0
-        horizon = fit_start + 35.0
-        newton_scn = Scenario(
-            scheme=Scheme.NEWTON, frame=Frame.AVERAGED_NEWTON, d0=config.d0,
-            t_end=horizon, samples_per_period=120, **base,
-        )
-        traj_n = integrate(
-            newton_scn.build_rhs(), newton_scn.initial_state(), 0.0, horizon,
-            newton_scn.integrator_config(), guard=newton_scn.guard(),
-        )
-        rate_n = estimate_rate(traj_n, (fit_start, horizon))
-
-        grad_horizon = 48.0 / (params.alpha * hess)
-        grad_scn = Scenario(
-            scheme=Scheme.GRADIENT, frame=Frame.AVERAGED_GRADIENT,
-            t_end=grad_horizon, samples_per_period=120, **base,
-        )
-        traj_g = integrate(
-            grad_scn.build_rhs(), grad_scn.initial_state(), 0.0, grad_horizon,
-            grad_scn.integrator_config(),
-        )
-        rate_g = estimate_rate(traj_g, (0.0, grad_horizon))
-        rows.append(HessianSweepRow(hessian=hess, newton=rate_n, gradient=rate_g))
+    for newton, gradient, window in config.runs:
+        rate_n = estimate_rate(newton.run(), window)
+        rate_g = estimate_rate(gradient.run(), (0.0, gradient.t_end))
+        rows.append(HessianSweepRow(hessian=newton.field.hessian,
+                                    newton=rate_n, gradient=rate_g))
     return HessianSweepReport(
         rows=rows,
         newton_tolerance=config.newton_tolerance,
@@ -746,98 +731,55 @@ def run_hessian_invariance(config: HessianSweepConfig) -> HessianSweepReport:
 # config files
 
 
-@dataclass
+@dataclass(frozen=True)
 class AppConfig:
+    """Everything one configuration file describes, built and validated."""
+
     field: FieldParams
     params: SeekerParams
-    scenario: dict
-    compare: dict
-    sweep_omega: dict
-    sweep_hessian: dict
-    seed: int | None = None  # sample states of `average`, ISS points of `certify`
+    scenario: Scenario
+    compare: CompareConfig
+    sweep_omega: OmegaSweepConfig
+    sweep_hessian: HessianSweepConfig
+    seed: int = 0  # sample states of `average`, ISS points of `certify`
 
-    def make_scenario(self) -> Scenario:
-        kwargs = {"scheme": Scheme.NEWTON, **self.scenario}
-        return Scenario(field=self.field, params=self.params, **kwargs)
-
-    def make_compare(self) -> CompareConfig:
-        return CompareConfig(field=self.field, params=self.params, **self.compare)
-
-    def make_omega_sweep(self) -> OmegaSweepConfig:
-        return OmegaSweepConfig(field=self.field, params=self.params,
-                                **self.sweep_omega)
-
-    def make_hessian_sweep(self) -> HessianSweepConfig:
-        return HessianSweepConfig(field=self.field, params=self.params,
-                                  **self.sweep_hessian)
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
-def _parse_floats(raw: str) -> tuple:
-    return tuple(float(part.strip()) for part in raw.split(",") if part.strip())
+def _value_parser(default):
+    """Parser of a config value for a field whose default is ``default``:
+    a comma-separated list for a tuple (or array), a member name for an
+    enum, a string for ``None``, otherwise the default's own type."""
+    if isinstance(default, (tuple, np.ndarray)):
+        item = _value_parser(default[0]) if isinstance(default[0], enum.Enum) else float
+        return lambda raw: tuple(item(part) for part in raw.split(",") if part.strip())
+    if isinstance(default, enum.Enum):
+        return lambda raw: type(default)(raw.strip().lower())
+    return str if default is None else type(default)
 
 
-_SCENARIO_KEYS = {
-    "scheme": lambda v: Scheme(v.strip().lower()),
-    "frame": lambda v: Frame(v.strip().lower()),
-    "x0": _parse_floats,
-    "nu0": float,
-    "d0": float,
-    "t_end": float,
-    "samples_per_period": int,
-    "output_stride": int,
-    "ball_radius": float,
-    "d_tolerance": float,
-    "tail_fraction": float,
-    "out_path": str,
-}
+def _parse_section(parser, name: str, default):
+    """``default`` with the values that section ``[name]`` sets.
 
-_COMPARE_KEYS = {
-    "x0": _parse_floats,
-    "nu0": float,
-    "d0": float,
-    "t_end": float,
-    "ball_radius": float,
-    "samples_per_period": int,
-    "output_stride": int,
-}
-
-_SWEEP_OMEGA_KEYS = {
-    "omegas": _parse_floats,
-    "schemes": lambda v: tuple(Scheme(s.strip().lower()) for s in v.split(",")),
-    "x0": _parse_floats,
-    "nu0": float,
-    "d0": float,
-    "t_end": float,
-    "record_dt": float,
-    "tail_fraction": float,
-    "slack": float,
-    "samples_per_period": int,
-}
-
-_SWEEP_HESSIAN_KEYS = {
-    "hessians": _parse_floats,
-    "x0": _parse_floats,
-    "nu0": float,
-    "d0": float,
-    "newton_tolerance": float,
-    "gradient_tolerance": float,
-}
-
-
-def _parse_section(parser, name: str, converters: dict) -> dict:
+    The section's keys are the dataclass fields of ``default`` other than
+    ``field`` and ``params``, which have sections of their own.
+    """
     if not parser.has_section(name):
-        return {}
-    out = {}
+        return default
+    keys = [f.name for f in fields(default) if f.name not in ("field", "params")]
+    changes = {}
     for key, raw in parser.items(name):
-        if key not in converters:
+        if key not in keys:
             raise ConfigError(f"unknown key {key!r} in section [{name}]")
         try:
-            out[key] = converters[key](raw)
+            changes[key] = _value_parser(getattr(default, key))(raw)
         except (ValueError, KeyError) as exc:
             raise ConfigError(
                 f"bad value for {key!r} in section [{name}]: {raw!r} ({exc})"
             ) from exc
-    return out
+    return replace(default, **changes)
 
 
 def load_config(path=None) -> AppConfig:
@@ -846,7 +788,9 @@ def load_config(path=None) -> AppConfig:
     All sections and keys are optional; anything omitted falls back to the
     reference defaults (dither frequency 15, turn rate 1, feedback scale 2,
     exponent 0.61, filter gain 1, Riccati gain 0.3; field peak 5 with
-    curvature 0.01 at (1, -1); start (4, -4), horizon 50).
+    curvature 0.01 at (1, -1); start (4, -4), horizon 50). Every run the
+    file describes is built here, so a value no run can use is a
+    ConfigError.
     """
     parser = configparser.ConfigParser()
     if path is not None:
@@ -858,39 +802,22 @@ def load_config(path=None) -> AppConfig:
         except configparser.Error as exc:
             raise ConfigError(f"cannot parse {path}: {exc}") from exc
 
-    field_kwargs = _parse_section(
-        parser, "field",
-        {"f_star": float, "hessian": float, "source": _parse_floats},
-    )
-    params_kwargs = _parse_section(
-        parser, "params",
-        {k: float for k in ("omega", "omega0", "alpha", "p_exp", "h_gain", "omega_d")},
-    )
     try:
-        field = (
-            replace(DEFAULT_FIELD, **field_kwargs) if field_kwargs else DEFAULT_FIELD
+        field = _parse_section(parser, "field", DEFAULT_FIELD)
+        params = _parse_section(parser, "params", DEFAULT_PARAMS)
+        shared = dict(field=field, params=params)
+        return AppConfig(
+            scenario=_parse_section(parser, "scenario",
+                                    Scenario(scheme=Scheme.NEWTON, **shared)),
+            compare=_parse_section(parser, "compare", CompareConfig(**shared)),
+            sweep_omega=_parse_section(parser, "sweep_omega",
+                                       OmegaSweepConfig(**shared)),
+            sweep_hessian=_parse_section(parser, "sweep_hessian",
+                                         HessianSweepConfig(**shared)),
+            seed=parser.getint("run", "seed", fallback=0),
+            **shared,
         )
-        params = (
-            replace(DEFAULT_PARAMS, **params_kwargs) if params_kwargs
-            else DEFAULT_PARAMS
-        )
-        app = AppConfig(
-            field=field,
-            params=params,
-            scenario=_parse_section(parser, "scenario", _SCENARIO_KEYS),
-            compare=_parse_section(parser, "compare", _COMPARE_KEYS),
-            sweep_omega=_parse_section(parser, "sweep_omega", _SWEEP_OMEGA_KEYS),
-            sweep_hessian=_parse_section(parser, "sweep_hessian", _SWEEP_HESSIAN_KEYS),
-        )
-        if parser.has_section("run") and parser.has_option("run", "seed"):
-            app.seed = parser.getint("run", "seed")
-        # construct eagerly so validation errors surface as config errors
-        app.make_scenario()
-        app.make_compare()
-        app.make_omega_sweep()
-        app.make_hessian_sweep()
     except ConfigError:
         raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return app

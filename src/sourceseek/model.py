@@ -1,4 +1,4 @@
-"""Vehicle, signal-field, and controller-parameter primitives.
+"""Signal-field and controller-parameter primitives.
 
 Everything here is a plain value type or a pure function; the rest of the
 package builds its dynamics on top of these.
@@ -13,10 +13,8 @@ import numpy as np
 
 __all__ = [
     "FieldParams",
-    "VehicleState",
     "SeekerParams",
     "eval_field",
-    "unicycle_rhs",
 ]
 
 
@@ -57,44 +55,6 @@ def eval_field(x, field: FieldParams) -> float | np.ndarray:
     sq = np.sum(offset * offset, axis=-1)
     out = field.f_star - 0.5 * field.hessian * sq
     return float(out) if np.ndim(out) == 0 else out
-
-
-@dataclass(frozen=True)
-class VehicleState:
-    """Planar unicycle pose: position ``x`` and heading ``theta``.
-
-    Headings are stored unwrapped (theta ranges over all reals); wrapping
-    would break identities that tie the heading to elapsed time.
-    """
-
-    position: np.ndarray
-    heading: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "position", _as_point(self.position, "position"))
-        if not math.isfinite(self.heading):
-            raise ValueError("heading must be finite")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.position[0], self.position[1], self.heading])
-
-    @classmethod
-    def from_array(cls, arr) -> "VehicleState":
-        arr = np.asarray(arr, dtype=float)
-        return cls(position=arr[:2], heading=float(arr[2]))
-
-
-def unicycle_rhs(state: VehicleState, u1: float, u2: float) -> VehicleState:
-    """Unicycle kinematics: forward speed ``u1`` along the heading, turn rate ``u2``.
-
-    Returns the time derivative packed in a ``VehicleState`` (position holds
-    the velocity vector, heading holds the turn rate).
-    """
-    th = state.heading
-    return VehicleState(
-        position=np.array([u1 * math.cos(th), u1 * math.sin(th)]),
-        heading=float(u2),
-    )
 
 
 @dataclass(frozen=True)

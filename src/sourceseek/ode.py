@@ -16,7 +16,7 @@ arithmetic. Recorded samples are written into arrays sized up front.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -98,13 +98,10 @@ class IntegratorConfig:
 
 @dataclass
 class Trajectory:
-    """Time-stamped state samples plus metadata identifying their origin."""
+    """Time-stamped state samples."""
 
     times: np.ndarray
     states: np.ndarray
-    frame: str = ""
-    scheme: str = ""
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -145,8 +142,7 @@ class Trajectory:
 
 
 def integrate(rhs, x0, t0: float, t1: float, config: IntegratorConfig,
-              guard=None, frame: str = "", scheme: str = "",
-              params: dict | None = None) -> Trajectory:
+              guard=None) -> Trajectory:
     """Integrate ``dx/dt = rhs(t, x)`` from ``t0`` to ``t1`` with fixed-step RK4.
 
     Parameters
@@ -201,10 +197,9 @@ def integrate(rhs, x0, t0: float, t1: float, config: IntegratorConfig,
     times[0] = t0
     states[0] = y
     n_rec = 1
-    meta = dict(frame=frame, scheme=scheme, params=dict(params or {}))
 
     def aborted(what: str, last_valid_time: float, n_rec: int) -> IntegrationAborted:
-        partial = Trajectory(times[:n_rec].copy(), states[:n_rec].copy(), **meta)
+        partial = Trajectory(times[:n_rec].copy(), states[:n_rec].copy())
         return IntegrationAborted(
             f"{what}; last valid time t={last_valid_time}", last_valid_time, partial
         )
@@ -255,7 +250,7 @@ def integrate(rhs, x0, t0: float, t1: float, config: IntegratorConfig,
             states[n_rec] = y
             n_rec += 1
 
-    return Trajectory(times, states, **meta)
+    return Trajectory(times, states)
 
 
 def first_entry_time(traj: Trajectory, center, radius: float, components) -> float | None:

@@ -9,9 +9,9 @@ a double-frequency demodulation and feeds it back into the forward speed,
 which makes the mean convergence rate a pure function of the chosen gains.
 
 Because the turn rate is constant, the heading is eliminated analytically
-(theta = omega0 * t) in every closed-loop right-hand side here; the raw
-three-state unicycle is only needed for demonstrations and lives in
-:mod:`sourceseek.model`.
+(theta = omega0 * t) in every closed-loop right-hand side here, so no
+three-state unicycle model is needed: in the original frame the velocity is
+the forward speed ``u1`` along the heading ``omega0 * t``.
 
 Each defined (scheme, frame) pair has one entry in :data:`FRAME_SPECS`;
 any other pair is undefined. The flat states are

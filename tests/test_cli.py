@@ -143,6 +143,40 @@ class TestSweepCommands:
         assert "must be finite and positive" in capsys.readouterr().err
 
 
+class TestConfigErrors:
+    @pytest.mark.parametrize("command, text", [
+        ("compare", "[compare]\nx0 = nan, 1\n"),
+        ("compare", "[compare]\nt_end = -1\n"),
+        ("compare", "[compare]\nsamples_per_period = 10\n"),
+        ("sweep-hessian", "[sweep_hessian]\nx0 = 1, 2, 3\n"),
+        ("simulate", "[scenario]\noutput_stride = 0\n"),
+        ("sweep-omega", "[sweep_omega]\nrecord_dt = 0\n"),
+        ("sweep-omega", "[sweep_omega]\nt_end = -1\n"),
+        ("sweep-omega", "[sweep_omega]\nslack = -5\n"),
+    ], ids=["compare-x0-nan", "compare-t-end", "compare-coarse-sampling",
+            "sweep-hessian-x0-3d", "scenario-stride-0", "sweep-omega-record-dt-0",
+            "sweep-omega-t-end", "sweep-omega-slack"])
+    def test_unrunnable_value_exits_two(self, tmp_path, capsys, command, text):
+        cfg = _cfg(tmp_path, text)
+        code = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv, text", [
+        ([], "[run]\nseed = -3\n"),
+        (["--seed", "-3"], ""),
+    ], ids=["config", "flag"])
+    def test_negative_seed_exits_two(self, tmp_path, capsys, argv, text):
+        cfg = _cfg(tmp_path, text)
+        code = main(["certify", "--config", str(cfg), "--out", str(tmp_path / "o")]
+                    + argv)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "seed must be >= 0" in err
+
+
 class TestAverageCommand:
     @pytest.mark.parametrize("scheme", ["gradient", "newton"])
     def test_report_and_agreement(self, tmp_path, scheme):

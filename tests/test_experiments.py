@@ -18,6 +18,7 @@ from sourceseek import (
     OmegaSweepConfig,
     Scenario,
     Scheme,
+    SeekerParams,
     Trajectory,
     estimate_rate,
     integrate,
@@ -378,8 +379,11 @@ class TestConfigFiles:
         app = load_config(None)
         assert app.field == DEFAULT_FIELD
         assert app.params == DEFAULT_PARAMS
-        scenario = app.make_scenario()
-        assert scenario.scheme is Scheme.NEWTON or scenario.scheme is Scheme.GRADIENT
+        assert app.scenario == Scenario(scheme=Scheme.NEWTON)
+        assert app.compare == CompareConfig()
+        assert app.sweep_omega == OmegaSweepConfig()
+        assert app.sweep_hessian == HessianSweepConfig()
+        assert app.seed == 0
 
     def test_parse_full_file(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -417,11 +421,11 @@ seed = 7
         assert app.params.alpha == 1.5
         assert app.params.omega0 == DEFAULT_PARAMS.omega0
         assert app.seed == 7
-        scn = app.make_scenario()
+        scn = app.scenario
         assert scn.scheme is Scheme.GRADIENT
         assert scn.frame is Frame.ROTATING_Z
         assert scn.t_end == 12.5
-        sweep = app.make_omega_sweep()
+        sweep = app.sweep_omega
         assert sweep.omegas == (25.0, 50.0, 100.0)
         assert sweep.schemes == (Scheme.NEWTON,)
 
@@ -470,3 +474,153 @@ seed = 7
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "nope.cfg")
+
+
+_SECTION_KEYS = {
+    "field": {"f_star", "hessian", "source"},
+    "params": {"omega", "omega0", "alpha", "p_exp", "h_gain", "omega_d"},
+    "scenario": {"scheme", "frame", "x0", "nu0", "d0", "t_end",
+                 "samples_per_period", "output_stride", "ball_radius",
+                 "d_tolerance", "tail_fraction", "out_path"},
+    "compare": {"x0", "nu0", "d0", "t_end", "ball_radius", "samples_per_period",
+                "output_stride"},
+    "sweep_omega": {"omegas", "schemes", "x0", "nu0", "d0", "t_end", "record_dt",
+                    "tail_fraction", "slack", "samples_per_period"},
+    "sweep_hessian": {"hessians", "x0", "nu0", "d0", "newton_tolerance",
+                      "gradient_tolerance"},
+}
+
+_PARAMS = SeekerParams(omega=20.0, omega0=1.5, alpha=1.5, p_exp=0.7, h_gain=2.0,
+                       omega_d=0.4)
+
+# section -> (every key set to a non-default value, the object built directly)
+_ROUND_TRIP = {
+    "params": (
+        "omega = 20\nomega0 = 1.5\nalpha = 1.5\np_exp = 0.7\nh_gain = 2\n"
+        "omega_d = 0.4\n",
+        _PARAMS,
+    ),
+    "scenario": (
+        "scheme = gradient\nframe = rotating_z\nx0 = 1, 1\nnu0 = 0.5\nd0 = 2\n"
+        "t_end = 12.5\nsamples_per_period = 80\noutput_stride = 5\n"
+        "ball_radius = 0.8\nd_tolerance = 0.2\ntail_fraction = 0.3\n"
+        "out_path = traj.csv\n",
+        Scenario(scheme=Scheme.GRADIENT, frame=Frame.ROTATING_Z, x0=(1.0, 1.0),
+                 nu0=0.5, d0=2.0, t_end=12.5, samples_per_period=80,
+                 output_stride=5, ball_radius=0.8, d_tolerance=0.2,
+                 tail_fraction=0.3, out_path="traj.csv"),
+    ),
+    "compare": (
+        "x0 = 1, 2\nnu0 = 0.5\nd0 = 2\nt_end = 20\nball_radius = 0.8\n"
+        "samples_per_period = 80\noutput_stride = 5\n",
+        CompareConfig(x0=(1.0, 2.0), nu0=0.5, d0=2.0, t_end=20.0, ball_radius=0.8,
+                      samples_per_period=80, output_stride=5),
+    ),
+    "sweep_omega": (
+        "omegas = 25, 50, 100\nschemes = newton\nx0 = 1, 2\nnu0 = 0.5\nd0 = 2\n"
+        "t_end = 8\nrecord_dt = 0.1\ntail_fraction = 0.4\nslack = 0.3\n"
+        "samples_per_period = 80\n",
+        OmegaSweepConfig(omegas=(25.0, 50.0, 100.0), schemes=(Scheme.NEWTON,),
+                         x0=(1.0, 2.0), nu0=0.5, d0=2.0, t_end=8.0, record_dt=0.1,
+                         tail_fraction=0.4, slack=0.3, samples_per_period=80),
+    ),
+    "sweep_hessian": (
+        "hessians = 0.02, 0.2, 2\nx0 = 1, 2\nnu0 = 0.5\nd0 = 2\n"
+        "newton_tolerance = 0.2\ngradient_tolerance = 0.25\n",
+        HessianSweepConfig(hessians=(0.02, 0.2, 2.0), x0=(1.0, 2.0), nu0=0.5,
+                           d0=2.0, newton_tolerance=0.2, gradient_tolerance=0.25),
+    ),
+}
+
+
+class TestConfigRoundTrip:
+    @pytest.mark.parametrize("section", sorted(_SECTION_KEYS))
+    def test_accepted_keys(self, tmp_path, section):
+        path = tmp_path / "probe.cfg"
+        candidates = set().union(*_SECTION_KEYS.values()) | {
+            "field", "params", "seed", "scenarios", "runs"}
+        accepted = set()
+        for key in sorted(candidates):
+            path.write_text(f"[{section}]\n{key} = 1\n")
+            try:
+                load_config(path)
+            except ConfigError as exc:
+                if "unknown key" in str(exc):
+                    continue
+            accepted.add(key)
+        assert accepted == _SECTION_KEYS[section]
+
+    def test_field_section_round_trip(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("[field]\nf_star = 3\nhessian = 0.5\nsource = 0, 2\n")
+        field = load_config(path).field
+        assert (field.f_star, field.hessian) == (3.0, 0.5)
+        np.testing.assert_array_equal(field.source, [0.0, 2.0])
+
+    @pytest.mark.parametrize("section", sorted(_ROUND_TRIP))
+    def test_section_round_trip(self, tmp_path, section):
+        text, expected = _ROUND_TRIP[section]
+        assert {line.split(" = ")[0] for line in text.splitlines()} == \
+            _SECTION_KEYS[section]
+        path = tmp_path / "run.cfg"
+        path.write_text(f"[{section}]\n{text}")
+        app = load_config(path)
+        assert getattr(app, section) == expected
+
+    def test_params_reach_every_study(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"[params]\n{_ROUND_TRIP['params'][0]}")
+        app = load_config(path)
+        assert app.scenario == Scenario(scheme=Scheme.NEWTON, params=_PARAMS)
+        assert app.compare == CompareConfig(params=_PARAMS)
+        assert app.sweep_omega == OmegaSweepConfig(params=_PARAMS)
+        assert app.sweep_hessian == HessianSweepConfig(params=_PARAMS)
+
+
+class TestStudyRuns:
+    def test_compare_builds_both_schemes(self):
+        config = CompareConfig(x0=(2.0, 0.0), d0=3.0, t_end=7.0, output_stride=4)
+        newton, gradient = config.scenarios
+        assert (newton.scheme, gradient.scheme) == (Scheme.NEWTON, Scheme.GRADIENT)
+        for scn in config.scenarios:
+            assert scn.frame is Frame.ORIGINAL
+            assert (scn.x0, scn.t_end, scn.output_stride) == ((2.0, 0.0), 7.0, 4)
+        assert newton.d0 == 3.0
+
+    def test_omega_sweep_runs_share_the_recording_grid(self):
+        config = OmegaSweepConfig(schemes=(Scheme.NEWTON,), record_dt=0.1)
+        assert len(config.runs) == 3
+        for (full, full_cfg, avg, avg_cfg), omega in zip(config.runs, config.omegas):
+            assert full.params.omega == avg.params.omega == omega
+            assert (full.frame, avg.frame) == (Frame.ROTATING_Z, Frame.AVERAGED_NEWTON)
+            assert full_cfg.dt * full_cfg.output_stride == pytest.approx(0.1)
+            assert avg_cfg.dt * avg_cfg.output_stride == pytest.approx(0.1)
+            assert full_cfg.dt <= full.integrator_config().dt * (1.0 + 1e-12)
+
+    def test_hessian_sweep_runs(self):
+        config = HessianSweepConfig(hessians=(0.01, 1.0))
+        for (newton, gradient, window), hess in zip(config.runs, config.hessians):
+            assert newton.field.hessian == gradient.field.hessian == hess
+            assert newton.frame is Frame.AVERAGED_NEWTON
+            assert gradient.frame is Frame.AVERAGED_GRADIENT
+            assert window == (10.0 / 0.3 + 2.0, newton.t_end)
+            assert gradient.t_end == pytest.approx(48.0 / (2.0 * hess))
+
+    def test_scenario_run_integrates_its_own_policy(self):
+        scn = Scenario(scheme=Scheme.NEWTON, t_end=2.0)
+        traj = integrate(scn.build_rhs(), scn.initial_state(), 0.0, 2.0,
+                         scn.integrator_config(), guard=scn.guard())
+        run = scn.run()
+        np.testing.assert_array_equal(run.times, traj.times)
+        np.testing.assert_array_equal(run.states, traj.states)
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: OmegaSweepConfig(tail_fraction=2.0), "tail_fraction"),
+        (lambda: OmegaSweepConfig(record_dt=math.inf), "record_dt"),
+        (lambda: OmegaSweepConfig(schemes=()), "schemes"),
+        (lambda: Scenario(scheme=Scheme.NEWTON, samples_per_period=39),
+         "samples_per_period"),
+    ], ids=["tail-fraction", "record-dt-inf", "no-schemes", "coarse-sampling"])
+    def test_construction_rejects(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from sourceseek import FieldParams, SeekerParams, VehicleState
-from sourceseek.model import eval_field, unicycle_rhs
+from sourceseek import FieldParams, Frame, Scheme, SeekerParams, closed_loop
+from sourceseek.model import eval_field
 
 
 class TestField:
@@ -55,37 +55,31 @@ class TestField:
 
 
 class TestUnicycle:
-    def test_zero_input_is_stationary(self):
-        state = VehicleState(position=np.array([2.0, 3.0]), heading=0.7)
-        deriv = unicycle_rhs(state, 0.0, 0.0)
-        np.testing.assert_array_equal(deriv.as_array(), np.zeros(3))
-
-    def test_axis_aligned_motion(self):
-        state = VehicleState(position=np.zeros(2), heading=0.0)
-        deriv = unicycle_rhs(state, 1.0, 0.0)
-        np.testing.assert_allclose(deriv.as_array(), [1.0, 0.0, 0.0], atol=1e-15)
-
-    def test_quarter_turn_heading(self):
-        state = VehicleState(position=np.zeros(2), heading=math.pi / 2.0)
-        deriv = unicycle_rhs(state, 2.0, 3.0)
-        np.testing.assert_allclose(deriv.as_array(), [0.0, 2.0, 3.0], atol=1e-12)
-
-    def test_speed_matches_forward_input(self, rng):
+    @pytest.mark.parametrize("scheme", [Scheme.GRADIENT, Scheme.NEWTON])
+    def test_original_frame_moves_at_the_speed_law_along_the_heading(
+        self, scheme, ref_params, ref_field, rng
+    ):
+        """Unicycle kinematics: x' = u1 (cos theta, sin theta) with heading
+        theta = omega0 t and forward speed
+        u1 = c d^k (F(x) - nu) sin(omega t) + alpha_tilde cos(omega t),
+        where k = 1 for the curvature-inverting scheme and 0 otherwise."""
+        p = ref_params
+        rhs = closed_loop(scheme, Frame.ORIGINAL, p, ref_field)
         for _ in range(50):
-            state = VehicleState(
-                position=rng.normal(size=2), heading=rng.uniform(-10.0, 10.0)
-            )
-            u1 = rng.uniform(-5.0, 5.0)
-            deriv = unicycle_rhs(state, u1, rng.normal())
-            assert np.linalg.norm(deriv.position) == pytest.approx(abs(u1), rel=1e-12)
-
-    def test_state_roundtrip(self):
-        state = VehicleState.from_array([1.0, 2.0, 3.0])
-        np.testing.assert_array_equal(state.as_array(), [1.0, 2.0, 3.0])
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            VehicleState(position=np.array([np.nan, 0.0]), heading=0.0)
+            t = rng.uniform(0.0, 50.0)
+            x, nu, d = rng.uniform(-10.0, 10.0, size=2), rng.normal(), rng.uniform(0.1, 200.0)
+            if scheme is Scheme.NEWTON:
+                state, gain = (x[0], x[1], d, nu), d
+            else:
+                state, gain = (x[0], x[1], nu), 1.0
+            u1 = (p.c * gain * (eval_field(x, ref_field) - nu) * math.sin(p.omega * t)
+                  + p.alpha_tilde * math.cos(p.omega * t))
+            heading = np.array([math.cos(p.omega0 * t), math.sin(p.omega0 * t)])
+            velocity = np.array(rhs(t, state)[:2])
+            scale = max(1.0, abs(u1))
+            assert velocity @ heading == pytest.approx(u1, rel=1e-12, abs=1e-12)
+            normal = np.array([-heading[1], heading[0]])
+            assert abs(velocity @ normal) <= 1e-12 * scale
 
 
 class TestSeekerParams:

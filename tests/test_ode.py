@@ -111,15 +111,6 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(lambda t, y: (-y[0],), [1.0], 1.0, 0.0, _config(0.01))
 
-    def test_metadata_carried(self):
-        traj = integrate(
-            lambda t, y: (-y[0],), [1.0], 0.0, 0.5, _config(0.01),
-            frame="rotating_z", scheme="newton", params={"omega": 15.0},
-        )
-        assert traj.frame == "rotating_z"
-        assert traj.scheme == "newton"
-        assert traj.params == {"omega": 15.0}
-
 
 class TestIntegratorConfig:
     def test_rejects_coarse_period_sampling(self):
