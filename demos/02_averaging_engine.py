@@ -4,9 +4,9 @@ Both closed loops are written as a drift plus oscillatory channels
 f_i(x) * omega**p_i * u_i(k_i omega t). The averaging engine then:
 
 1. checks the hypotheses (bounded zero-mean waveforms, exponent budgets),
-2. computes each coefficient's frequency-free iterated integral once by
-   quadrature and classifies its large-frequency limit from the exact
-   exponent omega**q,
+2. computes every frequency-free iterated integral from one FFT table of
+   the waveforms (exact for these band-limited inputs) and classifies each
+   coefficient's large-frequency limit from the exact exponent omega**q,
 3. assembles drift + sum(coefficient * bracket) numerically, with brackets
    taken as central differences along the field directions,
 

@@ -16,12 +16,21 @@ All quadrature is performed in the phase variable ``tau = omega * t``, where
 the integrands do not depend on ``omega``, so each coefficient is
 ``gamma(omega) = omega**q * raw`` with ``raw`` computed once and the
 exponent known exactly: ``q = p_i + p_j - 1`` for a pair and
-``q = p_i + p_j + p_m - 2`` for a triple. A :class:`Coefficient` holds
-``(indices, q, raw)``; its limit is zero when ``q < 0`` or when ``raw`` lies
-within the quadrature's own error estimate (Richardson disagreement plus
-rounding allowance), the finite constant ``raw`` when ``q == 0``, divergent
-when ``q > 0``. Brackets are central differences along the field
-directions, never full Jacobians.
+``q = p_i + p_j + p_m - 2`` for a triple.
+
+Every ``raw`` of a system comes from one spectral table, built on first use
+and kept with the system. Each rung samples every channel once on a periodic
+grid over the common phase period and takes running integrals with one FFT
+(bin ``k`` divided by ``i k``), so band-limited inputs, such as the sin, cos
+and cos-2 waves of both loops, are integrated exactly to rounding. The grid
+is doubled from 32 nodes until two rungs agree; band-limited inputs stop at
+the second rung, and any other wave climbs the same ladder.
+
+A :class:`Coefficient` holds ``(indices, q, raw)``; its limit is zero when
+``q < 0`` or when ``raw`` lies within the quadrature's own error estimate
+(ladder disagreement plus rounding allowance), the finite constant ``raw``
+when ``q == 0``, divergent when ``q > 0``. Brackets are central differences
+along the field directions, never full Jacobians.
 
 Channel indices are 0-based everywhere (``gamma_pair(0, 1, ...)`` couples the
 first two channels).
@@ -45,7 +54,6 @@ from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, simpson
 
 # central_jacobian is not called here; bench/tracer.py wraps
 # averaging.central_jacobian by name, so the name stays in this namespace
@@ -75,11 +83,11 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 
-#: Richardson halving stops once successive estimates agree this closely.
+#: the ladder stops doubling its grid once successive estimates agree this closely
 QUAD_HALT_TOL = 1e-9
 #: ... and is declared non-convergent if disagreement still exceeds this.
 QUAD_FAIL_TOL = 1e-7
-#: node cap for the Richardson ladder
+#: node cap for the ladder
 QUAD_MAX_NODES = 2**20
 #: an exponent sum this many ulps from an integer is that integer
 EXPONENT_ULPS = 4
@@ -140,21 +148,21 @@ class OscillatoryInput:
         if not (0.0 < self.p_i < 1.0):
             raise ValueError(f"p_i must lie in (0, 1), got {self.p_i}")
         if self.validate:
-            phases = np.linspace(0.0, TWO_PI, 1001)
-            values = np.asarray(self.wave(phases), dtype=float)
-            if np.any(np.abs(values) > 1.0 + 1e-12):
+            if not self.bounded_ok():
                 raise ValueError("waveform exceeds unit magnitude")
-            mean = simpson(values, x=phases) / TWO_PI
-            if abs(mean) >= 1e-10:
-                raise ValueError(f"waveform mean {mean} is not zero")
+            defect = self.zero_mean_defect(1000)
+            if defect >= 1e-10:
+                raise ValueError(f"|waveform mean| {defect:.3e} is not zero")
 
     def bounded_ok(self, n: int = 1000) -> bool:
         phases = np.linspace(0.0, TWO_PI, n + 1)
         return bool(np.all(np.abs(np.asarray(self.wave(phases))) <= 1.0 + 1e-12))
 
     def zero_mean_defect(self, n: int = 4096) -> float:
-        phases = np.linspace(0.0, TWO_PI, n + 1)
-        return abs(simpson(np.asarray(self.wave(phases), dtype=float), x=phases)) / TWO_PI
+        """``|mean|`` over one period on ``n`` nodes, endpoint excluded:
+        exact for a band below ``n / 2``."""
+        phases = np.arange(n) * (TWO_PI / n)
+        return abs(float(np.mean(np.asarray(self.wave(phases), dtype=float))))
 
 
 @dataclass(frozen=True)
@@ -187,6 +195,12 @@ class ControlAffineSystem:
                     )
                 if not np.all(np.isfinite(out)):
                     raise ValueError(f"{name} is non-finite at probe state {probe}")
+
+    @cached_property
+    def _quadratures(self) -> dict:
+        """Every coefficient's :class:`Quadrature`, keyed by index tuple;
+        built once, on first use (:func:`quadrature` reads it)."""
+        return _quadrature_table(self)
 
     @property
     def n_channels(self) -> int:
@@ -237,11 +251,10 @@ def _phase_span(system: ControlAffineSystem) -> float:
     return common_period([system.input(i) for i in range(system.n_channels)], 1.0)
 
 
-def _waves(system: ControlAffineSystem, indices, s: np.ndarray) -> list:
-    return [
-        np.asarray(system.input(i).wave(float(system.input(i).k) * s), dtype=float)
-        for i in indices
-    ]
+def _waves(system: ControlAffineSystem, s: np.ndarray) -> np.ndarray:
+    """Every channel's ``u_i(k_i s)``, one row per channel."""
+    return np.array([np.asarray(inp.wave(float(inp.k) * s), dtype=float)
+                     for _, inp in system.channels])
 
 
 #: section names of the index tuples by length
@@ -257,34 +270,15 @@ def _index_tuples(l: int) -> list[tuple]:
     return pairs + [(i, j, m) for i, j in pairs for m in range(l)]
 
 
-def _integrand(system: ControlAffineSystem, indices: tuple, span: float,
-               n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and outer integrand of the iterated integral of ``indices`` on
-    ``n`` intervals of ``[0, span]``.
-
-    Pair ``(i, j)``: ``u_j(k_j s)`` times the running integral of
-    ``u_i(k_i p)``, nested as ``p <= s``. Triple ``(i, j, m)``:
-    ``u_m(k_m tau)`` times the running integral of the antisymmetrized pair
-    integrand ``u_j U_i - u_i U_j``, nested as ``p <= s <= tau``.
-    """
-    s = np.linspace(0.0, span, n + 1)
-    waves = _waves(system, indices, s)
-    cum_i = cumulative_simpson(waves[0], x=s, initial=0.0)
-    if len(indices) == 2:
-        return s, waves[1] * cum_i
-    ui, uj, um = waves
-    inner = uj * cum_i - ui * cumulative_simpson(uj, x=s, initial=0.0)
-    return s, um * cumulative_simpson(inner, x=s, initial=0.0)
-
-
 @dataclass(frozen=True)
 class Quadrature:
-    """One iterated integral from the Richardson ladder.
+    """One coefficient's iterated integral, read from the spectral table.
 
-    ``value`` is the estimate on the finest rung (``nodes`` intervals),
-    ``disagreement`` its distance from the rung before, and ``rounding``
-    the floating-point allowance ``nodes * eps * integral(|integrand|)`` of
-    the finest rung, all in the same normalization as ``value``.
+    ``value`` is the estimate on the finest rung of the ladder (``nodes``
+    grid points per common phase period), ``disagreement`` its distance from
+    the rung before, and ``rounding`` the floating-point allowance
+    ``nodes * eps * mean(|outer integrand|)`` of the finest rung, all in the
+    same normalization as ``value``.
     """
 
     value: float
@@ -302,35 +296,106 @@ class Quadrature:
         return abs(self.value) <= self.error
 
 
-def _richardson(integrand, scale: float, n0: int = 1024) -> Quadrature:
-    """Simpson quadrature of ``integrand(n) -> (nodes, values)`` on ``n``
-    intervals, times ``scale``, halving the step until successive estimates
-    agree."""
+def _running_integral(g: np.ndarray,
+                      integrator: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Running integral ``int_0^tau g`` of periodic samples (one function per
+    row, ``n`` nodes over one period, endpoint excluded), split as
+    ``mean * tau + P(tau)``; returns ``(mean, P)`` with ``P`` periodic and
+    ``P(0) = 0``.
+
+    ``integrator`` holds ``1 / (i w_k)`` for the rfft bins ``k`` (``w_k`` the
+    angular frequency of bin ``k``), zero on the mean and on the Nyquist
+    bin, which has no antiderivative on the grid."""
+    n = g.shape[-1]
+    spectrum = np.fft.rfft(g)
+    antiderivative = np.fft.irfft(spectrum * integrator, n)
+    return spectrum[..., 0].real / n, antiderivative - antiderivative[..., :1]
+
+
+def _rung(system: ControlAffineSystem, span: float,
+          n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every coefficient's ``raw`` and the mean magnitude of its outer
+    integrand on ``n`` nodes over the common phase period ``span``, in
+    :func:`_index_tuples` order.
+
+    Pair ``(i, j)``: the mean of ``u_j U_i``, ``U_i`` the running integral
+    of ``u_i``; one matrix product gives all pairs. Triple ``(i, j, m)``: a
+    third of the mean of ``u_m V_ij``, ``V_ij`` the running integral of the
+    antisymmetrized ``u_j U_i - u_i U_j``. Each running integral is
+    ``mean * tau + P`` with ``P`` periodic, and the ramp ``tau`` enters the
+    full-period means through its Fourier series, so a channel of nonzero
+    mean is integrated exactly too: with ``U_i = c_i tau + P_i``,
+    integration by parts gives ``V_ij = J[f] + tau H`` for
+    ``H = c_i P_j - c_j P_i``, ``f = u_j P_i - u_i P_j - H`` and ``J`` the
+    running integral (``H = 0`` for zero-mean channels).
+    """
+    l = system.n_channels
+    i, j = np.array([ix for ix in _index_tuples(l) if len(ix) == 2]).T
+    integrator = np.zeros(n // 2 + 1, dtype=complex)
+    integrator[1:n // 2] = span / (TWO_PI * 1j * np.arange(1, n // 2))
+    # tau's Fourier series span/2 - sum_k 2 sin(w_k tau) / w_k below the
+    # Nyquist bin: mean(q * ramp) is int_0^span tau q(tau) dtau / span
+    # exactly for every periodic q of a lower band
+    ramp = span / 2.0 - n * np.fft.irfft(integrator, n)
+    w = _waves(system, np.arange(n) * (span / n))
+    c, p = _running_integral(w, integrator)
+    u = p + c[:, None] * ramp
+    h = c[i, None] * p[j] - c[j, None] * p[i]
+    c0, pv = _running_integral(w[j] * p[i] - w[i] * p[j] - h, integrator)
+    v = (pv + ramp * (c0[:, None] + h)) / 3.0
+    values = np.concatenate([(u @ w.T)[i, j], (v @ w.T).ravel()]) / n
+    magnitudes = np.concatenate([(np.abs(u) @ np.abs(w).T)[i, j],
+                                 (np.abs(v) @ np.abs(w).T).ravel()]) / n
+    return values, magnitudes
+
+
+def _richardson(rung, n0: int = 32) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Run ``rung(n) -> (values, mean |outer integrand|)`` on ``n0``,
+    ``2 n0``, ... nodes until successive values all agree within
+    ``QUAD_HALT_TOL`` or the node count reaches ``QUAD_MAX_NODES``; returns
+    the finest values, their disagreements with the rung before, their
+    rounding allowances and the node count. Inputs whose band lies well
+    below the first rung's Nyquist bin are exact there and stop at the
+    second rung; any other wave climbs the same ladder."""
     n = n0
-    s, outer = integrand(n)
-    previous = scale * float(simpson(outer, x=s))
+    previous, _ = rung(n)
     while True:
         n *= 2
-        s, outer = integrand(n)
-        current = scale * float(simpson(outer, x=s))
-        disagreement = abs(current - previous)
-        if disagreement < QUAD_HALT_TOL or n >= QUAD_MAX_NODES:
-            break
+        current, magnitudes = rung(n)
+        disagreement = np.abs(current - previous)
+        if disagreement.max() < QUAD_HALT_TOL or n >= QUAD_MAX_NODES:
+            return current, disagreement, n * _EPS * magnitudes, n
         previous = current
-    if disagreement > QUAD_FAIL_TOL:
-        raise QuadratureError(
-            f"iterated-integral quadrature did not converge: disagreement "
-            f"{disagreement:.3e} at {n} nodes"
-        )
-    rounding = n * _EPS * abs(scale) * float(simpson(np.abs(outer), x=s))
-    return Quadrature(current, disagreement, rounding, n)
+
+
+def _quadrature_table(system: ControlAffineSystem) -> dict[tuple, Quadrature]:
+    """One :class:`Quadrature` per index tuple of ``system``, all from one
+    ladder of spectral rungs."""
+    tuples = _index_tuples(system.n_channels)
+    if not tuples:
+        return {}
+    span = _phase_span(system)
+    values, disagreement, rounding, nodes = _richardson(
+        lambda n: _rung(system, span, n))
+    return {ix: Quadrature(float(v), float(d), float(r), nodes)
+            for ix, v, d, r in zip(tuples, values, disagreement, rounding)}
 
 
 def quadrature(system: ControlAffineSystem, indices) -> Quadrature:
     """The omega-free part ``raw`` of the coefficient of ``indices``,
     ``gamma = omega**q * raw``: the iterated integral over one common phase
     period divided by its length for a pair ``(i, j)``, and by three times
-    its length for a triple ``(i, j, m)``. Requires ``i < j``."""
+    its length for a triple ``(i, j, m)``. Requires ``i < j``.
+
+    Every coefficient of a system comes from one spectral table, computed
+    on first use and kept with the system; this reads one entry of it.
+
+    Raises
+    ------
+    QuadratureError
+        If this coefficient's ladder disagreement still exceeds
+        ``QUAD_FAIL_TOL`` at ``QUAD_MAX_NODES`` nodes.
+    """
     indices = tuple(indices)
     if len(indices) not in _ORDER_NAMES:
         raise ValueError(f"need a pair (i, j) or a triple (i, j, m), got {indices}")
@@ -339,10 +404,13 @@ def quadrature(system: ControlAffineSystem, indices) -> Quadrature:
         raise ValueError(f"need channel indices 0 <= i < j < l, got ({i}, {j})")
     if rest and not 0 <= rest[0] < system.n_channels:
         raise ValueError(f"channel index m={rest[0]} out of range")
-    span = _phase_span(system)
-    weight = 1.0 if len(indices) == 2 else 3.0
-    return _richardson(lambda n: _integrand(system, indices, span, n),
-                       1.0 / (weight * span))
+    raw = system._quadratures[indices]
+    if raw.disagreement > QUAD_FAIL_TOL:
+        raise QuadratureError(
+            f"iterated-integral quadrature did not converge: disagreement "
+            f"{raw.disagreement:.3e} at {raw.nodes} nodes"
+        )
+    return raw
 
 
 def coefficient_exponent(system: ControlAffineSystem, indices) -> float:
@@ -511,8 +579,8 @@ class AveragedField:
 
     def report(self) -> str:
         """Structured key-value text listing every coefficient with its limit
-        class, exact exponent and values on the omega grid. Indices are
-        0-based."""
+        class, exact exponent, values on the omega grid, and the node count
+        and error estimate of its quadrature. Indices are 0-based."""
         lines = [
             "[averaged_field]",
             f"channels = {self.system.n_channels}",
@@ -532,7 +600,8 @@ class AveragedField:
         samples = ", ".join(f"{c.at(w):.12g}" for w in self.omega_grid)
         return (
             f"gamma_{tag} = class={c.kind} value={value} "
-            f"exponent={c.exponent:.4f} samples=[{samples}]"
+            f"exponent={c.exponent:.4f} samples=[{samples}] "
+            f"nodes={c.raw.nodes} error={c.raw.error:.3e}"
         )
 
 

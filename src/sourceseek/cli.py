@@ -10,8 +10,8 @@ average        run the averaging engine on a named scheme and print the
                coefficient/assumption report
 certify        build the Lyapunov/ISS certificate and check its margins
 
-Exit codes: 0 when every check passes, 1 when any check fails, 2 on a
-configuration error.
+Exit codes: 0 when every check passes, 1 when any check fails or an
+integration aborts, 2 on a configuration error.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from . import __version__
 from .averaging import build_averaged_field, check_assumptions, default_omega_grid
 from .experiments import AppConfig, ConfigError, load_config, run_compare, \
     run_hessian_invariance, run_omega_sweep, run_simulate
+from .ode import IntegrationAborted
 from .seekers import AveragedForm, Scheme, averaged_closed_loop, \
     gradient_affine_system, newton_affine_system
 from .stability import build_certificate, iss_bound_check, linearize, \
@@ -212,6 +213,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return CONFIG_ERROR
+    except IntegrationAborted as exc:
+        print(f"integration aborted: {exc}", file=sys.stderr)
+        return FAIL
     args.out.mkdir(parents=True, exist_ok=True)
     (args.out / name).write_text(text)
     print(text, end="")

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +34,7 @@ from sourceseek.averaging import Quadrature, coefficient_exponent, quadrature
 from sourceseek.seekers import AveragedForm
 
 TWO_PI = 2.0 * math.pi
+_SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestOscillatoryInput:
@@ -164,8 +169,8 @@ class TestGammaQuadrature:
             gamma_triple(1, 2, 1, newton_system, -15.0)
 
     def test_nonconvergent_quadrature_reported(self, newton_system, monkeypatch):
-        # a jump off the dyadic node grid keeps composite Simpson from
-        # settling within a small node budget
+        # a jump off the dyadic node grid keeps the ladder from settling
+        # within a small node budget
         square = OscillatoryInput(
             lambda s: np.sign(np.sin(s + 0.3)), 1, 0.61, validate=False
         )
@@ -346,18 +351,18 @@ class TestClassifyLimit:
         from dataclasses import replace
 
         # at p = 0.55 the pair (0, 2) and the triple (1, 2, 2) grow like
-        # omega**0.35 but their iterated integrals vanish; for (1, 2, 2) the
-        # Richardson disagreement alone is smaller than |raw|
+        # omega**0.35 but their iterated integrals vanish; for both the
+        # ladder disagreement alone is smaller than |raw|, so the measured
+        # rounding allowance decides the zero class
         system = newton_affine_system(replace(ref_params, p_exp=0.55), ref_field)
         engine = build_averaged_field(system, default_omega_grid(15.0))
         for indices in ((0, 2), (1, 2, 2)):
             entry = engine.coefficients[indices]
             assert entry.kind == "zero"
             assert entry.exponent == pytest.approx(0.35, abs=1e-12)
-            assert abs(entry.raw.value) <= entry.raw.error
-        raw = engine.coefficients[(1, 2, 2)].raw
-        assert abs(raw.value) > raw.disagreement
-        assert raw.rounding > 0.0
+            raw = entry.raw
+            assert raw.disagreement < abs(raw.value) <= raw.error
+            assert raw.rounding > 0.0
 
     def test_rounding_allowance_decides_a_tiny_raw(self):
         tiny = Quadrature(5e-17, 4e-17, 0.0, 2048)
@@ -368,13 +373,14 @@ class TestClassifyLimit:
         assert Coefficient((1, 2), 0.0, tiny).kind == "zero"
 
     def test_rounding_allowance_is_measured_not_fixed(self, newton_system):
-        # nodes * eps * integral of |integrand|: tiny next to any live
-        # coefficient, and different for integrands of different size
+        # nodes * eps * mean of |integrand|: tiny next to any live
+        # coefficient, and different for integrands of different size; the
+        # band-limited inputs stop at the second rung of the 32-node ladder
         eps = float(np.finfo(float).eps)
         pair = quadrature(newton_system, (0, 1))
         triple = quadrature(newton_system, (1, 2, 1))
         for raw in (pair, triple):
-            assert raw.nodes == 2048
+            assert raw.nodes == 64
             assert 0.0 < raw.rounding < raw.nodes * eps
         assert pair.rounding != triple.rounding
 
@@ -492,6 +498,17 @@ class TestAveragedField:
         assert text.count("class=") == 12
         assert "exponent=" in text and "samples=[" in text
 
+    def test_report_lists_quadrature_nodes_and_error(self, newton_system):
+        engine = build_averaged_field(newton_system, default_omega_grid(15.0))
+        lines = [l for l in engine.report().splitlines() if l.startswith("gamma_")]
+        assert len(lines) == 12
+        for line, c in zip(lines, engine.coefficients.values()):
+            assert c.raw.nodes == 64 and 0.0 < c.raw.error < 1e-13
+            assert line.endswith(f" nodes=64 error={c.raw.error:.3e}")
+        assert lines[0] == ("gamma_0_1 = class=finite value=-0.5 exponent=0.0000 "
+                            "samples=[-0.5, -0.5, -0.5, -0.5] nodes=64 "
+                            f"error={engine.coefficients[(0, 1)].raw.error:.3e}")
+
 
 _SOURCE = np.array([1.0, -1.0])
 
@@ -527,6 +544,83 @@ def test_engine_matches_closed_form_across_gains(p_exp, omega, alpha, hessian):
             reference = closed(0.0, state)
             defect = float(np.linalg.norm(engine(state) - reference))
             assert defect <= 1e-4 * max(1.0, float(np.linalg.norm(reference)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    a=st.sampled_from([1, 2, 3]),
+    b=st.sampled_from([1, 2, 3]),
+    phase_i=st.floats(-math.pi, math.pi),
+    phase_j=st.floats(-math.pi, math.pi),
+)
+def test_pair_coefficient_matches_closed_form(a, b, phase_i, phase_j):
+    """cos(a s + phase_i) against cos(b s + phase_j): the pair coefficient is
+    sin(phase_i - phase_j) / (2a) at equal frequencies and zero otherwise."""
+    system = ControlAffineSystem(
+        drift=lambda s: np.zeros(1),
+        channels=(
+            (lambda s: np.ones(1),
+             OscillatoryInput(lambda s: np.cos(s + phase_i), a, 0.5)),
+            (lambda s: np.ones(1),
+             OscillatoryInput(lambda s: np.cos(s + phase_j), b, 0.5)),
+        ),
+        dimension=1,
+    )
+    coefficient = Coefficient.of(system, (0, 1))
+    if a == b:
+        expected = math.sin(phase_i - phase_j) / (2 * a)
+        assert abs(coefficient.raw.value - expected) <= 1e-14
+    else:
+        assert coefficient.kind == "zero"
+
+
+def _cumulative_trapezoid(values, s):
+    out = np.zeros_like(values)
+    out[1:] = np.cumsum(0.5 * (values[1:] + values[:-1]) * np.diff(s))
+    return out
+
+
+def test_nonzero_mean_channels_against_nested_trapezoid():
+    """Channels of nonzero mean (validation off) and fractional multipliers:
+    every coefficient matches a nested trapezoid rule on 2**15 intervals,
+    whose own error is below 1e-8 here."""
+    def unit(s):
+        return np.ones(1)
+
+    system = ControlAffineSystem(
+        drift=lambda s: np.zeros(1),
+        channels=(
+            (unit, OscillatoryInput(lambda s: 0.5 + 0.5 * np.sin(s), 1, 0.5,
+                                    validate=False)),
+            (unit, OscillatoryInput(np.cos, Fraction(1, 2), 0.5)),
+            (unit, OscillatoryInput(lambda s: 0.3 - 0.6 * np.cos(2 * s + 0.4), 3,
+                                    0.5, validate=False)),
+        ),
+        dimension=1,
+    )
+    span = 4.0 * math.pi
+    s = np.linspace(0.0, span, 2**15 + 1)
+    waves = [np.asarray(system.input(k).wave(float(system.input(k).k) * s))
+             for k in range(3)]
+    running = [_cumulative_trapezoid(w, s) for w in waves]
+    for indices in averaging._index_tuples(3):
+        i, j, *m = indices
+        if m:
+            inner = _cumulative_trapezoid(waves[j] * running[i]
+                                          - waves[i] * running[j], s)
+            expected = np.trapezoid(waves[m[0]] * inner, s) / (3.0 * span)
+        else:
+            expected = np.trapezoid(waves[j] * running[i], s) / span
+        assert quadrature(system, indices).value == pytest.approx(expected, abs=1e-7)
+
+
+def test_import_does_not_load_scipy():
+    code = ("import sys, sourceseek; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(_SRC)})
+    assert out.stdout.strip() == "[]"
 
 
 class TestEvaluationCost:
@@ -587,6 +681,23 @@ class TestEvaluationCost:
 
 
 class TestCheckAssumptions:
+    def test_engine_and_checks_read_one_table(self, newton_system, monkeypatch):
+        # one ladder per system, 32 then 64 nodes, whoever reads it first
+        rungs = []
+        rung = averaging._rung
+
+        def counted(system, span, n):
+            rungs.append(n)
+            return rung(system, span, n)
+
+        monkeypatch.setattr(averaging, "_rung", counted)
+        check_assumptions(newton_system)
+        engine = build_averaged_field(newton_system, default_omega_grid(15.0))
+        assert gamma_pair(0, 1, newton_system, 15.0) == -0.5
+        assert rungs == [32, 64]
+        raw = engine.coefficients[(1, 2, 1)].raw
+        assert quadrature(newton_system, (1, 2, 1)) is raw
+
     def test_newton_system_passes(self, newton_system):
         report = check_assumptions(newton_system)
         assert report.ok

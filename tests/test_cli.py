@@ -177,6 +177,23 @@ class TestConfigErrors:
         assert err.startswith("config error: ") and "seed must be >= 0" in err
 
 
+class TestIntegrationAborted:
+    # the curvature-inverting original-frame loop from the default start
+    # overflows at t = 0.035 on this steeper field
+    CONFIG = ("[field]\nhessian = 0.5\nsource = 0, 2\n"
+              "[scenario]\nscheme = newton\nframe = original\n")
+
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_abort_exits_one_without_traceback(self, tmp_path, capsys, command):
+        cfg = _cfg(tmp_path, self.CONFIG)
+        code = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("integration aborted: non-finite state at t=")
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+
 class TestAverageCommand:
     @pytest.mark.parametrize("scheme", ["gradient", "newton"])
     def test_report_and_agreement(self, tmp_path, scheme):
