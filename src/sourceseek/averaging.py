@@ -23,8 +23,10 @@ and kept with the system. Each rung samples every channel once on a periodic
 grid over the common phase period and takes running integrals with one FFT
 (bin ``k`` divided by ``i k``), so band-limited inputs, such as the sin, cos
 and cos-2 waves of both loops, are integrated exactly to rounding. The grid
-is doubled from 32 nodes until two rungs agree; band-limited inputs stop at
-the second rung, and any other wave climbs the same ladder.
+starts at ``QUAD_MIN_NODES`` nodes per common period, or 8 per cycle of the
+fastest channel if that is more, and is doubled until two rungs agree;
+band-limited inputs stop at the second rung, and any other wave climbs the
+same ladder.
 
 A :class:`Coefficient` holds ``(indices, q, raw)``; its limit is zero when
 ``q < 0`` or when ``raw`` lies within the quadrature's own error estimate
@@ -89,6 +91,10 @@ QUAD_HALT_TOL = 1e-9
 QUAD_FAIL_TOL = 1e-7
 #: node cap for the ladder
 QUAD_MAX_NODES = 2**20
+#: the ladder's first rung has at least this many nodes per common period ...
+QUAD_MIN_NODES = 1024
+#: ... and at least this many per cycle of the fastest channel
+QUAD_NODES_PER_CYCLE = 8
 #: an exponent sum this many ulps from an integer is that integer
 EXPONENT_ULPS = 4
 _EPS = float(np.finfo(float).eps)
@@ -246,11 +252,6 @@ def common_period(inputs, omega: float) -> float:
     return float(_lcm_fraction(inverses)) * TWO_PI / omega
 
 
-def _phase_span(system: ControlAffineSystem) -> float:
-    """Common period expressed in the phase variable (omega scaled out)."""
-    return common_period([system.input(i) for i in range(system.n_channels)], 1.0)
-
-
 def _waves(system: ControlAffineSystem, s: np.ndarray) -> np.ndarray:
     """Every channel's ``u_i(k_i s)``, one row per channel."""
     return np.array([np.asarray(inp.wave(float(inp.k) * s), dtype=float)
@@ -349,35 +350,44 @@ def _rung(system: ControlAffineSystem, span: float,
     return values, magnitudes
 
 
-def _richardson(rung, n0: int = 32) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Run ``rung(n) -> (values, mean |outer integrand|)`` on ``n0``,
-    ``2 n0``, ... nodes until successive values all agree within
-    ``QUAD_HALT_TOL`` or the node count reaches ``QUAD_MAX_NODES``; returns
-    the finest values, their disagreements with the rung before, their
-    rounding allowances and the node count. Inputs whose band lies well
-    below the first rung's Nyquist bin are exact there and stop at the
-    second rung; any other wave climbs the same ladder."""
-    n = n0
-    previous, _ = rung(n)
-    while True:
-        n *= 2
-        current, magnitudes = rung(n)
-        disagreement = np.abs(current - previous)
-        if disagreement.max() < QUAD_HALT_TOL or n >= QUAD_MAX_NODES:
-            return current, disagreement, n * _EPS * magnitudes, n
-        previous = current
-
-
 def _quadrature_table(system: ControlAffineSystem) -> dict[tuple, Quadrature]:
     """One :class:`Quadrature` per index tuple of ``system``, all from one
-    ladder of spectral rungs."""
+    ladder of spectral rungs.
+
+    The first rung has ``QUAD_MIN_NODES`` nodes per common phase period, or
+    more so that the fastest channel gets at least ``QUAD_NODES_PER_CYCLE``
+    nodes per cycle of its multiplier, rounded up to a power of two. The grid
+    then doubles until every value agrees with the rung before within
+    ``QUAD_HALT_TOL`` or the node count reaches ``QUAD_MAX_NODES``.
+
+    Raises
+    ------
+    QuadratureError
+        If the first rung would need more than half of ``QUAD_MAX_NODES``.
+    """
     tuples = _index_tuples(system.n_channels)
     if not tuples:
         return {}
-    span = _phase_span(system)
-    values, disagreement, rounding, nodes = _richardson(
-        lambda n: _rung(system, span, n))
-    return {ix: Quadrature(float(v), float(d), float(r), nodes)
+    multipliers = [system.input(i).k for i in range(system.n_channels)]
+    cycles = _lcm_fraction([1 / k for k in multipliers])
+    span = float(cycles) * TWO_PI
+    fastest = int(max(multipliers) * cycles)
+    n = 1 << (max(QUAD_MIN_NODES, QUAD_NODES_PER_CYCLE * fastest) - 1).bit_length()
+    if 2 * n > QUAD_MAX_NODES:
+        raise QuadratureError(
+            f"the fastest channel runs {fastest} cycles per common period, "
+            f"which needs {2 * n} nodes, above {QUAD_MAX_NODES}"
+        )
+    previous, _ = _rung(system, span, n)
+    while True:
+        n *= 2
+        values, magnitudes = _rung(system, span, n)
+        disagreement = np.abs(values - previous)
+        if disagreement.max() < QUAD_HALT_TOL or n >= QUAD_MAX_NODES:
+            break
+        previous = values
+    rounding = n * _EPS * magnitudes
+    return {ix: Quadrature(float(v), float(d), float(r), n)
             for ix, v, d, r in zip(tuples, values, disagreement, rounding)}
 
 
@@ -394,7 +404,8 @@ def quadrature(system: ControlAffineSystem, indices) -> Quadrature:
     ------
     QuadratureError
         If this coefficient's ladder disagreement still exceeds
-        ``QUAD_FAIL_TOL`` at ``QUAD_MAX_NODES`` nodes.
+        ``QUAD_FAIL_TOL`` at ``QUAD_MAX_NODES`` nodes, or if the channels'
+        multipliers need a first rung beyond the node cap.
     """
     indices = tuple(indices)
     if len(indices) not in _ORDER_NAMES:

@@ -351,9 +351,10 @@ class TestClassifyLimit:
         from dataclasses import replace
 
         # at p = 0.55 the pair (0, 2) and the triple (1, 2, 2) grow like
-        # omega**0.35 but their iterated integrals vanish; for both the
-        # ladder disagreement alone is smaller than |raw|, so the measured
-        # rounding allowance decides the zero class
+        # omega**0.35 but their iterated integrals vanish; both rungs are
+        # exact to rounding, so |raw| and the ladder disagreement are
+        # rounding noise, and the measured rounding allowance covers them
+        # with a wide margin while staying far below the live pair (0, 1)
         system = newton_affine_system(replace(ref_params, p_exp=0.55), ref_field)
         engine = build_averaged_field(system, default_omega_grid(15.0))
         for indices in ((0, 2), (1, 2, 2)):
@@ -361,8 +362,11 @@ class TestClassifyLimit:
             assert entry.kind == "zero"
             assert entry.exponent == pytest.approx(0.35, abs=1e-12)
             raw = entry.raw
-            assert raw.disagreement < abs(raw.value) <= raw.error
-            assert raw.rounding > 0.0
+            assert abs(raw.value) <= raw.error
+            assert 100.0 * max(abs(raw.value), raw.disagreement) < raw.rounding
+        live = engine.coefficients[(0, 1)]
+        assert live.kind == "finite"
+        assert abs(live.raw.value) > 1e9 * live.raw.error
 
     def test_rounding_allowance_decides_a_tiny_raw(self):
         tiny = Quadrature(5e-17, 4e-17, 0.0, 2048)
@@ -375,12 +379,12 @@ class TestClassifyLimit:
     def test_rounding_allowance_is_measured_not_fixed(self, newton_system):
         # nodes * eps * mean of |integrand|: tiny next to any live
         # coefficient, and different for integrands of different size; the
-        # band-limited inputs stop at the second rung of the 32-node ladder
+        # band-limited inputs stop at the second rung of the 1024-node ladder
         eps = float(np.finfo(float).eps)
         pair = quadrature(newton_system, (0, 1))
         triple = quadrature(newton_system, (1, 2, 1))
         for raw in (pair, triple):
-            assert raw.nodes == 64
+            assert raw.nodes == 2048
             assert 0.0 < raw.rounding < raw.nodes * eps
         assert pair.rounding != triple.rounding
 
@@ -503,10 +507,10 @@ class TestAveragedField:
         lines = [l for l in engine.report().splitlines() if l.startswith("gamma_")]
         assert len(lines) == 12
         for line, c in zip(lines, engine.coefficients.values()):
-            assert c.raw.nodes == 64 and 0.0 < c.raw.error < 1e-13
-            assert line.endswith(f" nodes=64 error={c.raw.error:.3e}")
+            assert c.raw.nodes == 2048 and 0.0 < c.raw.error < 1e-12
+            assert line.endswith(f" nodes=2048 error={c.raw.error:.3e}")
         assert lines[0] == ("gamma_0_1 = class=finite value=-0.5 exponent=0.0000 "
-                            "samples=[-0.5, -0.5, -0.5, -0.5] nodes=64 "
+                            "samples=[-0.5, -0.5, -0.5, -0.5] nodes=2048 "
                             f"error={engine.coefficients[(0, 1)].raw.error:.3e}")
 
 
@@ -574,6 +578,67 @@ def test_pair_coefficient_matches_closed_form(a, b, phase_i, phase_j):
         assert coefficient.kind == "zero"
 
 
+def _three_channels(*channels):
+    """Unit fields driven by the ``(wave, multiplier)`` channels."""
+    def unit(s):
+        return np.ones(1)
+
+    return ControlAffineSystem(
+        drift=lambda s: np.zeros(1),
+        channels=tuple((unit, OscillatoryInput(wave, k, 0.5))
+                       for wave, k in channels),
+        dimension=1,
+    )
+
+
+def _assert_sine_cosine_closed_form(system, a, r):
+    """Every coefficient of sin(a s), sin(r s), cos(r s) with ``a != r``
+    matches its closed form, the vanishing ones are zero within their
+    error, and the live ones are not."""
+    a, r = float(a), float(r)
+    expected = {
+        (0, 1): 0.0, (0, 2): 0.0, (1, 2): -1.0 / (2.0 * r),
+        (0, 1, 0): 0.0, (0, 1, 1): 0.0, (0, 1, 2): -1.0 / (6.0 * a * r),
+        (0, 2, 0): 0.0, (0, 2, 1): 1.0 / (6.0 * a * r), (0, 2, 2): 0.0,
+        (1, 2, 0): 1.0 / (3.0 * a * r), (1, 2, 1): 1.0 / (2.0 * r * r),
+        (1, 2, 2): 0.0,
+    }
+    scale = max(abs(v) for v in expected.values())
+    for indices, value in expected.items():
+        raw = quadrature(system, indices)
+        assert abs(raw.value - value) <= 1e-12 * scale
+        assert raw.is_zero == (value == 0.0)
+
+
+@pytest.mark.parametrize("a, r", [
+    (1, 64), (64, 1), (Fraction(1, 64), 1), (1, Fraction(1, 64)),
+    (1, 2048), (Fraction(1, 2048), 1),
+], ids=["1:64", "64:1", "1/64:1", "1:1/64", "1:2048", "1/2048:1"])
+def test_far_apart_multipliers_against_closed_form(a, r):
+    """Channels 64 or 2048 times faster or slower than the others: the fast
+    harmonic sits at a multiple of small grids, and 2048 at a multiple of
+    the second rung of the 1024-node floor."""
+    system = _three_channels((np.sin, a), (np.sin, r), (np.cos, r))
+    _assert_sine_cosine_closed_form(system, a, r)
+
+
+def test_fast_waves_at_unit_multiplier_against_closed_form():
+    """The node floor covers a wave's own harmonics: sin(64 s) and
+    cos(64 s) passed as waves at multiplier 1 give the coefficients of
+    sin and cos at multiplier 64."""
+    system = _three_channels((np.sin, 1), (lambda s: np.sin(64.0 * s), 1),
+                             (lambda s: np.cos(64.0 * s), 1))
+    _assert_sine_cosine_closed_form(system, 1, 64)
+
+
+def test_multipliers_beyond_the_node_cap_rejected():
+    # 10**5 cycles of the fast channel per common period need a first rung
+    # of 2**20 nodes, so the ladder would exceed QUAD_MAX_NODES
+    system = _three_channels((np.sin, 1), (np.sin, 10**5), (np.cos, 10**5))
+    with pytest.raises(QuadratureError, match="cycles per common period"):
+        quadrature(system, (0, 1))
+
+
 def _cumulative_trapezoid(values, s):
     out = np.zeros_like(values)
     out[1:] = np.cumsum(0.5 * (values[1:] + values[:-1]) * np.diff(s))
@@ -608,9 +673,9 @@ def test_nonzero_mean_channels_against_nested_trapezoid():
         if m:
             inner = _cumulative_trapezoid(waves[j] * running[i]
                                           - waves[i] * running[j], s)
-            expected = np.trapezoid(waves[m[0]] * inner, s) / (3.0 * span)
+            expected = _cumulative_trapezoid(waves[m[0]] * inner, s)[-1] / (3.0 * span)
         else:
-            expected = np.trapezoid(waves[j] * running[i], s) / span
+            expected = _cumulative_trapezoid(waves[j] * running[i], s)[-1] / span
         assert quadrature(system, indices).value == pytest.approx(expected, abs=1e-7)
 
 
@@ -682,7 +747,7 @@ class TestEvaluationCost:
 
 class TestCheckAssumptions:
     def test_engine_and_checks_read_one_table(self, newton_system, monkeypatch):
-        # one ladder per system, 32 then 64 nodes, whoever reads it first
+        # one ladder per system, 1024 then 2048 nodes, whoever reads it first
         rungs = []
         rung = averaging._rung
 
@@ -693,8 +758,8 @@ class TestCheckAssumptions:
         monkeypatch.setattr(averaging, "_rung", counted)
         check_assumptions(newton_system)
         engine = build_averaged_field(newton_system, default_omega_grid(15.0))
-        assert gamma_pair(0, 1, newton_system, 15.0) == -0.5
-        assert rungs == [32, 64]
+        assert gamma_pair(0, 1, newton_system, 15.0) == pytest.approx(-0.5, abs=1e-15)
+        assert rungs == [1024, 2048]
         raw = engine.coefficients[(1, 2, 1)].raw
         assert quadrature(newton_system, (1, 2, 1)) is raw
 
