@@ -91,9 +91,13 @@ QUAD_HALT_TOL = 1e-9
 QUAD_FAIL_TOL = 1e-7
 #: node cap for the ladder
 QUAD_MAX_NODES = 2**20
-#: the ladder's first rung has at least this many nodes per common period ...
+#: the ladder's first rung has at least this many nodes per common period,
+#: for harmonics inside a wave that the multipliers do not show: content at
+#: a multiple of twice the first rung samples alike on the first two rungs,
+#: which then agree on a wrong value ...
 QUAD_MIN_NODES = 1024
-#: ... and at least this many per cycle of the fastest channel
+#: ... and at least this many per cycle of the fastest channel, so that
+#: triple products of the channels stay below the Nyquist bin
 QUAD_NODES_PER_CYCLE = 8
 #: an exponent sum this many ulps from an integer is that integer
 EXPONENT_ULPS = 4

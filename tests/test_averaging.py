@@ -591,16 +591,27 @@ def _three_channels(*channels):
     )
 
 
-def _assert_sine_cosine_closed_form(system, a, r):
-    """Every coefficient of sin(a s), sin(r s), cos(r s) with ``a != r``
-    matches its closed form, the vanishing ones are zero within their
-    error, and the live ones are not."""
-    a, r = float(a), float(r)
+@pytest.mark.parametrize("a, r, harmonic", [
+    (1, 64, 1), (64, 1, 1), (Fraction(1, 64), 1, 1), (1, Fraction(1, 64), 1),
+    (1, 2048, 1), (Fraction(1, 2048), 1, 1), (1, 1, 64),
+], ids=["1:64", "64:1", "1/64:1", "1:1/64", "1:2048", "1/2048:1",
+        "waves-at-64"])
+def test_far_apart_frequencies_against_closed_form(a, r, harmonic):
+    """sin(a s) against sin(b s), cos(b s) with b = harmonic * r far from
+    a, so the fast harmonic sits at a multiple of small grids (2048 at a
+    multiple of the second rung of the 1024-node floor); harmonic 64 puts
+    it inside the waves, at multiplier 1. Every coefficient matches its
+    closed form, the vanishing ones are zero within their error, and the
+    live ones are not."""
+    system = _three_channels((np.sin, a),
+                             (lambda s: np.sin(harmonic * s), r),
+                             (lambda s: np.cos(harmonic * s), r))
+    a, b = float(a), float(harmonic * r)
     expected = {
-        (0, 1): 0.0, (0, 2): 0.0, (1, 2): -1.0 / (2.0 * r),
-        (0, 1, 0): 0.0, (0, 1, 1): 0.0, (0, 1, 2): -1.0 / (6.0 * a * r),
-        (0, 2, 0): 0.0, (0, 2, 1): 1.0 / (6.0 * a * r), (0, 2, 2): 0.0,
-        (1, 2, 0): 1.0 / (3.0 * a * r), (1, 2, 1): 1.0 / (2.0 * r * r),
+        (0, 1): 0.0, (0, 2): 0.0, (1, 2): -1.0 / (2.0 * b),
+        (0, 1, 0): 0.0, (0, 1, 1): 0.0, (0, 1, 2): -1.0 / (6.0 * a * b),
+        (0, 2, 0): 0.0, (0, 2, 1): 1.0 / (6.0 * a * b), (0, 2, 2): 0.0,
+        (1, 2, 0): 1.0 / (3.0 * a * b), (1, 2, 1): 1.0 / (2.0 * b * b),
         (1, 2, 2): 0.0,
     }
     scale = max(abs(v) for v in expected.values())
@@ -608,27 +619,6 @@ def _assert_sine_cosine_closed_form(system, a, r):
         raw = quadrature(system, indices)
         assert abs(raw.value - value) <= 1e-12 * scale
         assert raw.is_zero == (value == 0.0)
-
-
-@pytest.mark.parametrize("a, r", [
-    (1, 64), (64, 1), (Fraction(1, 64), 1), (1, Fraction(1, 64)),
-    (1, 2048), (Fraction(1, 2048), 1),
-], ids=["1:64", "64:1", "1/64:1", "1:1/64", "1:2048", "1/2048:1"])
-def test_far_apart_multipliers_against_closed_form(a, r):
-    """Channels 64 or 2048 times faster or slower than the others: the fast
-    harmonic sits at a multiple of small grids, and 2048 at a multiple of
-    the second rung of the 1024-node floor."""
-    system = _three_channels((np.sin, a), (np.sin, r), (np.cos, r))
-    _assert_sine_cosine_closed_form(system, a, r)
-
-
-def test_fast_waves_at_unit_multiplier_against_closed_form():
-    """The node floor covers a wave's own harmonics: sin(64 s) and
-    cos(64 s) passed as waves at multiplier 1 give the coefficients of
-    sin and cos at multiplier 64."""
-    system = _three_channels((np.sin, 1), (lambda s: np.sin(64.0 * s), 1),
-                             (lambda s: np.cos(64.0 * s), 1))
-    _assert_sine_cosine_closed_form(system, 1, 64)
 
 
 def test_multipliers_beyond_the_node_cap_rejected():
