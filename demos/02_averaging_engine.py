@@ -8,7 +8,8 @@ f_i(x) * omega**p_i * u_i(k_i omega t). The averaging engine then:
    the waveforms (exact for these band-limited inputs) and classifies each
    coefficient's large-frequency limit from the exact exponent omega**q,
 3. assembles drift + sum(coefficient * bracket) numerically, with brackets
-   taken as central differences along the field directions,
+   taken exactly as directional derivatives along the field directions, by
+   forward-mode dual numbers,
 
 and the result lands on the closed-form averaged systems without ever
 differentiating by hand.

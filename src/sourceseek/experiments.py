@@ -105,8 +105,8 @@ class Scenario:
     out_path: str | None = None
 
     def __post_init__(self):
-        if not self.t_end > 0.0:
-            raise ValueError(f"horizon must be positive, got t_end={self.t_end}")
+        if not 0.0 < self.t_end < math.inf:
+            raise ValueError(f"horizon t_end must be finite and > 0, got {self.t_end}")
         if not self.ball_radius > 0.0:
             raise ValueError("ball_radius must be positive")
         if not 0.0 < self.tail_fraction < 1.0:

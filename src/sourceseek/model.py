@@ -41,8 +41,8 @@ class FieldParams:
     source: np.ndarray
 
     def __post_init__(self):
-        if not (self.hessian > 0.0):
-            raise ValueError(f"hessian must be > 0, got {self.hessian}")
+        if not 0.0 < self.hessian < math.inf:
+            raise ValueError(f"hessian must be finite and > 0, got {self.hessian}")
         if not math.isfinite(self.f_star):
             raise ValueError("f_star must be finite")
         object.__setattr__(self, "source", _as_point(self.source, "source"))

@@ -1,87 +1,75 @@
-"""Central finite differences for vector fields."""
+"""Exact first derivatives of vector fields by forward-mode dual numbers.
+
+``f`` evaluated once at the dual point ``x + eps v`` (``eps**2 = 0``) has
+dual part ``Df(x)[v]``, exact to rounding. The parts of a :class:`Dual` may
+be duals, so a derivative of a derivative (a nested Lie bracket) is the same
+call at a dual point. A differentiated field must be plain arithmetic of its
+state (``+``, ``-``, ``*`` and integer ``**``); ``math.exp`` or a numpy ufunc
+of a dual raises ``TypeError``.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["fd_step_length", "central_jacobian", "directional_derivative"]
-
-#: cube root of machine epsilon, the standard central-difference step scale
-_EPS_CBRT = float(np.finfo(float).eps) ** (1.0 / 3.0)
+__all__ = ["central_jacobian", "directional_derivative"]
 
 
-def fd_step_length(x: np.ndarray) -> float:
-    """Central-difference step eps**(1/3) * max(1, ||x||).
+class Dual:
+    """``real + dual * eps`` with ``eps**2 = 0``; either part may be a Dual."""
 
-    Scaling by the state norm rather than per-coordinate magnitudes keeps
-    the difference quotients conditioned when the state mixes O(1) and
-    O(100) components but the field couples them.
+    __slots__ = ("real", "dual")
+    __array_ufunc__ = None  # numpy scalars and arrays defer to these methods
+
+    def __init__(self, real, dual):
+        self.real = real
+        self.dual = dual
+
+    def __add__(self, other):
+        if isinstance(other, Dual):
+            return Dual(self.real + other.real, self.dual + other.dual)
+        return Dual(self.real + other, self.dual)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Dual(-self.real, -self.dual)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        if isinstance(other, Dual):
+            return Dual(self.real * other.real,
+                        self.real * other.dual + self.dual * other.real)
+        return Dual(self.real * other, self.dual * other)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n):
+        if not isinstance(n, int):
+            return NotImplemented
+        return Dual(self.real ** n, n * self.real ** (n - 1) * self.dual)
+
+
+def directional_derivative(f, x, v) -> np.ndarray:
+    """``Df(x)[v]``, the dual part of ``f(x + eps v)``; ``x`` and ``v`` may
+    hold duals. An entry of ``f``'s value that is not a dual does not depend
+    on the state and has derivative 0. A zero direction gives zeros of the
+    shape of ``v`` without evaluating ``f``, so ``f`` must map into the space
+    of ``v`` (a vector field).
     """
-    return _EPS_CBRT * max(1.0, float(np.linalg.norm(x)))
+    v = np.asarray(v)
+    if not v.any():
+        return np.zeros(v.shape)
+    point = np.array([Dual(a, b) for a, b in zip(x, v)], dtype=object)
+    return np.array([y.dual if isinstance(y, Dual) else 0.0 for y in f(point)])
 
 
-def _evaluate(f, x: np.ndarray) -> np.ndarray:
-    out = np.asarray(f(x), dtype=float)
-    if not np.all(np.isfinite(out)):
-        raise ValueError(f"non-finite field evaluation at {x}")
-    return out
-
-
-def central_jacobian(f, x, step=None) -> np.ndarray:
-    """Jacobian of ``f`` at ``x`` by central differences.
-
-    Parameters
-    ----------
-    f : callable
-        Maps an (n,) array to an (m,) array.
-    x : array_like, shape (n,)
-        Evaluation point.
-    step : float or array_like, optional
-        Step per component; defaults to :func:`fd_step_length` of ``x`` for
-        every component.
-
-    Raises
-    ------
-    ValueError
-        If any evaluation returns a non-finite value; the offending point
-        is included in the message.
-    """
-    x = np.asarray(x, dtype=float)
-    h = np.broadcast_to(
-        fd_step_length(x) if step is None else np.asarray(step, dtype=float), x.shape
-    )
-    cols = []
-    for j in range(x.size):
-        xp = x.copy()
-        xm = x.copy()
-        xp[j] += h[j]
-        xm[j] -= h[j]
-        fp = _evaluate(f, xp)
-        fm = _evaluate(f, xm)
-        cols.append((fp - fm) / (2.0 * h[j]))
-    return np.column_stack(cols)
-
-
-def directional_derivative(f, x, v, step=None) -> np.ndarray:
-    """``Df(x)[v]`` by one central difference along ``v``.
-
-    ``f`` is evaluated at ``x +/- step * v / ||v||`` (two evaluations), so
-    the displacement has length ``step`` whatever the size of ``v``;
-    ``step`` defaults to :func:`fd_step_length` of ``x``. A zero direction
-    gives zeros of the shape of ``v`` without evaluating ``f``, so ``f``
-    must map into the space of ``v`` (a vector field).
-
-    Raises
-    ------
-    ValueError
-        If an evaluation returns a non-finite value; the offending point is
-        included in the message.
-    """
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    length = float(np.linalg.norm(v))
-    if length == 0.0:
-        return np.zeros_like(v)
-    h = fd_step_length(x) if step is None else float(step)
-    dx = (h / length) * v
-    return (_evaluate(f, x + dx) - _evaluate(f, x - dx)) * (length / (2.0 * h))
+def central_jacobian(f, x) -> np.ndarray:
+    """Jacobian of ``f`` at ``x``, one dual evaluation per column. The name
+    predates the dual path; bench/tracer.py wraps it by name."""
+    return np.column_stack([directional_derivative(f, x, e) for e in np.eye(len(x))])

@@ -1,8 +1,9 @@
 """Linearization, eigenvalues, and explicit Lyapunov/ISS certificates.
 
-Eigenvalues are always computed numerically from the assembled Jacobian
-(LAPACK Hessenberg reduction plus shifted QR via ``numpy.linalg.eigvals``)
-and are cross-checked against the trace and determinant. Decay rates quoted
+Eigenvalues are always computed numerically from the exact (dual-number)
+Jacobian (LAPACK Hessenberg reduction plus shifted QR via
+``numpy.linalg.eigvals``) and are cross-checked against the trace and
+determinant. Decay rates quoted
 from the 2x2 position block equal half its trace, i.e. -alpha*H/4 for the
 gradient scheme and -alpha/4 for the curvature-inverting scheme in the
 underdamped regime; a rate constant of -alpha*H/2 (resp. -alpha/2) would
@@ -68,17 +69,20 @@ class Linearization:
         return float(np.max(self.eigenvalues.real))
 
 
-def linearize(f, x_eq, step=None) -> Linearization:
+def linearize(f, x_eq) -> Linearization:
     """Linearize the autonomous field ``f`` around the equilibrium ``x_eq``.
 
-    The Jacobian is computed by central differences and the spectrum by QR
-    iteration on the Hessenberg form (LAPACK). The eigenvalues must
-    reproduce the trace and determinant of the Jacobian to 1e-8.
+    The Jacobian is exact, one dual evaluation of ``f`` per column, and the
+    spectrum comes from QR iteration on the Hessenberg form (LAPACK). The
+    eigenvalues must reproduce the trace and determinant of the Jacobian to
+    1e-8.
 
     Raises
     ------
     EquilibriumError
         If ``|f(x_eq)|`` exceeds 1e-6.
+    TypeError
+        If ``f`` is not plain arithmetic of the state (it calls ``math.exp``).
     """
     x_eq = np.asarray(x_eq, dtype=float)
     residual = float(np.linalg.norm(np.asarray(f(x_eq), dtype=float)))
@@ -87,7 +91,7 @@ def linearize(f, x_eq, step=None) -> Linearization:
             f"field residual {residual:.3e} at the supplied point exceeds "
             f"{EQUILIBRIUM_TOL}", residual,
         )
-    jac = central_jacobian(f, x_eq, step)
+    jac = central_jacobian(f, x_eq)
     eig = np.linalg.eigvals(jac)
     lin = Linearization(equilibrium=x_eq, jacobian=jac, eigenvalues=eig)
     if lin.trace_residual > EIG_RESIDUAL_TOL * max(1.0, abs(np.trace(jac))):

@@ -153,9 +153,16 @@ class TestConfigErrors:
         ("sweep-omega", "[sweep_omega]\nrecord_dt = 0\n"),
         ("sweep-omega", "[sweep_omega]\nt_end = -1\n"),
         ("sweep-omega", "[sweep_omega]\nslack = -5\n"),
+        ("certify", "[field]\nhessian = inf\n"),
+        ("average", "[field]\nhessian = inf\n"),
+        ("simulate", "[scenario]\nt_end = inf\n"),
+        ("compare", "[compare]\nt_end = inf\n"),
+        ("sweep-omega", "[sweep_omega]\nt_end = inf\n"),
     ], ids=["compare-x0-nan", "compare-t-end", "compare-coarse-sampling",
             "sweep-hessian-x0-3d", "scenario-stride-0", "sweep-omega-record-dt-0",
-            "sweep-omega-t-end", "sweep-omega-slack"])
+            "sweep-omega-t-end", "sweep-omega-slack", "certify-hessian-inf",
+            "average-hessian-inf", "scenario-t-end-inf", "compare-t-end-inf",
+            "sweep-omega-t-end-inf"])
     def test_unrunnable_value_exits_two(self, tmp_path, capsys, command, text):
         cfg = _cfg(tmp_path, text)
         code = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])

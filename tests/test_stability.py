@@ -36,7 +36,7 @@ class TestLinearize:
         x0 = np.array([1.0, -1.0, 0.5])
         lin = linearize(lambda x: a_mat @ (x - x0), x0)
         np.testing.assert_allclose(sorted(lin.eigenvalues.real), [-3.0, 2.0, 5.0],
-                                   atol=1e-7)
+                                   atol=1e-12)
         np.testing.assert_allclose(lin.eigenvalues.imag, 0.0, atol=1e-9)
 
     def test_newton_averaged_spectrum(self, ref_params, ref_field):
@@ -51,7 +51,7 @@ class TestLinearize:
             -0.5 + 0.5 * math.sqrt(3.0) * 1.0j,
             -0.3 + 0.0j,
         ]
-        np.testing.assert_allclose(got, expected, atol=1e-6)
+        np.testing.assert_allclose(got, expected, atol=1e-12)
 
     def test_gradient_averaged_spectrum_carries_curvature(self, ref_params, ref_field):
         f = _averaged_field(AveragedForm.GRADIENT, ref_params, ref_field)
@@ -66,6 +66,16 @@ class TestLinearize:
         with pytest.raises(EquilibriumError) as excinfo:
             linearize(f, np.array([1.0, 1.0, 50.0, 0.0]))
         assert excinfo.value.residual > 1e-6
+
+    def test_rejects_a_field_that_is_not_plain_arithmetic(self, ref_params,
+                                                         ref_field):
+        # the log-Riccati form calls math.exp on its state
+        f = _averaged_field(AveragedForm.NEWTON_EXP, ref_params, ref_field)
+        equilibrium = np.array([0.0, 0.0, -math.log(ref_field.hessian),
+                                ref_field.f_star])
+        assert np.linalg.norm(f(equilibrium)) < 1e-12
+        with pytest.raises(TypeError):
+            linearize(f, equilibrium)
 
     def test_trace_det_residuals(self, ref_params, ref_field, rng):
         lins = [
