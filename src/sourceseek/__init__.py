@@ -36,7 +36,6 @@ from .averaging import (
     QuadratureError,
     build_averaged_field,
     check_assumptions,
-    common_period,
     default_omega_grid,
     gamma_pair,
     gamma_triple,

@@ -107,8 +107,7 @@ class Scenario:
     def __post_init__(self):
         if not 0.0 < self.t_end < math.inf:
             raise ValueError(f"horizon t_end must be finite and > 0, got {self.t_end}")
-        if not self.ball_radius > 0.0:
-            raise ValueError("ball_radius must be positive")
+        _positive("ball_radius and d_tolerance", (self.ball_radius, self.d_tolerance))
         if not 0.0 < self.tail_fraction < 1.0:
             raise ValueError("tail_fraction must lie in (0, 1)")
         if (self.scheme, self.frame) not in FRAME_SPECS:
@@ -437,7 +436,8 @@ def run_compare(config: CompareConfig, out_dir=None) -> CompareReport:
     """Run both schemes on identical field and initial conditions."""
     newton, gradient = (run_simulate(s, out_dir=out_dir) for s in config.scenarios)
     ratio = None
-    if newton.entry_time is not None and gradient.entry_time is not None:
+    # a gradient run that starts inside the ball enters at t = 0
+    if newton.entry_time is not None and (gradient.entry_time or 0.0) > 0.0:
         ratio = newton.entry_time / gradient.entry_time
     return CompareReport(newton=newton, gradient=gradient, entry_ratio=ratio)
 
@@ -646,6 +646,8 @@ class HessianSweepConfig:
         if len(hs) < 2 or max(hs) / min(hs) < 100.0 * (1.0 - 1e-9):
             raise ValueError("hessians must span at least two decades")
         object.__setattr__(self, "hessians", hs)
+        _positive("newton_tolerance and gradient_tolerance",
+                  (self.newton_tolerance, self.gradient_tolerance))
         fit_start = 10.0 / self.params.omega_d + 2.0
         window = (fit_start, fit_start + 35.0)
         runs = []

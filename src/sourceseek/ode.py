@@ -128,9 +128,6 @@ class Trajectory:
     def dim(self) -> int:
         return self.states.shape[1]
 
-    def final_state(self) -> np.ndarray:
-        return self.states[-1]
-
     def to_csv(self, path) -> Path:
         """Write ``t,s0,s1,...`` rows in full double precision."""
         path = Path(path)

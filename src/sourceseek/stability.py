@@ -232,6 +232,15 @@ def lyapunov_V(z_bar, d_hat, cert: LyapunovCertificate):
     return float(out) if np.ndim(out) == 0 else out
 
 
+def _cascade_dz(z: np.ndarray, ed: np.ndarray, cert: LyapunovCertificate):
+    """The cascade flow ``dz = (S + Lt) z + (e^dhat - 1) Lt z``, given
+    ``ed = e^dhat``."""
+    a_lin = cert.spin + cert.lam_tilde
+    return np.einsum("ij,...j->...i", a_lin, z) + (ed - 1.0)[..., None] * np.einsum(
+        "ij,...j->...i", cert.lam_tilde, z
+    )
+
+
 def vdot_margin(z_bar, d_hat, cert: LyapunovCertificate):
     """Chain-rule derivative of the certificate along the cascade flow minus
     its negative-definite bound; a valid certificate keeps this <= 0.
@@ -243,10 +252,7 @@ def vdot_margin(z_bar, d_hat, cert: LyapunovCertificate):
     z = np.asarray(z_bar, dtype=float)
     d_hat = np.asarray(d_hat, dtype=float)
     ed = np.exp(d_hat)
-    a_lin = cert.spin + cert.lam_tilde
-    dz = np.einsum("ij,...j->...i", a_lin, z) + (ed - 1.0)[..., None] * np.einsum(
-        "ij,...j->...i", cert.lam_tilde, z
-    )
+    dz = _cascade_dz(z, ed, cert)
     quad = _quad_form(z, cert.P)
     pz = np.einsum("ij,...j->...i", cert.P, z)
     vdot = 2.0 * np.sum(pz * dz, axis=-1) / (1.0 + quad) - cert.b * (ed - 1.0) ** 2
@@ -268,11 +274,7 @@ def iss_bound_check(r, z_bar, d_hat, hessian: float, h_gain: float,
     r = np.asarray(r, dtype=float)
     z = np.asarray(z_bar, dtype=float)
     d_hat = np.asarray(d_hat, dtype=float)
-    ed = np.exp(d_hat)
-    a_lin = cert.spin + cert.lam_tilde
-    dz = np.einsum("ij,...j->...i", a_lin, z) + (ed - 1.0)[..., None] * np.einsum(
-        "ij,...j->...i", cert.lam_tilde, z
-    )
+    dz = _cascade_dz(z, np.exp(d_hat), cert)
     r_dot = -h_gain * r + hessian * np.sum(z * dz, axis=-1)
     abs_r_rate = np.where(r != 0.0, np.sign(r) * r_dot, np.abs(r_dot))
     g_norm = np.sqrt(np.sum(z * z, axis=-1) + d_hat**2)

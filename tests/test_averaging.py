@@ -22,7 +22,6 @@ from sourceseek import (
     averaged_closed_loop,
     build_averaged_field,
     check_assumptions,
-    common_period,
     default_omega_grid,
     gamma_pair,
     gamma_triple,
@@ -30,7 +29,6 @@ from sourceseek import (
     lie_bracket,
     newton_affine_system,
 )
-from sourceseek.averaging import Quadrature, coefficient_exponent, quadrature
 from sourceseek.seekers import AveragedForm
 
 TWO_PI = 2.0 * math.pi
@@ -62,53 +60,6 @@ class TestOscillatoryInput:
             OscillatoryInput(np.sin, -2, 0.5)
         with pytest.raises(ValueError):
             OscillatoryInput(np.sin, 1, 1.5)
-
-
-class TestCommonPeriod:
-    def test_mixed_integer_multipliers(self):
-        inputs = [
-            OscillatoryInput(np.sin, 1, 0.39),
-            OscillatoryInput(np.cos, 1, 0.61),
-            OscillatoryInput(np.cos, 2, 0.78),
-        ]
-        assert common_period(inputs, 15.0) == pytest.approx(TWO_PI / 15.0, rel=1e-15)
-
-    def test_single_input(self):
-        assert common_period(
-            [OscillatoryInput(np.sin, 1, 0.5)], 3.0
-        ) == pytest.approx(TWO_PI / 3.0, rel=1e-15)
-
-    def test_fractional_multipliers_against_grid_search(self):
-        omega = 2.0
-        ks = [Fraction(1, 2), Fraction(1, 3)]
-        inputs = [OscillatoryInput(np.sin, k, 0.6) for k in ks]
-        period = common_period(inputs, omega)
-        assert period == pytest.approx(6.0 * TWO_PI / omega, rel=1e-12)
-
-        # brute force: smallest multiple of the finest sub-period that is a
-        # common period of every driven input on a sample grid
-        base = TWO_PI / omega / 6.0
-        ts = np.linspace(0.0, 5.0, 401)
-        found = None
-        for mult in range(1, 80):
-            cand = mult * base
-            if all(
-                np.allclose(
-                    np.sin(float(k) * omega * (ts + cand)),
-                    np.sin(float(k) * omega * ts),
-                    atol=1e-9,
-                )
-                for k in ks
-            ):
-                found = cand
-                break
-        assert found == pytest.approx(period, rel=1e-12)
-
-    def test_rejects_nonpositive_multiplier(self):
-        with pytest.raises(ValueError):
-            common_period([Fraction(0)], 1.0)
-        with pytest.raises(ValueError):
-            common_period([Fraction(-1, 2)], 1.0)
 
 
 @pytest.fixture
@@ -161,8 +112,11 @@ class TestGammaQuadrature:
 
     def test_other_index_tuples_and_frequencies_rejected(self, newton_system):
         for indices in ((0,), (0, 1, 3), (0, 1, -1), (0, 1, 2, 0)):
-            with pytest.raises(ValueError):
-                quadrature(newton_system, indices)
+            assert indices not in newton_system.coefficients
+            with pytest.raises(ValueError, match="no coefficient"):
+                averaging._coefficient(newton_system, indices)
+        with pytest.raises(ValueError, match="no coefficient"):
+            gamma_triple(0, 1, 3, newton_system, 15.0)
         with pytest.raises(ValueError, match="omega must be positive"):
             gamma_pair(0, 1, newton_system, 0.0)
         with pytest.raises(ValueError, match="omega must be positive"):
@@ -183,8 +137,14 @@ class TestGammaQuadrature:
             dimension=2,
         )
         monkeypatch.setattr(averaging, "QUAD_MAX_NODES", 2048)
+        # the table is checked once, when it is built, whoever reads it
         with pytest.raises(QuadratureError, match="did not converge"):
             gamma_pair(0, 1, system, 10.0)
+        with pytest.raises(QuadratureError,
+                           match=r"for channels \(0, 1, 0\) at 2048 nodes"):
+            build_averaged_field(system, default_omega_grid(10.0))
+        with pytest.raises(QuadratureError, match="did not converge"):
+            check_assumptions(system)
 
 
 class TestLieBracket:
@@ -327,17 +287,19 @@ class TestClassifyLimit:
 
     def test_constant_samples_are_finite(self, gradient_system, newton_system):
         # q == 0: the coefficient is the constant raw at every frequency
-        raw = quadrature(gradient_system, (0, 1))
-        assert coefficient_exponent(gradient_system, (0, 1)) == 0.0
-        coefficient = Coefficient((0, 1), 0.0, raw)
+        entry = gradient_system.coefficients[(0, 1)]
+        assert entry.exponent == 0.0
+        coefficient = Coefficient((0, 1), 0.0, entry.raw, entry.disagreement,
+                                  entry.rounding, entry.nodes)
+        assert coefficient == entry
         assert coefficient.kind == "finite" and coefficient.exponent == 0.0
-        assert coefficient.limit == raw.value == pytest.approx(-0.5, abs=1e-9)
+        assert coefficient.limit == entry.raw == pytest.approx(-0.5, abs=1e-9)
         grid = default_omega_grid(15.0)
         engine = build_averaged_field(newton_system, grid)
         entry = engine.coefficients[(1, 2, 1)]
         assert entry.kind == "finite"
         assert entry.limit == pytest.approx(0.125, abs=1e-9)
-        assert tuple(entry.at(w) for w in grid) == (entry.raw.value,) * 4
+        assert tuple(entry.at(w) for w in grid) == (entry.raw,) * 4
 
     def test_rounded_exponent_sums_are_exactly_zero(self, ref_params, ref_field):
         # (1 - p) + p and p + (2 - 2p) + p may round one ulp off the integer
@@ -346,10 +308,10 @@ class TestClassifyLimit:
         for p in np.linspace(0.501, 0.999, 499):
             params = replace(ref_params, p_exp=float(p))
             gradient = gradient_affine_system(params, ref_field)
-            assert coefficient_exponent(gradient, (0, 1)) == 0.0
+            assert gradient.coefficients[(0, 1)].exponent == 0.0
             newton = newton_affine_system(params, ref_field)
-            assert coefficient_exponent(newton, (0, 1)) == 0.0
-            assert coefficient_exponent(newton, (1, 2, 1)) == 0.0
+            assert newton.coefficients[(0, 1)].exponent == 0.0
+            assert newton.coefficients[(1, 2, 1)].exponent == 0.0
 
     def test_small_exponent_excess_is_not_rounded_away(self):
         system = ControlAffineSystem(
@@ -360,18 +322,18 @@ class TestClassifyLimit:
             ),
             dimension=1,
         )
-        q = coefficient_exponent(system, (0, 1))
-        assert q == pytest.approx(1e-12, rel=1e-3)
-        assert Coefficient((0, 1), q, quadrature(system, (0, 1))).kind == "divergent"
+        coefficient = system.coefficients[(0, 1)]
+        assert coefficient.exponent == pytest.approx(1e-12, rel=1e-3)
+        assert coefficient.kind == "divergent"
 
     def test_decaying_power_law_is_zero(self, newton_system, ref_params):
         # raw is 1/2, far from zero, but gamma = omega**(-p) / 2 vanishes
         engine = build_averaged_field(newton_system, default_omega_grid(15.0))
         entry = engine.coefficients[(0, 1, 0)]
-        assert entry.raw.value == pytest.approx(0.5, abs=1e-9)
+        assert entry.raw == pytest.approx(0.5, abs=1e-9)
         assert entry.kind == "zero" and entry.limit == 0.0
         assert entry.exponent == pytest.approx(-ref_params.p_exp, abs=1e-12)
-        coefficient = Coefficient((0, 1), -0.3, Quadrature(0.5, 1e-12, 1e-13, 2048))
+        coefficient = Coefficient((0, 1), -0.3, 0.5, 1e-12, 1e-13, 2048)
         assert coefficient.kind == "zero" and coefficient.exponent == -0.3
 
     def test_growing_power_law_is_divergent(self):
@@ -380,8 +342,7 @@ class TestClassifyLimit:
         coefficient = engine.coefficients[(0, 1)]
         assert coefficient.kind == "divergent" and coefficient.limit is None
         assert coefficient.exponent == pytest.approx(0.4, abs=1e-12)
-        raw = quadrature(system, (0, 1))
-        assert abs(raw.value) > 1e3 * raw.error
+        assert abs(coefficient.raw) > 1e3 * coefficient.error
 
     def test_negligible_samples_shortcut(self, ref_params, ref_field):
         from dataclasses import replace
@@ -397,28 +358,25 @@ class TestClassifyLimit:
             entry = engine.coefficients[indices]
             assert entry.kind == "zero"
             assert entry.exponent == pytest.approx(0.35, abs=1e-12)
-            raw = entry.raw
-            assert abs(raw.value) <= raw.error
-            assert 100.0 * max(abs(raw.value), raw.disagreement) < raw.rounding
+            assert abs(entry.raw) <= entry.error
+            assert 100.0 * max(abs(entry.raw), entry.disagreement) < entry.rounding
         live = engine.coefficients[(0, 1)]
         assert live.kind == "finite"
-        assert abs(live.raw.value) > 1e9 * live.raw.error
+        assert abs(live.raw) > 1e9 * live.error
 
     def test_rounding_allowance_decides_a_tiny_raw(self):
-        tiny = Quadrature(5e-17, 4e-17, 0.0, 2048)
-        assert Coefficient((1, 2), 0.35, tiny).kind == "divergent"
-        tiny = Quadrature(5e-17, 4e-17, 1e-13, 2048)
-        assert Coefficient((1, 2), 0.35, tiny).kind == "zero"
+        assert Coefficient((1, 2), 0.35, 5e-17, 4e-17, 0.0, 2048).kind == "divergent"
+        assert Coefficient((1, 2), 0.35, 5e-17, 4e-17, 1e-13, 2048).kind == "zero"
         # a zero raw at exponent 0 is zero, not a finite zero constant
-        assert Coefficient((1, 2), 0.0, tiny).kind == "zero"
+        assert Coefficient((1, 2), 0.0, 5e-17, 4e-17, 1e-13, 2048).kind == "zero"
 
     def test_rounding_allowance_is_measured_not_fixed(self, newton_system):
         # nodes * eps * mean of |integrand|: tiny next to any live
         # coefficient, and different for integrands of different size; the
         # band-limited inputs stop at the second rung of the 1024-node ladder
         eps = float(np.finfo(float).eps)
-        pair = quadrature(newton_system, (0, 1))
-        triple = quadrature(newton_system, (1, 2, 1))
+        pair = newton_system.coefficients[(0, 1)]
+        triple = newton_system.coefficients[(1, 2, 1)]
         for raw in (pair, triple):
             assert raw.nodes == 2048
             assert 0.0 < raw.rounding < raw.nodes * eps
@@ -429,17 +387,19 @@ class TestClassifyLimit:
         engine = build_averaged_field(newton_system, grid)
         text = engine.report()
         for entry in engine.coefficients.values():
-            q = coefficient_exponent(newton_system, entry.indices)
-            assert entry.exponent == q
-            samples = tuple(w**q * entry.raw.value for w in grid)
+            # q = p_i + p_j - 1 or p_i + p_j + p_m - 2, up to the rounding of
+            # a sum that is exactly an integer
+            p_sum = sum(newton_system.input(k).p_i for k in entry.indices)
+            q = entry.exponent
+            assert abs(q - (p_sum - len(entry.indices) + 1)) <= 4 * math.ulp(p_sum)
+            samples = tuple(w**q * entry.raw for w in grid)
             assert tuple(entry.at(w) for w in grid) == samples
             listed = ", ".join(f"{v:.12g}" for v in samples)
             assert f"samples=[{listed}]" in text
 
     def test_gamma_is_the_power_law_of_raw(self, newton_system):
-        raw = quadrature(newton_system, (0, 2, 0))
-        q = coefficient_exponent(newton_system, (0, 2, 0))
-        assert gamma_triple(0, 2, 0, newton_system, 40.0) == 40.0**q * raw.value
+        c = newton_system.coefficients[(0, 2, 0)]
+        assert gamma_triple(0, 2, 0, newton_system, 40.0) == 40.0**c.exponent * c.raw
 
     def test_one_coefficient_per_index_tuple_pairs_first(self, newton_system):
         # the engine sums its brackets in this order, and check_assumptions
@@ -447,6 +407,7 @@ class TestClassifyLimit:
         engine = build_averaged_field(newton_system, default_omega_grid(15.0))
         pairs = [(0, 1), (0, 2), (1, 2)]
         triples = [(i, j, m) for i, j in pairs for m in range(3)]
+        assert engine.coefficients is newton_system.coefficients
         assert list(engine.coefficients) == pairs + triples
         assert all(c.indices == ix for ix, c in engine.coefficients.items())
         names = [c.name for c in check_assumptions(newton_system).clauses
@@ -543,11 +504,102 @@ class TestAveragedField:
         lines = [l for l in engine.report().splitlines() if l.startswith("gamma_")]
         assert len(lines) == 12
         for line, c in zip(lines, engine.coefficients.values()):
-            assert c.raw.nodes == 2048 and 0.0 < c.raw.error < 1e-12
-            assert line.endswith(f" nodes=2048 error={c.raw.error:.3e}")
+            assert c.nodes == 2048 and 0.0 < c.error < 1e-12
+            assert line.endswith(f" nodes=2048 error={c.error:.3e}")
         assert lines[0] == ("gamma_0_1 = class=finite value=-0.5 exponent=0.0000 "
                             "samples=[-0.5, -0.5, -0.5, -0.5] nodes=2048 "
-                            f"error={engine.coefficients[(0, 1)].raw.error:.3e}")
+                            f"error={engine.coefficients[(0, 1)].error:.3e}")
+
+
+class TestVanishingRule:
+    """One scale-free rule decides every divergent coefficient, in the
+    engine and in check_assumptions: a bracket vanishes at x when
+    |[f, g](x)| <= BRACKET_RTOL * (|Dg(x)[f(x)]| + |Df(x)[g(x)]|)."""
+
+    @staticmethod
+    def demodulated_newton(ref_params, ref_field):
+        """The Newton loop at alpha 0.3 and H 0.001 with its demodulation
+        channel driven by 0.5 cos 2s + 0.5 cos 3s at multiplier 1: the
+        (1, 2, 2) coefficient grows like omega**0.17 against a bracket that
+        is identically zero."""
+        from dataclasses import replace
+
+        base = newton_affine_system(replace(ref_params, alpha=0.3),
+                                    replace(ref_field, hessian=0.001))
+        wave = OscillatoryInput(lambda s: 0.5 * np.cos(2 * s) + 0.5 * np.cos(3 * s),
+                                1, base.input(2).p_i)
+        channels = base.channels[:2] + ((base.field(2), wave),)
+        return ControlAffineSystem(drift=base.drift, channels=channels,
+                                   dimension=4)
+
+    def test_identically_zero_bracket_at_large_states(self, ref_params, ref_field):
+        # an absolute tolerance of 1e-10 * (1 + |x|) rejected 22 of these
+        # 50 states while check_assumptions accepted the system
+        system = self.demodulated_newton(ref_params, ref_field)
+        engine = build_averaged_field(system, default_omega_grid(15.0))
+        assert engine.coefficients[(1, 2, 2)].kind == "divergent"
+        assert check_assumptions(system).ok
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            x = rng.uniform(-3.0, 3.0, 4)
+            x[2] = rng.uniform(1.0 / 0.001, 2.0 / 0.001)
+            assert np.all(np.isfinite(engine(x)))
+
+    def test_zero_bracket_passes_with_a_margin(self, ref_params, ref_field,
+                                               monkeypatch):
+        # rounding leaves about one eps of its terms in the identically zero
+        # (1, 2, 2) bracket of the Newton loop; the rule holds even at an
+        # eighth of its tolerance, across gains and engine-like states
+        from dataclasses import replace
+
+        monkeypatch.setattr(averaging, "BRACKET_RTOL", averaging.BRACKET_RTOL / 8)
+        rng = np.random.default_rng(3)
+        for _ in range(40):
+            params = replace(ref_params, alpha=rng.uniform(0.3, 3.0),
+                             p_exp=rng.uniform(0.55, 0.8))
+            hessian = 10.0 ** rng.uniform(-3.0, 1.0)
+            system = newton_affine_system(params, replace(ref_field, hessian=hessian))
+            f, g = averaging._bracket(system, (1, 2, 2))
+            for _ in range(5):
+                x = np.array([*rng.uniform(-3.0, 3.0, 2), rng.uniform(0.1, 2.0 / hessian),
+                              rng.uniform(-3.0, 3.0)])
+                assert averaging._vanishes(f, g, x)
+
+    def test_tiny_live_bracket_is_not_zero(self):
+        # [f_0, f_1] = (0, -1e-24): far below any absolute tolerance, but
+        # each of its terms is that large too, so it does not vanish
+        system = ControlAffineSystem(
+            drift=lambda s: np.zeros(2),
+            channels=(
+                (lambda s: np.array([0.0, 1e-12 * s[0]]),
+                 OscillatoryInput(np.sin, 1, 0.7)),
+                (lambda s: np.array([1e-12, 0.0]), OscillatoryInput(np.cos, 1, 0.7)),
+            ),
+            dimension=2,
+        )
+        engine = build_averaged_field(system, default_omega_grid(10.0))
+        with pytest.raises(DivergentAverageError, match="grows like"):
+            engine(np.array([1.0, 2.0]))
+        clause = {c.name: c for c in check_assumptions(system).clauses}[
+            "pair_(0,1)_exponent_budget"]
+        assert clause.triggered and not clause.passed
+
+    @pytest.mark.parametrize("delta, vanishes",
+                             [(0.0, True), (1.0, True), (4.0, False)])
+    def test_threshold_is_relative_to_the_terms(self, delta, vanishes):
+        # f = A x and g = B x with A = diag(1, 1 + d) and B the swap: at
+        # (c, c) the terms B A x and A B x differ by d c in two entries, so
+        # |[f, g]| is d/2 of the sum of their norms at every scale c
+        d = delta * averaging.BRACKET_RTOL
+
+        def f(s):
+            return np.array([s[0], (1.0 + d) * s[1]])
+
+        def g(s):
+            return np.array([s[1], s[0]])
+
+        for c in (1e-150, 1.0, 1e150):
+            assert averaging._vanishes(f, g, np.array([c, c])) is vanishes
 
 
 _SOURCE = np.array([1.0, -1.0])
@@ -606,10 +658,10 @@ def test_pair_coefficient_matches_closed_form(a, b, phase_i, phase_j):
         ),
         dimension=1,
     )
-    coefficient = Coefficient.of(system, (0, 1))
+    coefficient = system.coefficients[(0, 1)]
     if a == b:
         expected = math.sin(phase_i - phase_j) / (2 * a)
-        assert abs(coefficient.raw.value - expected) <= 1e-14
+        assert abs(coefficient.raw - expected) <= 1e-14
     else:
         assert coefficient.kind == "zero"
 
@@ -652,9 +704,9 @@ def test_far_apart_frequencies_against_closed_form(a, r, harmonic):
     }
     scale = max(abs(v) for v in expected.values())
     for indices, value in expected.items():
-        raw = quadrature(system, indices)
-        assert abs(raw.value - value) <= 1e-12 * scale
-        assert raw.is_zero == (value == 0.0)
+        c = system.coefficients[indices]
+        assert abs(c.raw - value) <= 1e-12 * scale
+        assert (abs(c.raw) <= c.error) == (value == 0.0)
 
 
 def test_multipliers_beyond_the_node_cap_rejected():
@@ -662,7 +714,7 @@ def test_multipliers_beyond_the_node_cap_rejected():
     # of 2**20 nodes, so the ladder would exceed QUAD_MAX_NODES
     system = _three_channels((np.sin, 1), (np.sin, 10**5), (np.cos, 10**5))
     with pytest.raises(QuadratureError, match="cycles per common period"):
-        quadrature(system, (0, 1))
+        system.coefficients
 
 
 def _cumulative_trapezoid(values, s):
@@ -702,7 +754,7 @@ def test_nonzero_mean_channels_against_nested_trapezoid():
             expected = _cumulative_trapezoid(waves[m[0]] * inner, s)[-1] / (3.0 * span)
         else:
             expected = _cumulative_trapezoid(waves[j] * running[i], s)[-1] / span
-        assert quadrature(system, indices).value == pytest.approx(expected, abs=1e-7)
+        assert system.coefficients[indices].raw == pytest.approx(expected, abs=1e-7)
 
 
 def test_import_does_not_load_scipy():
@@ -750,7 +802,7 @@ class TestEvaluationCost:
         # the inner bracket at x (4), f_1 at x and at a dual point (2), and
         # the inner bracket at a dual point (4)
         system, counts = self.counted(newton_system)
-        averaging._bracket(system, (1, 2, 1))(self.STATE)
+        lie_bracket(*averaging._bracket(system, (1, 2, 1)), self.STATE)
         assert counts[0] == 10
 
     def test_zero_direction_costs_nothing(self):
@@ -790,8 +842,7 @@ class TestCheckAssumptions:
         engine = build_averaged_field(newton_system, default_omega_grid(15.0))
         assert gamma_pair(0, 1, newton_system, 15.0) == pytest.approx(-0.5, abs=1e-15)
         assert rungs == [1024, 2048]
-        raw = engine.coefficients[(1, 2, 1)].raw
-        assert quadrature(newton_system, (1, 2, 1)) is raw
+        assert engine.coefficients is newton_system.coefficients
 
     def test_newton_system_passes(self, newton_system):
         report = check_assumptions(newton_system)
@@ -803,6 +854,14 @@ class TestCheckAssumptions:
         assert by_name["pair_(1,2)_exponent_budget"].triggered
         assert by_name["triple_(1,2,2)_exponent_budget"].triggered
         assert not by_name["pair_(0,1)_exponent_budget"].triggered
+
+    def test_live_bracket_fails_its_budget(self):
+        # the pair (0, 1) grows like omega**0.4 and [f_0, f_1] = (0, -1)
+        report = check_assumptions(_live_pair_system())
+        assert not report.ok
+        clause = {c.name: c for c in report.clauses}["pair_(0,1)_exponent_budget"]
+        assert clause.triggered and not clause.passed
+        assert "bracket both non-vanishing" in clause.detail
 
     def test_gradient_system_vacuous(self, gradient_system):
         report = check_assumptions(gradient_system)

@@ -64,6 +64,21 @@ class TestCompareCommand:
         assert code == 1
 
 
+    @pytest.mark.parametrize("text", [
+        "[compare]\nball_radius = 10\nt_end = 5\n",
+        "[compare]\nx0 = 1, -1\nball_radius = 5\nt_end = 5\n",
+    ], ids=["wide-ball", "start-near-source"])
+    def test_gradient_start_inside_ball_reports_no_ratio(self, tmp_path, capsys,
+                                                         text):
+        # both runs enter at t = 0; the ordering check fails, nothing raises
+        cfg = _cfg(tmp_path, text)
+        out = tmp_path / "out"
+        code = main(["compare", "--config", str(cfg), "--out", str(out)])
+        assert code == 1
+        assert "Traceback" not in capsys.readouterr().err
+        report = (out / "compare_report.txt").read_text()
+        assert "gradient_entry_time = 0\nentry_ratio = none\n" in report
+
     def test_invalid_start_exits_two(self, tmp_path, capsys):
         cfg = _cfg(tmp_path, "[compare]\nd0 = -1.0\n")
         code = main(["compare", "--config", str(cfg), "--out", str(tmp_path / "o")])
@@ -158,11 +173,20 @@ class TestConfigErrors:
         ("simulate", "[scenario]\nt_end = inf\n"),
         ("compare", "[compare]\nt_end = inf\n"),
         ("sweep-omega", "[sweep_omega]\nt_end = inf\n"),
+        ("simulate", "[scenario]\nd_tolerance = nan\n"),
+        ("simulate", "[scenario]\nd_tolerance = -1\n"),
+        ("sweep-hessian", "[sweep_hessian]\nnewton_tolerance = nan\n"),
+        ("sweep-hessian", "[sweep_hessian]\ngradient_tolerance = -0.5\n"),
+        ("simulate", "[scenario]\nball_radius = inf\n"),
+        ("compare", "[compare]\nball_radius = inf\n"),
     ], ids=["compare-x0-nan", "compare-t-end", "compare-coarse-sampling",
             "sweep-hessian-x0-3d", "scenario-stride-0", "sweep-omega-record-dt-0",
             "sweep-omega-t-end", "sweep-omega-slack", "certify-hessian-inf",
             "average-hessian-inf", "scenario-t-end-inf", "compare-t-end-inf",
-            "sweep-omega-t-end-inf"])
+            "sweep-omega-t-end-inf", "scenario-d-tolerance-nan",
+            "scenario-d-tolerance-negative", "sweep-hessian-newton-tolerance-nan",
+            "sweep-hessian-gradient-tolerance-negative", "scenario-ball-radius-inf",
+            "compare-ball-radius-inf"])
     def test_unrunnable_value_exits_two(self, tmp_path, capsys, command, text):
         cfg = _cfg(tmp_path, text)
         code = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])

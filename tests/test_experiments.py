@@ -269,6 +269,14 @@ class TestRunCompare:
         assert report.entry_ratio is not None
         assert 0.5 <= report.entry_ratio <= 2.0
 
+    @pytest.mark.parametrize("x0, radius", [((4.0, -4.0), 10.0), ((1.0, -1.0), 5.0)])
+    def test_gradient_start_inside_the_ball_has_no_ratio(self, x0, radius):
+        # the gradient run enters at t = 0, so there is no ratio to form
+        report = run_compare(CompareConfig(x0=x0, ball_radius=radius, t_end=5.0))
+        assert report.gradient.entry_time == 0.0
+        assert report.entry_ratio is None
+        assert "entry_ratio = none" in report.report()
+
     def test_deterministic_repeat(self):
         config = CompareConfig(ball_radius=0.75, t_end=20.0)
         a = run_compare(config)
