@@ -212,7 +212,8 @@ class ControlAffineSystem:
                 directional_derivative(fn, probe, np.ones(self.dimension))
             except TypeError as exc:
                 raise TypeError(f"{name} is not plain arithmetic of the state "
-                                f"(+, -, * and integer ** only): {exc}") from exc
+                                f"(+, -, *, /, integer ** and numdiff.exp/log "
+                                f"only): {exc}") from exc
 
     @cached_property
     def coefficients(self) -> dict:

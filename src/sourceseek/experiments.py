@@ -29,7 +29,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import FieldParams, SeekerParams, eval_field
+from .model import FieldParams, SeekerParams
+from .numdiff import directional_derivative
 from .ode import IntegratorConfig, Trajectory, first_entry_time, integrate
 from .seekers import (
     FRAME_SPECS,
@@ -140,23 +141,37 @@ class Scenario:
     def is_averaged(self) -> bool:
         return self._spec.form is not None
 
+    def _coordinates(self):
+        """The frame's map ``(to, back)``, or None for the identity."""
+        coordinates = self._spec.coordinates
+        return coordinates and coordinates(self.field)
+
     def initial_state(self) -> np.ndarray:
-        spec = self._spec
+        """The loop's own start ``[p1, p2, d0, nu0]`` (``[p1, p2, nu0]`` for
+        the gradient scheme) in the frame's coordinates."""
         x0 = np.asarray(self.x0, dtype=float)
-        if spec.plane:
-            start = x0
-        else:
-            start = to_rotating_frame(0.0, x0, self.field.source, self.params.omega0)
-        offset = self.nu0 - eval_field(x0, self.field)
-        return np.array(
-            spec.layout(start, self.nu0, self.d0, offset, self.field.hessian)
-        )
+        p = x0 if self._spec.plane else to_rotating_frame(
+            0.0, x0, self.field.source, self.params.omega0)
+        d0 = () if self.scheme is Scheme.GRADIENT else (self.d0,)
+        state, coordinates = (p[0], p[1], *d0, self.nu0), self._coordinates()
+        return np.array(state if coordinates is None else coordinates[0](state))
 
     def build_rhs(self):
-        form = self._spec.form
+        """The frame's closed loop; an averaged form is pushed forward through
+        the frame's map, ``y' = Dto(x)[f(x)]`` at ``x = back(y)``."""
+        form, coordinates = self._spec.form, self._coordinates()
         if form is None:
             return closed_loop(self.scheme, self.frame, self.params, self.field)
-        return averaged_closed_loop(form, self.params, self.field)
+        rhs = averaged_closed_loop(form, self.params, self.field)
+        if coordinates is None:
+            return rhs
+        to, back = coordinates
+
+        def pushed(t, y):
+            x = back(y)
+            return tuple(directional_derivative(to, x, rhs(t, x)))
+
+        return pushed
 
     def integrator_config(self) -> IntegratorConfig:
         if self.is_averaged:
@@ -181,7 +196,7 @@ class Scenario:
 
     def guard(self):
         """Positivity guard on the raw Riccati component, where one exists."""
-        if self._spec.raw_d:
+        if self.scheme is Scheme.NEWTON and self._spec.coordinates is None:
             return lambda t, s: s[2] > 0.0
         return None
 
@@ -193,8 +208,10 @@ class Scenario:
 
     def d_series(self, traj: Trajectory) -> np.ndarray | None:
         """Riccati state along the trajectory, mapped back to raw d units."""
-        d_of = self._spec.d_of
-        return None if d_of is None else d_of(traj.states, self.field.hessian)
+        if self.scheme is Scheme.GRADIENT:
+            return None
+        states, coordinates = traj.states.T, self._coordinates()
+        return (states if coordinates is None else coordinates[1](states))[2]
 
 
 def _scenario(config, **changes) -> Scenario:
@@ -645,6 +662,8 @@ class HessianSweepConfig:
         hs = _positive("hessians", self.hessians)
         if len(hs) < 2 or max(hs) / min(hs) < 100.0 * (1.0 - 1e-9):
             raise ValueError("hessians must span at least two decades")
+        if np.array_equal(self.x0, self.field.source):
+            raise ValueError("x0 is the source: the runs have no decay to fit")
         object.__setattr__(self, "hessians", hs)
         _positive("newton_tolerance and gradient_tolerance",
                   (self.newton_tolerance, self.gradient_tolerance))
@@ -787,12 +806,12 @@ def _parse_section(parser, name: str, default):
 def load_config(path=None) -> AppConfig:
     """Load a key = value experiment configuration.
 
-    All sections and keys are optional; anything omitted falls back to the
-    reference defaults (dither frequency 15, turn rate 1, feedback scale 2,
-    exponent 0.61, filter gain 1, Riccati gain 0.3; field peak 5 with
-    curvature 0.01 at (1, -1); start (4, -4), horizon 50). Every run the
-    file describes is built here, so a value no run can use is a
-    ConfigError.
+    All sections and keys are optional, and an unknown one is a
+    ConfigError; anything omitted falls back to the reference defaults
+    (dither frequency 15, turn rate 1, feedback scale 2, exponent 0.61,
+    filter gain 1, Riccati gain 0.3; field peak 5 with curvature 0.01 at
+    (1, -1); start (4, -4), horizon 50). Every run the file describes is
+    built here, so a value no run can use is a ConfigError.
     """
     parser = configparser.ConfigParser()
     if path is not None:
@@ -803,6 +822,13 @@ def load_config(path=None) -> AppConfig:
             parser.read(path)
         except configparser.Error as exc:
             raise ConfigError(f"cannot parse {path}: {exc}") from exc
+    sections = {f.name for f in fields(AppConfig)} - {"seed"} | {"run"}
+    for name in parser.sections():
+        if name not in sections:
+            raise ConfigError(f"unknown section [{name}]")
+    for key in parser.options("run") if parser.has_section("run") else ():
+        if key != "seed":
+            raise ConfigError(f"unknown key {key!r} in section [run]")
 
     try:
         field = _parse_section(parser, "field", DEFAULT_FIELD)

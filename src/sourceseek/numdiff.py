@@ -3,16 +3,16 @@
 ``f`` evaluated once at the dual point ``x + eps v`` (``eps**2 = 0``) has
 dual part ``Df(x)[v]``, exact to rounding. The parts of a :class:`Dual` may
 be duals, so a derivative of a derivative (a nested Lie bracket) is the same
-call at a dual point. A differentiated field must be plain arithmetic of its
-state (``+``, ``-``, ``*`` and integer ``**``); ``math.exp`` or a numpy ufunc
-of a dual raises ``TypeError``.
+call at a dual point. A differentiated field must be arithmetic of its state
+(``+``, ``-``, ``*``, ``/`` and integer ``**``) and this module's :func:`exp`
+and :func:`log`; ``math.exp`` or a numpy ufunc of a dual raises ``TypeError``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["central_jacobian", "directional_derivative"]
+__all__ = ["central_jacobian", "directional_derivative", "exp", "log"]
 
 
 class Dual:
@@ -53,6 +53,29 @@ class Dual:
         if not isinstance(n, int):
             return NotImplemented
         return Dual(self.real ** n, n * self.real ** (n - 1) * self.dual)
+
+    def __truediv__(self, other):
+        if isinstance(other, Dual):
+            return self * other ** -1
+        return Dual(self.real / other, self.dual / other)
+
+    def __rtruediv__(self, other):
+        return other * self ** -1
+
+
+def exp(x):
+    """``e**x`` of a float, an array or a :class:`Dual`."""
+    if isinstance(x, Dual):
+        e = exp(x.real)
+        return Dual(e, e * x.dual)
+    return np.exp(x)
+
+
+def log(x):
+    """Natural logarithm of a float, an array or a :class:`Dual`."""
+    if isinstance(x, Dual):
+        return Dual(log(x.real), x.dual / x.real)
+    return np.log(x)
 
 
 def directional_derivative(f, x, v) -> np.ndarray:

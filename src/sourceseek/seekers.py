@@ -14,26 +14,19 @@ three-state unicycle model is needed: in the original frame the velocity is
 the forward speed ``u1`` along the heading ``omega0 * t``.
 
 Each defined (scheme, frame) pair has one entry in :data:`FRAME_SPECS`;
-any other pair is undefined. The flat states are
+any other pair is undefined. The loop's own state is ``[p1, p2, d, nu]``
+(``[p1, p2, nu]`` for the gradient scheme), with ``p`` the position ``x`` in
+the ``original`` frame and the co-rotating offset ``z = Y(t)^T (x - x*)`` in
+every other. Two maps ``(to, back)`` change coordinates:
 
-=================================  =========================  ===============
-(scheme, frame)                    flat state                 averaged form
-=================================  =========================  ===============
-gradient, original                 ``[x1, x2, nu]``
-gradient, rotating_z               ``[z1, z2, nu]``
-gradient, averaged_gradient        ``[z1, z2, nu]``           gradient
-newton, original                   ``[x1, x2, d, nu]``
-newton, rotating_z                 ``[z1, z2, d, nu]``
-newton, rotating_z_log_d           ``[z1, z2, dtilde, nu]``
-newton, averaged_newton            ``[z1, z2, d, nu]``        newton
-newton, averaged_newton_exp        ``[z1, z2, dtilde, nu]``   newton_exp
-newton, cascade_shifted            ``[r, z1, z2, dhat]``      newton_cascade
-=================================  =========================  ===============
+* ``_log_d`` to ``[z1, z2, dtilde, nu]`` with ``dtilde = log d``, in the
+  ``rotating_z_log_d`` and ``averaged_newton_exp`` frames;
+* ``_cascade`` to ``[r, z1, z2, dhat]`` with the filter offset
+  ``r = nu - F(z)`` and ``dhat = log(d H)``, in the ``cascade_shifted`` frame.
 
-with ``z = Y(t)^T (x - x*)`` the co-rotating offset, ``dtilde = log(d)``,
-``dhat = log(d H)`` and ``r = nu - F(x)`` the filter offset. The full
-frames are integrated by :func:`closed_loop`, the averaged ones by
-:func:`averaged_closed_loop`.
+The full frames are integrated by :func:`closed_loop`. An averaged frame is
+one of the two forms of :func:`averaged_closed_loop`, which
+``Scenario.build_rhs`` pushes forward through the frame's map, if any.
 """
 
 from __future__ import annotations
@@ -47,6 +40,7 @@ import numpy as np
 
 from .averaging import ControlAffineSystem, OscillatoryInput
 from .model import FieldParams, SeekerParams
+from .numdiff import exp, log
 
 __all__ = [
     "Scheme",
@@ -81,77 +75,50 @@ class Frame(enum.Enum):
 class AveragedForm(enum.Enum):
     GRADIENT = "gradient"
     NEWTON = "newton"
-    NEWTON_EXP = "newton_exp"
-    NEWTON_CASCADE = "newton_cascade"
 
 
 @dataclass(frozen=True)
 class FrameSpec:
-    """What the package knows about one (scheme, frame) pair.
+    """What the package knows about one (scheme, frame) pair."""
 
-    ``layout(p, nu0, d0, r0, hessian)`` builds the initial state from the
-    frame's start position ``p`` (``x0`` when ``plane`` is set, else
-    ``z0``), the filter start, the Riccati start, the filter offset
-    ``r0 = nu0 - F(x0)`` and the field curvature. ``d_of(states, hessian)``
-    maps recorded states back to raw ``d``.
-    """
-
-    dim: int
-    form: AveragedForm | None  # closed-form averaged system; None for a full loop
-    layout: Callable
-    d_of: Callable | None  # None for the gradient scheme, which has no d
-    raw_d: bool  # index 2 is a raw Riccati state that must stay positive
+    form: AveragedForm | None  # averaged system; None for a full loop
+    # field -> (to, back) between the loop's own state and the frame's; None
+    # is the identity, where a newton state holds the raw d, which stays > 0
+    coordinates: Callable | None
     position: tuple[int, int]  # state components holding the position
     plane: bool  # position is x, centred on the source; else z, centred on 0
 
 
-def _plain(p, nu, d, r, hess):
-    return (p[0], p[1], nu)
+def _log_d(field):
+    """``dtilde = log d``, which removes the unstable fixed point d = 0."""
+    return (lambda x: (x[0], x[1], log(x[2]), x[3]),
+            lambda y: (y[0], y[1], exp(y[2]), y[3]))
 
 
-def _riccati(p, nu, d, r, hess):
-    return (p[0], p[1], d, nu)
+def _cascade(field):
+    """``(r, z1, z2, dhat) = (nu - F(z), z1, z2, log(d H))``."""
+    fs, hess = field.f_star, field.hessian
 
+    def f(z1, z2):
+        return fs - 0.5 * hess * (z1 * z1 + z2 * z2)
 
-def _log_riccati(p, nu, d, r, hess):
-    return (p[0], p[1], math.log(d), nu)
-
-
-def _cascade(p, nu, d, r, hess):
-    return (r, p[0], p[1], math.log(d * hess))
-
-
-def _raw_d(states, hess):
-    return states[:, 2]
-
-
-def _exp_d(states, hess):
-    return np.exp(states[:, 2])
-
-
-def _cascade_d(states, hess):
-    return np.exp(states[:, 3]) / hess
+    return (lambda x: (x[3] - f(x[0], x[1]), x[0], x[1], log(x[2] * hess)),
+            lambda y: (y[1], y[2], exp(y[3]) / hess, y[0] + f(y[1], y[2])))
 
 
 _G, _N, _F, _A = Scheme.GRADIENT, Scheme.NEWTON, Frame, AveragedForm
 
-#: every defined (scheme, frame) pair; columns: dim, averaged form, layout,
-#: d map, raw d, position components, plane
+#: every defined (scheme, frame) pair
 FRAME_SPECS: dict[tuple[Scheme, Frame], FrameSpec] = {
-    (_G, _F.ORIGINAL): FrameSpec(3, None, _plain, None, False, (0, 1), True),
-    (_G, _F.ROTATING_Z): FrameSpec(3, None, _plain, None, False, (0, 1), False),
-    (_G, _F.AVERAGED_GRADIENT):
-        FrameSpec(3, _A.GRADIENT, _plain, None, False, (0, 1), False),
-    (_N, _F.ORIGINAL): FrameSpec(4, None, _riccati, _raw_d, True, (0, 1), True),
-    (_N, _F.ROTATING_Z): FrameSpec(4, None, _riccati, _raw_d, True, (0, 1), False),
-    (_N, _F.ROTATING_Z_LOG_D):
-        FrameSpec(4, None, _log_riccati, _exp_d, False, (0, 1), False),
-    (_N, _F.AVERAGED_NEWTON):
-        FrameSpec(4, _A.NEWTON, _riccati, _raw_d, True, (0, 1), False),
-    (_N, _F.AVERAGED_NEWTON_EXP):
-        FrameSpec(4, _A.NEWTON_EXP, _log_riccati, _exp_d, False, (0, 1), False),
-    (_N, _F.CASCADE_SHIFTED):
-        FrameSpec(4, _A.NEWTON_CASCADE, _cascade, _cascade_d, False, (1, 2), False),
+    (_G, _F.ORIGINAL): FrameSpec(None, None, (0, 1), True),
+    (_G, _F.ROTATING_Z): FrameSpec(None, None, (0, 1), False),
+    (_G, _F.AVERAGED_GRADIENT): FrameSpec(_A.GRADIENT, None, (0, 1), False),
+    (_N, _F.ORIGINAL): FrameSpec(None, None, (0, 1), True),
+    (_N, _F.ROTATING_Z): FrameSpec(None, None, (0, 1), False),
+    (_N, _F.ROTATING_Z_LOG_D): FrameSpec(None, _log_d, (0, 1), False),
+    (_N, _F.AVERAGED_NEWTON): FrameSpec(_A.NEWTON, None, (0, 1), False),
+    (_N, _F.AVERAGED_NEWTON_EXP): FrameSpec(_A.NEWTON, _log_d, (0, 1), False),
+    (_N, _F.CASCADE_SHIFTED): FrameSpec(_A.NEWTON, _cascade, (1, 2), False),
 }
 
 
@@ -264,24 +231,19 @@ def averaged_closed_loop(form: AveragedForm, params: SeekerParams,
     """Build ``rhs(t, state)`` for the closed-form averaged system (ignores
     ``t``):
 
-    gradient:        z' = (S + L) z,          nu' = h (F(z) - nu)
-    newton:          z' = (S + L d) z,        d' = omega_d d (1 - H d),
-                     nu' = h (F(z) - nu)
-    newton_exp:      d replaced by exp(dtilde),
-                     dtilde' = omega_d (1 - H exp(dtilde))
-    newton_cascade:  shifted coordinates (r, z, dhat) with
-                     r' = -h r + H z^T (S + Lt e^dhat) z,
-                     z' = (S + Lt e^dhat) z, dhat' = -omega_d (e^dhat - 1)
+    gradient:  z' = (S + L) z,     nu' = h (F(z) - nu)
+    newton:    z' = (S + L d) z,   d' = omega_d d (1 - H d),
+               nu' = h (F(z) - nu)
 
-    where S = [[0, omega0], [-omega0, 0]] is the constant-turn generator,
-    L = diag(0, -alpha H / 2), and Lt = L / H is the curvature-normalized
-    damping. Like :func:`closed_loop`, the closure takes a sequence of
-    floats and returns a tuple without checking the state length.
+    where S = [[0, omega0], [-omega0, 0]] is the constant-turn generator and
+    L = diag(0, -alpha H / 2). The log-Riccati and cascade frames are the
+    newton form pushed forward through their maps (see :data:`FRAME_SPECS`).
+    Like :func:`closed_loop`, the closure takes a sequence of floats and
+    returns a tuple without checking the state length.
     """
     w0, h, wd = params.omega0, params.h_gain, params.omega_d
     fs, hess = field.f_star, field.hessian
     lam = -0.5 * params.alpha * hess  # damping entry of L
-    lam_t = -0.5 * params.alpha      # damping entry of Lt = L / H
 
     if form is AveragedForm.GRADIENT:
 
@@ -296,24 +258,6 @@ def averaged_closed_loop(form: AveragedForm, params: SeekerParams,
             z1, z2, d, nu = s
             nu_dot = h * (fs - 0.5 * hess * (z1 * z1 + z2 * z2) - nu)
             return (w0 * z2, -w0 * z1 + lam * d * z2, wd * d * (1.0 - hess * d), nu_dot)
-
-    elif form is AveragedForm.NEWTON_EXP:
-
-        def rhs(t, s):
-            z1, z2, dtilde, nu = s
-            ed = math.exp(dtilde)
-            nu_dot = h * (fs - 0.5 * hess * (z1 * z1 + z2 * z2) - nu)
-            return (w0 * z2, -w0 * z1 + lam * ed * z2, wd * (1.0 - hess * ed), nu_dot)
-
-    elif form is AveragedForm.NEWTON_CASCADE:
-
-        def rhs(t, s):
-            r, z1, z2, dhat = s
-            ed = math.exp(dhat)
-            dz1 = w0 * z2
-            dz2 = -w0 * z1 + lam_t * ed * z2
-            r_dot = -h * r + hess * (z1 * dz1 + z2 * dz2)
-            return (r_dot, dz1, dz2, -wd * (ed - 1.0))
 
     else:  # pragma: no cover
         raise ValueError(f"unsupported averaged form {form}")

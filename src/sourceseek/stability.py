@@ -82,7 +82,8 @@ def linearize(f, x_eq) -> Linearization:
     EquilibriumError
         If ``|f(x_eq)|`` exceeds 1e-6.
     TypeError
-        If ``f`` is not plain arithmetic of the state (it calls ``math.exp``).
+        If ``f`` is not arithmetic of the state and ``numdiff.exp``/``log``
+        (it calls ``math.exp``, say).
     """
     x_eq = np.asarray(x_eq, dtype=float)
     residual = float(np.linalg.norm(np.asarray(f(x_eq), dtype=float)))
@@ -241,6 +242,11 @@ def _cascade_dz(z: np.ndarray, ed: np.ndarray, cert: LyapunovCertificate):
     )
 
 
+def _cascade_dr(r, z, dz, hessian: float, h_gain: float):
+    """The offset flow ``dr = -h r + H z^T dz`` along the cascade."""
+    return -h_gain * r + hessian * np.sum(z * dz, axis=-1)
+
+
 def vdot_margin(z_bar, d_hat, cert: LyapunovCertificate):
     """Chain-rule derivative of the certificate along the cascade flow minus
     its negative-definite bound; a valid certificate keeps this <= 0.
@@ -275,7 +281,7 @@ def iss_bound_check(r, z_bar, d_hat, hessian: float, h_gain: float,
     z = np.asarray(z_bar, dtype=float)
     d_hat = np.asarray(d_hat, dtype=float)
     dz = _cascade_dz(z, np.exp(d_hat), cert)
-    r_dot = -h_gain * r + hessian * np.sum(z * dz, axis=-1)
+    r_dot = _cascade_dr(r, z, dz, hessian, h_gain)
     abs_r_rate = np.where(r != 0.0, np.sign(r) * r_dot, np.abs(r_dot))
     g_norm = np.sqrt(np.sum(z * z, axis=-1) + d_hat**2)
     spin_norm = cert.omega0

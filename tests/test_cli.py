@@ -179,6 +179,9 @@ class TestConfigErrors:
         ("sweep-hessian", "[sweep_hessian]\ngradient_tolerance = -0.5\n"),
         ("simulate", "[scenario]\nball_radius = inf\n"),
         ("compare", "[compare]\nball_radius = inf\n"),
+        ("simulate", "[scenaro]\nt_end = 5\n"),
+        ("certify", "[run]\nsead = 3\n"),
+        ("sweep-hessian", "[sweep_hessian]\nx0 = 1, -1\n"),
     ], ids=["compare-x0-nan", "compare-t-end", "compare-coarse-sampling",
             "sweep-hessian-x0-3d", "scenario-stride-0", "sweep-omega-record-dt-0",
             "sweep-omega-t-end", "sweep-omega-slack", "certify-hessian-inf",
@@ -186,7 +189,8 @@ class TestConfigErrors:
             "sweep-omega-t-end-inf", "scenario-d-tolerance-nan",
             "scenario-d-tolerance-negative", "sweep-hessian-newton-tolerance-nan",
             "sweep-hessian-gradient-tolerance-negative", "scenario-ball-radius-inf",
-            "compare-ball-radius-inf"])
+            "compare-ball-radius-inf", "misspelled-section", "misspelled-run-key",
+            "sweep-hessian-start-at-source"])
     def test_unrunnable_value_exits_two(self, tmp_path, capsys, command, text):
         cfg = _cfg(tmp_path, text)
         code = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sourceseek import lie_bracket
-from sourceseek.numdiff import Dual, central_jacobian, directional_derivative
+from sourceseek.numdiff import Dual, central_jacobian, directional_derivative, exp, log
 
 
 class TestDual:
@@ -32,6 +34,32 @@ class TestDual:
         assert value.real.dual == 4.0     # df/dy = x**2
         assert value.dual.real == 20.0    # df/dx = 2 x y
         assert value.dual.dual == 4.0     # d2f/dxdy = 2 x
+
+    def test_division_exp_and_log_follow_the_chain_rule(self):
+        x = Dual(2.0, 1.0)
+        for value, real, dual in [
+            (x / 4.0, 0.5, 0.25), (1.0 / x, 0.5, -0.25), (x / x, 1.0, 0.0),
+            (exp(x), math.exp(2.0), math.exp(2.0)), (log(x), math.log(2.0), 0.5),
+        ]:
+            assert value.real == pytest.approx(real, rel=1e-15)
+            assert value.dual == pytest.approx(dual, rel=1e-15, abs=1e-15)
+
+    def test_nested_exp_and_log_give_second_derivatives(self):
+        # f(x) = exp(x) log(x) / x at x = 2, seeded inside and outside:
+        # f' = e^x (1 + log x) / 4 and f'' = e^x (1 + 2 log x) / 8 there
+        x = Dual(Dual(2.0, 1.0), Dual(1.0, 0.0))
+        value = log(x) * exp(x) / x
+        e, l = math.exp(2.0), math.log(2.0)
+        first = e * (1.0 + l) / 4.0
+        second = e * (1.0 + 2.0 * l) / 8.0
+        assert value.real.dual == pytest.approx(first, rel=1e-14)
+        assert value.dual.real == pytest.approx(first, rel=1e-14)
+        assert value.dual.dual == pytest.approx(second, rel=1e-14)
+
+    def test_exp_and_log_of_arrays_are_numpy_ufuncs(self):
+        a = np.array([0.5, 1.0, 7.0])
+        np.testing.assert_array_equal(exp(a), np.exp(a))
+        np.testing.assert_array_equal(log(a), np.log(a))
 
     def test_non_arithmetic_operations_raise_type_error(self):
         x = Dual(0.5, 1.0)

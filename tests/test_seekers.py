@@ -1,13 +1,20 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sourceseek import (
+    DEFAULT_FIELD,
+    DEFAULT_PARAMS,
+    FRAME_SPECS,
     AveragedForm,
     Frame,
     IntegrationAborted,
     IntegratorConfig,
+    Scenario,
     Scheme,
     averaged_closed_loop,
     closed_loop,
@@ -198,6 +205,13 @@ class TestClosedLoopRhs:
         assert traj.states[:, 2].min() > 0.0
 
 
+def _averaged(frame, params, field):
+    """The averaged curvature-inverting loop in ``frame``, pushed forward
+    through the frame's map."""
+    return Scenario(scheme=Scheme.NEWTON, frame=frame, params=params,
+                    field=field).build_rhs()
+
+
 class TestAveragedRhs:
     def test_riccati_equilibrium_is_stationary(self, ref_params, ref_field):
         state = np.array([0.0, 0.0, 1.0 / ref_field.hessian, ref_field.f_star])
@@ -205,7 +219,7 @@ class TestAveragedRhs:
         np.testing.assert_allclose(out, np.zeros(4), atol=1e-13)
 
     def test_cascade_origin_is_equilibrium(self, ref_params, ref_field):
-        rhs = averaged_closed_loop(AveragedForm.NEWTON_CASCADE, ref_params, ref_field)
+        rhs = _averaged(Frame.CASCADE_SHIFTED, ref_params, ref_field)
         out = rhs(0.0, (0.0, 0.0, 0.0, 0.0))
         np.testing.assert_array_equal(out, np.zeros(4))
 
@@ -223,7 +237,7 @@ class TestAveragedRhs:
 
     def test_exp_form_matches_plain_form(self, ref_params, ref_field, rng):
         plain = averaged_closed_loop(AveragedForm.NEWTON, ref_params, ref_field)
-        exp = averaged_closed_loop(AveragedForm.NEWTON_EXP, ref_params, ref_field)
+        exp = _averaged(Frame.AVERAGED_NEWTON_EXP, ref_params, ref_field)
         for _ in range(20):
             z = rng.uniform(-5.0, 5.0, size=2)
             d = rng.uniform(0.1, 150.0)
@@ -240,8 +254,6 @@ class TestAveragedRhs:
     def test_riccati_converges_to_inverse_curvature(
         self, ref_params, ref_field, hessian, d0_scale
     ):
-        from dataclasses import replace
-
         field = replace(ref_field, hessian=hessian)
         target = 1.0 / hessian
         d0 = d0_scale * target
@@ -257,14 +269,94 @@ class TestAveragedRhs:
         assert np.all(np.diff(gaps) <= 1e-12 * target)  # monotone approach
 
 
+def _newton_exp_oracle(params, field):
+    """The averaged loop in ``(z, dtilde, nu)``, written out by hand:
+    ``d = exp(dtilde)`` and ``dtilde' = omega_d (1 - H exp(dtilde))``."""
+    w0, h, wd = params.omega0, params.h_gain, params.omega_d
+    fs, hess = field.f_star, field.hessian
+    lam = -0.5 * params.alpha * hess
+
+    def rhs(t, s):
+        z1, z2, dtilde, nu = s
+        ed = math.exp(dtilde)
+        nu_dot = h * (fs - 0.5 * hess * (z1 * z1 + z2 * z2) - nu)
+        return (w0 * z2, -w0 * z1 + lam * ed * z2, wd * (1.0 - hess * ed), nu_dot)
+
+    return rhs
+
+
+def _cascade_oracle(params, field):
+    """The averaged loop in the shifted cascade ``(r, z, dhat)``, written out
+    by hand: ``r' = -h r + H z^T (S + Lt e^dhat) z``,
+    ``z' = (S + Lt e^dhat) z`` and ``dhat' = -omega_d (e^dhat - 1)``, with
+    ``Lt = diag(0, -alpha / 2)``."""
+    w0, h, wd = params.omega0, params.h_gain, params.omega_d
+    hess, lam_t = field.hessian, -0.5 * params.alpha
+
+    def rhs(t, s):
+        r, z1, z2, dhat = s
+        ed = math.exp(dhat)
+        dz1 = w0 * z2
+        dz2 = -w0 * z1 + lam_t * ed * z2
+        r_dot = -h * r + hess * (z1 * dz1 + z2 * dz2)
+        return (r_dot, dz1, dz2, -wd * (ed - 1.0))
+
+    return rhs
+
+
+_UNIT = st.floats(-1.0, 1.0)
+
+
+class TestFrameMaps:
+    """The log-Riccati and cascade frames are the averaged loop pushed
+    forward through one map each; the hand-written forms are the oracles."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        gains=st.tuples(st.floats(0.3, 3.0), st.floats(0.2, 3.0),
+                        st.floats(0.1, 3.0), st.floats(0.05, 1.0)),
+        hessian=st.floats(1e-3, 0.1),
+        unit=st.tuples(_UNIT, _UNIT, _UNIT, _UNIT),
+        d_scale=st.floats(0.1, 3.0),
+    )
+    def test_pushed_forward_forms_match_the_hand_formulas(self, gains, hessian,
+                                                         unit, d_scale):
+        alpha, omega0, h_gain, omega_d = gains
+        params = replace(DEFAULT_PARAMS, alpha=alpha, omega0=omega0,
+                         h_gain=h_gain, omega_d=omega_d)
+        field = replace(DEFAULT_FIELD, hessian=hessian)
+        z1, z2 = 5.0 * unit[0], 5.0 * unit[1]
+        cases = [
+            (Frame.AVERAGED_NEWTON_EXP, _newton_exp_oracle,
+             (z1, z2, math.log(d_scale / hessian), 3.0 + 5.0 * unit[2])),
+            (Frame.CASCADE_SHIFTED, _cascade_oracle,
+             (3.0 * unit[2], z1, z2, 2.0 * unit[3])),
+        ]
+        for frame, oracle, state in cases:
+            got = np.array(_averaged(frame, params, field)(0.0, state))
+            want = np.array(oracle(params, field)(0.0, state))
+            assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
+
+    @pytest.mark.parametrize("frame", [Frame.ROTATING_Z_LOG_D,
+                                       Frame.AVERAGED_NEWTON_EXP,
+                                       Frame.CASCADE_SHIFTED])
+    @settings(max_examples=50, deadline=None)
+    @given(unit=st.tuples(_UNIT, _UNIT, _UNIT), d_scale=st.floats(0.01, 5.0))
+    def test_back_inverts_to(self, frame, unit, d_scale):
+        to, back = FRAME_SPECS[(Scheme.NEWTON, frame)].coordinates(DEFAULT_FIELD)
+        x = (5.0 * unit[0], 5.0 * unit[1], d_scale / DEFAULT_FIELD.hessian,
+             3.0 + 5.0 * unit[2])
+        np.testing.assert_allclose(back(to(x)), x, rtol=1e-14, atol=1e-14)
+        y = to(x)
+        np.testing.assert_allclose(to(back(y)), y, rtol=1e-14, atol=1e-14)
+
+
 class TestAveragingConsistency:
     """The full oscillatory loops shadow their averaged limits, closer for
     faster dithers."""
 
     @pytest.mark.parametrize("scheme", [Scheme.GRADIENT, Scheme.NEWTON])
     def test_deviation_shrinks_with_frequency(self, ref_params, ref_field, scheme):
-        from dataclasses import replace
-
         devs = []
         for omega in (20.0, 40.0):
             params = replace(ref_params, omega=omega)

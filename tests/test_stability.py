@@ -7,14 +7,19 @@ import pytest
 from sourceseek import (
     AveragedForm,
     EquilibriumError,
+    Frame,
+    Scenario,
+    Scheme,
     averaged_closed_loop,
     build_certificate,
+    closed_loop,
     iss_bound_check,
     linearize,
     lyapunov_V,
     stability_report,
     vdot_margin,
 )
+from sourceseek.stability import _cascade_dr, _cascade_dz
 
 
 def _averaged_field(form, params, field):
@@ -69,13 +74,30 @@ class TestLinearize:
 
     def test_rejects_a_field_that_is_not_plain_arithmetic(self, ref_params,
                                                          ref_field):
-        # the log-Riccati form calls math.exp on its state
-        f = _averaged_field(AveragedForm.NEWTON_EXP, ref_params, ref_field)
-        equilibrium = np.array([0.0, 0.0, -math.log(ref_field.hessian),
-                                ref_field.f_star])
-        assert np.linalg.norm(f(equilibrium)) < 1e-12
+        # the full-loop log-Riccati closure calls math.exp on its state; less
+        # its own value at a point, at a fixed t, it has an equilibrium there
+        rhs = closed_loop(Scheme.NEWTON, Frame.ROTATING_Z_LOG_D, ref_params,
+                          ref_field)
+        point = np.array([0.0, 0.0, -math.log(ref_field.hessian), ref_field.f_star])
+        f = lambda s: np.subtract(rhs(1.0, s), rhs(1.0, point))
+        assert np.linalg.norm(f(point)) == 0.0
         with pytest.raises(TypeError):
-            linearize(f, equilibrium)
+            linearize(f, point)
+
+    @pytest.mark.parametrize("hessian", [0.01, 1.0])
+    def test_log_riccati_form_has_the_raw_spectrum(self, ref_params, ref_field,
+                                                   hessian):
+        """dtilde = log d is a change of coordinates, so the pushed-forward
+        form linearizes to a similar matrix."""
+        field = replace(ref_field, hessian=hessian)
+        raw = linearize(_averaged_field(AveragedForm.NEWTON, ref_params, field),
+                        _newton_equilibrium(field))
+        rhs = Scenario(scheme=Scheme.NEWTON, frame=Frame.AVERAGED_NEWTON_EXP,
+                       params=ref_params, field=field).build_rhs()
+        lin = linearize(lambda s: rhs(0.0, s),
+                        [0.0, 0.0, -math.log(hessian), field.f_star])
+        np.testing.assert_allclose(np.sort_complex(lin.eigenvalues),
+                                   np.sort_complex(raw.eigenvalues), atol=1e-12)
 
     def test_trace_det_residuals(self, ref_params, ref_field, rng):
         lins = [
@@ -207,6 +229,28 @@ class TestVdotMargin:
             assert cert.lam_min_p > 0.0
             assert cert.lyapunov_residual < 1e-10
             assert vdot_margin(z, dh, cert).max() <= 1e-9
+
+
+class TestCascadeFlow:
+    def test_restated_flow_is_the_pushed_forward_cascade(self, ref_params,
+                                                          ref_field, rng):
+        """``_cascade_dz`` and the offset rate of ``iss_bound_check`` are the
+        averaged loop pushed forward into the cascade frame."""
+        for hessian in (0.01, 1.0):
+            field = replace(ref_field, hessian=hessian)
+            rhs = Scenario(scheme=Scheme.NEWTON, frame=Frame.CASCADE_SHIFTED,
+                           params=ref_params, field=field).build_rhs()
+            cert = build_certificate(ref_params.alpha, ref_params.omega0,
+                                     ref_params.omega_d, hessian)
+            for _ in range(100):
+                r, dh = rng.uniform(-3.0, 3.0), rng.uniform(-2.0, 2.0)
+                z = rng.uniform(-5.0, 5.0, 2)
+                dz = _cascade_dz(z, np.exp(dh), cert)
+                got = [_cascade_dr(r, z, dz, hessian, ref_params.h_gain), *dz]
+                want = rhs(0.0, (r, *z, dh))[:3]
+                np.testing.assert_allclose(
+                    got, want, rtol=0.0,
+                    atol=1e-12 * max(1.0, float(np.max(np.abs(want)))))
 
 
 class TestIssBound:
