@@ -6,79 +6,26 @@ while the inverting loop's position block is literally curvature-free
 (-alpha/4). An explicit Lyapunov function then certifies global asymptotic
 stability of the inverting loop's position/filter cascade, and an
 input-to-state bound covers the remaining measurement-offset coordinate.
+All of it comes from ``run_certify``, the study behind ``sourceseek certify``.
 """
 
 from dataclasses import replace
 
-import numpy as np
+from sourceseek import DEFAULT_FIELD, DEFAULT_PARAMS, run_certify
 
-from sourceseek import (
-    AveragedForm,
-    DEFAULT_FIELD,
-    DEFAULT_PARAMS,
-    averaged_closed_loop,
-    build_certificate,
-    iss_bound_check,
-    linearize,
-    stability_report,
-    vdot_margin,
-)
-
-params = DEFAULT_PARAMS
 
 def _position_rate(lin):
     """Real part of the oscillatory position pair."""
-    pair = [v for v in lin.eigenvalues if abs(v.imag) > 1e-9]
-    return max(v.real for v in pair)
+    return max(v.real for v in lin.eigenvalues if abs(v.imag) > 1e-9)
 
 
 print("decay rate of the position spiral across curvatures:")
 for hessian in (0.01, 0.1, 1.0):
-    field = replace(DEFAULT_FIELD, hessian=hessian)
-    grad_rhs = averaged_closed_loop(AveragedForm.GRADIENT, params, field)
-    newt_rhs = averaged_closed_loop(AveragedForm.NEWTON, params, field)
-    lin_g = linearize(lambda s: grad_rhs(0.0, s),
-                      np.array([0.0, 0.0, field.f_star]))
-    lin_n = linearize(lambda s: newt_rhs(0.0, s),
-                      np.array([0.0, 0.0, 1.0 / hessian, field.f_star]))
-    print(f"  H = {hessian:>5}: gradient {_position_rate(lin_g):+.4f}   "
-          f"curvature-inverting {_position_rate(lin_n):+.4f}")
+    lins = run_certify(DEFAULT_PARAMS,
+                       replace(DEFAULT_FIELD, hessian=hessian)).linearizations
+    print(f"  H = {hessian:>5}: "
+          f"gradient {_position_rate(lins['averaged_gradient']):+.4f}   "
+          f"curvature-inverting {_position_rate(lins['averaged_newton']):+.4f}")
 print()
 
-cert = build_certificate(params.alpha, params.omega0, params.omega_d,
-                         DEFAULT_FIELD.hessian)
-
-axis = np.linspace(-5.0, 5.0, 40)
-z1, z2, dh = np.meshgrid(axis, axis, np.linspace(-2.0, 2.0, 21), indexing="ij")
-z = np.stack([z1, z2], axis=-1)
-margins = vdot_margin(z, dh, cert)
-
-rng = np.random.default_rng(0)
-iss = iss_bound_check(
-    rng.uniform(-3.0, 3.0, 1000),
-    rng.uniform(-5.0, 5.0, (1000, 2)),
-    rng.uniform(-2.0, 2.0, 1000),
-    DEFAULT_FIELD.hessian,
-    params.h_gain,
-    cert,
-)
-
-field = DEFAULT_FIELD
-grad_rhs = averaged_closed_loop(AveragedForm.GRADIENT, params, field)
-newt_rhs = averaged_closed_loop(AveragedForm.NEWTON, params, field)
-print(stability_report(
-    {
-        "averaged_gradient": linearize(
-            lambda s: grad_rhs(0.0, s), np.array([0.0, 0.0, field.f_star])
-        ),
-        "averaged_newton": linearize(
-            lambda s: newt_rhs(0.0, s),
-            np.array([0.0, 0.0, 1.0 / field.hessian, field.f_star]),
-        ),
-    },
-    cert=cert,
-    grid_margins={
-        "vdot_margin_max": float(margins.max()),
-        "iss_margin_min": float(iss.min()),
-    },
-))
+print(run_certify(DEFAULT_PARAMS, DEFAULT_FIELD).report(), end="")

@@ -65,6 +65,8 @@ from .experiments import (
     Scenario,
     estimate_rate,
     load_config,
+    run_average,
+    run_certify,
     run_compare,
     run_hessian_invariance,
     run_omega_sweep,

@@ -21,17 +21,11 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .averaging import build_averaged_field, check_assumptions, default_omega_grid
-from .experiments import AppConfig, ConfigError, load_config, run_compare, \
-    run_hessian_invariance, run_omega_sweep, run_simulate
+from .experiments import AppConfig, ConfigError, load_config, run_average, \
+    run_certify, run_compare, run_hessian_invariance, run_omega_sweep, run_simulate
 from .ode import IntegrationAborted
-from .seekers import AveragedForm, Scheme, averaged_closed_loop, \
-    gradient_affine_system, newton_affine_system
-from .stability import build_certificate, iss_bound_check, linearize, \
-    stability_report, vdot_margin
+from .seekers import Scheme
 
 PASS, FAIL, CONFIG_ERROR = 0, 1, 2
 
@@ -45,113 +39,39 @@ def _override(config, **changes):
         raise ConfigError(str(exc)) from exc
 
 
-# Each command returns (report file name, report text, whether every check
-# passed); main writes, prints and maps the verdict to the exit code.
+# Each command returns (report file name, study result); main writes the
+# result's report() and maps its ``passed`` to the exit code.
 
 
-def _cmd_simulate(app: AppConfig, args) -> tuple[str, str, bool]:
-    result = run_simulate(app.scenario, out_dir=args.out)
-    return "simulate_report.txt", result.report(), result.passed
+def _cmd_simulate(app: AppConfig, args):
+    return "simulate_report.txt", run_simulate(app.scenario, out_dir=args.out)
 
 
-def _cmd_compare(app: AppConfig, args) -> tuple[str, str, bool]:
-    report = run_compare(app.compare, out_dir=args.out)
-    text = report.report() + report.newton.report() + report.gradient.report()
-    return "compare_report.txt", text, report.passed
+def _cmd_compare(app: AppConfig, args):
+    return "compare_report.txt", run_compare(app.compare, out_dir=args.out)
 
 
-def _cmd_sweep_omega(app: AppConfig, args) -> tuple[str, str, bool]:
+def _cmd_sweep_omega(app: AppConfig, args):
     config = app.sweep_omega
     if args.omega:
         config = _override(config, omegas=tuple(args.omega))
-    report = run_omega_sweep(config)
-    return "omega_sweep_report.txt", report.report(), report.passed
+    return "omega_sweep_report.txt", run_omega_sweep(config)
 
 
-def _cmd_sweep_hessian(app: AppConfig, args) -> tuple[str, str, bool]:
+def _cmd_sweep_hessian(app: AppConfig, args):
     config = app.sweep_hessian
     if args.hessian:
         config = _override(config, hessians=tuple(args.hessian))
-    report = run_hessian_invariance(config)
-    return "hessian_sweep_report.txt", report.report(), report.passed
+    return "hessian_sweep_report.txt", run_hessian_invariance(config)
 
 
-def _cmd_average(app: AppConfig, args) -> tuple[str, str, bool]:
-    scheme = Scheme(args.scheme)
-    if scheme is Scheme.NEWTON:
-        system = newton_affine_system(app.params, app.field)
-        form = AveragedForm.NEWTON
-    else:
-        system = gradient_affine_system(app.params, app.field)
-        form = AveragedForm.GRADIENT
-    grid = default_omega_grid(app.params.omega)
-    assumptions = check_assumptions(system)
-    engine = build_averaged_field(system, grid)
-    closed = averaged_closed_loop(form, app.params, app.field)
-
-    rng = np.random.default_rng(app.seed)
-    worst = 0.0
-    for _ in range(10):
-        state = rng.uniform(-3.0, 3.0, size=system.dimension)
-        if system.dimension == 4:
-            state[2] = rng.uniform(0.1, 2.0 / app.field.hessian)
-        reference = closed(0.0, state)
-        scale = max(1.0, float(np.linalg.norm(reference)))
-        worst = max(worst, float(np.linalg.norm(engine(state) - reference)) / scale)
-    agreement_ok = worst <= 1e-4
-
-    text = (
-        str(assumptions)
-        + "\n"
-        + engine.report()
-        + "\n[closed_form_agreement]\n"
-        + f"worst_relative_defect = {worst:.3e}\n"
-        + f"check_agreement = {'pass' if agreement_ok else 'FAIL'}\n"
-    )
-    return (f"averaging_report_{scheme.value}.txt", text,
-            assumptions.ok and agreement_ok)
+def _cmd_average(app: AppConfig, args):
+    return (f"averaging_report_{args.scheme}.txt",
+            run_average(Scheme(args.scheme), app.params, app.field, seed=app.seed))
 
 
-def _cmd_certify(app: AppConfig, args) -> tuple[str, str, bool]:
-    params, field = app.params, app.field
-    cert = build_certificate(params.alpha, params.omega0, params.omega_d,
-                             field.hessian)
-
-    grid = np.linspace(-5.0, 5.0, 40)
-    z1, z2, dh = np.meshgrid(grid, grid, np.linspace(-2.0, 2.0, 21),
-                             indexing="ij")
-    z = np.stack([z1, z2], axis=-1)
-    margins = vdot_margin(z, dh, cert)
-
-    rng = np.random.default_rng(app.seed)
-    r = rng.uniform(-3.0, 3.0, size=1000)
-    z_rand = rng.uniform(-5.0, 5.0, size=(1000, 2))
-    dh_rand = rng.uniform(-2.0, 2.0, size=1000)
-    iss_margins = iss_bound_check(r, z_rand, dh_rand, field.hessian,
-                                  params.h_gain, cert)
-
-    lin_grad = linearize(
-        lambda s: averaged_closed_loop(AveragedForm.GRADIENT, params, field)(0.0, s),
-        np.array([0.0, 0.0, field.f_star]),
-    )
-    lin_newton = linearize(
-        lambda s: averaged_closed_loop(AveragedForm.NEWTON, params, field)(0.0, s),
-        np.array([0.0, 0.0, 1.0 / field.hessian, field.f_star]),
-    )
-
-    vdot_ok = bool(np.max(margins) <= 1e-9)
-    iss_ok = bool(np.min(iss_margins) >= -1e-9)
-    text = stability_report(
-        {"averaged_gradient": lin_grad, "averaged_newton": lin_newton},
-        cert=cert,
-        grid_margins={
-            "vdot_margin_max": float(np.max(margins)),
-            "iss_margin_min": float(np.min(iss_margins)),
-        },
-    )
-    text += f"check_vdot = {'pass' if vdot_ok else 'FAIL'}\n"
-    text += f"check_iss = {'pass' if iss_ok else 'FAIL'}\n"
-    return "stability_report.txt", text, vdot_ok and iss_ok
+def _cmd_certify(app: AppConfig, args):
+    return "stability_report.txt", run_certify(app.params, app.field, seed=app.seed)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -209,17 +129,18 @@ def main(argv=None) -> int:
         app = load_config(args.config)
         if args.seed is not None:
             app = _override(app, seed=args.seed)
-        name, text, passed = _COMMANDS[args.command](app, args)
+        name, result = _COMMANDS[args.command](app, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return CONFIG_ERROR
     except IntegrationAborted as exc:
         print(f"integration aborted: {exc}", file=sys.stderr)
         return FAIL
+    text = result.report()
     args.out.mkdir(parents=True, exist_ok=True)
     (args.out / name).write_text(text)
     print(text, end="")
-    return PASS if passed else FAIL
+    return PASS if result.passed else FAIL
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,6 +1,7 @@
-"""Scenario configuration and the standard simulation studies.
+"""Scenario configuration and the standard studies.
 
-Four studies are provided, mirroring the verification suite:
+Six studies are provided, one per subcommand; each returns a result with a
+``passed`` verdict and a key = value ``report()``:
 
 * :func:`run_simulate` - integrate one closed loop, export the trajectory,
   and summarize convergence (residual distance, Riccati settling, entry time
@@ -11,6 +12,10 @@ Four studies are provided, mirroring the verification suite:
   their averaged limits as the dither frequency grows.
 * :func:`run_hessian_invariance` - fit decay rates of the averaged loops
   across field curvatures.
+* :func:`run_average` - run the averaging engine on one scheme's loop and
+  check it against the closed-form average.
+* :func:`run_certify` - build the Lyapunov/ISS certificate, check its
+  margins and linearize both averaged loops at their equilibria.
 
 Success thresholds (ball radius, Riccati tolerance, slack factors) are data,
 not code: they live in the scenario/config objects, with defaults matching
@@ -29,18 +34,16 @@ from pathlib import Path
 
 import numpy as np
 
+from .averaging import AssumptionReport, AveragedField, build_averaged_field, \
+    check_assumptions, default_omega_grid
 from .model import FieldParams, SeekerParams
 from .numdiff import directional_derivative
 from .ode import IntegratorConfig, Trajectory, first_entry_time, integrate
-from .seekers import (
-    FRAME_SPECS,
-    Frame,
-    FrameSpec,
-    Scheme,
-    averaged_closed_loop,
-    closed_loop,
-    to_rotating_frame,
-)
+from .seekers import FRAME_SPECS, AveragedForm, Frame, FrameSpec, Scheme, \
+    averaged_closed_loop, closed_loop, gradient_affine_system, \
+    newton_affine_system, to_rotating_frame
+from .stability import LyapunovCertificate, build_certificate, iss_bound_check, \
+    linearize, stability_report, vdot_margin
 
 __all__ = [
     "ConfigError",
@@ -61,6 +64,10 @@ __all__ = [
     "HessianSweepConfig",
     "HessianSweepReport",
     "run_hessian_invariance",
+    "AverageReport",
+    "run_average",
+    "CertifyReport",
+    "run_certify",
     "AppConfig",
     "load_config",
 ]
@@ -103,7 +110,6 @@ class Scenario:
     ball_radius: float = 0.5
     d_tolerance: float = 0.1
     tail_fraction: float = 0.2
-    out_path: str | None = None
 
     def __post_init__(self):
         if not 0.0 < self.t_end < math.inf:
@@ -212,6 +218,11 @@ class Scenario:
             return None
         states, coordinates = traj.states.T, self._coordinates()
         return (states if coordinates is None else coordinates[1](states))[2]
+
+
+def _check_lines(checks: dict) -> list[str]:
+    """One ``check_<name> = pass|FAIL`` report line per entry of ``checks``."""
+    return [f"check_{name} = {'pass' if ok else 'FAIL'}" for name, ok in checks.items()]
 
 
 def _scenario(config, **changes) -> Scenario:
@@ -341,8 +352,7 @@ class SimulateResult:
             lines.append(f"d_window_mean = {self.d_window_mean:.9g}")
         entry = "none" if self.entry_time is None else f"{self.entry_time:.9g}"
         lines.append(f"entry_time = {entry}")
-        for name, ok in self.checks.items():
-            lines.append(f"check_{name} = {'pass' if ok else 'FAIL'}")
+        lines += _check_lines(self.checks)
         if self.csv_path is not None:
             lines.append(f"trajectory_csv = {self.csv_path}")
         return "\n".join(lines) + "\n"
@@ -375,9 +385,7 @@ def run_simulate(scenario: Scenario, out_dir=None) -> SimulateResult:
         )
 
     csv_path = None
-    if scenario.out_path is not None:
-        csv_path = traj.to_csv(scenario.out_path)
-    elif out_dir is not None:
+    if out_dir is not None:
         name = f"trajectory_{scenario.scheme.value}_{scenario.frame.value}.csv"
         csv_path = traj.to_csv(Path(out_dir) / name)
 
@@ -420,6 +428,9 @@ class CompareConfig:
 
 @dataclass
 class CompareReport:
+    """The two runs of :func:`run_compare`; the report carries both runs'
+    own reports after its comparison."""
+
     newton: SimulateResult
     gradient: SimulateResult
     entry_ratio: float | None
@@ -445,8 +456,8 @@ class CompareReport:
         lines.append(f"newton_entry_time = {fmt(self.newton.entry_time)}")
         lines.append(f"gradient_entry_time = {fmt(self.gradient.entry_time)}")
         lines.append(f"entry_ratio = {fmt(self.entry_ratio)}")
-        lines.append(f"check_ordering = {'pass' if self.ordering_ok else 'FAIL'}")
-        return "\n".join(lines) + "\n"
+        lines += _check_lines({"ordering": self.ordering_ok})
+        return "\n".join(lines) + "\n" + self.newton.report() + self.gradient.report()
 
 
 def run_compare(config: CompareConfig, out_dir=None) -> CompareReport:
@@ -492,8 +503,8 @@ class OmegaSweepConfig:
             raise ValueError("omegas must be an increasing list of >= 3 entries")
         object.__setattr__(self, "omegas", omegas)
         object.__setattr__(self, "schemes", tuple(self.schemes))
-        if not self.schemes:
-            raise ValueError("schemes must name at least one scheme")
+        if not self.schemes or len(set(self.schemes)) < len(self.schemes):
+            raise ValueError("schemes must name at least one scheme, none twice")
         if not 0.0 < self.record_dt < math.inf:
             raise ValueError(f"record_dt must be finite and positive, got "
                              f"{self.record_dt}")
@@ -566,13 +577,9 @@ class OmegaSweepReport:
                     f"{r.scheme}_omega_{r.omega:g} = deviation {r.deviation:.6g}, "
                     f"residual_ball {r.ball_radius:.6g}"
                 )
-        schemes = {r.scheme for r in self.rows}
-        for s in sorted(schemes):
-            sch = Scheme(s)
-            lines.append(f"check_{s}_deviation = "
-                         f"{'pass' if self.deviation_ok(sch) else 'FAIL'}")
-            lines.append(f"check_{s}_ball = "
-                         f"{'pass' if self.ball_ok(sch) else 'FAIL'}")
+        for s in sorted({r.scheme for r in self.rows}):
+            lines += _check_lines({f"{s}_deviation": self.deviation_ok(Scheme(s)),
+                                   f"{s}_ball": self.ball_ok(Scheme(s))})
         return "\n".join(lines) + "\n"
 
 
@@ -722,14 +729,8 @@ class HessianSweepReport:
                 f"(R2 {r.newton.r_squared:.4f}{flag_n}), gradient_rate "
                 f"{r.gradient.rate:.6g} (R2 {r.gradient.r_squared:.4f}{flag_g})"
             )
-        lines.append(
-            f"check_newton_invariant = "
-            f"{'pass' if self.newton_invariant() else 'FAIL'}"
-        )
-        lines.append(
-            f"check_gradient_proportional = "
-            f"{'pass' if self.gradient_proportional() else 'FAIL'}"
-        )
+        lines += _check_lines({"newton_invariant": self.newton_invariant(),
+                               "gradient_proportional": self.gradient_proportional()})
         return "\n".join(lines) + "\n"
 
 
@@ -746,6 +747,111 @@ def run_hessian_invariance(config: HessianSweepConfig) -> HessianSweepReport:
         newton_tolerance=config.newton_tolerance,
         gradient_tolerance=config.gradient_tolerance,
     )
+
+
+# ---------------------------------------------------------------------------
+# averaging engine and certificate
+
+
+@dataclass
+class AverageReport:
+    """The engine's hypotheses and field for one scheme, and its worst
+    relative defect against the closed-form average on seeded states."""
+
+    assumptions: AssumptionReport
+    engine: AveragedField
+    worst_defect: float
+
+    @property
+    def agreement_ok(self) -> bool:
+        return self.worst_defect <= 1e-4
+
+    @property
+    def passed(self) -> bool:
+        return self.assumptions.ok and self.agreement_ok
+
+    def report(self) -> str:
+        lines = [str(self.assumptions), self.engine.report(), "[closed_form_agreement]",
+                 f"worst_relative_defect = {self.worst_defect:.3e}",
+                 *_check_lines({"agreement": self.agreement_ok})]
+        return "\n".join(lines) + "\n"
+
+
+def run_average(scheme: Scheme, params: SeekerParams, field: FieldParams,
+                seed: int = 0) -> AverageReport:
+    """Check the averaging hypotheses of ``scheme``'s rotating-frame loop,
+    build its averaged field, and compare it with the closed-form average at
+    10 states drawn from ``seed``."""
+    make = newton_affine_system if scheme is Scheme.NEWTON else gradient_affine_system
+    system = make(params, field)
+    assumptions = check_assumptions(system)
+    engine = build_averaged_field(system, default_omega_grid(params.omega))
+    closed = averaged_closed_loop(AveragedForm(scheme.value), params, field)
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(10):
+        state = rng.uniform(-3.0, 3.0, size=system.dimension)
+        if system.dimension == 4:
+            state[2] = rng.uniform(0.1, 2.0 / field.hessian)
+        reference = closed(0.0, state)
+        scale = max(1.0, float(np.linalg.norm(reference)))
+        worst = max(worst, float(np.linalg.norm(engine(state) - reference)) / scale)
+    return AverageReport(assumptions=assumptions, engine=engine, worst_defect=worst)
+
+
+@dataclass
+class CertifyReport:
+    """The Lyapunov/ISS certificate, its worst margins (``vdot_margin_max``
+    over a grid, ``iss_margin_min`` over seeded points) and the
+    linearizations of both averaged loops at their equilibria."""
+
+    certificate: LyapunovCertificate
+    linearizations: dict
+    margins: dict
+
+    @property
+    def checks(self) -> dict:
+        """Both margins on the right side of zero, within 1e-9."""
+        return {"vdot": self.margins["vdot_margin_max"] <= 1e-9,
+                "iss": self.margins["iss_margin_min"] >= -1e-9}
+
+    @property
+    def passed(self) -> bool:
+        return all(self.checks.values())
+
+    def report(self) -> str:
+        text = stability_report(self.linearizations, cert=self.certificate,
+                                grid_margins=self.margins)
+        return text + "\n".join(_check_lines(self.checks)) + "\n"
+
+
+def run_certify(params: SeekerParams, field: FieldParams,
+                seed: int = 0) -> CertifyReport:
+    """Certify the averaged Newton cascade: the Lyapunov derivative margin on
+    a 40 x 40 x 21 grid of ``(z, d_hat)``, the ISS bound at 1000 points drawn
+    from ``seed``, and the spectra of both averaged loops."""
+    cert = build_certificate(params.alpha, params.omega0, params.omega_d,
+                             field.hessian)
+    axis = np.linspace(-5.0, 5.0, 40)
+    z1, z2, dh = np.meshgrid(axis, axis, np.linspace(-2.0, 2.0, 21), indexing="ij")
+    vdot = vdot_margin(np.stack([z1, z2], axis=-1), dh, cert)
+
+    rng = np.random.default_rng(seed)  # offset r, then z, then d_hat
+    iss = iss_bound_check(rng.uniform(-3.0, 3.0, 1000),
+                          rng.uniform(-5.0, 5.0, (1000, 2)),
+                          rng.uniform(-2.0, 2.0, 1000), field.hessian,
+                          params.h_gain, cert)
+
+    equilibria = {AveragedForm.GRADIENT: [0.0, 0.0, field.f_star],
+                  AveragedForm.NEWTON: [0.0, 0.0, 1.0 / field.hessian, field.f_star]}
+    linearizations = {}
+    for form, x_eq in equilibria.items():
+        rhs = averaged_closed_loop(form, params, field)
+        linearizations[f"averaged_{form.value}"] = linearize(
+            lambda s: rhs(0.0, s), np.array(x_eq))
+    margins = {"vdot_margin_max": float(np.max(vdot)),
+               "iss_margin_min": float(np.min(iss))}
+    return CertifyReport(cert, linearizations, margins)
 
 
 # ---------------------------------------------------------------------------
@@ -772,13 +878,13 @@ class AppConfig:
 def _value_parser(default):
     """Parser of a config value for a field whose default is ``default``:
     a comma-separated list for a tuple (or array), a member name for an
-    enum, a string for ``None``, otherwise the default's own type."""
+    enum, otherwise the default's own type."""
     if isinstance(default, (tuple, np.ndarray)):
         item = _value_parser(default[0]) if isinstance(default[0], enum.Enum) else float
         return lambda raw: tuple(item(part) for part in raw.split(",") if part.strip())
     if isinstance(default, enum.Enum):
         return lambda raw: type(default)(raw.strip().lower())
-    return str if default is None else type(default)
+    return type(default)
 
 
 def _parse_section(parser, name: str, default):

@@ -176,7 +176,8 @@ def integrate(rhs, x0, t0: float, t1: float, config: IntegratorConfig,
     span = t1 - t0
     n_full = int(math.floor(span / dt * (1.0 + 1e-12)))
     remainder = span - n_full * dt
-    has_tail = remainder > 1e-12 * max(span, dt)
+    # a span too short for one full step is still one (shortened) step
+    has_tail = n_full == 0 or remainder > 1e-12 * max(span, dt)
     total_steps = n_full + (1 if has_tail else 0)
     stride = config.output_stride
 

@@ -1,5 +1,7 @@
 import pytest
 
+from sourceseek import Scheme, load_config, run_average, run_certify, run_compare, \
+    run_hessian_invariance, run_omega_sweep, run_simulate
 from sourceseek.cli import main
 
 
@@ -182,6 +184,7 @@ class TestConfigErrors:
         ("simulate", "[scenaro]\nt_end = 5\n"),
         ("certify", "[run]\nsead = 3\n"),
         ("sweep-hessian", "[sweep_hessian]\nx0 = 1, -1\n"),
+        ("sweep-omega", "[sweep_omega]\nschemes = gradient, gradient\n"),
     ], ids=["compare-x0-nan", "compare-t-end", "compare-coarse-sampling",
             "sweep-hessian-x0-3d", "scenario-stride-0", "sweep-omega-record-dt-0",
             "sweep-omega-t-end", "sweep-omega-slack", "certify-hessian-inf",
@@ -190,7 +193,7 @@ class TestConfigErrors:
             "scenario-d-tolerance-negative", "sweep-hessian-newton-tolerance-nan",
             "sweep-hessian-gradient-tolerance-negative", "scenario-ball-radius-inf",
             "compare-ball-radius-inf", "misspelled-section", "misspelled-run-key",
-            "sweep-hessian-start-at-source"])
+            "sweep-hessian-start-at-source", "sweep-omega-repeated-scheme"])
     def test_unrunnable_value_exits_two(self, tmp_path, capsys, command, text):
         cfg = _cfg(tmp_path, text)
         code = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
@@ -263,3 +266,33 @@ class TestCertifyCommand:
         first, again, other = certify(1, "a"), certify(1, "b"), certify(2, "c")
         assert first == again
         assert iss_margin_min(first) != iss_margin_min(other)
+
+
+# subcommand -> (report file, the study it runs on a loaded config and --out)
+_STUDIES = {
+    "simulate": ("simulate_report.txt",
+                 lambda app, out: run_simulate(app.scenario, out_dir=out)),
+    "compare": ("compare_report.txt",
+                lambda app, out: run_compare(app.compare, out_dir=out)),
+    "sweep-omega": ("omega_sweep_report.txt",
+                    lambda app, out: run_omega_sweep(app.sweep_omega)),
+    "sweep-hessian": ("hessian_sweep_report.txt",
+                      lambda app, out: run_hessian_invariance(app.sweep_hessian)),
+    "average": ("averaging_report_newton.txt",
+                lambda app, out: run_average(Scheme.NEWTON, app.params, app.field,
+                                             seed=app.seed)),
+    "certify": ("stability_report.txt",
+                lambda app, out: run_certify(app.params, app.field, seed=app.seed)),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_STUDIES))
+def test_subcommand_writes_its_study_report(tmp_path, command):
+    """Each subcommand on the default config writes its study's report() and
+    exits with the study's verdict."""
+    name, study = _STUDIES[command]
+    out = tmp_path / "out"
+    code = main([command, "--out", str(out)])
+    result = study(load_config(None), out)
+    assert (out / name).read_text() == result.report()
+    assert code == (0 if result.passed else 1)

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -23,6 +24,8 @@ from sourceseek import (
     estimate_rate,
     integrate,
     load_config,
+    run_average,
+    run_certify,
     run_compare,
     run_hessian_invariance,
     run_omega_sweep,
@@ -184,8 +187,8 @@ class TestEstimateRate:
 
 class TestRunSimulate:
     def test_reference_newton_run(self, tmp_path):
-        scn = Scenario(scheme=Scheme.NEWTON, out_path=str(tmp_path / "n.csv"))
-        result = run_simulate(scn)
+        scn = Scenario(scheme=Scheme.NEWTON)
+        result = run_simulate(scn, out_dir=tmp_path)
         # the inverse-curvature estimate settles on 100 within 10%
         assert result.checks["d_window_mean"]
         assert result.d_window_mean == pytest.approx(100.0, rel=0.1)
@@ -196,6 +199,14 @@ class TestRunSimulate:
         assert result.entry_time is None
         assert not result.checks["ball_entry"]
         assert result.final_distance < 1.0
+
+    def test_horizon_shorter_than_one_step_ends_at_t_end(self):
+        # no full step fits in 1e-16; the one shortened step still lands on it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run_simulate(Scenario(scheme=Scheme.NEWTON, t_end=1e-16))
+        np.testing.assert_array_equal(result.trajectory.times, [0.0, 1e-16])
+        assert result.d_window_mean == pytest.approx(1.0)
 
     def test_reference_newton_enters_wider_ball(self):
         scn = Scenario(scheme=Scheme.NEWTON, ball_radius=0.75)
@@ -285,6 +296,16 @@ class TestRunCompare:
         assert a.gradient.entry_time == b.gradient.entry_time
         assert np.array_equal(a.newton.trajectory.states, b.newton.trajectory.states)
         assert a.report() == b.report()
+
+    def test_report_carries_both_runs(self):
+        report = run_compare(CompareConfig(ball_radius=0.75, t_end=5.0))
+        text = report.report()
+        assert text.startswith("[compare]\n")
+        assert text.count("[simulate]") == 2
+        own, newton, gradient = text.split("[simulate]")
+        assert "[simulate]" + newton == report.newton.report()
+        assert "[simulate]" + gradient == report.gradient.report()
+        assert "scheme = newton" in newton and "scheme = gradient" in gradient
 
 
 class TestRunOmegaSweep:
@@ -380,6 +401,58 @@ class TestRunHessianInvariance:
     def test_requires_two_decades(self):
         with pytest.raises(ValueError, match="decades"):
             HessianSweepConfig(hessians=(0.1, 1.0))
+
+
+class TestRunAverage:
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_engine_matches_the_closed_form(self, scheme):
+        study = run_average(scheme, DEFAULT_PARAMS, DEFAULT_FIELD)
+        assert study.assumptions.ok
+        assert study.worst_defect <= 1e-12
+        assert study.passed
+        assert study.engine.system.dimension == (4 if scheme is Scheme.NEWTON else 3)
+        text = study.report()
+        assert text.startswith(str(study.assumptions) + "\n" + study.engine.report())
+        assert text.endswith("[closed_form_agreement]\nworst_relative_defect = "
+                             f"{study.worst_defect:.3e}\ncheck_agreement = pass\n")
+
+    def test_seed_draws_the_sample_states(self):
+        first, again, other = (run_average(Scheme.NEWTON, DEFAULT_PARAMS,
+                                           DEFAULT_FIELD, seed=s) for s in (1, 1, 2))
+        assert first.worst_defect == again.worst_defect
+        assert first.worst_defect != other.worst_defect
+
+
+class TestRunCertify:
+    def test_reference_certificate_passes(self):
+        study = run_certify(DEFAULT_PARAMS, DEFAULT_FIELD)
+        assert study.passed and study.checks == {"vdot": True, "iss": True}
+        assert study.margins["vdot_margin_max"] < 0.0 < study.margins["iss_margin_min"]
+        assert list(study.linearizations) == ["averaged_gradient", "averaged_newton"]
+        np.testing.assert_array_equal(
+            study.linearizations["averaged_newton"].equilibrium,
+            [0.0, 0.0, 1.0 / DEFAULT_FIELD.hessian, DEFAULT_FIELD.f_star])
+        assert study.report().endswith("check_vdot = pass\ncheck_iss = pass\n")
+
+    def test_deterministic_per_seed(self):
+        first, again, other = (run_certify(DEFAULT_PARAMS, DEFAULT_FIELD, seed=s)
+                               for s in (3, 3, 4))
+        assert first.report() == again.report()
+        assert first.margins == again.margins
+        assert first.margins["iss_margin_min"] != other.margins["iss_margin_min"]
+        # the grid margin does not depend on the seed
+        assert first.margins["vdot_margin_max"] == other.margins["vdot_margin_max"]
+
+    @pytest.mark.parametrize("hessian", [0.01, 0.1, 1.0])
+    def test_position_rates(self, hessian):
+        # the gradient position block decays at alpha*H/4, the inverting one
+        # at alpha/4 whatever the curvature
+        study = run_certify(DEFAULT_PARAMS, replace(DEFAULT_FIELD, hessian=hessian))
+        rates = {name: max(v.real for v in lin.eigenvalues if abs(v.imag) > 1e-9)
+                 for name, lin in study.linearizations.items()}
+        alpha = DEFAULT_PARAMS.alpha
+        assert rates["averaged_gradient"] == pytest.approx(-alpha * hessian / 4.0)
+        assert rates["averaged_newton"] == pytest.approx(-alpha / 4.0)
 
 
 class TestConfigFiles:
@@ -489,7 +562,7 @@ _SECTION_KEYS = {
     "params": {"omega", "omega0", "alpha", "p_exp", "h_gain", "omega_d"},
     "scenario": {"scheme", "frame", "x0", "nu0", "d0", "t_end",
                  "samples_per_period", "output_stride", "ball_radius",
-                 "d_tolerance", "tail_fraction", "out_path"},
+                 "d_tolerance", "tail_fraction"},
     "compare": {"x0", "nu0", "d0", "t_end", "ball_radius", "samples_per_period",
                 "output_stride"},
     "sweep_omega": {"omegas", "schemes", "x0", "nu0", "d0", "t_end", "record_dt",
@@ -511,12 +584,11 @@ _ROUND_TRIP = {
     "scenario": (
         "scheme = gradient\nframe = rotating_z\nx0 = 1, 1\nnu0 = 0.5\nd0 = 2\n"
         "t_end = 12.5\nsamples_per_period = 80\noutput_stride = 5\n"
-        "ball_radius = 0.8\nd_tolerance = 0.2\ntail_fraction = 0.3\n"
-        "out_path = traj.csv\n",
+        "ball_radius = 0.8\nd_tolerance = 0.2\ntail_fraction = 0.3\n",
         Scenario(scheme=Scheme.GRADIENT, frame=Frame.ROTATING_Z, x0=(1.0, 1.0),
                  nu0=0.5, d0=2.0, t_end=12.5, samples_per_period=80,
                  output_stride=5, ball_radius=0.8, d_tolerance=0.2,
-                 tail_fraction=0.3, out_path="traj.csv"),
+                 tail_fraction=0.3),
     ),
     "compare": (
         "x0 = 1, 2\nnu0 = 0.5\nd0 = 2\nt_end = 20\nball_radius = 0.8\n"
@@ -546,7 +618,7 @@ class TestConfigRoundTrip:
     def test_accepted_keys(self, tmp_path, section):
         path = tmp_path / "probe.cfg"
         candidates = set().union(*_SECTION_KEYS.values()) | {
-            "field", "params", "seed", "scenarios", "runs"}
+            "field", "params", "seed", "scenarios", "runs", "out_path"}
         accepted = set()
         for key in sorted(candidates):
             path.write_text(f"[{section}]\n{key} = 1\n")
@@ -626,9 +698,12 @@ class TestStudyRuns:
         (lambda: OmegaSweepConfig(tail_fraction=2.0), "tail_fraction"),
         (lambda: OmegaSweepConfig(record_dt=math.inf), "record_dt"),
         (lambda: OmegaSweepConfig(schemes=()), "schemes"),
+        (lambda: OmegaSweepConfig(schemes=(Scheme.NEWTON, Scheme.NEWTON)),
+         "none twice"),
         (lambda: Scenario(scheme=Scheme.NEWTON, samples_per_period=39),
          "samples_per_period"),
-    ], ids=["tail-fraction", "record-dt-inf", "no-schemes", "coarse-sampling"])
+    ], ids=["tail-fraction", "record-dt-inf", "no-schemes", "repeated-scheme",
+            "coarse-sampling"])
     def test_construction_rejects(self, make, message):
         with pytest.raises(ValueError, match=message):
             make()

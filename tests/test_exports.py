@@ -37,3 +37,20 @@ def test_package_imports_only_exported_names():
              if not name.startswith("_")
              and name not in importlib.import_module(f"sourceseek.{module}").__all__]
     assert stale == []
+
+
+def test_cli_imports_no_numerics():
+    """The command-line front end parses, runs a study and writes its report:
+    it imports neither numpy nor the engine, the certificate or an
+    affine-system builder."""
+    tree = ast.parse((_INIT.parent / "cli.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {part for alias in node.names for part in alias.name.split(".")}
+        elif isinstance(node, ast.ImportFrom):
+            imported |= set((node.module or "").split("."))
+            imported |= {alias.name for alias in node.names}
+    forbidden = {"numpy", "averaging", "stability", "gradient_affine_system",
+                 "newton_affine_system"}
+    assert imported & forbidden == set()

@@ -50,6 +50,12 @@ class TestIntegrate:
         factor = err(0.02) / err(0.01)
         assert 12.0 <= factor <= 20.0
 
+    def test_span_shorter_than_one_step_is_one_shortened_step(self):
+        # 1e-15 is below 1e-12 * dt: no full step fits, yet the run ends at t1
+        traj = integrate(lambda t, y: (1.0,), [0.0], 0.0, 1e-15, _config(0.01))
+        np.testing.assert_array_equal(traj.times, [0.0, 1e-15])
+        assert traj.states[-1, 0] == pytest.approx(1e-15, rel=1e-12)
+
     def test_bit_identical_reruns(self):
         def rhs(t, y):
             return (math.sin(3.0 * t) * y[0], -0.5 * y[1])
