@@ -54,6 +54,7 @@ Conventions fixed by the implementation:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -63,7 +64,7 @@ import numpy as np
 # central_jacobian is not called here; bench/tracer.py wraps
 # averaging.central_jacobian by name, so the name stays in this namespace
 from .numdiff import central_jacobian  # noqa: F401
-from .numdiff import directional_derivative
+from .numdiff import Dual, directional_derivative
 
 __all__ = [
     "OscillatoryInput",
@@ -183,6 +184,16 @@ class OscillatoryInput:
 class ControlAffineSystem:
     """Drift plus oscillatory channels ``(vector field, input)``.
 
+    A field takes its state as a tuple of ``dimension`` scalars and returns
+    ``dimension`` components. The engine calls it on tuples of floats and,
+    for brackets, on tuples of :class:`~sourceseek.numdiff.Dual` s, so it
+    must be plain arithmetic of the entries (see :mod:`sourceseek.numdiff`);
+    a component that does not depend on the state may be a plain float.
+    Construction probes every field once on each kind of tuple, so a field
+    that treats its state as an array fails here and names itself:
+    ``2 * s`` repeats the tuple and returns the wrong number of components
+    (``ValueError``), ``-s`` raises ``TypeError``.
+
     ``smooth_remainder`` is a declared flag standing in for the
     fourth-derivative flatness condition on high-exponent index combinations;
     it is reported, never verified numerically.
@@ -195,25 +206,29 @@ class ControlAffineSystem:
 
     def __post_init__(self):
         object.__setattr__(self, "channels", tuple(tuple(ch) for ch in self.channels))
-        if self.dimension < 1:
+        n = self.dimension
+        if n < 1:
             raise ValueError("dimension must be >= 1")
+        probes = ((0.0,) * n, (0.5,) * n)
         for name, fn in [("drift", self.drift)] + [
             (f"channel {i}", ch[0]) for i, ch in enumerate(self.channels)
         ]:
-            for probe in (np.zeros(self.dimension), 0.5 * np.ones(self.dimension)):
-                out = np.asarray(fn(probe), dtype=float)
-                if out.shape != (self.dimension,):
+            try:  # brackets evaluate every field at dual points too
+                values = [fn(probe) for probe in probes]
+                directional_derivative(fn, probes[-1], (1.0,) * n)
+            except TypeError as exc:
+                raise TypeError(f"{name} is not plain arithmetic of the state "
+                                f"tuple (+, -, *, /, integer ** and "
+                                f"numdiff.exp/log only): {exc}") from exc
+            for probe, out in zip(probes, values):
+                out = np.asarray(out, dtype=float)
+                if out.shape != (n,):
                     raise ValueError(
-                        f"{name} returned shape {out.shape}, expected ({self.dimension},)"
+                        f"{name} returned shape {out.shape} at the state tuple "
+                        f"{probe}, expected ({n},): one component per entry"
                     )
                 if not np.all(np.isfinite(out)):
                     raise ValueError(f"{name} is non-finite at probe state {probe}")
-            try:  # brackets evaluate every field at dual points
-                directional_derivative(fn, probe, np.ones(self.dimension))
-            except TypeError as exc:
-                raise TypeError(f"{name} is not plain arithmetic of the state "
-                                f"(+, -, *, /, integer ** and numdiff.exp/log "
-                                f"only): {exc}") from exc
 
     @cached_property
     def coefficients(self) -> dict:
@@ -456,7 +471,7 @@ def gamma_triple(i: int, j: int, m: int, system: ControlAffineSystem,
 # brackets
 
 
-def lie_bracket(f, g, x) -> np.ndarray:
+def lie_bracket(f, g, x) -> np.ndarray | tuple:
     """Lie bracket ``[f, g](x) = Dg(x)[f(x)] - Df(x)[g(x)]``.
 
     Each term is one exact directional derivative, not a Jacobian product:
@@ -465,6 +480,9 @@ def lie_bracket(f, g, x) -> np.ndarray:
     contributes zero and costs none). At a dual ``x`` this differentiates
     the bracket itself, which is how :func:`_bracket` nests it.
 
+    Returns a float array at a real ``x`` and a tuple at a dual one, like
+    :func:`~sourceseek.numdiff.directional_derivative`.
+
     Raises
     ------
     ValueError
@@ -472,15 +490,18 @@ def lie_bracket(f, g, x) -> np.ndarray:
         the point.
     """
     dg_f, df_g = _bracket_terms(f, g, x)
+    if isinstance(dg_f, tuple):
+        return tuple(map(operator.sub, dg_f, df_g))
     return dg_f - df_g
 
 
-def _bracket_terms(f, g, x) -> tuple[np.ndarray, np.ndarray]:
-    """The two terms ``(Dg(x)[f(x)], Df(x)[g(x)])`` of ``[f, g](x)``."""
-    x = np.asarray(x)
+def _bracket_terms(f, g, x) -> tuple:
+    """The two terms ``(Dg(x)[f(x)], Df(x)[g(x)])`` of ``[f, g](x)``: float
+    arrays at a real ``x``, tuples at a dual one."""
     fx, gx = f(x), g(x)
     # at a dual x the real parts of these values were checked at a real one
-    if x.dtype != object and not np.all(np.isfinite(np.append(fx, gx))):
+    if not isinstance(x[0], Dual) and not (all(map(math.isfinite, fx))
+                                           and all(map(math.isfinite, gx))):
         raise ValueError(f"non-finite field evaluation at {x}")
     return directional_derivative(g, x, fx), directional_derivative(f, x, gx)
 
@@ -527,9 +548,10 @@ class AveragedField:
         drift(x) + sum finite gamma_ij * [f_i, f_j](x)
                  + sum finite gamma_ijm * [[f_i, f_j], f_m](x)
 
-    Vanishing coefficients drop their brackets entirely; a divergent
-    coefficient is an error as soon as its bracket fails the vanishing rule
-    (:func:`_vanishes`) at the evaluation point.
+    Vanishing coefficients drop their brackets entirely, once, when the
+    field is built; a divergent coefficient is an error as soon as its
+    bracket fails the vanishing rule (:func:`_vanishes`) at the evaluation
+    point. The state reaches the fields as a tuple of floats.
     """
 
     def __init__(self, system: ControlAffineSystem, omega_grid):
@@ -538,16 +560,15 @@ class AveragedField:
         if not self.omega_grid or not all(w > 0.0 for w in self.omega_grid):
             raise ValueError(f"omega grid must be non-empty and positive: {omega_grid}")
         self.coefficients: dict[tuple, Coefficient] = system.coefficients
+        # (coefficient, f, g) of every bracket that does not drop, in order
+        self._live = [(c, *_bracket(system, c.indices))
+                      for c in self.coefficients.values() if c.kind != "zero"]
 
     def __call__(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        out = np.asarray(self.system.drift(x), dtype=float).copy()
-        for c in self.coefficients.values():
-            kind = c.kind
-            if kind == "zero":
-                continue
-            f, g = _bracket(self.system, c.indices)
-            if kind == "finite":
+        x = tuple(map(float, x))
+        out = np.array(self.system.drift(x), dtype=float)
+        for c, f, g in self._live:
+            if c.kind == "finite":
                 out += c.raw * lie_bracket(f, g, x)
             elif not _vanishes(f, g, x):
                 raise DivergentAverageError(

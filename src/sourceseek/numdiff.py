@@ -6,6 +6,13 @@ be duals, so a derivative of a derivative (a nested Lie bracket) is the same
 call at a dual point. A differentiated field must be arithmetic of its state
 (``+``, ``-``, ``*``, ``/`` and integer ``**``) and this module's :func:`exp`
 and :func:`log`; ``math.exp`` or a numpy ufunc of a dual raises ``TypeError``.
+
+Fields take their state as a tuple of scalars, floats at a real point and
+:class:`Dual` s at a dual one, and return a sequence of components, one per
+state entry; a component that does not depend on the state may be a plain
+float. Treating the state as an array (``2 * s``, ``-s``) is outside this
+contract. Tuples keep a dual evaluation to one Python object per component,
+with no object array built around them.
 """
 
 from __future__ import annotations
@@ -78,18 +85,23 @@ def log(x):
     return np.log(x)
 
 
-def directional_derivative(f, x, v) -> np.ndarray:
-    """``Df(x)[v]``, the dual part of ``f(x + eps v)``; ``x`` and ``v`` may
-    hold duals. An entry of ``f``'s value that is not a dual does not depend
-    on the state and has derivative 0. A zero direction gives zeros of the
-    shape of ``v`` without evaluating ``f``, so ``f`` must map into the space
-    of ``v`` (a vector field).
+def directional_derivative(f, x, v) -> np.ndarray | tuple:
+    """``Df(x)[v]``, the dual part of ``f(x + eps v)``; ``x`` and ``v`` are
+    sequences of scalars, and ``x`` is either real or a dual point, with a
+    dual in every entry; ``v`` may hold duals. An entry of ``f``'s value that
+    is not a dual does not depend on the state and has derivative 0. A zero
+    direction gives zeros of the length of ``v`` without evaluating ``f``, so
+    ``f`` must map into the space of ``v`` (a vector field).
+
+    Returns a float array at a real point and a tuple at a dual one, where
+    the result is a field value that the next derivative differentiates.
     """
-    v = np.asarray(v)
-    if not v.any():
-        return np.zeros(v.shape)
-    point = np.array([Dual(a, b) for a, b in zip(x, v)], dtype=object)
-    return np.array([y.dual if isinstance(y, Dual) else 0.0 for y in f(point)])
+    if not any(v):
+        out = [0.0] * len(v)
+    else:
+        out = [y.dual if isinstance(y, Dual) else 0.0
+               for y in f(tuple(map(Dual, x, v)))]
+    return tuple(out) if isinstance(x[0], Dual) else np.array(out)
 
 
 def central_jacobian(f, x) -> np.ndarray:

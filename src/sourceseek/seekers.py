@@ -271,21 +271,21 @@ def averaged_closed_loop(form: AveragedForm, params: SeekerParams,
 
 def gradient_affine_system(params: SeekerParams, field: FieldParams) -> ControlAffineSystem:
     """Gradient closed loop in the rotating frame, split into drift plus the
-    two oscillatory channels scaled by omega**(1-p) and omega**p."""
+    two oscillatory channels scaled by omega**(1-p) and omega**p. Each field
+    takes the state as a tuple and returns a tuple (see
+    :class:`~sourceseek.averaging.ControlAffineSystem`)."""
     w0, h, alpha = params.omega0, params.h_gain, params.alpha
     fs, hess = field.f_star, field.hessian
 
     def drift(s):
-        return np.array(
-            [w0 * s[1], -w0 * s[0],
-             h * (fs - 0.5 * hess * (s[0] ** 2 + s[1] ** 2) - s[2])]
-        )
+        return (w0 * s[1], -w0 * s[0],
+                h * (fs - 0.5 * hess * (s[0] ** 2 + s[1] ** 2) - s[2]))
 
     def feedback_field(s):
-        return np.array([0.0, fs - 0.5 * hess * (s[0] ** 2 + s[1] ** 2) - s[2], 0.0])
+        return (0.0, fs - 0.5 * hess * (s[0] ** 2 + s[1] ** 2) - s[2], 0.0)
 
     def dither_field(s):
-        return np.array([0.0, alpha, 0.0])
+        return (0.0, alpha, 0.0)
 
     return ControlAffineSystem(
         drift=drift,
@@ -300,7 +300,8 @@ def gradient_affine_system(params: SeekerParams, field: FieldParams) -> ControlA
 def newton_affine_system(params: SeekerParams, field: FieldParams) -> ControlAffineSystem:
     """Curvature-inverting closed loop in the rotating frame, split into
     drift plus three oscillatory channels (feedback at omega, dither at
-    omega, demodulation at 2*omega)."""
+    omega, demodulation at 2*omega), each a field on tuples as in
+    :func:`gradient_affine_system`."""
     w0, h, alpha, wd = params.omega0, params.h_gain, params.alpha, params.omega_d
     fs, hess = field.f_star, field.hessian
     demod = 8.0 * wd / alpha**2
@@ -309,16 +310,16 @@ def newton_affine_system(params: SeekerParams, field: FieldParams) -> ControlAff
         return fs - 0.5 * hess * (s[0] ** 2 + s[1] ** 2) - s[3]
 
     def drift(s):
-        return np.array([w0 * s[1], -w0 * s[0], wd * s[2], h * err(s)])
+        return (w0 * s[1], -w0 * s[0], wd * s[2], h * err(s))
 
     def feedback_field(s):
-        return np.array([0.0, s[2] * err(s), 0.0, 0.0])
+        return (0.0, s[2] * err(s), 0.0, 0.0)
 
     def dither_field(s):
-        return np.array([0.0, alpha, 0.0, 0.0])
+        return (0.0, alpha, 0.0, 0.0)
 
     def demod_field(s):
-        return np.array([0.0, 0.0, -demod * s[2] ** 2 * err(s), 0.0])
+        return (0.0, 0.0, -demod * s[2] ** 2 * err(s), 0.0)
 
     return ControlAffineSystem(
         drift=drift,

@@ -217,9 +217,22 @@ def build_certificate(alpha: float, omega0: float, omega_d: float,
     return cert
 
 
-def _quad_form(z, mat) -> np.ndarray:
+def _components(z) -> tuple[np.ndarray, np.ndarray]:
+    """The component views ``z1, z2`` of ``z`` (..., 2)."""
     z = np.asarray(z, dtype=float)
-    return np.einsum("...i,ij,...j->...", z, mat, z)
+    return z[..., 0], z[..., 1]
+
+
+def _mat_vec(mat: np.ndarray, z1, z2) -> tuple:
+    """``M z`` of a 2x2 matrix, one component array at a time."""
+    (m11, m12), (m21, m22) = mat.tolist()
+    return m11 * z1 + m12 * z2, m21 * z1 + m22 * z2
+
+
+def _quad_form(z1, z2, mat) -> np.ndarray:
+    """``z^T M z`` of the components ``z1, z2``."""
+    m1, m2 = _mat_vec(mat, z1, z2)
+    return z1 * m1 + z2 * m2
 
 
 def lyapunov_V(z_bar, d_hat, cert: LyapunovCertificate):
@@ -228,23 +241,23 @@ def lyapunov_V(z_bar, d_hat, cert: LyapunovCertificate):
     Broadcasts over leading axes of ``z_bar`` (..., 2) and ``d_hat`` (...).
     """
     d_hat = np.asarray(d_hat, dtype=float)
-    quad = _quad_form(z_bar, cert.P)
+    quad = _quad_form(*_components(z_bar), cert.P)
     out = np.log1p(quad) + (cert.b / cert.omega_d) * (np.exp(d_hat) - d_hat - 1.0)
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _cascade_dz(z: np.ndarray, ed: np.ndarray, cert: LyapunovCertificate):
+def _cascade_dz(z1, z2, ed, cert: LyapunovCertificate) -> tuple:
     """The cascade flow ``dz = (S + Lt) z + (e^dhat - 1) Lt z``, given
-    ``ed = e^dhat``."""
-    a_lin = cert.spin + cert.lam_tilde
-    return np.einsum("ij,...j->...i", a_lin, z) + (ed - 1.0)[..., None] * np.einsum(
-        "ij,...j->...i", cert.lam_tilde, z
-    )
+    ``ed = e^dhat``, as its two components. ``S`` has only the off-diagonal
+    entries ``+-omega0`` and ``Lt`` only its lower corner ``-alpha/2``, so the
+    products are written out."""
+    lam_z2 = -0.5 * cert.alpha * z2
+    return cert.omega0 * z2, (-cert.omega0 * z1 + lam_z2) + (ed - 1.0) * lam_z2
 
 
-def _cascade_dr(r, z, dz, hessian: float, h_gain: float):
+def _cascade_dr(r, z1, z2, dz, hessian: float, h_gain: float):
     """The offset flow ``dr = -h r + H z^T dz`` along the cascade."""
-    return -h_gain * r + hessian * np.sum(z * dz, axis=-1)
+    return -h_gain * r + hessian * (z1 * dz[0] + z2 * dz[1])
 
 
 def vdot_margin(z_bar, d_hat, cert: LyapunovCertificate):
@@ -255,15 +268,14 @@ def vdot_margin(z_bar, d_hat, cert: LyapunovCertificate):
     d(dhat) = -omega_d (e^dhat - 1); the bound is
     (-|z|^2 / 2 - b (e^dhat - 1)^2) / (1 + z^T P z).
     """
-    z = np.asarray(z_bar, dtype=float)
-    d_hat = np.asarray(d_hat, dtype=float)
-    ed = np.exp(d_hat)
-    dz = _cascade_dz(z, ed, cert)
-    quad = _quad_form(z, cert.P)
-    pz = np.einsum("ij,...j->...i", cert.P, z)
-    vdot = 2.0 * np.sum(pz * dz, axis=-1) / (1.0 + quad) - cert.b * (ed - 1.0) ** 2
-    znorm_sq = np.sum(z * z, axis=-1)
-    bound = (-0.5 * znorm_sq - cert.b * (ed - 1.0) ** 2) / (1.0 + quad)
+    z1, z2 = _components(z_bar)
+    ed = np.exp(np.asarray(d_hat, dtype=float))
+    dz1, dz2 = _cascade_dz(z1, z2, ed, cert)
+    pz1, pz2 = _mat_vec(cert.P, z1, z2)
+    denom = 1.0 + (z1 * pz1 + z2 * pz2)  # 1 + z^T P z
+    riccati = cert.b * (ed - 1.0) ** 2
+    vdot = 2.0 * (pz1 * dz1 + pz2 * dz2) / denom - riccati
+    bound = (-0.5 * (z1 * z1 + z2 * z2) - riccati) / denom
     out = vdot - bound
     return float(out) if np.ndim(out) == 0 else out
 
@@ -278,12 +290,12 @@ def iss_bound_check(r, z_bar, d_hat, hessian: float, h_gain: float,
     returned margin is bound minus actual.
     """
     r = np.asarray(r, dtype=float)
-    z = np.asarray(z_bar, dtype=float)
+    z1, z2 = _components(z_bar)
     d_hat = np.asarray(d_hat, dtype=float)
-    dz = _cascade_dz(z, np.exp(d_hat), cert)
-    r_dot = _cascade_dr(r, z, dz, hessian, h_gain)
+    dz = _cascade_dz(z1, z2, np.exp(d_hat), cert)
+    r_dot = _cascade_dr(r, z1, z2, dz, hessian, h_gain)
     abs_r_rate = np.where(r != 0.0, np.sign(r) * r_dot, np.abs(r_dot))
-    g_norm = np.sqrt(np.sum(z * z, axis=-1) + d_hat**2)
+    g_norm = np.sqrt(z1 * z1 + z2 * z2 + d_hat**2)
     spin_norm = cert.omega0
     lam_norm = 0.5 * cert.alpha
     bound = -h_gain * np.abs(r) + hessian * (2.0 * g_norm) ** 2 * (

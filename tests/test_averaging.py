@@ -257,6 +257,16 @@ class TestNonArithmeticFields:
         with pytest.raises(TypeError, match="drift is not plain arithmetic"):
             self.system(lambda s: np.sin(s), lambda s: np.array([1.0, 0.0]))
 
+    def test_field_that_repeats_its_state_tuple(self):
+        # 2 * s scales an array but repeats a tuple: four components, not two
+        with pytest.raises(ValueError, match=r"drift returned shape \(4,\)"):
+            self.system(lambda s: 2 * s, lambda s: (1.0, 0.0))
+
+    def test_field_that_negates_its_state_tuple(self):
+        # -s negates an array but is undefined on a tuple
+        with pytest.raises(TypeError, match="channel 1 is not plain arithmetic"):
+            self.system(lambda s: (0.0, 0.0), lambda s: -s)
+
     def test_probe_runs_once_per_field(self):
         calls = [0]
 
@@ -609,8 +619,8 @@ _SOURCE = np.array([1.0, -1.0])
 @given(
     p_exp=st.floats(0.55, 0.8),
     omega=st.floats(10.0, 30.0),
-    alpha=st.floats(1.0, 3.0),
-    hessian=st.floats(0.01, 1.0),
+    alpha=st.floats(0.3, 3.0),
+    hessian=st.floats(0.001, 10.0),
 )
 def test_engine_matches_closed_form_across_gains(p_exp, omega, alpha, hessian):
     """Below p = 2/3 the pair (0, 2) of the Newton loop grows like
@@ -636,6 +646,68 @@ def test_engine_matches_closed_form_across_gains(p_exp, omega, alpha, hessian):
             reference = closed(0.0, state)
             defect = float(np.linalg.norm(engine(state) - reference))
             assert defect <= 1e-12 * max(1.0, float(np.linalg.norm(reference)))
+
+
+#: engine outputs at fixed states, as float.hex, from the object-array dual
+#: engine that the tuple path replaced: (alpha, p, omega, hessian) -> scheme
+#: -> [(state, output)]
+_ENGINE_PINS = {
+    (2.0, 0.61, 15.0, 0.01): {
+        "gradient": [
+            ((1.0, -2.0, 3.0), ("-0x1.0000000000000p+1", "-0x1.f5c28f5c28f5cp-1",
+                                "0x1.f999999999998p+0")),
+            ((-2.5, 0.75, 4.0), ("0x1.8000000000000p-1", "0x1.3f0a3d70a3d71p+1",
+                                 "0x1.ee8f5c28f5c28p-1")),
+            ((0.3, 2.9, -1.5), ("0x1.7333333333333p+1", "-0x1.50e5604189374p-2",
+                                "0x1.9d47ae147ae14p+2")),
+        ],
+        "newton": [
+            ((1.0, 2.0, 30.0, 4.0), ("0x1.0000000000000p+1", "-0x1.9999999999999p+0",
+                                     "0x1.9333333333333p+2", "0x1.f333333333330p-1")),
+            ((-2.5, 0.75, 150.0, -1.0), ("0x1.8000000000000p-1", "0x1.6000000000001p+0",
+                                         "-0x1.6800000000000p+4",
+                                         "0x1.7dd1eb851eb85p+2")),
+            ((0.3, -2.9, 0.5, 6.0), ("-0x1.7333333333333p+1", "-0x1.245a1cac08312p-2",
+                                     "0x1.31a9fbe76c8b4p-3", "-0x1.0ae147ae147b0p+0")),
+        ],
+    },
+    (0.7, 0.7, 23.0, 3.0): {
+        "gradient": [
+            ((1.0, -2.0, 3.0), ("-0x1.0000000000000p+1", "0x1.1999999999996p+0",
+                                "-0x1.6000000000000p+2")),
+            ((-2.5, 0.75, 4.0), ("0x1.8000000000000p-1", "0x1.b666666666668p+0",
+                                 "-0x1.2700000000000p+3")),
+            ((0.3, 2.9, -1.5), ("0x1.7333333333333p+1", "-0x1.ac28f5c28f5c0p+1",
+                                "-0x1.9000000000000p+2")),
+        ],
+        "newton": [
+            ((1.0, 2.0, 30.0, 4.0), ("0x1.0000000000000p+1", "-0x1.ffffffffffffcp+5",
+                                     "-0x1.907ffffffffffp+9", "-0x1.a000000000000p+2")),
+            ((-2.5, 0.75, 150.0, -1.0), ("0x1.8000000000000p-1", "-0x1.ce7fffffffffdp+6",
+                                         "-0x1.3bb3fffffffffp+14",
+                                         "-0x1.0e00000000000p+2")),
+            ((0.3, -2.9, 0.5, 6.0), ("-0x1.7333333333333p+1", "0x1.38f5c28f5c28dp+0",
+                                     "-0x1.3333333333332p-4", "-0x1.b800000000000p+3")),
+        ],
+    },
+}
+
+
+@pytest.mark.parametrize("gains", list(_ENGINE_PINS), ids=["reference", "steep"])
+def test_engine_outputs_are_pinned_bit_for_bit(gains):
+    """The engine's rounding is part of its contract: criterion 2's defects
+    and the CLI's average report are stated to the last digit."""
+    alpha, p_exp, omega, hessian = gains
+    params = SeekerParams(omega=omega, omega0=1.0, alpha=alpha, p_exp=p_exp,
+                          h_gain=1.0, omega_d=0.3)
+    field = FieldParams(f_star=5.0, hessian=hessian, source=_SOURCE)
+    for scheme, make in (("gradient", gradient_affine_system),
+                         ("newton", newton_affine_system)):
+        engine = build_averaged_field(make(params, field), default_omega_grid(omega))
+        for state, expected in _ENGINE_PINS[gains][scheme]:
+            got = engine(np.array(state))
+            assert got.dtype == float
+            assert tuple(float(v).hex() for v in got) == expected, (scheme, state)
 
 
 @settings(max_examples=60, deadline=None)
@@ -825,6 +897,14 @@ class TestEvaluationCost:
         counts[0] = 0
         engine(self.STATE)
         assert counts[0] == 1 + 4 + 10
+
+    def test_gradient_engine_evaluation_cost(self, gradient_system):
+        # drift and the finite pair [f_0, f_1]; the triples all vanish
+        system, counts = self.counted(gradient_system)
+        engine = build_averaged_field(system, default_omega_grid(15.0))
+        counts[0] = 0
+        engine(self.STATE[:3])
+        assert counts[0] == 1 + 4
 
 
 class TestCheckAssumptions:

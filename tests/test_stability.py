@@ -3,6 +3,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sourceseek import (
     AveragedForm,
@@ -33,6 +36,47 @@ def _newton_equilibrium(field):
 
 def _gradient_equilibrium(field):
     return np.array([0.0, 0.0, field.f_star])
+
+
+# The certificate grid in its matrix form, an oracle for the 2x2 component
+# arithmetic of ``stability``. Each oracle margin comes with the size of the
+# terms it is a difference of, the scale of its rounding.
+
+
+def _einsum_quad_form(z, mat):
+    return np.einsum("...i,ij,...j->...", z, mat, z)
+
+
+def _einsum_cascade_dz(z, ed, cert):
+    """``dz = (S + Lt) z + (e^dhat - 1) Lt z`` as matrix products."""
+    a_lin = cert.spin + cert.lam_tilde
+    return np.einsum("ij,...j->...i", a_lin, z) + (ed - 1.0)[..., None] * np.einsum(
+        "ij,...j->...i", cert.lam_tilde, z
+    )
+
+
+def _einsum_vdot_margin(z, d_hat, cert):
+    ed = np.exp(d_hat)
+    dz = _einsum_cascade_dz(z, ed, cert)
+    quad = _einsum_quad_form(z, cert.P)
+    pz = np.einsum("ij,...j->...i", cert.P, z)
+    flow = 2.0 * np.sum(pz * dz, axis=-1) / (1.0 + quad)
+    riccati = cert.b * (ed - 1.0) ** 2
+    bound = (-0.5 * np.sum(z * z, axis=-1) - riccati) / (1.0 + quad)
+    terms = 2.0 * np.sum(np.abs(pz * dz), axis=-1) / (1.0 + quad) + riccati
+    return flow - riccati - bound, terms + np.abs(bound)
+
+
+def _einsum_iss_margin(r, z, d_hat, hessian, h_gain, cert):
+    dz = _einsum_cascade_dz(z, np.exp(d_hat), cert)
+    r_dot = -h_gain * r + hessian * np.sum(z * dz, axis=-1)
+    abs_r_rate = np.where(r != 0.0, np.sign(r) * r_dot, np.abs(r_dot))
+    g_norm = np.sqrt(np.sum(z * z, axis=-1) + d_hat**2)
+    bound = -h_gain * np.abs(r) + hessian * (2.0 * g_norm) ** 2 * (
+        cert.omega0 + np.exp(2.0 * g_norm) * 0.5 * cert.alpha
+    )
+    terms = np.abs(bound) + h_gain * np.abs(r) + hessian * np.sum(np.abs(z * dz), axis=-1)
+    return bound - abs_r_rate, terms
 
 
 class TestLinearize:
@@ -211,7 +255,7 @@ class TestVdotMargin:
         g = np.linspace(-5.0, 5.0, 40)
         z1, z2, dh = np.meshgrid(g, g, np.linspace(-2.0, 2.0, 21), indexing="ij")
         z = np.stack([z1, z2], axis=-1)
-        quad = np.einsum("...i,ij,...j->...", z, cert.P, z)
+        quad = _einsum_quad_form(z, cert.P)
         bound = (
             -0.5 * np.sum(z * z, axis=-1) - cert.b * (np.exp(dh) - 1.0) ** 2
         ) / (1.0 + quad)
@@ -231,6 +275,34 @@ class TestVdotMargin:
             assert vdot_margin(z, dh, cert).max() <= 1e-9
 
 
+_GAIN = st.floats(0.3, 5.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(alpha=_GAIN, omega0=_GAIN, omega_d=_GAIN,
+       hessian=st.floats(0.001, 10.0), h_gain=st.floats(0.1, 5.0),
+       data=st.data(), n=st.integers(1, 30))
+def test_grid_margins_match_the_einsum_oracle(alpha, omega0, omega_d, hessian,
+                                               h_gain, data, n):
+    """vdot_margin, iss_bound_check and lyapunov_V agree with their matrix
+    forms to 1e-13 of the terms that each is a sum or difference of."""
+    cert = build_certificate(alpha, omega0, omega_d, hessian)
+    z = data.draw(arrays(float, (n, 2), elements=st.floats(-5.0, 5.0)))
+    dh = data.draw(arrays(float, n, elements=st.floats(-2.0, 2.0)))
+    r = data.draw(arrays(float, n, elements=st.floats(-3.0, 3.0)))
+
+    want, terms = _einsum_vdot_margin(z, dh, cert)
+    assert np.all(np.abs(vdot_margin(z, dh, cert) - want) <= 1e-13 * terms)
+    want, terms = _einsum_iss_margin(r, z, dh, hessian, h_gain, cert)
+    got = iss_bound_check(r, z, dh, hessian, h_gain, cert)
+    assert np.all(np.abs(got - want) <= 1e-13 * terms)
+    log_quad, scale = np.log1p(_einsum_quad_form(z, cert.P)), cert.b / cert.omega_d
+    want = log_quad + scale * (np.exp(dh) - dh - 1.0)
+    terms = log_quad + scale * (np.exp(dh) + np.abs(dh) + 1.0)
+    assert np.all(np.abs(lyapunov_V(z, dh, cert) - want) <= 1e-13 * terms)
+    assert isinstance(vdot_margin(z[0], dh[0], cert), float)  # one point
+
+
 class TestCascadeFlow:
     def test_restated_flow_is_the_pushed_forward_cascade(self, ref_params,
                                                           ref_field, rng):
@@ -245,8 +317,8 @@ class TestCascadeFlow:
             for _ in range(100):
                 r, dh = rng.uniform(-3.0, 3.0), rng.uniform(-2.0, 2.0)
                 z = rng.uniform(-5.0, 5.0, 2)
-                dz = _cascade_dz(z, np.exp(dh), cert)
-                got = [_cascade_dr(r, z, dz, hessian, ref_params.h_gain), *dz]
+                dz = _cascade_dz(*z, np.exp(dh), cert)
+                got = [_cascade_dr(r, *z, dz, hessian, ref_params.h_gain), *dz]
                 want = rhs(0.0, (r, *z, dh))[:3]
                 np.testing.assert_allclose(
                     got, want, rtol=0.0,
