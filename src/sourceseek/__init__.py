@@ -15,7 +15,6 @@ from .ode import (
     integrate,
 )
 from .seekers import (
-    AveragedForm,
     FRAME_SPECS,
     Frame,
     FrameSpec,

@@ -10,8 +10,13 @@ average        run the averaging engine on a named scheme and print the
                coefficient/assumption report
 certify        build the Lyapunov/ISS certificate and check its margins
 
-Exit codes: 0 when every check passes, 1 when any check fails or an
-integration aborts, 2 on a configuration error.
+Exit codes: 0 when every check passes, 1 when a check fails or an
+integration aborts, 2 on a configuration error. The checks are the
+``check_*`` lines of the study's own report section (``[simulate]``,
+``[compare]``, ``[omega_sweep]``, ``[hessian_sweep]``,
+``[closed_form_agreement]``, ``[grid_margins]``), so exit 1 from a failed
+check always shows a ``FAIL`` line there; the two run sections that
+``compare`` appends after its own keep their check lines for information.
 """
 
 from __future__ import annotations

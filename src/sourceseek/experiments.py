@@ -1,7 +1,11 @@
 """Scenario configuration and the standard studies.
 
-Six studies are provided, one per subcommand; each returns a result with a
-``passed`` verdict and a key = value ``report()``:
+Six studies are provided, one per subcommand. Each returns a
+:class:`StudyResult`: a ``checks`` table, check name to outcome, and a
+key = value ``report()`` that prints the table as the ``check_*`` lines of
+the study's own section. The ``passed`` verdict, which the command line maps
+to its exit code, is the conjunction of those lines, so a failed study
+always shows which check of its own section failed:
 
 * :func:`run_simulate` - integrate one closed loop, export the trajectory,
   and summarize convergence (residual distance, Riccati settling, entry time
@@ -39,7 +43,7 @@ from .averaging import AssumptionReport, AveragedField, build_averaged_field, \
 from .model import FieldParams, SeekerParams
 from .numdiff import directional_derivative
 from .ode import IntegratorConfig, Trajectory, first_entry_time, integrate
-from .seekers import FRAME_SPECS, AveragedForm, Frame, FrameSpec, Scheme, \
+from .seekers import FRAME_SPECS, Frame, FrameSpec, Scheme, \
     averaged_closed_loop, closed_loop, gradient_affine_system, \
     newton_affine_system, to_rotating_frame
 from .stability import LyapunovCertificate, build_certificate, iss_bound_check, \
@@ -53,6 +57,7 @@ __all__ = [
     "Scenario",
     "RateEstimate",
     "estimate_rate",
+    "StudyResult",
     "SimulateResult",
     "run_simulate",
     "CompareConfig",
@@ -145,7 +150,7 @@ class Scenario:
 
     @property
     def is_averaged(self) -> bool:
-        return self._spec.form is not None
+        return self._spec.averaged
 
     def _coordinates(self):
         """The frame's map ``(to, back)``, or None for the identity."""
@@ -163,12 +168,12 @@ class Scenario:
         return np.array(state if coordinates is None else coordinates[0](state))
 
     def build_rhs(self):
-        """The frame's closed loop; an averaged form is pushed forward through
-        the frame's map, ``y' = Dto(x)[f(x)]`` at ``x = back(y)``."""
-        form, coordinates = self._spec.form, self._coordinates()
-        if form is None:
+        """The frame's closed loop; an averaged system is pushed forward
+        through the frame's map, ``y' = Dto(x)[f(x)]`` at ``x = back(y)``."""
+        if not self.is_averaged:
             return closed_loop(self.scheme, self.frame, self.params, self.field)
-        rhs = averaged_closed_loop(form, self.params, self.field)
+        rhs = averaged_closed_loop(self.scheme, self.params, self.field)
+        coordinates = self._coordinates()
         if coordinates is None:
             return rhs
         to, back = coordinates
@@ -220,9 +225,30 @@ class Scenario:
         return (states if coordinates is None else coordinates[1](states))[2]
 
 
-def _check_lines(checks: dict) -> list[str]:
-    """One ``check_<name> = pass|FAIL`` report line per entry of ``checks``."""
-    return [f"check_{name} = {'pass' if ok else 'FAIL'}" for name, ok in checks.items()]
+def _fmt(value: float | None) -> str:
+    """An optional time as report text: ``none``, or 9 significant digits."""
+    return "none" if value is None else f"{value:.9g}"
+
+
+def _section(name: str, items, checks: dict) -> str:
+    """Report section ``[name]``: one ``key = value`` line per pair of
+    ``items``, then one ``check_<key> = pass|FAIL`` line per entry of
+    ``checks``."""
+    lines = [f"[{name}]", *(f"{key} = {value}" for key, value in items)]
+    lines += [f"check_{key} = {'pass' if ok else 'FAIL'}" for key, ok in checks.items()]
+    return "\n".join(lines) + "\n"
+
+
+class StudyResult:
+    """Base of the six study results. Each has a ``checks`` table, check name
+    to outcome, that its ``report()`` prints as the ``check_*`` lines of its
+    own section; the study passes when every check does."""
+
+    checks: dict
+
+    @property
+    def passed(self) -> bool:
+        return all(self.checks.values())
 
 
 def _scenario(config, **changes) -> Scenario:
@@ -319,7 +345,7 @@ def estimate_rate(traj: Trajectory, window, components=(0, 1)) -> RateEstimate:
 
 
 @dataclass
-class SimulateResult:
+class SimulateResult(StudyResult):
     scenario: Scenario
     trajectory: Trajectory
     csv_path: Path | None
@@ -329,33 +355,26 @@ class SimulateResult:
     entry_time: float | None
     checks: dict
 
-    @property
-    def passed(self) -> bool:
-        return all(self.checks.values())
-
     def report(self) -> str:
-        lines = ["[simulate]"]
-        lines.append(f"scheme = {self.scenario.scheme.value}")
-        lines.append(f"frame = {self.scenario.frame.value}")
-        for key, value in self.scenario.params.as_dict().items():
-            lines.append(f"param_{key} = {value:.12g}")
-        fld = self.scenario.field
-        lines.append(f"field_f_star = {fld.f_star:g}")
-        lines.append(f"field_hessian = {fld.hessian:g}")
-        lines.append(f"field_source = {fld.source[0]:g}, {fld.source[1]:g}")
-        lines.append(f"x0 = {self.scenario.x0[0]:g}, {self.scenario.x0[1]:g}")
-        lines.append(f"t_end = {self.scenario.t_end:g}")
-        lines.append(f"ball_radius = {self.scenario.ball_radius:g}")
-        lines.append(f"final_distance = {self.final_distance:.9g}")
+        scn, fld = self.scenario, self.scenario.field
+        items = [("scheme", scn.scheme.value), ("frame", scn.frame.value)]
+        items += [(f"param_{key}", f"{value:.12g}")
+                  for key, value in scn.params.as_dict().items()]
+        items += [("field_f_star", f"{fld.f_star:g}"),
+                  ("field_hessian", f"{fld.hessian:g}"),
+                  ("field_source", f"{fld.source[0]:g}, {fld.source[1]:g}"),
+                  ("x0", f"{scn.x0[0]:g}, {scn.x0[1]:g}"),
+                  ("t_end", f"{scn.t_end:g}"),
+                  ("ball_radius", f"{scn.ball_radius:g}"),
+                  ("final_distance", f"{self.final_distance:.9g}")]
         if self.final_d is not None:
-            lines.append(f"final_d = {self.final_d:.9g}")
-            lines.append(f"d_window_mean = {self.d_window_mean:.9g}")
-        entry = "none" if self.entry_time is None else f"{self.entry_time:.9g}"
-        lines.append(f"entry_time = {entry}")
-        lines += _check_lines(self.checks)
+            items += [("final_d", f"{self.final_d:.9g}"),
+                      ("d_window_mean", f"{self.d_window_mean:.9g}")]
+        items.append(("entry_time", _fmt(self.entry_time)))
+        text = _section("simulate", items, self.checks)
         if self.csv_path is not None:
-            lines.append(f"trajectory_csv = {self.csv_path}")
-        return "\n".join(lines) + "\n"
+            text += f"trajectory_csv = {self.csv_path}\n"
+        return text
 
 
 def run_simulate(scenario: Scenario, out_dir=None) -> SimulateResult:
@@ -427,37 +446,29 @@ class CompareConfig:
 
 
 @dataclass
-class CompareReport:
-    """The two runs of :func:`run_compare`; the report carries both runs'
-    own reports after its comparison."""
+class CompareReport(StudyResult):
+    """The two runs of :func:`run_compare`. The report carries both runs' own
+    reports after its ``[compare]`` section; only the ``[compare]`` check is
+    the verdict, the runs' checks are information."""
 
     newton: SimulateResult
     gradient: SimulateResult
     entry_ratio: float | None
 
     @property
-    def ordering_ok(self) -> bool:
-        """Curvature-inverting entry strictly earlier than gradient entry
-        (a missing gradient entry counts as infinitely late)."""
-        t_n = self.newton.entry_time
-        t_g = self.gradient.entry_time
-        if t_n is None:
-            return False
-        return t_g is None or t_n < t_g
-
-    @property
-    def passed(self) -> bool:
-        return self.ordering_ok
+    def checks(self) -> dict:
+        """Curvature-inverting entry strictly earlier than gradient entry (a
+        missing gradient entry counts as infinitely late)."""
+        t_n, t_g = self.newton.entry_time, self.gradient.entry_time
+        return {"ordering": t_n is not None and (t_g is None or t_n < t_g)}
 
     def report(self) -> str:
-        fmt = lambda v: "none" if v is None else f"{v:.9g}"
-        lines = ["[compare]"]
-        lines.append(f"ball_radius = {self.newton.scenario.ball_radius:g}")
-        lines.append(f"newton_entry_time = {fmt(self.newton.entry_time)}")
-        lines.append(f"gradient_entry_time = {fmt(self.gradient.entry_time)}")
-        lines.append(f"entry_ratio = {fmt(self.entry_ratio)}")
-        lines += _check_lines({"ordering": self.ordering_ok})
-        return "\n".join(lines) + "\n" + self.newton.report() + self.gradient.report()
+        items = [("ball_radius", f"{self.newton.scenario.ball_radius:g}"),
+                 ("newton_entry_time", _fmt(self.newton.entry_time)),
+                 ("gradient_entry_time", _fmt(self.gradient.entry_time)),
+                 ("entry_ratio", _fmt(self.entry_ratio))]
+        return (_section("compare", items, self.checks) + self.newton.report()
+                + self.gradient.report())
 
 
 def run_compare(config: CompareConfig, out_dir=None) -> CompareReport:
@@ -539,7 +550,7 @@ class OmegaSweepRow:
 
 
 @dataclass
-class OmegaSweepReport:
+class OmegaSweepReport(StudyResult):
     rows: list
     slack: float
     averaged_identical: bool
@@ -547,40 +558,30 @@ class OmegaSweepReport:
     def column(self, scheme: Scheme, attr: str) -> list:
         return [getattr(r, attr) for r in self.rows if r.scheme == scheme.value]
 
-    def _monotone(self, scheme: Scheme, attr: str) -> bool:
-        values = self.column(scheme, attr)
-        if any(v is None for v in values):
-            return False
-        return all(b <= (1.0 + self.slack) * a for a, b in zip(values, values[1:]))
-
-    def deviation_ok(self, scheme: Scheme) -> bool:
-        return self._monotone(scheme, "deviation")
-
-    def ball_ok(self, scheme: Scheme) -> bool:
-        return self._monotone(scheme, "ball_radius")
-
     @property
-    def passed(self) -> bool:
-        schemes = {Scheme(r.scheme) for r in self.rows}
-        return all(
-            self.deviation_ok(s) and self.ball_ok(s) for s in schemes
-        ) and all(r.error is None for r in self.rows)
+    def checks(self) -> dict:
+        """Per scheme, in name order: the deviation and the residual ball each
+        grow by at most ``slack`` from one frequency to the next; a row that
+        failed fails both."""
+        def settles(values):
+            return None not in values and all(
+                b <= (1.0 + self.slack) * a for a, b in zip(values, values[1:]))
+
+        checks = {}
+        for name in sorted({r.scheme for r in self.rows}):
+            scheme = Scheme(name)
+            checks[f"{name}_deviation"] = settles(self.column(scheme, "deviation"))
+            checks[f"{name}_ball"] = settles(self.column(scheme, "ball_radius"))
+        return checks
 
     def report(self) -> str:
-        lines = ["[omega_sweep]", f"slack = {self.slack:g}",
-                 f"averaged_identical_across_sweep = {self.averaged_identical}"]
+        items = [("slack", f"{self.slack:g}"),
+                 ("averaged_identical_across_sweep", str(self.averaged_identical))]
         for r in self.rows:
-            if r.error is not None:
-                lines.append(f"{r.scheme}_omega_{r.omega:g} = ERROR {r.error}")
-            else:
-                lines.append(
-                    f"{r.scheme}_omega_{r.omega:g} = deviation {r.deviation:.6g}, "
-                    f"residual_ball {r.ball_radius:.6g}"
-                )
-        for s in sorted({r.scheme for r in self.rows}):
-            lines += _check_lines({f"{s}_deviation": self.deviation_ok(Scheme(s)),
-                                   f"{s}_ball": self.ball_ok(Scheme(s))})
-        return "\n".join(lines) + "\n"
+            value = (f"ERROR {r.error}" if r.error is not None else
+                     f"deviation {r.deviation:.6g}, residual_ball {r.ball_radius:.6g}")
+            items.append((f"{r.scheme}_omega_{r.omega:g}", value))
+        return _section("omega_sweep", items, self.checks)
 
 
 def _matched_config(record_dt: float, dt_max: float,
@@ -698,40 +699,34 @@ class HessianSweepRow:
 
 
 @dataclass
-class HessianSweepReport:
+class HessianSweepReport(StudyResult):
     rows: list
     newton_tolerance: float
     gradient_tolerance: float
 
-    def newton_invariant(self) -> bool:
-        rates = [r.newton.rate for r in self.rows]
-        return max(rates) / min(rates) - 1.0 <= self.newton_tolerance
-
-    def gradient_proportional(self) -> bool:
-        ratios = [r.gradient.rate / r.hessian for r in self.rows]
-        return max(ratios) / min(ratios) - 1.0 <= self.gradient_tolerance
-
     @property
-    def passed(self) -> bool:
-        return (
-            self.newton_invariant()
-            and self.gradient_proportional()
-            and all(r.newton.reliable and r.gradient.reliable for r in self.rows)
-        )
+    def checks(self) -> dict:
+        """The curvature-inverting rates spread by at most
+        ``newton_tolerance``, the gradient rates per unit curvature by at
+        most ``gradient_tolerance``, and every fit is reliable."""
+        def spread(values):
+            return max(values) / min(values) - 1.0
+
+        newton = [r.newton.rate for r in self.rows]
+        gradient = [r.gradient.rate / r.hessian for r in self.rows]
+        return {"newton_invariant": spread(newton) <= self.newton_tolerance,
+                "gradient_proportional": spread(gradient) <= self.gradient_tolerance,
+                "fits_reliable": all(r.newton.reliable and r.gradient.reliable
+                                     for r in self.rows)}
 
     def report(self) -> str:
-        lines = ["[hessian_sweep]"]
-        for r in self.rows:
-            flag_n = "" if r.newton.reliable else " UNRELIABLE"
-            flag_g = "" if r.gradient.reliable else " UNRELIABLE"
-            lines.append(
-                f"H_{r.hessian:g} = newton_rate {r.newton.rate:.6g} "
-                f"(R2 {r.newton.r_squared:.4f}{flag_n}), gradient_rate "
-                f"{r.gradient.rate:.6g} (R2 {r.gradient.r_squared:.4f}{flag_g})"
-            )
-        lines += _check_lines({"newton_invariant": self.newton_invariant(),
-                               "gradient_proportional": self.gradient_proportional()})
-        return "\n".join(lines) + "\n"
+        def fit(rate: RateEstimate) -> str:
+            flag = "" if rate.reliable else " UNRELIABLE"
+            return f"{rate.rate:.6g} (R2 {rate.r_squared:.4f}{flag})"
+
+        items = [(f"H_{r.hessian:g}", f"newton_rate {fit(r.newton)}, "
+                  f"gradient_rate {fit(r.gradient)}") for r in self.rows]
+        return _section("hessian_sweep", items, self.checks)
 
 
 def run_hessian_invariance(config: HessianSweepConfig) -> HessianSweepReport:
@@ -754,7 +749,7 @@ def run_hessian_invariance(config: HessianSweepConfig) -> HessianSweepReport:
 
 
 @dataclass
-class AverageReport:
+class AverageReport(StudyResult):
     """The engine's hypotheses and field for one scheme, and its worst
     relative defect against the closed-form average on seeded states."""
 
@@ -763,18 +758,15 @@ class AverageReport:
     worst_defect: float
 
     @property
-    def agreement_ok(self) -> bool:
-        return self.worst_defect <= 1e-4
-
-    @property
-    def passed(self) -> bool:
-        return self.assumptions.ok and self.agreement_ok
+    def checks(self) -> dict:
+        return {"assumptions": self.assumptions.ok,
+                "agreement": self.worst_defect <= 1e-4}
 
     def report(self) -> str:
-        lines = [str(self.assumptions), self.engine.report(), "[closed_form_agreement]",
-                 f"worst_relative_defect = {self.worst_defect:.3e}",
-                 *_check_lines({"agreement": self.agreement_ok})]
-        return "\n".join(lines) + "\n"
+        section = _section("closed_form_agreement",
+                           [("worst_relative_defect", f"{self.worst_defect:.3e}")],
+                           self.checks)
+        return "\n".join([str(self.assumptions), self.engine.report(), section])
 
 
 def run_average(scheme: Scheme, params: SeekerParams, field: FieldParams,
@@ -786,7 +778,7 @@ def run_average(scheme: Scheme, params: SeekerParams, field: FieldParams,
     system = make(params, field)
     assumptions = check_assumptions(system)
     engine = build_averaged_field(system, default_omega_grid(params.omega))
-    closed = averaged_closed_loop(AveragedForm(scheme.value), params, field)
+    closed = averaged_closed_loop(scheme, params, field)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(10):
@@ -800,7 +792,7 @@ def run_average(scheme: Scheme, params: SeekerParams, field: FieldParams,
 
 
 @dataclass
-class CertifyReport:
+class CertifyReport(StudyResult):
     """The Lyapunov/ISS certificate, its worst margins (``vdot_margin_max``
     over a grid, ``iss_margin_min`` over seeded points) and the
     linearizations of both averaged loops at their equilibria."""
@@ -815,14 +807,10 @@ class CertifyReport:
         return {"vdot": self.margins["vdot_margin_max"] <= 1e-9,
                 "iss": self.margins["iss_margin_min"] >= -1e-9}
 
-    @property
-    def passed(self) -> bool:
-        return all(self.checks.values())
-
     def report(self) -> str:
-        text = stability_report(self.linearizations, cert=self.certificate,
-                                grid_margins=self.margins)
-        return text + "\n".join(_check_lines(self.checks)) + "\n"
+        margins = [(key, f"{value:.6e}") for key, value in self.margins.items()]
+        return "\n".join([stability_report(self.linearizations, cert=self.certificate),
+                          _section("grid_margins", margins, self.checks)])
 
 
 def run_certify(params: SeekerParams, field: FieldParams,
@@ -842,12 +830,12 @@ def run_certify(params: SeekerParams, field: FieldParams,
                           rng.uniform(-2.0, 2.0, 1000), field.hessian,
                           params.h_gain, cert)
 
-    equilibria = {AveragedForm.GRADIENT: [0.0, 0.0, field.f_star],
-                  AveragedForm.NEWTON: [0.0, 0.0, 1.0 / field.hessian, field.f_star]}
+    equilibria = {Scheme.GRADIENT: [0.0, 0.0, field.f_star],
+                  Scheme.NEWTON: [0.0, 0.0, 1.0 / field.hessian, field.f_star]}
     linearizations = {}
-    for form, x_eq in equilibria.items():
-        rhs = averaged_closed_loop(form, params, field)
-        linearizations[f"averaged_{form.value}"] = linearize(
+    for scheme, x_eq in equilibria.items():
+        rhs = averaged_closed_loop(scheme, params, field)
+        linearizations[f"averaged_{scheme.value}"] = linearize(
             lambda s: rhs(0.0, s), np.array(x_eq))
     margins = {"vdot_margin_max": float(np.max(vdot)),
                "iss_margin_min": float(np.min(iss))}

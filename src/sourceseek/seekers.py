@@ -25,8 +25,8 @@ every other. Two maps ``(to, back)`` change coordinates:
   ``r = nu - F(z)`` and ``dhat = log(d H)``, in the ``cascade_shifted`` frame.
 
 The full frames are integrated by :func:`closed_loop`. An averaged frame is
-one of the two forms of :func:`averaged_closed_loop`, which
-``Scenario.build_rhs`` pushes forward through the frame's map, if any.
+its scheme's :func:`averaged_closed_loop`, which ``Scenario.build_rhs``
+pushes forward through the frame's map, if any.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from .numdiff import exp, log
 __all__ = [
     "Scheme",
     "Frame",
-    "AveragedForm",
     "FrameSpec",
     "FRAME_SPECS",
     "rotation_matrix",
@@ -72,16 +71,16 @@ class Frame(enum.Enum):
     AVERAGED_NEWTON_EXP = "averaged_newton_exp"
 
 
-class AveragedForm(enum.Enum):
-    GRADIENT = "gradient"
-    NEWTON = "newton"
+#: the averaged systems are named by :class:`Scheme`; bench/workloads.py
+#: still reads them by this name
+AveragedForm = Scheme
 
 
 @dataclass(frozen=True)
 class FrameSpec:
     """What the package knows about one (scheme, frame) pair."""
 
-    form: AveragedForm | None  # averaged system; None for a full loop
+    averaged: bool  # the scheme's averaged system; else its full loop
     # field -> (to, back) between the loop's own state and the frame's; None
     # is the identity, where a newton state holds the raw d, which stays > 0
     coordinates: Callable | None
@@ -106,19 +105,19 @@ def _cascade(field):
             lambda y: (y[1], y[2], exp(y[3]) / hess, y[0] + f(y[1], y[2])))
 
 
-_G, _N, _F, _A = Scheme.GRADIENT, Scheme.NEWTON, Frame, AveragedForm
+_G, _N, _F = Scheme.GRADIENT, Scheme.NEWTON, Frame
 
 #: every defined (scheme, frame) pair
 FRAME_SPECS: dict[tuple[Scheme, Frame], FrameSpec] = {
-    (_G, _F.ORIGINAL): FrameSpec(None, None, (0, 1), True),
-    (_G, _F.ROTATING_Z): FrameSpec(None, None, (0, 1), False),
-    (_G, _F.AVERAGED_GRADIENT): FrameSpec(_A.GRADIENT, None, (0, 1), False),
-    (_N, _F.ORIGINAL): FrameSpec(None, None, (0, 1), True),
-    (_N, _F.ROTATING_Z): FrameSpec(None, None, (0, 1), False),
-    (_N, _F.ROTATING_Z_LOG_D): FrameSpec(None, _log_d, (0, 1), False),
-    (_N, _F.AVERAGED_NEWTON): FrameSpec(_A.NEWTON, None, (0, 1), False),
-    (_N, _F.AVERAGED_NEWTON_EXP): FrameSpec(_A.NEWTON, _log_d, (0, 1), False),
-    (_N, _F.CASCADE_SHIFTED): FrameSpec(_A.NEWTON, _cascade, (1, 2), False),
+    (_G, _F.ORIGINAL): FrameSpec(False, None, (0, 1), True),
+    (_G, _F.ROTATING_Z): FrameSpec(False, None, (0, 1), False),
+    (_G, _F.AVERAGED_GRADIENT): FrameSpec(True, None, (0, 1), False),
+    (_N, _F.ORIGINAL): FrameSpec(False, None, (0, 1), True),
+    (_N, _F.ROTATING_Z): FrameSpec(False, None, (0, 1), False),
+    (_N, _F.ROTATING_Z_LOG_D): FrameSpec(False, _log_d, (0, 1), False),
+    (_N, _F.AVERAGED_NEWTON): FrameSpec(True, None, (0, 1), False),
+    (_N, _F.AVERAGED_NEWTON_EXP): FrameSpec(True, _log_d, (0, 1), False),
+    (_N, _F.CASCADE_SHIFTED): FrameSpec(True, _cascade, (1, 2), False),
 }
 
 
@@ -226,10 +225,10 @@ def closed_loop(scheme: Scheme, frame: Frame, params: SeekerParams,
 # averaged systems (closed form)
 
 
-def averaged_closed_loop(form: AveragedForm, params: SeekerParams,
+def averaged_closed_loop(scheme: Scheme, params: SeekerParams,
                          field: FieldParams):
-    """Build ``rhs(t, state)`` for the closed-form averaged system (ignores
-    ``t``):
+    """Build ``rhs(t, state)`` for the closed-form averaged system of
+    ``scheme`` (ignores ``t``):
 
     gradient:  z' = (S + L) z,     nu' = h (F(z) - nu)
     newton:    z' = (S + L d) z,   d' = omega_d d (1 - H d),
@@ -237,7 +236,7 @@ def averaged_closed_loop(form: AveragedForm, params: SeekerParams,
 
     where S = [[0, omega0], [-omega0, 0]] is the constant-turn generator and
     L = diag(0, -alpha H / 2). The log-Riccati and cascade frames are the
-    newton form pushed forward through their maps (see :data:`FRAME_SPECS`).
+    newton system pushed forward through their maps (see :data:`FRAME_SPECS`).
     Like :func:`closed_loop`, the closure takes a sequence of floats and
     returns a tuple without checking the state length.
     """
@@ -245,14 +244,14 @@ def averaged_closed_loop(form: AveragedForm, params: SeekerParams,
     fs, hess = field.f_star, field.hessian
     lam = -0.5 * params.alpha * hess  # damping entry of L
 
-    if form is AveragedForm.GRADIENT:
+    if scheme is Scheme.GRADIENT:
 
         def rhs(t, s):
             z1, z2, nu = s
             nu_dot = h * (fs - 0.5 * hess * (z1 * z1 + z2 * z2) - nu)
             return (w0 * z2, -w0 * z1 + lam * z2, nu_dot)
 
-    elif form is AveragedForm.NEWTON:
+    elif scheme is Scheme.NEWTON:
 
         def rhs(t, s):
             z1, z2, d, nu = s
@@ -260,7 +259,7 @@ def averaged_closed_loop(form: AveragedForm, params: SeekerParams,
             return (w0 * z2, -w0 * z1 + lam * d * z2, wd * d * (1.0 - hess * d), nu_dot)
 
     else:  # pragma: no cover
-        raise ValueError(f"unsupported averaged form {form}")
+        raise ValueError(f"unsupported scheme {scheme}")
 
     return rhs
 

@@ -22,7 +22,6 @@ from sourceseek import (
     DEFAULT_FIELD,
     DEFAULT_PARAMS,
     DEFAULT_X0,
-    AveragedForm,
     HessianSweepConfig,
     IntegratorConfig,
     OmegaSweepConfig,
@@ -118,7 +117,7 @@ def test_criterion_2_engine_matches_closed_forms(ref_params, ref_field):
     grid = default_omega_grid(ref_params.omega)
 
     engine_g = build_averaged_field(gradient_affine_system(ref_params, ref_field), grid)
-    closed_g = averaged_closed_loop(AveragedForm.GRADIENT, ref_params, ref_field)
+    closed_g = averaged_closed_loop(Scheme.GRADIENT, ref_params, ref_field)
     worst_g = 0.0
     for _ in range(50):
         state = np.array([*rng.uniform(-5, 5, 2), rng.uniform(-2, 8)])
@@ -127,7 +126,7 @@ def test_criterion_2_engine_matches_closed_forms(ref_params, ref_field):
         worst_g = max(worst_g, defect / max(1.0, float(np.linalg.norm(reference))))
 
     engine_n = build_averaged_field(newton_affine_system(ref_params, ref_field), grid)
-    closed_n = averaged_closed_loop(AveragedForm.NEWTON, ref_params, ref_field)
+    closed_n = averaged_closed_loop(Scheme.NEWTON, ref_params, ref_field)
     worst_n = 0.0
     for _ in range(50):
         state = np.array(
@@ -194,7 +193,7 @@ def test_criterion_3_reference_run():
         f"{MEAN_BALL} ball, entry={fmt(mean_entry)}): {'PASS' if mean_ok else 'FAIL'}"
     )
 
-    order_ok = compare.ordering_ok
+    order_ok = compare.checks["ordering"]
     print(
         f"  criterion 3c (curvature-inverting enters {RAW_BALL} ball before "
         f"gradient, {fmt(newton.entry_time)} vs "
@@ -219,7 +218,7 @@ def test_criterion_4_curvature_invariance():
     spread = max(rates_n) / min(rates_n) - 1.0
     ratios = [row.gradient.rate / row.hessian for row in report.rows]
     wobble = max(ratios) / min(ratios) - 1.0
-    ok = report.newton_invariant() and report.gradient_proportional()
+    ok = report.checks["newton_invariant"] and report.checks["gradient_proportional"]
     elapsed = time.perf_counter() - start
     assert _verdict(
         4, ok,
@@ -275,8 +274,8 @@ def test_criterion_6_practical_stability_sweep():
     ok = all(row.error is None for row in report.rows)
     details = []
     for scheme in (Scheme.GRADIENT, Scheme.NEWTON):
-        dev_ok = report.deviation_ok(scheme)
-        ball_ok = report.ball_ok(scheme)
+        dev_ok = report.checks[f"{scheme.value}_deviation"]
+        ball_ok = report.checks[f"{scheme.value}_ball"]
         ok &= dev_ok and ball_ok
         devs = report.column(scheme, "deviation")
         balls = report.column(scheme, "ball_radius")
@@ -306,12 +305,12 @@ def test_criterion_7_numerical_hygiene(ref_params, ref_field):
     order_ok = 12.0 <= factor <= 20.0
 
     worst_residual = 0.0
-    for form, equilibrium in (
-        (AveragedForm.GRADIENT, np.array([0.0, 0.0, ref_field.f_star])),
-        (AveragedForm.NEWTON,
+    for scheme, equilibrium in (
+        (Scheme.GRADIENT, np.array([0.0, 0.0, ref_field.f_star])),
+        (Scheme.NEWTON,
          np.array([0.0, 0.0, 1.0 / ref_field.hessian, ref_field.f_star])),
     ):
-        rhs = averaged_closed_loop(form, ref_params, ref_field)
+        rhs = averaged_closed_loop(scheme, ref_params, ref_field)
         lin = linearize(lambda s: rhs(0.0, s), equilibrium)
         worst_residual = max(worst_residual, lin.trace_residual, lin.det_residual)
     rng = np.random.default_rng(3)

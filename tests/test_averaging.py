@@ -18,6 +18,7 @@ from sourceseek import (
     FieldParams,
     OscillatoryInput,
     QuadratureError,
+    Scheme,
     SeekerParams,
     averaged_closed_loop,
     build_averaged_field,
@@ -29,7 +30,6 @@ from sourceseek import (
     lie_bracket,
     newton_affine_system,
 )
-from sourceseek.seekers import AveragedForm
 
 TWO_PI = 2.0 * math.pi
 _SRC = Path(__file__).resolve().parents[1] / "src"
@@ -451,7 +451,7 @@ class TestAveragedField:
     def test_matches_gradient_closed_form(self, gradient_system, ref_params,
                                           ref_field, rng):
         engine = build_averaged_field(gradient_system, default_omega_grid(15.0))
-        reference = averaged_closed_loop(AveragedForm.GRADIENT, ref_params, ref_field)
+        reference = averaged_closed_loop(Scheme.GRADIENT, ref_params, ref_field)
         for _ in range(5):
             s = np.array([*rng.uniform(-5, 5, 2), rng.uniform(-2, 8)])
             ref = reference(0.0, s)
@@ -462,7 +462,7 @@ class TestAveragedField:
     def test_matches_newton_closed_form(self, newton_system, ref_params,
                                         ref_field, rng):
         engine = build_averaged_field(newton_system, default_omega_grid(15.0))
-        reference = averaged_closed_loop(AveragedForm.NEWTON, ref_params, ref_field)
+        reference = averaged_closed_loop(Scheme.NEWTON, ref_params, ref_field)
         for _ in range(5):
             s = np.array(
                 [*rng.uniform(-5, 5, 2), rng.uniform(0.1, 200.0), rng.uniform(-2, 8)]
@@ -475,7 +475,7 @@ class TestAveragedField:
     def test_single_evaluation_matches_closed_form(self, gradient_system,
                                                    ref_params, ref_field):
         s = np.array([1.0, -2.0, 3.0])
-        reference = averaged_closed_loop(AveragedForm.GRADIENT, ref_params, ref_field)
+        reference = averaged_closed_loop(Scheme.GRADIENT, ref_params, ref_field)
         out = build_averaged_field(gradient_system, default_omega_grid(15.0))(s)
         np.testing.assert_allclose(out, reference(0.0, s), atol=1e-12)
 
@@ -499,6 +499,39 @@ class TestAveragedField:
         assert engine.coefficients[(0, 1)].kind == "divergent"
         with pytest.raises(DivergentAverageError, match="grows like"):
             engine(np.array([1.0, 2.0]))
+
+    @staticmethod
+    def _biased_system(wave):
+        """A channel of ``wave`` at p 0.6, unvalidated, beside a cos channel
+        at p 0.4; the pair's exponent is 0, so its coefficient is finite."""
+        return ControlAffineSystem(
+            drift=lambda s: (0.0,),
+            channels=(
+                (lambda s: (1.0,), OscillatoryInput(wave, 1, 0.6, validate=False)),
+                (lambda s: (s[0],), OscillatoryInput(np.cos, 1, 0.4)),
+            ),
+            dimension=1,
+        )
+
+    def test_nonzero_mean_channel_raises_on_build(self):
+        # the mean term omega**0.6 * mean * f_0 diverges; no bracket
+        # expansion holds, so there is no field to return
+        system = self._biased_system(lambda s: 0.5 * (1.0 + np.sin(s)))
+        with pytest.raises(DivergentAverageError,
+                           match=r"channel 0 has \|mean\| 5\.000e-01"):
+            build_averaged_field(system, default_omega_grid(10.0))
+        assert not check_assumptions(system).ok
+        # the same wave without its mean builds
+        build_averaged_field(self._biased_system(lambda s: 0.5 * np.sin(s)),
+                             default_omega_grid(10.0))
+
+    def test_quadrature_error_comes_before_the_mean(self, monkeypatch):
+        # a biased square wave fails both the ladder and the mean; the table
+        # is built first, so its error is the one raised
+        system = self._biased_system(lambda s: 0.5 + 0.5 * np.sign(np.sin(s + 0.3)))
+        monkeypatch.setattr(averaging, "QUAD_MAX_NODES", 2048)
+        with pytest.raises(QuadratureError, match="did not converge"):
+            build_averaged_field(system, default_omega_grid(10.0))
 
     def test_report_lists_every_coefficient(self, newton_system):
         engine = build_averaged_field(newton_system, default_omega_grid(15.0))
@@ -630,15 +663,15 @@ def test_engine_matches_closed_form_across_gains(p_exp, omega, alpha, hessian):
                           h_gain=1.0, omega_d=0.3)
     field = FieldParams(f_star=5.0, hessian=hessian, source=_SOURCE)
     rng = np.random.default_rng(7)
-    for make, form, finite in (
-        (gradient_affine_system, AveragedForm.GRADIENT, {(0, 1)}),
-        (newton_affine_system, AveragedForm.NEWTON, {(0, 1), (1, 2, 1)}),
+    for make, scheme, finite in (
+        (gradient_affine_system, Scheme.GRADIENT, {(0, 1)}),
+        (newton_affine_system, Scheme.NEWTON, {(0, 1), (1, 2, 1)}),
     ):
         system = make(params, field)
         engine = build_averaged_field(system, default_omega_grid(omega))
         assert {ix for ix, c in engine.coefficients.items()
                 if c.kind == "finite"} == finite
-        closed = averaged_closed_loop(form, params, field)
+        closed = averaged_closed_loop(scheme, params, field)
         for _ in range(5):
             state = rng.uniform(-3.0, 3.0, size=system.dimension)
             if system.dimension == 4:

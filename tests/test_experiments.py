@@ -17,11 +17,15 @@ from sourceseek import (
     HessianSweepConfig,
     IntegratorConfig,
     OmegaSweepConfig,
+    RateEstimate,
     Scenario,
     Scheme,
     SeekerParams,
     Trajectory,
+    build_averaged_field,
+    default_omega_grid,
     estimate_rate,
+    gradient_affine_system,
     integrate,
     load_config,
     run_average,
@@ -30,6 +34,18 @@ from sourceseek import (
     run_hessian_invariance,
     run_omega_sweep,
     run_simulate,
+)
+from sourceseek.averaging import AssumptionClause, AssumptionReport
+from sourceseek.experiments import (
+    AverageReport,
+    CertifyReport,
+    CompareReport,
+    HessianSweepReport,
+    HessianSweepRow,
+    OmegaSweepReport,
+    OmegaSweepRow,
+    SimulateResult,
+    StudyResult,
 )
 
 
@@ -267,7 +283,7 @@ class TestRunCompare:
         report = run_compare(CompareConfig(ball_radius=0.75))
         assert report.newton.entry_time is not None
         assert report.gradient.entry_time is None
-        assert report.ordering_ok and report.passed
+        assert report.checks["ordering"] and report.passed
         assert report.entry_ratio is None
 
     def test_matched_curvature_entry_times_comparable(self):
@@ -314,8 +330,8 @@ class TestRunOmegaSweep:
         assert all(row.error is None for row in report.rows)
         assert report.averaged_identical
         for scheme in (Scheme.GRADIENT, Scheme.NEWTON):
-            assert report.deviation_ok(scheme)
-            assert report.ball_ok(scheme)
+            assert report.checks[f"{scheme.value}_deviation"]
+            assert report.checks[f"{scheme.value}_ball"]
             devs = report.column(scheme, "deviation")
             assert len(devs) == 3 and all(np.isfinite(devs))
         assert report.passed
@@ -367,8 +383,8 @@ class TestRunOmegaSweep:
 class TestRunHessianInvariance:
     def test_rates_across_two_decades(self):
         report = run_hessian_invariance(HessianSweepConfig())
-        assert report.newton_invariant()
-        assert report.gradient_proportional()
+        assert report.checks["newton_invariant"]
+        assert report.checks["gradient_proportional"]
         assert report.passed
         rates_n = [row.newton.rate for row in report.rows]
         # curvature-free contraction at alpha/4 = 0.5
@@ -414,7 +430,8 @@ class TestRunAverage:
         text = study.report()
         assert text.startswith(str(study.assumptions) + "\n" + study.engine.report())
         assert text.endswith("[closed_form_agreement]\nworst_relative_defect = "
-                             f"{study.worst_defect:.3e}\ncheck_agreement = pass\n")
+                             f"{study.worst_defect:.3e}\ncheck_assumptions = pass\n"
+                             "check_agreement = pass\n")
 
     def test_seed_draws_the_sample_states(self):
         first, again, other = (run_average(Scheme.NEWTON, DEFAULT_PARAMS,
@@ -707,3 +724,112 @@ class TestStudyRuns:
     def test_construction_rejects(self, make, message):
         with pytest.raises(ValueError, match=message):
             make()
+
+
+#: the section of each study's report that holds its verdict
+_OWN_SECTION = {
+    SimulateResult: "simulate",
+    CompareReport: "compare",
+    OmegaSweepReport: "omega_sweep",
+    HessianSweepReport: "hessian_sweep",
+    AverageReport: "closed_form_agreement",
+    CertifyReport: "grid_margins",
+}
+
+
+def _section_checks(text: str) -> dict:
+    """``{section: {check name: passed}}`` from the ``check_*`` lines of a
+    report, each under the ``[section]`` header above it (the first section
+    of a name when it repeats)."""
+    sections, current = {}, None
+    for line in text.splitlines():
+        if line.startswith("["):
+            current = None if line[1:-1] in sections else line[1:-1]
+            if current is not None:
+                sections[current] = {}
+        elif line.startswith("check_") and current is not None:
+            key, value = line.split(" = ")
+            assert value in ("pass", "FAIL"), line
+            sections[current][key[len("check_"):]] = value == "pass"
+    return sections
+
+
+def _fit(rate: float, r_squared: float = 0.999) -> RateEstimate:
+    return RateEstimate(rate=rate, window=(0.0, 1.0), r_squared=r_squared,
+                        n_points=10)
+
+
+def _hessian_report(gradient_r_squared: float) -> HessianSweepReport:
+    rows = [HessianSweepRow(h, _fit(0.5), _fit(0.5 * h, gradient_r_squared))
+            for h in (0.01, 0.1, 1.0)]
+    return HessianSweepReport(rows, newton_tolerance=0.1, gradient_tolerance=0.15)
+
+
+def _average_report(assumptions: AssumptionReport) -> AverageReport:
+    engine = build_averaged_field(gradient_affine_system(DEFAULT_PARAMS, DEFAULT_FIELD),
+                                  default_omega_grid(DEFAULT_PARAMS.omega))
+    return AverageReport(assumptions, engine, worst_defect=0.0)
+
+
+_STUDIES = {
+    "simulate-pass": lambda: run_simulate(
+        Scenario(scheme=Scheme.GRADIENT, t_end=1.0, ball_radius=10.0)),
+    "simulate-fail": lambda: run_simulate(Scenario(scheme=Scheme.NEWTON, t_end=1.0)),
+    "compare-fail": lambda: run_compare(CompareConfig(ball_radius=0.75, t_end=5.0)),
+    "omega-pass": lambda: run_omega_sweep(
+        OmegaSweepConfig(schemes=(Scheme.GRADIENT,), t_end=6.0)),
+    "omega-row-error": lambda: OmegaSweepReport(
+        [OmegaSweepRow("newton", 20.0, 1.0, 1.0),
+         OmegaSweepRow("newton", 40.0, 0.5, 0.5),
+         OmegaSweepRow("newton", 80.0, None, None, "RuntimeError: aborted")],
+        slack=0.2, averaged_identical=True),
+    "hessian-pass": lambda: run_hessian_invariance(HessianSweepConfig()),
+    "hessian-unreliable-fit": lambda: _hessian_report(gradient_r_squared=0.5),
+    "average-pass": lambda: run_average(Scheme.GRADIENT, DEFAULT_PARAMS, DEFAULT_FIELD),
+    "average-assumptions-fail": lambda: _average_report(AssumptionReport(
+        [AssumptionClause("input_0_zero_mean", True, False, "mean defect 5e-01")])),
+    "certify-pass": lambda: run_certify(DEFAULT_PARAMS, DEFAULT_FIELD),
+}
+
+
+class TestVerdictRule:
+    """Each study passes exactly when every check line of its own report
+    section passes, and those lines are its ``checks``."""
+
+    @pytest.mark.parametrize("name", list(_STUDIES))
+    def test_verdict_is_the_own_section_checks(self, name):
+        result = _STUDIES[name]()
+        assert isinstance(result, StudyResult)
+        sections = _section_checks(result.report())
+        own = sections.pop(_OWN_SECTION[type(result)])
+        assert own == result.checks and own
+        assert result.passed == all(own.values())
+        assert result.passed == name.endswith("-pass")
+        # only compare carries other check lines: its runs', which inform
+        others = {key for checks in sections.values() for key in checks}
+        assert others == (set() if type(result) is not CompareReport
+                          else {"ball_entry", "d_window_mean"})
+
+    def test_unreliable_fit_fails_its_check(self):
+        report = _hessian_report(gradient_r_squared=0.5)
+        assert report.checks == {"newton_invariant": True,
+                                 "gradient_proportional": True,
+                                 "fits_reliable": False}
+        text = report.report()
+        assert "(R2 0.5000 UNRELIABLE)" in text
+        assert text.endswith("check_fits_reliable = FAIL\n")
+        assert _hessian_report(gradient_r_squared=0.9).passed
+
+    def test_failed_assumptions_fail_their_check(self):
+        report = _average_report(AssumptionReport(
+            [AssumptionClause("input_0_zero_mean", True, False)]))
+        assert report.checks == {"assumptions": False, "agreement": True}
+        assert report.report().endswith("[closed_form_agreement]\n"
+                                        "worst_relative_defect = 0.000e+00\n"
+                                        "check_assumptions = FAIL\n"
+                                        "check_agreement = pass\n")
+
+    def test_failed_row_fails_both_checks_of_its_scheme(self):
+        report = _STUDIES["omega-row-error"]()
+        assert report.checks == {"newton_deviation": False, "newton_ball": False}
+        assert "newton_omega_80 = ERROR RuntimeError: aborted" in report.report()

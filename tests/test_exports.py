@@ -54,3 +54,33 @@ def test_cli_imports_no_numerics():
     forbidden = {"numpy", "averaging", "stability", "gradient_affine_system",
                  "newton_affine_system"}
     assert imported & forbidden == set()
+
+
+def _class_bodies(module: str) -> dict[str, set[str]]:
+    """Class name -> the names that its own body defines, for every class of
+    ``sourceseek/<module>.py``."""
+    tree = ast.parse((_INIT.parent / f"{module}.py").read_text())
+    bodies = {}
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            names = set()
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names.add(item.name)
+                elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    names.add(item.target.id)
+                elif isinstance(item, ast.Assign):
+                    names |= {t.id for t in item.targets if isinstance(t, ast.Name)}
+            bodies[node.name] = names
+    return bodies
+
+
+def test_one_study_verdict():
+    """Every study result takes ``passed`` from the one base class, where it
+    is the conjunction of ``checks``. The benchmark tracer patches ``report``
+    in the class dicts of ``SimulateResult`` and ``HessianSweepReport``, so
+    those two define it in their own bodies."""
+    bodies = _class_bodies("experiments")
+    assert [name for name, body in bodies.items() if "passed" in body] == ["StudyResult"]
+    assert "report" in bodies["SimulateResult"]
+    assert "report" in bodies["HessianSweepReport"]

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sourceseek import (
-    AveragedForm,
     FieldParams,
     Frame,
     IntegrationAborted,
@@ -249,7 +248,7 @@ _LOOPS = {
         st.tuples(_POSITION, _POSITION, st.floats(-0.7, 0.4), _FILTER), 30.0,
     ),
     "averaged-newton": (
-        averaged_closed_loop(AveragedForm.NEWTON, _REF_PARAMS, _REF_FIELD),
+        averaged_closed_loop(Scheme.NEWTON, _REF_PARAMS, _REF_FIELD),
         st.tuples(_POSITION, _POSITION, st.floats(0.5, 200.0), _FILTER), 1.0,
     ),
 }

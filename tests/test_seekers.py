@@ -10,7 +10,6 @@ from sourceseek import (
     DEFAULT_FIELD,
     DEFAULT_PARAMS,
     FRAME_SPECS,
-    AveragedForm,
     Frame,
     IntegrationAborted,
     IntegratorConfig,
@@ -215,7 +214,7 @@ def _averaged(frame, params, field):
 class TestAveragedRhs:
     def test_riccati_equilibrium_is_stationary(self, ref_params, ref_field):
         state = np.array([0.0, 0.0, 1.0 / ref_field.hessian, ref_field.f_star])
-        out = averaged_closed_loop(AveragedForm.NEWTON, ref_params, ref_field)(0.0, state)
+        out = averaged_closed_loop(Scheme.NEWTON, ref_params, ref_field)(0.0, state)
         np.testing.assert_allclose(out, np.zeros(4), atol=1e-13)
 
     def test_cascade_origin_is_equilibrium(self, ref_params, ref_field):
@@ -225,7 +224,7 @@ class TestAveragedRhs:
 
     def test_gradient_damping_entry(self, ref_params, ref_field):
         # with alpha = 2 and curvature 0.01 the damping entry is -0.01
-        rhs = averaged_closed_loop(AveragedForm.GRADIENT, ref_params, ref_field)
+        rhs = averaged_closed_loop(Scheme.GRADIENT, ref_params, ref_field)
         out = rhs(0.0, (0.0, 1.0, ref_field.f_star))
         expected_damping = -0.5 * ref_params.alpha * ref_field.hessian
         assert out[1] == pytest.approx(expected_damping, rel=1e-14)
@@ -236,7 +235,7 @@ class TestAveragedRhs:
         )
 
     def test_exp_form_matches_plain_form(self, ref_params, ref_field, rng):
-        plain = averaged_closed_loop(AveragedForm.NEWTON, ref_params, ref_field)
+        plain = averaged_closed_loop(Scheme.NEWTON, ref_params, ref_field)
         exp = _averaged(Frame.AVERAGED_NEWTON_EXP, ref_params, ref_field)
         for _ in range(20):
             z = rng.uniform(-5.0, 5.0, size=2)
@@ -257,7 +256,7 @@ class TestAveragedRhs:
         field = replace(ref_field, hessian=hessian)
         target = 1.0 / hessian
         d0 = d0_scale * target
-        rhs = averaged_closed_loop(AveragedForm.NEWTON, ref_params, field)
+        rhs = averaged_closed_loop(Scheme.NEWTON, ref_params, field)
         horizon = 10.0 / ref_params.omega_d
         traj = integrate(
             rhs, np.array([0.1, 0.1, d0, 0.0]), 0.0, horizon,
@@ -366,16 +365,14 @@ class TestAveragingConsistency:
             acfg = IntegratorConfig(dt=0.05 / 8.0, output_stride=8)
             if scheme is Scheme.NEWTON:
                 state0 = np.array([3.0, 3.0, 1.0, 0.0])
-                form = AveragedForm.NEWTON
             else:
                 state0 = np.array([3.0, 3.0, 0.0])
-                form = AveragedForm.GRADIENT
             full = integrate(
                 closed_loop(scheme, Frame.ROTATING_Z, params, ref_field),
                 state0, 0.0, 10.0, cfg,
             )
             avg = integrate(
-                averaged_closed_loop(form, params, ref_field), state0, 0.0, 10.0, acfg
+                averaged_closed_loop(scheme, params, ref_field), state0, 0.0, 10.0, acfg
             )
             assert np.allclose(full.times, avg.times, atol=1e-9)
             devs.append(

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sourceseek import (
-    AveragedForm,
     EquilibriumError,
     Frame,
     Scenario,
@@ -25,8 +24,8 @@ from sourceseek import (
 from sourceseek.stability import _cascade_dr, _cascade_dz
 
 
-def _averaged_field(form, params, field):
-    rhs = averaged_closed_loop(form, params, field)
+def _averaged_field(scheme, params, field):
+    rhs = averaged_closed_loop(scheme, params, field)
     return lambda s: rhs(0.0, s)
 
 
@@ -91,7 +90,7 @@ class TestLinearize:
     def test_newton_averaged_spectrum(self, ref_params, ref_field):
         """alpha 2, omega0 1, omega_d 0.3, h 1: the position block contributes
         -1/2 +/- i sqrt(3)/2, the Riccati and filter states -0.3 and -1."""
-        f = _averaged_field(AveragedForm.NEWTON, ref_params, ref_field)
+        f = _averaged_field(Scheme.NEWTON, ref_params, ref_field)
         lin = linearize(f, _newton_equilibrium(ref_field))
         got = sorted(lin.eigenvalues, key=lambda v: (round(v.real, 6), v.imag))
         expected = [
@@ -103,7 +102,7 @@ class TestLinearize:
         np.testing.assert_allclose(got, expected, atol=1e-12)
 
     def test_gradient_averaged_spectrum_carries_curvature(self, ref_params, ref_field):
-        f = _averaged_field(AveragedForm.GRADIENT, ref_params, ref_field)
+        f = _averaged_field(Scheme.GRADIENT, ref_params, ref_field)
         lin = linearize(f, _gradient_equilibrium(ref_field))
         pair = sorted(v for v in lin.eigenvalues if abs(v.imag) > 1e-9)
         # real part is -alpha*H/4 = -0.005
@@ -111,7 +110,7 @@ class TestLinearize:
         assert pair[1].real == pytest.approx(-0.005, abs=1e-9)
 
     def test_rejects_non_equilibrium(self, ref_params, ref_field):
-        f = _averaged_field(AveragedForm.NEWTON, ref_params, ref_field)
+        f = _averaged_field(Scheme.NEWTON, ref_params, ref_field)
         with pytest.raises(EquilibriumError) as excinfo:
             linearize(f, np.array([1.0, 1.0, 50.0, 0.0]))
         assert excinfo.value.residual > 1e-6
@@ -134,7 +133,7 @@ class TestLinearize:
         """dtilde = log d is a change of coordinates, so the pushed-forward
         form linearizes to a similar matrix."""
         field = replace(ref_field, hessian=hessian)
-        raw = linearize(_averaged_field(AveragedForm.NEWTON, ref_params, field),
+        raw = linearize(_averaged_field(Scheme.NEWTON, ref_params, field),
                         _newton_equilibrium(field))
         rhs = Scenario(scheme=Scheme.NEWTON, frame=Frame.AVERAGED_NEWTON_EXP,
                        params=ref_params, field=field).build_rhs()
@@ -146,11 +145,11 @@ class TestLinearize:
     def test_trace_det_residuals(self, ref_params, ref_field, rng):
         lins = [
             linearize(
-                _averaged_field(AveragedForm.NEWTON, ref_params, ref_field),
+                _averaged_field(Scheme.NEWTON, ref_params, ref_field),
                 _newton_equilibrium(ref_field),
             ),
             linearize(
-                _averaged_field(AveragedForm.GRADIENT, ref_params, ref_field),
+                _averaged_field(Scheme.GRADIENT, ref_params, ref_field),
                 _gradient_equilibrium(ref_field),
             ),
         ]
@@ -167,7 +166,7 @@ class TestLinearize:
         for hessian in (0.01, 0.1, 1.0):
             field = replace(ref_field, hessian=hessian)
             lin = linearize(
-                _averaged_field(AveragedForm.NEWTON, ref_params, field),
+                _averaged_field(Scheme.NEWTON, ref_params, field),
                 _newton_equilibrium(field),
             )
             spectra.append(np.sort_complex(lin.eigenvalues))
@@ -179,7 +178,7 @@ class TestLinearize:
         for hessian in (0.01, 0.1, 1.0):
             field = replace(ref_field, hessian=hessian)
             lin = linearize(
-                _averaged_field(AveragedForm.GRADIENT, ref_params, field),
+                _averaged_field(Scheme.GRADIENT, ref_params, field),
                 _gradient_equilibrium(field),
             )
             pair = [v for v in lin.eigenvalues if abs(v.imag) > 1e-9]
@@ -356,7 +355,7 @@ class TestIssBound:
 class TestReport:
     def test_report_contents(self, ref_params, ref_field):
         lin = linearize(
-            _averaged_field(AveragedForm.NEWTON, ref_params, ref_field),
+            _averaged_field(Scheme.NEWTON, ref_params, ref_field),
             _newton_equilibrium(ref_field),
         )
         cert = build_certificate(2.0, 1.0, 0.3)
