@@ -708,8 +708,12 @@ class HessianSweepReport(StudyResult):
     def checks(self) -> dict:
         """The curvature-inverting rates spread by at most
         ``newton_tolerance``, the gradient rates per unit curvature by at
-        most ``gradient_tolerance``, and every fit is reliable."""
+        most ``gradient_tolerance``, and every fit is reliable. A spread is
+        infinite unless every rate is finite and positive: a growing or
+        stalled fit shows no decay to compare."""
         def spread(values):
+            if not all(math.isfinite(v) and v > 0.0 for v in values):
+                return math.inf
             return max(values) / min(values) - 1.0
 
         newton = [r.newton.rate for r in self.rows]

@@ -10,12 +10,19 @@ The step loop runs on Python floats: ``rhs(t, y)`` and ``guard(t, y)``
 receive the state as a tuple of floats, and ``rhs`` returns a sequence of
 the same length (a tuple, a list or a 1-D array). The states are small (three
 or four components), so per-call array construction would cost more than the
-arithmetic. Recorded samples are written into arrays sized up front.
+arithmetic. The loop is rendered once per state length from one template
+(:data:`_STEP_LOOP`), unrolled over the components: each stage result is
+unpacked into locals, each stage argument is a literal tuple and the update
+is one assignment per component. Its float operations, and their order, are
+those of the array form of RK4, so trajectories are bit-for-bit those of an
+array loop. Recorded samples are written into arrays sized up front.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import string
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -138,6 +145,76 @@ class Trajectory:
         return path
 
 
+#: The RK4 step loop, one source for every state length. ``_step_loop``
+#: renders it for ``dim`` components: ``$y`` stands for ``y0, y1, ...`` and
+#: ``$a``, ``$b``, ``$c``, ``$e`` for the four stages likewise; each stage
+#: argument, the update and the finiteness test are written out per component.
+#: The float operations are those of the array form, component by component:
+#: ``y + half * k`` for a stage and ``y + sixth * (k1 + 2 k2 + 2 k3 + k4)``
+#: for the update.
+_STEP_LOOP = string.Template("""\
+def step_loop(rhs, guard, y, k1, t0, t1, dt, remainder, n_full, total_steps,
+              stride, times, states, aborted, isfinite=isfinite):
+    $y, = y
+    $a, = k1
+    n_rec = 1
+    t = t0
+    h = dt
+    for i in range(total_steps):
+        if i == n_full:  # shortened final step
+            h = remainder
+        half = 0.5 * h
+        t_new = t1 if i + 1 == total_steps else t0 + (i + 1) * dt
+        try:
+            if i:
+                $a, = rhs(t, y)
+            $b, = rhs(t + half, ($stage_a,))
+            $c, = rhs(t + half, ($stage_b,))
+            $e, = rhs(t + h, ($stage_c,))
+        except OverflowError as exc:
+            raise aborted(f"non-finite state at t={t_new}", t, n_rec) from exc
+        sixth = h / 6.0
+        $update
+        y = ($y,)
+        if not ($finite):
+            raise aborted(f"non-finite state at t={t_new}", t, n_rec)
+        if guard is not None and not guard(t_new, y):
+            raise aborted(
+                f"state guard violated at t={t_new} (step-size violation: "
+                f"reduce dt below {h})",
+                t,
+                n_rec,
+            )
+        t = t_new
+        if i + 1 == total_steps or (i + 1) % stride == 0:
+            times[n_rec] = t
+            states[n_rec] = y
+            n_rec += 1
+""")
+
+
+@functools.cache
+def _step_loop(dim: int):
+    """The step loop of :data:`_STEP_LOOP` for states of ``dim`` components,
+    compiled once per length."""
+    def each(term: str, sep: str = ", ") -> str:
+        return sep.join(term.format(j=j) for j in range(dim))
+
+    source = _STEP_LOOP.substitute(
+        y=each("y{j}"), a=each("a{j}"), b=each("b{j}"), c=each("c{j}"),
+        e=each("e{j}"),
+        stage_a=each("y{j} + half * a{j}"),
+        stage_b=each("y{j} + half * b{j}"),
+        stage_c=each("y{j} + h * c{j}"),
+        update=each("y{j} = y{j} + sixth * (a{j} + 2.0 * b{j} + 2.0 * c{j} + e{j})",
+                    "\n        "),
+        finite=each("isfinite(y{j})", " and "),
+    )
+    namespace = {"isfinite": math.isfinite}
+    exec(compile(source, f"<RK4 step loop, dim={dim}>", "exec"), namespace)
+    return namespace["step_loop"]
+
+
 def integrate(rhs, x0, t0: float, t1: float, config: IntegratorConfig,
               guard=None) -> Trajectory:
     """Integrate ``dx/dt = rhs(t, x)`` from ``t0`` to ``t1`` with fixed-step RK4.
@@ -146,8 +223,11 @@ def integrate(rhs, x0, t0: float, t1: float, config: IntegratorConfig,
     ----------
     rhs : callable
         ``rhs(t, x) -> dx`` with ``x`` a tuple of floats and ``dx`` a
-        sequence of the same length. The length is checked once, on the
-        first evaluation.
+        sequence of the same length. The length is checked on the first
+        evaluation, with a message naming both lengths, and again by every
+        stage unpack of the step loop, which raises ValueError on a
+        mismatch. ``rhs`` is called ``4 * steps`` times: the first
+        evaluation is the first step's first stage.
     guard : callable, optional
         ``guard(t, x) -> bool``, with ``x`` the same tuple of floats,
         evaluated after every accepted step; a False result aborts with a
@@ -169,6 +249,9 @@ def integrate(rhs, x0, t0: float, t1: float, config: IntegratorConfig,
         On ``t1 <= t0``, a non-finite initial state or one that violates
         the guard, or an ``rhs`` whose output length differs from the
         state length.
+
+    The steps run in the loop :func:`_step_loop` renders for the state
+    length; see the module docstring.
     """
     if not t1 > t0:
         raise ValueError(f"need t1 > t0, got [{t0}, {t1}]")
@@ -194,7 +277,6 @@ def integrate(rhs, x0, t0: float, t1: float, config: IntegratorConfig,
     states = np.empty((n_samples, dim))
     times[0] = t0
     states[0] = y
-    n_rec = 1
 
     def aborted(what: str, last_valid_time: float, n_rec: int) -> IntegrationAborted:
         partial = Trajectory(times[:n_rec].copy(), states[:n_rec].copy())
@@ -206,48 +288,14 @@ def integrate(rhs, x0, t0: float, t1: float, config: IntegratorConfig,
         k1 = rhs(t0, y)
     except OverflowError as exc:
         t_new = t1 if total_steps <= 1 else t0 + dt
-        raise aborted(f"non-finite state at t={t_new}", t0, n_rec) from exc
+        raise aborted(f"non-finite state at t={t_new}", t0, 1) from exc
     if len(k1) != dim:
         raise ValueError(
             f"rhs returned {len(k1)} components for a state of length {dim}"
         )
 
-    isfinite = math.isfinite
-    t = t0
-    h = dt
-    for i in range(total_steps):
-        if i == n_full:  # shortened final step
-            h = remainder
-        half = 0.5 * h
-        t_new = t1 if i + 1 == total_steps else t0 + (i + 1) * dt
-        try:
-            if i:
-                k1 = rhs(t, y)
-            k2 = rhs(t + half, tuple([a + half * b for a, b in zip(y, k1)]))
-            k3 = rhs(t + half, tuple([a + half * b for a, b in zip(y, k2)]))
-            k4 = rhs(t + h, tuple([a + h * b for a, b in zip(y, k3)]))
-        except OverflowError as exc:
-            raise aborted(f"non-finite state at t={t_new}", t, n_rec) from exc
-        sixth = h / 6.0
-        y = tuple([
-            a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
-        ])
-        if not all(map(isfinite, y)):
-            raise aborted(f"non-finite state at t={t_new}", t, n_rec)
-        if guard is not None and not guard(t_new, y):
-            raise aborted(
-                f"state guard violated at t={t_new} (step-size violation: "
-                f"reduce dt below {h})",
-                t,
-                n_rec,
-            )
-        t = t_new
-        if i + 1 == total_steps or (i + 1) % stride == 0:
-            times[n_rec] = t
-            states[n_rec] = y
-            n_rec += 1
-
+    _step_loop(dim)(rhs, guard, y, k1, t0, t1, dt, remainder, n_full,
+                    total_steps, stride, times, states, aborted)
     return Trajectory(times, states)
 
 

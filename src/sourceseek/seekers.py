@@ -150,9 +150,9 @@ def closed_loop(scheme: Scheme, frame: Frame, params: SeekerParams,
     for the state layout per (scheme, frame). The closure follows the
     :func:`~sourceseek.ode.integrate` contract: it takes the state as a
     sequence of floats and returns a tuple, without checking the state
-    length (``integrate`` checks it once). It is immutable after
-    construction and safe to evaluate concurrently. A pair with no closed
-    loop raises ValueError.
+    length (``integrate`` checks the length of what it returns). It is
+    immutable after construction and safe to evaluate concurrently. A pair
+    with no closed loop raises ValueError.
     """
     w0 = params.omega0
     h = params.h_gain

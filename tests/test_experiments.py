@@ -759,9 +759,10 @@ def _fit(rate: float, r_squared: float = 0.999) -> RateEstimate:
                         n_points=10)
 
 
-def _hessian_report(gradient_r_squared: float) -> HessianSweepReport:
-    rows = [HessianSweepRow(h, _fit(0.5), _fit(0.5 * h, gradient_r_squared))
-            for h in (0.01, 0.1, 1.0)]
+def _hessian_report(gradient_r_squared: float = 0.999, newton=(0.5, 0.5, 0.5),
+                    gradient_scale: float = 0.5) -> HessianSweepReport:
+    rows = [HessianSweepRow(h, _fit(n), _fit(gradient_scale * h, gradient_r_squared))
+            for h, n in zip((0.01, 0.1, 1.0), newton)]
     return HessianSweepReport(rows, newton_tolerance=0.1, gradient_tolerance=0.15)
 
 
@@ -785,10 +786,21 @@ _STUDIES = {
         slack=0.2, averaged_identical=True),
     "hessian-pass": lambda: run_hessian_invariance(HessianSweepConfig()),
     "hessian-unreliable-fit": lambda: _hessian_report(gradient_r_squared=0.5),
+    "hessian-growing-fits": lambda: _hessian_report(newton=(-0.5, -0.5, -0.5),
+                                                    gradient_scale=-0.5),
+    "hessian-mixed-sign-rates": lambda: _hessian_report(newton=(0.5, -0.5, 0.5)),
+    "hessian-zero-rate": lambda: _hessian_report(newton=(0.5, 0.0, 0.5)),
     "average-pass": lambda: run_average(Scheme.GRADIENT, DEFAULT_PARAMS, DEFAULT_FIELD),
     "average-assumptions-fail": lambda: _average_report(AssumptionReport(
         [AssumptionClause("input_0_zero_mean", True, False, "mean defect 5e-01")])),
     "certify-pass": lambda: run_certify(DEFAULT_PARAMS, DEFAULT_FIELD),
+}
+
+#: the failing check lines of the sweep reports whose rates show no decay
+_NO_DECAY_FAILS = {
+    "hessian-growing-fits": {"newton_invariant", "gradient_proportional"},
+    "hessian-mixed-sign-rates": {"newton_invariant"},
+    "hessian-zero-rate": {"newton_invariant"},
 }
 
 
@@ -805,6 +817,8 @@ class TestVerdictRule:
         assert own == result.checks and own
         assert result.passed == all(own.values())
         assert result.passed == name.endswith("-pass")
+        if name in _NO_DECAY_FAILS:
+            assert {key for key, ok in own.items() if not ok} == _NO_DECAY_FAILS[name]
         # only compare carries other check lines: its runs', which inform
         others = {key for checks in sections.values() for key in checks}
         assert others == (set() if type(result) is not CompareReport

@@ -80,28 +80,53 @@ class TestIntegrate:
         assert len(traj.times) == 11
 
     def test_aborts_on_nonfinite_state(self):
-        # finite-time blowup of y' = y**2 from y(0) = 1 at t = 1
-        with pytest.raises(IntegrationAborted) as excinfo, np.errstate(
-            over="ignore", invalid="ignore"
-        ):
-            integrate(lambda t, y: (y[0] ** 2,), [1.0], 0.0, 2.0, _config(0.001))
-        err = excinfo.value
-        assert 0.9 < err.last_valid_time < 1.1
-        assert err.partial.times[-1] <= err.last_valid_time
-        assert np.all(np.isfinite(err.partial.states))
+        # finite-time blowup of y' = y**2 from y(0) = 1 at t = 1: a float
+        # power overflows inside a stage, a product only makes the state
+        # infinite; both stop at the oracle's last finite sample
+        for square in (lambda v: v ** 2, lambda v: v * v):
+            def rhs(t, y):
+                return (square(y[0]),)
+
+            with pytest.raises(IntegrationAborted) as excinfo, np.errstate(
+                over="ignore", invalid="ignore"
+            ):
+                integrate(rhs, [1.0], 0.0, 2.0, _config(0.001))
+            err = excinfo.value
+            assert 0.9 < err.last_valid_time < 1.1
+            assert err.partial.times[-1] <= err.last_valid_time
+            assert np.all(np.isfinite(err.partial.states))
+            with np.errstate(over="ignore", invalid="ignore"):
+                times, states = _array_rk4(rhs, [1.0], 0.0, 2.0, _config(0.001))
+            _assert_oracle_prefix(err, times, states, np.isfinite(states).all(axis=1))
 
     def test_guard_violation_reports_step_size(self):
+        def guard(t, y):
+            return y[0] > 0.0
+
         with pytest.raises(IntegrationAborted) as excinfo:
-            integrate(
-                lambda t, y: (-10.0,),
-                [1.0],
-                0.0,
-                2.0,
-                _config(0.01),
-                guard=lambda t, y: y[0] > 0.0,
-            )
+            integrate(lambda t, y: (-10.0,), [1.0], 0.0, 2.0, _config(0.01),
+                      guard=guard)
         assert "step-size violation" in str(excinfo.value)
         assert excinfo.value.last_valid_time == pytest.approx(0.1, abs=0.02)
+        times, states = _array_rk4(lambda t, y: (-10.0,), [1.0], 0.0, 2.0,
+                                   _config(0.01))
+        _assert_oracle_prefix(excinfo.value, times, states,
+                              [guard(t, y) for t, y in zip(times, states)])
+
+    @pytest.mark.parametrize("t1", [1.0, 1.005])
+    def test_rhs_is_called_four_times_per_step(self, t1):
+        # the length probe is the first step's first stage, not a fifth call
+        calls = []
+
+        def rhs(t, y):
+            calls.append(t)
+            return (-y[0], y[0])
+
+        traj = integrate(rhs, [1.0, 0.0], 0.0, t1, _config(0.01))
+        steps = len(traj.times) - 1
+        assert steps == (100 if t1 == 1.0 else 101)
+        assert len(calls) == 4 * steps
+        assert calls[::4] == traj.times[:-1].tolist()
 
     def test_rejects_nonfinite_initial_state(self):
         for bad in (math.nan, math.inf, -math.inf):
@@ -214,6 +239,27 @@ def _array_rk4(rhs, x0, t0, t1, config):
     return np.array(times), np.array(states)
 
 
+def _assert_oracle_prefix(err, times, states, valid):
+    """``err`` (an abort at output stride 1) holds the oracle's samples up to
+    its first invalid one, and its last valid time is the last valid
+    sample's."""
+    n = int(np.argmin(valid))
+    assert n > 0 and not valid[n]
+    assert np.array_equal(err.partial.times, times[:n])
+    assert np.array_equal(err.partial.states, states[:n])
+    assert err.last_valid_time == times[n - 1]
+
+
+def _linear_rhs(dim):
+    """``y' = A y`` with a fixed, mixed-sign ``A``, summed in Python floats."""
+    a = [[0.3 * ((i + 2 * j) % 5 - 2) for j in range(dim)] for i in range(dim)]
+
+    def rhs(t, y):
+        return tuple(sum(aij * v for aij, v in zip(row, y)) for row in a)
+
+    return rhs
+
+
 _REF_FIELD = FieldParams(f_star=5.0, hessian=0.01, source=np.array([1.0, -1.0]))
 _REF_PARAMS = SeekerParams(
     omega=15.0, omega0=1.0, alpha=2.0, p_exp=0.61, h_gain=1.0, omega_d=0.3
@@ -224,33 +270,41 @@ _POSITION = st.floats(-5.0, 5.0)
 _RICCATI = st.floats(0.5, 1.5)
 _FILTER = st.floats(2.0, 8.0)
 
-#: (rhs, start-point strategy, fastest forcing frequency) for every full
-#: scheme/frame closure and one averaged form
+#: (rhs, start-point strategy, fastest forcing frequency, output stride)
+#: for every full scheme/frame closure, both averaged forms (the gradient one
+#: at every step, as the hessian sweep records it) and a linear system at
+#: the state lengths no closure has
 _LOOPS = {
     "gradient-original": (
         closed_loop(Scheme.GRADIENT, Frame.ORIGINAL, _REF_PARAMS, _REF_FIELD),
-        st.tuples(_POSITION, _POSITION, _FILTER), 15.0,
+        st.tuples(_POSITION, _POSITION, _FILTER), 15.0, 7,
     ),
     "gradient-rotating_z": (
         closed_loop(Scheme.GRADIENT, Frame.ROTATING_Z, _REF_PARAMS, _REF_FIELD),
-        st.tuples(_POSITION, _POSITION, _FILTER), 15.0,
+        st.tuples(_POSITION, _POSITION, _FILTER), 15.0, 7,
     ),
     "newton-original": (
         closed_loop(Scheme.NEWTON, Frame.ORIGINAL, _REF_PARAMS, _REF_FIELD),
-        st.tuples(_POSITION, _POSITION, _RICCATI, _FILTER), 30.0,
+        st.tuples(_POSITION, _POSITION, _RICCATI, _FILTER), 30.0, 7,
     ),
     "newton-rotating_z": (
         closed_loop(Scheme.NEWTON, Frame.ROTATING_Z, _REF_PARAMS, _REF_FIELD),
-        st.tuples(_POSITION, _POSITION, _RICCATI, _FILTER), 30.0,
+        st.tuples(_POSITION, _POSITION, _RICCATI, _FILTER), 30.0, 7,
     ),
     "newton-rotating_z_log_d": (
         closed_loop(Scheme.NEWTON, Frame.ROTATING_Z_LOG_D, _REF_PARAMS, _REF_FIELD),
-        st.tuples(_POSITION, _POSITION, st.floats(-0.7, 0.4), _FILTER), 30.0,
+        st.tuples(_POSITION, _POSITION, st.floats(-0.7, 0.4), _FILTER), 30.0, 7,
     ),
     "averaged-newton": (
         averaged_closed_loop(Scheme.NEWTON, _REF_PARAMS, _REF_FIELD),
-        st.tuples(_POSITION, _POSITION, st.floats(0.5, 200.0), _FILTER), 1.0,
+        st.tuples(_POSITION, _POSITION, st.floats(0.5, 200.0), _FILTER), 1.0, 7,
     ),
+    "averaged-gradient": (
+        averaged_closed_loop(Scheme.GRADIENT, _REF_PARAMS, _REF_FIELD),
+        st.tuples(_POSITION, _POSITION, _FILTER), 1.0, 1,
+    ),
+    **{f"linear-{dim}": (_linear_rhs(dim), st.tuples(*[_POSITION] * dim), 1.0, 7)
+       for dim in (1, 2, 5, 6)},
 }
 
 
@@ -258,9 +312,9 @@ _LOOPS = {
 @settings(max_examples=8, deadline=None)
 @given(data=st.data())
 def test_float_loop_is_bit_identical_to_the_array_loop(loop, data):
-    rhs, start, omega_max = _LOOPS[loop]
+    rhs, start, omega_max, stride = _LOOPS[loop]
     x0 = data.draw(start)
-    config = IntegratorConfig.for_frequency(omega_max, 60, output_stride=7)
+    config = IntegratorConfig.for_frequency(omega_max, 60, output_stride=stride)
     t_end = 1.0
     assert (t_end / config.dt) % 1.0 > 1e-6  # the final step is shortened
     traj = integrate(rhs, x0, 0.0, t_end, config)
