@@ -37,6 +37,18 @@ vanishes, which one scale-free rule decides: ``|[f, g](x)|`` is at most
 ``BRACKET_RTOL`` times ``|Dg(x)[f(x)]| + |Df(x)[g(x)]|``. Brackets are exact
 directional derivatives by dual numbers, never Jacobians.
 
+The averaged field does not evaluate its brackets per state. When it is
+built, the drift and every bracket that does not drop run once on the
+symbols of a :class:`~sourceseek.numdiff.Tape`, and the record renders as
+one straight-line function of the state: the same float operations in the
+same order, with each bracket's finiteness test and each divergent
+bracket's vanishing rule, so it returns bit-for-bit what the duals would
+and raises their errors at the same states. The gains are arguments of that function, so
+every system of one structure shares one compiled code object. This is the
+tape-based code generation of Griewank & Walther (*Evaluating
+Derivatives*, 2nd ed., SIAM 2008) applied to the Lie-bracket averaging of
+Dürr, Stanković, Ebenbauer & Johansson (Automatica 2013).
+
 Channel indices are 0-based everywhere (``gamma_pair(0, 1, ...)`` couples the
 first two channels).
 
@@ -53,6 +65,7 @@ Conventions fixed by the implementation:
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -64,7 +77,8 @@ import numpy as np
 # central_jacobian is not called here; bench/tracer.py wraps
 # averaging.central_jacobian by name, so the name stays in this namespace
 from .numdiff import central_jacobian  # noqa: F401
-from .numdiff import Dual, directional_derivative
+from .numdiff import (Dual, Tape, all_finite, directional_derivative, hypot,
+                      require)
 
 __all__ = [
     "OscillatoryInput",
@@ -187,14 +201,17 @@ class ControlAffineSystem:
     """Drift plus oscillatory channels ``(vector field, input)``.
 
     A field takes its state as a tuple of ``dimension`` scalars and returns
-    ``dimension`` components. The engine calls it on tuples of floats and,
-    for brackets, on tuples of :class:`~sourceseek.numdiff.Dual` s, so it
-    must be plain arithmetic of the entries (see :mod:`sourceseek.numdiff`);
+    ``dimension`` components. The engine traces it once, on a tuple of
+    :class:`~sourceseek.numdiff.Sym` s and, for brackets, of
+    :class:`~sourceseek.numdiff.Dual` s of them, and ``check_assumptions``
+    calls it on floats and duals, so it must be plain arithmetic of the
+    entries that does not branch on them (see :mod:`sourceseek.numdiff`);
     a component that does not depend on the state may be a plain float.
-    Construction probes every field once on each kind of tuple, so a field
-    that treats its state as an array fails here and names itself:
-    ``2 * s`` repeats the tuple and returns the wrong number of components
-    (``ValueError``), ``-s`` raises ``TypeError``.
+    Construction probes every field twice on floats and once on symbols,
+    so a field that treats its state as an array or branches on it fails
+    here and names itself: ``2 * s`` repeats the tuple and returns the
+    wrong number of components (``ValueError``); ``-s``, ``math.exp(s[0])``
+    and ``s[0] if s[0] else 1.0`` raise ``TypeError``.
 
     ``smooth_remainder`` is a declared flag standing in for the
     fourth-derivative flatness condition on high-exponent index combinations;
@@ -212,16 +229,18 @@ class ControlAffineSystem:
         if n < 1:
             raise ValueError("dimension must be >= 1")
         probes = ((0.0,) * n, (0.5,) * n)
+        symbols = Tape(n).state
         for name, fn in [("drift", self.drift)] + [
             (f"channel {i}", ch[0]) for i, ch in enumerate(self.channels)
         ]:
-            try:  # brackets evaluate every field at dual points too
+            try:  # the engine traces every field on symbols
                 values = [fn(probe) for probe in probes]
-                directional_derivative(fn, probes[-1], (1.0,) * n)
+                fn(symbols)
             except TypeError as exc:
                 raise TypeError(f"{name} is not plain arithmetic of the state "
                                 f"tuple (+, -, *, /, integer ** and "
-                                f"numdiff.exp/log only): {exc}") from exc
+                                f"numdiff.exp/log only, with no branch on "
+                                f"the state): {exc}") from exc
             for probe, out in zip(probes, values):
                 out = np.asarray(out, dtype=float)
                 if out.shape != (n,):
@@ -489,7 +508,8 @@ def lie_bracket(f, g, x) -> np.ndarray | tuple:
     ------
     ValueError
         If a field value at a real ``x`` is non-finite; the message names
-        the point.
+        the point. At a traced ``x`` the test is recorded instead
+        (:func:`~sourceseek.numdiff.require`).
     """
     dg_f, df_g = _bracket_terms(f, g, x)
     if isinstance(dg_f, tuple):
@@ -502,10 +522,13 @@ def _bracket_terms(f, g, x) -> tuple:
     arrays at a real ``x``, tuples at a dual one."""
     fx, gx = f(x), g(x)
     # at a dual x the real parts of these values were checked at a real one
-    if not isinstance(x[0], Dual) and not (all(map(math.isfinite, fx))
-                                           and all(map(math.isfinite, gx))):
-        raise ValueError(f"non-finite field evaluation at {x}")
+    if not isinstance(x[0], Dual):
+        require(all_finite((*fx, *gx)), _nonfinite, x)
     return directional_derivative(g, x, fx), directional_derivative(f, x, gx)
+
+
+def _nonfinite(x) -> ValueError:
+    return ValueError(f"non-finite field evaluation at {x}")
 
 
 def _bracket(system: ControlAffineSystem, indices) -> tuple:
@@ -521,11 +544,11 @@ def _bracket(system: ControlAffineSystem, indices) -> tuple:
 
 
 def _vanishes(f, g, x) -> bool:
-    """The vanishing rule: ``|[f, g](x)| <= BRACKET_RTOL (|Dg[f]| + |Df[g]|)``."""
+    """The vanishing rule: ``|[f, g](x)| <= BRACKET_RTOL (|Dg[f]| + |Df[g]|)``;
+    a bool at a real ``x``, the recorded test at a traced one."""
     dg_f, df_g = _bracket_terms(f, g, x)
     # hypot neither overflows nor underflows where squares would
-    return math.hypot(*(dg_f - df_g)) <= BRACKET_RTOL * (math.hypot(*dg_f)
-                                                         + math.hypot(*df_g))
+    return hypot(*(dg_f - df_g)) <= BRACKET_RTOL * (hypot(*dg_f) + hypot(*df_g))
 
 
 def default_omega_grid(omega_anchor: float) -> tuple[float, ...]:
@@ -545,7 +568,8 @@ class AveragedField:
 
     ``coefficients`` is the system's own table (``system.coefficients``):
     one :class:`Coefficient` per index tuple, keyed by its indices, pairs
-    first. Calling the object evaluates
+    first. Calling the object with a state of ``system.dimension`` entries
+    evaluates
 
         drift(x) + sum finite gamma_ij * [f_i, f_j](x)
                  + sum finite gamma_ijm * [[f_i, f_j], f_m](x)
@@ -553,14 +577,20 @@ class AveragedField:
     Vanishing coefficients drop their brackets entirely, once, when the
     field is built; a divergent coefficient is an error as soon as its
     bracket fails the vanishing rule (:func:`_vanishes`) at the evaluation
-    point. The state reaches the fields as a tuple of floats.
+    point. The fields run only when the field is built, which traces them
+    into one function of the state (:meth:`_render`); a call runs that
+    function on the state as a tuple of floats.
 
     Raises
     ------
     DivergentAverageError
         If an input built with ``validate=False`` has a nonzero mean: its
         term ``omega**p_i * mean * f_i`` grows without bound, and no bracket
-        expansion holds. Checked after the coefficient table is built.
+        expansion holds. Checked after the coefficient table is built. At a
+        call, if a divergent coefficient's bracket fails the vanishing rule.
+    ValueError
+        At a call, if the state does not have ``system.dimension`` entries,
+        or if a field value of a bracket is non-finite there.
     """
 
     def __init__(self, system: ControlAffineSystem, omega_grid):
@@ -576,23 +606,32 @@ class AveragedField:
                     f"channel {i} has |mean| {mean:.3e}: its term "
                     f"omega**{inp.p_i:g} * mean * f_{i} diverges"
                 )
-        # (coefficient, f, g) of every bracket that does not drop, in order
-        self._live = [(c, *_bracket(system, c.indices))
-                      for c in self.coefficients.values() if c.kind != "zero"]
+        self._evaluate = self._render()
+
+    def _render(self):
+        """The field as one straight-line function of the state tuple: the
+        drift and every bracket that does not drop, traced once on the
+        symbols of a :class:`~sourceseek.numdiff.Tape` by the code that
+        evaluates them at floats (:func:`lie_bracket`, :func:`_vanishes`),
+        so the operations and the tests come in the same order."""
+        tape = Tape(self.system.dimension)
+        x = tape.state
+        out = list(self.system.drift(x))
+        for c in self.coefficients.values():
+            if c.kind == "finite":
+                bracket = lie_bracket(*_bracket(self.system, c.indices), x)
+                out = [o + c.raw * b for o, b in zip(out, bracket)]
+            elif c.kind == "divergent":
+                require(_vanishes(*_bracket(self.system, c.indices), x),
+                        functools.partial(_divergent, c), x)
+        return tape.render(out)
 
     def __call__(self, x) -> np.ndarray:
-        x = tuple(map(float, x))
-        out = np.array(self.system.drift(x), dtype=float)
-        for c, f, g in self._live:
-            if c.kind == "finite":
-                out += c.raw * lie_bracket(f, g, x)
-            elif not _vanishes(f, g, x):
-                raise DivergentAverageError(
-                    f"coefficient for channels {c.indices} grows like "
-                    f"omega**{c.exponent:.3f} against a non-vanishing "
-                    f"bracket at x={x}"
-                )
-        return out
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.system.dimension,):
+            raise ValueError(f"state of shape {x.shape}, but system.dimension "
+                             f"is {self.system.dimension}")
+        return np.array(self._evaluate(tuple(x.tolist())), dtype=float)
 
     def report(self) -> str:
         """Structured key-value text listing every coefficient with its limit
@@ -620,6 +659,13 @@ class AveragedField:
             f"exponent={c.exponent:.4f} samples=[{samples}] "
             f"nodes={c.nodes} error={c.error:.3e}"
         )
+
+
+def _divergent(c: Coefficient, x) -> DivergentAverageError:
+    return DivergentAverageError(
+        f"coefficient for channels {c.indices} grows like "
+        f"omega**{c.exponent:.3f} against a non-vanishing bracket at x={x}"
+    )
 
 
 def build_averaged_field(system: ControlAffineSystem, omega_grid) -> AveragedField:

@@ -1,7 +1,10 @@
+import functools
+import itertools
 import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -30,6 +33,7 @@ from sourceseek import (
     lie_bracket,
     newton_affine_system,
 )
+from sourceseek.numdiff import directional_derivative
 
 TWO_PI = 2.0 * math.pi
 _SRC = Path(__file__).resolve().parents[1] / "src"
@@ -253,6 +257,17 @@ class TestNonArithmeticFields:
             self.system(lambda s: np.zeros(2),
                         lambda s: np.array([math.exp(s[0]), 0.0]))
 
+    def test_channel_branching_on_its_state(self):
+        # a Dual is always truthy, so a dual evaluation passes this field;
+        # the engine traces each field once, and a symbol has no truth value
+        def channel(s):
+            return (s[0] if s[0] else 1.0, 0.0)
+
+        directional_derivative(channel, (0.5, 0.5), (1.0, 1.0))
+        with pytest.raises(TypeError, match="channel 1 is not plain arithmetic"
+                                            ".* no branch on the state"):
+            self.system(lambda s: np.zeros(2), channel)
+
     def test_drift_calling_a_numpy_ufunc(self):
         with pytest.raises(TypeError, match="drift is not plain arithmetic"):
             self.system(lambda s: np.sin(s), lambda s: np.array([1.0, 0.0]))
@@ -275,7 +290,7 @@ class TestNonArithmeticFields:
             return np.array([s[1] * s[1], 1.0])
 
         self.system(lambda s: np.zeros(2), channel)
-        assert calls[0] == 3  # two real probe states and one dual probe
+        assert calls[0] == 3  # two real probe states and one symbolic probe
 
 
 def _live_pair_system(p: float = 0.7) -> ControlAffineSystem:
@@ -872,11 +887,13 @@ def test_import_does_not_load_scipy():
 
 
 class TestEvaluationCost:
-    """Field evaluations per bracket, counted on wrapped fields: one per
-    field value and one per dual directional derivative. A return to
+    """Field evaluations, counted on wrapped fields: one per field value and
+    one per dual directional derivative. A bracket costs four of them and a
+    nested one ten; the engine pays them once, when it traces its brackets
+    at build, and evaluates a state without calling a field. A return to
     Jacobian products (about 170 evaluations per nested bracket of the
-    four-state loop) or to central differences (6 per pair bracket, 21 per
-    nested one) fails here by name."""
+    four-state loop), to central differences (6 per pair bracket, 21 per
+    nested one) or to brackets evaluated per state fails here by name."""
 
     @staticmethod
     def counted(system):
@@ -922,22 +939,159 @@ class TestEvaluationCost:
         np.testing.assert_array_equal(out, np.zeros(2))
         assert calls[0] == 1
 
+    def assert_traced_once_per_build(self, system, per_build):
+        system, counts = self.counted(system)
+        engine = build_averaged_field(system, default_omega_grid(15.0))
+        assert counts[0] == per_build
+        counts[0] = 0
+        for scale in (1.0, -0.5, 3.0):
+            engine(scale * self.STATE[:system.dimension])
+        assert counts[0] == 0
+
     def test_newton_engine_evaluation_cost(self, newton_system):
         # drift, the finite pair [f_0, f_1] and the finite triple
-        # [[f_1, f_2], f_1]; every vanishing coefficient is skipped
-        system, counts = self.counted(newton_system)
-        engine = build_averaged_field(system, default_omega_grid(15.0))
-        counts[0] = 0
-        engine(self.STATE)
-        assert counts[0] == 1 + 4 + 10
+        # [[f_1, f_2], f_1] at build; every vanishing coefficient is skipped
+        self.assert_traced_once_per_build(newton_system, 1 + 4 + 10)
 
     def test_gradient_engine_evaluation_cost(self, gradient_system):
-        # drift and the finite pair [f_0, f_1]; the triples all vanish
-        system, counts = self.counted(gradient_system)
-        engine = build_averaged_field(system, default_omega_grid(15.0))
-        counts[0] = 0
-        engine(self.STATE[:3])
-        assert counts[0] == 1 + 4
+        # drift and the finite pair [f_0, f_1] at build; the triples all
+        # vanish
+        self.assert_traced_once_per_build(gradient_system, 1 + 4)
+
+    @staticmethod
+    def steep(ref_params, ref_field):
+        return newton_affine_system(replace(ref_params, alpha=0.7, p_exp=0.7),
+                                    replace(ref_field, hessian=3.0))
+
+    def test_gains_share_one_compiled_field(self, newton_system, ref_params,
+                                            ref_field):
+        # the gains are arguments of the rendered source, which depends only
+        # on the operations, so it is compiled once for both
+        a = build_averaged_field(newton_system, default_omega_grid(15.0))
+        b = build_averaged_field(self.steep(ref_params, ref_field),
+                                 default_omega_grid(23.0))
+        assert a._evaluate.__code__ is b._evaluate.__code__
+        assert not np.array_equal(a(self.STATE), b(self.STATE))
+
+    def test_a_later_build_leaves_an_engine_alone(self, newton_system,
+                                                  ref_params, ref_field):
+        a = build_averaged_field(newton_system, default_omega_grid(15.0))
+        before = [v.hex() for v in a(self.STATE)]
+        b = build_averaged_field(self.steep(ref_params, ref_field),
+                                 default_omega_grid(23.0))
+        b(self.STATE)
+        assert [v.hex() for v in a(self.STATE)] == before
+
+
+def _dual_path(engine, x) -> np.ndarray:
+    """The engine's field at ``x`` through duals at the state, every live
+    bracket by :func:`lie_bracket` and the vanishing rule by
+    ``_vanishes``: the oracle of the rendered field."""
+    x = tuple(map(float, x))
+    out = np.array(engine.system.drift(x), dtype=float)
+    for c in engine.coefficients.values():
+        if c.kind == "zero":
+            continue
+        f, g = averaging._bracket(engine.system, c.indices)
+        if c.kind == "finite":
+            out += c.raw * lie_bracket(f, g, x)
+        elif not averaging._vanishes(f, g, x):
+            raise DivergentAverageError(
+                f"coefficient for channels {c.indices} grows like "
+                f"omega**{c.exponent:.3f} against a non-vanishing "
+                f"bracket at x={x}"
+            )
+    return out
+
+
+def _outcome(evaluate, x):
+    """``evaluate(x)`` as float.hex strings, or the type and text of the
+    exception it raised."""
+    try:
+        with np.errstate(all="ignore"):
+            return tuple(float(v).hex() for v in evaluate(x))
+    except (ArithmeticError, ValueError, DivergentAverageError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _assert_rendered_is_dual_path(engine, states):
+    oracle = functools.partial(_dual_path, engine)
+    for x in states:
+        assert _outcome(engine, x) == _outcome(oracle, x), x
+
+
+#: state entries with exact zeros of both signs and values whose squares
+#: overflow (1e300, an OverflowError) or whose sum of squares does
+#: (1.3e154, an infinite field value)
+_SPECIAL = (0.0, -0.0, 1.0, -2.5, 5.0, 1e300)
+
+
+@pytest.mark.parametrize("make", [gradient_affine_system, newton_affine_system])
+def test_rendered_field_is_the_dual_path_on_a_grid(make, ref_params, ref_field):
+    """Every state over the special entries: ``d = 0``, ``z = 0``, ``-0.0``,
+    ``err = 0`` (``z = 0`` and the last entry ``f_star = 5``, where the
+    feedback field is zero and a float evaluation skips its direction),
+    and overflow, where both raise the same exception."""
+    engine = build_averaged_field(make(ref_params, ref_field),
+                                  default_omega_grid(15.0))
+    states = list(itertools.product(_SPECIAL, repeat=engine.system.dimension))
+    states += [(1.3e154, 1.3e154, 1.0, 0.5)[:engine.system.dimension]]
+    _assert_rendered_is_dual_path(engine, states)
+    outcomes = {_outcome(engine, x)[0] for x in states}
+    assert {"OverflowError", "ValueError"} <= outcomes
+
+
+_ENTRY = st.one_of(st.floats(-10.0, 10.0), st.sampled_from([0.0, -0.0, 1.3e154]))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    p_exp=st.floats(0.55, 0.8),
+    alpha=st.floats(0.3, 3.0),
+    hessian=st.floats(0.001, 10.0),
+    omega=st.floats(10.0, 30.0),
+    states=st.lists(st.tuples(_ENTRY, _ENTRY, _ENTRY, _ENTRY), min_size=1,
+                    max_size=6),
+)
+def test_rendered_field_is_the_dual_path_across_gains(p_exp, alpha, hessian,
+                                                      omega, states):
+    params = SeekerParams(omega=omega, omega0=1.0, alpha=alpha, p_exp=p_exp,
+                          h_gain=1.0, omega_d=0.3)
+    field = FieldParams(f_star=5.0, hessian=hessian, source=_SOURCE)
+    for make in (gradient_affine_system, newton_affine_system):
+        engine = build_averaged_field(make(params, field), default_omega_grid(omega))
+        _assert_rendered_is_dual_path(
+            engine, [x[:engine.system.dimension] for x in states])
+
+
+def test_rendered_divergent_brackets_are_the_dual_path(ref_params, ref_field):
+    """The vanishing rule per state: the identically zero (1, 2, 2) bracket
+    of :meth:`TestVanishingRule.demodulated_newton` passes it, and a live
+    bracket fails it with the same message."""
+    system = TestVanishingRule.demodulated_newton(ref_params, ref_field)
+    engine = build_averaged_field(system, default_omega_grid(15.0))
+    assert engine.coefficients[(1, 2, 2)].kind == "divergent"
+    rng = np.random.default_rng(0)
+    states = [(*rng.uniform(-3.0, 3.0, 2), rng.uniform(1e3, 2e3), rng.uniform(-3.0, 3.0))
+              for _ in range(20)]
+    _assert_rendered_is_dual_path(engine, states + [(0.0, 0.0, 0.0, 0.0),
+                                                    (-0.0, 0.0, 1e3, 5.0)])
+    live = build_averaged_field(_live_pair_system(), default_omega_grid(10.0))
+    for x in [(1.0, 2.0), (0.0, -0.0)]:
+        outcome = _outcome(live, x)
+        assert outcome[0] == "DivergentAverageError"
+        assert outcome == _outcome(functools.partial(_dual_path, live), x)
+
+
+@pytest.mark.parametrize("make", [gradient_affine_system, newton_affine_system])
+def test_state_of_the_wrong_length_is_rejected(make, ref_params, ref_field):
+    engine = build_averaged_field(make(ref_params, ref_field),
+                                  default_omega_grid(15.0))
+    n = engine.system.dimension
+    for x in (np.arange(n + 1.0), np.arange(n - 1.0)):
+        with pytest.raises(ValueError, match=rf"state of shape \({len(x)},\), "
+                                             rf"but system.dimension is {n}"):
+            engine(x)
 
 
 class TestCheckAssumptions:

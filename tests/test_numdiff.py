@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sourceseek import lie_bracket
-from sourceseek.numdiff import Dual, central_jacobian, directional_derivative, exp, log
+from sourceseek.numdiff import (Dual, Sym, Tape, central_jacobian,
+                                directional_derivative, exp, log)
 
 
 class TestDual:
@@ -97,3 +98,94 @@ def test_linear_fields_differentiate_exactly(a, b, x):
     # to the underflow threshold
     scale = (np.abs(b) @ np.abs(a) + np.abs(a) @ np.abs(b)) @ np.abs(x)
     assert np.all(np.abs(bracket - expect) <= 1e-13 * scale + np.finfo(float).tiny)
+
+
+def _hex(values):
+    return tuple(float(v).hex() for v in values)
+
+
+def _run(fn, x):
+    try:
+        with np.errstate(all="ignore"):
+            return _hex(fn(x))
+    except ArithmeticError as exc:
+        return type(exc).__name__
+
+
+class TestTape:
+    """A tape records the float operations run on its symbols and renders
+    them as one function that repeats them on floats."""
+
+    @staticmethod
+    def rendered(field, dimension):
+        tape = Tape(dimension)
+        return tape.render(field(tape.state))
+
+    def test_symbols_have_no_truth_value(self):
+        (x,) = Tape(1).state
+        with pytest.raises(TypeError, match="only known at run time"):
+            bool(x)
+        with pytest.raises(TypeError):
+            math.exp(x)
+
+    def test_duals_of_symbols_trace_derivatives(self):
+        # a symbol defers to a Dual, so a dual of symbols differentiates
+        (x,) = Tape(1).state
+        value = 3.0 * Dual(x, 1.0) ** 2 - Dual(x, 1.0)
+        assert isinstance(value, Dual) and isinstance(value.dual, Sym)
+
+    def test_repeated_operations_are_recorded_once(self):
+        tape = Tape(2)
+        a, b = tape.state
+        assert (a * b + 1.0) is (a * b + 1.0)
+        assert len(tape.lines) == 2
+        # 0.0 and -0.0 are two constants, so these are two operations
+        assert (a * 0.0) is not (a * -0.0)
+        assert tape.constants == [1.0, 0.0, -0.0]
+
+    @settings(max_examples=50, deadline=None)
+    @given(x=st.tuples(st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0, 1e200]),
+                       st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0, 1e200])))
+    def test_rendered_operations_are_the_float_operations(self, x):
+        # bit for bit, and raising where floats raise (0 division, ** overflow)
+        def field(s):
+            return (s[0] * s[1] - 0.5 / s[1], s[0] ** 3 + exp(s[1] / 1e3) * -s[0],
+                    1.5, s[1] - s[0] * 2)
+
+        assert _run(self.rendered(field, 2), x) == _run(field, x)
+
+    def test_constants_are_arguments_of_one_compiled_source(self):
+        def field(gain):
+            return lambda s: (gain * s[0] + s[1], s[1] / gain)
+
+        slow, fast = self.rendered(field(0.5), 2), self.rendered(field(4.0), 2)
+        assert slow.__code__ is fast.__code__
+        assert slow((1.0, 2.0)) == (2.5, 4.0) and fast((1.0, 2.0)) == (6.0, 0.5)
+
+    def test_required_conditions_raise_at_run_time(self):
+        tape = Tape(1)
+        (x,) = tape.state
+        tape.require(x * x <= 4.0, lambda state: ValueError(f"large at {state}"))
+        rendered = tape.render([x])
+        assert rendered((-2.0,)) == (-2.0,)
+        with pytest.raises(ValueError, match=r"large at \(3\.0,\)"):
+            rendered((3.0,))
+        # a condition known when tracing is decided then: a false one raises
+        # at every state
+        tape = Tape(1)
+        tape.require(False, lambda state: ValueError("always"))
+        with pytest.raises(ValueError, match="always"):
+            tape.render(tape.state)((0.0,))
+
+    def test_direction_that_vanishes_at_run_time_gives_plus_zeros(self):
+        # a float evaluation skips f along a zero direction, which gives
+        # +0.0; differentiating there would give -0.0 in the first entry
+        def f(s):
+            return (-s[0] * s[1], s[1] * s[1])
+
+        def along_the_state(s):
+            return directional_derivative(f, s, (s[0] * s[1], 0.0))
+
+        rendered = self.rendered(along_the_state, 2)
+        for x in [(0.0, 2.0), (3.0, 0.0), (-0.0, -1.0), (3.0, 2.0)]:
+            assert _hex(rendered(x)) == _hex(along_the_state(x)), x
