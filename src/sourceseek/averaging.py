@@ -43,7 +43,12 @@ symbols of a :class:`~sourceseek.numdiff.Tape`, and the record renders as
 one straight-line function of the state: the same float operations in the
 same order, with each bracket's finiteness test and each divergent
 bracket's vanishing rule, so it returns bit-for-bit what the duals would
-and raises their errors at the same states. The gains are arguments of that function, so
+and raises their errors at the same states, with one exception: where a
+direction is zero only at some states, the duals skip it there and the
+rendered function computes it and selects zeros, so an operation of a
+custom field that raises on those floats (a division by zero, an
+overflowing ``**``) raises in the rendered function only. The default
+systems record no such select. The gains are arguments of that function, so
 every system of one structure shares one compiled code object. This is the
 tape-based code generation of Griewank & Walther (*Evaluating
 Derivatives*, 2nd ed., SIAM 2008) applied to the Lie-bracket averaging of

@@ -24,8 +24,8 @@ into one straight-line function of the state tuple ``x`` that repeats those
 operations, in the same order on the same operands: its results are
 bit-for-bit those of the traced code run on floats. The tracing contract is
 stricter than the dual one. A field is traced once, before any state is
-known, so it must not branch on its state (``Sym.__bool__`` raises
-``TypeError``) or convert it to a float (``math.exp`` raises too); the test
+known, so it must not branch on its state (``Sym.__bool__``, ``==`` and
+``!=`` raise ``TypeError``) or convert it to a float (``math.exp`` raises too); the test
 that a float evaluation makes per state, a finiteness check or a zero
 direction, is recorded instead (:func:`require`, :func:`all_finite`,
 :func:`directional_derivative`). The constants met on the way are arguments
@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import string
 
 import numpy as np
@@ -92,9 +93,10 @@ class Dual:
         return other * self ** -1
 
 
-#: what a symbol combines with; anything else, a Dual included, is left to
-#: the other operand's reflected method
-_OPERANDS = (int, float, np.floating)
+#: what a symbol combines with (Python and numpy ints and floats among
+#: them); anything else, a Dual included, is left to the other operand's
+#: reflected method
+_OPERANDS = numbers.Real
 
 
 def _binary(operator: str, reflected: bool = False):
@@ -143,6 +145,15 @@ class Sym:
     def __bool__(self):
         raise TypeError(f"the truth of {self.name} is only known at run time, "
                         "but a traced field runs once, before any state")
+
+    def __eq__(self, other):
+        # a comparison is a branch on the state; identity equality would
+        # trace one side of it for every state
+        raise TypeError(f"{self.name} is only known at run time, so it "
+                        "cannot be compared while a field is traced")
+
+    __ne__ = __eq__
+    __hash__ = object.__hash__
 
 
 class Tape:

@@ -38,12 +38,6 @@ EQUILIBRIUM_TOL = 1e-6
 EIG_RESIDUAL_TOL = 1e-8
 #: permitted residual in the algebraic Lyapunov identity
 LYAP_RESIDUAL_TOL = 1e-10
-#: grid points per block of vdot_margin. A block's temporaries (32 KB each)
-#: are reused from the heap, where the whole-grid temporaries of the 40x40x21
-#: certify grid (269 KB each) came from fresh pages: inside verify tasks that
-#: took 656 minor page faults and 2.0-3.5 ms a call, and blocks take 118
-#: faults and 1.4-2.2 ms
-MARGIN_BLOCK = 4096
 
 
 class EquilibriumError(ValueError):
@@ -273,32 +267,17 @@ def vdot_margin(z_bar, d_hat, cert: LyapunovCertificate):
     The derivative uses dz = (S + Lt e^dhat) z and
     d(dhat) = -omega_d (e^dhat - 1); the bound is
     (-|z|^2 / 2 - b (e^dhat - 1)^2) / (1 + z^T P z).
-
-    A grid is evaluated in blocks of rows along its first axis, about
-    ``MARGIN_BLOCK`` points each; every operation is elementwise, so the
-    blocks give the values of one pass over the whole grid.
     """
     z1, z2 = _components(z_bar)
-    z1, z2, d_hat = np.broadcast_arrays(z1, z2, np.asarray(d_hat, dtype=float))
-    if z1.ndim == 0:
-        return float(_vdot_margin(z1, z2, d_hat, cert))
-    out = np.empty(z1.shape)
-    rows = max(1, MARGIN_BLOCK * len(z1) // max(1, z1.size))
-    for i in range(0, len(z1), rows):
-        block = slice(i, i + rows)
-        out[block] = _vdot_margin(z1[block], z2[block], d_hat[block], cert)
-    return out
-
-
-def _vdot_margin(z1, z2, d_hat, cert: LyapunovCertificate) -> np.ndarray:
-    ed = np.exp(d_hat)
+    ed = np.exp(np.asarray(d_hat, dtype=float))
     dz1, dz2 = _cascade_dz(z1, z2, ed, cert)
     pz1, pz2 = _mat_vec(cert.P, z1, z2)
     denom = 1.0 + (z1 * pz1 + z2 * pz2)  # 1 + z^T P z
     riccati = cert.b * (ed - 1.0) ** 2
     vdot = 2.0 * (pz1 * dz1 + pz2 * dz2) / denom - riccati
     bound = (-0.5 * (z1 * z1 + z2 * z2) - riccati) / denom
-    return vdot - bound
+    out = vdot - bound
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def iss_bound_check(r, z_bar, d_hat, hessian: float, h_gain: float,

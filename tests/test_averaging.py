@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -267,6 +268,25 @@ class TestNonArithmeticFields:
         with pytest.raises(TypeError, match="channel 1 is not plain arithmetic"
                                             ".* no branch on the state"):
             self.system(lambda s: np.zeros(2), channel)
+
+    @pytest.mark.parametrize("compare", [operator.ne, operator.eq])
+    def test_channel_comparing_its_state(self, compare):
+        # without a Sym.__eq__ of its own, s[0] != 0.0 would compare by
+        # identity and trace one branch for every state
+        def channel(s):
+            return (s[0] if compare(s[0], 0.0) else 1.0, 0.0)
+
+        with pytest.raises(TypeError, match="channel 1 is not plain arithmetic"
+                                            ".* cannot be compared"):
+            self.system(lambda s: np.zeros(2), channel)
+
+    def test_numpy_integer_constants(self):
+        # numpy integers combine with a symbol as Python ints do, and the
+        # rendered field repeats their float operations bit for bit
+        system = self.system(lambda s: (np.int64(2) * s[1], s[0] * np.int32(-3)),
+                             lambda s: (np.int64(1) + s[1] * s[1], np.uint8(1)))
+        engine = build_averaged_field(system, default_omega_grid(15.0))
+        _assert_rendered_is_dual_path(engine, [(0.5, -2.0), (0.0, 3.0)])
 
     def test_drift_calling_a_numpy_ufunc(self):
         with pytest.raises(TypeError, match="drift is not plain arithmetic"):

@@ -21,7 +21,6 @@ from sourceseek import (
     stability_report,
     vdot_margin,
 )
-import sourceseek.stability as stability
 from sourceseek.stability import _cascade_dr, _cascade_dz
 
 
@@ -262,20 +261,6 @@ class TestVdotMargin:
         vdot = vdot_margin(z, dh, cert) + bound
         nonzero = (np.sum(z * z, axis=-1) > 1e-20) | (np.abs(dh) > 1e-12)
         assert np.all(vdot[nonzero] < 0.0)
-
-    @pytest.mark.parametrize("block", [1, 840, 3361])
-    def test_blocks_give_one_pass_over_the_grid(self, block, monkeypatch):
-        # a row per block, whole rows, and more than whole rows: the same
-        # bits as one block, and a broadcast dhat axis gives them too
-        cert = build_certificate(2.0, 1.0, 0.3, 0.01)
-        g, line = np.linspace(-5.0, 5.0, 40), np.linspace(-2.0, 2.0, 21)
-        z1, z2, dh = np.meshgrid(g, g, line, indexing="ij")
-        z = np.stack([z1, z2], axis=-1)
-        monkeypatch.setattr(stability, "MARGIN_BLOCK", dh.size)
-        one_pass = vdot_margin(z, dh, cert).tobytes()
-        monkeypatch.setattr(stability, "MARGIN_BLOCK", block)
-        assert vdot_margin(z, dh, cert).tobytes() == one_pass
-        assert vdot_margin(z, line, cert).tobytes() == one_pass
 
     def test_certificate_soundness_random_parameters(self, rng):
         g = np.linspace(-5.0, 5.0, 40)
