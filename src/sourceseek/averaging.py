@@ -553,7 +553,8 @@ def _vanishes(f, g, x) -> bool:
     a bool at a real ``x``, the recorded test at a traced one."""
     dg_f, df_g = _bracket_terms(f, g, x)
     # hypot neither overflows nor underflows where squares would
-    return hypot(*(dg_f - df_g)) <= BRACKET_RTOL * (hypot(*dg_f) + hypot(*df_g))
+    return (hypot(*map(operator.sub, dg_f, df_g))
+            <= BRACKET_RTOL * (hypot(*dg_f) + hypot(*df_g)))
 
 
 def default_omega_grid(omega_anchor: float) -> tuple[float, ...]:

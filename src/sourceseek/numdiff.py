@@ -23,26 +23,32 @@ recorded once (value numbering), and :meth:`Tape.render` turns the record
 into one straight-line function of the state tuple ``x`` that repeats those
 operations, in the same order on the same operands: its results are
 bit-for-bit those of the traced code run on floats. The tracing contract is
-stricter than the dual one. A field is traced once, before any state is
-known, so it must not branch on its state (``Sym.__bool__``, ``==`` and
-``!=`` raise ``TypeError``) or convert it to a float (``math.exp`` raises too); the test
-that a float evaluation makes per state, a finiteness check or a zero
-direction, is recorded instead (:func:`require`, :func:`all_finite`,
-:func:`directional_derivative`). The constants met on the way are arguments
-of the rendered function, so its source depends only on the operations,
-and one compiled code object serves every tape of the same source.
+stricter than the dual one. Code is traced once, before any state is known,
+so it must not branch on its state, compare it or convert it to a float
+(``math.exp`` of a symbol converts it): a symbol raises :class:`Untraceable`,
+a ``TypeError``, for its truth, ``==``, ``!=``, a conversion, a numpy
+function other than arithmetic, and, on a tape of float code, an array.
+A function of one float becomes traceable as :func:`elementary` of it, which
+records a call of that very function. The test that a float evaluation makes
+per state, a finiteness check or a zero direction, is recorded instead
+(:func:`require`, :func:`all_finite`, :func:`directional_derivative`). The
+constants met on the way, functions among them, are arguments of the
+rendered function, so its source depends only on the operations, and one
+compiled code object serves every tape of the same source.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import numbers
 import string
 
 import numpy as np
 
-__all__ = ["Tape", "central_jacobian", "directional_derivative", "exp", "log"]
+__all__ = ["Tape", "Untraceable", "central_jacobian", "directional_derivative",
+           "elementary", "exp", "log"]
 
 
 class Dual:
@@ -93,6 +99,13 @@ class Dual:
         return other * self ** -1
 
 
+class Untraceable(TypeError):
+    """Raised by a :class:`Sym` asked for what only a run-time value has: its
+    truth, an equality, a conversion (``float``, ``math.sin``, ``np.asarray``)
+    or an operation the tape does not record. Code that meets it cannot be
+    traced and must run on floats."""
+
+
 #: what a symbol combines with (Python and numpy ints and floats among
 #: them); anything else, a Dual included, is left to the other operand's
 #: reflected method
@@ -100,17 +113,27 @@ _OPERANDS = numbers.Real
 
 
 def _binary(operator: str, reflected: bool = False):
+    template = "{} " + operator + " {}"
+
     def op(self, other):
         if type(other) is Sym:
             b = other.name
-        elif isinstance(other, _OPERANDS):
+        elif type(other) is float or isinstance(other, _OPERANDS):
             b = self.tape.name(other)
         else:
             return NotImplemented
         a = self.name
-        return self.tape.record(f"{b} {operator} {a}" if reflected
-                                else f"{a} {operator} {b}")
+        if reflected:
+            a, b = b, a
+        return self.tape._record(f"{a} {operator} {b}", template, (a, b))
     return op
+
+
+def _refused(what: str):
+    def refuse(self, *args, **kwargs):
+        raise Untraceable(f"{self.name} is only known at run time, so {what} "
+                          "while it is traced")
+    return refuse
 
 
 class Sym:
@@ -118,7 +141,6 @@ class Sym:
     and returns the symbol of its result."""
 
     __slots__ = ("tape", "name")
-    __array_ufunc__ = None  # numpy scalars and arrays defer to these methods
 
     def __init__(self, tape: "Tape", name: str):
         self.tape = tape
@@ -133,92 +155,210 @@ class Sym:
     __truediv__ = _binary("/")
     __rtruediv__ = _binary("/", reflected=True)
     __le__ = _binary("<=")
+    __lt__ = _binary("<")
+    __ge__ = _binary(">=")
+    __gt__ = _binary(">")
 
     def __neg__(self):
-        return self.tape.record(f"-{self.name}")
+        return self.tape.record("-{}", self)
 
     def __pow__(self, n):
         if not isinstance(n, int):
-            return NotImplemented
-        return self.tape.record(f"{self.name} ** {self.tape.name(n)}")
+            raise Untraceable(f"{self.name} ** {n!r}: only integer powers are traced")
+        return self.tape.record("{} ** {}", self, n)
 
-    def __bool__(self):
-        raise TypeError(f"the truth of {self.name} is only known at run time, "
-                        "but a traced field runs once, before any state")
-
-    def __eq__(self, other):
-        # a comparison is a branch on the state; identity equality would
-        # trace one side of it for every state
-        raise TypeError(f"{self.name} is only known at run time, so it "
-                        "cannot be compared while a field is traced")
-
-    __ne__ = __eq__
+    # the truth of a symbol, or a comparison, is a branch on the state;
+    # identity equality would trace one side of it for every state
+    __bool__ = _refused("it has no truth value")
+    __eq__ = __ne__ = _refused("it cannot be compared")
+    __float__ = __int__ = __index__ = __complex__ = _refused("it is not a number")
+    __round__ = __trunc__ = __floor__ = __ceil__ = __abs__ = __mod__ = __rmod__ = \
+        __floordiv__ = __rfloordiv__ = __rpow__ = _refused("this operation is not recorded")
     __hash__ = object.__hash__
+
+    def __array__(self, dtype=None, copy=None):
+        """An entry of an object array, as a :class:`Dual` is; refused on a
+        tape without ``object_arrays``, whose code runs on float arrays,
+        which numpy computes in an order of its own (BLAS, pairwise sums)."""
+        if not self.tape.object_arrays:
+            raise Untraceable(f"{self.name} is only known at run time, so it "
+                              "cannot enter an array while it is traced")
+        out = np.empty((), dtype=object)
+        out[()] = self
+        return out
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        """A numpy scalar combined with a symbol (``np.float64(2.0) * s``)
+        records the Python operator; any other ufunc is refused."""
+        op = _UFUNC_OPERATORS.get(ufunc)
+        if op and method == "__call__" and not kwargs and len(inputs) == 2:
+            a, b = inputs
+            out = op[0](a, b) if type(a) is Sym else op[1](b, a)
+            if out is not NotImplemented:
+                return out
+        raise Untraceable(f"numpy's {ufunc.__name__} of {self.name} cannot be traced")
+
+
+_UFUNC_OPERATORS = {
+    np.add: (Sym.__add__, Sym.__radd__),
+    np.subtract: (Sym.__sub__, Sym.__rsub__),
+    np.multiply: (Sym.__mul__, Sym.__rmul__),
+    np.true_divide: (Sym.__truediv__, Sym.__rtruediv__),
+}
+
+#: an inlined expression nests at most this deep, far below the parser's
+#: limit on nested parentheses
+_MAX_DEPTH = 32
 
 
 class Tape:
     """The record of one straight-line function of a state tuple ``x`` of
-    ``dimension`` entries, whose symbols are ``state``.
+    ``dimension`` entries, whose symbols are ``state``; ``inputs`` names
+    further symbols, free variables of the rendered statements. With
+    ``object_arrays``, a symbol may be an entry of a numpy object array, as
+    in code traced for duals, which make object arrays too; without it the
+    traced code must be the code that runs on floats, and an array of
+    symbols is refused (:meth:`Sym.__array__`).
 
     :meth:`record` numbers values: an operation already recorded on the same
     operands returns its earlier symbol, so a repeated sub-expression is
     computed once. An operand that is not a symbol is a constant, one
     argument ``k0``, ``k1``, ... per distinct value (``0.0`` and ``-0.0``
-    are two values).
+    are two values; a function is a constant too). Each temporary is named
+    ``t0``, ``t1``, ...
     """
 
-    def __init__(self, dimension: int):
+    def __init__(self, dimension: int, inputs=(), object_arrays: bool = True):
         self.state = tuple(Sym(self, f"x{i}") for i in range(dimension))
-        self.lines: list[str] = []
+        self.inputs = tuple(Sym(self, name) for name in inputs)
+        self.object_arrays = object_arrays
+        #: ``(name, template, operand names, ordered)`` per operation, a
+        #: string per statement
+        self.lines: list = []
         self.constants: list = []
         self._constant_names: dict = {}
         self._values: dict[str, Sym] = {}
+        self._temporaries = itertools.count()
 
     def name(self, value) -> str:
         """The source name of a symbol or a constant."""
         if type(value) is Sym:
             return value.name
-        key = (type(value), repr(value)) if isinstance(value, _OPERANDS) else id(value)
+        real = type(value) is float or isinstance(value, _OPERANDS)
+        key = (type(value), repr(value)) if real else id(value)
         name = self._constant_names.get(key)
         if name is None:
             name = self._constant_names[key] = f"k{len(self.constants)}"
             self.constants.append(value)
         return name
 
-    def call(self, function: str, *operands) -> Sym:
-        """The symbol of ``function(*operands)``, ``function`` a name of the
-        rendered function's namespace (:func:`_factory`)."""
-        return self.record(f"{function}({', '.join(map(self.name, operands))})")
+    def call(self, function, *operands) -> Sym:
+        """The symbol of ``function(*operands)``; the function is a constant."""
+        return self.record("{}(" + ", ".join(["{}"] * len(operands)) + ")",
+                           function, *operands)
 
-    def record(self, expression: str) -> Sym:
-        """The symbol of ``expression``, source over names of this tape."""
+    def record(self, template: str, *operands, ordered: bool = True) -> Sym:
+        """The symbol of ``template.format`` of the operands' names. An
+        ``ordered`` template evaluates every operand, left to right, so an
+        operand used nowhere else may be written into it (:func:`_statements`);
+        ``and``, ``or`` and ``if`` are not ordered."""
+        names = tuple([o.name if type(o) is Sym else self.name(o) for o in operands])
+        return self._record(template.format(*names), template, names, ordered)
+
+    def _record(self, expression: str, template: str, names: tuple,
+                ordered: bool = True) -> Sym:
         sym = self._values.get(expression)
         if sym is None:
-            sym = self._values[expression] = Sym(self, f"t{len(self._values)}")
-            self.lines.append(f"{sym.name} = {expression}")
+            sym = self._values[expression] = Sym(self, f"t{next(self._temporaries)}")
+            self.lines.append((sym.name, template, names, ordered))
         return sym
+
+    def reserve(self, n: int) -> tuple[Sym, ...]:
+        """``n`` constants that come first among the rendered function's
+        constants, their values left to its caller: symbols named like
+        constants, never numbered together with a recorded one."""
+        first = len(self.constants)
+        self.constants += [None] * n
+        return tuple(Sym(self, f"k{i}") for i in range(first, first + n))
+
+    def temporary(self) -> Sym:
+        """A new temporary, for a :meth:`statement` to assign."""
+        return Sym(self, f"t{next(self._temporaries)}")
+
+    def statement(self, template: str, *operands) -> None:
+        """Append the statement ``template.format`` of the operands' names."""
+        self.lines.append(template.format(*map(self.name, operands)))
 
     def require(self, condition, error) -> None:
         """At run time, ``raise error(x)`` where the recorded ``condition`` is
         false; a constant condition is decided now, and a false one raises
         at every state."""
         if isinstance(condition, Sym):
-            self.lines += [f"if not {condition.name}:",
-                           f"    raise {self.name(error)}(x)"]
+            self.statement("if not {}:", condition)
+            self.statement("    raise {}(x)", error)
         elif not condition:
-            self.lines.append(f"raise {self.name(error)}(x)")
+            self.statement("raise {}(x)", error)
+
+    def statements(self, outputs) -> tuple[list[str], list[str]]:
+        """The recorded lines as statements, and the expressions of
+        ``outputs`` (symbols or constants); see :func:`_statements`."""
+        return _statements(self.lines, [self.name(o) for o in outputs])
 
     def render(self, outputs):
         """The recorded function ``x -> tuple(outputs)``, from a code object
-        shared by every tape of the same source."""
-        returned = ", ".join(map(self.name, outputs))
-        source = _RENDERED.substitute(
-            constants=", ".join(f"k{i}" for i in range(len(self.constants))),
-            state=", ".join(s.name for s in self.state),
-            body="".join(f"        {line}\n" for line in self.lines),
-            outputs=returned,
-        )
-        return _factory(source)(tuple(self.constants))
+        shared by every tape of the same record."""
+        returned = tuple([self.name(o) for o in outputs])
+        factory = _factory(tuple(self.lines), returned, len(self.state),
+                           len(self.constants))
+        return factory(tuple(self.constants))
+
+
+def _statements(lines, outputs) -> tuple[list[str], list[str]]:
+    """``lines``, a tape's record, as statements, and the expressions of the
+    ``outputs`` names. A temporary used once is written into its user where
+    that keeps the order in which the operations run, so the first one to
+    raise is the same: it must be the last of the temporaries still pending
+    when an ordered user takes it."""
+    uses: dict[str, int] = {}
+    for line in lines:
+        for n in line[2] if type(line) is tuple else ():
+            uses[n] = uses.get(n, 0) + 1
+    for n in outputs:
+        uses[n] = uses.get(n, 0) + 1
+    pending: dict[str, tuple[str, int]] = {}  # name -> (expression, depth)
+    out: list[str] = []
+
+    def flush():
+        out.extend(f"{n} = {expression}" for n, (expression, _) in pending.items())
+        pending.clear()
+
+    def inline(names, ordered=True):
+        """``names`` with the pending ones written in, and their depth."""
+        inlined = [n for n in names if n in pending]
+        if not inlined:
+            return names, 0
+        if not ordered or list(pending)[-len(inlined):] != inlined:
+            flush()
+            return names, 0
+        depth = max(pending[n][1] for n in inlined)
+        return [f"({pending.pop(n)[0]})" if n in inlined else n for n in names], depth
+
+    for line in lines:
+        if type(line) is str:  # a statement; its operands are never pending
+            flush()
+            out.append(line)
+            continue
+        name, template, names, ordered = line
+        names, depth = inline(names, ordered)
+        expression = template.format(*names)
+        if uses.get(name) == 1 and depth < _MAX_DEPTH:
+            pending[name] = (expression, depth + 1)
+        else:
+            flush()
+            out.append(f"{name} = {expression}")
+    outputs, _ = inline(outputs)
+    flush()
+    return out, outputs
 
 
 #: the source of a rendered tape: ``factory`` binds the constants, and the
@@ -234,12 +374,32 @@ $body        return ($outputs,)
 
 
 @functools.lru_cache(maxsize=256)
-def _factory(source: str):
-    """The ``factory`` of a rendered ``source``, compiled once per text."""
-    namespace = {"isfinite": math.isfinite, "hypot": math.hypot,
-                 "exp": np.exp, "log": np.log}
+def _factory(lines: tuple, outputs: tuple, dimension: int, n_constants: int):
+    """The ``factory`` of a rendered tape, compiled once per record."""
+    body, returned = _statements(lines, outputs)
+    source = _RENDERED.substitute(
+        constants=", ".join(f"k{i}" for i in range(n_constants)),
+        state=", ".join(f"x{i}" for i in range(dimension)),
+        body="".join(f"        {line}\n" for line in body),
+        outputs=", ".join(returned),
+    )
+    namespace: dict = {}
     exec(compile(source, "<rendered tape>", "exec"), namespace)
     return namespace["factory"]
+
+
+def elementary(function):
+    """``function`` of one float, recorded as a call of that same function
+    when its argument is a :class:`Sym`; ``elementary(math.sin)`` of a float
+    is ``math.sin`` of it."""
+    def apply(x):
+        if type(x) is Sym:
+            return x.tape.call(function, x)
+        return function(x)
+
+    apply.__name__ = apply.__qualname__ = function.__name__
+    apply.__doc__ = f"{function.__name__} of a float, recorded on a Sym"
+    return apply
 
 
 def exp(x):
@@ -248,7 +408,7 @@ def exp(x):
         e = exp(x.real)
         return Dual(e, e * x.dual)
     if isinstance(x, Sym):
-        return x.tape.call("exp", x)
+        return x.tape.call(np.exp, x)
     return np.exp(x)
 
 
@@ -257,7 +417,7 @@ def log(x):
     if isinstance(x, Dual):
         return Dual(log(x.real), x.dual / x.real)
     if isinstance(x, Sym):
-        return x.tape.call("log", x)
+        return x.tape.call(np.log, x)
     return np.log(x)
 
 
@@ -265,7 +425,7 @@ def hypot(*values):
     """``math.hypot`` of floats; recorded when a :class:`Sym` is among them."""
     for v in values:
         if isinstance(v, Sym):
-            return v.tape.call("hypot", *values)
+            return v.tape.call(math.hypot, *values)
     return math.hypot(*values)
 
 
@@ -276,7 +436,9 @@ def all_finite(values):
     constants_finite = all(math.isfinite(v) for v in values if not isinstance(v, Sym))
     if not (syms and constants_finite):
         return constants_finite
-    return syms[0].tape.record(" and ".join(f"isfinite({s.name})" for s in syms))
+    tape = syms[0].tape
+    return tape.record(" and ".join(["{}({})"] * len(syms)),
+                       *(v for s in syms for v in (math.isfinite, s)), ordered=False)
 
 
 def require(condition, error, x) -> None:
@@ -297,15 +459,13 @@ def directional_derivative(f, x, v) -> np.ndarray | tuple:
     ``f`` must map into the space of ``v`` (a vector field); at a traced
     state, see :func:`_traced_derivative`.
 
-    Returns a float array at a real point and a tuple at a dual one, where
-    the result is a field value that the next derivative differentiates.
+    Returns a float array at a real point, and a tuple at a dual one, where
+    the result is a field value that the next derivative differentiates, or
+    at a traced one, where symbols refuse to become an array.
     """
     if isinstance(x[0], Sym):
-        out = _traced_derivative(f, x, v)
-    elif any(v):
-        out = _dual_part(f, x, v)
-    else:
-        out = [0.0] * len(v)
+        return tuple(_traced_derivative(f, x, v))
+    out = _dual_part(f, x, v) if any(v) else [0.0] * len(v)
     return tuple(out) if isinstance(x[0], Dual) else np.array(out)
 
 
@@ -329,8 +489,8 @@ def _traced_derivative(f, x, v) -> list:
     if all(map(_plus_zero, out)):
         return out
     tape = symbols[0].tape
-    moving = tape.record(" or ".join(s.name for s in symbols))
-    return [y if _plus_zero(y) else tape.record(f"{tape.name(y)} if {moving.name} else 0.0")
+    moving = tape.record(" or ".join(["{}"] * len(symbols)), *symbols, ordered=False)
+    return [y if _plus_zero(y) else tape.record("{} if {} else 0.0", y, moving, ordered=False)
             for y in out]
 
 

@@ -10,23 +10,41 @@ The step loop runs on Python floats: ``rhs(t, y)`` and ``guard(t, y)``
 receive the state as a tuple of floats, and ``rhs`` returns a sequence of
 the same length (a tuple, a list or a 1-D array). The states are small (three
 or four components), so per-call array construction would cost more than the
-arithmetic. The loop is rendered once per state length from one template
-(:data:`_STEP_LOOP`), unrolled over the components: each stage result is
-unpacked into locals, each stage argument is a literal tuple and the update
-is one assignment per component. Its float operations, and their order, are
-those of the array form of RK4, so trajectories are bit-for-bit those of an
-array loop. Recorded samples are written into arrays sized up front.
+arithmetic. There is one loop template (:data:`_STEP_LOOP`), unrolled over
+the components, and one RK4 step (:func:`_rk4_step`), whose float operations,
+and their order, are those of the array form of RK4, so trajectories are
+bit-for-bit those of an array loop. The step is written into the template in
+one of two fillings, each traced once on a :class:`~sourceseek.numdiff.Tape`
+and compiled once per source text:
+
+* traced: ``rhs`` runs once, on symbols, and its record is replayed at the
+  four stages, so a step is one straight-line block of float operations
+  with no call of ``rhs``; a value the stages share (the trigonometry of
+  ``t + h/2``) is computed once, and a temporary used once is written into
+  its user. So ``rhs`` must be a pure function of ``(t, y)``: it runs once,
+  on symbols, and never sees a float.
+* called: where the tape refuses ``rhs`` (:class:`~sourceseek.numdiff.Untraceable`:
+  it branches on, compares or converts its time or state, calls a ``math``
+  or numpy function of them, or builds an array of them), each stage calls
+  it on floats, ``4 * steps`` calls in all.
+
+Both fillings give the same trajectory, bit for bit, and the same aborts.
+Recorded samples are written into arrays sized up front.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import numbers
 import string
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from .numdiff import Sym, Tape, Untraceable
 
 __all__ = [
     "IntegratorConfig",
@@ -105,10 +123,13 @@ class IntegratorConfig:
 
 @dataclass
 class Trajectory:
-    """Time-stamped state samples."""
+    """Time-stamped state samples; ``steps`` and ``rhs_calls`` are what
+    :func:`integrate` did to make them (0 where it did not)."""
 
     times: np.ndarray
     states: np.ndarray
+    steps: int = 0
+    rhs_calls: int = 0
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -145,40 +166,31 @@ class Trajectory:
         return path
 
 
-#: The RK4 step loop, one source for every state length. ``_step_loop``
-#: renders it for ``dim`` components: ``$y`` stands for ``y0, y1, ...`` and
-#: ``$a``, ``$b``, ``$c``, ``$e`` for the four stages likewise; each stage
-#: argument, the update and the finiteness test are written out per component.
-#: The float operations are those of the array form, component by component:
-#: ``y + half * k`` for a stage and ``y + sixth * (k1 + 2 k2 + 2 k3 + k4)``
-#: for the update.
+#: The RK4 step loop, one source for every rhs. :func:`_kernel` fills it
+#: for a state of ``dim`` components: ``$x`` stands for ``x0, x1, ...``, the
+#: state's locals, ``$constants`` for ``k0, k1, ...`` and ``$step`` for the
+#: statements of one step, which leave the new state in ``$x``. The span
+#: ends are ``start`` and ``end`` and the step's locals ``t`` and ``h``, so
+#: no local of the loop takes a name of the tape's temporaries ``t<n>``.
 _STEP_LOOP = string.Template("""\
-def step_loop(rhs, guard, y, k1, t0, t1, dt, remainder, n_full, total_steps,
-              stride, times, states, aborted, isfinite=isfinite):
-    $y, = y
-    $a, = k1
+def step_loop(guard, y, probe, start, end, dt, remainder, n_full, total_steps,
+              stride, times, states, aborted, constants, isfinite=isfinite):
+    [$constants] = constants
+    [$x] = y
     n_rec = 1
-    t = t0
+    t = start
     h = dt
     for i in range(total_steps):
         if i == n_full:  # shortened final step
             h = remainder
-        half = 0.5 * h
-        t_new = t1 if i + 1 == total_steps else t0 + (i + 1) * dt
+        t_new = end if i + 1 == total_steps else start + (i + 1) * dt
         try:
-            if i:
-                $a, = rhs(t, y)
-            $b, = rhs(t + half, ($stage_a,))
-            $c, = rhs(t + half, ($stage_b,))
-            $e, = rhs(t + h, ($stage_c,))
+$step
         except OverflowError as exc:
             raise aborted(f"non-finite state at t={t_new}", t, n_rec) from exc
-        sixth = h / 6.0
-        $update
-        y = ($y,)
         if not ($finite):
             raise aborted(f"non-finite state at t={t_new}", t, n_rec)
-        if guard is not None and not guard(t_new, y):
+        if guard is not None and not guard(t_new, ($x,)):
             raise aborted(
                 f"state guard violated at t={t_new} (step-size violation: "
                 f"reduce dt below {h})",
@@ -188,31 +200,118 @@ def step_loop(rhs, guard, y, k1, t0, t1, dt, remainder, n_full, total_steps,
         t = t_new
         if i + 1 == total_steps or (i + 1) % stride == 0:
             times[n_rec] = t
-            states[n_rec] = y
+            states[n_rec] = ($x,)
             n_rec += 1
 """)
 
 
-@functools.cache
-def _step_loop(dim: int):
-    """The step loop of :data:`_STEP_LOOP` for states of ``dim`` components,
-    compiled once per length."""
-    def each(term: str, sep: str = ", ") -> str:
-        return sep.join(term.format(j=j) for j in range(dim))
+def _rk4_step(stage, t, h, y) -> tuple:
+    """The new state after one RK4 step of ``stage(t, y)`` from ``(t, y)``,
+    the operations of the array form component by component: ``y + half *
+    k`` for a stage argument and ``y + sixth * (k1 + 2 k2 + 2 k3 + k4)`` for
+    the update. Both fillings of :data:`_STEP_LOOP` are this function run on
+    the symbols of a tape."""
+    half = 0.5 * h
+    a = stage(t, y)
+    b = stage(t + half, tuple(v + half * k for v, k in zip(y, a)))
+    c = stage(t + half, tuple(v + half * k for v, k in zip(y, b)))
+    e = stage(t + h, tuple(v + h * k for v, k in zip(y, c)))
+    sixth = h / 6.0
+    return tuple(v + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                 for v, k1, k2, k3, k4 in zip(y, a, b, c, e))
 
+
+def _trace(rhs, dim: int) -> tuple:
+    """``rhs`` run once on the symbols of a tape: the shape of its record
+    (lines, outputs and the number of constants), and its constants."""
+    tape = _tape(dim, ("t",))
+    value = rhs(*tape.inputs, tape.state)
+    _check_length(value, dim)
+    if any(type(line) is str for line in tape.lines):
+        raise Untraceable("an rhs that records statements cannot be replayed")
+    outputs = []
+    for v in value:
+        if type(v) is Sym:
+            outputs.append(v.name)
+        elif isinstance(v, numbers.Real):  # a component that is a constant
+            outputs.append((type(v), repr(v), v))
+        else:
+            raise Untraceable(f"the rhs gave a {type(v).__name__}, not a number")
+    return (tuple(tape.lines), tuple(outputs), len(tape.constants)), tape.constants
+
+
+@functools.lru_cache(maxsize=64)
+def _traced_kernel(shape: tuple, dim: int):
+    """The traced filling for an rhs of this :func:`_trace` shape: each stage
+    replays the rhs's record on the stage's time and state, so the step's
+    tape numbers values across stages. Returns the kernel and the constants
+    it takes after the rhs's own."""
+    lines, outputs, n_constants = shape
+    step = _tape(dim, ("t", "h"))
+    constants = {k.name: k for k in step.reserve(n_constants)}
+
+    def stage(t, y):
+        syms = {"t": t, **constants, **{f"x{i}": v for i, v in enumerate(y)}}
+        for name, template, operands, ordered in lines:
+            syms[name] = step.record(template, *[syms[o] for o in operands],
+                                     ordered=ordered)
+        return tuple(syms[o] if type(o) is str else o[2] for o in outputs)
+
+    return _kernel(stage, step, n_constants)
+
+
+@functools.cache
+def _called_kernel(dim: int):
+    """The call filling: each stage one call of ``rhs``, the kernel's first
+    constant, written as a statement that unpacks its value into new
+    temporaries; the first step's first stage is ``probe``. Returns the
+    kernel and the constants it takes after ``rhs``."""
+    step = _tape(dim, ("t", "h"))
+    rhs = step.reserve(1)
+    calls = itertools.count()
+
+    def stage(t, y):
+        k = [step.temporary() for _ in range(dim)]
+        unpack = "[" + ", ".join(s.name for s in k) + "] = "
+        call = "{}({}, (" + "{}, " * dim + "))"
+        if next(calls):
+            step.statement(unpack + call, *rhs, t, *y)
+        else:
+            step.statement("if i:")
+            step.statement("    probe = " + call, *rhs, t, *y)
+            step.statement(unpack + "probe")
+        return k
+
+    return _kernel(stage, step, 1)
+
+
+def _tape(dim: int, inputs) -> Tape:
+    """A tape of code that runs on floats: it refuses arrays of symbols."""
+    return Tape(dim, inputs=inputs, object_arrays=False)
+
+
+def _check_length(k, dim: int) -> None:
+    if len(k) != dim:
+        raise ValueError(f"rhs returned {len(k)} components for a state of length {dim}")
+
+
+def _kernel(stage, tape: Tape, supplied: int):
+    """The step loop filled with :func:`_rk4_step` of ``stage`` traced on
+    ``tape``, and the constants the tape recorded after the ``supplied``
+    ones it reserved."""
+    t, h = tape.inputs
+    lines, outputs = tape.statements(_rk4_step(stage, t, h, tape.state))
+    x = ", ".join(v.name for v in tape.state)
+    lines.append(f"{x}, = {', '.join(outputs)},")
     source = _STEP_LOOP.substitute(
-        y=each("y{j}"), a=each("a{j}"), b=each("b{j}"), c=each("c{j}"),
-        e=each("e{j}"),
-        stage_a=each("y{j} + half * a{j}"),
-        stage_b=each("y{j} + half * b{j}"),
-        stage_c=each("y{j} + h * c{j}"),
-        update=each("y{j} = y{j} + sixth * (a{j} + 2.0 * b{j} + 2.0 * c{j} + e{j})",
-                    "\n        "),
-        finite=each("isfinite(y{j})", " and "),
+        constants=", ".join(f"k{i}" for i in range(len(tape.constants))),
+        x=x,
+        step="".join(f"            {line}\n" for line in lines).rstrip("\n"),
+        finite=" and ".join(f"isfinite({v.name})" for v in tape.state),
     )
     namespace = {"isfinite": math.isfinite}
-    exec(compile(source, f"<RK4 step loop, dim={dim}>", "exec"), namespace)
-    return namespace["step_loop"]
+    exec(compile(source, "<RK4 step loop>", "exec"), namespace)
+    return namespace["step_loop"], tuple(tape.constants[supplied:])
 
 
 def integrate(rhs, x0, t0: float, t1: float, config: IntegratorConfig,
@@ -223,21 +322,25 @@ def integrate(rhs, x0, t0: float, t1: float, config: IntegratorConfig,
     ----------
     rhs : callable
         ``rhs(t, x) -> dx`` with ``x`` a tuple of floats and ``dx`` a
-        sequence of the same length. The length is checked on the first
-        evaluation, with a message naming both lengths, and again by every
+        sequence of the same length. It must be a pure function of
+        ``(t, x)``: it is first run once on symbols (see the module
+        docstring), and where that is refused it is called ``4 * steps``
+        times on floats, the first call being the first step's first stage.
+        The length of its value is checked on that first run or call, with
+        a message naming both lengths, and a called rhs again by every
         stage unpack of the step loop, which raises ValueError on a
-        mismatch. ``rhs`` is called ``4 * steps`` times: the first
-        evaluation is the first step's first stage.
+        mismatch.
     guard : callable, optional
-        ``guard(t, x) -> bool``, with ``x`` the same tuple of floats,
-        evaluated after every accepted step; a False result aborts with a
-        step-size violation report.
+        ``guard(t, x) -> bool``, with ``x`` a tuple of floats, evaluated
+        after every accepted step; a False result aborts with a step-size
+        violation report.
 
     Returns
     -------
     Trajectory
         States recorded every ``config.output_stride`` steps; the initial and
-        final states are always included.
+        final states are always included. ``steps`` counts the steps and
+        ``rhs_calls`` the runs of ``rhs``: 1 where it was traced.
 
     Raises
     ------
@@ -249,9 +352,6 @@ def integrate(rhs, x0, t0: float, t1: float, config: IntegratorConfig,
         On ``t1 <= t0``, a non-finite initial state or one that violates
         the guard, or an ``rhs`` whose output length differs from the
         state length.
-
-    The steps run in the loop :func:`_step_loop` renders for the state
-    length; see the module docstring.
     """
     if not t1 > t0:
         raise ValueError(f"need t1 > t0, got [{t0}, {t1}]")
@@ -284,19 +384,27 @@ def integrate(rhs, x0, t0: float, t1: float, config: IntegratorConfig,
             f"{what}; last valid time t={last_valid_time}", last_valid_time, partial
         )
 
+    probe = None
     try:
-        k1 = rhs(t0, y)
-    except OverflowError as exc:
-        t_new = t1 if total_steps <= 1 else t0 + dt
-        raise aborted(f"non-finite state at t={t_new}", t0, 1) from exc
-    if len(k1) != dim:
-        raise ValueError(
-            f"rhs returned {len(k1)} components for a state of length {dim}"
-        )
+        shape, supplied = _trace(rhs, dim)
+        kernel, constants = _traced_kernel(shape, dim)
+        rhs_calls = 1
+    # an rhs that overflows on its constants alone overflows at every state,
+    # and the probe below reports it
+    except (Untraceable, OverflowError):
+        try:
+            probe = rhs(t0, y)
+        except OverflowError as exc:
+            t_new = t1 if total_steps <= 1 else t0 + dt
+            raise aborted(f"non-finite state at t={t_new}", t0, 1) from exc
+        _check_length(probe, dim)
+        kernel, constants = _called_kernel(dim)
+        supplied = [rhs]
+        rhs_calls = 4 * total_steps
 
-    _step_loop(dim)(rhs, guard, y, k1, t0, t1, dt, remainder, n_full,
-                    total_steps, stride, times, states, aborted)
-    return Trajectory(times, states)
+    kernel(guard, y, probe, t0, t1, dt, remainder, n_full, total_steps, stride,
+           times, states, aborted, (*supplied, *constants))
+    return Trajectory(times, states, steps=total_steps, rhs_calls=rhs_calls)
 
 
 def first_entry_time(traj: Trajectory, center, radius: float, components) -> float | None:

@@ -27,6 +27,13 @@ every other. Two maps ``(to, back)`` change coordinates:
 The full frames are integrated by :func:`closed_loop`. An averaged frame is
 its scheme's :func:`averaged_closed_loop`, which ``Scenario.build_rhs``
 pushes forward through the frame's map, if any.
+
+Every closure here is traceable (:mod:`sourceseek.numdiff`): plain
+arithmetic of its time and state, the full loops' ``sin``, ``cos`` and
+``exp`` the :func:`~sourceseek.numdiff.elementary` forms of ``math``'s, and
+the maps' ``exp`` and ``log`` numdiff's. So :func:`~sourceseek.ode.integrate`
+runs each once, on symbols, and steps one straight-line RK4 block with no
+call of it; on floats each computes exactly what it computed with ``math``.
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ import numpy as np
 
 from .averaging import ControlAffineSystem, OscillatoryInput
 from .model import FieldParams, SeekerParams
-from .numdiff import exp, log
+from .numdiff import elementary, exp, log
 
 __all__ = [
     "Scheme",
@@ -141,6 +148,11 @@ def to_rotating_frame(t: float, x, x_star, omega0: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # closed loops
 
+#: the full loops' elementary functions: ``math``'s on floats, and a
+#: recorded call of the same function on a traced time or state
+#: (``numdiff.exp`` is numpy's, which the maps use)
+_sin, _cos, _exp = map(elementary, (math.sin, math.cos, math.exp))
+
 
 def closed_loop(scheme: Scheme, frame: Frame, params: SeekerParams,
                 field: FieldParams):
@@ -148,9 +160,10 @@ def closed_loop(scheme: Scheme, frame: Frame, params: SeekerParams,
 
     The heading is eliminated (theta = omega0 t); see the module docstring
     for the state layout per (scheme, frame). The closure follows the
-    :func:`~sourceseek.ode.integrate` contract: it takes the state as a
-    sequence of floats and returns a tuple, without checking the state
-    length (``integrate`` checks the length of what it returns). It is
+    :func:`~sourceseek.ode.integrate` contract: a pure function of the time
+    and the state, taken as a sequence of scalars (floats, or the symbols
+    ``integrate`` traces it on), that returns a tuple without checking the
+    state length (``integrate`` checks the length of what it returns). It is
     immutable after construction and safe to evaluate concurrently. A pair
     with no closed loop raises ValueError.
     """
@@ -168,8 +181,8 @@ def closed_loop(scheme: Scheme, frame: Frame, params: SeekerParams,
             dx1, dx2 = x1 - xs1, x2 - xs2
             y = fs - 0.5 * hess * (dx1 * dx1 + dx2 * dx2)
             err = y - nu
-            u1 = c * err * math.sin(w * t) + at * math.cos(w * t)
-            return (u1 * math.cos(w0 * t), u1 * math.sin(w0 * t), h * err)
+            u1 = c * err * _sin(w * t) + at * _cos(w * t)
+            return (u1 * _cos(w0 * t), u1 * _sin(w0 * t), h * err)
 
     elif scheme is Scheme.GRADIENT and frame is Frame.ROTATING_Z:
 
@@ -177,7 +190,7 @@ def closed_loop(scheme: Scheme, frame: Frame, params: SeekerParams,
             z1, z2, nu = s
             y = fs - 0.5 * hess * (z1 * z1 + z2 * z2)
             err = y - nu
-            u1 = c * err * math.sin(w * t) + at * math.cos(w * t)
+            u1 = c * err * _sin(w * t) + at * _cos(w * t)
             return (w0 * z2, -w0 * z1 + u1, h * err)
 
     elif scheme is Scheme.NEWTON and frame is Frame.ORIGINAL:
@@ -187,9 +200,9 @@ def closed_loop(scheme: Scheme, frame: Frame, params: SeekerParams,
             dx1, dx2 = x1 - xs1, x2 - xs2
             y = fs - 0.5 * hess * (dx1 * dx1 + dx2 * dx2)
             err = y - nu
-            u1 = c * d * err * math.sin(w * t) + at * math.cos(w * t)
-            ddot = wd * d * (1.0 - d * g2 * err * math.cos(2.0 * w * t))
-            return (u1 * math.cos(w0 * t), u1 * math.sin(w0 * t), ddot, h * err)
+            u1 = c * d * err * _sin(w * t) + at * _cos(w * t)
+            ddot = wd * d * (1.0 - d * g2 * err * _cos(2.0 * w * t))
+            return (u1 * _cos(w0 * t), u1 * _sin(w0 * t), ddot, h * err)
 
     elif scheme is Scheme.NEWTON and frame is Frame.ROTATING_Z:
 
@@ -197,8 +210,8 @@ def closed_loop(scheme: Scheme, frame: Frame, params: SeekerParams,
             z1, z2, d, nu = s
             y = fs - 0.5 * hess * (z1 * z1 + z2 * z2)
             err = y - nu
-            u1 = c * d * err * math.sin(w * t) + at * math.cos(w * t)
-            ddot = wd * d * (1.0 - d * g2 * err * math.cos(2.0 * w * t))
+            u1 = c * d * err * _sin(w * t) + at * _cos(w * t)
+            ddot = wd * d * (1.0 - d * g2 * err * _cos(2.0 * w * t))
             return (w0 * z2, -w0 * z1 + u1, ddot, h * err)
 
     elif scheme is Scheme.NEWTON and frame is Frame.ROTATING_Z_LOG_D:
@@ -207,9 +220,9 @@ def closed_loop(scheme: Scheme, frame: Frame, params: SeekerParams,
         def rhs(t, s):
             z1, z2, dtilde, nu = s
             y = fs - 0.5 * hess * (z1 * z1 + z2 * z2)
-            ed, err = math.exp(dtilde), y - nu
-            u1 = c * ed * err * math.sin(w * t) + at * math.cos(w * t)
-            dtdot = wd * (1.0 - ed * g2 * err * math.cos(2.0 * w * t))
+            ed, err = _exp(dtilde), y - nu
+            u1 = c * ed * err * _sin(w * t) + at * _cos(w * t)
+            dtdot = wd * (1.0 - ed * g2 * err * _cos(2.0 * w * t))
             return (w0 * z2, -w0 * z1 + u1, dtdot, h * err)
 
     else:

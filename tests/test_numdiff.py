@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sourceseek import lie_bracket
-from sourceseek.numdiff import (Dual, Sym, Tape, central_jacobian,
-                                directional_derivative, exp, log)
+from sourceseek.numdiff import (Dual, Sym, Tape, Untraceable, central_jacobian,
+                                directional_derivative, elementary, exp, log)
 
 
 class TestDual:
@@ -189,3 +189,94 @@ class TestTape:
         rendered = self.rendered(along_the_state, 2)
         for x in [(0.0, 2.0), (3.0, 0.0), (-0.0, -1.0), (3.0, 2.0)]:
             assert _hex(rendered(x)) == _hex(along_the_state(x)), x
+
+
+class TestRefusal:
+    """A symbol refuses, with one exception type, whatever needs a value it
+    has only at run time; the tracer of a float loop falls back on it."""
+
+    @pytest.mark.parametrize("use", [
+        bool, float, int, abs, math.sin, lambda s: s == 1.0, lambda s: s != 1.0,
+        lambda s: 1.0 if s < 2.0 else 0.0, lambda s: s ** 0.5, np.sin,
+        lambda s: np.array([1.0, 2.0]) * s,
+    ], ids=["bool", "float", "int", "abs", "math.sin", "eq", "ne", "branch", "pow",
+            "ufunc", "array-times"])
+    def test_refused_uses(self, use):
+        (x,) = Tape(1).state
+        with pytest.raises(Untraceable):
+            use(x)
+
+    def test_arrays_of_symbols_only_where_the_code_makes_object_arrays(self):
+        # fields traced for their dual path may build arrays, as duals do;
+        # a tape of float code refuses, since numpy computes a float array
+        # in an order of its own (a BLAS product, a pairwise sum)
+        (x,) = Tape(1).state
+        assert np.array([0.0, x]).dtype == object
+        (y,) = Tape(1, object_arrays=False).state
+        with pytest.raises(Untraceable):
+            np.asarray((y, 0.0))
+
+    @pytest.mark.parametrize("scalar", [np.float64(2.5), np.int64(3), np.float32(0.1)])
+    def test_numpy_scalars_record_the_python_operator(self, scalar):
+        tape = Tape(1)
+        (x,) = tape.state
+        values = (scalar * x, x * scalar, scalar + x, scalar - x, x / scalar, scalar / x)
+        rendered = tape.render(values)
+        for v in (1.5, -4.0, 7.0):
+            assert _hex(rendered((v,))) == _hex((scalar * v, v * scalar, scalar + v,
+                                                 scalar - v, v / scalar, scalar / v))
+
+    def test_elementary_functions_are_the_math_ones(self):
+        sin = elementary(math.sin)
+        assert sin(0.3) == math.sin(0.3)
+        tape = Tape(1)
+        (x,) = tape.state
+        value = sin(2.0 * x)
+        assert math.sin in tape.constants and sin(2.0 * x) is value
+        assert tape.render([value])((0.7,)) == (math.sin(1.4),)
+
+    def test_directional_derivative_at_a_traced_point_is_a_tuple(self):
+        tape = Tape(2, object_arrays=False)
+        x = tape.state
+        out = directional_derivative(lambda s: (s[0] * s[1], s[1]), x, (1.0, 0.0))
+        assert isinstance(out, tuple) and len(out) == 2
+
+
+class TestInlining:
+    """A temporary used once is written into its user only where the
+    operations still run in their recorded order."""
+
+    @staticmethod
+    def source(field, dimension):
+        tape = Tape(dimension)
+        lines, outputs = tape.statements(field(tape.state))
+        return lines, outputs, tape.render(field(tape.state))
+
+    def test_single_uses_are_written_in(self):
+        lines, outputs, _ = self.source(lambda s: (s[0] * s[1] + 1.0,), 2)
+        assert lines == [] and outputs == ["((x0 * x1) + k0)"]
+
+    @staticmethod
+    def used_twice(s):
+        # ``b`` is computed between ``a`` and its user, so ``a`` must not be
+        # written into that user, past ``b``
+        a = s[0] ** 2
+        b = 1.0 / s[1]
+        return (a + b, b * s[2] ** 3)
+
+    @staticmethod
+    def used_in_reverse(s):
+        # each used once, but by users in the reverse order
+        a = s[0] ** 2
+        b = 1.0 / s[1]
+        return (b * s[2], a + 1.0)
+
+    @pytest.mark.parametrize("field", ["used_twice", "used_in_reverse"])
+    @settings(max_examples=60, deadline=None)
+    @given(x=st.tuples(*[st.sampled_from([0.0, 1.0, -2.0, 1e200, 3.0])] * 3))
+    def test_the_first_operation_to_raise_is_the_floats(self, field, x):
+        # ``a`` may overflow and ``b`` divide by zero
+        field = getattr(self, field)
+        lines, _, rendered = self.source(field, 3)
+        assert _run(rendered, x) == _run(field, x)
+        assert lines[0].startswith("t0 = x0 ** ")

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sourceseek import (
+    FRAME_SPECS,
     FieldParams,
     Frame,
     IntegrationAborted,
     IntegratorConfig,
+    Scenario,
     Scheme,
     SeekerParams,
     Trajectory,
@@ -115,11 +118,12 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("t1", [1.0, 1.005])
     def test_rhs_is_called_four_times_per_step(self, t1):
+        # float(t) refuses a symbol, so this rhs is called at every stage;
         # the length probe is the first step's first stage, not a fifth call
         calls = []
 
         def rhs(t, y):
-            calls.append(t)
+            calls.append(float(t))
             return (-y[0], y[0])
 
         traj = integrate(rhs, [1.0, 0.0], 0.0, t1, _config(0.01))
@@ -127,6 +131,66 @@ class TestIntegrate:
         assert steps == (100 if t1 == 1.0 else 101)
         assert len(calls) == 4 * steps
         assert calls[::4] == traj.times[:-1].tolist()
+        assert (traj.steps, traj.rhs_calls) == (steps, 4 * steps)
+
+    @pytest.mark.parametrize("t1", [1.0, 1.005])
+    def test_traceable_rhs_runs_once(self, t1):
+        calls = []
+
+        def rhs(t, y):
+            calls.append(t)
+            return (-y[0], y[0] * t)
+
+        traj = integrate(rhs, [1.0, 0.0], 0.0, t1, _config(0.01))
+        steps = len(traj.times) - 1
+        assert len(calls) == 1
+        assert (traj.steps, traj.rhs_calls) == (steps, 1)
+        called = integrate(_called(rhs), [1.0, 0.0], 0.0, t1, _config(0.01))
+        assert called.rhs_calls == 4 * steps
+        assert np.array_equal(traj.times, called.times)
+        assert np.array_equal(traj.states, called.states)
+
+    def test_shortened_tail_times_are_the_array_loops(self):
+        # the loop's own locals must not be overwritten by the traced
+        # step's temporaries t0, t1, ...: a span end named t1 would be
+        # overwritten and shift every recorded time
+        def rhs(t, y):
+            return (y[1] * t, -y[0] - 0.5 * y[1])
+
+        for stride in (1, 3):
+            traj = integrate(rhs, [1.0, 0.5], 0.25, 1.3371, _config(0.01, stride))
+            times, states = _array_rk4(rhs, [1.0, 0.5], 0.25, 1.3371,
+                                       _config(0.01, stride))
+            assert traj.rhs_calls == 1
+            assert np.array_equal(traj.times, times)
+            assert np.array_equal(traj.states, states)
+
+    @pytest.mark.parametrize("rhs", [
+        lambda t, y: tuple(_MATRIX @ np.asarray(y)),  # BLAS, not object arrays
+        lambda t, y: (np.sin(t) * y[1], -y[0]),  # a numpy ufunc of the time
+        lambda t, y: (y[1], -y[0]) if t < 0.5 else (y[1], y[0]),  # a branch
+        lambda t, y: (abs(y[1]), -y[0]),
+    ], ids=["matmul", "ufunc", "branch", "abs"])
+    def test_refused_rhs_is_called_on_floats(self, rhs):
+        traj = integrate(rhs, [1.0, 0.5], 0.0, 1.005, _config(0.01))
+        times, states = _array_rk4(rhs, [1.0, 0.5], 0.0, 1.005, _config(0.01))
+        assert traj.rhs_calls == 4 * traj.steps == 4 * 101
+        assert np.array_equal(traj.times, times)
+        assert np.array_equal(traj.states, states)
+
+    def test_other_errors_while_tracing_propagate(self):
+        # only the typed refusal falls back to calls on floats; each rhs
+        # works on floats, but not on a symbol
+        def floats_only(t, y):
+            if not isinstance(t, float):
+                raise TypeError("floats only")
+            return (-y[0],)
+
+        with pytest.raises(TypeError, match="floats only"):
+            integrate(floats_only, [1.5], 0.0, 1.0, _config(0.1))
+        with pytest.raises(AttributeError, match="is_integer"):
+            integrate(lambda t, y: (0.0 if y[0].is_integer() else -y[0],), [1.5],
+                      0.0, 1.0, _config(0.1))
 
     def test_rejects_nonfinite_initial_state(self):
         for bad in (math.nan, math.inf, -math.inf):
@@ -239,6 +303,17 @@ def _array_rk4(rhs, x0, t0, t1, config):
     return np.array(times), np.array(states)
 
 
+_MATRIX = np.array([[0.1, 1.0], [-1.0, 0.1]])
+
+
+def _called(rhs):
+    """``rhs`` behind a ``float(t)``, which a traced time refuses: the step
+    loop calls it on floats at every stage, with the same arguments."""
+    def called(t, y):
+        return rhs(float(t), y)
+    return called
+
+
 def _assert_oracle_prefix(err, times, states, valid):
     """``err`` (an abort at output stride 1) holds the oracle's samples up to
     its first invalid one, and its last valid time is the last valid
@@ -321,3 +396,89 @@ def test_float_loop_is_bit_identical_to_the_array_loop(loop, data):
     times, states = _array_rk4(rhs, x0, 0.0, t_end, config)
     assert np.array_equal(traj.times, times)
     assert np.array_equal(traj.states, states)
+
+
+def _outcome(rhs, x0, t_end, config, guard=None):
+    """A run's trajectory, or what its abort carries."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return integrate(rhs, x0, 0.0, t_end, config, guard=guard)
+    except IntegrationAborted as err:
+        return str(err), err.last_valid_time, err.partial.times, err.partial.states
+
+
+def _assert_same_outcome(traced, called):
+    if isinstance(traced, tuple):
+        assert isinstance(called, tuple), "only the traced run aborted"
+        assert traced[:2] == called[:2]
+        assert np.array_equal(traced[2], called[2])
+        assert np.array_equal(traced[3], called[3])
+    else:
+        assert not isinstance(called, tuple), "only the called run aborted"
+        assert np.array_equal(traced.times, called.times)
+        assert np.array_equal(traced.states, called.states)
+        assert (traced.rhs_calls, called.rhs_calls) == (1, 4 * traced.steps)
+
+
+_GAIN = st.floats(0.5, 2.0)
+
+
+@pytest.mark.parametrize("pair", sorted(FRAME_SPECS, key=str),
+                         ids=lambda pair: f"{pair[0].value}-{pair[1].value}")
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_traced_step_is_the_called_step(pair, data):
+    """Every frame's traced RK4 step gives the trajectory, or the abort, of
+    its rhs called at every stage, bit for bit."""
+    scheme, frame = pair
+    params = SeekerParams(
+        omega=data.draw(st.floats(8.0, 30.0)), omega0=data.draw(_GAIN),
+        alpha=data.draw(st.floats(0.5, 3.0)), p_exp=data.draw(st.floats(0.55, 0.9)),
+        h_gain=data.draw(_GAIN), omega_d=data.draw(st.floats(0.1, 0.5)),
+    )
+    field = FieldParams(f_star=data.draw(st.floats(-5.0, 5.0)),
+                        hessian=data.draw(st.floats(0.01, 2.0)),
+                        source=np.array([1.0, -1.0]))
+    scenario = Scenario(scheme=scheme, frame=frame, field=field, params=params,
+                        x0=(data.draw(_POSITION), data.draw(_POSITION)))
+    config = replace(scenario.integrator_config(),
+                     output_stride=data.draw(st.sampled_from([1, 10])))
+    # a whole number of steps, or one more shortened step
+    tail = data.draw(st.sampled_from([0.0, 0.37]))
+    scenario = replace(scenario, t_end=(data.draw(st.integers(20, 200)) + tail) * config.dt)
+    rhs, x0 = scenario.build_rhs(), scenario.initial_state()
+    _assert_same_outcome(
+        _outcome(rhs, x0, scenario.t_end, config, scenario.guard()),
+        _outcome(_called(rhs), x0, scenario.t_end, config, scenario.guard()),
+    )
+
+
+#: (rhs, guard) of the three ways a run aborts: y' = y**2 blows up at
+#: t = 1 / y(0), where a float power overflows inside a stage and a product
+#: makes the state infinite; a falling state trips a positivity guard
+_ABORTS = {
+    "overflow": (lambda t, y: (y[0] ** 2,), None),
+    "infinite": (lambda t, y: (y[0] * y[0],), None),
+    "guard": (lambda t, y: (-10.0,), lambda t, y: y[0] > 0.0),
+}
+
+
+@pytest.mark.parametrize("abort", sorted(_ABORTS))
+@settings(max_examples=8, deadline=None)
+@given(y0=st.floats(0.5, 2.0), dt=st.floats(1e-3, 1e-2),
+       stride=st.sampled_from([1, 10]))
+def test_traced_step_aborts_as_the_called_step(abort, y0, dt, stride):
+    rhs, guard = _ABORTS[abort]
+    traced = _outcome(rhs, [y0], 3.0, _config(dt, stride), guard)
+    assert isinstance(traced, tuple)
+    _assert_same_outcome(traced, _outcome(_called(rhs), [y0], 3.0, _config(dt, stride), guard))
+
+
+def test_every_frame_is_traced():
+    # an rhs that calls math.sin where it should call its elementary form
+    # would still run, once per stage: this catches it
+    for scheme, frame in FRAME_SPECS:
+        scenario = Scenario(scheme=scheme, frame=frame, t_end=1.0)
+        traj = scenario.run()
+        assert traj.rhs_calls == 1, (scheme, frame)
+        assert traj.steps == math.ceil(1.0 / scenario.integrator_config().dt)
