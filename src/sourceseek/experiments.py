@@ -41,11 +41,10 @@ import numpy as np
 from .averaging import AssumptionReport, AveragedField, build_averaged_field, \
     check_assumptions, default_omega_grid
 from .model import FieldParams, SeekerParams
-from .numdiff import directional_derivative
 from .ode import IntegratorConfig, Trajectory, first_entry_time, integrate
 from .seekers import FRAME_SPECS, Frame, FrameSpec, Scheme, \
     averaged_closed_loop, closed_loop, gradient_affine_system, \
-    newton_affine_system, to_rotating_frame
+    newton_affine_system, push_forward, to_rotating_frame
 from .stability import LyapunovCertificate, build_certificate, iss_bound_check, \
     linearize, stability_report, vdot_margin
 
@@ -174,15 +173,7 @@ class Scenario:
             return closed_loop(self.scheme, self.frame, self.params, self.field)
         rhs = averaged_closed_loop(self.scheme, self.params, self.field)
         coordinates = self._coordinates()
-        if coordinates is None:
-            return rhs
-        to, back = coordinates
-
-        def pushed(t, y):
-            x = back(y)
-            return tuple(directional_derivative(to, x, rhs(t, x)))
-
-        return pushed
+        return rhs if coordinates is None else push_forward(rhs, coordinates)
 
     def integrator_config(self) -> IntegratorConfig:
         if self.is_averaged:
@@ -365,12 +356,16 @@ class SimulateResult(StudyResult):
                   ("field_source", f"{fld.source[0]:g}, {fld.source[1]:g}"),
                   ("x0", f"{scn.x0[0]:g}, {scn.x0[1]:g}"),
                   ("t_end", f"{scn.t_end:g}"),
-                  ("ball_radius", f"{scn.ball_radius:g}"),
-                  ("final_distance", f"{self.final_distance:.9g}")]
+                  ("ball_radius", f"{scn.ball_radius:g}")]
+        if not scn.is_averaged:  # the dither's swing of the position
+            p = scn.params
+            items.append(("dither_envelope", f"{p.alpha * p.omega ** (p.p_exp - 1.0):.9g}"))
+        items.append(("final_distance", f"{self.final_distance:.9g}"))
         if self.final_d is not None:
             items += [("final_d", f"{self.final_d:.9g}"),
                       ("d_window_mean", f"{self.d_window_mean:.9g}")]
-        items.append(("entry_time", _fmt(self.entry_time)))
+        items += [("entry_time", _fmt(self.entry_time)),
+                  ("steps", str(self.trajectory.steps))]
         text = _section("simulate", items, self.checks)
         if self.csv_path is not None:
             text += f"trajectory_csv = {self.csv_path}\n"

@@ -6,7 +6,8 @@ dual part ``Df(x)[v]``, exact to rounding. The parts of a :class:`Dual` may
 be duals, so a derivative of a derivative (a nested Lie bracket) is the same
 call at a dual point. A differentiated field must be arithmetic of its state
 (``+``, ``-``, ``*``, ``/`` and integer ``**``) and this module's :func:`exp`
-and :func:`log`; ``math.exp`` or a numpy ufunc of a dual raises ``TypeError``.
+and :func:`log` (``math``'s on a float, numpy's on an array, as :func:`sin`
+and :func:`cos`); ``math.exp`` or a numpy ufunc of a dual raises ``TypeError``.
 
 Fields take their state as a tuple of scalars, floats at a real point and
 :class:`Dual` s at a dual one, and return a sequence of components, one per
@@ -28,8 +29,8 @@ so it must not branch on its state, compare it or convert it to a float
 (``math.exp`` of a symbol converts it): a symbol raises :class:`Untraceable`,
 a ``TypeError``, for its truth, ``==``, ``!=``, a conversion, a numpy
 function other than arithmetic, and, on a tape of float code, an array.
-A function of one float becomes traceable as :func:`elementary` of it, which
-records a call of that very function. The test that a float evaluation makes
+On a symbol, :func:`sin`, :func:`cos`, :func:`exp` and :func:`log` record a
+call of their ``math`` function. The test that a float evaluation makes
 per state, a finiteness check or a zero direction, is recorded instead
 (:func:`require`, :func:`all_finite`, :func:`directional_derivative`). The
 constants met on the way, functions among them, are arguments of the
@@ -47,8 +48,8 @@ import string
 
 import numpy as np
 
-__all__ = ["Tape", "Untraceable", "central_jacobian", "directional_derivative",
-           "elementary", "exp", "log"]
+__all__ = ["Tape", "Untraceable", "central_jacobian", "cos", "directional_derivative",
+           "dual_part", "exp", "log", "sin"]
 
 
 class Dual:
@@ -388,45 +389,43 @@ def _factory(lines: tuple, outputs: tuple, dimension: int, n_constants: int):
     return namespace["factory"]
 
 
-def elementary(function):
-    """``function`` of one float, recorded as a call of that same function
-    when its argument is a :class:`Sym`; ``elementary(math.sin)`` of a float
-    is ``math.sin`` of it."""
-    def apply(x):
-        if type(x) is Sym:
-            return x.tape.call(function, x)
-        return function(x)
+def _elementary(scalar, array, *x):
+    """``array`` of an array, else ``scalar``, recorded on a :class:`Sym`."""
+    for v in x:
+        if type(v) is Sym:
+            return v.tape.call(scalar, *x)
+    return array(*x) if isinstance(x[0], np.ndarray) else scalar(*x)
 
-    apply.__name__ = apply.__qualname__ = function.__name__
-    apply.__doc__ = f"{function.__name__} of a float, recorded on a Sym"
-    return apply
+
+def sin(x):
+    """``math.sin`` of a float or a :class:`Sym`, ``np.sin`` of an array."""
+    return _elementary(math.sin, np.sin, x)
+
+
+def cos(x):
+    """``math.cos`` of a float or a :class:`Sym`, ``np.cos`` of an array."""
+    return _elementary(math.cos, np.cos, x)
 
 
 def exp(x):
-    """``e**x`` of a float, an array, a :class:`Dual` or a :class:`Sym`."""
+    """``e**x``: of a :class:`Dual` by the chain rule, else as :func:`sin`."""
     if isinstance(x, Dual):
         e = exp(x.real)
         return Dual(e, e * x.dual)
-    if isinstance(x, Sym):
-        return x.tape.call(np.exp, x)
-    return np.exp(x)
+    return _elementary(math.exp, np.exp, x)
 
 
 def log(x):
-    """Natural logarithm of a float, an array, a :class:`Dual` or a :class:`Sym`."""
-    if isinstance(x, Dual):
-        return Dual(log(x.real), x.dual / x.real)
-    if isinstance(x, Sym):
-        return x.tape.call(np.log, x)
-    return np.log(x)
+    """``log x``: of a :class:`Dual` by the chain rule, else as :func:`sin`."""
+    if isinstance(x, Dual):  # a zero real part raises ZeroDivisionError first
+        dual = x.dual / x.real
+        return Dual(log(x.real), dual)
+    return _elementary(math.log, np.log, x)
 
 
 def hypot(*values):
     """``math.hypot`` of floats; recorded when a :class:`Sym` is among them."""
-    for v in values:
-        if isinstance(v, Sym):
-            return v.tape.call(math.hypot, *values)
-    return math.hypot(*values)
+    return _elementary(math.hypot, np.hypot, *values)
 
 
 def all_finite(values):
@@ -465,11 +464,12 @@ def directional_derivative(f, x, v) -> np.ndarray | tuple:
     """
     if isinstance(x[0], Sym):
         return tuple(_traced_derivative(f, x, v))
-    out = _dual_part(f, x, v) if any(v) else [0.0] * len(v)
+    out = dual_part(f, x, v) if any(v) else [0.0] * len(v)
     return tuple(out) if isinstance(x[0], Dual) else np.array(out)
 
 
-def _dual_part(f, x, v) -> list:
+def dual_part(f, x, v) -> list:
+    """``Df(x)[v]`` as a list, evaluated for a zero direction too."""
     return [y.dual if isinstance(y, Dual) else 0.0 for y in f(tuple(map(Dual, x, v)))]
 
 
@@ -482,10 +482,10 @@ def _traced_derivative(f, x, v) -> list:
     on floats (division by zero, an overflowing ``**``) raises there too."""
     symbols = [c for c in v if isinstance(c, Sym)]
     if any(c for c in v if not isinstance(c, Sym)):
-        return _dual_part(f, x, v)
+        return dual_part(f, x, v)
     if not symbols:
         return [0.0] * len(v)
-    out = _dual_part(f, x, v)
+    out = dual_part(f, x, v)
     if all(map(_plus_zero, out)):
         return out
     tape = symbols[0].tape

@@ -20,9 +20,10 @@ and compiled once per source text:
 * traced: ``rhs`` runs once, on symbols, and its record is replayed at the
   four stages, so a step is one straight-line block of float operations
   with no call of ``rhs``; a value the stages share (the trigonometry of
-  ``t + h/2``) is computed once, and a temporary used once is written into
-  its user. So ``rhs`` must be a pure function of ``(t, y)``: it runs once,
-  on symbols, and never sees a float.
+  ``t + h/2``) is computed once, a temporary used once is written into its
+  user, and an unused ``+``, ``-``, ``*`` or ``math.log`` is dropped. So
+  ``rhs`` must be a pure function of ``(t, y)``: it runs once, on symbols,
+  and never sees a float.
 * called: where the tape refuses ``rhs`` (:class:`~sourceseek.numdiff.Untraceable`:
   it branches on, compares or converts its time or state, calls a ``math``
   or numpy function of them, or builds an array of them), each stage calls
@@ -186,7 +187,7 @@ def step_loop(guard, y, probe, start, end, dt, remainder, n_full, total_steps,
         t_new = end if i + 1 == total_steps else start + (i + 1) * dt
         try:
 $step
-        except OverflowError as exc:
+        except ArithmeticError as exc:
             raise aborted(f"non-finite state at t={t_new}", t, n_rec) from exc
         if not ($finite):
             raise aborted(f"non-finite state at t={t_new}", t, n_rec)
@@ -223,7 +224,10 @@ def _rk4_step(stage, t, h, y) -> tuple:
 
 def _trace(rhs, dim: int) -> tuple:
     """``rhs`` run once on the symbols of a tape: the shape of its record
-    (lines, outputs and the number of constants), and its constants."""
+    (lines, outputs and the number of constants), and its constants. An
+    unused ``+``, ``-`` or ``*`` never raises and is dropped, as is an unused
+    ``math.log``: a frame map's ``log d`` of ``d = exp(dtilde)`` raises only
+    at ``d = 0``, where the pushforward's ``1 / d`` raises first."""
     tape = _tape(dim, ("t",))
     value = rhs(*tape.inputs, tape.state)
     _check_length(value, dim)
@@ -237,7 +241,15 @@ def _trace(rhs, dim: int) -> tuple:
             outputs.append((type(v), repr(v), v))
         else:
             raise Untraceable(f"the rhs gave a {type(v).__name__}, not a number")
-    return (tuple(tape.lines), tuple(outputs), len(tape.constants)), tape.constants
+    used, lines = {o for o in outputs if type(o) is str}, []
+    for line in reversed(tape.lines):
+        name, template, operands, _ = line
+        if name in used or not (template in ("{} + {}", "{} - {}", "{} * {}", "-{}")
+                                or template == "{}({})"
+                                and tape.constants[int(operands[0][1:])] is math.log):
+            used.update(operands)
+            lines.append(line)
+    return (tuple(lines[::-1]), tuple(outputs), len(tape.constants)), tape.constants
 
 
 @functools.lru_cache(maxsize=64)
@@ -345,9 +357,9 @@ def integrate(rhs, x0, t0: float, t1: float, config: IntegratorConfig,
     Raises
     ------
     IntegrationAborted
-        On a non-finite state (including an ``OverflowError`` raised inside
-        a stage) or a guard violation; carries the last valid time and the
-        partial trajectory.
+        On a non-finite state (an overflow or a division by zero in a stage
+        among them) or a guard violation; carries the last valid time and
+        the partial trajectory.
     ValueError
         On ``t1 <= t0``, a non-finite initial state or one that violates
         the guard, or an ``rhs`` whose output length differs from the
@@ -389,12 +401,12 @@ def integrate(rhs, x0, t0: float, t1: float, config: IntegratorConfig,
         shape, supplied = _trace(rhs, dim)
         kernel, constants = _traced_kernel(shape, dim)
         rhs_calls = 1
-    # an rhs that overflows on its constants alone overflows at every state,
-    # and the probe below reports it
-    except (Untraceable, OverflowError):
+    # an rhs whose arithmetic fails on its constants alone fails at every
+    # state, and the probe below reports it
+    except (Untraceable, ArithmeticError):
         try:
             probe = rhs(t0, y)
-        except OverflowError as exc:
+        except ArithmeticError as exc:
             t_new = t1 if total_steps <= 1 else t0 + dt
             raise aborted(f"non-finite state at t={t_new}", t0, 1) from exc
         _check_length(probe, dim)

@@ -8,11 +8,6 @@ seeker adds a scalar Riccati filter that estimates the inverse curvature from
 a double-frequency demodulation and feeds it back into the forward speed,
 which makes the mean convergence rate a pure function of the chosen gains.
 
-Because the turn rate is constant, the heading is eliminated analytically
-(theta = omega0 * t) in every closed-loop right-hand side here, so no
-three-state unicycle model is needed: in the original frame the velocity is
-the forward speed ``u1`` along the heading ``omega0 * t``.
-
 Each defined (scheme, frame) pair has one entry in :data:`FRAME_SPECS`;
 any other pair is undefined. The loop's own state is ``[p1, p2, d, nu]``
 (``[p1, p2, nu]`` for the gradient scheme), with ``p`` the position ``x`` in
@@ -24,16 +19,20 @@ every other. Two maps ``(to, back)`` change coordinates:
 * ``_cascade`` to ``[r, z1, z2, dhat]`` with the filter offset
   ``r = nu - F(z)`` and ``dhat = log(d H)``, in the ``cascade_shifted`` frame.
 
-The full frames are integrated by :func:`closed_loop`. An averaged frame is
-its scheme's :func:`averaged_closed_loop`, which ``Scenario.build_rhs``
-pushes forward through the frame's map, if any.
-
-Every closure here is traceable (:mod:`sourceseek.numdiff`): plain
-arithmetic of its time and state, the full loops' ``sin``, ``cos`` and
-``exp`` the :func:`~sourceseek.numdiff.elementary` forms of ``math``'s, and
-the maps' ``exp`` and ``log`` numdiff's. So :func:`~sourceseek.ode.integrate`
-runs each once, on symbols, and steps one straight-line RK4 block with no
-call of it; on floats each computes exactly what it computed with ``math``.
+A full frame is its scheme's affine system (:func:`gradient_affine_system`,
+:func:`newton_affine_system`), the one definition of its dynamics, rendered
+by :func:`closed_loop`: ``drift(z) + sum_i omega**p_i u_i(k_i omega t) f_i(z)``
+in ``rotating_z``. The turn rate is constant, so the heading
+``theta = omega0 t`` is eliminated and no three-state unicycle model is
+needed: ``original`` takes ``z = Y(t)^T (x - x*)`` in and gives ``x' = Y(t)``
+times the channels' position block, the forward speed along the heading,
+since ``Y`` absorbs the drift's position block, the turn
+``(omega0 z2, -omega0 z1)``. An averaged frame is its scheme's
+:func:`averaged_closed_loop`, and a frame with a map is its loop pushed
+forward through it (:func:`push_forward`). Every closure is traceable
+(:mod:`sourceseek.numdiff`: arithmetic and numdiff's ``sin``, ``cos``,
+``exp`` and ``log``, ``math``'s on floats), so
+:func:`~sourceseek.ode.integrate` steps it as straight-line code.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ import numpy as np
 
 from .averaging import ControlAffineSystem, OscillatoryInput
 from .model import FieldParams, SeekerParams
-from .numdiff import elementary, exp, log
+from .numdiff import Sym, Tape, cos, dual_part, exp, log, sin
 
 __all__ = [
     "Scheme",
@@ -56,6 +55,7 @@ __all__ = [
     "FRAME_SPECS",
     "rotation_matrix",
     "to_rotating_frame",
+    "push_forward",
     "closed_loop",
     "averaged_closed_loop",
     "gradient_affine_system",
@@ -128,6 +128,18 @@ FRAME_SPECS: dict[tuple[Scheme, Frame], FrameSpec] = {
 }
 
 
+def push_forward(rhs, coordinates):
+    """``rhs(t, x)`` in the coordinates of the map ``(to, back)``:
+    ``y' = Dto(x)[rhs(t, x)]`` at ``x = back(y)``."""
+    to, back = coordinates
+
+    def pushed(t, y):
+        x = back(y)
+        return tuple(dual_part(to, x, rhs(t, x)))
+
+    return pushed
+
+
 # ---------------------------------------------------------------------------
 # rotating frame
 
@@ -140,98 +152,78 @@ def rotation_matrix(t: float, omega0: float) -> np.ndarray:
 
 def to_rotating_frame(t: float, x, x_star, omega0: float) -> np.ndarray:
     """Co-rotating offset z = Y(t)^T (x - x_star)."""
-    x = np.asarray(x, dtype=float)
-    x_star = np.asarray(x_star, dtype=float)
-    return rotation_matrix(t, omega0).T @ (x - x_star)
+    return rotation_matrix(t, omega0).T @ np.subtract(x, x_star, dtype=float)
 
 
 # ---------------------------------------------------------------------------
 # closed loops
 
-#: the full loops' elementary functions: ``math``'s on floats, and a
-#: recorded call of the same function on a traced time or state
-#: (``numdiff.exp`` is numpy's, which the maps use)
-_sin, _cos, _exp = map(elementary, (math.sin, math.cos, math.exp))
-
 
 def closed_loop(scheme: Scheme, frame: Frame, params: SeekerParams,
                 field: FieldParams):
-    """Build ``rhs(t, state)`` for the selected closed loop.
+    """Build ``rhs(t, state)`` for the full loop of ``scheme`` in ``frame``,
+    rendered from the scheme's affine system (see the module docstring): a
+    pure function of the time and a sequence of scalars (floats, or the
+    symbols :func:`~sourceseek.ode.integrate` traces it on) that returns a
+    tuple. A pair with no full loop raises ValueError."""
+    spec = FRAME_SPECS.get((scheme, frame))
+    if spec is None or spec.averaged:
+        raise ValueError(f"frame {frame.value!r} is not a closed-loop frame for "
+                         f"scheme {scheme.value!r}")
+    system = (newton_affine_system if scheme is Scheme.NEWTON
+              else gradient_affine_system)(params, field)
+    drift, oscillation = system.drift, _oscillation(system, params.omega)
+    w0, xs1, xs2 = params.omega0, float(field.source[0]), float(field.source[1])
 
-    The heading is eliminated (theta = omega0 t); see the module docstring
-    for the state layout per (scheme, frame). The closure follows the
-    :func:`~sourceseek.ode.integrate` contract: a pure function of the time
-    and the state, taken as a sequence of scalars (floats, or the symbols
-    ``integrate`` traces it on), that returns a tuple without checking the
-    state length (``integrate`` checks the length of what it returns). It is
-    immutable after construction and safe to evaluate concurrently. A pair
-    with no closed loop raises ValueError.
-    """
-    w0 = params.omega0
-    h = params.h_gain
-    fs, hess = field.f_star, field.hessian
-    xs1, xs2 = float(field.source[0]), float(field.source[1])
-    c, at, wd = params.c, params.alpha_tilde, params.omega_d
-    w, g2 = params.omega, params.demod_gain
+    def rotating(t, z):
+        return tuple(map(_plus, drift(z), oscillation(t, z)))
 
-    if scheme is Scheme.GRADIENT and frame is Frame.ORIGINAL:
+    def original(t, x):
+        s, c = sin(w0 * t), cos(w0 * t)
+        dx1, dx2 = x[0] - xs1, x[1] - xs2
+        z = (s * dx1 - c * dx2, c * dx1 + s * dx2, *x[2:])
+        p1, p2, *other = oscillation(t, z)
+        return (_dot(s, c, p1, p2), _dot(-c, s, p1, p2),
+                *map(_plus, drift(z)[2:], other))
 
-        def rhs(t, s):
-            x1, x2, nu = s
-            dx1, dx2 = x1 - xs1, x2 - xs2
-            y = fs - 0.5 * hess * (dx1 * dx1 + dx2 * dx2)
-            err = y - nu
-            u1 = c * err * _sin(w * t) + at * _cos(w * t)
-            return (u1 * _cos(w0 * t), u1 * _sin(w0 * t), h * err)
+    if spec.coordinates:
+        return push_forward(rotating, spec.coordinates(field))
+    return original if spec.plane else rotating
 
-    elif scheme is Scheme.GRADIENT and frame is Frame.ROTATING_Z:
 
-        def rhs(t, s):
-            z1, z2, nu = s
-            y = fs - 0.5 * hess * (z1 * z1 + z2 * z2)
-            err = y - nu
-            u1 = c * err * _sin(w * t) + at * _cos(w * t)
-            return (w0 * z2, -w0 * z1 + u1, h * err)
+def _oscillation(system: ControlAffineSystem, omega: float):
+    """``(t, z) -> sum_i omega**p_i u_i(k_i omega t) f_i(z)`` as a list, None
+    where no channel moves the component; each field's symbolic and constant
+    components (``c``, folded as ``(omega**p_i c) u_i``) are found on symbols,
+    once, so the same operations run at every state."""
+    symbols, channels = Tape(system.dimension).state, []
+    for f, inp in system.channels:
+        scale, traced = omega ** inp.p_i, f(symbols)
+        terms = [(j, None if type(c) is Sym else scale * c)
+                 for j, c in enumerate(traced) if type(c) is Sym or c != 0.0]
+        channels.append((f, inp.wave, float(inp.k) * omega, scale, terms))
 
-    elif scheme is Scheme.NEWTON and frame is Frame.ORIGINAL:
+    def oscillation(t, z):
+        out = [None] * len(z)
+        for f, wave, frequency, scale, terms in channels:
+            u = wave(frequency * t)
+            gain, values = scale * u, f(z)
+            for j, c in terms:
+                out[j] = _plus(out[j], gain * values[j] if c is None else c * u)
+        return out
 
-        def rhs(t, s):
-            x1, x2, d, nu = s
-            dx1, dx2 = x1 - xs1, x2 - xs2
-            y = fs - 0.5 * hess * (dx1 * dx1 + dx2 * dx2)
-            err = y - nu
-            u1 = c * d * err * _sin(w * t) + at * _cos(w * t)
-            ddot = wd * d * (1.0 - d * g2 * err * _cos(2.0 * w * t))
-            return (u1 * _cos(w0 * t), u1 * _sin(w0 * t), ddot, h * err)
+    return oscillation
 
-    elif scheme is Scheme.NEWTON and frame is Frame.ROTATING_Z:
 
-        def rhs(t, s):
-            z1, z2, d, nu = s
-            y = fs - 0.5 * hess * (z1 * z1 + z2 * z2)
-            err = y - nu
-            u1 = c * d * err * _sin(w * t) + at * _cos(w * t)
-            ddot = wd * d * (1.0 - d * g2 * err * _cos(2.0 * w * t))
-            return (w0 * z2, -w0 * z1 + u1, ddot, h * err)
+def _plus(a, b):
+    """``a + b``, where None is a structural zero."""
+    return a if b is None else b if a is None else a + b
 
-    elif scheme is Scheme.NEWTON and frame is Frame.ROTATING_Z_LOG_D:
-        # substituting d = exp(dtilde) removes the unstable d = 0 fixed point
 
-        def rhs(t, s):
-            z1, z2, dtilde, nu = s
-            y = fs - 0.5 * hess * (z1 * z1 + z2 * z2)
-            ed, err = _exp(dtilde), y - nu
-            u1 = c * ed * err * _sin(w * t) + at * _cos(w * t)
-            dtdot = wd * (1.0 - ed * g2 * err * _cos(2.0 * w * t))
-            return (w0 * z2, -w0 * z1 + u1, dtdot, h * err)
-
-    else:
-        raise ValueError(
-            f"frame {frame.value!r} is not a closed-loop frame for scheme "
-            f"{scheme.value!r}"
-        )
-
-    return rhs
+def _dot(a, b, p, q):
+    """``a p + b q``, where None is a structural zero."""
+    out = _plus(None if p is None else a * p, None if q is None else b * q)
+    return 0.0 if out is None else out
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +270,7 @@ def averaged_closed_loop(scheme: Scheme, params: SeekerParams,
 
 
 # ---------------------------------------------------------------------------
-# input-affine decompositions for the averaging engine
+# input-affine systems: the full loops and the averaging engine's input
 
 
 def gradient_affine_system(params: SeekerParams, field: FieldParams) -> ControlAffineSystem:
@@ -291,10 +283,10 @@ def gradient_affine_system(params: SeekerParams, field: FieldParams) -> ControlA
 
     def drift(s):
         return (w0 * s[1], -w0 * s[0],
-                h * (fs - 0.5 * hess * (s[0] ** 2 + s[1] ** 2) - s[2]))
+                h * (fs - 0.5 * hess * (s[0] * s[0] + s[1] * s[1]) - s[2]))
 
     def feedback_field(s):
-        return (0.0, fs - 0.5 * hess * (s[0] ** 2 + s[1] ** 2) - s[2], 0.0)
+        return (0.0, fs - 0.5 * hess * (s[0] * s[0] + s[1] * s[1]) - s[2], 0.0)
 
     def dither_field(s):
         return (0.0, alpha, 0.0)
@@ -302,8 +294,8 @@ def gradient_affine_system(params: SeekerParams, field: FieldParams) -> ControlA
     return ControlAffineSystem(
         drift=drift,
         channels=(
-            (feedback_field, OscillatoryInput(np.sin, 1, 1.0 - params.p_exp)),
-            (dither_field, OscillatoryInput(np.cos, 1, params.p_exp)),
+            (feedback_field, OscillatoryInput(sin, 1, 1.0 - params.p_exp)),
+            (dither_field, OscillatoryInput(cos, 1, params.p_exp)),
         ),
         dimension=3,
     )
@@ -319,7 +311,7 @@ def newton_affine_system(params: SeekerParams, field: FieldParams) -> ControlAff
     demod = 8.0 * wd / alpha**2
 
     def err(s):
-        return fs - 0.5 * hess * (s[0] ** 2 + s[1] ** 2) - s[3]
+        return fs - 0.5 * hess * (s[0] * s[0] + s[1] * s[1]) - s[3]
 
     def drift(s):
         return (w0 * s[1], -w0 * s[0], wd * s[2], h * err(s))
@@ -331,14 +323,14 @@ def newton_affine_system(params: SeekerParams, field: FieldParams) -> ControlAff
         return (0.0, alpha, 0.0, 0.0)
 
     def demod_field(s):
-        return (0.0, 0.0, -demod * s[2] ** 2 * err(s), 0.0)
+        return (0.0, 0.0, -demod * (s[2] * s[2]) * err(s), 0.0)
 
     return ControlAffineSystem(
         drift=drift,
         channels=(
-            (feedback_field, OscillatoryInput(np.sin, 1, 1.0 - params.p_exp)),
-            (dither_field, OscillatoryInput(np.cos, 1, params.p_exp)),
-            (demod_field, OscillatoryInput(np.cos, 2, 2.0 - 2.0 * params.p_exp)),
+            (feedback_field, OscillatoryInput(sin, 1, 1.0 - params.p_exp)),
+            (dither_field, OscillatoryInput(cos, 1, params.p_exp)),
+            (demod_field, OscillatoryInput(cos, 2, 2.0 - 2.0 * params.p_exp)),
         ),
         dimension=4,
     )

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sourceseek import lie_bracket
-from sourceseek.numdiff import (Dual, Sym, Tape, Untraceable, central_jacobian,
-                                directional_derivative, elementary, exp, log)
+from sourceseek.numdiff import (Dual, Sym, Tape, Untraceable, central_jacobian, cos,
+                                directional_derivative, exp, log, sin)
 
 
 class TestDual:
@@ -227,13 +227,18 @@ class TestRefusal:
                                                  scalar - v, v / scalar, scalar / v))
 
     def test_elementary_functions_are_the_math_ones(self):
-        sin = elementary(math.sin)
-        assert sin(0.3) == math.sin(0.3)
-        tape = Tape(1)
-        (x,) = tape.state
-        value = sin(2.0 * x)
-        assert math.sin in tape.constants and sin(2.0 * x) is value
-        assert tape.render([value])((0.7,)) == (math.sin(1.4),)
+        a = np.linspace(0.1, 3.0, 7)
+        for function, scalar, array in [(sin, math.sin, np.sin), (cos, math.cos, np.cos),
+                                        (exp, math.exp, np.exp), (log, math.log, np.log)]:
+            assert function(0.3) == scalar(0.3) and type(function(0.3)) is float
+            assert function(np.float64(0.3)) == scalar(0.3)
+            np.testing.assert_array_equal(function(a), array(a))
+            tape = Tape(1)
+            (x,) = tape.state
+            value = function(2.0 * x)
+            assert scalar in tape.constants and function(2.0 * x) is value
+            assert array not in tape.constants
+            assert tape.render([value])((0.7,)) == (scalar(1.4),)
 
     def test_directional_derivative_at_a_traced_point_is_a_tuple(self):
         tape = Tape(2, object_arrays=False)

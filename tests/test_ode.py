@@ -20,6 +20,7 @@ from sourceseek import (
     closed_loop,
     first_entry_time,
     integrate,
+    ode,
 )
 
 
@@ -482,3 +483,19 @@ def test_every_frame_is_traced():
         traj = scenario.run()
         assert traj.rhs_calls == 1, (scheme, frame)
         assert traj.steps == math.ceil(1.0 / scenario.integrator_config().dt)
+
+
+def test_no_full_frame_traces_a_numpy_call_or_a_power():
+    # a numpy ufunc on a float costs several times math's, and a float power
+    # three times a product; either would still trace, and run, unnoticed
+    for (scheme, frame), spec in FRAME_SPECS.items():
+        if spec.averaged:
+            continue
+        scenario = Scenario(scheme=scheme, frame=frame)
+        (lines, _, _), constants = ode._trace(scenario.build_rhs(),
+                                              len(scenario.initial_state()))
+        for _, template, operands, _ in lines:
+            assert "**" not in template, (frame, template)
+            modules = [getattr(constants[int(o[1:])], "__module__", None) or ""
+                       for o in operands if o.startswith("k")]
+            assert not any(m.split(".")[0] == "numpy" for m in modules), (frame, template)

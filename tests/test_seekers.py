@@ -10,11 +10,13 @@ from sourceseek import (
     DEFAULT_FIELD,
     DEFAULT_PARAMS,
     FRAME_SPECS,
+    FieldParams,
     Frame,
     IntegrationAborted,
     IntegratorConfig,
     Scenario,
     Scheme,
+    SeekerParams,
     averaged_closed_loop,
     closed_loop,
     gradient_affine_system,
@@ -382,12 +384,143 @@ class TestAveragingConsistency:
         assert devs[1] <= 1.2 * devs[0]
 
 
+def _hand_closed_loop(scheme, frame, params, field):
+    """The full loops as they were written out by hand, one fused closure
+    per frame, with the heading eliminated: the oracles of the loops that
+    ``closed_loop`` renders from the affine systems."""
+    w0 = params.omega0
+    h = params.h_gain
+    fs, hess = field.f_star, field.hessian
+    xs1, xs2 = float(field.source[0]), float(field.source[1])
+    c, at, wd = params.c, params.alpha_tilde, params.omega_d
+    w, g2 = params.omega, params.demod_gain
+    sin, cos = math.sin, math.cos
+
+    if scheme is Scheme.GRADIENT and frame is Frame.ORIGINAL:
+
+        def rhs(t, s):
+            x1, x2, nu = s
+            dx1, dx2 = x1 - xs1, x2 - xs2
+            y = fs - 0.5 * hess * (dx1 * dx1 + dx2 * dx2)
+            err = y - nu
+            u1 = c * err * sin(w * t) + at * cos(w * t)
+            return (u1 * cos(w0 * t), u1 * sin(w0 * t), h * err)
+
+    elif scheme is Scheme.GRADIENT and frame is Frame.ROTATING_Z:
+
+        def rhs(t, s):
+            z1, z2, nu = s
+            y = fs - 0.5 * hess * (z1 * z1 + z2 * z2)
+            err = y - nu
+            u1 = c * err * sin(w * t) + at * cos(w * t)
+            return (w0 * z2, -w0 * z1 + u1, h * err)
+
+    elif scheme is Scheme.NEWTON and frame is Frame.ORIGINAL:
+
+        def rhs(t, s):
+            x1, x2, d, nu = s
+            dx1, dx2 = x1 - xs1, x2 - xs2
+            y = fs - 0.5 * hess * (dx1 * dx1 + dx2 * dx2)
+            err = y - nu
+            u1 = c * d * err * sin(w * t) + at * cos(w * t)
+            ddot = wd * d * (1.0 - d * g2 * err * cos(2.0 * w * t))
+            return (u1 * cos(w0 * t), u1 * sin(w0 * t), ddot, h * err)
+
+    elif scheme is Scheme.NEWTON and frame is Frame.ROTATING_Z:
+
+        def rhs(t, s):
+            z1, z2, d, nu = s
+            y = fs - 0.5 * hess * (z1 * z1 + z2 * z2)
+            err = y - nu
+            u1 = c * d * err * sin(w * t) + at * cos(w * t)
+            ddot = wd * d * (1.0 - d * g2 * err * cos(2.0 * w * t))
+            return (w0 * z2, -w0 * z1 + u1, ddot, h * err)
+
+    elif scheme is Scheme.NEWTON and frame is Frame.ROTATING_Z_LOG_D:
+
+        def rhs(t, s):
+            z1, z2, dtilde, nu = s
+            y = fs - 0.5 * hess * (z1 * z1 + z2 * z2)
+            ed, err = math.exp(dtilde), y - nu
+            u1 = c * ed * err * sin(w * t) + at * cos(w * t)
+            dtdot = wd * (1.0 - ed * g2 * err * cos(2.0 * w * t))
+            return (w0 * z2, -w0 * z1 + u1, dtdot, h * err)
+
+    return rhs
+
+
+_FULL_FRAMES = sorted((pair for pair, spec in FRAME_SPECS.items() if not spec.averaged),
+                      key=str)
+_OFFSET = st.floats(-3.0, 3.0)
+
+
+class TestRenderedLoops:
+    """``closed_loop`` renders every full frame from its scheme's affine
+    system; the hand-fused closures are the oracles."""
+
+    @pytest.mark.parametrize("pair", _FULL_FRAMES,
+                             ids=lambda pair: f"{pair[0].value}-{pair[1].value}")
+    @settings(max_examples=60, deadline=None)
+    @given(
+        gains=st.tuples(st.floats(8.0, 30.0), st.floats(0.5, 2.0), st.floats(1.0, 3.0),
+                        st.floats(0.55, 0.9), st.floats(0.5, 2.0), st.floats(0.1, 0.5)),
+        f_star=st.floats(-5.0, 5.0),
+        hessian=st.floats(1e-3, 0.1),
+        offset=st.tuples(_OFFSET, _OFFSET),
+        d=st.floats(0.5, 1.5),
+        err=st.floats(-5.0, 5.0),
+        t=st.floats(0.0, 100.0),
+    )
+    def test_rendered_loop_is_the_hand_closure(self, pair, gains, f_star, hessian,
+                                              offset, d, err, t):
+        """To ``1e-14`` of ``max(1, |value|)``. The affine split orders the
+        float operations differently, and the original frame computes the
+        field from the rotated offset, whose squared norm is ``|x - x*|**2``
+        to a few ulps; the Riccati drive multiplies that by ``d**2`` and the
+        demodulation gain, so the draws keep to curvatures, offsets and
+        dither amplitudes around the reference run's."""
+        scheme, frame = pair
+        omega, omega0, alpha, p_exp, h_gain, omega_d = gains
+        params = SeekerParams(omega=omega, omega0=omega0, alpha=alpha, p_exp=p_exp,
+                              h_gain=h_gain, omega_d=omega_d)
+        field = FieldParams(f_star=f_star, hessian=hessian, source=np.array([1.0, -1.0]))
+        p = np.add(offset, field.source) if FRAME_SPECS[pair].plane else offset
+        riccati = () if scheme is Scheme.GRADIENT else (
+            math.log(d) if frame is Frame.ROTATING_Z_LOG_D else d,)
+        state = (float(p[0]), float(p[1]), *riccati, f_star + err)
+        got = np.array(closed_loop(scheme, frame, params, field)(t, state))
+        want = np.array(_hand_closed_loop(scheme, frame, params, field)(t, state))
+        assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
+
+    @pytest.mark.parametrize("pair", _FULL_FRAMES,
+                             ids=lambda pair: f"{pair[0].value}-{pair[1].value}")
+    def test_rendered_loop_keeps_the_fourth_order(self, pair):
+        """Acceptance criterion 7's step-halving factor, on the rendered
+        loops: the end-state change from ``dt/2`` to ``dt/4`` is about 16
+        times that from ``dt/4`` to ``dt/8``."""
+        scenario = Scenario(scheme=pair[0], frame=pair[1], t_end=5.0)
+        dt = scenario.integrator_config().dt
+        ends = [integrate(scenario.build_rhs(), scenario.initial_state(), 0.0, 5.0,
+                          IntegratorConfig(dt=dt / 2**k)).states[-1] for k in (1, 2, 3)]
+        factor = np.max(np.abs(ends[0] - ends[1])) / np.max(np.abs(ends[1] - ends[2]))
+        assert 12.0 <= factor <= 20.0
+
+    @pytest.mark.parametrize("make", [gradient_affine_system, newton_affine_system])
+    @settings(max_examples=30, deadline=None)
+    @given(omega0=st.floats(0.1, 5.0), state=st.tuples(*[st.floats(-1e3, 1e3)] * 4))
+    def test_drift_position_block_is_the_turn(self, make, omega0, state):
+        # the original frame drops it: Y(t) absorbs the turn exactly
+        system = make(replace(DEFAULT_PARAMS, omega0=omega0), DEFAULT_FIELD)
+        s = state[:system.dimension]
+        assert system.drift(s)[:2] == (omega0 * s[1], -omega0 * s[0])
+
+
 class TestAffineDecompositions:
     def test_gradient_decomposition_reassembles_closed_loop(
         self, ref_params, ref_field, rng
     ):
         system = gradient_affine_system(ref_params, ref_field)
-        rhs = closed_loop(Scheme.GRADIENT, Frame.ROTATING_Z, ref_params, ref_field)
+        rhs = _hand_closed_loop(Scheme.GRADIENT, Frame.ROTATING_Z, ref_params, ref_field)
         w = ref_params.omega
         for _ in range(20):
             t = rng.uniform(0.0, 10.0)
@@ -406,7 +539,7 @@ class TestAffineDecompositions:
         self, ref_params, ref_field, rng
     ):
         system = newton_affine_system(ref_params, ref_field)
-        rhs = closed_loop(Scheme.NEWTON, Frame.ROTATING_Z, ref_params, ref_field)
+        rhs = _hand_closed_loop(Scheme.NEWTON, Frame.ROTATING_Z, ref_params, ref_field)
         w = ref_params.omega
         for _ in range(20):
             t = rng.uniform(0.0, 10.0)
