@@ -43,16 +43,11 @@ symbols of a :class:`~sourceseek.numdiff.Tape`, and the record renders as
 one straight-line function of the state: the same float operations in the
 same order, with each bracket's finiteness test and each divergent
 bracket's vanishing rule, so it returns bit-for-bit what the duals would
-and raises their errors at the same states, with one exception: where a
-direction is zero only at some states, the duals skip it there and the
-rendered function computes it and selects zeros, so an operation of a
-custom field that raises on those floats (a division by zero, an
-overflowing ``**``) raises in the rendered function only. The default
-systems record no such select. The gains are arguments of that function, so
-every system of one structure shares one compiled code object. This is the
-tape-based code generation of Griewank & Walther (*Evaluating
-Derivatives*, 2nd ed., SIAM 2008) applied to the Lie-bracket averaging of
-Dürr, Stanković, Ebenbauer & Johansson (Automatica 2013).
+and raises their errors at the same states. The gains are arguments of
+that function, so every system of one structure shares one compiled code
+object. This is the tape-based code generation of Griewank & Walther
+(*Evaluating Derivatives*, 2nd ed., SIAM 2008) applied to the Lie-bracket
+averaging of Dürr, Stanković, Ebenbauer & Johansson (Automatica 2013).
 
 Channel indices are 0-based everywhere (``gamma_pair(0, 1, ...)`` couples the
 first two channels).
@@ -82,8 +77,8 @@ import numpy as np
 # central_jacobian is not called here; bench/tracer.py wraps
 # averaging.central_jacobian by name, so the name stays in this namespace
 from .numdiff import central_jacobian  # noqa: F401
-from .numdiff import (Dual, Tape, all_finite, directional_derivative, hypot,
-                      require)
+from .numdiff import (Dual, Sym, Tape, all_finite, directional_derivative,
+                      hypot, require)
 
 __all__ = [
     "OscillatoryInput",
@@ -502,12 +497,12 @@ def lie_bracket(f, g, x) -> np.ndarray | tuple:
 
     Each term is one exact directional derivative, not a Jacobian product:
     ``g`` is evaluated at the dual point ``x + eps f(x)`` and ``f`` at
-    ``x + eps g(x)``, four field evaluations in all (a zero direction
-    contributes zero and costs none). At a dual ``x`` this differentiates
-    the bracket itself, which is how :func:`_bracket` nests it.
+    ``x + eps g(x)``, four field evaluations in all, a zero direction
+    included. At a dual ``x`` this differentiates the bracket itself, which
+    is how :func:`_bracket` nests it.
 
-    Returns a float array at a real ``x`` and a tuple at a dual one, like
-    :func:`~sourceseek.numdiff.directional_derivative`.
+    Returns a float array at a real ``x``, and a tuple at a dual or a traced
+    one, like :func:`~sourceseek.numdiff.directional_derivative`.
 
     Raises
     ------
@@ -516,15 +511,13 @@ def lie_bracket(f, g, x) -> np.ndarray | tuple:
         the point. At a traced ``x`` the test is recorded instead
         (:func:`~sourceseek.numdiff.require`).
     """
-    dg_f, df_g = _bracket_terms(f, g, x)
-    if isinstance(dg_f, tuple):
-        return tuple(map(operator.sub, dg_f, df_g))
-    return dg_f - df_g
+    bracket = tuple(map(operator.sub, *_bracket_terms(f, g, x)))
+    return bracket if isinstance(x[0], (Dual, Sym)) else np.array(bracket)
 
 
 def _bracket_terms(f, g, x) -> tuple:
-    """The two terms ``(Dg(x)[f(x)], Df(x)[g(x)])`` of ``[f, g](x)``: float
-    arrays at a real ``x``, tuples at a dual one."""
+    """The two terms ``(Dg(x)[f(x)], Df(x)[g(x)])`` of ``[f, g](x)``, each
+    a tuple."""
     fx, gx = f(x), g(x)
     # at a dual x the real parts of these values were checked at a real one
     if not isinstance(x[0], Dual):

@@ -30,12 +30,12 @@ so it must not branch on its state, compare it or convert it to a float
 a ``TypeError``, for its truth, ``==``, ``!=``, a conversion, a numpy
 function other than arithmetic, and, on a tape of float code, an array.
 On a symbol, :func:`sin`, :func:`cos`, :func:`exp` and :func:`log` record a
-call of their ``math`` function. The test that a float evaluation makes
-per state, a finiteness check or a zero direction, is recorded instead
-(:func:`require`, :func:`all_finite`, :func:`directional_derivative`). The
-constants met on the way, functions among them, are arguments of the
-rendered function, so its source depends only on the operations, and one
-compiled code object serves every tape of the same source.
+call of their ``math`` function. The one test that a float evaluation
+makes per state, that values are finite, is recorded instead
+(:func:`require`, :func:`all_finite`). The constants met on the way,
+functions among them, are arguments of the rendered function, so its
+source depends only on the operations, and one compiled code object serves
+every tape of the same source.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ import string
 import numpy as np
 
 __all__ = ["Tape", "Untraceable", "central_jacobian", "cos", "directional_derivative",
-           "dual_part", "exp", "log", "sin"]
+           "exp", "log", "sin"]
 
 
 class Dual:
@@ -233,8 +233,8 @@ class Tape:
         self.state = tuple(Sym(self, f"x{i}") for i in range(dimension))
         self.inputs = tuple(Sym(self, name) for name in inputs)
         self.object_arrays = object_arrays
-        #: ``(name, template, operand names, ordered)`` per operation, a
-        #: string per statement
+        #: ``(name, template, operand names)`` per operation, a string per
+        #: statement
         self.lines: list = []
         self.constants: list = []
         self._constant_names: dict = {}
@@ -258,20 +258,19 @@ class Tape:
         return self.record("{}(" + ", ".join(["{}"] * len(operands)) + ")",
                            function, *operands)
 
-    def record(self, template: str, *operands, ordered: bool = True) -> Sym:
-        """The symbol of ``template.format`` of the operands' names. An
-        ``ordered`` template evaluates every operand, left to right, so an
-        operand used nowhere else may be written into it (:func:`_statements`);
-        ``and``, ``or`` and ``if`` are not ordered."""
+    def record(self, template: str, *operands) -> Sym:
+        """The symbol of ``template.format`` of the operands' names. The
+        template must evaluate every operand, left to right (no ``and``,
+        ``or`` or ``if``), so that an operand used nowhere else may be
+        written into it (:func:`_statements`)."""
         names = tuple([o.name if type(o) is Sym else self.name(o) for o in operands])
-        return self._record(template.format(*names), template, names, ordered)
+        return self._record(template.format(*names), template, names)
 
-    def _record(self, expression: str, template: str, names: tuple,
-                ordered: bool = True) -> Sym:
+    def _record(self, expression: str, template: str, names: tuple) -> Sym:
         sym = self._values.get(expression)
         if sym is None:
             sym = self._values[expression] = Sym(self, f"t{next(self._temporaries)}")
-            self.lines.append((sym.name, template, names, ordered))
+            self.lines.append((sym.name, template, names))
         return sym
 
     def reserve(self, n: int) -> tuple[Sym, ...]:
@@ -319,7 +318,7 @@ def _statements(lines, outputs) -> tuple[list[str], list[str]]:
     ``outputs`` names. A temporary used once is written into its user where
     that keeps the order in which the operations run, so the first one to
     raise is the same: it must be the last of the temporaries still pending
-    when an ordered user takes it."""
+    when its user takes it."""
     uses: dict[str, int] = {}
     for line in lines:
         for n in line[2] if type(line) is tuple else ():
@@ -333,12 +332,12 @@ def _statements(lines, outputs) -> tuple[list[str], list[str]]:
         out.extend(f"{n} = {expression}" for n, (expression, _) in pending.items())
         pending.clear()
 
-    def inline(names, ordered=True):
+    def inline(names):
         """``names`` with the pending ones written in, and their depth."""
         inlined = [n for n in names if n in pending]
         if not inlined:
             return names, 0
-        if not ordered or list(pending)[-len(inlined):] != inlined:
+        if list(pending)[-len(inlined):] != inlined:
             flush()
             return names, 0
         depth = max(pending[n][1] for n in inlined)
@@ -349,8 +348,8 @@ def _statements(lines, outputs) -> tuple[list[str], list[str]]:
             flush()
             out.append(line)
             continue
-        name, template, names, ordered = line
-        names, depth = inline(names, ordered)
+        name, template, names = line
+        names, depth = inline(names)
         expression = template.format(*names)
         if uses.get(name) == 1 and depth < _MAX_DEPTH:
             pending[name] = (expression, depth + 1)
@@ -389,12 +388,11 @@ def _factory(lines: tuple, outputs: tuple, dimension: int, n_constants: int):
     return namespace["factory"]
 
 
-def _elementary(scalar, array, *x):
+def _elementary(scalar, array, x):
     """``array`` of an array, else ``scalar``, recorded on a :class:`Sym`."""
-    for v in x:
-        if type(v) is Sym:
-            return v.tape.call(scalar, *x)
-    return array(*x) if isinstance(x[0], np.ndarray) else scalar(*x)
+    if type(x) is Sym:
+        return x.tape.call(scalar, x)
+    return array(x) if isinstance(x, np.ndarray) else scalar(x)
 
 
 def sin(x):
@@ -424,20 +422,22 @@ def log(x):
 
 
 def hypot(*values):
-    """``math.hypot`` of floats; recorded when a :class:`Sym` is among them."""
-    return _elementary(math.hypot, np.hypot, *values)
+    """``math.hypot`` of numbers (an array raises ``TypeError``), recorded
+    when a :class:`Sym` is among them."""
+    syms = [v for v in values if type(v) is Sym]
+    return syms[0].tape.call(math.hypot, *values) if syms else math.hypot(*values)
 
 
 def all_finite(values):
-    """Whether every value is finite; the recorded test of the symbols among
-    them when the constants are all finite."""
+    """Whether every value is finite; when the constants all are, the
+    recorded ``&`` chain of the tests of the symbols among them."""
     syms = [v for v in values if isinstance(v, Sym)]
     constants_finite = all(math.isfinite(v) for v in values if not isinstance(v, Sym))
     if not (syms and constants_finite):
         return constants_finite
     tape = syms[0].tape
-    return tape.record(" and ".join(["{}({})"] * len(syms)),
-                       *(v for s in syms for v in (math.isfinite, s)), ordered=False)
+    return tape.record(" & ".join(["{}({})"] * len(syms)),
+                       *(v for s in syms for v in (math.isfinite, s)))
 
 
 def require(condition, error, x) -> None:
@@ -449,53 +449,13 @@ def require(condition, error, x) -> None:
         raise error(x)
 
 
-def directional_derivative(f, x, v) -> np.ndarray | tuple:
-    """``Df(x)[v]``, the dual part of ``f(x + eps v)``; ``x`` and ``v`` are
-    sequences of scalars, and ``x`` is either real or a dual point, with a
-    dual in every entry; ``v`` may hold duals. An entry of ``f``'s value that
-    is not a dual does not depend on the state and has derivative 0. A zero
-    direction gives zeros of the length of ``v`` without evaluating ``f``, so
-    ``f`` must map into the space of ``v`` (a vector field); at a traced
-    state, see :func:`_traced_derivative`.
-
-    Returns a float array at a real point, and a tuple at a dual one, where
-    the result is a field value that the next derivative differentiates, or
-    at a traced one, where symbols refuse to become an array.
-    """
-    if isinstance(x[0], Sym):
-        return tuple(_traced_derivative(f, x, v))
-    out = dual_part(f, x, v) if any(v) else [0.0] * len(v)
-    return tuple(out) if isinstance(x[0], Dual) else np.array(out)
-
-
-def dual_part(f, x, v) -> list:
-    """``Df(x)[v]`` as a list, evaluated for a zero direction too."""
-    return [y.dual if isinstance(y, Dual) else 0.0 for y in f(tuple(map(Dual, x, v)))]
-
-
-def _traced_derivative(f, x, v) -> list:
-    """``Df(x)[v]`` at a traced state ``x``. A direction whose constants are
-    zero is zero at the states where its symbols all are, and a float
-    evaluation skips ``f`` there; so the derivative is recorded, and each
-    entry that is not ``+0.0`` anyway is selected as ``0.0`` at those
-    states. It is still computed there: an operation of ``f`` that raises
-    on floats (division by zero, an overflowing ``**``) raises there too."""
-    symbols = [c for c in v if isinstance(c, Sym)]
-    if any(c for c in v if not isinstance(c, Sym)):
-        return dual_part(f, x, v)
-    if not symbols:
-        return [0.0] * len(v)
-    out = dual_part(f, x, v)
-    if all(map(_plus_zero, out)):
-        return out
-    tape = symbols[0].tape
-    moving = tape.record(" or ".join(["{}"] * len(symbols)), *symbols, ordered=False)
-    return [y if _plus_zero(y) else tape.record("{} if {} else 0.0", y, moving, ordered=False)
-            for y in out]
-
-
-def _plus_zero(y) -> bool:
-    return type(y) is float and y == 0.0 and math.copysign(1.0, y) > 0.0
+def directional_derivative(f, x, v) -> tuple:
+    """``Df(x)[v]``, the dual parts of ``f(x + eps v)`` as a tuple, by the
+    same code at a real, a dual and a traced point: ``x`` and ``v`` are
+    sequences of scalars, and ``v`` may hold duals. An entry of ``f``'s
+    value that is not a dual does not depend on the state and has
+    derivative 0. A zero direction is evaluated like any other."""
+    return tuple([y.dual if isinstance(y, Dual) else 0.0 for y in f(tuple(map(Dual, x, v)))])
 
 
 def central_jacobian(f, x) -> np.ndarray:

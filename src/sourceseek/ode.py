@@ -243,7 +243,7 @@ def _trace(rhs, dim: int) -> tuple:
             raise Untraceable(f"the rhs gave a {type(v).__name__}, not a number")
     used, lines = {o for o in outputs if type(o) is str}, []
     for line in reversed(tape.lines):
-        name, template, operands, _ = line
+        name, template, operands = line
         if name in used or not (template in ("{} + {}", "{} - {}", "{} * {}", "-{}")
                                 or template == "{}({})"
                                 and tape.constants[int(operands[0][1:])] is math.log):
@@ -264,9 +264,8 @@ def _traced_kernel(shape: tuple, dim: int):
 
     def stage(t, y):
         syms = {"t": t, **constants, **{f"x{i}": v for i, v in enumerate(y)}}
-        for name, template, operands, ordered in lines:
-            syms[name] = step.record(template, *[syms[o] for o in operands],
-                                     ordered=ordered)
+        for name, template, operands in lines:
+            syms[name] = step.record(template, *[syms[o] for o in operands])
         return tuple(syms[o] if type(o) is str else o[2] for o in outputs)
 
     return _kernel(stage, step, n_constants)

@@ -46,7 +46,7 @@ import numpy as np
 
 from .averaging import ControlAffineSystem, OscillatoryInput
 from .model import FieldParams, SeekerParams
-from .numdiff import Sym, Tape, cos, dual_part, exp, log, sin
+from .numdiff import Sym, Tape, cos, directional_derivative, exp, log, sin
 
 __all__ = [
     "Scheme",
@@ -101,13 +101,19 @@ def _log_d(field):
             lambda y: (y[0], y[1], exp(y[2]), y[3]))
 
 
-def _cascade(field):
-    """``(r, z1, z2, dhat) = (nu - F(z), z1, z2, log(d H))``."""
+def _quadratic(field):
+    """The field's map in the rotating frame, ``F(z) = f* - H/2 (z1 z1 + z2 z2)``."""
     fs, hess = field.f_star, field.hessian
 
     def f(z1, z2):
         return fs - 0.5 * hess * (z1 * z1 + z2 * z2)
 
+    return f
+
+
+def _cascade(field):
+    """``(r, z1, z2, dhat) = (nu - F(z), z1, z2, log(d H))``."""
+    f, hess = _quadratic(field), field.hessian
     return (lambda x: (x[3] - f(x[0], x[1]), x[0], x[1], log(x[2] * hess)),
             lambda y: (y[1], y[2], exp(y[3]) / hess, y[0] + f(y[1], y[2])))
 
@@ -135,7 +141,7 @@ def push_forward(rhs, coordinates):
 
     def pushed(t, y):
         x = back(y)
-        return tuple(dual_part(to, x, rhs(t, x)))
+        return directional_derivative(to, x, rhs(t, x))
 
     return pushed
 
@@ -279,14 +285,16 @@ def gradient_affine_system(params: SeekerParams, field: FieldParams) -> ControlA
     takes the state as a tuple and returns a tuple (see
     :class:`~sourceseek.averaging.ControlAffineSystem`)."""
     w0, h, alpha = params.omega0, params.h_gain, params.alpha
-    fs, hess = field.f_star, field.hessian
+    f = _quadratic(field)
+
+    def err(s):
+        return f(s[0], s[1]) - s[2]
 
     def drift(s):
-        return (w0 * s[1], -w0 * s[0],
-                h * (fs - 0.5 * hess * (s[0] * s[0] + s[1] * s[1]) - s[2]))
+        return (w0 * s[1], -w0 * s[0], h * err(s))
 
     def feedback_field(s):
-        return (0.0, fs - 0.5 * hess * (s[0] * s[0] + s[1] * s[1]) - s[2], 0.0)
+        return (0.0, err(s), 0.0)
 
     def dither_field(s):
         return (0.0, alpha, 0.0)
@@ -307,11 +315,10 @@ def newton_affine_system(params: SeekerParams, field: FieldParams) -> ControlAff
     omega, demodulation at 2*omega), each a field on tuples as in
     :func:`gradient_affine_system`."""
     w0, h, alpha, wd = params.omega0, params.h_gain, params.alpha, params.omega_d
-    fs, hess = field.f_star, field.hessian
-    demod = 8.0 * wd / alpha**2
+    f, demod = _quadratic(field), 8.0 * wd / alpha**2
 
     def err(s):
-        return fs - 0.5 * hess * (s[0] * s[0] + s[1] * s[1]) - s[3]
+        return f(s[0], s[1]) - s[3]
 
     def drift(s):
         return (w0 * s[1], -w0 * s[0], wd * s[2], h * err(s))

@@ -34,7 +34,7 @@ from sourceseek import (
     lie_bracket,
     newton_affine_system,
 )
-from sourceseek.numdiff import directional_derivative
+from sourceseek.numdiff import Tape, directional_derivative
 
 TWO_PI = 2.0 * math.pi
 _SRC = Path(__file__).resolve().parents[1] / "src"
@@ -947,18 +947,6 @@ class TestEvaluationCost:
         lie_bracket(*averaging._bracket(system, (1, 2, 1)), self.STATE)
         assert counts[0] == 10
 
-    def test_zero_direction_costs_nothing(self):
-        calls = [0]
-
-        def g(x):
-            calls[0] += 1
-            return np.array([x[0] ** 2, 1.0])
-
-        out = lie_bracket(lambda x: np.zeros(2), g, np.array([3.0, 1.0]))
-        # f = 0: the term along f(x) is zero without evaluating g off x
-        np.testing.assert_array_equal(out, np.zeros(2))
-        assert calls[0] == 1
-
     def assert_traced_once_per_build(self, system, per_build):
         system, counts = self.counted(system)
         engine = build_averaged_field(system, default_omega_grid(15.0))
@@ -1068,8 +1056,8 @@ def _squared_by_power(params, field):
 def test_rendered_field_is_the_dual_path_on_a_grid(make, ref_params, ref_field):
     """Every state over the special entries: ``d = 0``, ``z = 0``, ``-0.0``,
     ``err = 0`` (``z = 0`` and the last entry ``f_star = 5``, where the
-    feedback field is zero and a float evaluation skips its direction),
-    and overflow, where both raise the same exception."""
+    feedback field, a direction of the brackets, is zero), and overflow,
+    where both raise the same exception."""
     engine = build_averaged_field(make(ref_params, ref_field),
                                   default_omega_grid(15.0))
     states = list(itertools.product(_SPECIAL, repeat=engine.system.dimension))
@@ -1121,6 +1109,41 @@ def test_rendered_divergent_brackets_are_the_dual_path(ref_params, ref_field):
         outcome = _outcome(live, x)
         assert outcome[0] == "DivergentAverageError"
         assert outcome == _outcome(functools.partial(_dual_path, live), x)
+
+
+def test_a_direction_zero_at_some_states_is_the_dual_path():
+    """A zero direction is differentiated like any other, so a derivative
+    that raises where its value does not raises on both paths: ``f_1`` is
+    ``s[0] ** -1`` of ``s[0] + 1e-160``, whose derivative overflows in
+    ``** -2`` at ``s[0] = 0``, along ``f_0 = (s[1], 0)``, zero where
+    ``s[1]`` is. Elsewhere both give the same floats, ``-0.0`` included."""
+    def direction(s):
+        return (s[1], 0.0)
+
+    def steep(s):
+        return ((s[0] + 1e-160) ** -1, 0.0)
+
+    states = [(0.0, 0.0), (-0.0, 0.0), (0.0, 2.0), (1.0, 0.0), (-3.0, 0.0),
+              (2.0, 3.0), (-1e-160, 1.0), (-1e-160, 0.0)]
+    tape = Tape(2)
+    rendered = tape.render(lie_bracket(direction, steep, tape.state))
+    bracket = functools.partial(lie_bracket, direction, steep)
+    for x in states:
+        assert _outcome(rendered, x) == _outcome(bracket, x), x
+    assert _outcome(bracket, (0.0, 0.0))[0] == "OverflowError"
+    assert _outcome(bracket, (-1e-160, 0.0))[0] == "ZeroDivisionError"
+    assert _outcome(bracket, (1.0, 0.0)) == ((-0.0).hex(), (0.0).hex())
+
+    system = ControlAffineSystem(
+        drift=lambda s: (-0.0, 0.0),
+        channels=((direction, OscillatoryInput(np.sin, 1, 0.5)),
+                  (steep, OscillatoryInput(np.cos, 1, 0.5))),
+        dimension=2,
+    )
+    engine = build_averaged_field(system, default_omega_grid(10.0))
+    assert engine.coefficients[(0, 1)].kind == "finite"
+    _assert_rendered_is_dual_path(engine, states)
+    assert _outcome(engine, (0.0, 0.0))[0] == "OverflowError"
 
 
 @pytest.mark.parametrize("make", [gradient_affine_system, newton_affine_system])

@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from sourceseek import lie_bracket
 from sourceseek.numdiff import (Dual, Sym, Tape, Untraceable, central_jacobian, cos,
-                                directional_derivative, exp, log, sin)
+                                directional_derivative, exp, hypot, log, sin)
 
 
 class TestDual:
@@ -78,8 +78,22 @@ def test_directional_derivative_of_a_polynomial_field():
 
     out = directional_derivative(f, np.array([2.0, -1.0, 0.0]), np.array([1.0, 2.0, 0.0]))
     # (x1 v0 + x0 v1, 2 x1 v1 - 3 v0, 0)
-    np.testing.assert_array_equal(out, [3.0, -7.0, 0.0])
-    assert out.dtype == float
+    assert isinstance(out, tuple) and out == (3.0, -7.0, 0.0)
+    assert all(isinstance(v, float) for v in out)
+
+
+def test_hypot_is_maths_on_numbers_only():
+    assert hypot(3.0, 4.0, 12.0) == 13.0
+    # numpy's hypot would take a third array as its output
+    values = np.array([3.0]), np.array([4.0]), np.array([12.0])
+    with pytest.raises(TypeError):
+        hypot(*values)
+    assert values[2].tolist() == [12.0]
+    tape = Tape(2)
+    x, y = tape.state
+    value = hypot(x, 4.0, y)
+    assert tape.constants == [math.hypot, 4.0]
+    assert tape.render([value])((3.0, 12.0)) == (13.0,)
 
 
 _SQUARE = arrays(float, (4, 4), elements=st.floats(-10.0, 10.0))
@@ -177,9 +191,9 @@ class TestTape:
         with pytest.raises(ValueError, match="always"):
             tape.render(tape.state)((0.0,))
 
-    def test_direction_that_vanishes_at_run_time_gives_plus_zeros(self):
-        # a float evaluation skips f along a zero direction, which gives
-        # +0.0; differentiating there would give -0.0 in the first entry
+    def test_direction_that_vanishes_at_run_time_is_differentiated(self):
+        # a zero direction is no special case: f is differentiated along it,
+        # which gives -0.0 in the first entry, on floats and rendered alike
         def f(s):
             return (-s[0] * s[1], s[1] * s[1])
 
@@ -187,7 +201,10 @@ class TestTape:
             return directional_derivative(f, s, (s[0] * s[1], 0.0))
 
         rendered = self.rendered(along_the_state, 2)
-        for x in [(0.0, 2.0), (3.0, 0.0), (-0.0, -1.0), (3.0, 2.0)]:
+        for x in [(0.0, 2.0), (3.0, 0.0)]:
+            assert _hex(along_the_state(x)) == _hex((-0.0, 0.0)), x
+            assert _hex(rendered(x)) == _hex((-0.0, 0.0)), x
+        for x in [(-0.0, -1.0), (3.0, 2.0)]:
             assert _hex(rendered(x)) == _hex(along_the_state(x)), x
 
 

@@ -494,7 +494,7 @@ def test_no_full_frame_traces_a_numpy_call_or_a_power():
         scenario = Scenario(scheme=scheme, frame=frame)
         (lines, _, _), constants = ode._trace(scenario.build_rhs(),
                                               len(scenario.initial_state()))
-        for _, template, operands, _ in lines:
+        for _, template, operands in lines:
             assert "**" not in template, (frame, template)
             modules = [getattr(constants[int(o[1:])], "__module__", None) or ""
                        for o in operands if o.startswith("k")]
