@@ -68,6 +68,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+from collections.abc import Hashable
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -179,11 +180,10 @@ class OscillatoryInput:
         if not (0.0 < self.p_i < 1.0):
             raise ValueError(f"p_i must lie in (0, 1), got {self.p_i}")
         if self.validate:
-            if not self.bounded_ok():
-                raise ValueError("waveform exceeds unit magnitude")
-            defect = self.zero_mean_defect(1000)
-            if defect >= MEAN_TOL:
-                raise ValueError(f"|waveform mean| {defect:.3e} is not zero")
+            check = _wave_problem if isinstance(self.wave, Hashable) else _wave_problem.__wrapped__
+            problem = check(self.wave)
+            if problem:
+                raise ValueError(problem)
 
     def bounded_ok(self, n: int = 1000) -> bool:
         phases = np.linspace(0.0, TWO_PI, n + 1)
@@ -194,6 +194,20 @@ class OscillatoryInput:
         exact for a band below ``n / 2``."""
         phases = np.arange(n) * (TWO_PI / n)
         return abs(float(np.mean(np.asarray(self.wave(phases), dtype=float))))
+
+
+@functools.lru_cache(maxsize=256)
+def _wave_problem(wave) -> str | None:
+    """Why a validated input of ``wave`` is refused, or None. The checks
+    depend on the wave alone, so they run once per wave, not at every
+    construction of an input that drives it."""
+    probe = OscillatoryInput(wave, 1, 0.5, validate=False)
+    if not probe.bounded_ok():
+        return "waveform exceeds unit magnitude"
+    defect = probe.zero_mean_defect(1000)
+    if defect >= MEAN_TOL:
+        return f"|waveform mean| {defect:.3e} is not zero"
+    return None
 
 
 @dataclass(frozen=True)

@@ -92,12 +92,14 @@ class Dual:
         return Dual(self.real ** n, n * self.real ** (n - 1) * self.dual)
 
     def __truediv__(self, other):
-        if isinstance(other, Dual):
-            return self * other ** -1
+        if isinstance(other, Dual):  # the quotient rule, never forming b**-2
+            q = self.real / other.real
+            return Dual(q, (self.dual - q * other.dual) / other.real)
         return Dual(self.real / other, self.dual / other)
 
     def __rtruediv__(self, other):
-        return other * self ** -1
+        q = other / self.real
+        return Dual(q, -(q * self.dual) / self.real)
 
 
 class Untraceable(TypeError):
@@ -299,10 +301,12 @@ class Tape:
         elif not condition:
             self.statement("raise {}(x)", error)
 
-    def statements(self, outputs) -> tuple[list[str], list[str]]:
-        """The recorded lines as statements, and the expressions of
-        ``outputs`` (symbols or constants); see :func:`_statements`."""
-        return _statements(self.lines, [self.name(o) for o in outputs])
+    def statements(self, outputs, lines=None) -> tuple[list[str], list[str]]:
+        """The recorded lines, or ``lines`` taken from them, as statements,
+        and the expressions of ``outputs`` (symbols or constants); see
+        :func:`_statements`."""
+        return _statements(self.lines if lines is None else lines,
+                           [self.name(o) for o in outputs])
 
     def render(self, outputs):
         """The recorded function ``x -> tuple(outputs)``, from a code object

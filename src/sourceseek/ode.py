@@ -21,7 +21,8 @@ and compiled once per source text:
   four stages, so a step is one straight-line block of float operations
   with no call of ``rhs``; a value the stages share (the trigonometry of
   ``t + h/2``) is computed once, a temporary used once is written into its
-  user, and an unused ``+``, ``-``, ``*`` or ``math.log`` is dropped. So
+  user, and an unused ``+``, ``-``, ``*`` or ``math.log`` is dropped
+  (:func:`_live`), from the rhs's record and then from the step's. So
   ``rhs`` must be a pure function of ``(t, y)``: it runs once, on symbols,
   and never sees a float.
 * called: where the tape refuses ``rhs`` (:class:`~sourceseek.numdiff.Untraceable`:
@@ -30,7 +31,17 @@ and compiled once per source text:
   it on floats, ``4 * steps`` calls in all.
 
 Both fillings give the same trajectory, bit for bit, and the same aborts.
-Recorded samples are written into arrays sized up front.
+
+Each step spends its time on its own float operations. The loop runs every
+step but the last at the full step and records every ``output_stride``-th;
+the last step, full or shortened, is the same rendered block after the loop
+and is always recorded, so no step tests whether it is the last. The lines
+of a step that read only the step size and constants (``0.5 * h``,
+``h / 6.0``) run once for the loop and once for the last step, and the traced
+filling drops the step's unused lines by the rule it applies to the rhs's
+record, so an rhs that reads no time computes no stage time. Samples are
+written one float at a time through flat ``'d'`` memoryviews of arrays
+sized up front; an abort copies the samples written so far.
 """
 
 from __future__ import annotations
@@ -40,6 +51,7 @@ import itertools
 import math
 import numbers
 import string
+import textwrap
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -169,41 +181,56 @@ class Trajectory:
 
 #: The RK4 step loop, one source for every rhs. :func:`_kernel` fills it
 #: for a state of ``dim`` components: ``$x`` stands for ``x0, x1, ...``, the
-#: state's locals, ``$constants`` for ``k0, k1, ...`` and ``$step`` for the
-#: statements of one step, which leave the new state in ``$x``. The span
-#: ends are ``start`` and ``end`` and the step's locals ``t`` and ``h``, so
-#: no local of the loop takes a name of the tape's temporaries ``t<n>``.
+#: state's locals, and ``$constants`` for ``k0, k1, ...``. The loop runs steps
+#: ``1 .. total_steps - 1`` at ``h = dt`` and records every ``stride``-th; the
+#: last step runs after it at ``h = last`` (``dt`` or the shortened
+#: remainder), ends at ``end`` and is always recorded, so the loop tests
+#: neither. ``$step`` is one :data:`_STEP` block, rendered in the loop and
+#: after it, ``$per_size`` the step's lines that read only ``h`` and
+#: constants (``0.5 * h``, ``h / 6.0``), run once per step size, and
+#: ``$record`` the writes of ``t`` and the state into flat ``'d'``
+#: memoryviews of the output arrays. ``i`` is the number of the step being
+#: taken. The span ends are ``start`` and ``end`` and the step's locals ``t``
+#: and ``h``, so no local of the loop takes a name of the tape's temporaries
+#: ``t<n>``.
 _STEP_LOOP = string.Template("""\
-def step_loop(guard, y, probe, start, end, dt, remainder, n_full, total_steps,
-              stride, times, states, aborted, constants, isfinite=isfinite):
+def step_loop(guard, y, probe, start, end, dt, last, total_steps, stride,
+              times, states, aborted, constants, isfinite=isfinite):
     [$constants] = constants
     [$x] = y
     n_rec = 1
     t = start
     h = dt
-    for i in range(total_steps):
-        if i == n_full:  # shortened final step
-            h = remainder
-        t_new = end if i + 1 == total_steps else start + (i + 1) * dt
-        try:
+$per_size
+    for i in range(1, total_steps):
+        t_new = start + i * dt
 $step
-        except ArithmeticError as exc:
-            raise aborted(f"non-finite state at t={t_new}", t, n_rec) from exc
-        if not ($finite):
-            raise aborted(f"non-finite state at t={t_new}", t, n_rec)
-        if guard is not None and not guard(t_new, ($x,)):
-            raise aborted(
-                f"state guard violated at t={t_new} (step-size violation: "
-                f"reduce dt below {h})",
-                t,
-                n_rec,
-            )
-        t = t_new
-        if i + 1 == total_steps or (i + 1) % stride == 0:
-            times[n_rec] = t
-            states[n_rec] = ($x,)
+        if i % stride == 0:
+$record
             n_rec += 1
+    i, h, t_new = total_steps, last, end
+$per_size
+$last_step
+$last_record
 """)
+
+#: One RK4 step from ``(t, $x)`` to ``t_new``: ``$lines`` leave the new
+#: state in ``$x``, which must be finite and pass the guard.
+_STEP = string.Template("""\
+try:
+$lines
+except ArithmeticError as exc:
+    raise aborted(f"non-finite state at t={t_new}", t, n_rec) from exc
+if not ($finite):
+    raise aborted(f"non-finite state at t={t_new}", t, n_rec)
+if guard is not None and not guard(t_new, ($x,)):
+    raise aborted(
+        f"state guard violated at t={t_new} (step-size violation: "
+        f"reduce dt below {h})",
+        t,
+        n_rec,
+    )
+t = t_new""")
 
 
 def _rk4_step(stage, t, h, y) -> tuple:
@@ -224,10 +251,8 @@ def _rk4_step(stage, t, h, y) -> tuple:
 
 def _trace(rhs, dim: int) -> tuple:
     """``rhs`` run once on the symbols of a tape: the shape of its record
-    (lines, outputs and the number of constants), and its constants. An
-    unused ``+``, ``-`` or ``*`` never raises and is dropped, as is an unused
-    ``math.log``: a frame map's ``log d`` of ``d = exp(dtilde)`` raises only
-    at ``d = 0``, where the pushforward's ``1 / d`` raises first."""
+    (its :func:`_live` lines, outputs and the number of constants), and its
+    constants."""
     tape = _tape(dim, ("t",))
     value = rhs(*tape.inputs, tape.state)
     _check_length(value, dim)
@@ -241,23 +266,34 @@ def _trace(rhs, dim: int) -> tuple:
             outputs.append((type(v), repr(v), v))
         else:
             raise Untraceable(f"the rhs gave a {type(v).__name__}, not a number")
-    used, lines = {o for o in outputs if type(o) is str}, []
-    for line in reversed(tape.lines):
+    lines = _live(tape.lines, [o for o in outputs if type(o) is str], tape.constants)
+    return (lines, tuple(outputs), len(tape.constants)), tape.constants
+
+
+def _live(lines, outputs, constants) -> tuple:
+    """The lines of a record of operations (no statements) that can change
+    ``outputs``, names of its values, or stop the run. An unused ``+``,
+    ``-`` or ``*`` never raises and is dropped, as is an unused ``math.log``:
+    a frame map's ``log d`` of ``d = exp(dtilde)`` raises only at ``d = 0``,
+    where the pushforward's ``1 / d`` raises first."""
+    used, live = set(outputs), []
+    for line in reversed(lines):
         name, template, operands = line
         if name in used or not (template in ("{} + {}", "{} - {}", "{} * {}", "-{}")
                                 or template == "{}({})"
-                                and tape.constants[int(operands[0][1:])] is math.log):
+                                and constants[int(operands[0][1:])] is math.log):
             used.update(operands)
-            lines.append(line)
-    return (tuple(lines[::-1]), tuple(outputs), len(tape.constants)), tape.constants
+            live.append(line)
+    return tuple(live[::-1])
 
 
 @functools.lru_cache(maxsize=64)
 def _traced_kernel(shape: tuple, dim: int):
     """The traced filling for an rhs of this :func:`_trace` shape: each stage
     replays the rhs's record on the stage's time and state, so the step's
-    tape numbers values across stages. Returns the kernel and the constants
-    it takes after the rhs's own."""
+    tape numbers values across stages, and the step keeps its :func:`_live`
+    lines (an autonomous rhs reads no stage time). Returns the kernel and
+    the constants it takes after the rhs's own."""
     lines, outputs, n_constants = shape
     step = _tape(dim, ("t", "h"))
     constants = {k.name: k for k in step.reserve(n_constants)}
@@ -268,7 +304,9 @@ def _traced_kernel(shape: tuple, dim: int):
             syms[name] = step.record(template, *[syms[o] for o in operands])
         return tuple(syms[o] if type(o) is str else o[2] for o in outputs)
 
-    return _kernel(stage, step, n_constants)
+    new = _rk4_step(stage, *step.inputs, step.state)
+    return _kernel(step, _live(step.lines, [v.name for v in new], step.constants),
+                   new, n_constants)
 
 
 @functools.cache
@@ -288,12 +326,13 @@ def _called_kernel(dim: int):
         if next(calls):
             step.statement(unpack + call, *rhs, t, *y)
         else:
-            step.statement("if i:")
+            step.statement("if i != 1:")
             step.statement("    probe = " + call, *rhs, t, *y)
             step.statement(unpack + "probe")
         return k
 
-    return _kernel(stage, step, 1)
+    new = _rk4_step(stage, *step.inputs, step.state)
+    return _kernel(step, step.lines, new, 1)
 
 
 def _tape(dim: int, inputs) -> Tape:
@@ -306,23 +345,46 @@ def _check_length(k, dim: int) -> None:
         raise ValueError(f"rhs returned {len(k)} components for a state of length {dim}")
 
 
-def _kernel(stage, tape: Tape, supplied: int):
-    """The step loop filled with :func:`_rk4_step` of ``stage`` traced on
-    ``tape``, and the constants the tape recorded after the ``supplied``
-    ones it reserved."""
-    t, h = tape.inputs
-    lines, outputs = tape.statements(_rk4_step(stage, t, h, tape.state))
+def _kernel(tape: Tape, lines, new, supplied: int):
+    """The step loop filled with ``lines``, those of ``tape``'s record of
+    :func:`_rk4_step` that the step runs, whose new state is ``new``; a
+    line that reads only ``h`` and constants runs once per step size. Also
+    returns the constants the tape recorded after the ``supplied`` ones it
+    reserved. The kernel keeps its source as ``source``."""
+    per_size, per_step, sized = [], [], {"h"}  # sized: names of per-size values
+    for line in lines:
+        if type(line) is tuple and all(o in sized or o[0] == "k" for o in line[2]):
+            name, template, operands = line
+            sized.add(name)
+            per_size.append(f"{name} = {template.format(*operands)}")
+        else:
+            per_step.append(line)
+    step, outputs = tape.statements(new, per_step)
     x = ", ".join(v.name for v in tape.state)
-    lines.append(f"{x}, = {', '.join(outputs)},")
+    step.append(f"{x}, = {', '.join(outputs)},")
+    block = _STEP.substitute(
+        lines=textwrap.indent("\n".join(step), " " * 4),
+        x=x,
+        finite=" and ".join(f"isfinite({v.name})" for v in tape.state),
+    )
+    dim = len(tape.state)
+    offsets = [f"{dim} * n_rec"] + [f"{dim} * n_rec + {j}" for j in range(1, dim)]
+    record = "\n".join(["times[n_rec] = t"]
+                       + [f"states[{at}] = {v.name}" for at, v in zip(offsets, tape.state)])
     source = _STEP_LOOP.substitute(
         constants=", ".join(f"k{i}" for i in range(len(tape.constants))),
         x=x,
-        step="".join(f"            {line}\n" for line in lines).rstrip("\n"),
-        finite=" and ".join(f"isfinite({v.name})" for v in tape.state),
+        per_size=textwrap.indent("\n".join(per_size), " " * 4),
+        step=textwrap.indent(block, " " * 8),
+        record=textwrap.indent(record, " " * 12),
+        last_step=textwrap.indent(block, " " * 4),
+        last_record=textwrap.indent(record, " " * 4),
     )
     namespace = {"isfinite": math.isfinite}
     exec(compile(source, "<RK4 step loop>", "exec"), namespace)
-    return namespace["step_loop"], tuple(tape.constants[supplied:])
+    kernel = namespace["step_loop"]
+    kernel.source = source
+    return kernel, tuple(tape.constants[supplied:])
 
 
 def integrate(rhs, x0, t0: float, t1: float, config: IntegratorConfig,
@@ -413,8 +475,9 @@ def integrate(rhs, x0, t0: float, t1: float, config: IntegratorConfig,
         supplied = [rhs]
         rhs_calls = 4 * total_steps
 
-    kernel(guard, y, probe, t0, t1, dt, remainder, n_full, total_steps, stride,
-           times, states, aborted, (*supplied, *constants))
+    kernel(guard, y, probe, t0, t1, dt, remainder if has_tail else dt, total_steps,
+           stride, memoryview(times), memoryview(states).cast("B").cast("d"),
+           aborted, (*supplied, *constants))
     return Trajectory(times, states, steps=total_steps, rhs_calls=rhs_calls)
 
 

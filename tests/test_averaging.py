@@ -54,6 +54,25 @@ class TestOscillatoryInput:
         with pytest.raises(ValueError, match="magnitude"):
             OscillatoryInput(lambda s: 1.5 * np.sin(s), 1, 0.5)
 
+    def test_a_bad_wave_is_refused_at_every_construction(self):
+        # the checks run once per wave; their verdict is kept, not skipped
+        for wave, match in [(lambda s: 0.5 * (1.0 + np.sin(s)), "mean"),
+                            (lambda s: 1.5 * np.sin(s), "magnitude")]:
+            for _ in range(2):
+                with pytest.raises(ValueError, match=match):
+                    OscillatoryInput(wave, 1, 0.5)
+            assert OscillatoryInput(wave, 1, 0.5, validate=False).wave is wave
+
+    def test_an_unhashable_wave_is_validated(self):
+        class Wave:
+            __hash__ = None
+
+            def __call__(self, s):
+                return 2.0 * np.sin(s)
+
+        with pytest.raises(ValueError, match="magnitude"):
+            OscillatoryInput(Wave(), 1, 0.5)
+
     def test_validation_can_be_deferred(self):
         inp = OscillatoryInput(lambda s: 0.5 * (1.0 + np.sin(s)), 1, 0.5, validate=False)
         assert inp.zero_mean_defect() > 1e-3

@@ -45,6 +45,17 @@ class TestDual:
             assert value.real == pytest.approx(real, rel=1e-15)
             assert value.dual == pytest.approx(dual, rel=1e-15, abs=1e-15)
 
+    def test_division_by_a_dual_is_the_quotient_rule(self):
+        # d(1/x)[v] = -(v / x) / x = -1e120 here; through x ** -2, which
+        # overflows at x = 1e-160, it raised OverflowError
+        assert directional_derivative(lambda s: (1.0 / s[0],), (1e-160,),
+                                      (1e-200,)) == (-1e120,)
+        assert directional_derivative(lambda s: (s[1] / s[0],), (1e-160, 1.0),
+                                      (1e-200, 0.0)) == (-1e120,)
+        # (a / b)' = (a' - q b') / b with q = a / b
+        value = Dual(3.0, 1.0) / Dual(2.0, 0.5)
+        assert (value.real, value.dual) == (1.5, (1.0 - 1.5 * 0.5) / 2.0)
+
     def test_nested_exp_and_log_give_second_derivatives(self):
         # f(x) = exp(x) log(x) / x at x = 2, seeded inside and outside:
         # f' = e^x (1 + log x) / 4 and f'' = e^x (1 + 2 log x) / 8 there

@@ -1,4 +1,6 @@
+import itertools
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -399,11 +401,93 @@ def test_float_loop_is_bit_identical_to_the_array_loop(loop, data):
     assert np.array_equal(traj.states, states)
 
 
-def _outcome(rhs, x0, t_end, config, guard=None):
+#: (start, end, steps) at dt = 0.25 of the three shapes a span takes: one
+#: shortened step, a whole number of steps, and whole steps then a
+#: shortened one
+_SPANS = {"lone": (0.5, 0.6, 1), "whole": (0.5, 2.5, 8), "tail": (0.5, 2.6, 9)}
+_SPAN_RHS = {
+    "timed": lambda t, y: (y[1] * t, -y[0] - 0.5 * y[1]),
+    "autonomous": _linear_rhs(2),
+}
+
+
+@pytest.mark.parametrize("span", sorted(_SPANS))
+@pytest.mark.parametrize("stride", [1, 3, 50])
+@pytest.mark.parametrize("rhs", sorted(_SPAN_RHS))
+def test_every_span_shape_is_the_array_loop(span, stride, rhs):
+    """The loop's steps and the last step after it record the array loop's
+    samples in every span shape, at strides below and above the number of
+    steps, traced and called."""
+    (t0, t1, steps), rhs = _SPANS[span], _SPAN_RHS[rhs]
+    config = _config(0.25, stride)
+    times, states = _array_rk4(rhs, [1.0, 0.5], t0, t1, config)
+    made = []  # the called filling's calls: the probe serves the first step
+
+    def counted(t, y):
+        made.append(t)
+        return rhs(t, y)
+
+    for run, calls in ((rhs, 1), (_called(counted), 4 * steps)):
+        traj = integrate(run, [1.0, 0.5], t0, t1, config)
+        assert (traj.steps, traj.rhs_calls) == (steps, calls)
+        assert np.array_equal(traj.times, times)
+        assert np.array_equal(traj.states, states)
+    assert len(made) == 4 * steps
+
+
+def _last_stage_time(t0, t1, dt):
+    """The time of the second stage of the last step of a run, as the step
+    loop computes it: the last step starts at ``t0 + (steps - 1) * dt``."""
+    n_full = int(math.floor((t1 - t0) / dt * (1.0 + 1e-12)))
+    remainder = (t1 - t0) - n_full * dt
+    tail = n_full == 0 or remainder > 1e-12 * max(t1 - t0, dt)
+    start = t0 + (n_full - (0 if tail else 1)) * dt if n_full else t0
+    return start + 0.5 * (remainder if tail else dt)
+
+
+@pytest.mark.parametrize("span", sorted(_SPANS))
+@pytest.mark.parametrize("stride", [1, 3, 50])
+@pytest.mark.parametrize("abort", ["zero_division", "infinite", "guard"])
+def test_an_abort_on_the_last_step_is_the_called_filling_s(span, stride, abort):
+    """Each way to abort, raised by the last step (a lone step in the
+    ``lone`` span), carries the called filling's message, last valid time
+    and partial trajectory."""
+    t0, t1, _ = _SPANS[span]
+    stage = _last_stage_time(t0, t1, 0.25)
+    guard = None
+    if abort == "zero_division":  # 1 / 0 at the last step's second stage
+        def rhs(t, y):
+            return (y[1], 1.0 / (stage - t))
+    elif abort == "infinite":  # 1e300 / 1 ulp overflows to inf there
+        after = math.nextafter(stage, math.inf)
+
+        def rhs(t, y):
+            return (y[1], 1e300 / (after - t))
+    else:
+        def rhs(t, y):
+            return (y[1], -y[0])
+
+        def guard(t, y):
+            return t < t1
+    config = _config(0.25, stride)
+    traced = _outcome(rhs, [1.0, 0.5], t1, config, guard, t0=t0)
+    called = _outcome(_called(rhs), [1.0, 0.5], t1, config, guard, t0=t0)
+    assert isinstance(traced, tuple) and f"at t={t1}" in traced[0]
+    _assert_same_outcome(traced, called)
+    if abort == "zero_division":  # the array loop raises too
+        return
+    with np.errstate(over="ignore", invalid="ignore"):
+        times, states = _array_rk4(rhs, [1.0, 0.5], t0, t1, _config(0.25))
+    assert traced[1] == times[-2]
+    assert np.array_equal(traced[2], times[:-1][::stride])
+    assert np.array_equal(traced[3], states[:-1][::stride])
+
+
+def _outcome(rhs, x0, t_end, config, guard=None, t0=0.0):
     """A run's trajectory, or what its abort carries."""
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            return integrate(rhs, x0, 0.0, t_end, config, guard=guard)
+            return integrate(rhs, x0, t0, t_end, config, guard=guard)
     except IntegrationAborted as err:
         return str(err), err.last_valid_time, err.partial.times, err.partial.states
 
@@ -499,3 +583,34 @@ def test_no_full_frame_traces_a_numpy_call_or_a_power():
             modules = [getattr(constants[int(o[1:])], "__module__", None) or ""
                        for o in operands if o.startswith("k")]
             assert not any(m.split(".")[0] == "numpy" for m in modules), (frame, template)
+
+
+def _loop_body(source):
+    """The assignments the rendered step loop runs at every step, each as
+    ``(target, names read)``: the lines under its ``for``."""
+    lines = source.splitlines()
+    start = next(n for n, line in enumerate(lines) if line.startswith("    for i in"))
+    body = itertools.takewhile(lambda line: line.startswith("        "), lines[start + 1:])
+    return [(target.strip(), set(re.findall(r"[A-Za-z_]\w*", expression)))
+            for target, _, expression in (line.partition(" = ") for line in body)
+            if expression]
+
+
+@pytest.mark.parametrize("loop, dim", [("averaged-gradient", 3), ("averaged-newton", 4),
+                                       ("linear-5", 5)])
+def test_an_autonomous_step_loop_computes_no_stage_time_or_step_size(loop, dim):
+    """An rhs that reads no time leaves the stage times ``t + h/2`` and
+    ``t + h`` unused, so the traced step drops them, and ``0.5 * h`` and
+    ``h / 6.0`` run once per step size, outside the loop."""
+    shape, _ = ode._trace(_LOOPS[loop][0], dim)
+    source = ode._traced_kernel(shape, dim)[0].source
+    per_step = [(target, names) for target, names in _loop_body(source)
+                if re.fullmatch(r"t\d+|x\d+(, x\d+)*,", target)]
+    assert len(per_step) > dim
+    for target, names in per_step:
+        assert "t" not in names, (target, names)
+        assert not names <= {"h"} | {n for n in names if re.fullmatch(r"k\d+", n)}, target
+    # a rhs that reads its time keeps its stage times in the loop
+    shape, _ = ode._trace(_LOOPS["newton-rotating_z"][0], 4)
+    timed = _loop_body(ode._traced_kernel(shape, 4)[0].source)
+    assert any("t" in names and target != "t" for target, names in timed)
