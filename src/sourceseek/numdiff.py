@@ -31,11 +31,13 @@ a ``TypeError``, for its truth, ``==``, ``!=``, a conversion, a numpy
 function other than arithmetic, and, on a tape of float code, an array.
 On a symbol, :func:`sin`, :func:`cos`, :func:`exp` and :func:`log` record a
 call of their ``math`` function. The one test that a float evaluation
-makes per state, that values are finite, is recorded instead
-(:func:`require`, :func:`all_finite`). The constants met on the way,
-functions among them, are arguments of the rendered function, so its
-source depends only on the operations, and one compiled code object serves
-every tape of the same source.
+makes per state, that values are finite, is recorded instead, as a call
+that raises where the test fails (:func:`require`, :func:`all_finite`), so
+every line of a record is an operation. The lines that can neither change
+the outputs nor stop the run are not rendered (:func:`_live`). The
+constants met on the way, functions among them, are arguments of the
+rendered function, so its source depends only on the operations, and one
+compiled code object serves every tape of the same source.
 """
 
 from __future__ import annotations
@@ -217,26 +219,27 @@ _MAX_DEPTH = 32
 class Tape:
     """The record of one straight-line function of a state tuple ``x`` of
     ``dimension`` entries, whose symbols are ``state``; ``inputs`` names
-    further symbols, free variables of the rendered statements. With
+    further symbols, free variables of the rendered function. With
     ``object_arrays``, a symbol may be an entry of a numpy object array, as
     in code traced for duals, which make object arrays too; without it the
     traced code must be the code that runs on floats, and an array of
     symbols is refused (:meth:`Sym.__array__`).
 
-    :meth:`record` numbers values: an operation already recorded on the same
-    operands returns its earlier symbol, so a repeated sub-expression is
-    computed once. An operand that is not a symbol is a constant, one
-    argument ``k0``, ``k1``, ... per distinct value (``0.0`` and ``-0.0``
-    are two values; a function is a constant too). Each temporary is named
-    ``t0``, ``t1``, ...
+    Every line of the record is one operation ``(name, template, operand
+    names)``; a test of the state is one too, a recorded call
+    (:meth:`require`). :meth:`record` numbers values: an operation already
+    recorded on the same operands returns its earlier symbol, so a repeated
+    sub-expression is computed once. An operand that is not a symbol is a
+    constant, one argument ``k0``, ``k1``, ... per distinct value (``0.0``
+    and ``-0.0`` are two values; a function is a constant too). Each
+    temporary is named ``t0``, ``t1``, ...
     """
 
     def __init__(self, dimension: int, inputs=(), object_arrays: bool = True):
         self.state = tuple(Sym(self, f"x{i}") for i in range(dimension))
         self.inputs = tuple(Sym(self, name) for name in inputs)
         self.object_arrays = object_arrays
-        #: ``(name, template, operand names)`` per operation, a string per
-        #: statement
+        #: ``(name, template, operand names)`` per operation
         self.lines: list = []
         self.constants: list = []
         self._constant_names: dict = {}
@@ -283,23 +286,13 @@ class Tape:
         self.constants += [None] * n
         return tuple(Sym(self, f"k{i}") for i in range(first, first + n))
 
-    def temporary(self) -> Sym:
-        """A new temporary, for a :meth:`statement` to assign."""
-        return Sym(self, f"t{next(self._temporaries)}")
-
-    def statement(self, template: str, *operands) -> None:
-        """Append the statement ``template.format`` of the operands' names."""
-        self.lines.append(template.format(*map(self.name, operands)))
-
     def require(self, condition, error) -> None:
         """At run time, ``raise error(x)`` where the recorded ``condition`` is
-        false; a constant condition is decided now, and a false one raises
-        at every state."""
-        if isinstance(condition, Sym):
-            self.statement("if not {}:", condition)
-            self.statement("    raise {}(x)", error)
-        elif not condition:
-            self.statement("raise {}(x)", error)
+        false: a recorded call of :func:`_check` on the condition and the
+        state, which no other line reads. A true constant records nothing;
+        a false one records a call that raises at every state."""
+        if isinstance(condition, Sym) or not condition:
+            self.call(_check, condition, error, *self.state)
 
     def statements(self, outputs, lines=None) -> tuple[list[str], list[str]]:
         """The recorded lines, or ``lines`` taken from them, as statements,
@@ -310,11 +303,37 @@ class Tape:
 
     def render(self, outputs):
         """The recorded function ``x -> tuple(outputs)``, from a code object
-        shared by every tape of the same record."""
+        shared by every tape of the same record; it runs the :func:`_live`
+        lines."""
         returned = tuple([self.name(o) for o in outputs])
-        factory = _factory(tuple(self.lines), returned, len(self.state),
-                           len(self.constants))
+        factory = _factory(_live(self.lines, returned, self.constants), returned,
+                           len(self.state), len(self.constants))
         return factory(tuple(self.constants))
+
+
+def _check(ok, error, *x) -> None:
+    """``raise error(x)`` unless ``ok``: the call :meth:`Tape.require`
+    records."""
+    if not ok:
+        raise error(x)
+
+
+def _live(lines, outputs, constants) -> tuple:
+    """The lines of a record that can change ``outputs``, names of its
+    values, or stop the run. An unused ``+``, ``-`` or ``*`` never raises
+    on floats and is dropped, as is an unused ``math.log``, whose argument
+    is taken to be positive: a frame map's ``log d`` of ``d = exp(dtilde)``
+    raises only at ``d = 0``, where the pushforward's ``1 / d`` raises
+    first. Every other line, a recorded call among them, is kept."""
+    used, live = set(outputs), []
+    for line in reversed(lines):
+        name, template, operands = line
+        if name in used or not (template in ("{} + {}", "{} - {}", "{} * {}", "-{}")
+                                or template == "{}({})"
+                                and constants[int(operands[0][1:])] is math.log):
+            used.update(operands)
+            live.append(line)
+    return tuple(live[::-1])
 
 
 def _statements(lines, outputs) -> tuple[list[str], list[str]]:
@@ -322,10 +341,11 @@ def _statements(lines, outputs) -> tuple[list[str], list[str]]:
     ``outputs`` names. A temporary used once is written into its user where
     that keeps the order in which the operations run, so the first one to
     raise is the same: it must be the last of the temporaries still pending
-    when its user takes it."""
+    when its user takes it. A line whose value nothing reads (a
+    :meth:`Tape.require` call) is a bare expression."""
     uses: dict[str, int] = {}
-    for line in lines:
-        for n in line[2] if type(line) is tuple else ():
+    for _, _, names in lines:
+        for n in names:
             uses[n] = uses.get(n, 0) + 1
     for n in outputs:
         uses[n] = uses.get(n, 0) + 1
@@ -347,19 +367,14 @@ def _statements(lines, outputs) -> tuple[list[str], list[str]]:
         depth = max(pending[n][1] for n in inlined)
         return [f"({pending.pop(n)[0]})" if n in inlined else n for n in names], depth
 
-    for line in lines:
-        if type(line) is str:  # a statement; its operands are never pending
-            flush()
-            out.append(line)
-            continue
-        name, template, names = line
+    for name, template, names in lines:
         names, depth = inline(names)
         expression = template.format(*names)
         if uses.get(name) == 1 and depth < _MAX_DEPTH:
             pending[name] = (expression, depth + 1)
         else:
             flush()
-            out.append(f"{name} = {expression}")
+            out.append(f"{name} = {expression}" if name in uses else expression)
     outputs, _ = inline(outputs)
     flush()
     return out, outputs

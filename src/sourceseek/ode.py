@@ -13,41 +13,41 @@ or four components), so per-call array construction would cost more than the
 arithmetic. There is one loop template (:data:`_STEP_LOOP`), unrolled over
 the components, and one RK4 step (:func:`_rk4_step`), whose float operations,
 and their order, are those of the array form of RK4, so trajectories are
-bit-for-bit those of an array loop. The step is written into the template in
-one of two fillings, each traced once on a :class:`~sourceseek.numdiff.Tape`
-and compiled once per source text:
+bit-for-bit those of an array loop. The step replays one record of ``rhs``
+(a :class:`~sourceseek.numdiff.Tape`'s) at each of its four stages, and is
+compiled once per source text:
 
-* traced: ``rhs`` runs once, on symbols, and its record is replayed at the
-  four stages, so a step is one straight-line block of float operations
-  with no call of ``rhs``; a value the stages share (the trigonometry of
-  ``t + h/2``) is computed once, a temporary used once is written into its
-  user, and an unused ``+``, ``-``, ``*`` or ``math.log`` is dropped
-  (:func:`_live`), from the rhs's record and then from the step's. So
-  ``rhs`` must be a pure function of ``(t, y)``: it runs once, on symbols,
-  and never sees a float.
-* called: where the tape refuses ``rhs`` (:class:`~sourceseek.numdiff.Untraceable`:
+* ``rhs`` runs once, on symbols, and the record is its float operations, so
+  a step is one straight-line block with no call of ``rhs``; a value the
+  stages share (the trigonometry of ``t + h/2``) is computed once, a
+  temporary used once is written into its user, and an unused ``+``, ``-``,
+  ``*`` or ``math.log`` is dropped (:func:`~sourceseek.numdiff._live`),
+  from the rhs's record and then from the step's. So ``rhs`` must be a pure
+  function of ``(t, y)``: it never sees a float.
+* where the tape refuses ``rhs`` (:class:`~sourceseek.numdiff.Untraceable`:
   it branches on, compares or converts its time or state, calls a ``math``
-  or numpy function of them, or builds an array of them), each stage calls
-  it on floats, ``4 * steps`` calls in all.
+  or numpy function of them, or builds an array of them), the record is one
+  call of it (:func:`_call_record`), which each stage makes on floats,
+  ``4 * steps`` calls in all. These records differ only in ``rhs``, so one
+  step loop per state length serves them all.
 
-Both fillings give the same trajectory, bit for bit, and the same aborts.
+Both give the same trajectory, bit for bit, and the same aborts.
 
 Each step spends its time on its own float operations. The loop runs every
 step but the last at the full step and records every ``output_stride``-th;
 the last step, full or shortened, is the same rendered block after the loop
 and is always recorded, so no step tests whether it is the last. The lines
 of a step that read only the step size and constants (``0.5 * h``,
-``h / 6.0``) run once for the loop and once for the last step, and the traced
-filling drops the step's unused lines by the rule it applies to the rhs's
-record, so an rhs that reads no time computes no stage time. Samples are
-written one float at a time through flat ``'d'`` memoryviews of arrays
-sized up front; an abort copies the samples written so far.
+``h / 6.0``) run once for the loop and once for the last step, and the step
+drops its unused lines by the rule it applies to the rhs's record, so an rhs
+that reads no time computes no stage time. Samples are written one float at
+a time through flat ``'d'`` memoryviews of arrays sized up front; an abort
+copies the samples written so far.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import numbers
 import string
@@ -57,7 +57,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .numdiff import Sym, Tape, Untraceable
+from .numdiff import Sym, Tape, Untraceable, _live
 
 __all__ = [
     "IntegratorConfig",
@@ -113,7 +113,7 @@ class IntegratorConfig:
         if self.output_stride < 1:
             raise ValueError("output_stride must be >= 1")
         if self.omega_max is not None:
-            limit = TWO_PI / (self.omega_max * self.samples_per_period)
+            limit = _max_step(self.omega_max, self.samples_per_period)
             if self.dt > limit * (1.0 + 1e-12):
                 raise ValueError(
                     f"dt={self.dt} too large for omega_max={self.omega_max}: "
@@ -125,13 +125,19 @@ class IntegratorConfig:
         cls, omega_max: float, samples_per_period: int = 60, output_stride: int = 1
     ) -> "IntegratorConfig":
         """Config whose step resolves ``omega_max`` at the requested resolution."""
-        dt = TWO_PI / (omega_max * samples_per_period)
         return cls(
-            dt=dt,
+            dt=_max_step(omega_max, samples_per_period),
             samples_per_period=samples_per_period,
             output_stride=output_stride,
             omega_max=omega_max,
         )
+
+
+def _max_step(omega_max: float, samples_per_period: int) -> float:
+    """The step of ``samples_per_period`` steps per period of ``omega_max``."""
+    if not (math.isfinite(omega_max) and omega_max > 0.0):
+        raise ValueError(f"omega_max must be finite and > 0, got {omega_max}")
+    return TWO_PI / (omega_max * samples_per_period)
 
 
 @dataclass
@@ -180,8 +186,12 @@ class Trajectory:
 
 
 #: The RK4 step loop, one source for every rhs. :func:`_kernel` fills it
-#: for a state of ``dim`` components: ``$x`` stands for ``x0, x1, ...``, the
-#: state's locals, and ``$constants`` for ``k0, k1, ...``. The loop runs steps
+#: for a state of ``dim`` components with one step, whose stages replay the
+#: rhs's record, traced or a call (:func:`_call_record`): ``$x`` stands for
+#: ``x0, x1, ...``, the state's locals, and ``$constants`` for ``k0, k1,
+#: ...``, the record's constants (a call record's rhs among them) and then
+#: the step's. A failed :meth:`~sourceseek.numdiff.Tape.require` in the
+#: record raises its own error out of the loop. The loop runs steps
 #: ``1 .. total_steps - 1`` at ``h = dt`` and records every ``stride``-th; the
 #: last step runs after it at ``h = last`` (``dt`` or the shortened
 #: remainder), ends at ``end`` and is always recorded, so the loop tests
@@ -194,7 +204,7 @@ class Trajectory:
 #: and ``h``, so no local of the loop takes a name of the tape's temporaries
 #: ``t<n>``.
 _STEP_LOOP = string.Template("""\
-def step_loop(guard, y, probe, start, end, dt, last, total_steps, stride,
+def step_loop(guard, y, start, end, dt, last, total_steps, stride,
               times, states, aborted, constants, isfinite=isfinite):
     [$constants] = constants
     [$x] = y
@@ -237,8 +247,8 @@ def _rk4_step(stage, t, h, y) -> tuple:
     """The new state after one RK4 step of ``stage(t, y)`` from ``(t, y)``,
     the operations of the array form component by component: ``y + half *
     k`` for a stage argument and ``y + sixth * (k1 + 2 k2 + 2 k3 + k4)`` for
-    the update. Both fillings of :data:`_STEP_LOOP` are this function run on
-    the symbols of a tape."""
+    the update. The step of :data:`_STEP_LOOP` is this function run on the
+    symbols of a tape."""
     half = 0.5 * h
     a = stage(t, y)
     b = stage(t + half, tuple(v + half * k for v, k in zip(y, a)))
@@ -251,15 +261,11 @@ def _rk4_step(stage, t, h, y) -> tuple:
 
 def _trace(rhs, dim: int) -> tuple:
     """``rhs`` run once on the symbols of a tape: the shape of its record
-    (its :func:`_live` lines, outputs and the number of constants), and its
-    constants."""
+    (its :func:`~sourceseek.numdiff._live` lines, outputs and the number of
+    constants), and its constants."""
     tape = _tape(dim, ("t",))
-    value = rhs(*tape.inputs, tape.state)
-    _check_length(value, dim)
-    if any(type(line) is str for line in tape.lines):
-        raise Untraceable("an rhs that records statements cannot be replayed")
     outputs = []
-    for v in value:
+    for v in _checked(rhs(*tape.inputs, tape.state), dim):
         if type(v) is Sym:
             outputs.append(v.name)
         elif isinstance(v, numbers.Real):  # a component that is a constant
@@ -270,30 +276,26 @@ def _trace(rhs, dim: int) -> tuple:
     return (lines, tuple(outputs), len(tape.constants)), tape.constants
 
 
-def _live(lines, outputs, constants) -> tuple:
-    """The lines of a record of operations (no statements) that can change
-    ``outputs``, names of its values, or stop the run. An unused ``+``,
-    ``-`` or ``*`` never raises and is dropped, as is an unused ``math.log``:
-    a frame map's ``log d`` of ``d = exp(dtilde)`` raises only at ``d = 0``,
-    where the pushforward's ``1 / d`` raises first."""
-    used, live = set(outputs), []
-    for line in reversed(lines):
-        name, template, operands = line
-        if name in used or not (template in ("{} + {}", "{} - {}", "{} * {}", "-{}")
-                                or template == "{}({})"
-                                and constants[int(operands[0][1:])] is math.log):
-            used.update(operands)
-            live.append(line)
-    return tuple(live[::-1])
+def _call_record(rhs, dim: int) -> tuple:
+    """The record of one call of ``rhs``, in the shape :func:`_trace`
+    returns: ``_checked(rhs(t, (x0, ...)), dim)`` and one ``value[j]`` per
+    component. Records of one ``dim`` differ only in their constant
+    ``rhs``, so they share one shape and one kernel."""
+    tape = _tape(dim, ("t",))
+    value = tape.record("{}({}({}, (" + "{}, " * dim + f")), {dim})",
+                        _checked, rhs, *tape.inputs, *tape.state)
+    outputs = tuple([tape.record(f"{{}}[{j}]", value).name for j in range(dim)])
+    return (tuple(tape.lines), outputs, len(tape.constants)), tape.constants
 
 
 @functools.lru_cache(maxsize=64)
 def _traced_kernel(shape: tuple, dim: int):
-    """The traced filling for an rhs of this :func:`_trace` shape: each stage
-    replays the rhs's record on the stage's time and state, so the step's
-    tape numbers values across stages, and the step keeps its :func:`_live`
-    lines (an autonomous rhs reads no stage time). Returns the kernel and
-    the constants it takes after the rhs's own."""
+    """The step loop for an rhs record of this shape (:func:`_trace`,
+    :func:`_call_record`): each stage replays the record on the stage's time
+    and state, so the step's tape numbers values across stages, and the step
+    keeps its :func:`~sourceseek.numdiff._live` lines (an autonomous rhs
+    reads no stage time). Returns the kernel and the constants it takes
+    after the record's own."""
     lines, outputs, n_constants = shape
     step = _tape(dim, ("t", "h"))
     constants = {k.name: k for k in step.reserve(n_constants)}
@@ -309,40 +311,16 @@ def _traced_kernel(shape: tuple, dim: int):
                    new, n_constants)
 
 
-@functools.cache
-def _called_kernel(dim: int):
-    """The call filling: each stage one call of ``rhs``, the kernel's first
-    constant, written as a statement that unpacks its value into new
-    temporaries; the first step's first stage is ``probe``. Returns the
-    kernel and the constants it takes after ``rhs``."""
-    step = _tape(dim, ("t", "h"))
-    rhs = step.reserve(1)
-    calls = itertools.count()
-
-    def stage(t, y):
-        k = [step.temporary() for _ in range(dim)]
-        unpack = "[" + ", ".join(s.name for s in k) + "] = "
-        call = "{}({}, (" + "{}, " * dim + "))"
-        if next(calls):
-            step.statement(unpack + call, *rhs, t, *y)
-        else:
-            step.statement("if i != 1:")
-            step.statement("    probe = " + call, *rhs, t, *y)
-            step.statement(unpack + "probe")
-        return k
-
-    new = _rk4_step(stage, *step.inputs, step.state)
-    return _kernel(step, step.lines, new, 1)
-
-
 def _tape(dim: int, inputs) -> Tape:
     """A tape of code that runs on floats: it refuses arrays of symbols."""
     return Tape(dim, inputs=inputs, object_arrays=False)
 
 
-def _check_length(k, dim: int) -> None:
-    if len(k) != dim:
-        raise ValueError(f"rhs returned {len(k)} components for a state of length {dim}")
+def _checked(value, dim: int):
+    """``value``, an rhs's, once it has ``dim`` components."""
+    if len(value) != dim:
+        raise ValueError(f"rhs returned {len(value)} components for a state of length {dim}")
+    return value
 
 
 def _kernel(tape: Tape, lines, new, supplied: int):
@@ -353,8 +331,8 @@ def _kernel(tape: Tape, lines, new, supplied: int):
     reserved. The kernel keeps its source as ``source``."""
     per_size, per_step, sized = [], [], {"h"}  # sized: names of per-size values
     for line in lines:
-        if type(line) is tuple and all(o in sized or o[0] == "k" for o in line[2]):
-            name, template, operands = line
+        name, template, operands = line
+        if all(o in sized or o[0] == "k" for o in operands):
             sized.add(name)
             per_size.append(f"{name} = {template.format(*operands)}")
         else:
@@ -399,10 +377,8 @@ def integrate(rhs, x0, t0: float, t1: float, config: IntegratorConfig,
         ``(t, x)``: it is first run once on symbols (see the module
         docstring), and where that is refused it is called ``4 * steps``
         times on floats, the first call being the first step's first stage.
-        The length of its value is checked on that first run or call, with
-        a message naming both lengths, and a called rhs again by every
-        stage unpack of the step loop, which raises ValueError on a
-        mismatch.
+        The length of its value is checked on that run and at every call,
+        with a ValueError naming both lengths.
     guard : callable, optional
         ``guard(t, x) -> bool``, with ``x`` a tuple of floats, evaluated
         after every accepted step; a False result aborts with a step-size
@@ -422,10 +398,13 @@ def integrate(rhs, x0, t0: float, t1: float, config: IntegratorConfig,
         among them) or a guard violation; carries the last valid time and
         the partial trajectory.
     ValueError
-        On ``t1 <= t0``, a non-finite initial state or one that violates
+        On a non-finite ``t0`` or ``t1``, ``t1 <= t0``, a non-finite
+        initial state or one that violates
         the guard, or an ``rhs`` whose output length differs from the
         state length.
     """
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise ValueError(f"t0 and t1 must be finite, got [{t0}, {t1}]")
     if not t1 > t0:
         raise ValueError(f"need t1 > t0, got [{t0}, {t1}]")
     dt = config.dt
@@ -457,27 +436,18 @@ def integrate(rhs, x0, t0: float, t1: float, config: IntegratorConfig,
             f"{what}; last valid time t={last_valid_time}", last_valid_time, partial
         )
 
-    probe = None
     try:
         shape, supplied = _trace(rhs, dim)
-        kernel, constants = _traced_kernel(shape, dim)
         rhs_calls = 1
     # an rhs whose arithmetic fails on its constants alone fails at every
-    # state, and the probe below reports it
+    # state, and its first call in the step loop aborts the first step
     except (Untraceable, ArithmeticError):
-        try:
-            probe = rhs(t0, y)
-        except ArithmeticError as exc:
-            t_new = t1 if total_steps <= 1 else t0 + dt
-            raise aborted(f"non-finite state at t={t_new}", t0, 1) from exc
-        _check_length(probe, dim)
-        kernel, constants = _called_kernel(dim)
-        supplied = [rhs]
+        shape, supplied = _call_record(rhs, dim)
         rhs_calls = 4 * total_steps
-
-    kernel(guard, y, probe, t0, t1, dt, remainder if has_tail else dt, total_steps,
-           stride, memoryview(times), memoryview(states).cast("B").cast("d"),
-           aborted, (*supplied, *constants))
+    kernel, constants = _traced_kernel(shape, dim)
+    kernel(guard, y, t0, t1, dt, remainder if has_tail else dt, total_steps, stride,
+           memoryview(times), memoryview(states).cast("B").cast("d"), aborted,
+           (*supplied, *constants))
     return Trajectory(times, states, steps=total_steps, rhs_calls=rhs_calls)
 
 

@@ -1,8 +1,10 @@
+import dis
 import functools
 import itertools
 import math
 import operator
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -795,6 +797,23 @@ def test_engine_outputs_are_pinned_bit_for_bit(gains):
             got = engine(np.array(state))
             assert got.dtype == float
             assert tuple(float(v).hex() for v in got) == expected, (scheme, state)
+
+
+@pytest.mark.parametrize("make", [gradient_affine_system, newton_affine_system],
+                         ids=["gradient", "newton"])
+def test_rendered_field_stores_no_temporary_it_never_loads(make, ref_params, ref_field):
+    """The rendered field runs only the lines that can change its value or
+    stop it: an unused ``+``, ``-`` or ``*`` is dropped, and a recorded
+    finiteness test, whose value nothing reads, is a bare call."""
+    engine = build_averaged_field(make(ref_params, ref_field),
+                                  default_omega_grid(ref_params.omega))
+    stored, loaded = set(), set()
+    for ins in dis.get_instructions(engine._evaluate):
+        names = ins.argval if isinstance(ins.argval, tuple) else (ins.argval,)
+        for kind, name in zip(re.findall(r"(LOAD|STORE)_FAST", ins.opname), names):
+            (stored if kind == "STORE" else loaded).add(name)
+    temporaries = {n for n in stored if re.fullmatch(r"t\d+", n)}
+    assert temporaries and temporaries <= loaded, temporaries - loaded
 
 
 @settings(max_examples=60, deadline=None)

@@ -84,3 +84,29 @@ def test_one_study_verdict():
     assert [name for name, body in bodies.items() if "passed" in body] == ["StudyResult"]
     assert "report" in bodies["SimulateResult"]
     assert "report" in bodies["HessianSweepReport"]
+
+
+def _unused_imports(module: str) -> list[str]:
+    """The names ``sourceseek/<module>.py`` imports and never reads, outside
+    lines marked ``# noqa``."""
+    source = (_INIT.parent / f"{module}.py").read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and \
+                getattr(node, "module", None) != "__future__" and \
+                "# noqa" not in lines[node.lineno - 1]:
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in read]
+
+
+@pytest.mark.parametrize("module", _MODULES)
+def test_no_module_imports_a_name_it_never_reads(module):
+    """A stand-in for a linter's unused-import rule. ``__init__`` imports
+    to re-export, which :func:`test_package_imports_only_exported_names`
+    checks."""
+    assert _unused_imports(module) == []

@@ -8,20 +8,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sourceseek.averaging as averaging
 from sourceseek import (
+    DEFAULT_FIELD,
+    DEFAULT_PARAMS,
     FRAME_SPECS,
+    ControlAffineSystem,
     FieldParams,
     Frame,
     IntegrationAborted,
     IntegratorConfig,
+    OscillatoryInput,
     Scenario,
     Scheme,
     SeekerParams,
     Trajectory,
     averaged_closed_loop,
+    build_averaged_field,
     closed_loop,
+    default_omega_grid,
     first_entry_time,
+    gradient_affine_system,
     integrate,
+    lie_bracket,
+    newton_affine_system,
     ode,
 )
 
@@ -121,8 +131,8 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("t1", [1.0, 1.005])
     def test_rhs_is_called_four_times_per_step(self, t1):
-        # float(t) refuses a symbol, so this rhs is called at every stage;
-        # the length probe is the first step's first stage, not a fifth call
+        # float(t) refuses a symbol, so this rhs is called at every stage,
+        # and nowhere else: no call is made before the first step
         calls = []
 
         def rhs(t, y):
@@ -204,9 +214,25 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="2 components for a state of length 1"):
             integrate(lambda t, y: (0.0, 0.0), [1.0], 0.0, 1.0, _config(0.1))
 
+    def test_length_is_checked_at_every_stage(self):
+        # the branch on t refuses tracing, so the rhs is called; its value
+        # grows a component from t = 0.5 on, deep inside the run
+        def rhs(t, y):
+            return (y[1], -y[0]) if t < 0.5 else (y[1], -y[0], 0.0)
+
+        with pytest.raises(ValueError, match="3 components for a state of length 2"):
+            integrate(rhs, [1.0, 0.0], 0.0, 1.0, _config(0.01))
+
     def test_rejects_reversed_time(self):
         with pytest.raises(ValueError):
             integrate(lambda t, y: (-y[0],), [1.0], 1.0, 0.0, _config(0.01))
+
+    @pytest.mark.parametrize("t0, t1", [(0.0, math.inf), (-math.inf, 1.0),
+                                        (math.nan, 1.0), (0.0, math.nan)])
+    def test_rejects_a_span_end_that_is_not_finite(self, t0, t1):
+        message = re.escape(f"must be finite, got [{t0}, {t1}]")
+        with pytest.raises(ValueError, match=message):
+            integrate(lambda t, y: (-y[0],), [1.0], t0, t1, _config(0.01))
 
 
 class TestIntegratorConfig:
@@ -217,6 +243,16 @@ class TestIntegratorConfig:
     def test_rejects_step_too_large_for_frequency(self):
         with pytest.raises(ValueError):
             IntegratorConfig(dt=0.1, samples_per_period=60, omega_max=30.0)
+
+    @pytest.mark.parametrize("omega_max", [0.0, -5.0, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("make", ["config", "for_frequency"])
+    def test_rejects_a_frequency_that_is_not_finite_and_positive(self, omega_max, make):
+        with pytest.raises(ValueError, match=f"omega_max must be finite and > 0, "
+                                             f"got {omega_max}"):
+            if make == "config":
+                IntegratorConfig(dt=0.01, omega_max=omega_max)
+            else:
+                IntegratorConfig.for_frequency(omega_max)
 
     def test_for_frequency_resolves_fastest_oscillation(self):
         cfg = IntegratorConfig.for_frequency(30.0, samples_per_period=60)
@@ -421,7 +457,7 @@ def test_every_span_shape_is_the_array_loop(span, stride, rhs):
     (t0, t1, steps), rhs = _SPANS[span], _SPAN_RHS[rhs]
     config = _config(0.25, stride)
     times, states = _array_rk4(rhs, [1.0, 0.5], t0, t1, config)
-    made = []  # the called filling's calls: the probe serves the first step
+    made = []  # the called rhs's calls: four per step, none before the first
 
     def counted(t, y):
         made.append(t)
@@ -614,3 +650,64 @@ def test_an_autonomous_step_loop_computes_no_stage_time_or_step_size(loop, dim):
     shape, _ = ode._trace(_LOOPS["newton-rotating_z"][0], 4)
     timed = _loop_body(ode._traced_kernel(shape, 4)[0].source)
     assert any("t" in names and target != "t" for target, names in timed)
+
+
+def _engine_rhs(field):
+    """An rhs that runs ``field``'s drift and finite brackets on its state,
+    as the engine's own rendering traces them, so it tests every field
+    value a bracket takes for finiteness
+    (:meth:`~sourceseek.numdiff.Tape.require`)."""
+    system = field.system
+
+    def rhs(t, x):
+        out = list(system.drift(x))
+        for c in field.coefficients.values():
+            if c.kind == "finite":
+                bracket = lie_bracket(*averaging._bracket(system, c.indices), x)
+                out = [o + c.raw * b for o, b in zip(out, bracket)]
+        return tuple(out)
+
+    return rhs
+
+
+@pytest.mark.parametrize("make, x0", [(gradient_affine_system, (4.0, -4.0, 5.0)),
+                                      (newton_affine_system, (4.0, -4.0, 1.0, 5.0))],
+                         ids=["gradient", "newton"])
+def test_an_engine_field_steps_traced(make, x0):
+    """The engine's drift and brackets, finiteness tests included, trace
+    into the step loop, and step as the rendered field called at every
+    stage does, bit for bit."""
+    field = build_averaged_field(make(DEFAULT_PARAMS, DEFAULT_FIELD),
+                                 default_omega_grid(DEFAULT_PARAMS.omega))
+    traced = integrate(_engine_rhs(field), x0, 0.0, 200.0, _config(0.05))
+    called = integrate(lambda t, x: field._evaluate(x), x0, 0.0, 200.0, _config(0.05))
+    assert (traced.steps, traced.rhs_calls, called.rhs_calls) == (4000, 1, 16000)
+    assert np.array_equal(traced.times, called.times)
+    assert np.array_equal(traced.states, called.states)
+
+
+def test_a_failed_finiteness_test_raises_the_field_s_error_traced_and_called():
+    """A live finite bracket of a field that overflows once ``|x0|`` passes
+    about 1.3e4: the recorded test fails mid-run, and the traced step raises
+    the rendered field's ValueError, message included."""
+    system = ControlAffineSystem(
+        drift=lambda s: (0.0, 0.0),
+        channels=((lambda s: (0.0, 1e300 * (s[0] * s[0])), OscillatoryInput(np.sin, 1, 0.5)),
+                  (lambda s: (s[1], 0.0), OscillatoryInput(np.cos, 1, 0.5))),
+        dimension=2,
+    )
+    field = build_averaged_field(system, default_omega_grid(10.0))
+    assert field.coefficients[(0, 1)].kind == "finite"
+    calls, engine = [], _engine_rhs(field)
+
+    def counted(t, x):
+        calls.append(t)
+        return engine(t, x)
+
+    messages = []
+    for rhs in (counted, lambda t, x: field._evaluate(x)):
+        with pytest.raises(ValueError, match="non-finite field evaluation at") as excinfo:
+            integrate(rhs, (0.5, 3.0), 0.0, 200.0, _config(0.05))
+        messages.append(str(excinfo.value))
+    assert len(calls) == 1
+    assert messages[0] == messages[1]
