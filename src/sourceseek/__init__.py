@@ -6,7 +6,7 @@ stability certificates for the averaged dynamics."""
 
 __version__ = "0.1.0"
 
-from .model import FieldParams, SeekerParams, eval_field
+from .model import FieldParams, SeekerParams
 from .ode import (
     IntegrationAborted,
     IntegratorConfig,
@@ -23,7 +23,6 @@ from .seekers import (
     closed_loop,
     gradient_affine_system,
     newton_affine_system,
-    rotation_matrix,
     to_rotating_frame,
 )
 from .averaging import (
@@ -47,7 +46,6 @@ from .stability import (
     build_certificate,
     iss_bound_check,
     linearize,
-    lyapunov_V,
     stability_report,
     vdot_margin,
 )

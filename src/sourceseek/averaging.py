@@ -180,34 +180,30 @@ class OscillatoryInput:
         if not (0.0 < self.p_i < 1.0):
             raise ValueError(f"p_i must lie in (0, 1), got {self.p_i}")
         if self.validate:
-            check = _wave_problem if isinstance(self.wave, Hashable) else _wave_problem.__wrapped__
-            problem = check(self.wave)
-            if problem:
-                raise ValueError(problem)
+            bounded, mean = self.wave_checks
+            if not bounded:
+                raise ValueError("waveform exceeds unit magnitude")
+            if mean >= MEAN_TOL:
+                raise ValueError(f"|waveform mean| {mean:.3e} is not zero")
 
-    def bounded_ok(self, n: int = 1000) -> bool:
-        phases = np.linspace(0.0, TWO_PI, n + 1)
-        return bool(np.all(np.abs(np.asarray(self.wave(phases))) <= 1.0 + 1e-12))
-
-    def zero_mean_defect(self, n: int = 4096) -> float:
-        """``|mean|`` over one period on ``n`` nodes, endpoint excluded:
-        exact for a band below ``n / 2``."""
-        phases = np.arange(n) * (TWO_PI / n)
-        return abs(float(np.mean(np.asarray(self.wave(phases), dtype=float))))
+    @property
+    def wave_checks(self) -> tuple[bool, float]:
+        """The wave's record ``(bounded, |mean|)`` (:func:`_wave_checks`),
+        computed once per hashable wave."""
+        hashable = isinstance(self.wave, Hashable)
+        return (_wave_checks if hashable else _wave_checks.__wrapped__)(self.wave)
 
 
 @functools.lru_cache(maxsize=256)
-def _wave_problem(wave) -> str | None:
-    """Why a validated input of ``wave`` is refused, or None. The checks
-    depend on the wave alone, so they run once per wave, not at every
-    construction of an input that drives it."""
-    probe = OscillatoryInput(wave, 1, 0.5, validate=False)
-    if not probe.bounded_ok():
-        return "waveform exceeds unit magnitude"
-    defect = probe.zero_mean_defect(1000)
-    if defect >= MEAN_TOL:
-        return f"|waveform mean| {defect:.3e} is not zero"
-    return None
+def _wave_checks(wave) -> tuple[bool, float]:
+    """Whether ``|wave| <= 1`` on 1001 phases over one period, ends
+    included, and ``|mean|`` over one period on 4096 nodes, endpoint
+    excluded, exact for a band below 2048. They depend on the wave alone,
+    so the construction of an input, the engine and ``check_assumptions``
+    share one record per wave."""
+    bounded = np.abs(np.asarray(wave(np.linspace(0.0, TWO_PI, 1001)))) <= 1.0 + 1e-12
+    phases = np.arange(4096) * (TWO_PI / 4096)
+    return bool(np.all(bounded)), abs(float(np.mean(np.asarray(wave(phases), dtype=float))))
 
 
 @dataclass(frozen=True)
@@ -614,7 +610,7 @@ class AveragedField:
         self.coefficients: dict[tuple, Coefficient] = system.coefficients
         for i, (_, inp) in enumerate(system.channels):
             # a validated input had its mean checked at construction
-            if not inp.validate and (mean := inp.zero_mean_defect()) >= MEAN_TOL:
+            if not inp.validate and (mean := inp.wave_checks[1]) >= MEAN_TOL:
                 raise DivergentAverageError(
                     f"channel {i} has |mean| {mean:.3e}: its term "
                     f"omega**{inp.p_i:g} * mean * f_{i} diverges"
@@ -719,12 +715,14 @@ class AssumptionReport:
 def check_assumptions(system: ControlAffineSystem) -> AssumptionReport:
     """Verify the averaging hypotheses clause by clause.
 
-    Every input is re-checked for boundedness and zero mean. For index
-    combinations whose exponents exceed the first- or second-order budget
-    (pair sums above 1, triple sums above 2), the matching raw iterated
-    integral must vanish within its quadrature error estimate or the
-    corresponding bracket must pass the vanishing rule (:func:`_vanishes`)
-    on 10 standard-normal sample states drawn from seed 0. The coefficients
+    Every input reports its wave's boundedness and zero mean from the
+    record that its construction read (:attr:`OscillatoryInput.wave_checks`).
+    For index combinations whose exponents exceed the first- or
+    second-order budget (pair sums above 1, triple sums above 2), the
+    matching raw iterated integral must vanish within its quadrature error
+    estimate or the corresponding bracket must pass the vanishing rule
+    (:func:`_vanishes`) on 10 standard-normal sample states drawn from
+    seed 0. The coefficients
     are the records of ``system.coefficients``, which the engine reads too.
     Combinations whose four-exponent sum reaches 3 fall under the declared
     ``smooth_remainder`` flag and are reported, not computed.
@@ -735,7 +733,7 @@ def check_assumptions(system: ControlAffineSystem) -> AssumptionReport:
 
     for idx in range(l):
         inp = system.input(idx)
-        bounded, defect = inp.bounded_ok(), inp.zero_mean_defect()
+        bounded, defect = inp.wave_checks
         clauses += [
             AssumptionClause(f"input_{idx}_bounded", True, bounded,
                              "|u| <= 1 on phase grid" if bounded else "|u| exceeds 1"),

@@ -76,8 +76,6 @@ __all__ = [
     "load_config",
 ]
 
-TWO_PI = 2.0 * math.pi
-
 DEFAULT_FIELD = FieldParams(f_star=5.0, hessian=0.01, source=np.array([1.0, -1.0]))
 DEFAULT_PARAMS = SeekerParams(
     omega=15.0, omega0=1.0, alpha=2.0, p_exp=0.61, h_gain=1.0, omega_d=0.3
@@ -176,13 +174,10 @@ class Scenario:
         return rhs if coordinates is None else push_forward(rhs, coordinates)
 
     def integrator_config(self) -> IntegratorConfig:
-        if self.is_averaged:
-            omega_eff = max(self.params.omega0, self.params.h_gain,
-                            self.params.omega_d)
-            dt = TWO_PI / (omega_eff * self.samples_per_period)
-            return IntegratorConfig(dt=dt,
-                                    samples_per_period=self.samples_per_period,
-                                    output_stride=1)
+        if self.is_averaged:  # its fastest rate, recorded at every step
+            return IntegratorConfig.for_frequency(
+                max(self.params.omega0, self.params.h_gain, self.params.omega_d),
+                self.samples_per_period)
         omega_max = self.params.omega
         if self.scheme is Scheme.NEWTON:
             omega_max = 2.0 * self.params.omega  # double-frequency demodulation

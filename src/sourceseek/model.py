@@ -14,7 +14,6 @@ import numpy as np
 __all__ = [
     "FieldParams",
     "SeekerParams",
-    "eval_field",
 ]
 
 
@@ -47,14 +46,14 @@ class FieldParams:
             raise ValueError("f_star must be finite")
         object.__setattr__(self, "source", _as_point(self.source, "source"))
 
-
-def eval_field(x, field: FieldParams) -> float | np.ndarray:
-    """Evaluate the field at ``x``; broadcasts over leading axes of ``x``."""
-    x = np.asarray(x, dtype=float)
-    offset = x - field.source
-    sq = np.sum(offset * offset, axis=-1)
-    out = field.f_star - 0.5 * field.hessian * sq
-    return float(out) if np.ndim(out) == 0 else out
+    def at_offset(self, z1, z2):
+        """The field at the offset ``(z1, z2)`` from the source,
+        ``f* - H/2 (z1 z1 + z2 z2)``, the one definition of the map. The
+        offset may be ``x - x*`` or, since a rotation keeps its length, the
+        co-rotating ``z``; the entries may be floats, arrays or the duals and
+        symbols of :mod:`sourceseek.numdiff`, with the same float operations
+        on each."""
+        return self.f_star - 0.5 * self.hessian * (z1 * z1 + z2 * z2)
 
 
 @dataclass(frozen=True)

@@ -106,10 +106,7 @@ class IntegratorConfig:
     def __post_init__(self):
         if not (self.dt > 0.0 and math.isfinite(self.dt)):
             raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.samples_per_period < 40:
-            raise ValueError(
-                f"samples_per_period must be >= 40, got {self.samples_per_period}"
-            )
+        _check_samples(self.samples_per_period)
         if self.output_stride < 1:
             raise ValueError("output_stride must be >= 1")
         if self.omega_max is not None:
@@ -133,11 +130,23 @@ class IntegratorConfig:
         )
 
 
+def _check_samples(samples_per_period: int) -> None:
+    if not samples_per_period >= 40:
+        raise ValueError(f"samples_per_period must be >= 40, got {samples_per_period}")
+
+
 def _max_step(omega_max: float, samples_per_period: int) -> float:
-    """The step of ``samples_per_period`` steps per period of ``omega_max``."""
+    """The step of ``samples_per_period`` steps per period of ``omega_max``,
+    checked before it is computed and after, where the division leaves the
+    positive floats."""
     if not (math.isfinite(omega_max) and omega_max > 0.0):
         raise ValueError(f"omega_max must be finite and > 0, got {omega_max}")
-    return TWO_PI / (omega_max * samples_per_period)
+    _check_samples(samples_per_period)
+    dt = TWO_PI / (omega_max * samples_per_period)
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"omega_max={omega_max} has no positive finite step at "
+                         f"{samples_per_period} samples per period, got dt={dt}")
+    return dt
 
 
 @dataclass
@@ -155,21 +164,6 @@ class Trajectory:
         self.states = np.asarray(self.states, dtype=float)
         if self.states.ndim != 2 or self.states.shape[0] != self.times.shape[0]:
             raise ValueError("states must be (n_samples, dim) matching times")
-
-    def validate(self) -> None:
-        """Check sample-grid invariants: strictly increasing, uniform spacing
-        (the final gap may be shorter when the last step was shortened)."""
-        diffs = np.diff(self.times)
-        if len(diffs) == 0:
-            return
-        if not np.all(diffs > 0.0):
-            raise ValueError("times must be strictly increasing")
-        if len(diffs) >= 2:
-            spacing = diffs[0]
-            if not np.allclose(diffs[:-1], spacing, rtol=1e-9, atol=1e-12):
-                raise ValueError("recorded times are not uniformly spaced")
-            if diffs[-1] > spacing * (1.0 + 1e-9):
-                raise ValueError("final gap exceeds the recording stride")
 
     @property
     def dim(self) -> int:

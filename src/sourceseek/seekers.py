@@ -12,7 +12,9 @@ Each defined (scheme, frame) pair has one entry in :data:`FRAME_SPECS`;
 any other pair is undefined. The loop's own state is ``[p1, p2, d, nu]``
 (``[p1, p2, nu]`` for the gradient scheme), with ``p`` the position ``x`` in
 the ``original`` frame and the co-rotating offset ``z = Y(t)^T (x - x*)`` in
-every other. Two maps ``(to, back)`` change coordinates:
+every other; the field's map at ``z`` is ``F(z) = f* - H/2 |z|^2``
+(:meth:`~sourceseek.model.FieldParams.at_offset`). Two maps ``(to, back)``
+change coordinates:
 
 * ``_log_d`` to ``[z1, z2, dtilde, nu]`` with ``dtilde = log d``, in the
   ``rotating_z_log_d`` and ``averaged_newton_exp`` frames;
@@ -38,7 +40,6 @@ forward through it (:func:`push_forward`). Every closure is traceable
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -53,7 +54,6 @@ __all__ = [
     "Frame",
     "FrameSpec",
     "FRAME_SPECS",
-    "rotation_matrix",
     "to_rotating_frame",
     "push_forward",
     "closed_loop",
@@ -101,19 +101,9 @@ def _log_d(field):
             lambda y: (y[0], y[1], exp(y[2]), y[3]))
 
 
-def _quadratic(field):
-    """The field's map in the rotating frame, ``F(z) = f* - H/2 (z1 z1 + z2 z2)``."""
-    fs, hess = field.f_star, field.hessian
-
-    def f(z1, z2):
-        return fs - 0.5 * hess * (z1 * z1 + z2 * z2)
-
-    return f
-
-
 def _cascade(field):
     """``(r, z1, z2, dhat) = (nu - F(z), z1, z2, log(d H))``."""
-    f, hess = _quadratic(field), field.hessian
+    f, hess = field.at_offset, field.hessian
     return (lambda x: (x[3] - f(x[0], x[1]), x[0], x[1], log(x[2] * hess)),
             lambda y: (y[1], y[2], exp(y[3]) / hess, y[0] + f(y[1], y[2])))
 
@@ -150,15 +140,16 @@ def push_forward(rhs, coordinates):
 # rotating frame
 
 
-def rotation_matrix(t: float, omega0: float) -> np.ndarray:
-    """The 2x2 frame matrix Y(t) = [[sin w0 t, cos w0 t], [-cos w0 t, sin w0 t]]."""
-    s, c = math.sin(omega0 * t), math.cos(omega0 * t)
-    return np.array([[s, c], [-c, s]])
+def _unrotate(s, c, d1, d2) -> tuple:
+    """``Y^T d`` of the frame matrix ``Y = [[s, c], [-c, s]]``, with
+    ``s, c = sin(omega0 t), cos(omega0 t)``."""
+    return s * d1 - c * d2, c * d1 + s * d2
 
 
 def to_rotating_frame(t: float, x, x_star, omega0: float) -> np.ndarray:
     """Co-rotating offset z = Y(t)^T (x - x_star)."""
-    return rotation_matrix(t, omega0).T @ np.subtract(x, x_star, dtype=float)
+    d1, d2 = np.subtract(x, x_star, dtype=float).tolist()
+    return np.array(_unrotate(sin(omega0 * t), cos(omega0 * t), d1, d2))
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +177,7 @@ def closed_loop(scheme: Scheme, frame: Frame, params: SeekerParams,
 
     def original(t, x):
         s, c = sin(w0 * t), cos(w0 * t)
-        dx1, dx2 = x[0] - xs1, x[1] - xs2
-        z = (s * dx1 - c * dx2, c * dx1 + s * dx2, *x[2:])
+        z = (*_unrotate(s, c, x[0] - xs1, x[1] - xs2), *x[2:])
         p1, p2, *other = oscillation(t, z)
         return (_dot(s, c, p1, p2), _dot(-c, s, p1, p2),
                 *map(_plus, drift(z)[2:], other))
@@ -246,27 +236,29 @@ def averaged_closed_loop(scheme: Scheme, params: SeekerParams,
                nu' = h (F(z) - nu)
 
     where S = [[0, omega0], [-omega0, 0]] is the constant-turn generator and
-    L = diag(0, -alpha H / 2). The log-Riccati and cascade frames are the
-    newton system pushed forward through their maps (see :data:`FRAME_SPECS`).
+    L = diag(0, -alpha H / 2), and F is the field's map
+    (:meth:`~sourceseek.model.FieldParams.at_offset`). The log-Riccati and
+    cascade frames are the newton system pushed forward through their maps
+    (see :data:`FRAME_SPECS`).
     Like :func:`closed_loop`, the closure takes a sequence of floats and
     returns a tuple without checking the state length.
     """
-    w0, h, wd = params.omega0, params.h_gain, params.omega_d
-    fs, hess = field.f_star, field.hessian
+    w0, h, wd, hess = params.omega0, params.h_gain, params.omega_d, field.hessian
+    f = field.at_offset
     lam = -0.5 * params.alpha * hess  # damping entry of L
 
     if scheme is Scheme.GRADIENT:
 
         def rhs(t, s):
             z1, z2, nu = s
-            nu_dot = h * (fs - 0.5 * hess * (z1 * z1 + z2 * z2) - nu)
+            nu_dot = h * (f(z1, z2) - nu)
             return (w0 * z2, -w0 * z1 + lam * z2, nu_dot)
 
     elif scheme is Scheme.NEWTON:
 
         def rhs(t, s):
             z1, z2, d, nu = s
-            nu_dot = h * (fs - 0.5 * hess * (z1 * z1 + z2 * z2) - nu)
+            nu_dot = h * (f(z1, z2) - nu)
             return (w0 * z2, -w0 * z1 + lam * d * z2, wd * d * (1.0 - hess * d), nu_dot)
 
     else:  # pragma: no cover
@@ -285,7 +277,7 @@ def gradient_affine_system(params: SeekerParams, field: FieldParams) -> ControlA
     takes the state as a tuple and returns a tuple (see
     :class:`~sourceseek.averaging.ControlAffineSystem`)."""
     w0, h, alpha = params.omega0, params.h_gain, params.alpha
-    f = _quadratic(field)
+    f = field.at_offset
 
     def err(s):
         return f(s[0], s[1]) - s[2]
@@ -315,7 +307,7 @@ def newton_affine_system(params: SeekerParams, field: FieldParams) -> ControlAff
     omega, demodulation at 2*omega), each a field on tuples as in
     :func:`gradient_affine_system`."""
     w0, h, alpha, wd = params.omega0, params.h_gain, params.alpha, params.omega_d
-    f, demod = _quadratic(field), 8.0 * wd / alpha**2
+    f, demod = field.at_offset, 8.0 * wd / alpha**2
 
     def err(s):
         return f(s[0], s[1]) - s[3]

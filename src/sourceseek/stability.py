@@ -26,7 +26,6 @@ __all__ = [
     "EquilibriumError",
     "linearize",
     "build_certificate",
-    "lyapunov_V",
     "vdot_margin",
     "iss_bound_check",
     "stability_report",
@@ -118,7 +117,9 @@ class LyapunovCertificate:
     ``A = [[0, w0], [-w0, -alpha/2]]``; ``G = P Lt + Lt^T P`` collects the
     curvature-normalized damping ``Lt = diag(0, -alpha/2)``; and
     ``b = |G|^2 / (2 lambda_min(P))`` balances the cross term in the
-    Lyapunov derivative.
+    Lyapunov derivative. The certificate function is
+    ``V = ln(1 + z^T P z) + (b/omega_d)(e^dhat - dhat - 1)``, whose
+    derivative :func:`vdot_margin` bounds.
     """
 
     P: np.ndarray
@@ -227,23 +228,6 @@ def _mat_vec(mat: np.ndarray, z1, z2) -> tuple:
     """``M z`` of a 2x2 matrix, one component array at a time."""
     (m11, m12), (m21, m22) = mat.tolist()
     return m11 * z1 + m12 * z2, m21 * z1 + m22 * z2
-
-
-def _quad_form(z1, z2, mat) -> np.ndarray:
-    """``z^T M z`` of the components ``z1, z2``."""
-    m1, m2 = _mat_vec(mat, z1, z2)
-    return z1 * m1 + z2 * m2
-
-
-def lyapunov_V(z_bar, d_hat, cert: LyapunovCertificate):
-    """Certificate function ln(1 + z^T P z) + (b/omega_d)(e^dhat - dhat - 1).
-
-    Broadcasts over leading axes of ``z_bar`` (..., 2) and ``d_hat`` (...).
-    """
-    d_hat = np.asarray(d_hat, dtype=float)
-    quad = _quad_form(*_components(z_bar), cert.P)
-    out = np.log1p(quad) + (cert.b / cert.omega_d) * (np.exp(d_hat) - d_hat - 1.0)
-    return float(out) if np.ndim(out) == 0 else out
 
 
 def _cascade_dz(z1, z2, ed, cert: LyapunovCertificate) -> tuple:

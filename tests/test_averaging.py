@@ -77,7 +77,42 @@ class TestOscillatoryInput:
 
     def test_validation_can_be_deferred(self):
         inp = OscillatoryInput(lambda s: 0.5 * (1.0 + np.sin(s)), 1, 0.5, validate=False)
-        assert inp.zero_mean_defect() > 1e-3
+        bounded, mean = inp.wave_checks
+        assert bounded and mean > 1e-3
+
+    def test_construction_reads_the_reported_mean(self):
+        """cos(1000 s) has zero mean. On 1000 nodes it aliases onto the mean
+        (1000 s is a whole number of turns at every node); on the 4096 that
+        construction and the report share it does not."""
+        wave = lambda s: np.cos(1000.0 * s)  # noqa: E731
+        inp = OscillatoryInput(wave, 1, 0.5)
+        assert inp.wave_checks == (True, pytest.approx(0.0, abs=averaging.MEAN_TOL))
+        nodes = np.arange(1000) * (2.0 * math.pi / 1000)
+        assert abs(np.mean(wave(nodes))) == pytest.approx(1.0)
+        system = ControlAffineSystem(
+            drift=lambda s: (0.0,), channels=((lambda s: (1.0,), inp),), dimension=1)
+        clauses = {c.name: c for c in check_assumptions(system).clauses}
+        assert clauses["input_0_zero_mean"].passed
+        assert clauses["input_0_bounded"].passed
+
+    def test_a_second_check_reads_the_wave_record(self, ref_params, ref_field):
+        """The wave checks run once per hashable wave: a second
+        check_assumptions on a built system calls its waves 0 times."""
+        class CountingSine:
+            calls = 0
+
+            def __call__(self, s):
+                CountingSine.calls += 1
+                return np.sin(s)
+
+        base = gradient_affine_system(ref_params, ref_field)
+        (feedback, inp), dither = base.channels
+        system = replace(base, channels=(
+            (feedback, OscillatoryInput(CountingSine(), inp.k, inp.p_i)), dither))
+        first = str(check_assumptions(system))
+        CountingSine.calls = 0
+        assert str(check_assumptions(system)) == first
+        assert CountingSine.calls == 0
 
     def test_rejects_bad_multiplier_and_exponent(self):
         with pytest.raises(ValueError):

@@ -185,6 +185,8 @@ class TestConfigErrors:
         ("certify", "[run]\nsead = 3\n"),
         ("sweep-hessian", "[sweep_hessian]\nx0 = 1, -1\n"),
         ("sweep-omega", "[sweep_omega]\nschemes = gradient, gradient\n"),
+        ("simulate", "[scenario]\nsamples_per_period = 0\n"),
+        ("simulate", "[scenario]\nframe = averaged_newton\nsamples_per_period = 0\n"),
     ], ids=["compare-x0-nan", "compare-t-end", "compare-coarse-sampling",
             "sweep-hessian-x0-3d", "scenario-stride-0", "sweep-omega-record-dt-0",
             "sweep-omega-t-end", "sweep-omega-slack", "certify-hessian-inf",
@@ -193,7 +195,8 @@ class TestConfigErrors:
             "scenario-d-tolerance-negative", "sweep-hessian-newton-tolerance-nan",
             "sweep-hessian-gradient-tolerance-negative", "scenario-ball-radius-inf",
             "compare-ball-radius-inf", "misspelled-section", "misspelled-run-key",
-            "sweep-hessian-start-at-source", "sweep-omega-repeated-scheme"])
+            "sweep-hessian-start-at-source", "sweep-omega-repeated-scheme",
+            "scenario-samples-0", "averaged-scenario-samples-0"])
     def test_unrunnable_value_exits_two(self, tmp_path, capsys, command, text):
         cfg = _cfg(tmp_path, text)
         code = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])

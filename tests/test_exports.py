@@ -4,6 +4,7 @@ listed or still imported fails here by name."""
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -110,3 +111,41 @@ def test_no_module_imports_a_name_it_never_reads(module):
     to re-export, which :func:`test_package_imports_only_exported_names`
     checks."""
     assert _unused_imports(module) == []
+
+
+_ROOT = Path(__file__).resolve().parents[1]
+
+
+def _dead_exports() -> list[str]:
+    """``module.name`` for every name of a module's ``__all__`` that no code
+    in the package reads outside the name's own definition, and that no
+    file of ``bench/`` or ``demos/`` names as a word (the benchmark's
+    tracer names the functions it patches in strings)."""
+    trees = {module: ast.parse((_INIT.parent / f"{module}.py").read_text())
+             for module in ["__init__", *_MODULES]}
+    scripts = "\n".join(path.read_text() for folder in ("bench", "demos")
+                        for path in sorted((_ROOT / folder).glob("*.py")))
+
+    def reads(module: str, name: str) -> bool:
+        for other, tree in trees.items():
+            own = [(node.lineno, node.end_lineno) for node in tree.body
+                   if other == module and getattr(node, "name", None) == name]
+            for node in ast.walk(tree):
+                read = (isinstance(node, ast.Name) and node.id == name
+                        and isinstance(node.ctx, ast.Load)
+                        or isinstance(node, ast.Attribute) and node.attr == name)
+                if read and not any(a <= node.lineno <= b for a, b in own):
+                    return True
+        return False
+
+    return [f"{module}.{name}" for module in _MODULES
+            for name in getattr(importlib.import_module(f"sourceseek.{module}"),
+                                "__all__", ())
+            if not reads(module, name)
+            and not re.search(rf"\b{re.escape(name)}\b", scripts)]
+
+
+def test_every_exported_name_has_a_reader():
+    """A public name that only tests call is dead API: delete it, or give
+    it a caller."""
+    assert _dead_exports() == []

@@ -4,42 +4,47 @@ import numpy as np
 import pytest
 
 from sourceseek import FieldParams, Frame, Scheme, SeekerParams, closed_loop
-from sourceseek.model import eval_field
 
 
 class TestField:
     def test_peak_at_source(self, ref_field):
-        assert eval_field(np.array([1.0, -1.0]), ref_field) == 5.0
+        assert ref_field.at_offset(0.0, 0.0) == 5.0
 
     def test_known_offset_value(self, ref_field):
         # |x - source|^2 = 18, value 5 - 0.5*0.01*18
-        assert eval_field(np.array([4.0, -4.0]), ref_field) == pytest.approx(
-            4.91, abs=1e-12
-        )
+        assert ref_field.at_offset(3.0, -3.0) == pytest.approx(4.91, abs=1e-12)
 
     def test_radial_symmetry(self, ref_field, rng):
         for _ in range(20):
             v = rng.normal(size=2) * 3.0
-            plus = eval_field(ref_field.source + v, ref_field)
-            minus = eval_field(ref_field.source - v, ref_field)
+            plus = ref_field.at_offset(v[0], v[1])
+            minus = ref_field.at_offset(-v[0], -v[1])
             assert plus == pytest.approx(minus, abs=1e-12)
+            # a quarter turn of the offset keeps its length
+            assert ref_field.at_offset(-v[1], v[0]) == pytest.approx(plus, abs=1e-12)
 
     def test_broadcasts_over_samples(self, ref_field):
-        pts = np.array([[1.0, -1.0], [4.0, -4.0]])
-        np.testing.assert_allclose(eval_field(pts, ref_field), [5.0, 4.91])
+        np.testing.assert_allclose(
+            ref_field.at_offset(np.array([0.0, 3.0]), np.array([0.0, -3.0])), [5.0, 4.91])
+
+    def test_floats_and_arrays_give_the_same_bits(self, ref_field, rng):
+        z1, z2 = rng.uniform(-50.0, 50.0, size=(2, 200))
+        on_arrays = ref_field.at_offset(z1, z2)
+        on_floats = [ref_field.at_offset(a, b) for a, b in zip(z1.tolist(), z2.tolist())]
+        assert on_arrays.tolist() == on_floats
 
     def test_gradient_matches_finite_differences(self, ref_field, rng):
         h = 1e-6
         for _ in range(20):
-            x = rng.uniform(-10.0, 10.0, size=2)
+            z = rng.uniform(-10.0, 10.0, size=2)
             grad_fd = np.array(
                 [
-                    (eval_field(x + h * e, ref_field) - eval_field(x - h * e, ref_field))
+                    (ref_field.at_offset(*(z + h * e)) - ref_field.at_offset(*(z - h * e)))
                     / (2.0 * h)
                     for e in np.eye(2)
                 ]
             )
-            grad_exact = -ref_field.hessian * (x - ref_field.source)
+            grad_exact = -ref_field.hessian * z
             np.testing.assert_allclose(grad_fd, grad_exact, rtol=1e-6, atol=1e-12)
 
     @pytest.mark.parametrize("bad_h", [0.0, -0.5, math.nan])
@@ -72,7 +77,8 @@ class TestUnicycle:
                 state, gain = (x[0], x[1], d, nu), d
             else:
                 state, gain = (x[0], x[1], nu), 1.0
-            u1 = (p.c * gain * (eval_field(x, ref_field) - nu) * math.sin(p.omega * t)
+            field = ref_field.at_offset(*(x - ref_field.source))
+            u1 = (p.c * gain * (field - nu) * math.sin(p.omega * t)
                   + p.alpha_tilde * math.cos(p.omega * t))
             heading = np.array([math.cos(p.omega0 * t), math.sin(p.omega0 * t)])
             velocity = np.array(rhs(t, state)[:2])

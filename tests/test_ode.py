@@ -40,10 +40,21 @@ def _config(dt, stride=1):
     return IntegratorConfig(dt=dt, output_stride=stride)
 
 
+def _assert_sample_grid(traj):
+    """Recorded times increase strictly at one spacing; the final gap may be
+    shorter, where the last step was shortened."""
+    diffs = np.diff(traj.times)
+    assert np.all(diffs > 0.0)
+    if len(diffs) >= 2:
+        spacing = diffs[0]
+        np.testing.assert_allclose(diffs[:-1], spacing, rtol=1e-9, atol=1e-12)
+        assert diffs[-1] <= spacing * (1.0 + 1e-9)
+
+
 class TestIntegrate:
     def test_zero_rhs_constant_trajectory(self):
         traj = integrate(lambda t, y: (0.0, 0.0), [1.0, -2.0], 0.0, 1.0, _config(0.1))
-        traj.validate()
+        _assert_sample_grid(traj)
         np.testing.assert_array_equal(traj.states, np.tile([1.0, -2.0], (len(traj.times), 1)))
 
     def test_exponential_decay(self):
@@ -83,7 +94,7 @@ class TestIntegrate:
     def test_final_time_hit_exactly_with_short_last_step(self):
         traj = integrate(lambda t, y: (-y[0],), [1.0], 0.0, 1.0, _config(0.03))
         assert traj.times[-1] == 1.0
-        traj.validate()
+        _assert_sample_grid(traj)
         # interior spacing is the step, the tail gap is shorter
         diffs = np.diff(traj.times)
         assert diffs[-1] < diffs[0]
@@ -91,7 +102,7 @@ class TestIntegrate:
 
     def test_stride_recording_uniform(self):
         traj = integrate(lambda t, y: (-y[0],), [1.0], 0.0, 1.0, _config(0.01, stride=10))
-        traj.validate()
+        _assert_sample_grid(traj)
         np.testing.assert_allclose(np.diff(traj.times), 0.1, rtol=1e-12)
         assert len(traj.times) == 11
 
@@ -253,6 +264,17 @@ class TestIntegratorConfig:
                 IntegratorConfig(dt=0.01, omega_max=omega_max)
             else:
                 IntegratorConfig.for_frequency(omega_max)
+
+    @pytest.mark.parametrize("omega_max, samples, match", [
+        (30.0, 0, "samples_per_period must be >= 40, got 0"),
+        (30.0, -1, "samples_per_period must be >= 40, got -1"),
+        (30.0, 39, "samples_per_period must be >= 40, got 39"),
+        (1e-320, 60, r"omega_max=1e-320 has no positive finite step .* dt=inf"),
+        (1e308, 60, r"omega_max=1e\+308 has no positive finite step .* dt=0.0"),
+    ])
+    def test_for_frequency_names_a_step_it_cannot_take(self, omega_max, samples, match):
+        with pytest.raises(ValueError, match=match):
+            IntegratorConfig.for_frequency(omega_max, samples_per_period=samples)
 
     def test_for_frequency_resolves_fastest_oscillation(self):
         cfg = IntegratorConfig.for_frequency(30.0, samples_per_period=60)

@@ -22,18 +22,27 @@ from sourceseek import (
     gradient_affine_system,
     integrate,
     newton_affine_system,
-    rotation_matrix,
     to_rotating_frame,
 )
+from sourceseek.numdiff import Tape, cos, sin
 
 TWO_PI = 2.0 * math.pi
+
+
+def _frame_matrix(t, omega0):
+    """The frame matrix Y(t) = [[sin w0 t, cos w0 t], [-cos w0 t, sin w0 t]]."""
+    s, c = math.sin(omega0 * t), math.cos(omega0 * t)
+    return np.array([[s, c], [-c, s]])
+
+
+_finite = st.floats(-1e3, 1e3, allow_nan=False)
 
 
 class TestRotationFrame:
     def test_orthogonality(self, rng):
         for _ in range(20):
             t = rng.uniform(-50.0, 50.0)
-            y = rotation_matrix(t, 1.7)
+            y = _frame_matrix(t, 1.7)
             np.testing.assert_allclose(y.T @ y, np.eye(2), atol=1e-12)
             np.testing.assert_allclose(y @ y.T, np.eye(2), atol=1e-12)
 
@@ -43,14 +52,14 @@ class TestRotationFrame:
         spin = np.array([[0.0, w0], [-w0, 0.0]])
         for _ in range(10):
             t = rng.uniform(0.0, 20.0)
-            dy = (rotation_matrix(t + h, w0).T - rotation_matrix(t - h, w0).T) / (2 * h)
+            dy = (_frame_matrix(t + h, w0).T - _frame_matrix(t - h, w0).T) / (2 * h)
             np.testing.assert_allclose(
-                dy, rotation_matrix(t, w0).T @ spin, atol=1e-7
+                dy, _frame_matrix(t, w0).T @ spin, atol=1e-7
             )
 
     def test_frame_matrix_at_time_zero(self):
         np.testing.assert_allclose(
-            rotation_matrix(0.0, 2.0), [[0.0, 1.0], [-1.0, 0.0]], atol=1e-15
+            _frame_matrix(0.0, 2.0), [[0.0, 1.0], [-1.0, 0.0]], atol=1e-15
         )
 
     def test_roundtrip_inverse(self, rng):
@@ -59,7 +68,7 @@ class TestRotationFrame:
             x = rng.normal(size=2) * 5.0
             x_star = rng.normal(size=2)
             z = to_rotating_frame(t, x, x_star, 1.0)
-            back = x_star + rotation_matrix(t, 1.0) @ z
+            back = x_star + _frame_matrix(t, 1.0) @ z
             np.testing.assert_allclose(back, x, atol=1e-12)
 
     def test_source_maps_to_origin(self, rng):
@@ -74,6 +83,34 @@ class TestRotationFrame:
         x, x_star = np.array([4.0, -4.0]), np.array([1.0, -1.0])
         z = to_rotating_frame(0.0, x, x_star, 7.0)
         np.testing.assert_allclose(z, [3.0, 3.0], atol=1e-15)
+
+    @settings(max_examples=200, deadline=None)
+    @given(t=_finite, x=st.tuples(_finite, _finite), x_star=st.tuples(_finite, _finite),
+           w0=st.floats(1e-3, 10.0), scheme=st.sampled_from(Scheme))
+    def test_rotating_frame_inverts_and_is_the_loops_own(self, t, x, x_star, w0, scheme):
+        """``Y z`` returns ``x - x*``, and ``z`` is the offset that the
+        original-frame loop builds: on a tape that has traced the loop, the
+        oracle's ``Y^T (x - x*)`` records no new line, and rendered it gives
+        ``to_rotating_frame``'s bits."""
+        z = to_rotating_frame(t, x, x_star, w0)
+        back = np.add(x_star, _frame_matrix(t, w0) @ z)
+        scale = max(1.0, *np.abs(x), *np.abs(x_star))
+        np.testing.assert_allclose(back, x, rtol=0.0, atol=1e-12 * scale)
+
+        params = replace(DEFAULT_PARAMS, omega0=w0)
+        field = replace(DEFAULT_FIELD, source=np.array(x_star))
+        rhs = closed_loop(scheme, Frame.ORIGINAL, params, field)
+        dim = 4 if scheme is Scheme.NEWTON else 3
+        tape = Tape(dim + 1)  # the time, then the state
+        ts, xs = tape.state[0], tape.state[1:]
+        rhs(ts, xs)
+        recorded = len(tape.lines)
+        s, c = sin(w0 * ts), cos(w0 * ts)
+        d1, d2 = xs[0] - x_star[0], xs[1] - x_star[1]
+        traced = (s * d1 - c * d2, c * d1 + s * d2)
+        assert len(tape.lines) == recorded
+        rest = (1.0,) * (dim - 2)
+        assert tape.render(traced)((t, *x, *rest)) == tuple(z.tolist())
 
     def test_norm_preserved(self, rng):
         for _ in range(100):
@@ -157,7 +194,7 @@ class TestClosedLoopRhs:
         assert np.allclose(orig.times, rot.times)
         worst = 0.0
         for t, xs, zs in zip(rot.times, orig.states, rot.states):
-            mapped = ref_field.source + rotation_matrix(t, ref_params.omega0) @ zs[:2]
+            mapped = ref_field.source + _frame_matrix(t, ref_params.omega0) @ zs[:2]
             worst = max(worst, float(np.max(np.abs(mapped - xs[:2]))))
         assert worst < 1e-6
 
@@ -235,6 +272,16 @@ class TestAveragedRhs:
         assert out[2] == pytest.approx(
             -ref_params.h_gain * 0.5 * ref_field.hessian, rel=1e-12
         )
+
+    @pytest.mark.parametrize("scheme", [Scheme.GRADIENT, Scheme.NEWTON])
+    def test_filter_reads_the_fields_map(self, scheme, ref_params, ref_field, rng):
+        """nu' = h (F(z) - nu) with F the field's one map, bit for bit."""
+        rhs = averaged_closed_loop(scheme, ref_params, ref_field)
+        for _ in range(50):
+            z1, z2, nu = rng.uniform(-30.0, 30.0, size=3).tolist()
+            d = () if scheme is Scheme.GRADIENT else (rng.uniform(0.1, 150.0),)
+            want = ref_params.h_gain * (ref_field.at_offset(z1, z2) - nu)
+            assert rhs(0.0, (z1, z2, *d, nu))[-1] == want
 
     def test_exp_form_matches_plain_form(self, ref_params, ref_field, rng):
         plain = averaged_closed_loop(Scheme.NEWTON, ref_params, ref_field)

@@ -16,7 +16,6 @@ from sourceseek import (
     build_certificate,
     iss_bound_check,
     linearize,
-    lyapunov_V,
     stability_report,
     vdot_margin,
 )
@@ -213,22 +212,22 @@ class TestCertificate:
         with pytest.raises(ValueError):
             build_certificate(**kwargs)
 
-    def test_value_at_origin(self):
+    def test_function_is_zero_only_at_origin(self, rng):
+        """V = ln(1 + z^T P z) + (b/omega_d)(e^dhat - dhat - 1) is 0 at the
+        origin and positive elsewhere: P is positive definite and b > 0."""
         cert = build_certificate(2.0, 1.0, 0.3)
-        assert lyapunov_V(np.zeros(2), 0.0, cert) == 0.0
-
-    def test_positive_away_from_origin(self, rng):
-        cert = build_certificate(2.0, 1.0, 0.3)
+        assert cert.lam_min_p > 0.0 and cert.b > 0.0
         z = rng.uniform(-5.0, 5.0, size=(1000, 2))
         dh = rng.uniform(-2.0, 2.0, size=1000)
         keep = (np.linalg.norm(z, axis=1) > 1e-12) | (np.abs(dh) > 1e-12)
-        values = lyapunov_V(z[keep], dh[keep], cert)
+        values = np.log1p(_einsum_quad_form(z[keep], cert.P)) + (
+            cert.b / cert.omega_d) * (np.exp(dh[keep]) - dh[keep] - 1.0)
         assert np.all(values > 0.0)
 
     def test_reference_value(self):
+        # V((1, 0), 0) = ln(1 + P[0, 0]) = ln 2.5
         cert = build_certificate(2.0, 1.0, 0.3)
-        got = lyapunov_V(np.array([1.0, 0.0]), 0.0, cert)
-        assert got == pytest.approx(math.log(2.5), rel=1e-14)
+        assert cert.P[0, 0] == 1.5
 
 
 class TestVdotMargin:
@@ -278,8 +277,8 @@ _GAIN = st.floats(0.3, 5.0)
        data=st.data(), n=st.integers(1, 30))
 def test_grid_margins_match_the_einsum_oracle(alpha, omega0, omega_d, hessian,
                                                h_gain, data, n):
-    """vdot_margin, iss_bound_check and lyapunov_V agree with their matrix
-    forms to 1e-13 of the terms that each is a sum or difference of."""
+    """vdot_margin and iss_bound_check agree with their matrix forms to
+    1e-13 of the terms that each is a sum or difference of."""
     cert = build_certificate(alpha, omega0, omega_d, hessian)
     z = data.draw(arrays(float, (n, 2), elements=st.floats(-5.0, 5.0)))
     dh = data.draw(arrays(float, n, elements=st.floats(-2.0, 2.0)))
@@ -290,10 +289,6 @@ def test_grid_margins_match_the_einsum_oracle(alpha, omega0, omega_d, hessian,
     want, terms = _einsum_iss_margin(r, z, dh, hessian, h_gain, cert)
     got = iss_bound_check(r, z, dh, hessian, h_gain, cert)
     assert np.all(np.abs(got - want) <= 1e-13 * terms)
-    log_quad, scale = np.log1p(_einsum_quad_form(z, cert.P)), cert.b / cert.omega_d
-    want = log_quad + scale * (np.exp(dh) - dh - 1.0)
-    terms = log_quad + scale * (np.exp(dh) + np.abs(dh) + 1.0)
-    assert np.all(np.abs(lyapunov_V(z, dh, cert) - want) <= 1e-13 * terms)
     assert isinstance(vdot_margin(z[0], dh[0], cert), float)  # one point
 
 
