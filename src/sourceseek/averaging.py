@@ -75,6 +75,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .model import _section
 # central_jacobian is not called here; bench/tracer.py wraps
 # averaging.central_jacobian by name, so the name stays in this namespace
 from .numdiff import central_jacobian  # noqa: F401
@@ -646,28 +647,21 @@ class AveragedField:
         """Structured key-value text listing every coefficient with its limit
         class, exact exponent, values on the omega grid, and the node count
         and error estimate of its quadrature. Indices are 0-based."""
-        lines = [
-            "[averaged_field]",
-            f"channels = {self.system.n_channels}",
-            f"dimension = {self.system.dimension}",
-            f"omega_grid = {', '.join(f'{w:g}' for w in self.omega_grid)}",
-        ]
+        items = [("channels", self.system.n_channels),
+                 ("dimension", self.system.dimension),
+                 ("omega_grid", ", ".join(f"{w:g}" for w in self.omega_grid))]
+        sections = [_section("averaged_field", items)]
         for order, name in _ORDER_NAMES.items():
-            lines += ["", f"[{name}_coefficients]"]
-            lines += [self._format(c) for c in self.coefficients.values()
-                      if len(c.indices) == order]
-        return "\n".join(lines) + "\n"
+            sections.append(_section(f"{name}_coefficients", [
+                self._item(c) for c in self.coefficients.values() if len(c.indices) == order]))
+        return "\n".join(sections)
 
-    def _format(self, c: Coefficient) -> str:
-        tag = "_".join(str(ix) for ix in c.indices)
-        limit = c.limit
-        value = "none" if limit is None else f"{limit:.12g}"
+    def _item(self, c: Coefficient) -> tuple[str, str]:
+        value = "none" if c.limit is None else f"{c.limit:.12g}"
         samples = ", ".join(f"{c.at(w):.12g}" for w in self.omega_grid)
-        return (
-            f"gamma_{tag} = class={c.kind} value={value} "
-            f"exponent={c.exponent:.4f} samples=[{samples}] "
-            f"nodes={c.nodes} error={c.error:.3e}"
-        )
+        return ("gamma_" + "_".join(str(ix) for ix in c.indices),
+                f"class={c.kind} value={value} exponent={c.exponent:.4f} "
+                f"samples=[{samples}] nodes={c.nodes} error={c.error:.3e}")
 
 
 def _divergent(c: Coefficient, x) -> DivergentAverageError:
@@ -703,13 +697,13 @@ class AssumptionReport:
         return all(c.passed for c in self.clauses)
 
     def __str__(self) -> str:
-        lines = ["[assumption_report]", f"ok = {self.ok}"]
+        items = [("ok", self.ok)]
         for c in self.clauses:
             status = "pass" if c.passed else "FAIL"
             trig = "triggered" if c.triggered else "vacuous"
             detail = f" ({c.detail})" if c.detail else ""
-            lines.append(f"{c.name} = {status} [{trig}]{detail}")
-        return "\n".join(lines) + "\n"
+            items.append((c.name, f"{status} [{trig}]{detail}"))
+        return _section("assumption_report", items)
 
 
 def check_assumptions(system: ControlAffineSystem) -> AssumptionReport:

@@ -40,13 +40,12 @@ import numpy as np
 
 from .averaging import AssumptionReport, AveragedField, build_averaged_field, \
     check_assumptions, default_omega_grid
-from .model import FieldParams, SeekerParams
+from .model import FieldParams, SeekerParams, _section
 from .ode import IntegratorConfig, Trajectory, first_entry_time, integrate
-from .seekers import FRAME_SPECS, Frame, FrameSpec, Scheme, \
-    averaged_closed_loop, closed_loop, gradient_affine_system, \
-    newton_affine_system, push_forward, to_rotating_frame
-from .stability import LyapunovCertificate, build_certificate, iss_bound_check, \
-    linearize, stability_report, vdot_margin
+from .seekers import Frame, FrameSpec, Scheme, affine_system, averaged_closed_loop, \
+    closed_loop, frame_spec, to_rotating_frame
+from .stability import LyapunovCertificate, _grid_margins, build_certificate, \
+    iss_bound_check, linearize, stability_report, vdot_margin
 
 __all__ = [
     "ConfigError",
@@ -119,11 +118,7 @@ class Scenario:
         _positive("ball_radius and d_tolerance", (self.ball_radius, self.d_tolerance))
         if not 0.0 < self.tail_fraction < 1.0:
             raise ValueError("tail_fraction must lie in (0, 1)")
-        if (self.scheme, self.frame) not in FRAME_SPECS:
-            raise ValueError(
-                f"frame {self.frame.value!r} is undefined for scheme "
-                f"{self.scheme.value!r}"
-            )
+        frame_spec(self.scheme, self.frame)  # refuses a pair outside FRAME_SPECS
         if not math.isfinite(self.nu0):
             raise ValueError(f"nu0 must be finite, got {self.nu0}")
         # d0 matters only for a curvature-inverting run
@@ -142,39 +137,31 @@ class Scenario:
     # -- derived pieces -----------------------------------------------------
 
     @property
-    def _spec(self) -> FrameSpec:
-        return FRAME_SPECS[(self.scheme, self.frame)]
-
-    @property
-    def is_averaged(self) -> bool:
-        return self._spec.averaged
+    def spec(self) -> FrameSpec:
+        """The :data:`~sourceseek.seekers.FRAME_SPECS` entry of the run's pair."""
+        return frame_spec(self.scheme, self.frame)
 
     def _coordinates(self):
         """The frame's map ``(to, back)``, or None for the identity."""
-        coordinates = self._spec.coordinates
+        coordinates = self.spec.coordinates
         return coordinates and coordinates(self.field)
 
     def initial_state(self) -> np.ndarray:
         """The loop's own start ``[p1, p2, d0, nu0]`` (``[p1, p2, nu0]`` for
         the gradient scheme) in the frame's coordinates."""
         x0 = np.asarray(self.x0, dtype=float)
-        p = x0 if self._spec.plane else to_rotating_frame(
+        p = x0 if self.spec.plane else to_rotating_frame(
             0.0, x0, self.field.source, self.params.omega0)
         d0 = () if self.scheme is Scheme.GRADIENT else (self.d0,)
         state, coordinates = (p[0], p[1], *d0, self.nu0), self._coordinates()
         return np.array(state if coordinates is None else coordinates[0](state))
 
     def build_rhs(self):
-        """The frame's closed loop; an averaged system is pushed forward
-        through the frame's map, ``y' = Dto(x)[f(x)]`` at ``x = back(y)``."""
-        if not self.is_averaged:
-            return closed_loop(self.scheme, self.frame, self.params, self.field)
-        rhs = averaged_closed_loop(self.scheme, self.params, self.field)
-        coordinates = self._coordinates()
-        return rhs if coordinates is None else push_forward(rhs, coordinates)
+        """The frame's closed loop (:func:`~sourceseek.seekers.closed_loop`)."""
+        return closed_loop(self.scheme, self.frame, self.params, self.field)
 
     def integrator_config(self) -> IntegratorConfig:
-        if self.is_averaged:  # its fastest rate, recorded at every step
+        if self.spec.averaged:  # its fastest rate, recorded at every step
             return IntegratorConfig.for_frequency(
                 max(self.params.omega0, self.params.h_gain, self.params.omega_d),
                 self.samples_per_period)
@@ -193,15 +180,14 @@ class Scenario:
 
     def guard(self):
         """Positivity guard on the raw Riccati component, where one exists."""
-        if self.scheme is Scheme.NEWTON and self._spec.coordinates is None:
+        if self.scheme is Scheme.NEWTON and self.spec.coordinates is None:
             return lambda t, s: s[2] > 0.0
         return None
 
     def position_ball(self) -> tuple[tuple[int, int], np.ndarray]:
         """(component indices, center) of the position ball for this frame."""
-        spec = self._spec
-        center = self.field.source if spec.plane else np.zeros(2)
-        return spec.position, np.asarray(center, dtype=float)
+        center = self.field.source if self.spec.plane else np.zeros(2)
+        return self.spec.position, np.asarray(center, dtype=float)
 
     def d_series(self, traj: Trajectory) -> np.ndarray | None:
         """Riccati state along the trajectory, mapped back to raw d units."""
@@ -214,15 +200,6 @@ class Scenario:
 def _fmt(value: float | None) -> str:
     """An optional time as report text: ``none``, or 9 significant digits."""
     return "none" if value is None else f"{value:.9g}"
-
-
-def _section(name: str, items, checks: dict) -> str:
-    """Report section ``[name]``: one ``key = value`` line per pair of
-    ``items``, then one ``check_<key> = pass|FAIL`` line per entry of
-    ``checks``."""
-    lines = [f"[{name}]", *(f"{key} = {value}" for key, value in items)]
-    lines += [f"check_{key} = {'pass' if ok else 'FAIL'}" for key, ok in checks.items()]
-    return "\n".join(lines) + "\n"
 
 
 class StudyResult:
@@ -352,7 +329,7 @@ class SimulateResult(StudyResult):
                   ("x0", f"{scn.x0[0]:g}, {scn.x0[1]:g}"),
                   ("t_end", f"{scn.t_end:g}"),
                   ("ball_radius", f"{scn.ball_radius:g}")]
-        if not scn.is_averaged:  # the dither's swing of the position
+        if not scn.spec.averaged:  # the dither's swing of the position
             p = scn.params
             items.append(("dither_envelope", f"{p.alpha * p.omega ** (p.p_exp - 1.0):.9g}"))
         items.append(("final_distance", f"{self.final_distance:.9g}"))
@@ -768,8 +745,7 @@ def run_average(scheme: Scheme, params: SeekerParams, field: FieldParams,
     """Check the averaging hypotheses of ``scheme``'s rotating-frame loop,
     build its averaged field, and compare it with the closed-form average at
     10 states drawn from ``seed``."""
-    make = newton_affine_system if scheme is Scheme.NEWTON else gradient_affine_system
-    system = make(params, field)
+    system = affine_system(scheme, params, field)
     assumptions = check_assumptions(system)
     engine = build_averaged_field(system, default_omega_grid(params.omega))
     closed = averaged_closed_loop(scheme, params, field)
@@ -802,9 +778,8 @@ class CertifyReport(StudyResult):
                 "iss": self.margins["iss_margin_min"] >= -1e-9}
 
     def report(self) -> str:
-        margins = [(key, f"{value:.6e}") for key, value in self.margins.items()]
         return "\n".join([stability_report(self.linearizations, cert=self.certificate),
-                          _section("grid_margins", margins, self.checks)])
+                          _grid_margins(self.margins, self.checks)])
 
 
 def run_certify(params: SeekerParams, field: FieldParams,

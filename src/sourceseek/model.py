@@ -1,7 +1,8 @@
-"""Signal-field and controller-parameter primitives.
+"""Signal-field and controller-parameter primitives, and the report section.
 
 Everything here is a plain value type or a pure function; the rest of the
-package builds its dynamics on top of these.
+package builds its dynamics on top of these, and its reports from
+:func:`_section`.
 """
 
 from __future__ import annotations
@@ -15,6 +16,16 @@ __all__ = [
     "FieldParams",
     "SeekerParams",
 ]
+
+
+def _section(name: str, items, checks: dict | None = None) -> str:
+    """Report section ``[name]``: one ``key = value`` line per pair of
+    ``items``, then one ``check_<key> = pass|FAIL`` line per entry of
+    ``checks``. Every report of the package is made of these sections."""
+    lines = [f"[{name}]", *(f"{key} = {value}" for key, value in items)]
+    lines += [f"check_{key} = {'pass' if ok else 'FAIL'}"
+              for key, ok in (checks or {}).items()]
+    return "\n".join(lines) + "\n"
 
 
 def _as_point(value, name: str) -> np.ndarray:

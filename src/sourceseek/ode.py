@@ -107,8 +107,8 @@ class IntegratorConfig:
         if not (self.dt > 0.0 and math.isfinite(self.dt)):
             raise ValueError(f"dt must be positive, got {self.dt}")
         _check_samples(self.samples_per_period)
-        if self.output_stride < 1:
-            raise ValueError("output_stride must be >= 1")
+        if not (isinstance(self.output_stride, numbers.Integral) and self.output_stride >= 1):
+            raise ValueError(f"output_stride must be an integer >= 1, got {self.output_stride!r}")
         if self.omega_max is not None:
             limit = _max_step(self.omega_max, self.samples_per_period)
             if self.dt > limit * (1.0 + 1e-12):

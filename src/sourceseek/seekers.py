@@ -31,7 +31,9 @@ times the channels' position block, the forward speed along the heading,
 since ``Y`` absorbs the drift's position block, the turn
 ``(omega0 z2, -omega0 z1)``. An averaged frame is its scheme's
 :func:`averaged_closed_loop`, and a frame with a map is its loop pushed
-forward through it (:func:`push_forward`). Every closure is traceable
+forward through it (:func:`push_forward`); :func:`closed_loop` builds every
+pair, so it is the one place that picks the rendered loop or the closed
+form. Every closure is traceable
 (:mod:`sourceseek.numdiff`: arithmetic and numdiff's ``sin``, ``cos``,
 ``exp`` and ``log``, ``math``'s on floats), so
 :func:`~sourceseek.ode.integrate` steps it as straight-line code.
@@ -54,10 +56,12 @@ __all__ = [
     "Frame",
     "FrameSpec",
     "FRAME_SPECS",
+    "frame_spec",
     "to_rotating_frame",
     "push_forward",
     "closed_loop",
     "averaged_closed_loop",
+    "affine_system",
     "gradient_affine_system",
     "newton_affine_system",
 ]
@@ -124,6 +128,18 @@ FRAME_SPECS: dict[tuple[Scheme, Frame], FrameSpec] = {
 }
 
 
+def frame_spec(scheme: Scheme, frame: Frame) -> FrameSpec:
+    """The :data:`FRAME_SPECS` entry of the pair; ValueError for a pair
+    outside it, or a scheme or frame that is not a member."""
+    if not (isinstance(scheme, Scheme) and isinstance(frame, Frame)):
+        raise ValueError(f"scheme and frame must be Scheme and Frame members, "
+                         f"got {scheme!r} and {frame!r}")
+    spec = FRAME_SPECS.get((scheme, frame))
+    if spec is None:
+        raise ValueError(f"frame {frame.value!r} is undefined for scheme {scheme.value!r}")
+    return spec
+
+
 def push_forward(rhs, coordinates):
     """``rhs(t, x)`` in the coordinates of the map ``(to, back)``:
     ``y' = Dto(x)[rhs(t, x)]`` at ``x = back(y)``."""
@@ -158,17 +174,24 @@ def to_rotating_frame(t: float, x, x_star, omega0: float) -> np.ndarray:
 
 def closed_loop(scheme: Scheme, frame: Frame, params: SeekerParams,
                 field: FieldParams):
-    """Build ``rhs(t, state)`` for the full loop of ``scheme`` in ``frame``,
-    rendered from the scheme's affine system (see the module docstring): a
-    pure function of the time and a sequence of scalars (floats, or the
-    symbols :func:`~sourceseek.ode.integrate` traces it on) that returns a
-    tuple. A pair with no full loop raises ValueError."""
-    spec = FRAME_SPECS.get((scheme, frame))
-    if spec is None or spec.averaged:
-        raise ValueError(f"frame {frame.value!r} is not a closed-loop frame for "
-                         f"scheme {scheme.value!r}")
-    system = (newton_affine_system if scheme is Scheme.NEWTON
-              else gradient_affine_system)(params, field)
+    """Build ``rhs(t, state)`` for ``scheme`` in ``frame`` (see the module
+    docstring): the full loop rendered from the scheme's affine system, or
+    its closed-form :func:`averaged_closed_loop`, pushed forward through the
+    frame's map where it has one. A pure function of the time and a sequence
+    of scalars (floats, or the symbols :func:`~sourceseek.ode.integrate`
+    traces it on) that returns a tuple. A pair outside :data:`FRAME_SPECS`
+    raises ValueError."""
+    spec = frame_spec(scheme, frame)
+    if spec.averaged:
+        rhs = averaged_closed_loop(scheme, params, field)
+    else:
+        rhs = _full_loop(affine_system(scheme, params, field), spec.plane, params, field)
+    return push_forward(rhs, spec.coordinates(field)) if spec.coordinates else rhs
+
+
+def _full_loop(system: ControlAffineSystem, plane: bool, params: SeekerParams,
+               field: FieldParams):
+    """The full loop of ``system`` in ``z``, or in ``x`` on the ``plane``."""
     drift, oscillation = system.drift, _oscillation(system, params.omega)
     w0, xs1, xs2 = params.omega0, float(field.source[0]), float(field.source[1])
 
@@ -182,9 +205,7 @@ def closed_loop(scheme: Scheme, frame: Frame, params: SeekerParams,
         return (_dot(s, c, p1, p2), _dot(-c, s, p1, p2),
                 *map(_plus, drift(z)[2:], other))
 
-    if spec.coordinates:
-        return push_forward(rotating, spec.coordinates(field))
-    return original if spec.plane else rotating
+    return original if plane else rotating
 
 
 def _oscillation(system: ControlAffineSystem, omega: float):
@@ -269,6 +290,15 @@ def averaged_closed_loop(scheme: Scheme, params: SeekerParams,
 
 # ---------------------------------------------------------------------------
 # input-affine systems: the full loops and the averaging engine's input
+
+
+def affine_system(scheme: Scheme, params: SeekerParams,
+                  field: FieldParams) -> ControlAffineSystem:
+    """The affine system of ``scheme``'s loop in the rotating frame. The
+    builder is the module attribute read at this call, so a replaced
+    attribute is the one that builds."""
+    return (newton_affine_system if scheme is Scheme.NEWTON
+            else gradient_affine_system)(params, field)
 
 
 def gradient_affine_system(params: SeekerParams, field: FieldParams) -> ControlAffineSystem:

@@ -15,9 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from .model import _section
 from .numdiff import central_jacobian
 
 __all__ = [
@@ -111,7 +113,8 @@ def linearize(f, x_eq) -> Linearization:
 
 @dataclass(frozen=True)
 class LyapunovCertificate:
-    """Explicit certificate for the position/filter cascade.
+    """Explicit certificate for the position/filter cascade, derived from
+    its three gains alone.
 
     ``P`` solves ``P A + A^T P = -I`` for the damped rotation block
     ``A = [[0, w0], [-w0, -alpha/2]]``; ``G = P Lt + Lt^T P`` collects the
@@ -119,38 +122,48 @@ class LyapunovCertificate:
     ``b = |G|^2 / (2 lambda_min(P))`` balances the cross term in the
     Lyapunov derivative. The certificate function is
     ``V = ln(1 + z^T P z) + (b/omega_d)(e^dhat - dhat - 1)``, whose
-    derivative :func:`vdot_margin` bounds.
+    derivative :func:`vdot_margin` bounds. :func:`build_certificate` checks
+    the gains and the derived quantities.
     """
 
-    P: np.ndarray
-    G: np.ndarray
-    b: float
     alpha: float
     omega0: float
     omega_d: float
 
-    @property
+    @cached_property
+    def P(self) -> np.ndarray:
+        a, w0 = self.alpha, self.omega0
+        return np.array([[a / (4.0 * w0**2) + 2.0 / a, 1.0 / (2.0 * w0)],
+                         [1.0 / (2.0 * w0), 2.0 / a]])
+
+    @cached_property
     def lam_tilde(self) -> np.ndarray:
         return np.diag([0.0, -0.5 * self.alpha])
+
+    @cached_property
+    def G(self) -> np.ndarray:
+        return self.P @ self.lam_tilde + self.lam_tilde.T @ self.P
+
+    @cached_property
+    def b(self) -> float:
+        return self.g_norm ** 2 / (2.0 * self.lam_min_p)
 
     @property
     def spin(self) -> np.ndarray:
         return np.array([[0.0, self.omega0], [-self.omega0, 0.0]])
 
-    @property
+    @cached_property
     def lam_min_p(self) -> float:
         return float(np.linalg.eigvalsh(self.P)[0])
 
-    @property
+    @cached_property
     def g_norm(self) -> float:
         return float(np.max(np.abs(np.linalg.eigvalsh(self.G))))
 
     @property
     def lyapunov_residual(self) -> float:
         a = self.spin + self.lam_tilde
-        return float(
-            np.max(np.abs(self.P @ a + a.T @ self.P + np.eye(2)))
-        )
+        return float(np.max(np.abs(self.P @ a + a.T @ self.P + np.eye(2))))
 
 
 def build_certificate(alpha: float, omega0: float, omega_d: float,
@@ -172,33 +185,20 @@ def build_certificate(alpha: float, omega0: float, omega_d: float,
         if not (math.isfinite(value) and value > 0.0):
             raise ValueError(f"{name} must be positive, got {value}")
 
-    p_mat = np.array(
-        [
-            [alpha / (4.0 * omega0**2) + 2.0 / alpha, 1.0 / (2.0 * omega0)],
-            [1.0 / (2.0 * omega0), 2.0 / alpha],
-        ]
-    )
-    lam_tilde = np.diag([0.0, -0.5 * alpha])
-    g_mat = p_mat @ lam_tilde + lam_tilde.T @ p_mat
-
-    eigs = np.linalg.eigvalsh(p_mat)
-    if eigs[0] <= 0.0:
+    cert = LyapunovCertificate(alpha=alpha, omega0=omega0, omega_d=omega_d)
+    lam_min = cert.lam_min_p
+    if lam_min <= 0.0:
         raise ValueError(
             f"parameter regime rejected: certificate matrix has "
-            f"lambda_min = {eigs[0]:.3e} <= 0"
+            f"lambda_min = {lam_min:.3e} <= 0"
         )
-    g_norm_sq = float(np.max(np.abs(np.linalg.eigvalsh(g_mat)))) ** 2
-    b = g_norm_sq / (2.0 * eigs[0])
-    cert = LyapunovCertificate(
-        P=p_mat, G=g_mat, b=b, alpha=alpha, omega0=omega0, omega_d=omega_d
-    )
-
     if cert.lyapunov_residual >= LYAP_RESIDUAL_TOL:
         raise ValueError(
             f"algebraic identity residual {cert.lyapunov_residual:.3e} "
             f"exceeds {LYAP_RESIDUAL_TOL}"
         )
     # closed-form cross-checks of the spectral quantities
+    g_norm_sq = cert.g_norm ** 2
     g_norm_closed = (
         2.0 + alpha**2 / (16.0 * omega0**2)
         + math.sqrt(alpha**2 + 16.0 * omega0**2) / (2.0 * omega0)
@@ -211,9 +211,9 @@ def build_certificate(alpha: float, omega0: float, omega_d: float,
         raise ArithmeticError(
             f"|G|^2 = {g_norm_sq} disagrees with closed form {g_norm_closed}"
         )
-    if abs(eigs[0] - lam_min_closed) > 1e-9 * max(1.0, abs(lam_min_closed)):
+    if abs(lam_min - lam_min_closed) > 1e-9 * max(1.0, abs(lam_min_closed)):
         raise ArithmeticError(
-            f"lambda_min(P) = {eigs[0]} disagrees with closed form {lam_min_closed}"
+            f"lambda_min(P) = {lam_min} disagrees with closed form {lam_min_closed}"
         )
     return cert
 
@@ -293,43 +293,44 @@ def iss_bound_check(r, z_bar, d_hat, hessian: float, h_gain: float,
 # report
 
 
-def _format_matrix(name: str, mat: np.ndarray) -> list[str]:
+def _matrix(mat: np.ndarray) -> str:
+    """A matrix as report text, ``[row; row | row; row]``."""
     rows = ["; ".join(f"{v:.12g}" for v in row) for row in np.atleast_2d(mat)]
-    return [f"{name} = [{' | '.join(rows)}]"]
+    return f"[{' | '.join(rows)}]"
+
+
+def _grid_margins(margins: dict, checks: dict | None = None) -> str:
+    """The ``[grid_margins]`` section: each worst-case margin, then ``checks``."""
+    return _section("grid_margins", [(k, f"{v:.6e}") for k, v in margins.items()], checks)
 
 
 def stability_report(linearizations: dict, cert: LyapunovCertificate | None = None,
                      grid_margins: dict | None = None) -> str:
     """Structured key-value text with matrices, spectra, residuals, and
     worst-case certificate margins."""
-    lines = ["[stability_report]"]
+    blocks = []
     for name, lin in linearizations.items():
-        lines.append(f"[linearization {name}]")
-        lines += _format_matrix("equilibrium", lin.equilibrium)
-        lines += _format_matrix("jacobian", lin.jacobian)
         eig = ", ".join(f"{v.real:.9g}{v.imag:+.9g}j" for v in lin.eigenvalues)
-        lines.append(f"eigenvalues = {eig}")
-        lines.append(f"spectral_abscissa = {lin.spectral_abscissa:.9g}")
-        lines.append(f"trace_residual = {lin.trace_residual:.3e}")
-        lines.append(f"det_residual = {lin.det_residual:.3e}")
-        lines.append("")
-    lines.append(
-        "decay_rate_note = position-block decay equals half the block trace "
-        "(-alpha*H/4 gradient, -alpha/4 newton); constants -alpha*H/2 / "
-        "-alpha/2 overstate it twofold"
-    )
+        blocks.append(_section(f"linearization {name}", [
+            ("equilibrium", _matrix(lin.equilibrium)),
+            ("jacobian", _matrix(lin.jacobian)),
+            ("eigenvalues", eig),
+            ("spectral_abscissa", f"{lin.spectral_abscissa:.9g}"),
+            ("trace_residual", f"{lin.trace_residual:.3e}"),
+            ("det_residual", f"{lin.det_residual:.3e}"),
+        ]))
+    blocks.append("decay_rate_note = position-block decay equals half the block trace "
+                  "(-alpha*H/4 gradient, -alpha/4 newton); constants -alpha*H/2 / "
+                  "-alpha/2 overstate it twofold\n")
     if cert is not None:
-        lines.append("")
-        lines.append("[certificate]")
-        lines += _format_matrix("P", cert.P)
-        lines += _format_matrix("G", cert.G)
-        lines.append(f"b = {cert.b:.12g}")
-        lines.append(f"lambda_min_P = {cert.lam_min_p:.12g}")
-        lines.append(f"g_norm = {cert.g_norm:.12g}")
-        lines.append(f"lyapunov_residual = {cert.lyapunov_residual:.3e}")
+        blocks.append(_section("certificate", [
+            ("P", _matrix(cert.P)),
+            ("G", _matrix(cert.G)),
+            ("b", f"{cert.b:.12g}"),
+            ("lambda_min_P", f"{cert.lam_min_p:.12g}"),
+            ("g_norm", f"{cert.g_norm:.12g}"),
+            ("lyapunov_residual", f"{cert.lyapunov_residual:.3e}"),
+        ]))
     if grid_margins:
-        lines.append("")
-        lines.append("[grid_margins]")
-        for key, value in grid_margins.items():
-            lines.append(f"{key} = {value:.6e}")
-    return "\n".join(lines) + "\n"
+        blocks.append(_grid_margins(grid_margins))
+    return _section("stability_report", ()) + "\n".join(blocks)

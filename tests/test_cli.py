@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from sourceseek import Scheme, load_config, run_average, run_certify, run_compare, \
@@ -299,3 +301,29 @@ def test_subcommand_writes_its_study_report(tmp_path, command):
     result = study(load_config(None), out)
     assert (out / name).read_text() == result.report()
     assert code == (0 if result.passed else 1)
+
+
+#: a report line: a ``[header]``, a ``key = value`` pair, or blank
+_REPORT_LINE = re.compile(r"\[(?P<header>[^\[\]]+)\]|(?P<key>[^\s=\[\]]+) = .+|")
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate"], ["compare"], ["sweep-omega"], ["sweep-hessian"],
+    ["average", "--scheme", "gradient"], ["average", "--scheme", "newton"],
+    ["certify"],
+], ids=lambda argv: "-".join(argv[::2]))
+def test_report_is_sections_of_unique_keys(tmp_path, capsys, argv):
+    """Every line a subcommand prints is a ``[header]``, a ``key = value``
+    pair or blank, and no key repeats within a section."""
+    main([*argv, "--out", str(tmp_path / "out")])
+    text = capsys.readouterr().out
+    assert text.startswith("[")
+    sections = []
+    for line in text.splitlines():
+        match = _REPORT_LINE.fullmatch(line)
+        assert match, line
+        if match["header"]:
+            sections.append([])
+        elif match["key"]:
+            assert match["key"] not in sections[-1], line
+            sections[-1].append(match["key"])

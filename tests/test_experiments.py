@@ -73,6 +73,12 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="horizon"):
             Scenario(scheme=Scheme.GRADIENT, t_end=0.0)
 
+    @pytest.mark.parametrize("frame", [Frame.ORIGINAL, Frame.ROTATING_Z])
+    def test_rejects_a_fractional_stride_at_construction(self, frame):
+        with pytest.raises(ValueError, match="output_stride must be an integer >= 1, "
+                                             "got 2.5"):
+            Scenario(scheme=Scheme.NEWTON, frame=frame, output_stride=2.5)
+
     def test_frame_scheme_compatibility(self):
         with pytest.raises(ValueError, match="undefined"):
             Scenario(scheme=Scheme.GRADIENT, frame=Frame.AVERAGED_NEWTON)

@@ -149,3 +149,54 @@ def test_every_exported_name_has_a_reader():
     """A public name that only tests call is dead API: delete it, or give
     it a caller."""
     assert _dead_exports() == []
+
+
+#: a line of report text that is a section header, ``[name]``: a name with
+#: a letter of its own, which may hold f-string fields (``{}``) but no
+#: punctuation, so that a bracketed value (``[{}]``), error text such as
+#: ``[{}, {}]`` and templates such as ``[$constants]`` are not headers
+_HEADER = re.compile(r"\[[\w{} .]*[A-Za-z][\w{} .]*\]")
+
+
+def _docstrings(tree) -> set[int]:
+    """``id`` of every docstring node of ``tree``."""
+    return {id(node.body[0].value) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+            and node.body and isinstance(node.body[0], ast.Expr)
+            and isinstance(node.body[0].value, ast.Constant)}
+
+
+def _hand_written_headers() -> list[str]:
+    """``module:line: text`` for every string of the package, docstrings
+    aside, with a line that is a ``[header]`` and that is not written
+    inside ``model._section``."""
+    found = []
+    for module in _MODULES:
+        tree = ast.parse((_INIT.parent / f"{module}.py").read_text())
+        skip = _docstrings(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "_section":
+                skip |= {id(inner) for inner in ast.walk(node)}
+        for node in ast.walk(tree):
+            if id(node) in skip:
+                continue
+            if isinstance(node, ast.JoinedStr):
+                text = "".join(part.value if isinstance(part, ast.Constant) else "{}"
+                               for part in node.values)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                text = node.value
+            else:
+                continue
+            if any(_HEADER.fullmatch(line.strip()) for line in text.splitlines()):
+                found.append(f"{module}:{node.lineno}: {text!r}")
+    return found
+
+
+def test_every_report_header_is_written_by_the_one_section_renderer():
+    """Every report is made of ``model._section`` sections: the package
+    defines that function once and writes no ``[header]`` text elsewhere."""
+    owners = [module for module in _MODULES
+              for node in ast.walk(ast.parse((_INIT.parent / f"{module}.py").read_text()))
+              if isinstance(node, ast.FunctionDef) and node.name == "_section"]
+    assert owners == ["model"]
+    assert _hand_written_headers() == []

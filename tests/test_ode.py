@@ -276,6 +276,15 @@ class TestIntegratorConfig:
         with pytest.raises(ValueError, match=match):
             IntegratorConfig.for_frequency(omega_max, samples_per_period=samples)
 
+    @pytest.mark.parametrize("stride", [2.5, 2.0, math.nan, 0, -1, "10"])
+    def test_rejects_a_stride_that_is_not_a_positive_integer(self, stride):
+        with pytest.raises(ValueError, match=f"output_stride must be an integer >= 1, "
+                                             f"got {re.escape(repr(stride))}"):
+            IntegratorConfig(dt=0.1, output_stride=stride)
+
+    def test_accepts_a_numpy_integer_stride(self):
+        assert IntegratorConfig(dt=0.1, output_stride=np.int64(3)).output_stride == 3
+
     def test_for_frequency_resolves_fastest_oscillation(self):
         cfg = IntegratorConfig.for_frequency(30.0, samples_per_period=60)
         assert cfg.dt == pytest.approx(2.0 * math.pi / (30.0 * 60.0))

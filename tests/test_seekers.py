@@ -24,6 +24,7 @@ from sourceseek import (
     newton_affine_system,
     to_rotating_frame,
 )
+from sourceseek.seekers import push_forward
 from sourceseek.numdiff import Tape, cos, sin
 
 TWO_PI = 2.0 * math.pi
@@ -172,10 +173,46 @@ class TestClosedLoopRhs:
             np.testing.assert_allclose(out, [0.0, forcing, 0.0], atol=1e-12)
 
     def test_incompatible_frame_rejected(self, ref_params, ref_field):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="'rotating_z_log_d' is undefined for "
+                                             "scheme 'gradient'"):
             closed_loop(Scheme.GRADIENT, Frame.ROTATING_Z_LOG_D, ref_params, ref_field)
-        with pytest.raises(ValueError):
-            closed_loop(Scheme.NEWTON, Frame.AVERAGED_NEWTON, ref_params, ref_field)
+
+    @pytest.mark.parametrize("scheme, frame", [
+        ("newton", Frame.ORIGINAL),
+        (Scheme.NEWTON, "original"),
+        ("gradient", "rotating_z"),
+    ], ids=["scheme", "frame", "both"])
+    @pytest.mark.parametrize("build", [
+        lambda scheme, frame: closed_loop(scheme, frame, DEFAULT_PARAMS, DEFAULT_FIELD),
+        lambda scheme, frame: Scenario(scheme=scheme, frame=frame),
+    ], ids=["closed_loop", "Scenario"])
+    def test_string_scheme_or_frame_rejected(self, build, scheme, frame):
+        """A member's value is not the member: the pair check refuses it
+        with a ValueError that names what it was given."""
+        with pytest.raises(ValueError, match="must be Scheme and Frame members"):
+            build(scheme, frame)
+
+    @pytest.mark.parametrize("pair", sorted(
+        (pair for pair, spec in FRAME_SPECS.items() if spec.averaged), key=str),
+        ids=lambda pair: pair[1].value)
+    def test_averaged_frame_is_the_closed_form_pushed_forward(self, pair, rng):
+        """``closed_loop`` on an averaged pair is the closed-form average,
+        pushed forward through the frame's map where it has one, bit for
+        bit."""
+        scheme, frame = pair
+        params, field = DEFAULT_PARAMS, DEFAULT_FIELD
+        want = averaged_closed_loop(scheme, params, field)
+        coordinates = FRAME_SPECS[pair].coordinates
+        if coordinates is not None:
+            want = push_forward(want, coordinates(field))
+        got = closed_loop(scheme, frame, params, field)
+        dim = 3 if scheme is Scheme.GRADIENT else 4
+        for _ in range(20):
+            state = rng.uniform(-3.0, 3.0, size=dim)
+            if dim == 4 and coordinates is None:  # a raw d stays positive
+                state[2] = rng.uniform(0.1, 200.0)
+            t, state = float(rng.uniform(0.0, 50.0)), tuple(state.tolist())
+            assert np.array(got(t, state)).tobytes() == np.array(want(t, state)).tobytes()
 
     def test_original_frame_equals_transformed_rotating(self, ref_params, ref_field):
         """Co-integrating both frames must agree through x = x* + Y(t) z."""

@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 from sourceseek import (
     EquilibriumError,
     Frame,
+    LyapunovCertificate,
     Scenario,
     Scheme,
     averaged_closed_loop,
@@ -228,6 +229,28 @@ class TestCertificate:
         # V((1, 0), 0) = ln(1 + P[0, 0]) = ln 2.5
         cert = build_certificate(2.0, 1.0, 0.3)
         assert cert.P[0, 0] == 1.5
+
+    @settings(max_examples=30, deadline=None)
+    @given(alpha=st.floats(0.05, 20.0), omega0=st.floats(0.05, 20.0),
+           omega_d=st.floats(0.01, 5.0))
+    def test_gains_alone_give_the_built_certificate(self, alpha, omega0, omega_d):
+        """A certificate built from its three gains holds build_certificate's
+        matrices, bit for bit, and both hold the closed form's float
+        operations."""
+        hand = LyapunovCertificate(alpha, omega0, omega_d)
+        built = build_certificate(alpha, omega0, omega_d)
+        p_mat = np.array([[alpha / (4.0 * omega0**2) + 2.0 / alpha, 1.0 / (2.0 * omega0)],
+                          [1.0 / (2.0 * omega0), 2.0 / alpha]])
+        lam_tilde = np.diag([0.0, -0.5 * alpha])
+        g_mat = p_mat @ lam_tilde + lam_tilde.T @ p_mat
+        lam_min = np.linalg.eigvalsh(p_mat)[0]
+        b = float(np.max(np.abs(np.linalg.eigvalsh(g_mat)))) ** 2 / (2.0 * lam_min)
+        for cert in (hand, built):
+            assert cert.P.tobytes() == p_mat.tobytes()
+            assert cert.G.tobytes() == g_mat.tobytes()
+            assert np.float64(cert.b).tobytes() == np.float64(b).tobytes()
+            assert np.float64(cert.lam_min_p).tobytes() == lam_min.tobytes()
+        assert hand == built
 
 
 class TestVdotMargin:
