@@ -75,7 +75,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .model import _section
+from .model import _positive, _section
 # central_jacobian is not called here; bench/tracer.py wraps
 # averaging.central_jacobian by name, so the name stays in this namespace
 from .numdiff import central_jacobian  # noqa: F401
@@ -358,8 +358,7 @@ class Coefficient:
 
     def at(self, omega: float) -> float:
         """``gamma`` at the base frequency ``omega``."""
-        if not omega > 0.0:
-            raise ValueError("omega must be positive")
+        _positive("omega", (omega,))
         return omega ** self.exponent * self.raw
 
 
@@ -564,8 +563,7 @@ def _vanishes(f, g, x) -> bool:
 def default_omega_grid(omega_anchor: float) -> tuple[float, ...]:
     """Geometric frequency ladder {w, 2w, 4w, 8w} on which the engine report
     lists each coefficient."""
-    if not omega_anchor > 0.0:
-        raise ValueError("omega_anchor must be positive")
+    _positive("omega_anchor", (omega_anchor,))
     return tuple(omega_anchor * 2.0**k for k in range(4))
 
 
@@ -605,9 +603,9 @@ class AveragedField:
 
     def __init__(self, system: ControlAffineSystem, omega_grid):
         self.system = system
-        self.omega_grid = tuple(float(w) for w in omega_grid)
-        if not self.omega_grid or not all(w > 0.0 for w in self.omega_grid):
-            raise ValueError(f"omega grid must be non-empty and positive: {omega_grid}")
+        self.omega_grid = _positive("omega grid", omega_grid)
+        if not self.omega_grid:
+            raise ValueError("omega grid must be non-empty")
         self.coefficients: dict[tuple, Coefficient] = system.coefficients
         for i, (_, inp) in enumerate(system.channels):
             # a validated input had its mean checked at construction

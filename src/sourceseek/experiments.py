@@ -40,8 +40,8 @@ import numpy as np
 
 from .averaging import AssumptionReport, AveragedField, build_averaged_field, \
     check_assumptions, default_omega_grid
-from .model import FieldParams, SeekerParams, _section
-from .ode import IntegratorConfig, Trajectory, first_entry_time, integrate
+from .model import FieldParams, SeekerParams, _positive, _section
+from .ode import IntegratorConfig, Trajectory, _check_stride, first_entry_time, integrate
 from .seekers import Frame, FrameSpec, Scheme, affine_system, averaged_closed_loop, \
     closed_loop, frame_spec, to_rotating_frame
 from .stability import LyapunovCertificate, _grid_margins, build_certificate, \
@@ -86,25 +86,24 @@ class ConfigError(ValueError):
     """Configuration file could not be parsed or validated."""
 
 
-def _positive(name: str, values) -> tuple:
-    """``values`` as a tuple of floats, each finite and strictly positive."""
-    values = tuple(float(v) for v in values)
-    if not all(0.0 < v < math.inf for v in values):
-        raise ValueError(f"{name} must be finite and positive, got {values}")
-    return values
+@dataclass(frozen=True, kw_only=True)
+class _Start:
+    """The field, the gains and the initial state ``(x0, nu0, d0)`` that a run
+    starts from, and that a study shares among its runs."""
 
-
-@dataclass(frozen=True)
-class Scenario:
-    """One fully specified simulation run."""
-
-    scheme: Scheme
-    frame: Frame = Frame.ORIGINAL
     field: FieldParams = DEFAULT_FIELD
     params: SeekerParams = DEFAULT_PARAMS
     x0: tuple = DEFAULT_X0
     nu0: float = 0.0
     d0: float = 1.0
+
+
+@dataclass(frozen=True, kw_only=True)
+class Scenario(_Start):
+    """One fully specified simulation run."""
+
+    scheme: Scheme
+    frame: Frame = Frame.ORIGINAL
     t_end: float = 50.0
     samples_per_period: int = 60
     output_stride: int = 10
@@ -113,21 +112,17 @@ class Scenario:
     tail_fraction: float = 0.2
 
     def __post_init__(self):
-        if not 0.0 < self.t_end < math.inf:
-            raise ValueError(f"horizon t_end must be finite and > 0, got {self.t_end}")
+        _positive("horizon t_end", (self.t_end,))
         _positive("ball_radius and d_tolerance", (self.ball_radius, self.d_tolerance))
+        _check_stride(self.output_stride)  # also where every step is recorded
         if not 0.0 < self.tail_fraction < 1.0:
             raise ValueError("tail_fraction must lie in (0, 1)")
         frame_spec(self.scheme, self.frame)  # refuses a pair outside FRAME_SPECS
         if not math.isfinite(self.nu0):
             raise ValueError(f"nu0 must be finite, got {self.nu0}")
-        # d0 matters only for a curvature-inverting run
-        if self.scheme is Scheme.NEWTON and not 0.0 < self.d0 < math.inf:
-            raise ValueError(
-                f"d0={self.d0} rejected: the Riccati filter state must start "
-                "finite and strictly positive (d <= 0 leaves its invariant "
-                "basin d > 0)"
-            )
+        if self.scheme is Scheme.NEWTON:  # d0 matters only for this scheme
+            _positive(f"d0={self.d0} rejected: the Riccati filter state, whose "
+                      "invariant basin is d > 0,", (self.d0,))
         x0 = np.asarray(self.x0, dtype=float)
         if x0.shape != (2,) or not np.all(np.isfinite(x0)):
             raise ValueError(f"x0 must be a finite 2-vector, got {self.x0}")
@@ -316,7 +311,19 @@ class SimulateResult(StudyResult):
     final_d: float | None
     d_window_mean: float | None
     entry_time: float | None
-    checks: dict
+
+    @property
+    def checks(self) -> dict:
+        """The position settles into the ball and, for a curvature-inverting
+        run, the trailing mean of the Riccati state lies within
+        ``d_tolerance`` of the inverse curvature."""
+        checks = {"ball_entry": self.entry_time is not None}
+        if self.d_window_mean is not None:
+            scn = self.scenario
+            target = 1.0 / scn.field.hessian
+            checks["d_window_mean"] = (
+                abs(self.d_window_mean - target) <= scn.d_tolerance * target)
+        return checks
 
     def report(self) -> str:
         scn, fld = self.scenario, self.scenario.field
@@ -357,18 +364,12 @@ def run_simulate(scenario: Scenario, out_dir=None) -> SimulateResult:
     final_distance = float(np.linalg.norm(positions[-1] - center))
     entry = first_entry_time(traj, center, scenario.ball_radius, comps)
 
-    checks = {"ball_entry": entry is not None}
     d_vals = scenario.d_series(traj)
     final_d = d_window_mean = None
     if d_vals is not None:
         final_d = float(d_vals[-1])
         tail_start = scenario.t_end * (1.0 - scenario.tail_fraction)
-        tail = d_vals[traj.times >= tail_start]
-        d_window_mean = float(tail.mean())
-        target = 1.0 / scenario.field.hessian
-        checks["d_window_mean"] = (
-            abs(d_window_mean - target) <= scenario.d_tolerance * target
-        )
+        d_window_mean = float(d_vals[traj.times >= tail_start].mean())
 
     csv_path = None
     if out_dir is not None:
@@ -383,7 +384,6 @@ def run_simulate(scenario: Scenario, out_dir=None) -> SimulateResult:
         final_d=final_d,
         d_window_mean=d_window_mean,
         entry_time=entry,
-        checks=checks,
     )
 
 
@@ -391,16 +391,11 @@ def run_simulate(scenario: Scenario, out_dir=None) -> SimulateResult:
 # compare
 
 
-@dataclass(frozen=True)
-class CompareConfig:
+@dataclass(frozen=True, kw_only=True)
+class CompareConfig(_Start):
     """Both schemes from one start; ``scenarios`` holds the curvature-inverting
     run and the gradient run, built at construction."""
 
-    field: FieldParams = DEFAULT_FIELD
-    params: SeekerParams = DEFAULT_PARAMS
-    x0: tuple = DEFAULT_X0
-    nu0: float = 0.0
-    d0: float = 1.0
     t_end: float = 50.0
     ball_radius: float = 0.5
     samples_per_period: int = 60
@@ -420,7 +415,14 @@ class CompareReport(StudyResult):
 
     newton: SimulateResult
     gradient: SimulateResult
-    entry_ratio: float | None
+
+    @property
+    def entry_ratio(self) -> float | None:
+        """Curvature-inverting over gradient entry time, where both runs
+        enter and the gradient run does so after ``t = 0`` (it enters at 0
+        when it starts inside the ball)."""
+        t_n, t_g = self.newton.entry_time, self.gradient.entry_time
+        return t_n / t_g if t_n is not None and (t_g or 0.0) > 0.0 else None
 
     @property
     def checks(self) -> dict:
@@ -441,34 +443,25 @@ class CompareReport(StudyResult):
 def run_compare(config: CompareConfig, out_dir=None) -> CompareReport:
     """Run both schemes on identical field and initial conditions."""
     newton, gradient = (run_simulate(s, out_dir=out_dir) for s in config.scenarios)
-    ratio = None
-    # a gradient run that starts inside the ball enters at t = 0
-    if newton.entry_time is not None and (gradient.entry_time or 0.0) > 0.0:
-        ratio = newton.entry_time / gradient.entry_time
-    return CompareReport(newton=newton, gradient=gradient, entry_ratio=ratio)
+    return CompareReport(newton=newton, gradient=gradient)
 
 
 # ---------------------------------------------------------------------------
 # frequency sweep
 
 
-@dataclass(frozen=True)
-class OmegaSweepConfig:
+@dataclass(frozen=True, kw_only=True)
+class OmegaSweepConfig(_Start):
     """Full loops against their averaged limits across a frequency ladder.
 
     ``runs`` holds, for each scheme and then each omega, the tuple (full
     rotating-frame Scenario, its integrator config, averaged Scenario, its
     integrator config), built at construction; both configs record every
-    ``record_dt``.
+    ``record_dt``. Each run replaces the ``omega`` of ``params`` with its own.
     """
 
     omegas: tuple = (20.0, 40.0, 80.0)
     schemes: tuple = (Scheme.GRADIENT, Scheme.NEWTON)
-    field: FieldParams = DEFAULT_FIELD
-    params: SeekerParams = DEFAULT_PARAMS  # omega replaced per run
-    x0: tuple = DEFAULT_X0
-    nu0: float = 0.0
-    d0: float = 1.0
     t_end: float = 30.0
     record_dt: float = 0.05
     tail_fraction: float = 0.5
@@ -483,9 +476,7 @@ class OmegaSweepConfig:
         object.__setattr__(self, "schemes", tuple(self.schemes))
         if not self.schemes or len(set(self.schemes)) < len(self.schemes):
             raise ValueError("schemes must name at least one scheme, none twice")
-        if not 0.0 < self.record_dt < math.inf:
-            raise ValueError(f"record_dt must be finite and positive, got "
-                             f"{self.record_dt}")
+        _positive("record_dt", (self.record_dt,))
         if not self.slack >= 0.0:
             raise ValueError(f"slack must be >= 0, got {self.slack}")
         # the averaged loop has no fast forcing; a fixed substep makes its
@@ -612,24 +603,20 @@ def run_omega_sweep(config: OmegaSweepConfig) -> OmegaSweepReport:
 # curvature sweep
 
 
-@dataclass(frozen=True)
-class HessianSweepConfig:
+@dataclass(frozen=True, kw_only=True)
+class HessianSweepConfig(_Start):
     """Averaged decay rates across field curvatures.
 
     ``runs`` holds, for each curvature, the averaged curvature-inverting
     Scenario, the averaged gradient Scenario and the former's fit window,
-    built at construction. The curvature-inverting run is fitted after its
+    built at construction. Each run replaces the ``hessian`` of ``field``
+    with its own. The curvature-inverting run is fitted after its
     inverse-curvature filter has settled (ten filter time constants plus
     margin); the gradient run is fitted from the start over a horizon scaled
     to its expected decay, so every fit sees comparable decay depth.
     """
 
     hessians: tuple = (0.01, 0.1, 1.0)
-    params: SeekerParams = DEFAULT_PARAMS
-    field: FieldParams = DEFAULT_FIELD  # hessian replaced per run
-    x0: tuple = DEFAULT_X0
-    nu0: float = 0.0
-    d0: float = 1.0
     newton_tolerance: float = 0.10
     gradient_tolerance: float = 0.15
 
@@ -817,10 +804,10 @@ def run_certify(params: SeekerParams, field: FieldParams,
 
 @dataclass(frozen=True)
 class AppConfig:
-    """Everything one configuration file describes, built and validated."""
+    """Everything one configuration file describes, built and validated.
+    The ``[field]`` and ``[params]`` sections are the start every run of the
+    file shares; ``field`` and ``params`` read them from ``scenario``."""
 
-    field: FieldParams
-    params: SeekerParams
     scenario: Scenario
     compare: CompareConfig
     sweep_omega: OmegaSweepConfig
@@ -830,6 +817,14 @@ class AppConfig:
     def __post_init__(self):
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+
+    @property
+    def field(self) -> FieldParams:
+        return self.scenario.field
+
+    @property
+    def params(self) -> SeekerParams:
+        return self.scenario.params
 
 
 def _value_parser(default):
@@ -885,7 +880,7 @@ def load_config(path=None) -> AppConfig:
             parser.read(path)
         except configparser.Error as exc:
             raise ConfigError(f"cannot parse {path}: {exc}") from exc
-    sections = {f.name for f in fields(AppConfig)} - {"seed"} | {"run"}
+    sections = {f.name for f in fields(AppConfig)} - {"seed"} | {"run", "field", "params"}
     for name in parser.sections():
         if name not in sections:
             raise ConfigError(f"unknown section [{name}]")
@@ -906,7 +901,6 @@ def load_config(path=None) -> AppConfig:
             sweep_hessian=_parse_section(parser, "sweep_hessian",
                                          HessianSweepConfig(**shared)),
             seed=parser.getint("run", "seed", fallback=0),
-            **shared,
         )
     except ConfigError:
         raise

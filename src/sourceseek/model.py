@@ -1,8 +1,9 @@
-"""Signal-field and controller-parameter primitives, and the report section.
+"""Signal-field and controller-parameter primitives, the report section and
+the finite-and-positive check.
 
 Everything here is a plain value type or a pure function; the rest of the
-package builds its dynamics on top of these, and its reports from
-:func:`_section`.
+package builds its dynamics on top of these, its reports from
+:func:`_section` and its checks of positive settings with :func:`_positive`.
 """
 
 from __future__ import annotations
@@ -28,6 +29,16 @@ def _section(name: str, items, checks: dict | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _positive(name: str, values) -> tuple:
+    """``values`` as a tuple of floats, each finite and strictly positive:
+    the one such check of the package's settings."""
+    values = tuple(map(float, values))
+    for v in values:
+        if not 0.0 < v < math.inf:
+            raise ValueError(f"{name} must be finite and positive, got {values}")
+    return values
+
+
 def _as_point(value, name: str) -> np.ndarray:
     arr = np.asarray(value, dtype=float)
     if arr.shape != (2,):
@@ -51,8 +62,7 @@ class FieldParams:
     source: np.ndarray
 
     def __post_init__(self):
-        if not 0.0 < self.hessian < math.inf:
-            raise ValueError(f"hessian must be finite and > 0, got {self.hessian}")
+        _positive("hessian", (self.hessian,))
         if not math.isfinite(self.f_star):
             raise ValueError("f_star must be finite")
         object.__setattr__(self, "source", _as_point(self.source, "source"))
@@ -84,10 +94,8 @@ class SeekerParams:
     omega_d: float = 0.3
 
     def __post_init__(self):
-        for name in ("omega", "omega0", "alpha", "h_gain", "omega_d"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+        _positive("omega, omega0, alpha, h_gain and omega_d",
+                  (self.omega, self.omega0, self.alpha, self.h_gain, self.omega_d))
         if not (0.5 < self.p_exp < 1.0):
             raise ValueError(f"p_exp must lie strictly in (0.5, 1), got {self.p_exp}")
 

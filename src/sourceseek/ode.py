@@ -107,8 +107,7 @@ class IntegratorConfig:
         if not (self.dt > 0.0 and math.isfinite(self.dt)):
             raise ValueError(f"dt must be positive, got {self.dt}")
         _check_samples(self.samples_per_period)
-        if not (isinstance(self.output_stride, numbers.Integral) and self.output_stride >= 1):
-            raise ValueError(f"output_stride must be an integer >= 1, got {self.output_stride!r}")
+        _check_stride(self.output_stride)
         if self.omega_max is not None:
             limit = _max_step(self.omega_max, self.samples_per_period)
             if self.dt > limit * (1.0 + 1e-12):
@@ -133,6 +132,11 @@ class IntegratorConfig:
 def _check_samples(samples_per_period: int) -> None:
     if not samples_per_period >= 40:
         raise ValueError(f"samples_per_period must be >= 40, got {samples_per_period}")
+
+
+def _check_stride(output_stride: int) -> None:
+    if not (isinstance(output_stride, numbers.Integral) and output_stride >= 1):
+        raise ValueError(f"output_stride must be an integer >= 1, got {output_stride!r}")
 
 
 def _max_step(omega_max: float, samples_per_period: int) -> float:
@@ -224,7 +228,7 @@ _STEP = string.Template("""\
 try:
 $lines
 except ArithmeticError as exc:
-    raise aborted(f"non-finite state at t={t_new}", t, n_rec) from exc
+    raise aborted(f"non-finite state at t={t_new} ({exc!r})", t, n_rec) from exc
 if not ($finite):
     raise aborted(f"non-finite state at t={t_new}", t, n_rec)
 if guard is not None and not guard(t_new, ($x,)):
@@ -255,18 +259,17 @@ def _rk4_step(stage, t, h, y) -> tuple:
 
 def _trace(rhs, dim: int) -> tuple:
     """``rhs`` run once on the symbols of a tape: the shape of its record
-    (its :func:`~sourceseek.numdiff._live` lines, outputs and the number of
-    constants), and its constants."""
+    (its :func:`~sourceseek.numdiff._live` lines, output names and the
+    number of constants), and its constants. A component that is a number
+    is named as a constant, so records that differ only in its value share
+    a shape and a kernel."""
     tape = _tape(dim, ("t",))
     outputs = []
     for v in _checked(rhs(*tape.inputs, tape.state), dim):
-        if type(v) is Sym:
-            outputs.append(v.name)
-        elif isinstance(v, numbers.Real):  # a component that is a constant
-            outputs.append((type(v), repr(v), v))
-        else:
+        if not isinstance(v, (Sym, numbers.Real)):
             raise Untraceable(f"the rhs gave a {type(v).__name__}, not a number")
-    lines = _live(tape.lines, [o for o in outputs if type(o) is str], tape.constants)
+        outputs.append(tape.name(v))
+    lines = _live(tape.lines, outputs, tape.constants)
     return (lines, tuple(outputs), len(tape.constants)), tape.constants
 
 
@@ -298,7 +301,7 @@ def _traced_kernel(shape: tuple, dim: int):
         syms = {"t": t, **constants, **{f"x{i}": v for i, v in enumerate(y)}}
         for name, template, operands in lines:
             syms[name] = step.record(template, *[syms[o] for o in operands])
-        return tuple(syms[o] if type(o) is str else o[2] for o in outputs)
+        return tuple(syms[o] for o in outputs)
 
     new = _rk4_step(stage, *step.inputs, step.state)
     return _kernel(step, _live(step.lines, [v.name for v in new], step.constants),
@@ -389,8 +392,8 @@ def integrate(rhs, x0, t0: float, t1: float, config: IntegratorConfig,
     ------
     IntegrationAborted
         On a non-finite state (an overflow or a division by zero in a stage
-        among them) or a guard violation; carries the last valid time and
-        the partial trajectory.
+        among them, whose error the message names) or a guard violation;
+        carries the last valid time and the partial trajectory.
     ValueError
         On a non-finite ``t0`` or ``t1``, ``t1 <= t0``, a non-finite
         initial state or one that violates

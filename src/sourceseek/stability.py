@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import _section
+from .model import _positive, _section
 from .numdiff import central_jacobian
 
 __all__ = [
@@ -180,11 +180,7 @@ def build_certificate(alpha: float, omega0: float, omega_d: float,
         On a non-positive parameter or if the closed-form matrix fails
         positivity or the algebraic identity.
     """
-    for name, value in (("alpha", alpha), ("omega0", omega0),
-                        ("omega_d", omega_d), ("hessian", hessian)):
-        if not (math.isfinite(value) and value > 0.0):
-            raise ValueError(f"{name} must be positive, got {value}")
-
+    _positive("alpha, omega0, omega_d and hessian", (alpha, omega0, omega_d, hessian))
     cert = LyapunovCertificate(alpha=alpha, omega0=omega0, omega_d=omega_d)
     lam_min = cert.lam_min_p
     if lam_min <= 0.0:
@@ -306,9 +302,12 @@ def _grid_margins(margins: dict, checks: dict | None = None) -> str:
 
 def stability_report(linearizations: dict, cert: LyapunovCertificate | None = None,
                      grid_margins: dict | None = None) -> str:
-    """Structured key-value text with matrices, spectra, residuals, and
-    worst-case certificate margins."""
-    blocks = []
+    """Structured key-value text: the ``[stability_report]`` section with the
+    decay-rate note, then matrices, spectra, residuals, and worst-case
+    certificate margins."""
+    note = ("position-block decay equals half the block trace (-alpha*H/4 gradient, "
+            "-alpha/4 newton); constants -alpha*H/2 / -alpha/2 overstate it twofold")
+    blocks = [_section("stability_report", [("decay_rate_note", note)])]
     for name, lin in linearizations.items():
         eig = ", ".join(f"{v.real:.9g}{v.imag:+.9g}j" for v in lin.eigenvalues)
         blocks.append(_section(f"linearization {name}", [
@@ -319,9 +318,6 @@ def stability_report(linearizations: dict, cert: LyapunovCertificate | None = No
             ("trace_residual", f"{lin.trace_residual:.3e}"),
             ("det_residual", f"{lin.det_residual:.3e}"),
         ]))
-    blocks.append("decay_rate_note = position-block decay equals half the block trace "
-                  "(-alpha*H/4 gradient, -alpha/4 newton); constants -alpha*H/2 / "
-                  "-alpha/2 overstate it twofold\n")
     if cert is not None:
         blocks.append(_section("certificate", [
             ("P", _matrix(cert.P)),
@@ -333,4 +329,4 @@ def stability_report(linearizations: dict, cert: LyapunovCertificate | None = No
         ]))
     if grid_margins:
         blocks.append(_grid_margins(grid_margins))
-    return _section("stability_report", ()) + "\n".join(blocks)
+    return "\n".join(blocks)

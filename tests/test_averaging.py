@@ -178,9 +178,9 @@ class TestGammaQuadrature:
                 averaging._coefficient(newton_system, indices)
         with pytest.raises(ValueError, match="no coefficient"):
             gamma_triple(0, 1, 3, newton_system, 15.0)
-        with pytest.raises(ValueError, match="omega must be positive"):
+        with pytest.raises(ValueError, match="omega must be finite and positive"):
             gamma_pair(0, 1, newton_system, 0.0)
-        with pytest.raises(ValueError, match="omega must be positive"):
+        with pytest.raises(ValueError, match="omega must be finite and positive"):
             gamma_triple(1, 2, 1, newton_system, -15.0)
 
     def test_nonconvergent_quadrature_reported(self, newton_system, monkeypatch):

@@ -327,3 +327,16 @@ def test_report_is_sections_of_unique_keys(tmp_path, capsys, argv):
         elif match["key"]:
             assert match["key"] not in sections[-1], line
             sections[-1].append(match["key"])
+
+
+def test_certify_gives_its_decay_rate_note_a_section_of_its_own(tmp_path, capsys):
+    """The note is the one line of ``[stability_report]``, not a line of the
+    linearization section before it."""
+    main(["certify", "--out", str(tmp_path / "out")])
+    header = None
+    for line in capsys.readouterr().out.splitlines():
+        match = _REPORT_LINE.fullmatch(line)
+        header = match["header"] or header
+        if match["key"] == "decay_rate_note":
+            break
+    assert header == "stability_report"

@@ -73,11 +73,14 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="horizon"):
             Scenario(scheme=Scheme.GRADIENT, t_end=0.0)
 
-    @pytest.mark.parametrize("frame", [Frame.ORIGINAL, Frame.ROTATING_Z])
-    def test_rejects_a_fractional_stride_at_construction(self, frame):
-        with pytest.raises(ValueError, match="output_stride must be an integer >= 1, "
-                                             "got 2.5"):
-            Scenario(scheme=Scheme.NEWTON, frame=frame, output_stride=2.5)
+    @pytest.mark.parametrize("stride", [2.5, 0])
+    @pytest.mark.parametrize("pair", sorted(FRAME_SPECS, key=str),
+                             ids=lambda pair: f"{pair[0].value}-{pair[1].value}")
+    def test_rejects_a_bad_stride_at_construction(self, pair, stride):
+        # an averaged frame records every step, and refuses a bad value too
+        with pytest.raises(ValueError, match=f"output_stride must be an integer >= 1, "
+                                             f"got {stride!r}"):
+            Scenario(scheme=pair[0], frame=pair[1], output_stride=stride)
 
     def test_frame_scheme_compatibility(self):
         with pytest.raises(ValueError, match="undefined"):

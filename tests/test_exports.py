@@ -87,6 +87,26 @@ def test_one_study_verdict():
     assert "report" in bodies["HessianSweepReport"]
 
 
+#: the start every run and study shares, declared once, by ``_Start``
+_START = {"field", "params", "x0", "nu0", "d0"}
+
+
+def test_one_start_for_every_run_and_study():
+    """No dataclass of ``experiments`` but ``_Start`` declares a setting of
+    the shared start; the run and study configs inherit it."""
+    tree = ast.parse((_INIT.parent / "experiments.py").read_text())
+    declared = {}
+    for node in tree.body:
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in
+                      getattr(node, "decorator_list", ())]
+        if any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
+            declared[node.name] = {item.target.id for item in node.body
+                                   if isinstance(item, ast.AnnAssign)} & _START
+    start = declared.pop("_Start", None)
+    assert {name: names for name, names in declared.items() if names} == {}
+    assert start == _START
+
+
 def _unused_imports(module: str) -> list[str]:
     """The names ``sourceseek/<module>.py`` imports and never reads, outside
     lines marked ``# noqa``."""

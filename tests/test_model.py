@@ -1,9 +1,26 @@
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from sourceseek import FieldParams, Frame, Scheme, SeekerParams, closed_loop
+from sourceseek import (
+    DEFAULT_FIELD,
+    DEFAULT_PARAMS,
+    FieldParams,
+    Frame,
+    HessianSweepConfig,
+    OmegaSweepConfig,
+    Scenario,
+    Scheme,
+    SeekerParams,
+    build_averaged_field,
+    build_certificate,
+    closed_loop,
+    default_omega_grid,
+    newton_affine_system,
+)
 
 
 class TestField:
@@ -134,3 +151,38 @@ class TestSeekerParams:
         assert resolved["c"] == ref_params.c
         assert resolved["alpha_tilde"] == ref_params.alpha_tilde
         assert resolved["demod_gain"] == ref_params.demod_gain
+
+
+_SYSTEM = newton_affine_system(DEFAULT_PARAMS, DEFAULT_FIELD)
+_CERTIFICATE = {"alpha": 2.0, "omega0": 1.0, "omega_d": 0.3, "hessian": 0.01}
+
+#: every setting the one finite-and-positive check guards: the name its
+#: message gives, and a callable that sets the setting to a value
+_POSITIVE_SETTINGS = {
+    "field_hessian": ("hessian", lambda v: replace(DEFAULT_FIELD, hessian=v)),
+    **{f"params_{name}": (name, lambda v, name=name: replace(DEFAULT_PARAMS, **{name: v}))
+       for name in ("omega", "omega0", "alpha", "h_gain", "omega_d")},
+    **{f"scenario_{name}": (name, lambda v, name=name: Scenario(scheme=Scheme.NEWTON,
+                                                                **{name: v}))
+       for name in ("t_end", "ball_radius", "d_tolerance", "d0")},
+    "sweep_omegas": ("omegas", lambda v: OmegaSweepConfig(omegas=(v, 40.0, 80.0))),
+    "sweep_record_dt": ("record_dt", lambda v: OmegaSweepConfig(record_dt=v)),
+    "sweep_hessians": ("hessians", lambda v: HessianSweepConfig(hessians=(0.01, 0.1, v))),
+    **{f"sweep_{name}": (name, lambda v, name=name: HessianSweepConfig(**{name: v}))
+       for name in ("newton_tolerance", "gradient_tolerance")},
+    **{f"certificate_{name}": (name, lambda v, name=name: build_certificate(
+        **{**_CERTIFICATE, name: v})) for name in _CERTIFICATE},
+    "coefficient_at": ("omega", lambda v: _SYSTEM.coefficients[(0, 1)].at(v)),
+    "default_omega_grid": ("omega_anchor", default_omega_grid),
+    "averaged_field_grid": ("omega grid",
+                            lambda v: build_averaged_field(_SYSTEM, (15.0, v))),
+}
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, math.inf, math.nan])
+@pytest.mark.parametrize("setting", sorted(_POSITIVE_SETTINGS))
+def test_every_positive_setting_is_refused_by_the_one_check(setting, value):
+    name, make = _POSITIVE_SETTINGS[setting]
+    with pytest.raises(ValueError, match=rf"\b{re.escape(name)}\b.* must be finite "
+                                         rf"and positive, got \("):
+        make(value)

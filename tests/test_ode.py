@@ -626,6 +626,31 @@ def test_traced_step_aborts_as_the_called_step(abort, y0, dt, stride):
     _assert_same_outcome(traced, _outcome(_called(rhs), [y0], 3.0, _config(dt, stride), guard))
 
 
+@pytest.mark.parametrize("rhs", [lambda t, y: (0.0 / 0.0,), lambda t, y: (y[0] / 0.0,)],
+                         ids=["called", "traced"])
+def test_an_arithmetic_abort_names_its_error(rhs):
+    with pytest.raises(IntegrationAborted, match=r"^non-finite state at t=0\.1 "
+                                                 r"\(ZeroDivisionError\('.+'\)\); "
+                                                 r"last valid time t=0\.0$"):
+        integrate(rhs, [1.0], 0.0, 1.0, _config(0.1))
+
+
+def test_rhs_that_differ_only_in_a_constant_component_share_a_kernel():
+    """A component that is a number is one of the record's constants, so two
+    rhs that differ only in its value have one record shape and one step
+    loop, and each steps as the array loop does, bit for bit."""
+    rhs = {c: (lambda t, y, c=c: (y[1], c)) for c in (1.0, 2.0)}
+    shapes = {c: ode._trace(f, 2)[0] for c, f in rhs.items()}
+    assert shapes[1.0] == shapes[2.0]
+    assert ode._traced_kernel(shapes[1.0], 2) is ode._traced_kernel(shapes[2.0], 2)
+    for f in rhs.values():
+        traj = integrate(f, (0.5, -1.0), 0.0, 1.0, _config(0.03, 3))
+        times, states = _array_rk4(f, (0.5, -1.0), 0.0, 1.0, _config(0.03, 3))
+        assert traj.rhs_calls == 1
+        assert np.array_equal(traj.times, times)
+        assert np.array_equal(traj.states, states)
+
+
 def test_every_frame_is_traced():
     # an rhs that calls math.sin where it should call its elementary form
     # would still run, once per stage: this catches it
