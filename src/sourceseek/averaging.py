@@ -18,12 +18,15 @@ the integrands do not depend on ``omega``, so each coefficient is
 exponent known exactly: ``q = p_i + p_j - 1`` for a pair and
 ``q = p_i + p_j + p_m - 2`` for a triple.
 
-Each system builds its coefficients once, on first use, as one
-:class:`Coefficient` record per index tuple in ``system.coefficients``,
-which the engine, ``check_assumptions`` and ``gamma_pair``/``gamma_triple``
-all read. Every ``raw`` comes from one spectral table: each rung samples
-every channel once on a periodic grid over the common phase period and takes
-running integrals with one FFT (bin ``k`` divided by ``i k``), so
+Each system holds its coefficients as one :class:`Coefficient` record per
+index tuple in ``system.coefficients``, built once, on first use, which the
+engine, ``check_assumptions`` and ``gamma_pair``/``gamma_triple`` all read.
+Every ``raw`` comes from one spectral ladder per wave set: the integrals
+depend on each channel's wave and multiplier ``k`` alone, never on the
+gains or the ``p_i``, so every system on the same waves reads one ladder
+and adds only its own exponents. Each rung samples every channel once on a
+periodic grid over the common phase period and takes running integrals
+with one FFT (bin ``k`` divided by ``i k``), so
 band-limited inputs, such as the sin, cos and cos-2 waves of both loops, are
 integrated exactly to rounding. The grid starts at ``QUAD_MIN_NODES`` nodes
 per common period, or 8 per cycle of the fastest channel if that is more,
@@ -265,7 +268,10 @@ class ControlAffineSystem:
     @cached_property
     def coefficients(self) -> dict:
         """One :class:`Coefficient` per index tuple, keyed by its indices,
-        pairs first; built once, on first use (see :func:`_coefficient_table`)."""
+        pairs first; built once per system, on first use, from the exponents
+        of its ``p_i`` and the ladder that every system on the same
+        ``(wave, k)`` channels shares, a wave keyed by its identity or hash
+        (see :func:`_coefficient_table`)."""
         return _coefficient_table(self)
 
     @property
@@ -292,10 +298,10 @@ def _lcm_fraction(values: list[Fraction]) -> Fraction:
     return Fraction(num, den)
 
 
-def _waves(system: ControlAffineSystem, s: np.ndarray) -> np.ndarray:
-    """Every channel's ``u_i(k_i s)``, one row per channel."""
-    return np.array([np.asarray(inp.wave(float(inp.k) * s), dtype=float)
-                     for _, inp in system.channels])
+def _waves(channels: tuple, s: np.ndarray) -> np.ndarray:
+    """Every channel's ``u_i(k_i s)``, one row per ``(wave, k)`` channel."""
+    return np.array([np.asarray(wave(float(k) * s), dtype=float)
+                     for wave, k in channels])
 
 
 #: section names of the index tuples by length
@@ -378,11 +384,11 @@ def _running_integral(g: np.ndarray,
     return spectrum[..., 0].real / n, antiderivative - antiderivative[..., :1]
 
 
-def _rung(system: ControlAffineSystem, span: float,
+def _rung(channels: tuple, span: float,
           n: int) -> tuple[np.ndarray, np.ndarray]:
     """Every coefficient's ``raw`` and the mean magnitude of its outer
     integrand on ``n`` nodes over the common phase period ``span``, in
-    :func:`_index_tuples` order.
+    :func:`_index_tuples` order, for the ``(wave, k)`` channels.
 
     Pair ``(i, j)``: the mean of ``u_j U_i``, ``U_i`` the running integral
     of ``u_i``; one matrix product gives all pairs. Triple ``(i, j, m)``: a
@@ -395,15 +401,15 @@ def _rung(system: ControlAffineSystem, span: float,
     ``H = c_i P_j - c_j P_i``, ``f = u_j P_i - u_i P_j - H`` and ``J`` the
     running integral (``H = 0`` for zero-mean channels).
     """
-    l = system.n_channels
-    i, j = np.array([ix for ix in _index_tuples(l) if len(ix) == 2]).T
+    i, j = np.array([ix for ix in _index_tuples(len(channels))
+                     if len(ix) == 2]).T
     integrator = np.zeros(n // 2 + 1, dtype=complex)
     integrator[1:n // 2] = span / (TWO_PI * 1j * np.arange(1, n // 2))
     # tau's Fourier series span/2 - sum_k 2 sin(w_k tau) / w_k below the
     # Nyquist bin: mean(q * ramp) is int_0^span tau q(tau) dtau / span
     # exactly for every periodic q of a lower band
     ramp = span / 2.0 - n * np.fft.irfft(integrator, n)
-    w = _waves(system, np.arange(n) * (span / n))
+    w = _waves(channels, np.arange(n) * (span / n))
     c, p = _running_integral(w, integrator)
     u = p + c[:, None] * ramp
     h = c[i, None] * p[j] - c[j, None] * p[i]
@@ -417,14 +423,17 @@ def _rung(system: ControlAffineSystem, span: float,
 
 def _coefficient_table(system: ControlAffineSystem) -> dict[tuple, Coefficient]:
     """One :class:`Coefficient` per index tuple of ``system``, in
-    :func:`_index_tuples` order, every ``raw`` from one ladder of spectral
-    rungs.
+    :func:`_index_tuples` order: its ``raw``, ``disagreement``, ``rounding``
+    and ``nodes`` from the ladder of the system's ``(wave, k)`` channels
+    (:func:`_ladder`), and its exponent from the channels' ``p_i``.
 
-    The first rung has ``QUAD_MIN_NODES`` nodes per common phase period, or
-    more so that the fastest channel gets at least ``QUAD_NODES_PER_CYCLE``
-    nodes per cycle of its multiplier, rounded up to a power of two. The grid
-    then doubles until every value agrees with the rung before within
-    ``QUAD_HALT_TOL`` or the node count reaches ``QUAD_MAX_NODES``.
+    The ladder depends on the waves and multipliers alone, never on the
+    gains or the ``p_i``, so every system on one wave set reads one ladder:
+    a wave is keyed by its identity or hash, as
+    :attr:`OscillatoryInput.wave_checks` keys it, and a set holding an
+    unhashable wave runs its ladder uncached. The ``QUAD_*`` settings read
+    now are part of the key, so a ladder built under other settings is
+    never served.
 
     An exponent ``q`` within ``EXPONENT_ULPS`` units in the last place of
     its exponent sum is exactly 0: it is the rounding of a sum such as
@@ -433,44 +442,74 @@ def _coefficient_table(system: ControlAffineSystem) -> dict[tuple, Coefficient]:
     Raises
     ------
     QuadratureError
+        From :func:`_ladder`; a failed ladder is not cached.
+    """
+    channels = tuple((inp.wave, inp.k) for _, inp in system.channels)
+    settings = (QUAD_MIN_NODES, QUAD_NODES_PER_CYCLE, QUAD_HALT_TOL,
+                QUAD_FAIL_TOL, QUAD_MAX_NODES)
+    hashable = all(isinstance(wave, Hashable) for wave, _ in channels)
+    ladder = (_ladder if hashable else _ladder.__wrapped__)(channels, settings)
+    table = {}
+    for ix, (raw, disagreement, rounding, nodes) in zip(
+            _index_tuples(system.n_channels), ladder):
+        p_sum = sum(system.input(k).p_i for k in ix)
+        q = p_sum - (len(ix) - 1)
+        q = 0.0 if abs(q) <= EXPONENT_ULPS * math.ulp(p_sum) else q
+        table[ix] = Coefficient(ix, q, raw, disagreement, rounding, nodes)
+    return table
+
+
+@functools.lru_cache(maxsize=256)
+def _ladder(channels: tuple, settings: tuple) -> tuple:
+    """``(raw, disagreement, rounding, nodes)`` of every index tuple of the
+    ``(wave, k)`` channels, in :func:`_index_tuples` order, from one ladder
+    of spectral rungs run under ``settings``, the values of
+    ``(QUAD_MIN_NODES, QUAD_NODES_PER_CYCLE, QUAD_HALT_TOL, QUAD_FAIL_TOL,
+    QUAD_MAX_NODES)``.
+
+    The first rung has ``QUAD_MIN_NODES`` nodes per common phase period, or
+    more so that the fastest channel gets at least ``QUAD_NODES_PER_CYCLE``
+    nodes per cycle of its multiplier, rounded up to a power of two. The grid
+    then doubles until every value agrees with the rung before within
+    ``QUAD_HALT_TOL`` or the node count reaches ``QUAD_MAX_NODES``.
+
+    Raises
+    ------
+    QuadratureError
         If the first rung would need more than half of ``QUAD_MAX_NODES``,
         or if a coefficient's ladder disagreement still exceeds
         ``QUAD_FAIL_TOL`` on the last rung.
     """
-    tuples = _index_tuples(system.n_channels)
+    min_nodes, per_cycle, halt_tol, fail_tol, max_nodes = settings
+    tuples = _index_tuples(len(channels))
     if not tuples:
-        return {}
-    multipliers = [system.input(i).k for i in range(system.n_channels)]
+        return ()
+    multipliers = [k for _, k in channels]
     cycles = _lcm_fraction([1 / k for k in multipliers])
     span = float(cycles) * TWO_PI
     fastest = int(max(multipliers) * cycles)
-    n = 1 << (max(QUAD_MIN_NODES, QUAD_NODES_PER_CYCLE * fastest) - 1).bit_length()
-    if 2 * n > QUAD_MAX_NODES:
+    n = 1 << (max(min_nodes, per_cycle * fastest) - 1).bit_length()
+    if 2 * n > max_nodes:
         raise QuadratureError(
             f"the fastest channel runs {fastest} cycles per common period, "
-            f"which needs {2 * n} nodes, above {QUAD_MAX_NODES}"
+            f"which needs {2 * n} nodes, above {max_nodes}"
         )
-    previous, _ = _rung(system, span, n)
+    previous, _ = _rung(channels, span, n)
     while True:
         n *= 2
-        values, magnitudes = _rung(system, span, n)
+        values, magnitudes = _rung(channels, span, n)
         disagreement = np.abs(values - previous)
-        if disagreement.max() < QUAD_HALT_TOL or n >= QUAD_MAX_NODES:
+        if disagreement.max() < halt_tol or n >= max_nodes:
             break
         previous = values
     worst = int(np.argmax(disagreement))
-    if disagreement[worst] > QUAD_FAIL_TOL:
+    if disagreement[worst] > fail_tol:
         raise QuadratureError(
             f"iterated-integral quadrature did not converge: disagreement "
             f"{disagreement[worst]:.3e} for channels {tuples[worst]} at {n} nodes"
         )
-    table = {}
-    for ix, v, d, m in zip(tuples, values, disagreement, magnitudes):
-        p_sum = sum(system.input(k).p_i for k in ix)
-        q = p_sum - (len(ix) - 1)
-        q = 0.0 if abs(q) <= EXPONENT_ULPS * math.ulp(p_sum) else q
-        table[ix] = Coefficient(ix, q, float(v), float(d), float(n * _EPS * m), n)
-    return table
+    return tuple((float(v), float(d), float(n * _EPS * m), n)
+                 for v, d, m in zip(values, disagreement, magnitudes))
 
 
 def _coefficient(system: ControlAffineSystem, indices: tuple) -> Coefficient:
@@ -715,7 +754,9 @@ def check_assumptions(system: ControlAffineSystem) -> AssumptionReport:
     estimate or the corresponding bracket must pass the vanishing rule
     (:func:`_vanishes`) on 10 standard-normal sample states drawn from
     seed 0. The coefficients
-    are the records of ``system.coefficients``, which the engine reads too.
+    are the records of ``system.coefficients``, which the engine reads too;
+    their integrals come from the ladder shared by every system on the same
+    waves, so a check on a second system of one wave set runs no ladder.
     Combinations whose four-exponent sum reaches 3 fall under the declared
     ``smooth_remainder`` flag and are reported, not computed.
     """

@@ -477,8 +477,8 @@ class OmegaSweepConfig(_Start):
         if not self.schemes or len(set(self.schemes)) < len(self.schemes):
             raise ValueError("schemes must name at least one scheme, none twice")
         _positive("record_dt", (self.record_dt,))
-        if not self.slack >= 0.0:
-            raise ValueError(f"slack must be >= 0, got {self.slack}")
+        if not 0.0 <= self.slack < math.inf:
+            raise ValueError(f"slack must be finite and >= 0, got {self.slack}")
         # the averaged loop has no fast forcing; a fixed substep makes its
         # trajectory identical across the sweep
         avg_config = _matched_config(self.record_dt, self.record_dt / 8.0, None,

@@ -930,6 +930,84 @@ def test_multipliers_beyond_the_node_cap_rejected():
         system.coefficients
 
 
+def test_a_ladder_built_under_other_settings_is_never_served(monkeypatch):
+    """The QUAD_* settings read at a build key its ladder, on a wave set of
+    hashable waves: a node cap the first rung cannot meet refuses the set
+    every time, the refusal is not cached once the cap is back, and a finer
+    first rung gets a ladder of its own, not the default one."""
+    def table():
+        return _three_channels((np.sin, 1), (np.cos, 1), (np.cos, 2)).coefficients
+
+    averaging._ladder.cache_clear()
+    monkeypatch.setattr(averaging, "QUAD_MAX_NODES", 1024)
+    for _ in range(2):
+        with pytest.raises(QuadratureError, match="needs 2048 nodes, above 1024"):
+            table()
+    monkeypatch.undo()
+    default = table()
+    assert {c.nodes for c in default.values()} == {2048}
+    monkeypatch.setattr(averaging, "QUAD_MAX_NODES", 1024)
+    with pytest.raises(QuadratureError, match="needs 2048 nodes, above 1024"):
+        table()
+    monkeypatch.undo()
+    monkeypatch.setattr(averaging, "QUAD_MIN_NODES", 4096)
+    assert {c.nodes for c in table().values()} == {8192}
+    monkeypatch.undo()
+    hits = averaging._ladder.cache_info().hits
+    assert table() == default
+    assert averaging._ladder.cache_info().hits == hits + 1
+
+
+class _Unhashable:
+    """A wave that keys no cache: it calls ``wave``."""
+
+    __hash__ = None
+
+    def __init__(self, wave):
+        self.wave = wave
+
+    def __call__(self, s):
+        return self.wave(s)
+
+
+def _hexed(c: Coefficient) -> tuple:
+    fields = (c.indices, c.exponent, c.raw, c.disagreement, c.rounding,
+              c.nodes, c.error, c.kind, c.limit)
+    return tuple(v.hex() if isinstance(v, float) else v for v in fields)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    p_exp=st.floats(0.55, 0.8),
+    alpha=st.floats(0.3, 3.0),
+    omega=st.floats(10.0, 30.0),
+    hessian=st.floats(0.001, 10.0),
+)
+def test_cached_table_is_the_uncached_build_across_gains(p_exp, alpha, omega,
+                                                         hessian):
+    """A table read from the shared ladder of its wave set matches, field by
+    field and bit for bit, the table of the same system on unhashable
+    copies of its waves, whose ladder runs uncached."""
+    params = SeekerParams(omega=omega, omega0=1.0, alpha=alpha, p_exp=p_exp,
+                          h_gain=1.0, omega_d=0.3)
+    field = FieldParams(f_star=5.0, hessian=hessian, source=_SOURCE)
+    for make in (gradient_affine_system, newton_affine_system):
+        make(params, field).coefficients
+        hits = averaging._ladder.cache_info().hits
+        system = make(params, field)
+        cached = system.coefficients
+        assert averaging._ladder.cache_info().hits == hits + 1
+        bypass = replace(system, channels=tuple(
+            (f, replace(inp, wave=_Unhashable(inp.wave)))
+            for f, inp in system.channels))
+        info = averaging._ladder.cache_info()
+        uncached = bypass.coefficients
+        assert averaging._ladder.cache_info() == info
+        assert list(cached) == list(uncached)
+        assert ([_hexed(c) for c in cached.values()]
+                == [_hexed(c) for c in uncached.values()])
+
+
 def _cumulative_trapezoid(values, s):
     out = np.zeros_like(values)
     out[1:] = np.cumsum(0.5 * (values[1:] + values[:-1]) * np.diff(s))
@@ -1231,14 +1309,17 @@ def test_state_of_the_wrong_length_is_rejected(make, ref_params, ref_field):
 
 
 class TestCheckAssumptions:
-    def test_engine_and_checks_read_one_table(self, newton_system, monkeypatch):
-        # one ladder per system, 1024 then 2048 nodes, whoever reads it first
+    def test_engine_and_checks_read_one_table(self, newton_system, ref_params,
+                                              ref_field, monkeypatch):
+        # one ladder per wave set, 1024 then 2048 nodes, whoever reads it
+        # first; a second system on the same waves adds only its exponents
+        averaging._ladder.cache_clear()
         rungs = []
         rung = averaging._rung
 
-        def counted(system, span, n):
+        def counted(channels, span, n):
             rungs.append(n)
-            return rung(system, span, n)
+            return rung(channels, span, n)
 
         monkeypatch.setattr(averaging, "_rung", counted)
         check_assumptions(newton_system)
@@ -1246,6 +1327,29 @@ class TestCheckAssumptions:
         assert gamma_pair(0, 1, newton_system, 15.0) == pytest.approx(-0.5, abs=1e-15)
         assert rungs == [1024, 2048]
         assert engine.coefficients is newton_system.coefficients
+
+        other = newton_affine_system(
+            replace(ref_params, alpha=0.7, h_gain=2.5, omega_d=1.1, p_exp=0.7),
+            replace(ref_field, hessian=3.0))
+        check_assumptions(other)
+        other_engine = build_averaged_field(other, default_omega_grid(20.0))
+        assert rungs == [1024, 2048]
+        assert other_engine.coefficients is other.coefficients
+        assert list(other.coefficients) == list(newton_system.coefficients)
+        for ix, c in other.coefficients.items():
+            first = newton_system.coefficients[ix]
+            assert ([v.hex() for v in (c.raw, c.disagreement, c.rounding, c.error)]
+                    == [v.hex() for v in (first.raw, first.disagreement,
+                                          first.rounding, first.error)])
+            assert c.nodes == first.nodes == 2048
+            # exponents from p = 0.7: channels (0.3, 0.7, 0.6)
+            p_sum = sum(other.input(k).p_i for k in ix)
+            assert c.exponent == pytest.approx(p_sum - (len(ix) - 1), abs=1e-12)
+        assert other.coefficients[(0, 1)].exponent == 0.0
+        assert other.coefficients[(1, 2, 1)].exponent == 0.0
+        assert other.coefficients[(1, 2)].exponent == pytest.approx(0.3, abs=1e-12)
+        assert newton_system.coefficients[(1, 2)].exponent == pytest.approx(0.39,
+                                                                            abs=1e-12)
 
     def test_newton_system_passes(self, newton_system):
         report = check_assumptions(newton_system)

@@ -172,6 +172,7 @@ class TestConfigErrors:
         ("sweep-omega", "[sweep_omega]\nrecord_dt = 0\n"),
         ("sweep-omega", "[sweep_omega]\nt_end = -1\n"),
         ("sweep-omega", "[sweep_omega]\nslack = -5\n"),
+        ("sweep-omega", "[sweep_omega]\nslack = inf\n"),
         ("certify", "[field]\nhessian = inf\n"),
         ("average", "[field]\nhessian = inf\n"),
         ("simulate", "[scenario]\nt_end = inf\n"),
@@ -191,7 +192,8 @@ class TestConfigErrors:
         ("simulate", "[scenario]\nframe = averaged_newton\nsamples_per_period = 0\n"),
     ], ids=["compare-x0-nan", "compare-t-end", "compare-coarse-sampling",
             "sweep-hessian-x0-3d", "scenario-stride-0", "sweep-omega-record-dt-0",
-            "sweep-omega-t-end", "sweep-omega-slack", "certify-hessian-inf",
+            "sweep-omega-t-end", "sweep-omega-slack", "sweep-omega-slack-inf",
+            "certify-hessian-inf",
             "average-hessian-inf", "scenario-t-end-inf", "compare-t-end-inf",
             "sweep-omega-t-end-inf", "scenario-d-tolerance-nan",
             "scenario-d-tolerance-negative", "sweep-hessian-newton-tolerance-nan",

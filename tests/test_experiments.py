@@ -728,8 +728,11 @@ class TestStudyRuns:
          "none twice"),
         (lambda: Scenario(scheme=Scheme.NEWTON, samples_per_period=39),
          "samples_per_period"),
+        (lambda: OmegaSweepConfig(slack=math.inf), r"slack must be finite and >= 0"),
+        (lambda: OmegaSweepConfig(slack=math.nan), r"slack must be finite and >= 0"),
+        (lambda: OmegaSweepConfig(slack=-0.1), r"slack must be finite and >= 0"),
     ], ids=["tail-fraction", "record-dt-inf", "no-schemes", "repeated-scheme",
-            "coarse-sampling"])
+            "coarse-sampling", "slack-inf", "slack-nan", "slack-negative"])
     def test_construction_rejects(self, make, message):
         with pytest.raises(ValueError, match=message):
             make()
