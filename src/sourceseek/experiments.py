@@ -259,7 +259,13 @@ def estimate_rate(traj: Trajectory, window, components=(0, 1)) -> RateEstimate:
         )
     mask = (times >= t0) & (times <= t1)
     ts = times[mask]
-    magnitude = np.linalg.norm(traj.states[mask][:, list(components)], axis=1)
+    # the Euclidean norm of the selected columns, read one column at a
+    # time, squares summed in component order as np.linalg.norm sums a row
+    magnitude = np.zeros(len(ts))
+    for c in components:
+        column = traj.states[:, c][mask]
+        magnitude += column * column
+    np.sqrt(magnitude, out=magnitude)
     if np.any(magnitude <= 0.0):
         raise ValueError("signal magnitude must stay positive over the window")
 

@@ -20,10 +20,13 @@ Tracing (tape-based code generation; Griewank & Walther, *Evaluating
 Derivatives*, 2nd ed., SIAM 2008). The same code runs once on the symbols
 of a :class:`Tape`, and the parts of a dual may be symbols, so a nested
 derivative traces like a value. Each float operation on a :class:`Sym` is
-recorded once (value numbering), and :meth:`Tape.render` turns the record
+recorded once (value numbering), an operation whose result is exactly
+another value (``x * 1.0``, ``-(-x)``, ``a + (-b)``) is folded to it (see
+:class:`Tape`), and :meth:`Tape.render` turns the record
 into one straight-line function of the state tuple ``x`` that repeats those
 operations, in the same order on the same operands: its results are
-bit-for-bit those of the traced code run on floats. The tracing contract is
+bit-for-bit those of the traced code run on floats, up to the sign bit of a
+NaN that a fold can flip. The tracing contract is
 stricter than the dual one. Code is traced once, before any state is known,
 so it must not branch on its state, compare it or convert it to a float
 (``math.exp`` of a symbol converts it): a symbol raises :class:`Untraceable`,
@@ -117,20 +120,49 @@ class Untraceable(TypeError):
 _OPERANDS = numbers.Real
 
 
+#: per operator, the constant ``c`` with ``x op c == x`` on every float:
+#: ``x * 1.0``, ``x + (-0.0)`` and ``x - 0.0`` (``x + 0.0`` is not ``x`` at
+#: ``x = -0.0``, nor is ``x * 0.0`` at an infinite ``x``)
+_IDENTITIES = {"*": 1.0, "+": -0.0, "-": 0.0}
+
+
 def _binary(operator: str, reflected: bool = False):
+    """The operator on a symbol, folded where the result is another value
+    exactly (see :class:`Tape`): ``x op c`` is ``x`` at the identity ``c``,
+    ``x * -1.0`` is ``-x``, ``a + (-b)`` and ``(-b) + a`` are ``a - b``, and
+    ``a - (-b)`` is ``a + b``."""
     template = "{} " + operator + " {}"
+    # NaN, which equals no float, where the operator has no identity
+    identity = math.nan if reflected and operator == "-" else _IDENTITIES.get(operator, math.nan)
+    sign = math.copysign(1.0, identity)
+    negator = -1.0 if operator == "*" else math.nan
+    signed = operator in ("+", "-") and not reflected
 
     def op(self, other):
+        tape = self.tape
         if type(other) is Sym:
+            if signed:
+                negated = tape._negations.get(other.name)
+                if negated is not None:
+                    return self - negated if operator == "+" else self + negated
+                negated = tape._negations.get(self.name) if operator == "+" else None
+                if negated is not None:
+                    return other - negated
             b = other.name
-        elif type(other) is float or isinstance(other, _OPERANDS):
-            b = self.tape.name(other)
+        elif type(other) is float:
+            if other == identity and math.copysign(1.0, other) == sign:
+                return self
+            if other == negator:
+                return -self
+            b = tape.name(other)
+        elif isinstance(other, _OPERANDS):
+            b = tape.name(other)
         else:
             return NotImplemented
         a = self.name
         if reflected:
             a, b = b, a
-        return self.tape._record(f"{a} {operator} {b}", template, (a, b))
+        return tape._record(f"{a} {operator} {b}", template, (a, b))
     return op
 
 
@@ -165,7 +197,8 @@ class Sym:
     __gt__ = _binary(">")
 
     def __neg__(self):
-        return self.tape.record("-{}", self)
+        negated = self.tape._negations.get(self.name)
+        return self.tape.record("-{}", self) if negated is None else negated
 
     def __pow__(self, n):
         if not isinstance(n, int):
@@ -233,6 +266,27 @@ class Tape:
     constant, one argument ``k0``, ``k1``, ... per distinct value (``0.0``
     and ``-0.0`` are two values; a function is a constant too). Each
     temporary is named ``t0``, ``t1``, ...
+
+    An operation whose value is known exactly is folded, not recorded. A
+    symbol stands for a float, and a constant is folded only where it is a
+    Python float, so the rules hold on every float, zeros of either sign,
+    infinities and NaNs among them:
+
+    * ``x * 1.0``, ``1.0 * x``, ``x + (-0.0)``, ``(-0.0) + x`` and
+      ``x - 0.0`` are ``x``; these are exact on every float (``x + 0.0``
+      and ``x * 0.0`` are not, at ``x = -0.0`` and at an infinite ``x``, and
+      are recorded);
+    * ``-(-x)`` is ``x``, bit for bit, since a negation flips the sign bit;
+    * ``x * -1.0`` and ``-1.0 * x`` are ``-x``, ``a + (-b)`` and
+      ``(-b) + a`` are ``a - b``, and ``a - (-b)`` is ``a + b``: IEEE 754
+      rounds both forms of the same exact value, zeros included, so they
+      differ at most in the sign bit of a NaN.
+
+    A folded operation never raises on floats, so folding drops no line
+    that could stop a run. The record, and the source rendered from it,
+    depends on which constants fold (a factor ``±1.0``, an addend ``-0.0``,
+    a subtrahend ``0.0``): records that differ only in such a constant
+    differ in shape.
     """
 
     def __init__(self, dimension: int, inputs=(), object_arrays: bool = True):
@@ -244,6 +298,7 @@ class Tape:
         self.constants: list = []
         self._constant_names: dict = {}
         self._values: dict[str, Sym] = {}
+        self._negations: dict[str, Sym] = {}  # name of -b -> b
         self._temporaries = itertools.count()
 
     def name(self, value) -> str:
@@ -269,7 +324,10 @@ class Tape:
         ``or`` or ``if``), so that an operand used nowhere else may be
         written into it (:func:`_statements`)."""
         names = tuple([o.name if type(o) is Sym else self.name(o) for o in operands])
-        return self._record(template.format(*names), template, names)
+        sym = self._record(template.format(*names), template, names)
+        if template == "-{}" and type(operands[0]) is Sym:
+            self._negations[sym.name] = operands[0]
+        return sym
 
     def _record(self, expression: str, template: str, names: tuple) -> Sym:
         sym = self._values.get(expression)
@@ -342,13 +400,16 @@ def _statements(lines, outputs) -> tuple[list[str], list[str]]:
     that keeps the order in which the operations run, so the first one to
     raise is the same: it must be the last of the temporaries still pending
     when its user takes it. A line whose value nothing reads (a
-    :meth:`Tape.require` call) is a bare expression."""
+    :meth:`Tape.require` call) is a bare expression, and a run of index
+    lines ``v[0]``, ..., ``v[m - 1]`` that reads all of ``v`` is one unpack
+    of ``v`` (:func:`_unpacks`)."""
     uses: dict[str, int] = {}
     for _, _, names in lines:
         for n in names:
             uses[n] = uses.get(n, 0) + 1
     for n in outputs:
         uses[n] = uses.get(n, 0) + 1
+    lines = _unpacks(lines, uses)
     pending: dict[str, tuple[str, int]] = {}  # name -> (expression, depth)
     out: list[str] = []
 
@@ -378,6 +439,31 @@ def _statements(lines, outputs) -> tuple[list[str], list[str]]:
     outputs, _ = inline(outputs)
     flush()
     return out, outputs
+
+
+def _unpacks(lines, uses) -> list:
+    """``lines`` with each run of index lines ``v[0]``, ..., ``v[m - 1]``
+    that are the ``m`` uses of ``v`` made one line, ``n0, ..., = v``: one
+    unpack where there were ``m`` subscripts, and ``v``, now used once, may
+    be written into it. Only a call record indexes a value (see
+    :func:`sourceseek.ode._call_record`), and it checks first that the value
+    has ``m`` components, so the unpack takes the subscripts' values and
+    raises nowhere they do not. ``uses`` is updated to match."""
+    out, n = [], 0
+    while n < len(lines):
+        _, template, names = lines[n]
+        m = uses.get(names[0], 0) if template == "{}[0]" else 0
+        run = lines[n:n + m]
+        if m and len(run) == m and all(line[1:] == (f"{{}}[{j}]", names)
+                                       for j, line in enumerate(run)):
+            target = "".join(line[0] + ", " for line in run).rstrip()
+            uses[names[0]], uses[target] = 1, 0  # the unpack is never inlined
+            out.append((target, "{}", names))
+            n += m
+        else:
+            out.append(lines[n])
+            n += 1
+    return out
 
 
 #: the source of a rendered tape: ``factory`` binds the constants, and the

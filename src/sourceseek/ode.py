@@ -27,8 +27,8 @@ compiled once per source text:
 * where the tape refuses ``rhs`` (:class:`~sourceseek.numdiff.Untraceable`:
   it branches on, compares or converts its time or state, calls a ``math``
   or numpy function of them, or builds an array of them), the record is one
-  call of it (:func:`_call_record`), which each stage makes on floats,
-  ``4 * steps`` calls in all. These records differ only in ``rhs``, so one
+  call of it (:func:`_call_record`), which each stage makes on floats and
+  unpacks into its components in one statement, ``4 * steps`` calls in all. These records differ only in ``rhs``, so one
   step loop per state length serves them all.
 
 Both give the same trajectory, bit for bit, and the same aborts.
@@ -36,13 +36,25 @@ Both give the same trajectory, bit for bit, and the same aborts.
 Each step spends its time on its own float operations. The loop runs every
 step but the last at the full step and records every ``output_stride``-th;
 the last step, full or shortened, is the same rendered block after the loop
-and is always recorded, so no step tests whether it is the last. The lines
-of a step that read only the step size and constants (``0.5 * h``,
-``h / 6.0``) run once for the loop and once for the last step, and the step
-drops its unused lines by the rule it applies to the rhs's record, so an rhs
-that reads no time computes no stage time. Samples are written one float at
-a time through flat ``'d'`` memoryviews of arrays sized up front; an abort
-copies the samples written so far.
+and is always recorded, so no step tests whether it is the last. What runs
+per step:
+
+* the step's lines: the rhs's record replayed at four stages, folded where
+  a constant is ``1.0`` or ``-1.0`` (:class:`~sourceseek.numdiff.Tape`), with
+  the lines that read only the step size and constants (``0.5 * h``,
+  ``h / 6.0``) lifted out to run once for the loop and once for the last
+  step, and unused lines dropped by the rule applied to the rhs's record;
+* one float expression that tests the new state for an infinity or a NaN;
+* the guard, where there is one, at the step's end time ``t0 + i * dt``;
+* the time ``t`` the next step starts at, only where the step reads it, so
+  an rhs that reads no time carries no time and computes no stage time;
+* at a recorded step, one store per component into a flat ``'d'``
+  memoryview of the state array, sized up front, at a running offset.
+
+What runs after the loop, or on an abort only: the sample times, as
+``t0 + i * dt`` by two numpy ufuncs (the float operations of the scalar
+expression) and ``t1`` last; an abort's message and last valid time, from
+the number of the failed step; and the copy of the samples written so far.
 """
 
 from __future__ import annotations
@@ -192,53 +204,58 @@ class Trajectory:
 #: record raises its own error out of the loop. The loop runs steps
 #: ``1 .. total_steps - 1`` at ``h = dt`` and records every ``stride``-th; the
 #: last step runs after it at ``h = last`` (``dt`` or the shortened
-#: remainder), ends at ``end`` and is always recorded, so the loop tests
-#: neither. ``$step`` is one :data:`_STEP` block, rendered in the loop and
-#: after it, ``$per_size`` the step's lines that read only ``h`` and
-#: constants (``0.5 * h``, ``h / 6.0``), run once per step size, and
-#: ``$record`` the writes of ``t`` and the state into flat ``'d'``
-#: memoryviews of the output arrays. ``i`` is the number of the step being
-#: taken. The span ends are ``start`` and ``end`` and the step's locals ``t``
-#: and ``h``, so no local of the loop takes a name of the tape's temporaries
-#: ``t<n>``.
+#: remainder) and is always recorded, so the loop tests neither. ``i`` is
+#: the number of the step being taken.
+#:
+#: Per step the loop runs the step's own lines, one float test of the new
+#: state, the guard where there is one, and, at a recorded step, one store
+#: per component into the flat ``'d'`` memoryview ``states`` at the running
+#: offset ``at``. Only a step that reads its time carries ``t``, the time the
+#: step starts at, advanced to ``start + i * dt`` after the step
+#: (``$clock`` and ``$advance``); otherwise the guard alone computes the time
+#: (``$when``), and only where there is a guard. ``$per_size`` holds the
+#: step's lines that read only ``h`` and constants (``0.5 * h``,
+#: ``h / 6.0``), run once per step size. The sample times are not written
+#: here: :func:`integrate` computes them after the loop, and ``aborted``
+#: computes an abort's times from ``i``. The loop's own locals (``start``,
+#: ``end``, ``at``, ``h``, ``i``, ``t``) take no name of the tape's values
+#: ``t<n>``, ``k<n>`` and ``x<n>``.
 _STEP_LOOP = string.Template("""\
-def step_loop(guard, y, start, end, dt, last, total_steps, stride,
-              times, states, aborted, constants, isfinite=isfinite):
+def step_loop(guard, y, start, end, dt, last, total_steps, stride, states,
+              aborted, constants):
     [$constants] = constants
     [$x] = y
-    n_rec = 1
-    t = start
+    at = $dim
     h = dt
 $per_size
+$clock
     for i in range(1, total_steps):
-        t_new = start + i * dt
 $step
         if i % stride == 0:
 $record
-            n_rec += 1
-    i, h, t_new = total_steps, last, end
+            at += $dim
+    i, h = total_steps, last
 $per_size
 $last_step
 $last_record
 """)
 
-#: One RK4 step from ``(t, $x)`` to ``t_new``: ``$lines`` leave the new
-#: state in ``$x``, which must be finite and pass the guard.
+#: One RK4 step of number ``i``: ``$lines`` leave the new state in ``$x``,
+#: whose components must all be finite and which must pass the guard at the
+#: step's end time ``$when``. The finite test is one float expression,
+#: ``0.0 * x0 * x1 * ... != 0.0``: its running product is a zero until it
+#: meets an infinity or a NaN, and NaN from then on, so it never overflows
+#: and is true exactly when some component is not finite.
 _STEP = string.Template("""\
 try:
 $lines
 except ArithmeticError as exc:
-    raise aborted(f"non-finite state at t={t_new} ({exc!r})", t, n_rec) from exc
-if not ($finite):
-    raise aborted(f"non-finite state at t={t_new}", t, n_rec)
-if guard is not None and not guard(t_new, ($x,)):
-    raise aborted(
-        f"state guard violated at t={t_new} (step-size violation: "
-        f"reduce dt below {h})",
-        t,
-        n_rec,
-    )
-t = t_new""")
+    raise aborted(i, at, exc) from exc
+if $finite != 0.0:
+    raise aborted(i, at)
+$advance
+if guard is not None and not guard($when, ($x,)):
+    raise aborted(i, at, tripped=True)""")
 
 
 def _rk4_step(stage, t, h, y) -> tuple:
@@ -262,7 +279,20 @@ def _trace(rhs, dim: int) -> tuple:
     (its :func:`~sourceseek.numdiff._live` lines, output names and the
     number of constants), and its constants. A component that is a number
     is named as a constant, so records that differ only in its value share
-    a shape and a kernel."""
+    a shape and a kernel.
+
+    The tape folds as it records (:class:`~sourceseek.numdiff.Tape`), by
+    rules exact on every float: ``x * 1.0``, ``x + (-0.0)`` and ``x - 0.0``
+    are ``x`` (so are ``1.0 * x`` and ``(-0.0) + x``), ``-(-x)`` is ``x``,
+    and ``x * -1.0``, ``a + (-b)``, ``(-b) + a`` and ``a - (-b)`` are
+    ``-x``, ``a - b``, ``a - b`` and ``a + b``, which IEEE 754 rounds to the
+    same value, zeros included, and which differ at most in the sign bit of
+    a NaN. A folded operation never raises, so no line that can stop a run
+    is dropped. A gain of exactly ``1.0`` or ``-1.0`` is therefore no
+    constant of the record: its shape, and so its kernel, depends on which
+    constants fold, and records that differ only in a constant share a
+    kernel only where neither value folds (a factor ``±1.0``, an addend
+    ``-0.0``, a subtrahend ``0.0``)."""
     tape = _tape(dim, ("t",))
     outputs = []
     for v in _checked(rhs(*tape.inputs, tape.state), dim):
@@ -334,28 +364,33 @@ def _kernel(tape: Tape, lines, new, supplied: int):
             per_size.append(f"{name} = {template.format(*operands)}")
         else:
             per_step.append(line)
+    timed = any("t" in operands for _, _, operands in per_step)
     step, outputs = tape.statements(new, per_step)
     x = ", ".join(v.name for v in tape.state)
     step.append(f"{x}, = {', '.join(outputs)},")
-    block = _STEP.substitute(
-        lines=textwrap.indent("\n".join(step), " " * 4),
-        x=x,
-        finite=" and ".join(f"isfinite({v.name})" for v in tape.state),
-    )
+
+    def block(when, advance=""):
+        return _STEP.substitute(
+            lines=textwrap.indent("\n".join(step), " " * 4), x=x, when=when,
+            advance=advance, finite=" * ".join(["0.0", *(v.name for v in tape.state)]))
+
     dim = len(tape.state)
-    offsets = [f"{dim} * n_rec"] + [f"{dim} * n_rec + {j}" for j in range(1, dim)]
-    record = "\n".join(["times[n_rec] = t"]
-                       + [f"states[{at}] = {v.name}" for at, v in zip(offsets, tape.state)])
+    record = "\n".join(["states[at] = x0"]
+                       + [f"states[at + {j}] = x{j}" for j in range(1, dim)])
     source = _STEP_LOOP.substitute(
         constants=", ".join(f"k{i}" for i in range(len(tape.constants))),
         x=x,
+        dim=dim,
         per_size=textwrap.indent("\n".join(per_size), " " * 4),
-        step=textwrap.indent(block, " " * 8),
+        clock="    t = start" if timed else "",
+        step=textwrap.indent(block("t", "t = start + i * dt") if timed
+                             else block("start + i * dt"), " " * 8),
         record=textwrap.indent(record, " " * 12),
-        last_step=textwrap.indent(block, " " * 4),
+        last_step=textwrap.indent(block("end"), " " * 4),
         last_record=textwrap.indent(record, " " * 4),
     )
-    namespace = {"isfinite": math.isfinite}
+    source = "".join(line + "\n" for line in source.splitlines() if line.strip())
+    namespace: dict = {}
     exec(compile(source, "<RK4 step loop>", "exec"), namespace)
     kernel = namespace["step_loop"]
     kernel.source = source
@@ -422,16 +457,32 @@ def integrate(rhs, x0, t0: float, t1: float, config: IntegratorConfig,
 
     # interior samples every ``stride`` steps, plus the initial and final states
     n_samples = 1 + ((total_steps - 1) // stride + 1 if total_steps else 0)
-    times = np.empty(n_samples)
     states = np.empty((n_samples, dim))
-    times[0] = t0
     states[0] = y
+    last = remainder if has_tail else dt
 
-    def aborted(what: str, last_valid_time: float, n_rec: int) -> IntegrationAborted:
-        partial = Trajectory(times[:n_rec].copy(), states[:n_rec].copy())
-        return IntegrationAborted(
-            f"{what}; last valid time t={last_valid_time}", last_valid_time, partial
-        )
+    def sample_times(n: int) -> np.ndarray:
+        """The times of the first ``n`` samples: ``t0``, then ``t0 + i * dt``
+        at every ``stride``-th step ``i``, by the float operations of the
+        scalar expression, one ufunc each."""
+        times = t0 + np.arange(0, n * stride, stride) * dt
+        times[0] = t0  # t0 + 0.0 is not t0 at t0 = -0.0
+        return times
+
+    def aborted(i: int, at: int, exc=None, tripped=False) -> IntegrationAborted:
+        """The abort of step ``i`` once ``at`` floats of ``states`` are
+        written: by ``exc``, an ArithmeticError of a stage, by the guard
+        where ``tripped``, else by a non-finite state."""
+        when = t1 if i == total_steps else t0 + i * dt
+        valid = t0 if i == 1 else t0 + (i - 1) * dt
+        if tripped:
+            what = (f"state guard violated at t={when} (step-size violation: "
+                    f"reduce dt below {last if i == total_steps else dt})")
+        else:
+            what = f"non-finite state at t={when}" + ("" if exc is None else f" ({exc!r})")
+        n = at // dim
+        partial = Trajectory(sample_times(n), states[:n].copy())
+        return IntegrationAborted(f"{what}; last valid time t={valid}", valid, partial)
 
     try:
         shape, supplied = _trace(rhs, dim)
@@ -442,9 +493,10 @@ def integrate(rhs, x0, t0: float, t1: float, config: IntegratorConfig,
         shape, supplied = _call_record(rhs, dim)
         rhs_calls = 4 * total_steps
     kernel, constants = _traced_kernel(shape, dim)
-    kernel(guard, y, t0, t1, dt, remainder if has_tail else dt, total_steps, stride,
-           memoryview(times), memoryview(states).cast("B").cast("d"), aborted,
-           (*supplied, *constants))
+    kernel(guard, y, t0, t1, dt, last, total_steps, stride,
+           memoryview(states).cast("B").cast("d"), aborted, (*supplied, *constants))
+    times = sample_times(n_samples)
+    times[-1] = t1
     return Trajectory(times, states, steps=total_steps, rhs_calls=rhs_calls)
 
 

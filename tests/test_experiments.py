@@ -204,6 +204,25 @@ class TestEstimateRate:
         with pytest.raises(ValueError, match="span"):
             estimate_rate(self._traj(t, np.exp(-t)), (0.0, 2.0), (0,))
 
+    @pytest.mark.parametrize("scheme, frame, hessian, t_end, window, expected", [
+        (Scheme.GRADIENT, Frame.AVERAGED_GRADIENT, 0.05, 400.0, (0.0, 400.0),
+         ("0x1.999a424c2e660p-6", "0x1.fffec5a1b723fp-1", 3821)),
+        (Scheme.NEWTON, Frame.AVERAGED_NEWTON, 0.01, 60.0, (20.0, 60.0),
+         ("0x1.fc87c1451b1fap-2", "0x1.ff6e6bad6b099p-1", 383)),
+        (Scheme.GRADIENT, Frame.ORIGINAL, 0.5, 30.0, (0.0, 30.0),
+         ("0x1.0f5c3b5615ce6p-5", "0x1.5531ae4a0952ap-1", 76)),
+    ], ids=["averaged-gradient", "averaged-newton", "gradient-original"])
+    def test_recorded_runs_fit_as_the_norm_of_whole_rows_did(self, scheme, frame, hessian,
+                                                               t_end, window, expected):
+        """The magnitude built from the two position columns alone gives the
+        fits, bit for bit, that ``np.linalg.norm`` of the masked state rows
+        gave: every sample of two averaged runs, and a full run's
+        envelope."""
+        scenario = Scenario(scheme=scheme, frame=frame, t_end=t_end,
+                            field=replace(DEFAULT_FIELD, hessian=hessian))
+        est = estimate_rate(scenario.run(), window)
+        assert (est.rate.hex(), est.r_squared.hex(), est.n_points) == expected
+
     def test_zero_magnitude_rejected(self):
         t = np.linspace(0.0, 1.0, 11)
         with pytest.raises(ValueError, match="positive"):

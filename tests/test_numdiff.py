@@ -179,6 +179,49 @@ class TestTape:
 
         assert _run(self.rendered(field, 2), x) == _run(field, x)
 
+    def test_exact_rules_fold_and_the_others_record(self):
+        tape = Tape(2)
+        a, b = tape.state
+        # x op c == x on every float
+        assert all(v is a for v in (a * 1.0, 1.0 * a, a + -0.0, -0.0 + a, a - 0.0))
+        assert -(-a) is a and -(a * -1.0) is a
+        # the same value, one operation fewer
+        assert (a * -1.0).name == (-1.0 * a).name == (-a).name
+        assert (a + -b).name == (-b + a).name == (a - b).name
+        assert (a - -b).name == (a + b).name
+        assert tape.constants == []
+        # x + 0.0 is 0.0 at x = -0.0, x * 0.0 is NaN at an infinite x, and a
+        # numpy 1.0 would turn the float result into a numpy scalar
+        recorded = (a + 0.0, 0.0 + a, a - -0.0, -0.0 - a, a * 0.0, a / 1.0,
+                    a * np.float64(1.0), np.float64(-1.0) * a, a * 1)
+        assert all(type(v) is Sym and v is not a for v in recorded)
+        assert len({v.name for v in recorded}) == len(recorded)
+
+    @settings(max_examples=80, deadline=None)
+    @given(x=st.tuples(*[st.sampled_from([0.0, -0.0, 5e-324, -1.0, 3.5, math.inf,
+                                          -math.inf, math.nan]) | st.floats()] * 2))
+    def test_folded_operations_are_the_float_operations(self, x):
+        # bit for bit; a NaN of either sign is a NaN
+        def field(s):
+            a, b = s
+            return (a * 1.0, 1.0 * a, a * -1.0, a + -b, -b + a, a - -b, -(-a), a - 0.0,
+                    a + -0.0, -0.0 + a, a + 0.0, a * 0.0, -(a * -1.0) + b)
+
+        assert _run(self.rendered(field, 2), x) == _run(field, x)
+
+    def test_an_index_run_over_a_whole_value_is_one_unpack(self):
+        # as a call record indexes the checked value of its call
+        tape = Tape(1)
+        (x,) = tape.state
+        value = tape.call(divmod, x, 2.0)
+        parts = [tape.record(f"{{}}[{j}]", value) for j in range(2)]
+        lines, outputs = tape.statements(parts)
+        assert lines == ["t1, t2, = (k0(x0, k1))"] and outputs == ["t1", "t2"]
+        assert tape.render(parts)((7.5,)) == (3.0, 1.5)
+        # a value read elsewhere too keeps its subscripts
+        lines, outputs = tape.statements([*parts, value])
+        assert lines == ["t0 = k0(x0, k1)"] and outputs == ["(t0[0])", "(t0[1])", "t0"]
+
     def test_constants_are_arguments_of_one_compiled_source(self):
         def field(gain):
             return lambda s: (gain * s[0] + s[1], s[1] / gain)

@@ -1,5 +1,7 @@
+import functools
 import itertools
 import math
+import numbers
 import re
 from dataclasses import replace
 
@@ -34,6 +36,7 @@ from sourceseek import (
     newton_affine_system,
     ode,
 )
+from sourceseek.numdiff import Sym, Tape, _live
 
 
 def _config(dt, stride=1):
@@ -693,19 +696,54 @@ def _loop_body(source):
 def test_an_autonomous_step_loop_computes_no_stage_time_or_step_size(loop, dim):
     """An rhs that reads no time leaves the stage times ``t + h/2`` and
     ``t + h`` unused, so the traced step drops them, and ``0.5 * h`` and
-    ``h / 6.0`` run once per step size, outside the loop."""
+    ``h / 6.0`` run once per step size, outside the loop. The loop carries
+    no time at all, and records none: the sample times are computed after
+    it."""
     shape, _ = ode._trace(_LOOPS[loop][0], dim)
     source = ode._traced_kernel(shape, dim)[0].source
-    per_step = [(target, names) for target, names in _loop_body(source)
+    body = _loop_body(source)
+    per_step = [(target, names) for target, names in body
                 if re.fullmatch(r"t\d+|x\d+(, x\d+)*,", target)]
     assert len(per_step) > dim
     for target, names in per_step:
         assert "t" not in names, (target, names)
         assert not names <= {"h"} | {n for n in names if re.fullmatch(r"k\d+", n)}, target
-    # a rhs that reads its time keeps its stage times in the loop
+    assert not [target for target, _ in body if target in ("t", "t_new")]
+    assert "times" not in source and "t_new" not in source
+    # a rhs that reads its time keeps its stage times in the loop, and
+    # advances its time there
     shape, _ = ode._trace(_LOOPS["newton-rotating_z"][0], 4)
     timed = _loop_body(ode._traced_kernel(shape, 4)[0].source)
     assert any("t" in names and target != "t" for target, names in timed)
+    assert ("t", {"start", "i", "dt"}) in timed
+
+
+def _binary_operations(source):
+    """The binary float operations the rendered loop runs in one step: the
+    operators between operands in the lines of the step's ``try`` block and
+    in the loop's lines that carry a time (``t``, ``t_new``)."""
+    lines = source.splitlines()
+    start = lines.index("    for i in range(1, total_steps):")
+    body = list(itertools.takewhile(lambda line: line.startswith("        "),
+                                    lines[start + 1:]))
+    step = itertools.takewhile(lambda line: line.startswith("            "),
+                               body[body.index("        try:") + 1:])
+    clock = [line for line in body if re.match(r" +(t|t_new) = ", line)]
+    return sum(len(re.findall(r" [-+*/] ", line)) for line in [*step, *clock])
+
+
+@pytest.mark.parametrize("scheme, dim, operations", [(Scheme.GRADIENT, 3, 71),
+                                                     (Scheme.NEWTON, 4, 104)],
+                         ids=["gradient", "newton"])
+def test_the_default_averaged_step_folds_its_unit_gains(scheme, dim, operations):
+    """With the default gains ``omega0 = h_gain = 1``, the averaged step
+    multiplies by neither and carries no time: 71 and 104 binary operations
+    a step, where multiplying by both and carrying ``t_new = start + i * dt``
+    made 85 and 118."""
+    rhs = averaged_closed_loop(scheme, DEFAULT_PARAMS, DEFAULT_FIELD)
+    shape, constants = ode._trace(rhs, dim)
+    assert -1.0 not in constants  # -omega0 * z1 is -z1
+    assert _binary_operations(ode._traced_kernel(shape, dim)[0].source) == operations
 
 
 def _engine_rhs(field):
@@ -767,3 +805,239 @@ def test_a_failed_finiteness_test_raises_the_field_s_error_traced_and_called():
         messages.append(str(excinfo.value))
     assert len(calls) == 1
     assert messages[0] == messages[1]
+
+
+#: starts of runs over ``t0 + [0, 2.6]`` at dt = 0.25: ten full steps and a
+#: shortened eleventh
+_STARTS = [0.0, 3.7, -0.0]
+_RECORDS = {"autonomous": _linear_rhs(2), "timed": lambda t, y: (y[1], -y[0] * t)}
+
+
+def _hex_list(values):
+    return [float(v).hex() for v in values]
+
+
+def _step_times(t0, steps, stride):
+    """``t0``, then ``t0 + i * dt`` at every ``stride``-th of ``steps``
+    steps, as Python floats."""
+    return [t0] + [t0 + i * 0.25 for i in range(stride, steps, stride)]
+
+
+@pytest.mark.parametrize("t0", _STARTS, ids=repr)
+@pytest.mark.parametrize("stride", [1, 10])
+@pytest.mark.parametrize("record", sorted(_RECORDS))
+def test_the_sample_times_are_t0_plus_i_dt(record, stride, t0):
+    """The sample times, computed after the loop, are ``t0 + i * dt`` bit
+    for bit, ``t0 = -0.0`` included, and ``t1`` last; the states are the
+    array loop's."""
+    rhs, t1 = _RECORDS[record], t0 + 2.6
+    traj = integrate(rhs, (1.0, 0.5), t0, t1, _config(0.25, stride))
+    assert traj.steps == 11
+    assert _hex_list(traj.times) == _hex_list(_step_times(t0, 11, stride) + [t1])
+    _, states = _array_rk4(rhs, (1.0, 0.5), t0, t1, _config(0.25, stride))
+    assert np.array_equal(traj.states, states)
+
+
+def _abort_case(record, abort, t0):
+    """(rhs, start, guard) of a run from ``t0`` that aborts: an
+    ArithmeticError in a stage (an autonomous power overflows at the first
+    step, a timed division by zero at the sixth), a non-finite state (an
+    autonomous product at the third step, a timed quotient at the sixth), or
+    the guard at the shortened last step."""
+    t = (t0 + 5 * 0.25) + 0.5 * 0.25  # the sixth step's stage time, as the loop has it
+    after = math.nextafter(t, math.inf)
+    cases = {
+        ("autonomous", "arithmetic"): (lambda t, y: (y[1], y[0] ** 2), (1e200, 1.0)),
+        ("autonomous", "nonfinite"): (lambda t, y: (y[1], y[0] * y[0]), (1.0, 1e20)),
+        ("timed", "arithmetic"): (lambda s, y: (y[1], 1.0 / (t - s)), (1.0, 0.5)),
+        ("timed", "nonfinite"): (lambda s, y: (y[1], 1e300 / (after - s)), (1.0, 0.5)),
+    }
+    rhs, start = cases.get((record, abort), (_RECORDS[record], (1.0, 0.5)))
+    guard = (lambda s, y: s < t0 + 2.6) if abort == "guard" else None
+    return rhs, start, guard
+
+
+#: the messages of the aborts of :func:`_abort_case`, by record, abort and
+#: start, pinned: each time in them is computed from a step number
+_ABORT_MESSAGES = {
+    ("autonomous", "arithmetic", "0.0"):
+        "non-finite state at t=0.25 (OverflowError(34, 'Numerical result out of range')); "
+        "last valid time t=0.0",
+    ("autonomous", "arithmetic", "3.7"):
+        "non-finite state at t=3.95 (OverflowError(34, 'Numerical result out of range')); "
+        "last valid time t=3.7",
+    ("autonomous", "arithmetic", "-0.0"):
+        "non-finite state at t=0.25 (OverflowError(34, 'Numerical result out of range')); "
+        "last valid time t=-0.0",
+    ("autonomous", "nonfinite", "0.0"): "non-finite state at t=0.75; last valid time t=0.5",
+    ("autonomous", "nonfinite", "3.7"): "non-finite state at t=4.45; last valid time t=4.2",
+    ("autonomous", "nonfinite", "-0.0"): "non-finite state at t=0.75; last valid time t=0.5",
+    ("timed", "arithmetic", "0.0"):
+        "non-finite state at t=1.5 (ZeroDivisionError('float division by zero')); "
+        "last valid time t=1.25",
+    ("timed", "arithmetic", "3.7"):
+        "non-finite state at t=5.2 (ZeroDivisionError('float division by zero')); "
+        "last valid time t=4.95",
+    ("timed", "arithmetic", "-0.0"):
+        "non-finite state at t=1.5 (ZeroDivisionError('float division by zero')); "
+        "last valid time t=1.25",
+    ("timed", "nonfinite", "0.0"): "non-finite state at t=1.5; last valid time t=1.25",
+    ("timed", "nonfinite", "3.7"): "non-finite state at t=5.2; last valid time t=4.95",
+    ("timed", "nonfinite", "-0.0"): "non-finite state at t=1.5; last valid time t=1.25",
+    **{(record, "guard", start): message
+       for record in ("autonomous", "timed")
+       for start, message in (
+           ("0.0", "state guard violated at t=2.6 (step-size violation: reduce dt below "
+                   "0.10000000000000009); last valid time t=2.5"),
+           ("3.7", "state guard violated at t=6.300000000000001 (step-size violation: "
+                   "reduce dt below 0.10000000000000053); last valid time t=6.2"),
+           ("-0.0", "state guard violated at t=2.6 (step-size violation: reduce dt below "
+                    "0.10000000000000009); last valid time t=2.5"))},
+}
+
+
+@pytest.mark.parametrize("t0", _STARTS, ids=repr)
+@pytest.mark.parametrize("stride", [1, 10])
+@pytest.mark.parametrize("record, abort", itertools.product(
+    ["autonomous", "timed"], ["arithmetic", "nonfinite", "guard"]))
+def test_an_abort_names_its_step_s_times_and_keeps_the_samples_before_it(
+        record, abort, stride, t0):
+    """Each abort names the time of the failed step and the last valid one,
+    computed from the step's number, and carries the samples before it:
+    ``t0 + i * dt`` and the array loop's states up to the last valid
+    time."""
+    rhs, start, guard = _abort_case(record, abort, t0)
+    with pytest.raises(IntegrationAborted) as excinfo:
+        integrate(rhs, start, t0, t0 + 2.6, _config(0.25, stride), guard=guard)
+    err = excinfo.value
+    assert str(err) == _ABORT_MESSAGES[record, abort, repr(t0)]
+    valid = float(str(err).rpartition("t=")[2])
+    steps = round((valid - t0) / 0.25)  # the steps taken before the abort
+    assert err.last_valid_time.hex() == (t0 if steps == 0 else t0 + steps * 0.25).hex()
+    assert _hex_list(err.partial.times) == _hex_list(_step_times(t0, steps + 1, stride))
+    _, states = _array_rk4(rhs, start, t0, err.last_valid_time, _config(0.25))
+    assert np.array_equal(err.partial.states, states[::stride])
+
+
+def _unfolded_operator(operator, reflected=False):
+    """``Sym``'s ``operator`` recording every operation it meets, as a tape
+    records when it folds none."""
+    template = "{} " + operator + " {}"
+
+    def op(self, other):
+        if not isinstance(other, (Sym, numbers.Real)):
+            return NotImplemented
+        a, b = self.name, self.tape.name(other)
+        if reflected:
+            a, b = b, a
+        return self.tape._record(f"{a} {operator} {b}", template, (a, b))
+    return op
+
+
+_UNFOLDED = {f"__{r}{name}__": _unfolded_operator(op, bool(r))
+             for name, op in (("add", "+"), ("sub", "-"), ("mul", "*")) for r in ("", "r")}
+_UNFOLDED["__neg__"] = lambda self: self.tape.record("-{}", self)
+
+
+@functools.cache
+def _folding_rhs():
+    """Every frame's rhs at the default gains (``omega0 = h_gain = 1``) and
+    both engine fields, each with its state length."""
+    out = {f"{s.value}-{f.value}": (Scenario(scheme=s, frame=f).build_rhs(),
+                                    3 if s is Scheme.GRADIENT else 4)
+           for s, f in FRAME_SPECS}
+    for name, make, dim in (("gradient", gradient_affine_system, 3),
+                            ("newton", newton_affine_system, 4)):
+        field = build_averaged_field(make(DEFAULT_PARAMS, DEFAULT_FIELD),
+                                     default_omega_grid(DEFAULT_PARAMS.omega))
+        out[f"engine-{name}"] = (_engine_rhs(field), dim)
+    return out
+
+
+_FOLDING_RHS = sorted([f"{s.value}-{f.value}" for s, f in FRAME_SPECS]
+                      + ["engine-gradient", "engine-newton"])
+
+
+@functools.cache
+def _records(name):
+    """The tape of ``rhs(t, x)`` on the symbols ``(t, *x)``, and its
+    rendered function, folded and as recorded without folding."""
+    rhs, dim = _folding_rhs()[name]
+    out = []
+    for patch in ({}, _UNFOLDED):
+        with pytest.MonkeyPatch.context() as mp:
+            for attribute, op in patch.items():
+                mp.setattr(Sym, attribute, op)
+            tape = Tape(dim + 1, object_arrays=False)
+            outputs = rhs(tape.state[0], tape.state[1:])
+            out.append((tape, outputs, tape.render(outputs)))
+    return out
+
+
+def _raising_lines(tape, lines):
+    """The lines that can raise on floats, all but ``+``, ``-``, ``*`` and
+    negations, as ``(template, function called)``."""
+    return [(template, getattr(f, "__name__", type(f).__name__))
+            for _, template, operands in lines
+            if template not in ("{} + {}", "{} - {}", "{} * {}", "-{}")
+            for f in [tape.constants[int(operands[0][1:])] if template.startswith("{}(")
+                      else None]]
+
+
+_EDGES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1.0, -1.0, 1e300,
+                          math.inf, -math.inf, math.nan])
+_ANY_FLOAT = st.one_of(_EDGES, st.floats(-10.0, 10.0), st.floats())
+
+
+def _outcome_hex(function, x):
+    """``function(x)`` as ``float.hex`` strings (every NaN reads ``nan``), or
+    the error it raised."""
+    try:
+        return [float(v).hex() for v in function(x)]
+    except (ArithmeticError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("name", _FOLDING_RHS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_a_folded_record_is_the_unfolded_record(name, data):
+    """Folding ``x * 1.0``, ``x * -1.0``, ``a + (-b)`` and the other exact
+    rules changes no value, bit for bit, at any float state, zeros of both
+    signs, subnormals, infinities and NaNs among them, nor the error raised;
+    and it drops no line that can raise."""
+    (folded, outputs, fast), (unfolded, raw_outputs, slow) = _records(name)
+    assert len(folded.lines) <= len(unfolded.lines)
+    assert _raising_lines(folded, folded.lines) == _raising_lines(unfolded, unfolded.lines)
+    assert (_raising_lines(folded, _live(folded.lines, [folded.name(v) for v in outputs],
+                                         folded.constants))
+            == _raising_lines(unfolded, _live(unfolded.lines,
+                                              [unfolded.name(v) for v in raw_outputs],
+                                              unfolded.constants)))
+    x = data.draw(st.tuples(*[_ANY_FLOAT] * len(folded.state)))
+    assert _outcome_hex(fast, x) == _outcome_hex(slow, x)
+
+
+def test_a_called_step_unpacks_each_stage_s_value_once():
+    """A call record's step unpacks each stage's checked value into its
+    components in one statement, with no subscript line per component."""
+    shape, _ = ode._call_record(_called(_linear_rhs(3)), 3)
+    body = [line.strip() for line in ode._traced_kernel(shape, 3)[0].source.splitlines()]
+    unpacks = [line for line in body if re.match(r"t\d+, t\d+, t\d+, = \(k0\(k1\(", line)]
+    assert len(unpacks) == 8  # four stages, in the loop and after it
+    assert not [line for line in body if re.search(r"\[\d\]", line)]
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("at", range(4))
+def test_the_finite_test_is_exact_at_the_largest_and_smallest_floats(bad, at):
+    """A state of the largest and smallest finite floats, whose product
+    overflows and underflows, steps on; one component turned infinite or NaN
+    by the step aborts it."""
+    big = (1.7e308, -1.7e308, 1e308, 5e-324)
+    traj = integrate(lambda t, y: (0.0, 0.0, 0.0, 0.0), big, 0.0, 1.0, _config(0.25))
+    assert np.array_equal(traj.states[-1], big)
+    rhs = lambda t, y: tuple(bad * 4.0 if j == at else 0.0 for j in range(4))
+    with pytest.raises(IntegrationAborted, match=r"^non-finite state at t=0\.25; "
+                                                 r"last valid time t=0\.0$"):
+        integrate(rhs, big, 0.0, 1.0, _config(0.25))
