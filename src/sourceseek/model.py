@@ -69,11 +69,14 @@ class FieldParams:
 
     def at_offset(self, z1, z2):
         """The field at the offset ``(z1, z2)`` from the source,
-        ``f* - H/2 (z1 z1 + z2 z2)``, the one definition of the map. The
-        offset may be ``x - x*`` or, since a rotation keeps its length, the
-        co-rotating ``z``; the entries may be floats, arrays or the duals and
-        symbols of :mod:`sourceseek.numdiff`, with the same float operations
-        on each."""
+        ``f* - H/2 (z1 z1 + z2 z2)``, the one definition of the map. It
+        depends on the distance from the source alone, so the offset may be
+        ``x - x*`` or, since a rotation keeps its length, the co-rotating
+        ``z``, with the same value up to rounding: the original-frame loop
+        takes it at ``x - x*`` for this
+        (:func:`~sourceseek.seekers.closed_loop`). The entries may be
+        floats, arrays or the duals and symbols of :mod:`sourceseek.numdiff`,
+        with the same float operations on each."""
         return self.f_star - 0.5 * self.hessian * (z1 * z1 + z2 * z2)
 
 

@@ -376,6 +376,10 @@ def _check(ok, error, *x) -> None:
         raise error(x)
 
 
+#: the templates of the operations that never raise on floats
+_SILENT = ("{} + {}", "{} - {}", "{} * {}", "-{}")
+
+
 def _live(lines, outputs, constants) -> tuple:
     """The lines of a record that can change ``outputs``, names of its
     values, or stop the run. An unused ``+``, ``-`` or ``*`` never raises
@@ -386,8 +390,7 @@ def _live(lines, outputs, constants) -> tuple:
     used, live = set(outputs), []
     for line in reversed(lines):
         name, template, operands = line
-        if name in used or not (template in ("{} + {}", "{} - {}", "{} * {}", "-{}")
-                                or template == "{}({})"
+        if name in used or not (template in _SILENT or template == "{}({})"
                                 and constants[int(operands[0][1:])] is math.log):
             used.update(operands)
             live.append(line)

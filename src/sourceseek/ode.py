@@ -7,7 +7,8 @@ are forced at known frequencies, so the step is tied to the fastest
 oscillation and results are bit-for-bit reproducible.
 
 The step loop runs on Python floats: ``rhs(t, y)`` and ``guard(t, y)``
-receive the state as a tuple of floats, and ``rhs`` returns a sequence of
+receive the state as a tuple of floats, or the symbols of a tape when they
+are traced, and ``rhs`` returns a sequence of
 the same length (a tuple, a list or a 1-D array). The states are small (three
 or four components), so per-call array construction would cost more than the
 arithmetic. There is one loop template (:data:`_STEP_LOOP`), unrolled over
@@ -44,10 +45,21 @@ per step:
   the lines that read only the step size and constants (``0.5 * h``,
   ``h / 6.0``) lifted out to run once for the loop and once for the last
   step, and unused lines dropped by the rule applied to the rhs's record;
+* the carried clock: the stage-1 lines that read only the time and
+  constants (the full loops' ``sin`` and ``cos`` of ``omega0 t``,
+  ``omega t`` and ``2 omega t``) run under one ``if t != tc:``, and after a
+  step ``tc`` and those values take the step's stage-4 time ``t + h`` and
+  stage-4 values, so a step that starts at the float its predecessor's
+  stage 4 ran at (75% and 86% of the default full loops' steps) reuses
+  them; equal floats give equal values, so nothing changes but the work
+  (:func:`_carried`);
 * one float expression that tests the new state for an infinity or a NaN;
-* the guard, where there is one, at the step's end time ``t0 + i * dt``;
-* the time ``t`` the next step starts at, only where the step reads it, so
-  an rhs that reads no time carries no time and computes no stage time;
+* the guard at the step's end time ``t0 + i * dt``: no test where there is
+  no guard; where the tape records it (a comparison such as ``x2 > 0.0``),
+  its own lines, traced once as the rhs is; else one call of it;
+* the time ``t`` the next step starts at, only where the step or the guard
+  reads it, so an rhs that reads no time carries no time and computes no
+  stage time;
 * at a recorded step, one store per component into a flat ``'d'``
   memoryview of the state array, sized up front, at a running offset.
 
@@ -69,7 +81,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .numdiff import Sym, Tape, Untraceable, _live
+from .numdiff import _SILENT, Sym, Tape, Untraceable, _live, _statements
 
 __all__ = [
     "IntegratorConfig",
@@ -91,12 +103,19 @@ class IntegrationAborted(RuntimeError):
         Last time at which the state was still acceptable.
     partial : Trajectory
         Samples recorded up to (and including) the last valid state.
+    reason : str
+        What stopped the run: ``"arithmetic"``, an ArithmeticError in a
+        stage (an overflow, a division by zero); ``"nonfinite"``, a new
+        state with an infinity or a NaN; ``"guard"``, a new state the guard
+        rejected.
     """
 
-    def __init__(self, message: str, last_valid_time: float, partial: "Trajectory"):
+    def __init__(self, message: str, last_valid_time: float, partial: "Trajectory",
+                 reason: str):
         super().__init__(message)
         self.last_valid_time = last_valid_time
         self.partial = partial
+        self.reason = reason
 
 
 @dataclass(frozen=True)
@@ -199,30 +218,32 @@ class Trajectory:
 #: for a state of ``dim`` components with one step, whose stages replay the
 #: rhs's record, traced or a call (:func:`_call_record`): ``$x`` stands for
 #: ``x0, x1, ...``, the state's locals, and ``$constants`` for ``k0, k1,
-#: ...``, the record's constants (a call record's rhs among them) and then
-#: the step's. A failed :meth:`~sourceseek.numdiff.Tape.require` in the
-#: record raises its own error out of the loop. The loop runs steps
+#: ...``, the record's constants (a call record's rhs among them), then the
+#: step's, then the guard's. A failed :meth:`~sourceseek.numdiff.Tape.require`
+#: in the record raises its own error out of the loop. The loop runs steps
 #: ``1 .. total_steps - 1`` at ``h = dt`` and records every ``stride``-th; the
 #: last step runs after it at ``h = last`` (``dt`` or the shortened
 #: remainder) and is always recorded, so the loop tests neither. ``i`` is
 #: the number of the step being taken.
 #:
 #: Per step the loop runs the step's own lines, one float test of the new
-#: state, the guard where there is one, and, at a recorded step, one store
-#: per component into the flat ``'d'`` memoryview ``states`` at the running
-#: offset ``at``. Only a step that reads its time carries ``t``, the time the
-#: step starts at, advanced to ``start + i * dt`` after the step
-#: (``$clock`` and ``$advance``); otherwise the guard alone computes the time
-#: (``$when``), and only where there is a guard. ``$per_size`` holds the
-#: step's lines that read only ``h`` and constants (``0.5 * h``,
+#: state, the guard's test where there is a guard, and, at a recorded step,
+#: one store per component into the flat ``'d'`` memoryview ``states`` at
+#: the running offset ``at``. Only a step that reads its time, or a guard
+#: that does, carries ``t``: the time the step starts at, advanced to
+#: ``start + i * dt`` after the step, the guard's time (``$clock`` and
+#: ``$advance``; ``end`` on the last step). A step whose stage 1 reads the
+#: time through lines of their own (``sin(omega t)``) carries them too:
+#: ``tc`` is the time they were computed at (:func:`_carried`). ``$per_size``
+#: holds the step's lines that read only ``h`` and constants (``0.5 * h``,
 #: ``h / 6.0``), run once per step size. The sample times are not written
 #: here: :func:`integrate` computes them after the loop, and ``aborted``
 #: computes an abort's times from ``i``. The loop's own locals (``start``,
-#: ``end``, ``at``, ``h``, ``i``, ``t``) take no name of the tape's values
-#: ``t<n>``, ``k<n>`` and ``x<n>``.
+#: ``end``, ``at``, ``h``, ``i``, ``t``, ``tc``) take no name of the tape's
+#: values ``t<n>``, ``k<n>`` and ``x<n>``, nor of the guard's ``g<n>``.
 _STEP_LOOP = string.Template("""\
-def step_loop(guard, y, start, end, dt, last, total_steps, stride, states,
-              aborted, constants):
+def step_loop(y, start, end, dt, last, total_steps, stride, states, aborted,
+              constants):
     [$constants] = constants
     [$x] = y
     at = $dim
@@ -241,11 +262,14 @@ $last_record
 """)
 
 #: One RK4 step of number ``i``: ``$lines`` leave the new state in ``$x``,
-#: whose components must all be finite and which must pass the guard at the
-#: step's end time ``$when``. The finite test is one float expression,
-#: ``0.0 * x0 * x1 * ... != 0.0``: its running product is a zero until it
-#: meets an infinity or a NaN, and NaN from then on, so it never overflows
-#: and is true exactly when some component is not finite.
+#: whose components must all be finite and which must pass ``$guard``, the
+#: guard's lines and test, where there is a guard. The finite test is one
+#: float expression, ``0.0 * x0 * x1 * ... != 0.0``: its running product is
+#: a zero until it meets an infinity or a NaN, and NaN from then on, so it
+#: never overflows and is true exactly when some component is not finite.
+#: ``$advance`` carries the step's values into the next step and sets the
+#: time ``t`` the guard reads. The guard runs outside the ``try``, so an
+#: error it raises leaves the loop as it is.
 _STEP = string.Template("""\
 try:
 $lines
@@ -254,8 +278,7 @@ except ArithmeticError as exc:
 if $finite != 0.0:
     raise aborted(i, at)
 $advance
-if guard is not None and not guard($when, ($x,)):
-    raise aborted(i, at, tripped=True)""")
+$guard""")
 
 
 def _rk4_step(stage, t, h, y) -> tuple:
@@ -315,27 +338,59 @@ def _call_record(rhs, dim: int) -> tuple:
     return (tuple(tape.lines), outputs, len(tape.constants)), tape.constants
 
 
+def _guard_record(guard, dim: int) -> tuple:
+    """The record of ``guard`` on the symbols of a tape, in the shape of
+    :func:`_trace`'s (one output name), and its constants; ``(None, ())``
+    where there is no guard. Where the tape refuses the guard, or tracing
+    it fails in any other way, the record is one call of it, ``guard(t,
+    (x0, ...))``: the guard has run on floats at the initial state by then,
+    so a call is what it was."""
+    if guard is None:
+        return None, ()
+    tape = _tape(dim, ("t",))
+    try:
+        output = tape.name(guard(*tape.inputs, tape.state))
+    except Exception:
+        tape = _tape(dim, ("t",))
+        output = tape.record("{}({}, (" + "{}, " * dim + "))",
+                             guard, *tape.inputs, *tape.state).name
+    return (_live(tape.lines, [output], tape.constants), output,
+            len(tape.constants)), tape.constants
+
+
 @functools.lru_cache(maxsize=64)
-def _traced_kernel(shape: tuple, dim: int):
+def _traced_kernel(shape: tuple, dim: int, guard: tuple | None = None):
     """The step loop for an rhs record of this shape (:func:`_trace`,
-    :func:`_call_record`): each stage replays the record on the stage's time
-    and state, so the step's tape numbers values across stages, and the step
-    keeps its :func:`~sourceseek.numdiff._live` lines (an autonomous rhs
-    reads no stage time). Returns the kernel and the constants it takes
-    after the record's own."""
+    :func:`_call_record`) and a guard record of the shape ``guard``
+    (:func:`_guard_record`; None for no guard): each stage replays the
+    record on the stage's time and state, so the step's tape numbers values
+    across stages, and the step keeps its :func:`~sourceseek.numdiff._live`
+    lines (an autonomous rhs reads no stage time). The lines of the record
+    that read only the time and constants give, at stage 1 and at stage 4,
+    the pairs of values a step may carry into the next (:func:`_carried`).
+    Returns the kernel and the constants it takes after the record's own,
+    before the guard's."""
     lines, outputs, n_constants = shape
     step = _tape(dim, ("t", "h"))
     constants = {k.name: k for k in step.reserve(n_constants)}
+    stages = []
 
     def stage(t, y):
         syms = {"t": t, **constants, **{f"x{i}": v for i, v in enumerate(y)}}
         for name, template, operands in lines:
             syms[name] = step.record(template, *[syms[o] for o in operands])
+        stages.append(syms)
         return tuple(syms[o] for o in outputs)
 
     new = _rk4_step(stage, *step.inputs, step.state)
+    # the time and the record's lines that read only it and constants, in order
+    clock = dict.fromkeys(["t"])
+    for name, _, operands in lines:
+        if clock.keys() & set(operands) and all(o in clock or o[0] == "k" for o in operands):
+            clock[name] = None
+    first, fourth = stages[0], stages[-1]
     return _kernel(step, _live(step.lines, [v.name for v in new], step.constants),
-                   new, n_constants)
+                   new, n_constants, [(first[n], fourth[n]) for n in clock], guard)
 
 
 def _tape(dim: int, inputs) -> Tape:
@@ -350,12 +405,87 @@ def _checked(value, dim: int):
     return value
 
 
-def _kernel(tape: Tape, lines, new, supplied: int):
+def _carried(lines, pairs) -> tuple:
+    """The step's ``lines`` split in three, the lines before those a step
+    may skip, those, and the rest, and the values the step carries into
+    the next: ``{name: value}``.
+
+    ``pairs`` holds, per line of the rhs's record that reads only the time
+    and constants, the symbols of its values at stage 1 and at stage 4, and
+    the time itself, ``(t, t + h)``. Where the next step starts at ``t + h``
+    as a float (``start + i * dt`` often is ``t + h``), its stage-1 values
+    are the stage-4 values of this step, since equal floats give equal
+    values. So the stage-1 lines run only where ``t != tc``, and after a
+    step ``tc`` takes ``t + h`` and each stage-1 value that another line
+    reads takes its stage-4 value, which is the same operations on equal
+    floats: the trajectory and every abort stay the same, bit for bit.
+
+    The stage-1 lines run together, at the top of the step or, where a
+    line that can raise (a division, a call) comes before the first of
+    theirs that can, just after the last such line, so that the same line
+    raises first. The step carries nothing (``[], [], lines, {}``) where a
+    stage-1 value and its stage-4 value are not both lines of the step,
+    where a line that can raise comes between two of theirs that can, or
+    where a line before them reads one of them."""
+    at = {line[0]: n for n, line in enumerate(lines)}
+    pairs = {a.name: b.name for a, b in pairs if a.name in at or b.name in at}
+    following = pairs.pop("t", None)
+    nothing = [], [], lines, {}
+    if following is None or not pairs or not all(a in at and b in at
+                                                 for a, b in pairs.items()):
+        return nothing
+    raising = [n for n, (_, template, _) in enumerate(lines) if template not in _SILENT]
+    mine = [n for n in raising if lines[n][0] in pairs]
+    others = [n for n in raising if lines[n][0] not in pairs]
+    if mine and any(mine[0] < n < mine[-1] for n in others):
+        return nothing
+    split = max([n + 1 for n in others if mine and n < mine[0]], default=0)
+    before = [line for line in lines[:split] if line[0] not in pairs]
+    if any(pairs.keys() & set(operands) for _, _, operands in before):
+        return nothing
+    skipped = [line for line in lines if line[0] in pairs]
+    rest = [line for line in lines[split:] if line[0] not in pairs]
+    read = {o for _, _, operands in rest for o in operands}
+    return before, skipped, rest, {"tc": following,
+                                   **{a: b for a, b in pairs.items() if a in read}}
+
+
+def _named(lines, outputs, names) -> tuple[list[str], list[str]]:
+    """``lines`` as statements, in which each of ``names`` is assigned, not
+    written into its users, and the expressions of ``outputs``
+    (:func:`~sourceseek.numdiff._statements`): a name taken twice as an
+    output is read more than once."""
+    body, values = _statements(lines, [*outputs, *names, *names])
+    return body, values[:len(outputs)]
+
+
+def _guard_test(shape, first: int) -> list[str]:
+    """The statements that abort a step whose new state fails the guard of
+    record ``shape`` (:func:`_guard_record`) at the time ``t``: its
+    temporaries are named ``g<n>``, and its constants are the kernel's from
+    ``k<first>`` on."""
+    lines, output, _ = shape
+
+    def rename(name: str) -> str:
+        if name[0] == "k":
+            return f"k{first + int(name[1:])}"
+        return "g" + name[1:] if name[0] == "t" and name != "t" else name
+
+    body, (test,) = _statements([(rename(n), template, tuple(map(rename, operands)))
+                                 for n, template, operands in lines], [rename(output)])
+    return [*body, f"if not {test}:", "    raise aborted(i, at, tripped=True)"]
+
+
+def _kernel(tape: Tape, lines, new, supplied: int, clock=(), guard=None):
     """The step loop filled with ``lines``, those of ``tape``'s record of
-    :func:`_rk4_step` that the step runs, whose new state is ``new``; a
-    line that reads only ``h`` and constants runs once per step size. Also
-    returns the constants the tape recorded after the ``supplied`` ones it
-    reserved. The kernel keeps its source as ``source``."""
+    :func:`_rk4_step` that the step runs, whose new state is ``new``, and
+    with the test of the guard of record ``guard``, None for no test. A
+    line that reads only ``h`` and constants runs once per step size, and
+    the stage-1 values that read only the time are carried from step to
+    step where ``clock`` pairs them with their stage-4 values
+    (:func:`_carried`). Also returns the constants the tape recorded after
+    the ``supplied`` ones it reserved. The kernel keeps its source as
+    ``source``."""
     per_size, per_step, sized = [], [], {"h"}  # sized: names of per-size values
     for line in lines:
         name, template, operands = line
@@ -365,28 +495,43 @@ def _kernel(tape: Tape, lines, new, supplied: int):
         else:
             per_step.append(line)
     timed = any("t" in operands for _, _, operands in per_step)
-    step, outputs = tape.statements(new, per_step)
-    x = ", ".join(v.name for v in tape.state)
-    step.append(f"{x}, = {', '.join(outputs)},")
-
-    def block(when, advance=""):
-        return _STEP.substitute(
-            lines=textwrap.indent("\n".join(step), " " * 4), x=x, when=when,
-            advance=advance, finite=" * ".join(["0.0", *(v.name for v in tape.state)]))
-
+    before, skipped, rest, carry = _carried(per_step, clock)
     dim = len(tape.state)
+    x = ", ".join(v.name for v in tape.state)
+    step = []
+    if skipped:
+        read = {o for _, _, operands in rest for o in operands}
+        step, _ = _named(before, [], [n for n, _, _ in before if n in read])
+        first, _ = _named(skipped, [], [n for n in carry if n != "tc"])
+        step += ["if t != tc:", *("    " + line for line in first)]
+    body, values = _named(rest, [tape.name(v) for v in new], carry.values())
+    step += [*body, f"{x}, = {', '.join(values)},"]
+    test = [] if guard is None else _guard_test(guard, len(tape.constants))
+    guard_time = guard is not None and (
+        guard[1] == "t" or any("t" in operands for _, _, operands in guard[0]))
+
+    def block(advance):
+        return _STEP.substitute(
+            lines=textwrap.indent("\n".join(step), " " * 4), advance="\n".join(advance),
+            guard="\n".join(test),
+            finite=" * ".join(["0.0", *(v.name for v in tape.state)]))
+
     record = "\n".join(["states[at] = x0"]
                        + [f"states[at + {j}] = x{j}" for j in range(1, dim)])
+    advance = [f"{name} = {value}" for name, value in carry.items()]
+    if timed or guard_time:
+        advance.append("t = start + i * dt")
     source = _STEP_LOOP.substitute(
-        constants=", ".join(f"k{i}" for i in range(len(tape.constants))),
+        constants=", ".join(f"k{i}" for i in range(len(tape.constants)
+                                                   + (guard[2] if guard else 0))),
         x=x,
         dim=dim,
         per_size=textwrap.indent("\n".join(per_size), " " * 4),
-        clock="    t = start" if timed else "",
-        step=textwrap.indent(block("t", "t = start + i * dt") if timed
-                             else block("start + i * dt"), " " * 8),
+        clock=textwrap.indent("\n".join(["t = start"] * timed + ["tc = None"] * bool(carry)),
+                              " " * 4),
+        step=textwrap.indent(block(advance), " " * 8),
         record=textwrap.indent(record, " " * 12),
-        last_step=textwrap.indent(block("end"), " " * 4),
+        last_step=textwrap.indent(block(["t = end"] * guard_time), " " * 4),
         last_record=textwrap.indent(record, " " * 4),
     )
     source = "".join(line + "\n" for line in source.splitlines() if line.strip())
@@ -412,9 +557,13 @@ def integrate(rhs, x0, t0: float, t1: float, config: IntegratorConfig,
         The length of its value is checked on that run and at every call,
         with a ValueError naming both lengths.
     guard : callable, optional
-        ``guard(t, x) -> bool``, with ``x`` a tuple of floats, evaluated
-        after every accepted step; a False result aborts with a step-size
-        violation report.
+        ``guard(t, x) -> bool``, evaluated after every accepted step; a
+        false result aborts with a step-size violation report. It is called
+        once on the initial state, with ``x`` a tuple of floats, and then
+        traced once on symbols as ``rhs`` is, so it must be a pure function
+        of ``(t, x)``; where the tape refuses it, it is called on floats
+        after every step. An error it raises is not an abort: it leaves
+        :func:`integrate` as it is.
 
     Returns
     -------
@@ -428,7 +577,8 @@ def integrate(rhs, x0, t0: float, t1: float, config: IntegratorConfig,
     IntegrationAborted
         On a non-finite state (an overflow or a division by zero in a stage
         among them, whose error the message names) or a guard violation;
-        carries the last valid time and the partial trajectory.
+        carries the last valid time, the partial trajectory and the
+        reason.
     ValueError
         On a non-finite ``t0`` or ``t1``, ``t1 <= t0``, a non-finite
         initial state or one that violates
@@ -478,11 +628,14 @@ def integrate(rhs, x0, t0: float, t1: float, config: IntegratorConfig,
         if tripped:
             what = (f"state guard violated at t={when} (step-size violation: "
                     f"reduce dt below {last if i == total_steps else dt})")
+            reason = "guard"
         else:
             what = f"non-finite state at t={when}" + ("" if exc is None else f" ({exc!r})")
+            reason = "nonfinite" if exc is None else "arithmetic"
         n = at // dim
         partial = Trajectory(sample_times(n), states[:n].copy())
-        return IntegrationAborted(f"{what}; last valid time t={valid}", valid, partial)
+        return IntegrationAborted(f"{what}; last valid time t={valid}", valid, partial,
+                                  reason)
 
     try:
         shape, supplied = _trace(rhs, dim)
@@ -492,9 +645,10 @@ def integrate(rhs, x0, t0: float, t1: float, config: IntegratorConfig,
     except (Untraceable, ArithmeticError):
         shape, supplied = _call_record(rhs, dim)
         rhs_calls = 4 * total_steps
-    kernel, constants = _traced_kernel(shape, dim)
-    kernel(guard, y, t0, t1, dt, last, total_steps, stride,
-           memoryview(states).cast("B").cast("d"), aborted, (*supplied, *constants))
+    guard_shape, guard_constants = _guard_record(guard, dim)
+    kernel, constants = _traced_kernel(shape, dim, guard_shape)
+    kernel(y, t0, t1, dt, last, total_steps, stride, memoryview(states).cast("B").cast("d"),
+           aborted, (*supplied, *constants, *guard_constants))
     times = sample_times(n_samples)
     times[-1] = t1
     return Trajectory(times, states, steps=total_steps, rhs_calls=rhs_calls)

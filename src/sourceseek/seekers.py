@@ -26,10 +26,14 @@ A full frame is its scheme's affine system (:func:`gradient_affine_system`,
 by :func:`closed_loop`: ``drift(z) + sum_i omega**p_i u_i(k_i omega t) f_i(z)``
 in ``rotating_z``. The turn rate is constant, so the heading
 ``theta = omega0 t`` is eliminated and no three-state unicycle model is
-needed: ``original`` takes ``z = Y(t)^T (x - x*)`` in and gives ``x' = Y(t)``
+needed: ``original`` hands the fields the plain offset ``x - x*`` where
+``rotating_z`` hands them ``z = Y(t)^T (x - x*)``, since they read the
+position only through the map, which depends on the distance alone
+(:meth:`~sourceseek.model.FieldParams.at_offset`), and gives ``x' = Y(t)``
 times the channels' position block, the forward speed along the heading,
 since ``Y`` absorbs the drift's position block, the turn
-``(omega0 z2, -omega0 z1)``. An averaged frame is its scheme's
+``(omega0 z2, -omega0 z1)``, which ``original`` discards with the rest of
+that block. An averaged frame is its scheme's
 :func:`averaged_closed_loop`, and a frame with a map is its loop pushed
 forward through it (:func:`push_forward`); :func:`closed_loop` builds every
 pair, so it is the one place that picks the rendered loop or the closed
@@ -191,7 +195,11 @@ def closed_loop(scheme: Scheme, frame: Frame, params: SeekerParams,
 
 def _full_loop(system: ControlAffineSystem, plane: bool, params: SeekerParams,
                field: FieldParams):
-    """The full loop of ``system`` in ``z``, or in ``x`` on the ``plane``."""
+    """The full loop of ``system`` in ``z``, or in ``x`` on the ``plane``.
+    On the plane the fields take the offset ``x - x*`` in place of ``z``:
+    they read the position only through the map, whose value depends on
+    the offset's length alone, and ``original`` keeps only the fields'
+    other components and the channels' position block, turned by ``Y``."""
     drift, oscillation = system.drift, _oscillation(system, params.omega)
     w0, xs1, xs2 = params.omega0, float(field.source[0]), float(field.source[1])
 
@@ -200,7 +208,7 @@ def _full_loop(system: ControlAffineSystem, plane: bool, params: SeekerParams,
 
     def original(t, x):
         s, c = sin(w0 * t), cos(w0 * t)
-        z = (*_unrotate(s, c, x[0] - xs1, x[1] - xs2), *x[2:])
+        z = (x[0] - xs1, x[1] - xs2, *x[2:])  # |x - x*| = |z|
         p1, p2, *other = oscillation(t, z)
         return (_dot(s, c, p1, p2), _dot(-c, s, p1, p2),
                 *map(_plus, drift(z)[2:], other))

@@ -210,7 +210,7 @@ class TestEstimateRate:
         (Scheme.NEWTON, Frame.AVERAGED_NEWTON, 0.01, 60.0, (20.0, 60.0),
          ("0x1.fc87c1451b1fap-2", "0x1.ff6e6bad6b099p-1", 383)),
         (Scheme.GRADIENT, Frame.ORIGINAL, 0.5, 30.0, (0.0, 30.0),
-         ("0x1.0f5c3b5615ce6p-5", "0x1.5531ae4a0952ap-1", 76)),
+         ("0x1.0f5c3b5615ce9p-5", "0x1.5531ae4a0952ap-1", 76)),
     ], ids=["averaged-gradient", "averaged-newton", "gradient-original"])
     def test_recorded_runs_fit_as_the_norm_of_whole_rows_did(self, scheme, frame, hessian,
                                                                t_end, window, expected):

@@ -36,7 +36,7 @@ from sourceseek import (
     newton_affine_system,
     ode,
 )
-from sourceseek.numdiff import Sym, Tape, _live
+from sourceseek.numdiff import Sym, Tape, _live, cos, sin
 
 
 def _config(dt, stride=1):
@@ -515,13 +515,13 @@ def _last_stage_time(t0, t1, dt):
     return start + 0.5 * (remainder if tail else dt)
 
 
-@pytest.mark.parametrize("span", sorted(_SPANS))
-@pytest.mark.parametrize("stride", [1, 3, 50])
-@pytest.mark.parametrize("abort", ["zero_division", "infinite", "guard"])
-def test_an_abort_on_the_last_step_is_the_called_filling_s(span, stride, abort):
-    """Each way to abort, raised by the last step (a lone step in the
-    ``lone`` span), carries the called filling's message, last valid time
-    and partial trajectory."""
+#: the :attr:`~sourceseek.ode.IntegrationAborted.reason` of each abort of
+#: the last step
+_LAST_STEP_REASONS = {"zero_division": "arithmetic", "infinite": "nonfinite", "guard": "guard"}
+
+
+def _last_step_case(span, abort):
+    """(rhs, guard) of a run over the span that aborts at its last step."""
     t0, t1, _ = _SPANS[span]
     stage = _last_stage_time(t0, t1, 0.25)
     guard = None
@@ -539,10 +539,23 @@ def test_an_abort_on_the_last_step_is_the_called_filling_s(span, stride, abort):
 
         def guard(t, y):
             return t < t1
+    return rhs, guard
+
+
+@pytest.mark.parametrize("span", sorted(_SPANS))
+@pytest.mark.parametrize("stride", [1, 3, 50])
+@pytest.mark.parametrize("abort", sorted(_LAST_STEP_REASONS))
+def test_an_abort_on_the_last_step_is_the_called_filling_s(span, stride, abort):
+    """Each way to abort, raised by the last step (a lone step in the
+    ``lone`` span), carries the called filling's message, last valid time
+    and partial trajectory."""
+    t0, t1, _ = _SPANS[span]
+    rhs, guard = _last_step_case(span, abort)
     config = _config(0.25, stride)
     traced = _outcome(rhs, [1.0, 0.5], t1, config, guard, t0=t0)
     called = _outcome(_called(rhs), [1.0, 0.5], t1, config, guard, t0=t0)
     assert isinstance(traced, tuple) and f"at t={t1}" in traced[0]
+    assert traced[4] == _LAST_STEP_REASONS[abort]
     _assert_same_outcome(traced, called)
     if abort == "zero_division":  # the array loop raises too
         return
@@ -559,13 +572,14 @@ def _outcome(rhs, x0, t_end, config, guard=None, t0=0.0):
         with np.errstate(over="ignore", invalid="ignore"):
             return integrate(rhs, x0, t0, t_end, config, guard=guard)
     except IntegrationAborted as err:
-        return str(err), err.last_valid_time, err.partial.times, err.partial.states
+        return (str(err), err.last_valid_time, err.partial.times, err.partial.states,
+                err.reason)
 
 
 def _assert_same_outcome(traced, called):
     if isinstance(traced, tuple):
         assert isinstance(called, tuple), "only the traced run aborted"
-        assert traced[:2] == called[:2]
+        assert traced[:2] == called[:2] and traced[4] == called[4]
         assert np.array_equal(traced[2], called[2])
         assert np.array_equal(traced[3], called[3])
     else:
@@ -608,13 +622,14 @@ def test_traced_step_is_the_called_step(pair, data):
     )
 
 
-#: (rhs, guard) of the three ways a run aborts: y' = y**2 blows up at
-#: t = 1 / y(0), where a float power overflows inside a stage and a product
-#: makes the state infinite; a falling state trips a positivity guard
+#: (rhs, guard, reason) of the three ways a run aborts: y' = y**2 blows up
+#: at t = 1 / y(0), where a float power overflows inside a stage and a
+#: product makes the state infinite; a falling state trips a positivity
+#: guard
 _ABORTS = {
-    "overflow": (lambda t, y: (y[0] ** 2,), None),
-    "infinite": (lambda t, y: (y[0] * y[0],), None),
-    "guard": (lambda t, y: (-10.0,), lambda t, y: y[0] > 0.0),
+    "overflow": (lambda t, y: (y[0] ** 2,), None, "arithmetic"),
+    "infinite": (lambda t, y: (y[0] * y[0],), None, "nonfinite"),
+    "guard": (lambda t, y: (-10.0,), lambda t, y: y[0] > 0.0, "guard"),
 }
 
 
@@ -623,9 +638,9 @@ _ABORTS = {
 @given(y0=st.floats(0.5, 2.0), dt=st.floats(1e-3, 1e-2),
        stride=st.sampled_from([1, 10]))
 def test_traced_step_aborts_as_the_called_step(abort, y0, dt, stride):
-    rhs, guard = _ABORTS[abort]
+    rhs, guard, reason = _ABORTS[abort]
     traced = _outcome(rhs, [y0], 3.0, _config(dt, stride), guard)
-    assert isinstance(traced, tuple)
+    assert isinstance(traced, tuple) and traced[4] == reason
     _assert_same_outcome(traced, _outcome(_called(rhs), [y0], 3.0, _config(dt, stride), guard))
 
 
@@ -634,8 +649,9 @@ def test_traced_step_aborts_as_the_called_step(abort, y0, dt, stride):
 def test_an_arithmetic_abort_names_its_error(rhs):
     with pytest.raises(IntegrationAborted, match=r"^non-finite state at t=0\.1 "
                                                  r"\(ZeroDivisionError\('.+'\)\); "
-                                                 r"last valid time t=0\.0$"):
+                                                 r"last valid time t=0\.0$") as excinfo:
         integrate(rhs, [1.0], 0.0, 1.0, _config(0.1))
+    assert excinfo.value.reason == "arithmetic"
 
 
 def test_rhs_that_differ_only_in_a_constant_component_share_a_kernel():
@@ -743,6 +759,19 @@ def test_the_default_averaged_step_folds_its_unit_gains(scheme, dim, operations)
     rhs = averaged_closed_loop(scheme, DEFAULT_PARAMS, DEFAULT_FIELD)
     shape, constants = ode._trace(rhs, dim)
     assert -1.0 not in constants  # -omega0 * z1 is -z1
+    assert _binary_operations(ode._traced_kernel(shape, dim)[0].source) == operations
+
+
+@pytest.mark.parametrize("scheme, dim, operations", [(Scheme.GRADIENT, 3, 100),
+                                                     (Scheme.NEWTON, 4, 147)],
+                         ids=["gradient", "newton"])
+def test_the_default_original_step_reads_the_plain_offset(scheme, dim, operations):
+    """The original-frame step takes its map at ``x - x*``, whose length is
+    that of ``z = Y^T (x - x*)``, without rotating it at each stage: 100 and
+    147 binary operations a step, 24 fewer than the 124 and 171 of the
+    rotated offset."""
+    rhs = closed_loop(scheme, Frame.ORIGINAL, DEFAULT_PARAMS, DEFAULT_FIELD)
+    shape, _ = ode._trace(rhs, dim)
     assert _binary_operations(ode._traced_kernel(shape, dim)[0].source) == operations
 
 
@@ -857,34 +886,41 @@ def _abort_case(record, abort, t0):
     return rhs, start, guard
 
 
-#: the messages of the aborts of :func:`_abort_case`, by record, abort and
-#: start, pinned: each time in them is computed from a step number
+#: the messages and reasons of the aborts of :func:`_abort_case`, by
+#: record, abort and start, pinned: each time in them is computed from a
+#: step number
 _ABORT_MESSAGES = {
-    ("autonomous", "arithmetic", "0.0"):
+    ("autonomous", "arithmetic", "0.0"): (
         "non-finite state at t=0.25 (OverflowError(34, 'Numerical result out of range')); "
-        "last valid time t=0.0",
-    ("autonomous", "arithmetic", "3.7"):
+        "last valid time t=0.0", "arithmetic"),
+    ("autonomous", "arithmetic", "3.7"): (
         "non-finite state at t=3.95 (OverflowError(34, 'Numerical result out of range')); "
-        "last valid time t=3.7",
-    ("autonomous", "arithmetic", "-0.0"):
+        "last valid time t=3.7", "arithmetic"),
+    ("autonomous", "arithmetic", "-0.0"): (
         "non-finite state at t=0.25 (OverflowError(34, 'Numerical result out of range')); "
-        "last valid time t=-0.0",
-    ("autonomous", "nonfinite", "0.0"): "non-finite state at t=0.75; last valid time t=0.5",
-    ("autonomous", "nonfinite", "3.7"): "non-finite state at t=4.45; last valid time t=4.2",
-    ("autonomous", "nonfinite", "-0.0"): "non-finite state at t=0.75; last valid time t=0.5",
-    ("timed", "arithmetic", "0.0"):
+        "last valid time t=-0.0", "arithmetic"),
+    ("autonomous", "nonfinite", "0.0"): (
+        "non-finite state at t=0.75; last valid time t=0.5", "nonfinite"),
+    ("autonomous", "nonfinite", "3.7"): (
+        "non-finite state at t=4.45; last valid time t=4.2", "nonfinite"),
+    ("autonomous", "nonfinite", "-0.0"): (
+        "non-finite state at t=0.75; last valid time t=0.5", "nonfinite"),
+    ("timed", "arithmetic", "0.0"): (
         "non-finite state at t=1.5 (ZeroDivisionError('float division by zero')); "
-        "last valid time t=1.25",
-    ("timed", "arithmetic", "3.7"):
+        "last valid time t=1.25", "arithmetic"),
+    ("timed", "arithmetic", "3.7"): (
         "non-finite state at t=5.2 (ZeroDivisionError('float division by zero')); "
-        "last valid time t=4.95",
-    ("timed", "arithmetic", "-0.0"):
+        "last valid time t=4.95", "arithmetic"),
+    ("timed", "arithmetic", "-0.0"): (
         "non-finite state at t=1.5 (ZeroDivisionError('float division by zero')); "
-        "last valid time t=1.25",
-    ("timed", "nonfinite", "0.0"): "non-finite state at t=1.5; last valid time t=1.25",
-    ("timed", "nonfinite", "3.7"): "non-finite state at t=5.2; last valid time t=4.95",
-    ("timed", "nonfinite", "-0.0"): "non-finite state at t=1.5; last valid time t=1.25",
-    **{(record, "guard", start): message
+        "last valid time t=1.25", "arithmetic"),
+    ("timed", "nonfinite", "0.0"): (
+        "non-finite state at t=1.5; last valid time t=1.25", "nonfinite"),
+    ("timed", "nonfinite", "3.7"): (
+        "non-finite state at t=5.2; last valid time t=4.95", "nonfinite"),
+    ("timed", "nonfinite", "-0.0"): (
+        "non-finite state at t=1.5; last valid time t=1.25", "nonfinite"),
+    **{(record, "guard", start): (message, "guard")
        for record in ("autonomous", "timed")
        for start, message in (
            ("0.0", "state guard violated at t=2.6 (step-size violation: reduce dt below "
@@ -910,7 +946,7 @@ def test_an_abort_names_its_step_s_times_and_keeps_the_samples_before_it(
     with pytest.raises(IntegrationAborted) as excinfo:
         integrate(rhs, start, t0, t0 + 2.6, _config(0.25, stride), guard=guard)
     err = excinfo.value
-    assert str(err) == _ABORT_MESSAGES[record, abort, repr(t0)]
+    assert (str(err), err.reason) == _ABORT_MESSAGES[record, abort, repr(t0)]
     valid = float(str(err).rpartition("t=")[2])
     steps = round((valid - t0) / 0.25)  # the steps taken before the abort
     assert err.last_valid_time.hex() == (t0 if steps == 0 else t0 + steps * 0.25).hex()
@@ -1041,3 +1077,184 @@ def test_the_finite_test_is_exact_at_the_largest_and_smallest_floats(bad, at):
     with pytest.raises(IntegrationAborted, match=r"^non-finite state at t=0\.25; "
                                                  r"last valid time t=0\.0$"):
         integrate(rhs, big, 0.0, 1.0, _config(0.25))
+
+
+def _called_guard(guard):
+    """``guard`` behind a ``float(t)``, which a traced time refuses: the step
+    loop calls it on floats at every step."""
+    def called(t, y):
+        return guard(float(t), y)
+    return called
+
+
+def _guard_cases() -> dict:
+    """(rhs, start, t0, t1, config, guard) of every abort by a guard above:
+    ``_ABORTS``' positivity guard, :func:`_abort_case`'s and
+    :func:`_last_step_case`'s guards on the time."""
+    rhs, guard, _ = _ABORTS["guard"]
+    cases = {f"falling-{stride}": (rhs, [0.7], 0.0, 3.0, _config(7e-3, stride), guard)
+             for stride in (1, 10)}
+    for record, t0, stride in itertools.product(sorted(_RECORDS), _STARTS, (1, 10)):
+        rhs, start, guard = _abort_case(record, "guard", t0)
+        cases[f"{record}-{t0!r}-{stride}"] = (rhs, start, t0, t0 + 2.6,
+                                              _config(0.25, stride), guard)
+    for span, stride in itertools.product(sorted(_SPANS), (1, 3, 50)):
+        t0, t1, _ = _SPANS[span]
+        rhs, guard = _last_step_case(span, "guard")
+        cases[f"last-{span}-{stride}"] = (rhs, [1.0, 0.5], t0, t1, _config(0.25, stride),
+                                          guard)
+    return cases
+
+
+_GUARD_CASES = _guard_cases()
+
+
+@pytest.mark.parametrize("case", sorted(_GUARD_CASES))
+def test_a_traced_guard_aborts_as_the_called_guard(case):
+    """Each guard of the abort cases, traced onto the step's tape and called
+    on floats, aborts the run with the same message, last valid time and
+    reason, and the same partial samples, bit for bit."""
+    rhs, start, t0, t1, config, guard = _GUARD_CASES[case]
+    outcomes = []
+    for way in (guard, _called_guard(guard)):
+        with pytest.raises(IntegrationAborted) as excinfo:
+            integrate(rhs, start, t0, t1, config, guard=way)
+        err = excinfo.value
+        outcomes.append((str(err), err.last_valid_time.hex(), err.reason,
+                         err.partial.times.tobytes(), err.partial.states.tobytes()))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][2] == "guard"
+    dim = len(start)
+    (traced, _, _), _ = ode._guard_record(guard, dim)
+    (called, _, _), _ = ode._guard_record(_called_guard(guard), dim)
+    assert traced and not [template for _, template, _ in traced if "(" in template]
+    assert [template for _, template, _ in called] == ["{}({}, (" + "{}, " * dim + "))"]
+
+
+def test_a_step_tests_a_guard_only_where_there_is_one():
+    """A loop without a guard has no guard test; a traced guard is its own
+    comparison in the loop, and adds no call; a guard the tape refuses is
+    one call, at the step's end time."""
+    shape, _ = ode._trace(_linear_rhs(2), 2)
+
+    def source(guard):
+        return ode._traced_kernel(shape, 2, ode._guard_record(guard, 2)[0])[0].source
+
+    def calls(text):
+        return len(re.findall(r"k\d+\(", text))
+
+    plain, traced = source(None), source(lambda t, y: y[0] > 0.0)
+    called = source(_called_guard(lambda t, y: y[0] > 0.0))
+    assert "if not" not in plain and "tripped" not in plain
+    tests = [line.strip() for line in traced.splitlines() if "if not" in line]
+    assert len(tests) == 2 and all(re.fullmatch(r"if not \(x0 > k\d+\):", t) for t in tests)
+    assert calls(traced) == calls(plain)
+    tests = [line.strip() for line in called.splitlines() if "if not" in line]
+    assert len(tests) == 2
+    assert all(re.fullmatch(r"if not \(k\d+\(t, \(x0, x1, \)\)\):", t) for t in tests)
+    assert "        t = start + i * dt" in called and "    t = end" in called
+
+
+@pytest.mark.parametrize("way", ["traced", "called"])
+def test_a_guard_that_raises_raises_out_of_the_loop(way):
+    """A guard's lines run outside the step's ``try``: its error is no
+    abort, and leaves :func:`integrate` as it is, traced or called."""
+    def guard(t, y):
+        return 1.0 / (t - 0.5) < 1e300  # divides by zero at the second step's end
+
+    if way == "called":
+        guard = _called_guard(guard)
+    assert (ode._guard_record(guard, 2)[0][0][-1][1] == "{} < {}") == (way == "traced")
+    with pytest.raises(ZeroDivisionError):
+        integrate(_linear_rhs(2), [1.0, 0.5], 0.0, 1.0, _config(0.25), guard=guard)
+
+
+#: timed records whose stage 1 reads the time through lines of their own,
+#: which a step carries into the next: trigonometry, a quotient that can
+#: raise at the top of the step, and a cosine after a power that can raise
+#: first
+_CLOCKED = {
+    "sine": lambda t, y: (y[1], -y[0] + 0.3 * sin(1.7 * t)),
+    "quotient": lambda t, y: (y[1], -y[0] * (1.0 / (t + 9.0))),
+    "after-a-power": lambda t, y: (0.01 * y[1] ** 2 - y[0], cos(2.0 * t) - y[1]),
+}
+
+
+def _clock_hits(t0, dt, steps):
+    """Per step but the first, whether it starts at the float the stage 4
+    of the step before it ran at: ``t + dt`` with ``t = t0 + (i - 1) * dt``
+    is ``t0 + i * dt``."""
+    starts = [t0] + [t0 + i * dt for i in range(1, steps)]
+    return [starts[i - 1] + dt == starts[i] for i in range(1, steps)]
+
+
+@pytest.mark.parametrize("t0", _STARTS, ids=repr)
+@pytest.mark.parametrize("stride", [1, 10])
+@pytest.mark.parametrize("record", sorted(_CLOCKED))
+def test_a_carried_clock_is_the_clock_computed_at_every_step(record, stride, t0):
+    """A step that starts where the step before it ran its stage 4 reuses
+    that stage's time values, and a step that does not computes its own:
+    at a step that gives both, with a shortened last step, the traced run
+    is the called run and the array loop's, bit for bit."""
+    rhs, t1, config = _CLOCKED[record], t0 + 2.63, _config(0.1, stride)
+    shape, _ = ode._trace(rhs, 2)
+    assert "if t != tc:" in ode._traced_kernel(shape, 2)[0].source
+    traj = integrate(rhs, (1.0, 0.5), t0, t1, config)
+    hits = _clock_hits(t0, 0.1, traj.steps)
+    assert traj.steps == 27 and any(hits) and not all(hits)
+    called = integrate(_called(rhs), (1.0, 0.5), t0, t1, config)
+    assert (traj.rhs_calls, called.rhs_calls) == (1, 4 * 27)
+    assert traj.times.tobytes() == called.times.tobytes()
+    assert traj.states.tobytes() == called.states.tobytes()
+    times, states = _array_rk4(rhs, (1.0, 0.5), t0, t1, config)
+    assert np.array_equal(traj.states, states)
+
+
+def test_the_stage_one_clock_runs_under_one_test():
+    """The ``newton-rotating_z`` step computes its stage-1 time values, the
+    three waves among them, under one ``if t != tc:`` at its top, from the
+    time and constants alone; every other line of the step reads the time
+    only as a stage time ``t + ...``; and after the finite test the step
+    carries ``t + h`` into ``tc`` and a stage-4 value into each stage-1
+    value that another line reads."""
+    shape, _ = ode._trace(_LOOPS["newton-rotating_z"][0], 4)
+    lines = ode._traced_kernel(shape, 4)[0].source.splitlines()
+    start = lines.index("    for i in range(1, total_steps):")
+    body = list(itertools.takewhile(lambda line: line.startswith("        "),
+                                    lines[start + 1:]))
+    assert body[:2] == ["        try:", "            if t != tc:"]
+    assert [line.strip() for line in body].count("if t != tc:") == 1
+    block = list(itertools.takewhile(lambda line: line.startswith(" " * 16), body[2:]))
+    targets = set()
+    for line in block:
+        target, _, expression = line.strip().partition(" = ")
+        names = set(re.findall(r"[A-Za-z_]\w*", expression))
+        assert names <= {"t"} | targets | {n for n in names if re.fullmatch(r"k\d+", n)}, line
+        targets.add(target)
+    assert len(re.findall(r"k\d+\(", "\n".join(block))) == 3
+    rest = [line.strip() for line in body[2 + len(block):]]
+    readers = [line for line in rest
+               if "t" in re.findall(r"[A-Za-z_]\w*", line.partition(" = ")[2])]
+    assert readers and all(re.fullmatch(r"t\d+ = t \+ \w+", line) for line in readers)
+    carry = rest[rest.index("raise aborted(i, at)") + 1:rest.index("t = start + i * dt")]
+    read = {n for line in rest[:rest.index("except ArithmeticError as exc:")]
+            for n in re.findall(r"[A-Za-z_]\w*", line.partition(" = ")[2])}
+    assert carry[0].startswith("tc = t")
+    assert {line.partition(" = ")[0] for line in carry[1:]} == targets & read
+    assert all(re.fullmatch(r"(tc|t\d+) = t\d+", line) for line in carry)
+
+
+@pytest.mark.parametrize("record", ["power-first", "quotient-first"])
+def test_a_carried_clock_keeps_the_error_that_comes_first(record):
+    """Where two lines of the first step raise, a power of the state and a
+    quotient of the time, the traced step raises the one that comes first
+    in the rhs, as the called step does: the stage-1 time lines run after a
+    line that can raise before them."""
+    rhs = {"power-first": lambda t, y: (y[0] ** 2, 1.0 / t - y[1]),
+           "quotient-first": lambda t, y: (1.0 / t - y[1], y[0] ** 2)}[record]
+    shape, _ = ode._trace(rhs, 2)
+    assert "if t != tc:" in ode._traced_kernel(shape, 2)[0].source
+    traced = _outcome(rhs, [1e200, 1.0], 1.0, _config(0.1))
+    _assert_same_outcome(traced, _outcome(_called(rhs), [1e200, 1.0], 1.0, _config(0.1)))
+    error = "OverflowError" if record == "power-first" else "ZeroDivisionError"
+    assert traced[4] == "arithmetic" and error in traced[0]
