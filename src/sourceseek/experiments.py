@@ -238,9 +238,13 @@ class RateEstimate:
 def estimate_rate(traj: Trajectory, window, components=(0, 1)) -> RateEstimate:
     """Least-squares decay rate of ``|state[components]|`` over ``window``.
 
-    When the magnitude oscillates, the fit uses its per-oscillation maxima
-    (interior peaks) as envelope points; otherwise every sample in the
-    window enters. The rate is minus the slope of the log magnitude.
+    The trajectory's times are strictly increasing (:class:`Trajectory`), so
+    the samples in the window are one slice (:func:`_window`). When the
+    magnitude oscillates, the fit uses its per-oscillation maxima (interior
+    peaks, :func:`_peaks`) as envelope points; otherwise every sample in the
+    window enters. The rate is minus the slope of the straight line fitted
+    to the log magnitude, in closed form about the centroid
+    (:func:`_line_fit`).
 
     Raises
     ------
@@ -257,23 +261,19 @@ def estimate_rate(traj: Trajectory, window, components=(0, 1)) -> RateEstimate:
             f"window {window} outside trajectory span "
             f"[{times[0]}, {times[-1]}]"
         )
-    mask = (times >= t0) & (times <= t1)
-    ts = times[mask]
+    rows = _window(times, t0, t1)
+    ts = times[rows]
     # the Euclidean norm of the selected columns, read one column at a
     # time, squares summed in component order as np.linalg.norm sums a row
     magnitude = np.zeros(len(ts))
     for c in components:
-        column = traj.states[:, c][mask]
+        column = traj.states[rows, c]
         magnitude += column * column
     np.sqrt(magnitude, out=magnitude)
     if np.any(magnitude <= 0.0):
         raise ValueError("signal magnitude must stay positive over the window")
 
-    interior = np.arange(1, len(magnitude) - 1)
-    peaks = interior[
-        (magnitude[interior] > magnitude[interior - 1])
-        & (magnitude[interior] >= magnitude[interior + 1])
-    ]
+    peaks = _peaks(magnitude)
     if len(peaks) >= 2:
         ts_fit, mag_fit = ts[peaks], magnitude[peaks]
         if len(peaks) < 5:
@@ -286,22 +286,43 @@ def estimate_rate(traj: Trajectory, window, components=(0, 1)) -> RateEstimate:
         if len(ts_fit) < 5:
             raise ValueError(f"only {len(ts_fit)} samples in window {window}")
 
-    y = np.log(mag_fit)
-    design = np.column_stack([np.ones_like(ts_fit), ts_fit])
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    fitted = design @ coef
-    ss_res = float(np.sum((y - fitted) ** 2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    if ss_tot < 1e-20:
-        r_squared = 1.0 if ss_res < 1e-16 else 0.0
-    else:
-        r_squared = 1.0 - ss_res / ss_tot
+    slope, r_squared = _line_fit(ts_fit, np.log(mag_fit))
     return RateEstimate(
-        rate=-float(coef[1]),
+        rate=-slope,
         window=(t0, t1),
         r_squared=r_squared,
         n_points=int(len(ts_fit)),
     )
+
+
+def _window(times: np.ndarray, t0: float, t1: float) -> slice:
+    """The samples of strictly increasing ``times`` with ``t0 <= t <= t1``."""
+    return slice(int(np.searchsorted(times, t0, "left")),
+                 int(np.searchsorted(times, t1, "right")))
+
+
+def _peaks(magnitude: np.ndarray) -> np.ndarray:
+    """The indices of the interior maxima of ``magnitude``, in order: each
+    above the sample before it and not below the sample after it."""
+    middle = magnitude[1:-1]
+    return np.flatnonzero((middle > magnitude[:-2]) & (middle >= magnitude[2:])) + 1
+
+
+def _line_fit(t: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """The least-squares slope of ``y`` over ``t`` and the fit's r², by the
+    closed form about the centroid: ``sum(dt dy) / sum(dt^2)`` with ``dt``
+    and ``dy`` the deviations from the means. The residual sum of squares
+    is that of ``dy - slope dt`` and the total sum ``sum(dy^2)``; where the
+    total sum is below 1e-20, r² is 1 for a residual below 1e-16, else 0."""
+    dt = t - t.mean()
+    dy = y - y.mean()
+    slope = float(dt @ dy) / float(dt @ dt)
+    residual = dy - slope * dt
+    ss_res = float(residual @ residual)
+    ss_tot = float(dy @ dy)
+    if ss_tot < 1e-20:
+        return slope, 1.0 if ss_res < 1e-16 else 0.0
+    return slope, 1.0 - ss_res / ss_tot
 
 
 # ---------------------------------------------------------------------------

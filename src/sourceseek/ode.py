@@ -60,8 +60,11 @@ per step:
 * the time ``t`` the next step starts at, only where the step or the guard
   reads it, so an rhs that reads no time carries no time and computes no
   stage time;
-* at a recorded step, one store per component into a flat ``'d'``
-  memoryview of the state array, sized up front, at a running offset.
+* at a recorded step, one store per component into a memoryview of that
+  component's column of the state array, sized up front: a run that
+  records every step stores at the step's number, with no test and no
+  offset; a strided run stores under ``if i % stride == 0:`` at its one
+  sample counter.
 
 What runs after the loop, or on an abort only: the sample times, as
 ``t0 + i * dt`` by two numpy ufuncs (the float operations of the scalar
@@ -186,8 +189,10 @@ def _max_step(omega_max: float, samples_per_period: int) -> float:
 
 @dataclass
 class Trajectory:
-    """Time-stamped state samples; ``steps`` and ``rhs_calls`` are what
-    :func:`integrate` did to make them (0 where it did not)."""
+    """Time-stamped state samples at strictly increasing times, which
+    :func:`first_entry_time` and :func:`~sourceseek.experiments.estimate_rate`
+    read in order; ``steps`` and ``rhs_calls`` are what :func:`integrate`
+    did to make them (0 where it did not)."""
 
     times: np.ndarray
     states: np.ndarray
@@ -199,6 +204,9 @@ class Trajectory:
         self.states = np.asarray(self.states, dtype=float)
         if self.states.ndim != 2 or self.states.shape[0] != self.times.shape[0]:
             raise ValueError("states must be (n_samples, dim) matching times")
+        # a NaN compares false, so it is refused with an equal or falling time
+        if not np.all(self.times[1:] > self.times[:-1]):
+            raise ValueError("times must be strictly increasing")
 
     @property
     def dim(self) -> int:
@@ -217,44 +225,48 @@ class Trajectory:
 #: The RK4 step loop, one source for every rhs. :func:`_kernel` fills it
 #: for a state of ``dim`` components with one step, whose stages replay the
 #: rhs's record, traced or a call (:func:`_call_record`): ``$x`` stands for
-#: ``x0, x1, ...``, the state's locals, and ``$constants`` for ``k0, k1,
-#: ...``, the record's constants (a call record's rhs among them), then the
-#: step's, then the guard's. A failed :meth:`~sourceseek.numdiff.Tape.require`
-#: in the record raises its own error out of the loop. The loop runs steps
-#: ``1 .. total_steps - 1`` at ``h = dt`` and records every ``stride``-th; the
-#: last step runs after it at ``h = last`` (``dt`` or the shortened
-#: remainder) and is always recorded, so the loop tests neither. ``i`` is
-#: the number of the step being taken.
+#: ``x0, x1, ...``, the state's locals, ``$s`` for ``s0, s1, ...``, one
+#: memoryview per component over its column of the state array, and
+#: ``$constants`` for ``k0, k1, ...``, the record's constants (a call
+#: record's rhs among them), then the step's, then the guard's. A failed
+#: :meth:`~sourceseek.numdiff.Tape.require` in the record raises its own
+#: error out of the loop. The loop runs steps ``1 .. total_steps - 1`` at
+#: ``h = dt``; the last step runs after it at ``h = last`` (``dt`` or the
+#: shortened remainder) and is always recorded, so the loop never tests for
+#: it. ``i`` is the number of the step being taken.
 #:
 #: Per step the loop runs the step's own lines, one float test of the new
-#: state, the guard's test where there is a guard, and, at a recorded step,
-#: one store per component into the flat ``'d'`` memoryview ``states`` at
-#: the running offset ``at``. Only a step that reads its time, or a guard
-#: that does, carries ``t``: the time the step starts at, advanced to
-#: ``start + i * dt`` after the step, the guard's time (``$clock`` and
-#: ``$advance``; ``end`` on the last step). A step whose stage 1 reads the
-#: time through lines of their own (``sin(omega t)``) carries them too:
-#: ``tc`` is the time they were computed at (:func:`_carried`). ``$per_size``
-#: holds the step's lines that read only ``h`` and constants (``0.5 * h``,
-#: ``h / 6.0``), run once per step size. The sample times are not written
-#: here: :func:`integrate` computes them after the loop, and ``aborted``
-#: computes an abort's times from ``i``. The loop's own locals (``start``,
-#: ``end``, ``at``, ``h``, ``i``, ``t``, ``tc``) take no name of the tape's
-#: values ``t<n>``, ``k<n>`` and ``x<n>``, nor of the guard's ``g<n>``.
+#: state, the guard's test where there is a guard, and ``$record``. Where
+#: every step is recorded (``stride == 1``), sample ``i`` is step ``i``'s
+#: state, so ``$record`` is one store per component, ``s<j>[i] = x<j>``,
+#: with no test and no offset. Else ``$record`` stores the state at every
+#: ``stride``-th step, under ``if i % stride == 0:``, at the sample counter
+#: ``n`` (``$count`` starts it at 1, the initial state being sample 0).
+#: Only a step that reads its time, or a guard that does, carries ``t``:
+#: the time the step starts at, advanced to ``start + i * dt`` after the
+#: step, the guard's time (``$clock`` and ``$advance``; ``end`` on the last
+#: step). A step whose stage 1 reads the time through lines of their own
+#: (``sin(omega t)``) carries them too: ``tc`` is the time they were
+#: computed at (:func:`_carried`). ``$per_size`` holds the step's lines that
+#: read only ``h`` and constants (``0.5 * h``, ``h / 6.0``), run once per
+#: step size. The sample times are not written here: :func:`integrate`
+#: computes them after the loop, and ``aborted`` computes an abort's times
+#: from ``i``. The loop's own locals (``start``, ``end``, ``h``, ``i``,
+#: ``n``, ``t``, ``tc``, ``s<j>``) take no name of the tape's values
+#: ``t<n>``, ``k<n>`` and ``x<n>``, nor of the guard's ``g<n>``.
 _STEP_LOOP = string.Template("""\
 def step_loop(y, start, end, dt, last, total_steps, stride, states, aborted,
               constants):
     [$constants] = constants
     [$x] = y
-    at = $dim
+    [$s] = states
+$count
     h = dt
 $per_size
 $clock
     for i in range(1, total_steps):
 $step
-        if i % stride == 0:
 $record
-            at += $dim
     i, h = total_steps, last
 $per_size
 $last_step
@@ -269,14 +281,16 @@ $last_record
 #: never overflows and is true exactly when some component is not finite.
 #: ``$advance`` carries the step's values into the next step and sets the
 #: time ``t`` the guard reads. The guard runs outside the ``try``, so an
-#: error it raises leaves the loop as it is.
+#: error it raises leaves the loop as it is. An abort hands ``aborted`` the
+#: number of samples written, ``$written``: ``i`` where every step is
+#: recorded, else the counter ``n``.
 _STEP = string.Template("""\
 try:
 $lines
 except ArithmeticError as exc:
-    raise aborted(i, at, exc) from exc
+    raise aborted(i, $written, exc) from exc
 if $finite != 0.0:
-    raise aborted(i, at)
+    raise aborted(i, $written)
 $advance
 $guard""")
 
@@ -359,13 +373,16 @@ def _guard_record(guard, dim: int) -> tuple:
 
 
 @functools.lru_cache(maxsize=64)
-def _traced_kernel(shape: tuple, dim: int, guard: tuple | None = None):
+def _traced_kernel(shape: tuple, dim: int, guard: tuple | None = None,
+                   strided: bool = False):
     """The step loop for an rhs record of this shape (:func:`_trace`,
     :func:`_call_record`) and a guard record of the shape ``guard``
-    (:func:`_guard_record`; None for no guard): each stage replays the
-    record on the stage's time and state, so the step's tape numbers values
-    across stages, and the step keeps its :func:`~sourceseek.numdiff._live`
-    lines (an autonomous rhs reads no stage time). The lines of the record
+    (:func:`_guard_record`; None for no guard), recording every step, or
+    every ``stride``-th where ``strided`` (:data:`_STEP_LOOP`): each stage
+    replays the record on the stage's time and state, so the step's tape
+    numbers values across stages, and the step keeps its
+    :func:`~sourceseek.numdiff._live` lines (an autonomous rhs reads no
+    stage time). The lines of the record
     that read only the time and constants give, at stage 1 and at stage 4,
     the pairs of values a step may carry into the next (:func:`_carried`).
     Returns the kernel and the constants it takes after the record's own,
@@ -390,7 +407,7 @@ def _traced_kernel(shape: tuple, dim: int, guard: tuple | None = None):
             clock[name] = None
     first, fourth = stages[0], stages[-1]
     return _kernel(step, _live(step.lines, [v.name for v in new], step.constants),
-                   new, n_constants, [(first[n], fourth[n]) for n in clock], guard)
+                   new, n_constants, [(first[n], fourth[n]) for n in clock], guard, strided)
 
 
 def _tape(dim: int, inputs) -> Tape:
@@ -459,11 +476,11 @@ def _named(lines, outputs, names) -> tuple[list[str], list[str]]:
     return body, values[:len(outputs)]
 
 
-def _guard_test(shape, first: int) -> list[str]:
+def _guard_test(shape, first: int, written: str) -> list[str]:
     """The statements that abort a step whose new state fails the guard of
-    record ``shape`` (:func:`_guard_record`) at the time ``t``: its
-    temporaries are named ``g<n>``, and its constants are the kernel's from
-    ``k<first>`` on."""
+    record ``shape`` (:func:`_guard_record`) at the time ``t``, once the
+    samples counted by ``written`` are stored: its temporaries are named
+    ``g<n>``, and its constants are the kernel's from ``k<first>`` on."""
     lines, output, _ = shape
 
     def rename(name: str) -> str:
@@ -473,13 +490,14 @@ def _guard_test(shape, first: int) -> list[str]:
 
     body, (test,) = _statements([(rename(n), template, tuple(map(rename, operands)))
                                  for n, template, operands in lines], [rename(output)])
-    return [*body, f"if not {test}:", "    raise aborted(i, at, tripped=True)"]
+    return [*body, f"if not {test}:", f"    raise aborted(i, {written}, tripped=True)"]
 
 
-def _kernel(tape: Tape, lines, new, supplied: int, clock=(), guard=None):
+def _kernel(tape: Tape, lines, new, supplied: int, clock=(), guard=None, strided=False):
     """The step loop filled with ``lines``, those of ``tape``'s record of
-    :func:`_rk4_step` that the step runs, whose new state is ``new``, and
-    with the test of the guard of record ``guard``, None for no test. A
+    :func:`_rk4_step` that the step runs, whose new state is ``new``, with
+    the test of the guard of record ``guard``, None for no test, and
+    recording every step, or every ``stride``-th where ``strided``. A
     line that reads only ``h`` and constants runs once per step size, and
     the stage-1 values that read only the time are carried from step to
     step where ``clock`` pairs them with their stage-4 values
@@ -506,18 +524,20 @@ def _kernel(tape: Tape, lines, new, supplied: int, clock=(), guard=None):
         step += ["if t != tc:", *("    " + line for line in first)]
     body, values = _named(rest, [tape.name(v) for v in new], carry.values())
     step += [*body, f"{x}, = {', '.join(values)},"]
-    test = [] if guard is None else _guard_test(guard, len(tape.constants))
+    written = "n" if strided else "i"  # the number of samples stored before step i
+    test = [] if guard is None else _guard_test(guard, len(tape.constants), written)
     guard_time = guard is not None and (
         guard[1] == "t" or any("t" in operands for _, _, operands in guard[0]))
 
     def block(advance):
         return _STEP.substitute(
             lines=textwrap.indent("\n".join(step), " " * 4), advance="\n".join(advance),
-            guard="\n".join(test),
+            guard="\n".join(test), written=written,
             finite=" * ".join(["0.0", *(v.name for v in tape.state)]))
 
-    record = "\n".join(["states[at] = x0"]
-                       + [f"states[at + {j}] = x{j}" for j in range(1, dim)])
+    store = [f"s{j}[{written}] = x{j}" for j in range(dim)]
+    record = ["if i % stride == 0:", *("    " + line for line in store),
+              "    n += 1"] if strided else store
     advance = [f"{name} = {value}" for name, value in carry.items()]
     if timed or guard_time:
         advance.append("t = start + i * dt")
@@ -525,14 +545,15 @@ def _kernel(tape: Tape, lines, new, supplied: int, clock=(), guard=None):
         constants=", ".join(f"k{i}" for i in range(len(tape.constants)
                                                    + (guard[2] if guard else 0))),
         x=x,
-        dim=dim,
+        s=", ".join(f"s{j}" for j in range(dim)),
+        count="    n = 1" * strided,
         per_size=textwrap.indent("\n".join(per_size), " " * 4),
         clock=textwrap.indent("\n".join(["t = start"] * timed + ["tc = None"] * bool(carry)),
                               " " * 4),
         step=textwrap.indent(block(advance), " " * 8),
-        record=textwrap.indent(record, " " * 12),
+        record=textwrap.indent("\n".join(record), " " * 8),
         last_step=textwrap.indent(block(["t = end"] * guard_time), " " * 4),
-        last_record=textwrap.indent(record, " " * 4),
+        last_record=textwrap.indent("\n".join(store), " " * 4),
     )
     source = "".join(line + "\n" for line in source.splitlines() if line.strip())
     namespace: dict = {}
@@ -569,8 +590,12 @@ def integrate(rhs, x0, t0: float, t1: float, config: IntegratorConfig,
     -------
     Trajectory
         States recorded every ``config.output_stride`` steps; the initial and
-        final states are always included. ``steps`` counts the steps and
-        ``rhs_calls`` the runs of ``rhs``: 1 where it was traced.
+        final states are always included, so at stride 1 sample ``i`` is the
+        state after step ``i``. The step loop stores each component through
+        a memoryview of its column of the C-ordered ``(n_samples, dim)``
+        array, at the step's number at stride 1, else at a sample counter.
+        ``steps`` counts the steps and ``rhs_calls`` the runs of ``rhs``: 1
+        where it was traced.
 
     Raises
     ------
@@ -619,8 +644,8 @@ def integrate(rhs, x0, t0: float, t1: float, config: IntegratorConfig,
         times[0] = t0  # t0 + 0.0 is not t0 at t0 = -0.0
         return times
 
-    def aborted(i: int, at: int, exc=None, tripped=False) -> IntegrationAborted:
-        """The abort of step ``i`` once ``at`` floats of ``states`` are
+    def aborted(i: int, n: int, exc=None, tripped=False) -> IntegrationAborted:
+        """The abort of step ``i`` once ``n`` samples of ``states`` are
         written: by ``exc``, an ArithmeticError of a stage, by the guard
         where ``tripped``, else by a non-finite state."""
         when = t1 if i == total_steps else t0 + i * dt
@@ -632,7 +657,6 @@ def integrate(rhs, x0, t0: float, t1: float, config: IntegratorConfig,
         else:
             what = f"non-finite state at t={when}" + ("" if exc is None else f" ({exc!r})")
             reason = "nonfinite" if exc is None else "arithmetic"
-        n = at // dim
         partial = Trajectory(sample_times(n), states[:n].copy())
         return IntegrationAborted(f"{what}; last valid time t={valid}", valid, partial,
                                   reason)
@@ -646,8 +670,8 @@ def integrate(rhs, x0, t0: float, t1: float, config: IntegratorConfig,
         shape, supplied = _call_record(rhs, dim)
         rhs_calls = 4 * total_steps
     guard_shape, guard_constants = _guard_record(guard, dim)
-    kernel, constants = _traced_kernel(shape, dim, guard_shape)
-    kernel(y, t0, t1, dt, last, total_steps, stride, memoryview(states).cast("B").cast("d"),
+    kernel, constants = _traced_kernel(shape, dim, guard_shape, stride > 1)
+    kernel(y, t0, t1, dt, last, total_steps, stride, tuple(map(memoryview, states.T)),
            aborted, (*supplied, *constants, *guard_constants))
     times = sample_times(n_samples)
     times[-1] = t1

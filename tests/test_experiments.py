@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -35,6 +36,7 @@ from sourceseek import (
     run_omega_sweep,
     run_simulate,
 )
+from sourceseek import experiments
 from sourceseek.averaging import AssumptionClause, AssumptionReport
 from sourceseek.experiments import (
     AverageReport,
@@ -204,29 +206,174 @@ class TestEstimateRate:
         with pytest.raises(ValueError, match="span"):
             estimate_rate(self._traj(t, np.exp(-t)), (0.0, 2.0), (0,))
 
-    @pytest.mark.parametrize("scheme, frame, hessian, t_end, window, expected", [
+    @pytest.mark.parametrize("scheme, frame, hessian, t_end, window, expected, lstsq", [
         (Scheme.GRADIENT, Frame.AVERAGED_GRADIENT, 0.05, 400.0, (0.0, 400.0),
+         ("0x1.999a424c2e65cp-6", "0x1.fffec5a1b723fp-1", 3821),
          ("0x1.999a424c2e660p-6", "0x1.fffec5a1b723fp-1", 3821)),
         (Scheme.NEWTON, Frame.AVERAGED_NEWTON, 0.01, 60.0, (20.0, 60.0),
+         ("0x1.fc87c1451b1f8p-2", "0x1.ff6e6bad6b099p-1", 383),
          ("0x1.fc87c1451b1fap-2", "0x1.ff6e6bad6b099p-1", 383)),
         (Scheme.GRADIENT, Frame.ORIGINAL, 0.5, 30.0, (0.0, 30.0),
+         ("0x1.0f5c3b5615cebp-5", "0x1.5531ae4a0952bp-1", 76),
          ("0x1.0f5c3b5615ce9p-5", "0x1.5531ae4a0952ap-1", 76)),
     ], ids=["averaged-gradient", "averaged-newton", "gradient-original"])
     def test_recorded_runs_fit_as_the_norm_of_whole_rows_did(self, scheme, frame, hessian,
-                                                               t_end, window, expected):
+                                                               t_end, window, expected,
+                                                               lstsq):
         """The magnitude built from the two position columns alone gives the
-        fits, bit for bit, that ``np.linalg.norm`` of the masked state rows
-        gave: every sample of two averaged runs, and a full run's
-        envelope."""
+        points that ``np.linalg.norm`` of the masked state rows gave: every
+        sample of two averaged runs, and a full run's envelope. The
+        closed-form line is pinned; it lies within 8 ulps of the fit that
+        ``np.linalg.lstsq`` made of the same points (``lstsq``), on the same
+        number of points."""
         scenario = Scenario(scheme=scheme, frame=frame, t_end=t_end,
                             field=replace(DEFAULT_FIELD, hessian=hessian))
         est = estimate_rate(scenario.run(), window)
         assert (est.rate.hex(), est.r_squared.hex(), est.n_points) == expected
+        for new, old in zip((est.rate, est.r_squared), map(float.fromhex, lstsq)):
+            assert abs(new - old) <= 8 * math.ulp(old)
+        assert est.n_points == lstsq[2]
 
     def test_zero_magnitude_rejected(self):
         t = np.linspace(0.0, 1.0, 11)
         with pytest.raises(ValueError, match="positive"):
             estimate_rate(self._traj(t, np.zeros(11)), (0.0, 1.0), (0,))
+
+
+def _fancy_peaks(magnitude):
+    """The interior peaks of ``magnitude`` as fancy indices picked them."""
+    interior = np.arange(1, len(magnitude) - 1)
+    return interior[(magnitude[interior] > magnitude[interior - 1])
+                    & (magnitude[interior] >= magnitude[interior + 1])]
+
+
+def _masked_points(traj, window, components):
+    """The window's times and magnitude, and its interior peaks, as the
+    boolean mask and the fancy indices of the first rate fits chose them."""
+    times = traj.times
+    mask = (times >= window[0]) & (times <= window[1])
+    magnitude = np.zeros(int(mask.sum()))
+    for c in components:
+        column = traj.states[:, c][mask]
+        magnitude += column * column
+    np.sqrt(magnitude, out=magnitude)
+    return times[mask], magnitude, _fancy_peaks(magnitude)
+
+
+def _lstsq_rate(traj, window, components):
+    """The rate fit as ``np.linalg.lstsq`` on the two-column design made it,
+    with its residual formula, from the masked points: ``(rate, r_squared,
+    n_points, scale)``, or the ValueError it raised. ``scale``, the root of
+    the ratio of the sums of squared deviations of the log magnitude and of
+    the times, bounds the size of the slope, and is the slope's where the
+    points lie on a line (r² = 1)."""
+    times = traj.times
+    t0, t1 = float(window[0]), float(window[1])
+    if not t1 > t0:
+        return ValueError(f"empty window {window}")
+    if t0 < times[0] - 1e-12 or t1 > times[-1] + 1e-12:
+        return ValueError(f"window {window} outside trajectory span "
+                          f"[{times[0]}, {times[-1]}]")
+    ts, magnitude, peaks = _masked_points(traj, (t0, t1), components)
+    if np.any(magnitude <= 0.0):
+        return ValueError("signal magnitude must stay positive over the window")
+    if len(peaks) >= 2:
+        ts, magnitude = ts[peaks], magnitude[peaks]
+        if len(peaks) < 5:
+            return ValueError(f"only {len(peaks)} envelope points in window {window}; "
+                              "need at least 5")
+    elif len(ts) < 5:
+        return ValueError(f"only {len(ts)} samples in window {window}")
+    y = np.log(magnitude)
+    design = np.column_stack([np.ones_like(ts), ts])
+    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+    ss_res = float(np.sum((y - design @ coef) ** 2))
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    if ss_tot < 1e-20:
+        r_squared = 1.0 if ss_res < 1e-16 else 0.0
+    else:
+        r_squared = 1.0 - ss_res / ss_tot
+    scale = math.sqrt(ss_tot / float(np.sum((ts - ts.mean()) ** 2)))
+    return -float(coef[1]), r_squared, len(ts), scale
+
+
+@st.composite
+def _decays(draw):
+    """A two-component trajectory of 5 to 10^4 strictly increasing samples,
+    whose log magnitude is a line with an oscillation on it, resolved by 20
+    or more samples a period, or with noise too small to turn the line over
+    5 samples, and a window whose ends lie on a sample, within 1e-12 of
+    one, or halfway between two."""
+    n = draw(st.integers(5, 10_000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spacing = draw(st.floats(0.05, 1.0))
+    start = draw(st.floats(-10.0, 10.0))
+    steps = spacing * rng.uniform(0.5, 1.5, n - 1)
+    times = start + np.concatenate([[0.0], np.cumsum(steps)])
+    # a log change of 1 to 50 over the run, falling or rising
+    rate = draw(st.floats(1.0, 50.0)) / (times[-1] - start) * draw(st.sampled_from([1, -1]))
+    log_m = draw(st.floats(-5.0, 5.0)) - rate * (times - start)
+    if draw(st.booleans()):
+        period = spacing * draw(st.integers(20, 200))
+        log_m += np.log(1.5 + np.cos(2.0 * np.pi * (times - start) / period))
+    else:
+        noise = draw(st.floats(0.0, 1.0)) * 0.25 * abs(rate) * spacing
+        log_m += noise * rng.uniform(-1.0, 1.0, n)
+    angle = rng.uniform(0.0, 2.0 * np.pi, n)
+    magnitude = np.exp(log_m)
+    traj = Trajectory(times, np.column_stack([magnitude * np.cos(angle),
+                                              magnitude * np.sin(angle)]))
+
+    def end(i):
+        shift = draw(st.sampled_from([0.0, -1e-12, 1e-12, -0.5, 0.5]))
+        if abs(shift) < 1.0e-6:
+            return times[i] + shift
+        j = min(max(i + (1 if shift > 0.0 else -1), 0), n - 1)
+        return 0.5 * (times[i] + times[j])
+
+    first = draw(st.integers(0, n - 1))
+    last = draw(st.integers(first, n - 1))
+    return traj, (end(first), end(last))
+
+
+class TestRateFitPoints:
+    """The slice window, the slice peaks and the closed-form line of
+    :func:`estimate_rate` against the masked selection and ``lstsq`` fit
+    they replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_decays(), ties=st.lists(st.integers(0, 3), max_size=40))
+    def test_the_slices_select_the_masked_points_in_order(self, case, ties):
+        traj, window = case
+        rows = experiments._window(traj.times, *window)
+        ts, magnitude, peaks = _masked_points(traj, window, (0, 1))
+        assert np.array_equal(traj.times[rows], ts)
+        assert np.array_equal(np.arange(len(traj.times))[rows],
+                              np.flatnonzero((traj.times >= window[0])
+                                             & (traj.times <= window[1])))
+        assert np.array_equal(experiments._peaks(magnitude), peaks)
+        # plateaus: a peak is above the sample before it, not below the next
+        plateau = np.array(ties, dtype=float)
+        assert np.array_equal(experiments._peaks(plateau), _fancy_peaks(plateau))
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_decays())
+    def test_the_closed_form_line_is_the_lstsq_line(self, case):
+        """Both lines are the least-squares line of the same points, and
+        differ by rounding alone: the rate by at most 1e-12 of the slope's
+        scale (its size where the points lie near a line), r² by at most
+        1e-12 of its unit range, and any ValueError is the same."""
+        traj, window = case
+        expected = _lstsq_rate(traj, window, (0, 1))
+        if isinstance(expected, ValueError):
+            with pytest.raises(ValueError, match=f"^{re.escape(str(expected))}$"):
+                estimate_rate(traj, window)
+            return
+        est = estimate_rate(traj, window)
+        rate, r_squared, n_points, scale = expected
+        assert est.n_points == n_points
+        assert abs(est.rate - rate) <= 1e-12 * scale, (est, expected)
+        assert abs(est.r_squared - r_squared) <= 1e-12, (est, expected)
 
 
 class TestRunSimulate:

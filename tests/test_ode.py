@@ -293,6 +293,25 @@ class TestIntegratorConfig:
         assert cfg.dt == pytest.approx(2.0 * math.pi / (30.0 * 60.0))
 
 
+class TestTrajectory:
+    @pytest.mark.parametrize("times", [
+        [0.0, 1.0, 1.0, 2.0], [-0.0, 0.0, 1.0, 2.0], [0.0, 2.0, 1.0, 3.0],
+        [3.0, 2.0, 1.0, 0.0], [0.0, math.nan, 2.0, 3.0], [math.nan, 1.0, 2.0, 3.0],
+        [0.0, 1.0, 2.0, math.nan],
+    ], ids=["equal", "signed-zeros", "falling-once", "falling", "nan-inside", "nan-first",
+            "nan-last"])
+    def test_refuses_times_that_do_not_strictly_increase(self, times):
+        """The window of a rate fit and the entry time read the samples in
+        time order: an equal, a falling or a NaN time is refused."""
+        with pytest.raises(ValueError, match="times must be strictly increasing"):
+            Trajectory(times, np.zeros((4, 2)))
+
+    @pytest.mark.parametrize("times", [[], [math.nan], [-0.0, 1e-300, 1.0]],
+                             ids=["empty", "one-sample", "increasing"])
+    def test_accepts_times_with_no_pair_out_of_order(self, times):
+        assert Trajectory(times, np.zeros((len(times), 2))).times.shape == (len(times),)
+
+
 class TestFirstEntryTime:
     def test_trajectory_already_at_center(self):
         traj = Trajectory(np.linspace(0.0, 1.0, 11), np.zeros((11, 2)))
@@ -620,6 +639,51 @@ def test_traced_step_is_the_called_step(pair, data):
         _outcome(rhs, x0, scenario.t_end, config, scenario.guard()),
         _outcome(_called(rhs), x0, scenario.t_end, config, scenario.guard()),
     )
+
+
+@pytest.mark.parametrize("tail", [0.0, 0.37], ids=["whole", "shortened"])
+@pytest.mark.parametrize("pair", sorted(FRAME_SPECS, key=str),
+                         ids=lambda pair: f"{pair[0].value}-{pair[1].value}")
+def test_a_strided_run_keeps_every_stride_th_sample_of_the_full_record(pair, tail):
+    """A run at stride 10 records, bit for bit, every 10th interior sample
+    of the same run at stride 1, the initial state first, and its last
+    sample, for every frame's loop."""
+    scenario = Scenario(scheme=pair[0], frame=pair[1])
+    config = scenario.integrator_config()
+    rhs, x0, guard = scenario.build_rhs(), scenario.initial_state(), scenario.guard()
+    t1 = (137 + tail) * config.dt
+    every = integrate(rhs, x0, 0.0, t1, replace(config, output_stride=1), guard)
+    strided = integrate(rhs, x0, 0.0, t1, replace(config, output_stride=10), guard)
+    assert strided.steps == every.steps == 137 + (tail > 0.0)
+    for name in ("times", "states"):
+        full = getattr(every, name)
+        kept = np.concatenate([full[:-1][::10], full[-1:]])
+        assert getattr(strided, name).tobytes() == kept.tobytes(), name
+
+
+@pytest.mark.parametrize("guard", [None, lambda t, y: y[0] > -5.0], ids=["plain", "guarded"])
+def test_a_run_that_records_every_step_stores_at_the_step_number(guard):
+    """Where every step is recorded, sample ``i`` is step ``i``'s state: the
+    loop and the last step store ``s<j>[i] = x<j>``, with no ``%`` test
+    and no offset, and an abort counts ``i`` samples written. A strided
+    loop keeps one sample counter ``n``, started once and advanced once,
+    under one ``if i % stride == 0:``."""
+    shape, _ = ode._trace(_linear_rhs(3), 3)
+    guard_shape = ode._guard_record(guard, 3)[0]
+    every = ode._traced_kernel(shape, 3, guard_shape, False)[0].source
+    strided = ode._traced_kernel(shape, 3, guard_shape, True)[0].source
+    assert "%" not in every and not re.search(r"\b(at|n)\b", every)
+    lines = [line.strip() for line in every.splitlines()]
+    for j in range(3):
+        assert lines.count(f"s{j}[i] = x{j}") == 2
+    assert set(re.findall(r"aborted\(i, (\w+)", every)) == {"i"}
+    assert not re.search(r"\bat\b", strided)
+    lines = [line.strip() for line in strided.splitlines()]
+    assert (lines.count("if i % stride == 0:"), lines.count("n = 1"),
+            lines.count("n += 1")) == (1, 1, 1)
+    for j in range(3):
+        assert lines.count(f"s{j}[n] = x{j}") == 2 and f"s{j}[i]" not in strided
+    assert set(re.findall(r"aborted\(i, (\w+)", strided)) == {"n"}
 
 
 #: (rhs, guard, reason) of the three ways a run aborts: y' = y**2 blows up
@@ -1236,7 +1300,7 @@ def test_the_stage_one_clock_runs_under_one_test():
     readers = [line for line in rest
                if "t" in re.findall(r"[A-Za-z_]\w*", line.partition(" = ")[2])]
     assert readers and all(re.fullmatch(r"t\d+ = t \+ \w+", line) for line in readers)
-    carry = rest[rest.index("raise aborted(i, at)") + 1:rest.index("t = start + i * dt")]
+    carry = rest[rest.index("raise aborted(i, i)") + 1:rest.index("t = start + i * dt")]
     read = {n for line in rest[:rest.index("except ArithmeticError as exc:")]
             for n in re.findall(r"[A-Za-z_]\w*", line.partition(" = ")[2])}
     assert carry[0].startswith("tc = t")
