@@ -71,6 +71,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import random
 from collections.abc import Hashable
 from dataclasses import dataclass
 from functools import cached_property
@@ -752,15 +753,17 @@ def check_assumptions(system: ControlAffineSystem) -> AssumptionReport:
     second-order budget (pair sums above 1, triple sums above 2), the
     matching raw iterated integral must vanish within its quadrature error
     estimate or the corresponding bracket must pass the vanishing rule
-    (:func:`_vanishes`) on 10 standard-normal sample states drawn from
-    seed 0. The coefficients
+    (:func:`_vanishes`) on 10 standard-normal sample states. The states come
+    from the standard library's ``random.Random(0)``, seeded afresh at each
+    call: one ``gauss(0, 1)`` per component, state after state and clause
+    after clause (the check imports no ``numpy.random``). The coefficients
     are the records of ``system.coefficients``, which the engine reads too;
     their integrals come from the ladder shared by every system on the same
     waves, so a check on a second system of one wave set runs no ladder.
     Combinations whose four-exponent sum reaches 3 fall under the declared
     ``smooth_remainder`` flag and are reported, not computed.
     """
-    rng = np.random.default_rng(0)
+    rng = random.Random(0)
     clauses: list[AssumptionClause] = []
     l = system.n_channels
 
@@ -787,8 +790,9 @@ def check_assumptions(system: ControlAffineSystem) -> AssumptionReport:
             )
         f, g = _bracket(system, c.indices)
         # all() stops at the first failing state, so the draws stay in order
-        vanishes = all(_vanishes(f, g, rng.standard_normal(system.dimension))
-                       for _ in range(10))
+        vanishes = all(
+            _vanishes(f, g, np.array([rng.gauss(0.0, 1.0) for _ in range(system.dimension)]))
+            for _ in range(10))
         return AssumptionClause(
             name, True, vanishes,
             "bracket vanishes on sample states" if vanishes

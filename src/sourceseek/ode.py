@@ -66,10 +66,11 @@ per step:
   offset; a strided run stores under ``if i % stride == 0:`` at its one
   sample counter.
 
-What runs after the loop, or on an abort only: the sample times, as
+What runs outside the loop: before it, the sample times, as
 ``t0 + i * dt`` by two numpy ufuncs (the float operations of the scalar
-expression) and ``t1`` last; an abort's message and last valid time, from
-the number of the failed step; and the copy of the samples written so far.
+expression) and ``t1`` last, which must strictly increase; on an abort
+only, its message and last valid time, from the number of the failed step,
+and the copy of the samples and times written so far.
 """
 
 from __future__ import annotations
@@ -250,8 +251,8 @@ class Trajectory:
 #: computed at (:func:`_carried`). ``$per_size`` holds the step's lines that
 #: read only ``h`` and constants (``0.5 * h``, ``h / 6.0``), run once per
 #: step size. The sample times are not written here: :func:`integrate`
-#: computes them after the loop, and ``aborted`` computes an abort's times
-#: from ``i``. The loop's own locals (``start``, ``end``, ``h``, ``i``,
+#: computes them before the loop, and ``aborted`` copies an abort's share
+#: of them. The loop's own locals (``start``, ``end``, ``h``, ``i``,
 #: ``n``, ``t``, ``tc``, ``s<j>``) take no name of the tape's values
 #: ``t<n>``, ``k<n>`` and ``x<n>``, nor of the guard's ``g<n>``.
 _STEP_LOOP = string.Template("""\
@@ -605,10 +606,11 @@ def integrate(rhs, x0, t0: float, t1: float, config: IntegratorConfig,
         carries the last valid time, the partial trajectory and the
         reason.
     ValueError
-        On a non-finite ``t0`` or ``t1``, ``t1 <= t0``, a non-finite
-        initial state or one that violates
-        the guard, or an ``rhs`` whose output length differs from the
-        state length.
+        On a non-finite ``t0`` or ``t1``, ``t1 <= t0``, sample times that
+        do not strictly increase (a ``dt`` below their float spacing), a
+        non-finite initial state or one that violates the guard, or an
+        ``rhs`` whose output length differs from the state length. All but
+        the last are raised before ``rhs`` runs.
     """
     if not (math.isfinite(t0) and math.isfinite(t1)):
         raise ValueError(f"t0 and t1 must be finite, got [{t0}, {t1}]")
@@ -632,17 +634,18 @@ def integrate(rhs, x0, t0: float, t1: float, config: IntegratorConfig,
 
     # interior samples every ``stride`` steps, plus the initial and final states
     n_samples = 1 + ((total_steps - 1) // stride + 1 if total_steps else 0)
+    # ``t0``, then ``t0 + i * dt`` at every ``stride``-th step ``i``, by the
+    # float operations of the scalar expression, one ufunc each, then ``t1``
+    times = t0 + np.arange(0, n_samples * stride, stride) * dt
+    times[0] = t0  # t0 + 0.0 is not t0 at t0 = -0.0
+    times[-1] = t1
+    if not (times[1:] > times[:-1]).all():
+        raise ValueError(f"dt={dt} is below the float spacing of the sample times "
+                         f"t0 + i * dt on [t0={t0}, t1={t1}]: they do not strictly "
+                         f"increase")
     states = np.empty((n_samples, dim))
     states[0] = y
     last = remainder if has_tail else dt
-
-    def sample_times(n: int) -> np.ndarray:
-        """The times of the first ``n`` samples: ``t0``, then ``t0 + i * dt``
-        at every ``stride``-th step ``i``, by the float operations of the
-        scalar expression, one ufunc each."""
-        times = t0 + np.arange(0, n * stride, stride) * dt
-        times[0] = t0  # t0 + 0.0 is not t0 at t0 = -0.0
-        return times
 
     def aborted(i: int, n: int, exc=None, tripped=False) -> IntegrationAborted:
         """The abort of step ``i`` once ``n`` samples of ``states`` are
@@ -657,7 +660,7 @@ def integrate(rhs, x0, t0: float, t1: float, config: IntegratorConfig,
         else:
             what = f"non-finite state at t={when}" + ("" if exc is None else f" ({exc!r})")
             reason = "nonfinite" if exc is None else "arithmetic"
-        partial = Trajectory(sample_times(n), states[:n].copy())
+        partial = Trajectory(times[:n].copy(), states[:n].copy())
         return IntegrationAborted(f"{what}; last valid time t={valid}", valid, partial,
                                   reason)
 
@@ -673,8 +676,6 @@ def integrate(rhs, x0, t0: float, t1: float, config: IntegratorConfig,
     kernel, constants = _traced_kernel(shape, dim, guard_shape, stride > 1)
     kernel(y, t0, t1, dt, last, total_steps, stride, tuple(map(memoryview, states.T)),
            aborted, (*supplied, *constants, *guard_constants))
-    times = sample_times(n_samples)
-    times[-1] = t1
     return Trajectory(times, states, steps=total_steps, rhs_calls=rhs_calls)
 
 

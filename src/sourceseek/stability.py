@@ -220,19 +220,36 @@ def _components(z) -> tuple[np.ndarray, np.ndarray]:
     return z[..., 0], z[..., 1]
 
 
-def _mat_vec(mat: np.ndarray, z1, z2) -> tuple:
-    """``M z`` of a 2x2 matrix, one component array at a time."""
+def _mat_vec(mat: np.ndarray, z1, z2, out: tuple, scratch) -> tuple:
+    """``M z`` of a 2x2 matrix into the pair ``out``, one component at a
+    time, as ``m11 z1 + m12 z2`` and ``m21 z1 + m22 z2``; ``scratch``, an
+    array of the same shape, holds each second product."""
     (m11, m12), (m21, m22) = mat.tolist()
-    return m11 * z1 + m12 * z2, m21 * z1 + m22 * z2
+    for row, (a, c) in zip(out, ((m11, m12), (m21, m22))):
+        np.multiply(a, z1, out=row)
+        np.add(row, np.multiply(c, z2, out=scratch), out=row)
+    return out
 
 
-def _cascade_dz(z1, z2, ed, cert: LyapunovCertificate) -> tuple:
-    """The cascade flow ``dz = (S + Lt) z + (e^dhat - 1) Lt z``, given
-    ``ed = e^dhat``, as its two components. ``S`` has only the off-diagonal
-    entries ``+-omega0`` and ``Lt`` only its lower corner ``-alpha/2``, so the
-    products are written out."""
-    lam_z2 = -0.5 * cert.alpha * z2
-    return cert.omega0 * z2, (-cert.omega0 * z1 + lam_z2) + (ed - 1.0) * lam_z2
+def _cascade_dz(z1, z2, y, cert: LyapunovCertificate, out: tuple | None = None) -> tuple:
+    """The cascade flow ``dz = (S + Lt) z + y Lt z``, given ``y = e^dhat - 1``,
+    as its two components. ``S`` has only the off-diagonal entries
+    ``+-omega0`` and ``Lt`` only its lower corner ``-alpha/2``, so the
+    products are written out: ``dz1 = omega0 z2`` and
+    ``dz2 = (-omega0 z1 + lam_z2) + y lam_z2`` with ``lam_z2 = -alpha/2 z2``.
+    They are written into ``out``, a pair of arrays of the broadcast shape
+    (new ones where it is None), the first holding ``lam_z2`` until ``dz2``
+    is done."""
+    if out is None:
+        shape = np.broadcast_shapes(np.shape(z1), np.shape(z2), np.shape(y))
+        out = np.empty(shape), np.empty(shape)
+    dz1, dz2 = out
+    lam_z2 = np.multiply(-0.5 * cert.alpha, z2, out=dz1)
+    np.multiply(-cert.omega0, z1, out=dz2)
+    np.add(dz2, lam_z2, out=dz2)
+    np.add(dz2, np.multiply(y, lam_z2, out=lam_z2), out=dz2)
+    np.multiply(cert.omega0, z2, out=dz1)
+    return out
 
 
 def _cascade_dr(r, z1, z2, dz, hessian: float, h_gain: float):
@@ -244,20 +261,58 @@ def vdot_margin(z_bar, d_hat, cert: LyapunovCertificate):
     """Chain-rule derivative of the certificate along the cascade flow minus
     its negative-definite bound; a valid certificate keeps this <= 0.
 
-    The derivative uses dz = (S + Lt e^dhat) z and
-    d(dhat) = -omega_d (e^dhat - 1); the bound is
-    (-|z|^2 / 2 - b (e^dhat - 1)^2) / (1 + z^T P z).
+    With ``y = e^dhat - 1`` and ``q = z^T P z``, the certificate
+    ``V = ln(1 + q) + (b/omega_d)(e^dhat - dhat - 1)`` has, along
+    ``dz = (S + Lt) z + y Lt z`` and ``d(dhat) = -omega_d y``, the derivative
+
+        Vdot = 2 z^T P dz / (1 + q) - b y^2
+             = (-|z|^2 + y z^T G z) / (1 + q) - b y^2,
+
+    since ``2 z^T P (S + Lt) z = z^T (P A + A^T P) z = -|z|^2`` and
+    ``2 z^T P Lt z = z^T (P Lt + Lt^T P) z = z^T G z``. The bound is
+    ``(-|z|^2 / 2 - b y^2) / (1 + q)``, so the margin obeys
+
+        vdot_margin * (1 + q) = -|z|^2 / 2 + y z^T G z - b y^2 q.
+
+    With ``|z^T G z| <= |G| |z|^2``, ``q >= lambda_min(P) |z|^2`` and
+    ``b = |G|^2 / (2 lambda_min(P))``, the right side is at most
+    ``-|z|^2 / 2 + |G| |y| |z|^2 - (|G|^2 / 2) y^2 |z|^2
+    = -(|z|^2 / 2)(1 - |G| |y|)^2 <= 0``: the margin is nonpositive at every
+    state, for any gains :func:`build_certificate` accepts, and sampling it
+    catches coding errors, not a false claim.
+
+    The value is computed as written above the identity, by the same float
+    operations on every element: ``2 (pz1 dz1 + pz2 dz2) / (1 + q) - b y^2``
+    minus the bound. The call allocates five arrays, which in-place ufuncs
+    reuse: ``y``, of the shape of ``d_hat``, and four of the broadcast shape
+    of ``z_bar[..., 0]`` and ``d_hat``, which first hold ``P z`` and ``dz``.
+    A 0-d result is returned as a float.
     """
     z1, z2 = _components(z_bar)
-    ed = np.exp(np.asarray(d_hat, dtype=float))
-    dz1, dz2 = _cascade_dz(z1, z2, ed, cert)
-    pz1, pz2 = _mat_vec(cert.P, z1, z2)
-    denom = 1.0 + (z1 * pz1 + z2 * pz2)  # 1 + z^T P z
-    riccati = cert.b * (ed - 1.0) ** 2
-    vdot = 2.0 * (pz1 * dz1 + pz2 * dz2) / denom - riccati
-    bound = (-0.5 * (z1 * z1 + z2 * z2) - riccati) / denom
-    out = vdot - bound
-    return float(out) if np.ndim(out) == 0 else out
+    d_hat = np.asarray(d_hat, dtype=float)
+    y = np.exp(d_hat, out=np.empty_like(d_hat))
+    np.subtract(y, 1.0, out=y)
+    shape = np.broadcast_shapes(z1.shape, y.shape)
+    pz1, pz2, dz1, dz2 = (np.empty(shape) for _ in range(4))
+    _mat_vec(cert.P, z1, z2, (pz1, pz2), scratch=dz1)
+    _cascade_dz(z1, z2, y, cert, out=(dz1, dz2))
+    flow = np.multiply(pz1, dz1, out=dz1)  # z^T P dz
+    np.add(flow, np.multiply(pz2, dz2, out=dz2), out=flow)
+    denom = np.multiply(z1, pz1, out=pz1)  # 1 + z^T P z
+    np.add(denom, np.multiply(z2, pz2, out=pz2), out=denom)
+    np.add(1.0, denom, out=denom)
+    riccati = np.multiply(y, y, out=y)  # b y^2
+    np.multiply(cert.b, riccati, out=riccati)
+    vdot = np.multiply(2.0, flow, out=flow)
+    np.divide(vdot, denom, out=vdot)
+    np.subtract(vdot, riccati, out=vdot)
+    bound = np.multiply(z1, z1, out=dz2)  # (-|z|^2 / 2 - b y^2) / (1 + q)
+    np.add(bound, np.multiply(z2, z2, out=pz2), out=bound)
+    np.multiply(-0.5, bound, out=bound)
+    np.subtract(bound, riccati, out=bound)
+    np.divide(bound, denom, out=bound)
+    out = np.subtract(vdot, bound, out=vdot)
+    return float(out) if out.ndim == 0 else out
 
 
 def iss_bound_check(r, z_bar, d_hat, hessian: float, h_gain: float,
@@ -268,11 +323,20 @@ def iss_bound_check(r, z_bar, d_hat, hessian: float, h_gain: float,
     cascade. The bound compares the one-sided derivative of |r| against
     -h |r| + H (2|g|)^2 (|S| + e^(2|g|) |Lt|) with g = (z, dhat), and the
     returned margin is bound minus actual.
+
+    It holds at every point, for any gains: the one-sided derivative is
+    ``sign(r) dr <= -h |r| + H |z^T dz|`` where ``r != 0`` and
+    ``|dr| = H |z^T dz|`` where ``r = 0``, and
+    ``|z^T dz| <= |z|^2 (|S| + e^dhat |Lt|) = |z|^2 (omega0 + e^dhat alpha/2)``.
+    Since ``|g| >= |z|`` and ``2|g| >= |dhat| >= dhat``, the stated bound is
+    at least that large, so the margin is nonnegative: ``r`` is
+    input-to-state stable with respect to ``g``, with the class-K gains
+    ``h s`` and ``H (2s)^2 (omega0 + e^(2s) alpha/2)``.
     """
     r = np.asarray(r, dtype=float)
     z1, z2 = _components(z_bar)
     d_hat = np.asarray(d_hat, dtype=float)
-    dz = _cascade_dz(z1, z2, np.exp(d_hat), cert)
+    dz = _cascade_dz(z1, z2, np.exp(d_hat) - 1.0, cert)
     r_dot = _cascade_dr(r, z1, z2, dz, hessian, h_gain)
     abs_r_rate = np.where(r != 0.0, np.sign(r) * r_dot, np.abs(r_dot))
     g_norm = np.sqrt(z1 * z1 + z2 * z2 + d_hat**2)

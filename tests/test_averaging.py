@@ -1057,6 +1057,19 @@ def test_import_does_not_load_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_checking_the_default_systems_does_not_load_numpy_random():
+    """check_assumptions draws its sample states from the standard library,
+    so verifying both default loops leaves numpy.random unimported."""
+    code = ("import sys, sourceseek as s; "
+            "[s.check_assumptions(make(s.DEFAULT_PARAMS, s.DEFAULT_FIELD)) "
+            " for make in (s.gradient_affine_system, s.newton_affine_system)]; "
+            "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(_SRC)})
+    assert out.stdout.strip() == "[]"
+
+
 class TestEvaluationCost:
     """Field evaluations, counted on wrapped fields: one per field value and
     one per dual directional derivative. A bracket costs four of them and a

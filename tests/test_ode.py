@@ -248,6 +248,23 @@ class TestIntegrate:
         with pytest.raises(ValueError, match=message):
             integrate(lambda t, y: (-y[0],), [1.0], t0, t1, _config(0.01))
 
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_refuses_a_step_below_the_float_spacing_before_the_first_step(self, stride):
+        # at t = 1e6 the float spacing is 1.16e-10, so the 101 sample times
+        # of dt = 1e-11 on a span of 1e-9 take about 10 distinct values
+        calls = []
+
+        def rhs(t, y):
+            calls.append(t)
+            return (-y[0],)
+
+        config = IntegratorConfig(dt=1e-11, output_stride=stride)
+        message = re.escape("dt=1e-11 is below the float spacing of the sample times "
+                            "t0 + i * dt on [t0=1000000.0, t1=1000000.000000001]")
+        with pytest.raises(ValueError, match=message):
+            integrate(rhs, [1.0], 1e6, 1e6 + 1e-9, config)
+        assert calls == []
+
 
 class TestIntegratorConfig:
     def test_rejects_coarse_period_sampling(self):
