@@ -173,11 +173,10 @@ class Scenario(_Start):
         return integrate(self.build_rhs(), self.initial_state(), 0.0, self.t_end,
                          config or self.integrator_config(), guard=self.guard())
 
-    def guard(self):
-        """Positivity guard on the raw Riccati component, where one exists."""
-        if self.scheme is Scheme.NEWTON and self.spec.coordinates is None:
-            return lambda t, s: s[2] > 0.0
-        return None
+    def guard(self) -> tuple[int, ...]:
+        """The components :func:`~sourceseek.ode.integrate` keeps above zero:
+        the raw Riccati state, where the frame has one."""
+        return self.spec.positive
 
     def position_ball(self) -> tuple[tuple[int, int], np.ndarray]:
         """(component indices, center) of the position ball for this frame."""
@@ -611,8 +610,8 @@ def run_omega_sweep(config: OmegaSweepConfig) -> OmegaSweepReport:
             rows.append(OmegaSweepRow(scheme, omega, deviation, ball))
         except (RuntimeError, ValueError) as exc:
             # per-frequency isolation: IntegrationAborted and a grid mismatch
-            # are RuntimeErrors, a start the guard rejects a ValueError; any
-            # other exception is a bug and propagates
+            # are RuntimeErrors, a run integrate refuses before its first step
+            # a ValueError; any other exception is a bug and propagates
             rows.append(OmegaSweepRow(
                 scheme, omega, None, None, f"{type(exc).__name__}: {exc}"
             ))

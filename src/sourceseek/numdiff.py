@@ -352,13 +352,6 @@ class Tape:
         if isinstance(condition, Sym) or not condition:
             self.call(_check, condition, error, *self.state)
 
-    def statements(self, outputs, lines=None) -> tuple[list[str], list[str]]:
-        """The recorded lines, or ``lines`` taken from them, as statements,
-        and the expressions of ``outputs`` (symbols or constants); see
-        :func:`_statements`."""
-        return _statements(self.lines if lines is None else lines,
-                           [self.name(o) for o in outputs])
-
     def render(self, outputs):
         """The recorded function ``x -> tuple(outputs)``, from a code object
         shared by every tape of the same record; it runs the :func:`_live`

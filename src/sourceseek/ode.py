@@ -6,17 +6,16 @@ There is deliberately no adaptive error control: the systems in this package
 are forced at known frequencies, so the step is tied to the fastest
 oscillation and results are bit-for-bit reproducible.
 
-The step loop runs on Python floats: ``rhs(t, y)`` and ``guard(t, y)``
-receive the state as a tuple of floats, or the symbols of a tape when they
-are traced, and ``rhs`` returns a sequence of
-the same length (a tuple, a list or a 1-D array). The states are small (three
-or four components), so per-call array construction would cost more than the
-arithmetic. There is one loop template (:data:`_STEP_LOOP`), unrolled over
-the components, and one RK4 step (:func:`_rk4_step`), whose float operations,
-and their order, are those of the array form of RK4, so trajectories are
-bit-for-bit those of an array loop. The step replays one record of ``rhs``
-(a :class:`~sourceseek.numdiff.Tape`'s) at each of its four stages, and is
-compiled once per source text:
+The step loop runs on Python floats: ``rhs(t, y)`` receives the state as a
+tuple of floats, or the symbols of a tape when it is traced, and returns a
+sequence of the same length (a tuple, a list or a 1-D array). The states are
+small (three or four components), so per-call array construction would cost
+more than the arithmetic. There is one loop template (:data:`_STEP_LOOP`),
+unrolled over the components, and one RK4 step (:func:`_rk4_step`), whose
+float operations, and their order, are those of the array form of RK4, so
+trajectories are bit-for-bit those of an array loop. The step replays one
+record of ``rhs`` (a :class:`~sourceseek.numdiff.Tape`'s) at each of its
+four stages, and is compiled once per source text:
 
 * ``rhs`` runs once, on symbols, and the record is its float operations, so
   a step is one straight-line block with no call of ``rhs``; a value the
@@ -54,12 +53,10 @@ per step:
   them; equal floats give equal values, so nothing changes but the work
   (:func:`_carried`);
 * one float expression that tests the new state for an infinity or a NaN;
-* the guard at the step's end time ``t0 + i * dt``: no test where there is
-  no guard; where the tape records it (a comparison such as ``x2 > 0.0``),
-  its own lines, traced once as the rhs is; else one call of it;
-* the time ``t`` the next step starts at, only where the step or the guard
-  reads it, so an rhs that reads no time carries no time and computes no
-  stage time;
+* the guard: one comparison ``x<j> > 0.0`` per component it names, none
+  where there is no guard;
+* the time ``t`` the next step starts at, only where the step reads it, so
+  an rhs that reads no time carries no time and computes no stage time;
 * at a recorded step, one store per component into a memoryview of that
   component's column of the state array, sized up front: a run that
   records every step stores at the step's number, with no test and no
@@ -110,8 +107,8 @@ class IntegrationAborted(RuntimeError):
     reason : str
         What stopped the run: ``"arithmetic"``, an ArithmeticError in a
         stage (an overflow, a division by zero); ``"nonfinite"``, a new
-        state with an infinity or a NaN; ``"guard"``, a new state the guard
-        rejected.
+        state with an infinity or a NaN; ``"guard"``, a new state with a
+        guarded component that is not above zero.
     """
 
     def __init__(self, message: str, last_valid_time: float, partial: "Trajectory",
@@ -229,7 +226,7 @@ class Trajectory:
 #: ``x0, x1, ...``, the state's locals, ``$s`` for ``s0, s1, ...``, one
 #: memoryview per component over its column of the state array, and
 #: ``$constants`` for ``k0, k1, ...``, the record's constants (a call
-#: record's rhs among them), then the step's, then the guard's. A failed
+#: record's rhs among them), then the step's. A failed
 #: :meth:`~sourceseek.numdiff.Tape.require` in the record raises its own
 #: error out of the loop. The loop runs steps ``1 .. total_steps - 1`` at
 #: ``h = dt``; the last step runs after it at ``h = last`` (``dt`` or the
@@ -237,27 +234,25 @@ class Trajectory:
 #: it. ``i`` is the number of the step being taken.
 #:
 #: Per step the loop runs the step's own lines, one float test of the new
-#: state, the guard's test where there is a guard, and ``$record``. Where
-#: every step is recorded (``stride == 1``), sample ``i`` is step ``i``'s
-#: state, so ``$record`` is one store per component, ``s<j>[i] = x<j>``,
-#: with no test and no offset. Else ``$record`` stores the state at every
-#: ``stride``-th step, under ``if i % stride == 0:``, at the sample counter
-#: ``n`` (``$count`` starts it at 1, the initial state being sample 0).
-#: Only a step that reads its time, or a guard that does, carries ``t``:
-#: the time the step starts at, advanced to ``start + i * dt`` after the
-#: step, the guard's time (``$clock`` and ``$advance``; ``end`` on the last
-#: step). A step whose stage 1 reads the time through lines of their own
-#: (``sin(omega t)``) carries them too: ``tc`` is the time they were
-#: computed at (:func:`_carried`). ``$per_size`` holds the step's lines that
-#: read only ``h`` and constants (``0.5 * h``, ``h / 6.0``), run once per
-#: step size. The sample times are not written here: :func:`integrate`
-#: computes them before the loop, and ``aborted`` copies an abort's share
-#: of them. The loop's own locals (``start``, ``end``, ``h``, ``i``,
-#: ``n``, ``t``, ``tc``, ``s<j>``) take no name of the tape's values
-#: ``t<n>``, ``k<n>`` and ``x<n>``, nor of the guard's ``g<n>``.
+#: state, one test per guarded component, and ``$record``. Where every step
+#: is recorded (``stride == 1``), sample ``i`` is step ``i``'s state, so
+#: ``$record`` is one store per component, ``s<j>[i] = x<j>``, with no test
+#: and no offset. Else ``$record`` stores the state at every ``stride``-th
+#: step, under ``if i % stride == 0:``, at the sample counter ``n``
+#: (``$count`` starts it at 1, the initial state being sample 0). Only a
+#: step that reads its time carries ``t``: the time the step starts at,
+#: advanced to ``start + i * dt`` after the step (``$clock`` and
+#: ``$advance``). A step whose stage 1 reads the time through lines of
+#: their own (``sin(omega t)``) carries them too: ``tc`` is the time they
+#: were computed at (:func:`_carried`). ``$per_size`` holds the step's
+#: lines that read only ``h`` and constants (``0.5 * h``, ``h / 6.0``), run
+#: once per step size. The sample times are not written here:
+#: :func:`integrate` computes them before the loop, and ``aborted`` copies
+#: an abort's share of them. The loop's own locals (``start``, ``h``,
+#: ``i``, ``n``, ``t``, ``tc``, ``s<j>``) take no name of the tape's values
+#: ``t<n>``, ``k<n>`` and ``x<n>``.
 _STEP_LOOP = string.Template("""\
-def step_loop(y, start, end, dt, last, total_steps, stride, states, aborted,
-              constants):
+def step_loop(y, start, dt, last, total_steps, stride, states, aborted, constants):
     [$constants] = constants
     [$x] = y
     [$s] = states
@@ -275,16 +270,16 @@ $last_record
 """)
 
 #: One RK4 step of number ``i``: ``$lines`` leave the new state in ``$x``,
-#: whose components must all be finite and which must pass ``$guard``, the
-#: guard's lines and test, where there is a guard. The finite test is one
-#: float expression, ``0.0 * x0 * x1 * ... != 0.0``: its running product is
-#: a zero until it meets an infinity or a NaN, and NaN from then on, so it
-#: never overflows and is true exactly when some component is not finite.
-#: ``$advance`` carries the step's values into the next step and sets the
-#: time ``t`` the guard reads. The guard runs outside the ``try``, so an
-#: error it raises leaves the loop as it is. An abort hands ``aborted`` the
-#: number of samples written, ``$written``: ``i`` where every step is
-#: recorded, else the counter ``n``.
+#: whose components must all be finite and whose guarded components must be
+#: above zero, ``$guard``: ``if not x<j> > 0.0:`` per component. The finite
+#: test is one float expression, ``0.0 * x0 * x1 * ... != 0.0``: its running
+#: product is a zero until it meets an infinity or a NaN, and NaN from then
+#: on, so it never overflows and is true exactly when some component is not
+#: finite. It comes first, so a NaN aborts as a non-finite state, not as a
+#: guard trip. ``$advance`` carries the step's values into the next step and
+#: advances the time ``t``. An abort hands ``aborted`` the number of samples
+#: written, ``$written``: ``i`` where every step is recorded, else the
+#: counter ``n``.
 _STEP = string.Template("""\
 try:
 $lines
@@ -353,41 +348,20 @@ def _call_record(rhs, dim: int) -> tuple:
     return (tuple(tape.lines), outputs, len(tape.constants)), tape.constants
 
 
-def _guard_record(guard, dim: int) -> tuple:
-    """The record of ``guard`` on the symbols of a tape, in the shape of
-    :func:`_trace`'s (one output name), and its constants; ``(None, ())``
-    where there is no guard. Where the tape refuses the guard, or tracing
-    it fails in any other way, the record is one call of it, ``guard(t,
-    (x0, ...))``: the guard has run on floats at the initial state by then,
-    so a call is what it was."""
-    if guard is None:
-        return None, ()
-    tape = _tape(dim, ("t",))
-    try:
-        output = tape.name(guard(*tape.inputs, tape.state))
-    except Exception:
-        tape = _tape(dim, ("t",))
-        output = tape.record("{}({}, (" + "{}, " * dim + "))",
-                             guard, *tape.inputs, *tape.state).name
-    return (_live(tape.lines, [output], tape.constants), output,
-            len(tape.constants)), tape.constants
-
-
 @functools.lru_cache(maxsize=64)
-def _traced_kernel(shape: tuple, dim: int, guard: tuple | None = None,
+def _traced_kernel(shape: tuple, dim: int, positive: tuple = (),
                    strided: bool = False):
     """The step loop for an rhs record of this shape (:func:`_trace`,
-    :func:`_call_record`) and a guard record of the shape ``guard``
-    (:func:`_guard_record`; None for no guard), recording every step, or
-    every ``stride``-th where ``strided`` (:data:`_STEP_LOOP`): each stage
+    :func:`_call_record`) that aborts where a component of ``positive`` is
+    not above zero after a step, recording every step, or every
+    ``stride``-th where ``strided`` (:data:`_STEP_LOOP`): each stage
     replays the record on the stage's time and state, so the step's tape
     numbers values across stages, and the step keeps its
     :func:`~sourceseek.numdiff._live` lines (an autonomous rhs reads no
     stage time). The lines of the record
     that read only the time and constants give, at stage 1 and at stage 4,
     the pairs of values a step may carry into the next (:func:`_carried`).
-    Returns the kernel and the constants it takes after the record's own,
-    before the guard's."""
+    Returns the kernel and the constants it takes after the record's own."""
     lines, outputs, n_constants = shape
     step = _tape(dim, ("t", "h"))
     constants = {k.name: k for k in step.reserve(n_constants)}
@@ -408,12 +382,24 @@ def _traced_kernel(shape: tuple, dim: int, guard: tuple | None = None,
             clock[name] = None
     first, fourth = stages[0], stages[-1]
     return _kernel(step, _live(step.lines, [v.name for v in new], step.constants),
-                   new, n_constants, [(first[n], fourth[n]) for n in clock], guard, strided)
+                   new, n_constants, [(first[n], fourth[n]) for n in clock], positive,
+                   strided)
 
 
 def _tape(dim: int, inputs) -> Tape:
     """A tape of code that runs on floats: it refuses arrays of symbols."""
     return Tape(dim, inputs=inputs, object_arrays=False)
+
+
+def _guarded(guard, dim: int) -> tuple:
+    """``guard``, a tuple or list of distinct ints in ``range(dim)``, as a
+    tuple; None is no guard."""
+    positive = () if guard is None else guard
+    if not (isinstance(positive, (tuple, list)) and len(set(positive)) == len(positive)
+            and all(type(j) is int and 0 <= j < dim for j in positive)):
+        raise ValueError(f"guard must be distinct indices of the {dim} state "
+                         f"components, got {guard!r}")
+    return tuple(positive)
 
 
 def _checked(value, dim: int):
@@ -477,27 +463,10 @@ def _named(lines, outputs, names) -> tuple[list[str], list[str]]:
     return body, values[:len(outputs)]
 
 
-def _guard_test(shape, first: int, written: str) -> list[str]:
-    """The statements that abort a step whose new state fails the guard of
-    record ``shape`` (:func:`_guard_record`) at the time ``t``, once the
-    samples counted by ``written`` are stored: its temporaries are named
-    ``g<n>``, and its constants are the kernel's from ``k<first>`` on."""
-    lines, output, _ = shape
-
-    def rename(name: str) -> str:
-        if name[0] == "k":
-            return f"k{first + int(name[1:])}"
-        return "g" + name[1:] if name[0] == "t" and name != "t" else name
-
-    body, (test,) = _statements([(rename(n), template, tuple(map(rename, operands)))
-                                 for n, template, operands in lines], [rename(output)])
-    return [*body, f"if not {test}:", f"    raise aborted(i, {written}, tripped=True)"]
-
-
-def _kernel(tape: Tape, lines, new, supplied: int, clock=(), guard=None, strided=False):
+def _kernel(tape: Tape, lines, new, supplied: int, clock=(), positive=(), strided=False):
     """The step loop filled with ``lines``, those of ``tape``'s record of
     :func:`_rk4_step` that the step runs, whose new state is ``new``, with
-    the test of the guard of record ``guard``, None for no test, and
+    one test per component of ``positive`` that it is above zero, and
     recording every step, or every ``stride``-th where ``strided``. A
     line that reads only ``h`` and constants runs once per step size, and
     the stage-1 values that read only the time are carried from step to
@@ -526,9 +495,8 @@ def _kernel(tape: Tape, lines, new, supplied: int, clock=(), guard=None, strided
     body, values = _named(rest, [tape.name(v) for v in new], carry.values())
     step += [*body, f"{x}, = {', '.join(values)},"]
     written = "n" if strided else "i"  # the number of samples stored before step i
-    test = [] if guard is None else _guard_test(guard, len(tape.constants), written)
-    guard_time = guard is not None and (
-        guard[1] == "t" or any("t" in operands for _, _, operands in guard[0]))
+    test = [line for j in positive for line in (
+        f"if not x{j} > 0.0:", f"    raise aborted(i, {written}, tripped=True)")]
 
     def block(advance):
         return _STEP.substitute(
@@ -540,11 +508,10 @@ def _kernel(tape: Tape, lines, new, supplied: int, clock=(), guard=None, strided
     record = ["if i % stride == 0:", *("    " + line for line in store),
               "    n += 1"] if strided else store
     advance = [f"{name} = {value}" for name, value in carry.items()]
-    if timed or guard_time:
+    if timed:
         advance.append("t = start + i * dt")
     source = _STEP_LOOP.substitute(
-        constants=", ".join(f"k{i}" for i in range(len(tape.constants)
-                                                   + (guard[2] if guard else 0))),
+        constants=", ".join(f"k{i}" for i in range(len(tape.constants))),
         x=x,
         s=", ".join(f"s{j}" for j in range(dim)),
         count="    n = 1" * strided,
@@ -553,7 +520,7 @@ def _kernel(tape: Tape, lines, new, supplied: int, clock=(), guard=None, strided
                               " " * 4),
         step=textwrap.indent(block(advance), " " * 8),
         record=textwrap.indent("\n".join(record), " " * 8),
-        last_step=textwrap.indent(block(["t = end"] * guard_time), " " * 4),
+        last_step=textwrap.indent(block([]), " " * 4),
         last_record=textwrap.indent("\n".join(store), " " * 4),
     )
     source = "".join(line + "\n" for line in source.splitlines() if line.strip())
@@ -578,14 +545,10 @@ def integrate(rhs, x0, t0: float, t1: float, config: IntegratorConfig,
         times on floats, the first call being the first step's first stage.
         The length of its value is checked on that run and at every call,
         with a ValueError naming both lengths.
-    guard : callable, optional
-        ``guard(t, x) -> bool``, evaluated after every accepted step; a
-        false result aborts with a step-size violation report. It is called
-        once on the initial state, with ``x`` a tuple of floats, and then
-        traced once on symbols as ``rhs`` is, so it must be a pure function
-        of ``(t, x)``; where the tape refuses it, it is called on floats
-        after every step. An error it raises is not an abort: it leaves
-        :func:`integrate` as it is.
+    guard : tuple or list of int, optional
+        The indices of the state components that must stay above zero; a
+        step that leaves one of them at or below zero aborts with a
+        step-size violation report. None or ``()`` is no guard.
 
     Returns
     -------
@@ -608,9 +571,10 @@ def integrate(rhs, x0, t0: float, t1: float, config: IntegratorConfig,
     ValueError
         On a non-finite ``t0`` or ``t1``, ``t1 <= t0``, sample times that
         do not strictly increase (a ``dt`` below their float spacing), a
-        non-finite initial state or one that violates the guard, or an
-        ``rhs`` whose output length differs from the state length. All but
-        the last are raised before ``rhs`` runs.
+        non-finite initial state or one that violates the guard, a
+        ``guard`` that is not distinct component indices (a callable among
+        them), or an ``rhs`` whose output length differs from the state
+        length. All but the last are raised before ``rhs`` runs.
     """
     if not (math.isfinite(t0) and math.isfinite(t1)):
         raise ValueError(f"t0 and t1 must be finite, got [{t0}, {t1}]")
@@ -629,8 +593,11 @@ def integrate(rhs, x0, t0: float, t1: float, config: IntegratorConfig,
     dim = len(y)
     if not all(map(math.isfinite, y)):
         raise ValueError(f"initial state is not finite: {y}")
-    if guard is not None and not guard(t0, y):
-        raise ValueError(f"initial state violates the guard at t={t0}")
+    positive = _guarded(guard, dim)
+    for j in positive:
+        if not y[j] > 0.0:
+            raise ValueError(f"initial state violates the guard at t={t0}: "
+                             f"component {j} is {y[j]}, not > 0")
 
     # interior samples every ``stride`` steps, plus the initial and final states
     n_samples = 1 + ((total_steps - 1) // stride + 1 if total_steps else 0)
@@ -672,10 +639,9 @@ def integrate(rhs, x0, t0: float, t1: float, config: IntegratorConfig,
     except (Untraceable, ArithmeticError):
         shape, supplied = _call_record(rhs, dim)
         rhs_calls = 4 * total_steps
-    guard_shape, guard_constants = _guard_record(guard, dim)
-    kernel, constants = _traced_kernel(shape, dim, guard_shape, stride > 1)
-    kernel(y, t0, t1, dt, last, total_steps, stride, tuple(map(memoryview, states.T)),
-           aborted, (*supplied, *constants, *guard_constants))
+    kernel, constants = _traced_kernel(shape, dim, positive, stride > 1)
+    kernel(y, t0, dt, last, total_steps, stride, tuple(map(memoryview, states.T)),
+           aborted, (*supplied, *constants))
     return Trajectory(times, states, steps=total_steps, rhs_calls=rhs_calls)
 
 

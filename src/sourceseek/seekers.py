@@ -96,11 +96,13 @@ class FrameSpec:
     """What the package knows about one (scheme, frame) pair."""
 
     averaged: bool  # the scheme's averaged system; else its full loop
-    # field -> (to, back) between the loop's own state and the frame's; None
-    # is the identity, where a newton state holds the raw d, which stays > 0
+    # field -> (to, back) between the loop's own state and the frame's, or None
     coordinates: Callable | None
     position: tuple[int, int]  # state components holding the position
     plane: bool  # position is x, centred on the source; else z, centred on 0
+    # components that must stay > 0 after every step (integrate's guard): a
+    # newton state's raw d, whose invariant basin is d > 0
+    positive: tuple[int, ...]
 
 
 def _log_d(field):
@@ -120,15 +122,15 @@ _G, _N, _F = Scheme.GRADIENT, Scheme.NEWTON, Frame
 
 #: every defined (scheme, frame) pair
 FRAME_SPECS: dict[tuple[Scheme, Frame], FrameSpec] = {
-    (_G, _F.ORIGINAL): FrameSpec(False, None, (0, 1), True),
-    (_G, _F.ROTATING_Z): FrameSpec(False, None, (0, 1), False),
-    (_G, _F.AVERAGED_GRADIENT): FrameSpec(True, None, (0, 1), False),
-    (_N, _F.ORIGINAL): FrameSpec(False, None, (0, 1), True),
-    (_N, _F.ROTATING_Z): FrameSpec(False, None, (0, 1), False),
-    (_N, _F.ROTATING_Z_LOG_D): FrameSpec(False, _log_d, (0, 1), False),
-    (_N, _F.AVERAGED_NEWTON): FrameSpec(True, None, (0, 1), False),
-    (_N, _F.AVERAGED_NEWTON_EXP): FrameSpec(True, _log_d, (0, 1), False),
-    (_N, _F.CASCADE_SHIFTED): FrameSpec(True, _cascade, (1, 2), False),
+    (_G, _F.ORIGINAL): FrameSpec(False, None, (0, 1), True, ()),
+    (_G, _F.ROTATING_Z): FrameSpec(False, None, (0, 1), False, ()),
+    (_G, _F.AVERAGED_GRADIENT): FrameSpec(True, None, (0, 1), False, ()),
+    (_N, _F.ORIGINAL): FrameSpec(False, None, (0, 1), True, (2,)),
+    (_N, _F.ROTATING_Z): FrameSpec(False, None, (0, 1), False, (2,)),
+    (_N, _F.ROTATING_Z_LOG_D): FrameSpec(False, _log_d, (0, 1), False, ()),
+    (_N, _F.AVERAGED_NEWTON): FrameSpec(True, None, (0, 1), False, (2,)),
+    (_N, _F.AVERAGED_NEWTON_EXP): FrameSpec(True, _log_d, (0, 1), False, ()),
+    (_N, _F.CASCADE_SHIFTED): FrameSpec(True, _cascade, (1, 2), False, ()),
 }
 
 

@@ -146,6 +146,18 @@ class TestFrameSpecs:
             math.dist(x0, DEFAULT_FIELD.source), rel=1e-12, abs=1e-12
         )
 
+    def test_the_frames_that_keep_the_raw_riccati_state_guard_it(self):
+        """A newton frame with no map holds the raw ``d`` at component 2,
+        which its run keeps above zero; no other frame has a guard."""
+        guarded = {pair: Scenario(scheme=pair[0], frame=pair[1]).guard()
+                   for pair in FRAME_SPECS}
+        assert {pair: positive for pair, positive in guarded.items() if positive} == {
+            (Scheme.NEWTON, Frame.ORIGINAL): (2,),
+            (Scheme.NEWTON, Frame.ROTATING_Z): (2,),
+            (Scheme.NEWTON, Frame.AVERAGED_NEWTON): (2,),
+        }
+        assert set(guarded.values()) == {(), (2,)}
+
     def test_pairs_missing_from_the_table_are_undefined(self):
         missing = {(s, f) for s in Scheme for f in Frame if (s, f) not in FRAME_SPECS}
         assert missing == {

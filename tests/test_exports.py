@@ -136,15 +136,22 @@ def test_no_module_imports_a_name_it_never_reads(module):
 _ROOT = Path(__file__).resolve().parents[1]
 
 
+def _readers() -> tuple[dict, str]:
+    """The syntax tree of every module of the package, and the text of
+    every script of ``bench/`` and ``demos/``."""
+    trees = {module: ast.parse((_INIT.parent / f"{module}.py").read_text())
+             for module in ["__init__", *_MODULES]}
+    scripts = "\n".join(path.read_text() for folder in ("bench", "demos")
+                        for path in sorted((_ROOT / folder).glob("*.py")))
+    return trees, scripts
+
+
 def _dead_exports() -> list[str]:
     """``module.name`` for every name of a module's ``__all__`` that no code
     in the package reads outside the name's own definition, and that no
     file of ``bench/`` or ``demos/`` names as a word (the benchmark's
     tracer names the functions it patches in strings)."""
-    trees = {module: ast.parse((_INIT.parent / f"{module}.py").read_text())
-             for module in ["__init__", *_MODULES]}
-    scripts = "\n".join(path.read_text() for folder in ("bench", "demos")
-                        for path in sorted((_ROOT / folder).glob("*.py")))
+    trees, scripts = _readers()
 
     def reads(module: str, name: str) -> bool:
         for other, tree in trees.items():
@@ -169,6 +176,33 @@ def test_every_exported_name_has_a_reader():
     """A public name that only tests call is dead API: delete it, or give
     it a caller."""
     assert _dead_exports() == []
+
+
+def _dead_methods() -> list[str]:
+    """``module.Class.name`` for every public method or property that a
+    class body of the package defines and that no code of the package reads
+    as an attribute outside the definition, and that no file of ``bench/``
+    or ``demos/`` names as a word."""
+    trees, scripts = _readers()
+    methods = [(module, cls.name, item) for module in _MODULES for cls in trees[module].body
+               if isinstance(cls, ast.ClassDef) for item in cls.body
+               if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")]
+
+    def reads(module: str, item) -> bool:
+        own = range(item.lineno, item.end_lineno + 1)
+        return any(isinstance(node, ast.Attribute) and node.attr == item.name
+                   and not (other == module and node.lineno in own)
+                   for other, tree in trees.items() for node in ast.walk(tree))
+
+    return [f"{module}.{cls}.{item.name}" for module, cls, item in methods
+            if not reads(module, item)
+            and not re.search(rf"\b{re.escape(item.name)}\b", scripts)]
+
+
+def test_every_public_method_has_a_reader():
+    """A method or property that only tests call is dead API, as a public
+    name is (:func:`test_every_exported_name_has_a_reader`)."""
+    assert _dead_methods() == []
 
 
 #: a line of report text that is a section header, ``[name]``: a name with

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sourceseek import lie_bracket
-from sourceseek.numdiff import (Dual, Sym, Tape, Untraceable, central_jacobian, cos,
-                                directional_derivative, exp, hypot, log, sin)
+from sourceseek.numdiff import (Dual, Sym, Tape, Untraceable, _statements, central_jacobian,
+                                cos, directional_derivative, exp, hypot, log, sin)
 
 
 class TestDual:
@@ -215,11 +215,11 @@ class TestTape:
         (x,) = tape.state
         value = tape.call(divmod, x, 2.0)
         parts = [tape.record(f"{{}}[{j}]", value) for j in range(2)]
-        lines, outputs = tape.statements(parts)
+        lines, outputs = _statements(tape.lines, [tape.name(o) for o in parts])
         assert lines == ["t1, t2, = (k0(x0, k1))"] and outputs == ["t1", "t2"]
         assert tape.render(parts)((7.5,)) == (3.0, 1.5)
         # a value read elsewhere too keeps its subscripts
-        lines, outputs = tape.statements([*parts, value])
+        lines, outputs = _statements(tape.lines, [tape.name(o) for o in [*parts, value]])
         assert lines == ["t0 = k0(x0, k1)"] and outputs == ["(t0[0])", "(t0[1])", "t0"]
 
     def test_constants_are_arguments_of_one_compiled_source(self):
@@ -325,7 +325,8 @@ class TestInlining:
     @staticmethod
     def source(field, dimension):
         tape = Tape(dimension)
-        lines, outputs = tape.statements(field(tape.state))
+        values = field(tape.state)
+        lines, outputs = _statements(tape.lines, [tape.name(v) for v in values])
         return lines, outputs, tape.render(field(tape.state))
 
     def test_single_uses_are_written_in(self):

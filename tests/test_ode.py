@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import sourceseek.averaging as averaging
@@ -130,18 +130,13 @@ class TestIntegrate:
             _assert_oracle_prefix(err, times, states, np.isfinite(states).all(axis=1))
 
     def test_guard_violation_reports_step_size(self):
-        def guard(t, y):
-            return y[0] > 0.0
-
         with pytest.raises(IntegrationAborted) as excinfo:
-            integrate(lambda t, y: (-10.0,), [1.0], 0.0, 2.0, _config(0.01),
-                      guard=guard)
+            integrate(lambda t, y: (-10.0,), [1.0], 0.0, 2.0, _config(0.01), guard=(0,))
         assert "step-size violation" in str(excinfo.value)
         assert excinfo.value.last_valid_time == pytest.approx(0.1, abs=0.02)
         times, states = _array_rk4(lambda t, y: (-10.0,), [1.0], 0.0, 2.0,
                                    _config(0.01))
-        _assert_oracle_prefix(excinfo.value, times, states,
-                              [guard(t, y) for t, y in zip(times, states)])
+        _assert_oracle_prefix(excinfo.value, times, states, states[:, 0] > 0.0)
 
     @pytest.mark.parametrize("t1", [1.0, 1.005])
     def test_rhs_is_called_four_times_per_step(self, t1):
@@ -423,14 +418,14 @@ def _called(rhs):
     return called
 
 
-def _assert_oracle_prefix(err, times, states, valid):
-    """``err`` (an abort at output stride 1) holds the oracle's samples up to
-    its first invalid one, and its last valid time is the last valid
-    sample's."""
+def _assert_oracle_prefix(err, times, states, valid, stride=1):
+    """``err`` (an abort at output ``stride``) holds every ``stride``-th of
+    the oracle's samples at stride 1 up to its first invalid one, and its
+    last valid time is the last valid sample's."""
     n = int(np.argmin(valid))
     assert n > 0 and not valid[n]
-    assert np.array_equal(err.partial.times, times[:n])
-    assert np.array_equal(err.partial.states, states[:n])
+    assert np.array_equal(err.partial.times, times[:n:stride])
+    assert np.array_equal(err.partial.states, states[:n:stride])
     assert err.last_valid_time == times[n - 1]
 
 
@@ -557,10 +552,12 @@ _LAST_STEP_REASONS = {"zero_division": "arithmetic", "infinite": "nonfinite", "g
 
 
 def _last_step_case(span, abort):
-    """(rhs, guard) of a run over the span that aborts at its last step."""
+    """(rhs, guard) of a run from ``[1.0, 0.5]`` over the span that aborts at
+    its last step; the guarded component falls at a constant rate to zero
+    0.05 before the span's end."""
     t0, t1, _ = _SPANS[span]
     stage = _last_stage_time(t0, t1, 0.25)
-    guard = None
+    guard = ()
     if abort == "zero_division":  # 1 / 0 at the last step's second stage
         def rhs(t, y):
             return (y[1], 1.0 / (stage - t))
@@ -570,11 +567,12 @@ def _last_step_case(span, abort):
         def rhs(t, y):
             return (y[1], 1e300 / (after - t))
     else:
-        def rhs(t, y):
-            return (y[1], -y[0])
+        rate = 1.0 / (t1 - t0 - 0.05)
 
-        def guard(t, y):
-            return t < t1
+        def rhs(t, y):
+            return (-rate, -y[0])
+
+        guard = (0,)
     return rhs, guard
 
 
@@ -678,7 +676,7 @@ def test_a_strided_run_keeps_every_stride_th_sample_of_the_full_record(pair, tai
         assert getattr(strided, name).tobytes() == kept.tobytes(), name
 
 
-@pytest.mark.parametrize("guard", [None, lambda t, y: y[0] > -5.0], ids=["plain", "guarded"])
+@pytest.mark.parametrize("guard", [(), (0,)], ids=["plain", "guarded"])
 def test_a_run_that_records_every_step_stores_at_the_step_number(guard):
     """Where every step is recorded, sample ``i`` is step ``i``'s state: the
     loop and the last step store ``s<j>[i] = x<j>``, with no ``%`` test
@@ -686,9 +684,8 @@ def test_a_run_that_records_every_step_stores_at_the_step_number(guard):
     loop keeps one sample counter ``n``, started once and advanced once,
     under one ``if i % stride == 0:``."""
     shape, _ = ode._trace(_linear_rhs(3), 3)
-    guard_shape = ode._guard_record(guard, 3)[0]
-    every = ode._traced_kernel(shape, 3, guard_shape, False)[0].source
-    strided = ode._traced_kernel(shape, 3, guard_shape, True)[0].source
+    every = ode._traced_kernel(shape, 3, guard, False)[0].source
+    strided = ode._traced_kernel(shape, 3, guard, True)[0].source
     assert "%" not in every and not re.search(r"\b(at|n)\b", every)
     lines = [line.strip() for line in every.splitlines()]
     for j in range(3):
@@ -708,9 +705,9 @@ def test_a_run_that_records_every_step_stores_at_the_step_number(guard):
 #: product makes the state infinite; a falling state trips a positivity
 #: guard
 _ABORTS = {
-    "overflow": (lambda t, y: (y[0] ** 2,), None, "arithmetic"),
-    "infinite": (lambda t, y: (y[0] * y[0],), None, "nonfinite"),
-    "guard": (lambda t, y: (-10.0,), lambda t, y: y[0] > 0.0, "guard"),
+    "overflow": (lambda t, y: (y[0] ** 2,), (), "arithmetic"),
+    "infinite": (lambda t, y: (y[0] * y[0],), (), "nonfinite"),
+    "guard": (lambda t, y: (-10.0,), (0,), "guard"),
 }
 
 
@@ -953,7 +950,8 @@ def _abort_case(record, abort, t0):
     ArithmeticError in a stage (an autonomous power overflows at the first
     step, a timed division by zero at the sixth), a non-finite state (an
     autonomous product at the third step, a timed quotient at the sixth), or
-    the guard at the shortened last step."""
+    the guard at the shortened last step, on a third component that falls
+    at unit rate from 2.55."""
     t = (t0 + 5 * 0.25) + 0.5 * 0.25  # the sixth step's stage time, as the loop has it
     after = math.nextafter(t, math.inf)
     cases = {
@@ -963,8 +961,13 @@ def _abort_case(record, abort, t0):
         ("timed", "nonfinite"): (lambda s, y: (y[1], 1e300 / (after - s)), (1.0, 0.5)),
     }
     rhs, start = cases.get((record, abort), (_RECORDS[record], (1.0, 0.5)))
-    guard = (lambda s, y: s < t0 + 2.6) if abort == "guard" else None
-    return rhs, start, guard
+    if abort != "guard":
+        return rhs, start, ()
+
+    def guarded(s, y):
+        return (*rhs(s, y[:2]), -1.0)
+
+    return guarded, (*start, 2.55), (2,)
 
 
 #: the messages and reasons of the aborts of :func:`_abort_case`, by
@@ -1160,94 +1163,99 @@ def test_the_finite_test_is_exact_at_the_largest_and_smallest_floats(bad, at):
         integrate(rhs, big, 0.0, 1.0, _config(0.25))
 
 
-def _called_guard(guard):
-    """``guard`` behind a ``float(t)``, which a traced time refuses: the step
-    loop calls it on floats at every step."""
-    def called(t, y):
-        return guard(float(t), y)
-    return called
+@pytest.mark.parametrize("frame", [Frame.ORIGINAL, Frame.ROTATING_Z, Frame.AVERAGED_NEWTON],
+                         ids=lambda frame: frame.value)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_a_guard_trips_at_the_array_loop_s_first_non_positive_riccati_state(frame, data):
+    """With random gains and a step 1.5 to 32 times its own, a newton frame
+    that keeps the raw Riccati state ``d`` aborts where the array loop's
+    ``d`` first is not above zero, or its state first is not finite, which
+    is tested first: with that step's message, reason and last valid time,
+    and the array loop's samples before it."""
+    params = SeekerParams(
+        omega=data.draw(st.floats(8.0, 30.0)), omega0=data.draw(_GAIN),
+        alpha=data.draw(st.floats(0.5, 3.0)), p_exp=data.draw(st.floats(0.55, 0.9)),
+        h_gain=data.draw(_GAIN), omega_d=data.draw(st.floats(0.1, 0.5)),
+    )
+    field = FieldParams(f_star=data.draw(st.floats(-5.0, 5.0)),
+                        hessian=data.draw(st.floats(0.01, 2.0)),
+                        source=np.array([1.0, -1.0]))
+    scenario = Scenario(scheme=Scheme.NEWTON, frame=frame, field=field, params=params,
+                        x0=(data.draw(_POSITION), data.draw(_POSITION)),
+                        d0=data.draw(st.floats(0.5, 50.0)))
+    dt = scenario.integrator_config().dt * data.draw(st.floats(1.5, 32.0))
+    stride, t1 = data.draw(st.sampled_from([1, 10])), 200.37 * dt
+    rhs, x0 = scenario.build_rhs(), scenario.initial_state()
+    with np.errstate(all="ignore"):
+        times, states = _array_rk4(rhs, x0, 0.0, t1, _config(dt))
+    valid = np.isfinite(states).all(axis=1) & (states[:, 2] > 0.0)
+    n = int(np.argmin(valid))
+    assume(n > 0)  # the run stops
+    with pytest.raises(IntegrationAborted) as excinfo:
+        integrate(rhs, x0, 0.0, t1, _config(dt, stride), guard=scenario.guard())
+    err = excinfo.value
+    if np.isfinite(states[n]).all():
+        step = dt if n < len(times) - 1 else t1 - (len(times) - 2) * dt
+        what, reason = (f"state guard violated at t={float(times[n])} (step-size "
+                        f"violation: reduce dt below {step})", "guard")
+    else:
+        what, reason = f"non-finite state at t={float(times[n])}", "nonfinite"
+    assert str(err) == f"{what}; last valid time t={float(times[n - 1])}"
+    assert err.reason == reason
+    _assert_oracle_prefix(err, times, states, valid, stride)
 
 
-def _guard_cases() -> dict:
-    """(rhs, start, t0, t1, config, guard) of every abort by a guard above:
-    ``_ABORTS``' positivity guard, :func:`_abort_case`'s and
-    :func:`_last_step_case`'s guards on the time."""
-    rhs, guard, _ = _ABORTS["guard"]
-    cases = {f"falling-{stride}": (rhs, [0.7], 0.0, 3.0, _config(7e-3, stride), guard)
-             for stride in (1, 10)}
-    for record, t0, stride in itertools.product(sorted(_RECORDS), _STARTS, (1, 10)):
-        rhs, start, guard = _abort_case(record, "guard", t0)
-        cases[f"{record}-{t0!r}-{stride}"] = (rhs, start, t0, t0 + 2.6,
-                                              _config(0.25, stride), guard)
-    for span, stride in itertools.product(sorted(_SPANS), (1, 3, 50)):
-        t0, t1, _ = _SPANS[span]
-        rhs, guard = _last_step_case(span, "guard")
-        cases[f"last-{span}-{stride}"] = (rhs, [1.0, 0.5], t0, t1, _config(0.25, stride),
-                                          guard)
-    return cases
+@pytest.mark.parametrize("stride", [1, 10])
+@pytest.mark.parametrize("pair", sorted(FRAME_SPECS, key=str),
+                         ids=lambda pair: f"{pair[0].value}-{pair[1].value}")
+def test_a_guard_is_one_comparison_per_positive_component(pair, stride):
+    """A frame's kernel tests each component its spec keeps positive, ``if
+    not x<j> > 0.0:``, in the loop and in the last step, and is the
+    unguarded kernel but for those tests: no constant, time or call of
+    its own."""
+    scenario = Scenario(scheme=pair[0], frame=pair[1])
+    positive, dim = scenario.guard(), len(scenario.initial_state())
+    shape, _ = ode._trace(scenario.build_rhs(), dim)
+    guarded, constants = ode._traced_kernel(shape, dim, positive, stride > 1)
+    plain, _ = ode._traced_kernel(shape, dim, (), stride > 1)
+    lines = guarded.source.splitlines()
+    tests = [line.strip() for line in lines if "if not" in line]
+    assert tests == [f"if not x{j} > 0.0:" for j in positive] * 2
+    assert [line for line in lines if "if not" not in line and "tripped" not in line] \
+        == plain.source.splitlines()
+    assert len(re.findall(r"k\d+", lines[1])) == shape[2] + len(constants)
 
 
-_GUARD_CASES = _guard_cases()
+@pytest.mark.parametrize("guard", [lambda t, y: y[0] > 0.0, 1, (0.0,), ("0",), (True,),
+                                   (1, 1), (2,), (-1,)],
+                         ids=["callable", "integer", "float", "string", "bool", "repeated",
+                              "past-the-end", "negative"])
+def test_refuses_a_guard_that_is_not_distinct_component_indices(guard):
+    calls = []
+
+    def rhs(t, y):
+        calls.append(t)
+        return (y[1], -y[0])
+
+    with pytest.raises(ValueError, match=r"^guard must be distinct indices of the 2 state "
+                                         r"components, got "):
+        integrate(rhs, [1.0, 0.5], 0.0, 1.0, _config(0.25), guard=guard)
+    assert calls == []
 
 
-@pytest.mark.parametrize("case", sorted(_GUARD_CASES))
-def test_a_traced_guard_aborts_as_the_called_guard(case):
-    """Each guard of the abort cases, traced onto the step's tape and called
-    on floats, aborts the run with the same message, last valid time and
-    reason, and the same partial samples, bit for bit."""
-    rhs, start, t0, t1, config, guard = _GUARD_CASES[case]
-    outcomes = []
-    for way in (guard, _called_guard(guard)):
-        with pytest.raises(IntegrationAborted) as excinfo:
-            integrate(rhs, start, t0, t1, config, guard=way)
-        err = excinfo.value
-        outcomes.append((str(err), err.last_valid_time.hex(), err.reason,
-                         err.partial.times.tobytes(), err.partial.states.tobytes()))
-    assert outcomes[0] == outcomes[1]
-    assert outcomes[0][2] == "guard"
-    dim = len(start)
-    (traced, _, _), _ = ode._guard_record(guard, dim)
-    (called, _, _), _ = ode._guard_record(_called_guard(guard), dim)
-    assert traced and not [template for _, template, _ in traced if "(" in template]
-    assert [template for _, template, _ in called] == ["{}({}, (" + "{}, " * dim + "))"]
+@pytest.mark.parametrize("value", [0.0, -0.0, -1e-300])
+def test_refuses_a_start_whose_guarded_component_is_not_positive(value):
+    calls = []
 
+    def rhs(t, y):
+        calls.append(t)
+        return (y[1], -y[0])
 
-def test_a_step_tests_a_guard_only_where_there_is_one():
-    """A loop without a guard has no guard test; a traced guard is its own
-    comparison in the loop, and adds no call; a guard the tape refuses is
-    one call, at the step's end time."""
-    shape, _ = ode._trace(_linear_rhs(2), 2)
-
-    def source(guard):
-        return ode._traced_kernel(shape, 2, ode._guard_record(guard, 2)[0])[0].source
-
-    def calls(text):
-        return len(re.findall(r"k\d+\(", text))
-
-    plain, traced = source(None), source(lambda t, y: y[0] > 0.0)
-    called = source(_called_guard(lambda t, y: y[0] > 0.0))
-    assert "if not" not in plain and "tripped" not in plain
-    tests = [line.strip() for line in traced.splitlines() if "if not" in line]
-    assert len(tests) == 2 and all(re.fullmatch(r"if not \(x0 > k\d+\):", t) for t in tests)
-    assert calls(traced) == calls(plain)
-    tests = [line.strip() for line in called.splitlines() if "if not" in line]
-    assert len(tests) == 2
-    assert all(re.fullmatch(r"if not \(k\d+\(t, \(x0, x1, \)\)\):", t) for t in tests)
-    assert "        t = start + i * dt" in called and "    t = end" in called
-
-
-@pytest.mark.parametrize("way", ["traced", "called"])
-def test_a_guard_that_raises_raises_out_of_the_loop(way):
-    """A guard's lines run outside the step's ``try``: its error is no
-    abort, and leaves :func:`integrate` as it is, traced or called."""
-    def guard(t, y):
-        return 1.0 / (t - 0.5) < 1e300  # divides by zero at the second step's end
-
-    if way == "called":
-        guard = _called_guard(guard)
-    assert (ode._guard_record(guard, 2)[0][0][-1][1] == "{} < {}") == (way == "traced")
-    with pytest.raises(ZeroDivisionError):
-        integrate(_linear_rhs(2), [1.0, 0.5], 0.0, 1.0, _config(0.25), guard=guard)
+    message = f"initial state violates the guard at t=0.5: component 1 is {value}, not > 0"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        integrate(rhs, [1.0, value], 0.5, 1.0, _config(0.25), guard=(0, 1))
+    assert calls == []
 
 
 #: timed records whose stage 1 reads the time through lines of their own,

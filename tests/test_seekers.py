@@ -273,7 +273,7 @@ class TestClosedLoopRhs:
         traj = integrate(
             closed_loop(Scheme.NEWTON, Frame.ROTATING_Z, ref_params, ref_field),
             np.array([*z0, 1.0, 0.0]), 0.0, 30.0, cfg,
-            guard=lambda t, s: s[2] > 0.0,
+            guard=(2,),
         )
         assert traj.states[:, 2].min() > 0.0
 
