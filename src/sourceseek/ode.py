@@ -279,7 +279,8 @@ $last_record
 #: guard trip. ``$advance`` carries the step's values into the next step and
 #: advances the time ``t``. An abort hands ``aborted`` the number of samples
 #: written, ``$written``: ``i`` where every step is recorded, else the
-#: counter ``n``.
+#: counter ``n``; a guard trip also hands it ``(j, x<j>)``, the component and
+#: its value.
 _STEP = string.Template("""\
 try:
 $lines
@@ -496,7 +497,7 @@ def _kernel(tape: Tape, lines, new, supplied: int, clock=(), positive=(), stride
     step += [*body, f"{x}, = {', '.join(values)},"]
     written = "n" if strided else "i"  # the number of samples stored before step i
     test = [line for j in positive for line in (
-        f"if not x{j} > 0.0:", f"    raise aborted(i, {written}, tripped=True)")]
+        f"if not x{j} > 0.0:", f"    raise aborted(i, {written}, tripped=({j}, x{j}))")]
 
     def block(advance):
         return _STEP.substitute(
@@ -547,8 +548,8 @@ def integrate(rhs, x0, t0: float, t1: float, config: IntegratorConfig,
         with a ValueError naming both lengths.
     guard : tuple or list of int, optional
         The indices of the state components that must stay above zero; a
-        step that leaves one of them at or below zero aborts with a
-        step-size violation report. None or ``()`` is no guard.
+        step that leaves one of them at or below zero aborts, naming the
+        component and its new value. None or ``()`` is no guard.
 
     Returns
     -------
@@ -614,15 +615,16 @@ def integrate(rhs, x0, t0: float, t1: float, config: IntegratorConfig,
     states[0] = y
     last = remainder if has_tail else dt
 
-    def aborted(i: int, n: int, exc=None, tripped=False) -> IntegrationAborted:
+    def aborted(i: int, n: int, exc=None, tripped=None) -> IntegrationAborted:
         """The abort of step ``i`` once ``n`` samples of ``states`` are
         written: by ``exc``, an ArithmeticError of a stage, by the guard
-        where ``tripped``, else by a non-finite state."""
+        where ``tripped`` is the component's index and new value, else by a
+        non-finite state."""
         when = t1 if i == total_steps else t0 + i * dt
         valid = t0 if i == 1 else t0 + (i - 1) * dt
-        if tripped:
-            what = (f"state guard violated at t={when} (step-size violation: "
-                    f"reduce dt below {last if i == total_steps else dt})")
+        if tripped is not None:
+            j, value = tripped
+            what = f"state guard violated at t={when}: component {j} = {value!r}, not > 0"
             reason = "guard"
         else:
             what = f"non-finite state at t={when}" + ("" if exc is None else f" ({exc!r})")

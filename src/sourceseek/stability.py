@@ -214,6 +214,15 @@ def build_certificate(alpha: float, omega0: float, omega_d: float,
     return cert
 
 
+#: the elements of the broadcast grid that :func:`vdot_margin` evaluates at
+#: a time. Its five scratch arrays of this length stay in cache across the
+#: ufuncs of a block, and at 32 KiB each they come from the allocator's
+#: heap, where one array of 160 KiB may be mapped, and its pages first
+#: touched, afresh on every call. A smaller block pays the ufuncs' call
+#: overhead more often per element; a larger one touches more fresh pages
+_BLOCK = 4096
+
+
 def _components(z) -> tuple[np.ndarray, np.ndarray]:
     """The component views ``z1, z2`` of ``z`` (..., 2)."""
     z = np.asarray(z, dtype=float)
@@ -283,36 +292,46 @@ def vdot_margin(z_bar, d_hat, cert: LyapunovCertificate):
 
     The value is computed as written above the identity, by the same float
     operations on every element: ``2 (pz1 dz1 + pz2 dz2) / (1 + q) - b y^2``
-    minus the bound. The call allocates five arrays, which in-place ufuncs
-    reuse: ``y``, of the shape of ``d_hat``, and four of the broadcast shape
-    of ``z_bar[..., 0]`` and ``d_hat``, which first hold ``P z`` and ``dz``.
-    A 0-d result is returned as a float.
+    minus the bound. One pass over the broadcast grid of ``z_bar[..., 0]``
+    and ``d_hat``, in C order, takes it in blocks of at most ``_BLOCK``
+    elements (strided and broadcast inputs are read through the iterator,
+    never copied whole). Each block computes in five scratch arrays of
+    ``_BLOCK`` floats, allocated once per call, which in-place ufuncs reuse:
+    ``y``, then ``b y^2``, and four that first hold ``P z`` and ``dz``. Its
+    last operation writes the block of the result, the call's one array of
+    the grid's size. A 0-d result is returned as a float.
     """
     z1, z2 = _components(z_bar)
-    d_hat = np.asarray(d_hat, dtype=float)
-    y = np.exp(d_hat, out=np.empty_like(d_hat))
-    np.subtract(y, 1.0, out=y)
-    shape = np.broadcast_shapes(z1.shape, y.shape)
-    pz1, pz2, dz1, dz2 = (np.empty(shape) for _ in range(4))
-    _mat_vec(cert.P, z1, z2, (pz1, pz2), scratch=dz1)
-    _cascade_dz(z1, z2, y, cert, out=(dz1, dz2))
-    flow = np.multiply(pz1, dz1, out=dz1)  # z^T P dz
-    np.add(flow, np.multiply(pz2, dz2, out=dz2), out=flow)
-    denom = np.multiply(z1, pz1, out=pz1)  # 1 + z^T P z
-    np.add(denom, np.multiply(z2, pz2, out=pz2), out=denom)
-    np.add(1.0, denom, out=denom)
-    riccati = np.multiply(y, y, out=y)  # b y^2
-    np.multiply(cert.b, riccati, out=riccati)
-    vdot = np.multiply(2.0, flow, out=flow)
-    np.divide(vdot, denom, out=vdot)
-    np.subtract(vdot, riccati, out=vdot)
-    bound = np.multiply(z1, z1, out=dz2)  # (-|z|^2 / 2 - b y^2) / (1 + q)
-    np.add(bound, np.multiply(z2, z2, out=pz2), out=bound)
-    np.multiply(-0.5, bound, out=bound)
-    np.subtract(bound, riccati, out=bound)
-    np.divide(bound, denom, out=bound)
-    out = np.subtract(vdot, bound, out=vdot)
-    return float(out) if out.ndim == 0 else out
+    it = np.nditer([z1, z2, np.asarray(d_hat, dtype=float), None],
+                   flags=["external_loop", "buffered", "zerosize_ok"],
+                   op_flags=[["readonly"]] * 3 + [["writeonly", "allocate"]],
+                   order="C", buffersize=_BLOCK)
+    scratch = [np.empty(min(it.itersize, _BLOCK)) for _ in range(5)]
+    with it:
+        for c1, c2, d_block, out in it:
+            y, pz1, pz2, dz1, dz2 = (row[:out.size] for row in scratch)
+            np.exp(d_block, out=y)
+            np.subtract(y, 1.0, out=y)
+            _mat_vec(cert.P, c1, c2, (pz1, pz2), scratch=dz1)
+            _cascade_dz(c1, c2, y, cert, out=(dz1, dz2))
+            flow = np.multiply(pz1, dz1, out=dz1)  # z^T P dz
+            np.add(flow, np.multiply(pz2, dz2, out=dz2), out=flow)
+            denom = np.multiply(c1, pz1, out=pz1)  # 1 + z^T P z
+            np.add(denom, np.multiply(c2, pz2, out=pz2), out=denom)
+            np.add(1.0, denom, out=denom)
+            riccati = np.multiply(y, y, out=y)  # b y^2
+            np.multiply(cert.b, riccati, out=riccati)
+            vdot = np.multiply(2.0, flow, out=flow)
+            np.divide(vdot, denom, out=vdot)
+            np.subtract(vdot, riccati, out=vdot)
+            bound = np.multiply(c1, c1, out=dz2)  # (-|z|^2 / 2 - b y^2) / (1 + q)
+            np.add(bound, np.multiply(c2, c2, out=pz2), out=bound)
+            np.multiply(-0.5, bound, out=bound)
+            np.subtract(bound, riccati, out=bound)
+            np.divide(bound, denom, out=bound)
+            np.subtract(vdot, bound, out=out)
+        result = it.operands[3]
+    return float(result) if result.ndim == 0 else result
 
 
 def iss_bound_check(r, z_bar, d_hat, hessian: float, h_gain: float,

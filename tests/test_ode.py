@@ -129,13 +129,18 @@ class TestIntegrate:
                 times, states = _array_rk4(rhs, [1.0], 0.0, 2.0, _config(0.001))
             _assert_oracle_prefix(err, times, states, np.isfinite(states).all(axis=1))
 
-    def test_guard_violation_reports_step_size(self):
+    def test_guard_violation_names_the_component_and_its_value(self):
         with pytest.raises(IntegrationAborted) as excinfo:
             integrate(lambda t, y: (-10.0,), [1.0], 0.0, 2.0, _config(0.01), guard=(0,))
-        assert "step-size violation" in str(excinfo.value)
-        assert excinfo.value.last_valid_time == pytest.approx(0.1, abs=0.02)
         times, states = _array_rk4(lambda t, y: (-10.0,), [1.0], 0.0, 2.0,
                                    _config(0.01))
+        n = int(np.argmin(states[:, 0] > 0.0))
+        assert str(excinfo.value) == (
+            f"state guard violated at t={float(times[n])}: component 0 = "
+            f"{float(states[n, 0])!r}, not > 0; last valid time t={float(times[n - 1])}")
+        assert "step-size" not in str(excinfo.value)
+        assert excinfo.value.reason == "guard"
+        assert excinfo.value.last_valid_time == pytest.approx(0.1, abs=0.02)
         _assert_oracle_prefix(excinfo.value, times, states, states[:, 0] > 0.0)
 
     @pytest.mark.parametrize("t1", [1.0, 1.005])
@@ -972,7 +977,7 @@ def _abort_case(record, abort, t0):
 
 #: the messages and reasons of the aborts of :func:`_abort_case`, by
 #: record, abort and start, pinned: each time in them is computed from a
-#: step number
+#: step number, and a guard trip's value is the array loop's state there
 _ABORT_MESSAGES = {
     ("autonomous", "arithmetic", "0.0"): (
         "non-finite state at t=0.25 (OverflowError(34, 'Numerical result out of range')); "
@@ -1007,12 +1012,12 @@ _ABORT_MESSAGES = {
     **{(record, "guard", start): (message, "guard")
        for record in ("autonomous", "timed")
        for start, message in (
-           ("0.0", "state guard violated at t=2.6 (step-size violation: reduce dt below "
-                   "0.10000000000000009); last valid time t=2.5"),
-           ("3.7", "state guard violated at t=6.300000000000001 (step-size violation: "
-                   "reduce dt below 0.10000000000000053); last valid time t=6.2"),
-           ("-0.0", "state guard violated at t=2.6 (step-size violation: reduce dt below "
-                    "0.10000000000000009); last valid time t=2.5"))},
+           ("0.0", "state guard violated at t=2.6: component 2 = -0.050000000000000266, "
+                   "not > 0; last valid time t=2.5"),
+           ("3.7", "state guard violated at t=6.300000000000001: component 2 = "
+                   "-0.05000000000000071, not > 0; last valid time t=6.2"),
+           ("-0.0", "state guard violated at t=2.6: component 2 = -0.050000000000000266, "
+                    "not > 0; last valid time t=2.5"))},
 }
 
 
@@ -1196,9 +1201,8 @@ def test_a_guard_trips_at_the_array_loop_s_first_non_positive_riccati_state(fram
         integrate(rhs, x0, 0.0, t1, _config(dt, stride), guard=scenario.guard())
     err = excinfo.value
     if np.isfinite(states[n]).all():
-        step = dt if n < len(times) - 1 else t1 - (len(times) - 2) * dt
-        what, reason = (f"state guard violated at t={float(times[n])} (step-size "
-                        f"violation: reduce dt below {step})", "guard")
+        what, reason = (f"state guard violated at t={float(times[n])}: component 2 = "
+                        f"{float(states[n, 2])!r}, not > 0", "guard")
     else:
         what, reason = f"non-finite state at t={float(times[n])}", "nonfinite"
     assert str(err) == f"{what}; last valid time t={float(times[n - 1])}"

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -21,7 +21,7 @@ from sourceseek import (
     stability_report,
     vdot_margin,
 )
-from sourceseek.stability import _cascade_dr, _cascade_dz
+from sourceseek.stability import _BLOCK, _cascade_dr, _cascade_dz
 
 
 def _averaged_field(scheme, params, field):
@@ -416,9 +416,29 @@ _ACCEPTED_GAIN = st.floats(0.01, 100.0)
 _D_HAT = st.floats(-800.0, 800.0) | st.sampled_from([math.inf, -math.inf, math.nan])
 
 
+def _laid_out(a: np.ndarray, layout: str) -> np.ndarray:
+    """``a`` in C order, in Fortran order, or as every other row of an array
+    twice as long."""
+    if layout == "F":
+        return np.asfortranarray(a)
+    if layout == "strided":
+        wide = np.empty((2 * a.shape[0], *a.shape[1:]))
+        wide[::2] = a
+        return wide[::2]
+    return np.ascontiguousarray(a)
+
+
+#: shapes of ``z_bar[..., 0]`` and ``d_hat``: grids of one element less
+#: than a block, one block, one more and two blocks and three, two empty
+#: grids, a broadcast that fits in a block and one that spans two
+_MARGIN_SHAPES = [((n,), (n,)) for n in (_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3)] + [
+    ((0,), (0,)), ((0, 1), (9,)), ((5, 1), (1, 9)), ((683, 1), (6,))]
+
+
 class TestVdotMarginBuffers:
-    """``vdot_margin`` computes in five arrays that in-place ufuncs reuse,
-    by the same float operations on every element as its expression form."""
+    """``vdot_margin`` computes block by block in five arrays that in-place
+    ufuncs reuse, by the same float operations on every element as its
+    expression form."""
 
     @settings(max_examples=15, deadline=None)
     @given(alpha=_ACCEPTED_GAIN, omega0=_ACCEPTED_GAIN, omega_d=_ACCEPTED_GAIN)
@@ -431,52 +451,108 @@ class TestVdotMarginBuffers:
 
     @settings(max_examples=60, deadline=None)
     @given(alpha=_ACCEPTED_GAIN, omega0=_ACCEPTED_GAIN, omega_d=_ACCEPTED_GAIN,
-           data=st.data(), n=st.integers(1, 6), m=st.integers(1, 6))
-    def test_broadcast_and_one_point_are_the_expression_form(self, alpha, omega0,
-                                                             omega_d, data, n, m):
+           shapes=st.sampled_from(_MARGIN_SHAPES) | st.tuples(
+               st.integers(1, 6), st.integers(1, 6)).map(lambda nm: ((nm[0], 1), (nm[1],))),
+           layout=st.sampled_from(["C", "F", "strided"]),
+           z_cycle=arrays(float, (7, 2), elements=st.floats(-1e3, 1e3)),
+           dh_cycle=arrays(float, 5, elements=_D_HAT))
+    def test_every_grid_layout_and_point_is_the_expression_form_s_bytes(
+            self, alpha, omega0, omega_d, shapes, layout, z_cycle, dh_cycle):
+        """On each shape, with ``z_bar`` and ``d_hat`` in C order, in
+        Fortran order or strided, filled by repeating a drawn cycle of
+        states and of ``d_hat`` values (``+-inf`` and NaN among them), and
+        at one point, which is a float."""
         cert = _accepted_certificate(alpha, omega0, omega_d)
-        z = data.draw(arrays(float, (n, 1, 2), elements=st.floats(-1e3, 1e3)))
-        dh = data.draw(arrays(float, m, elements=_D_HAT))
+        z_shape, dh_shape = shapes
+        z = _laid_out(np.resize(z_cycle, (*z_shape, 2)), layout)
+        dh = _laid_out(np.resize(dh_cycle, dh_shape), layout)
         with np.errstate(all="ignore"):
             got, want = vdot_margin(z, dh, cert), _expression_vdot_margin(z, dh, cert)
-            point = vdot_margin(z[0, 0], float(dh[0]), cert)
-            point_want = _expression_vdot_margin(z[0, 0], float(dh[0]), cert)
-        assert got.shape == (n, m)
-        assert np.array_equal(got, want, equal_nan=True)
+            point = vdot_margin(z_cycle[0], float(dh_cycle[0]), cert)
+            point_want = _expression_vdot_margin(z_cycle[0], float(dh_cycle[0]), cert)
+        assert got.shape == np.broadcast_shapes(z_shape, dh_shape)
+        assert got.tobytes() == want.tobytes()
         assert type(point) is float
-        assert np.array_equal(point, point_want, equal_nan=True)
+        assert np.float64(point).tobytes() == np.float64(point_want).tobytes()
 
-    def test_a_call_holds_at_most_six_grid_arrays(self):
-        # five buffers (vdot_margin's docstring), plus one for the
-        # interpreter's own allocations; the expression form holds ten
-        z, dh = _certify_grid()
+    @pytest.mark.parametrize("n", [40, 80])
+    def test_a_call_holds_its_result_and_five_blocks(self, n):
+        """Past its result, a call holds five blocks of floats and 8 KiB for
+        the interpreter's own objects, the same bound at either grid size."""
+        g = np.linspace(-5.0, 5.0, n)
+        z1, z2, dh = np.meshgrid(g, g, np.linspace(-2.0, 2.0, 21), indexing="ij")
+        z = np.stack([z1, z2], axis=-1)
         cert = build_certificate(2.0, 1.0, 0.3)
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
-            vdot_margin(z, dh, cert)
+            result = vdot_margin(z, dh, cert)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= (5 + 1) * dh.nbytes
+        assert result.size > 4 * _BLOCK
+        assert peak - result.nbytes <= 5 * _BLOCK * 8 + 8192
+
+
+@st.composite
+def _scaled_states(draw):
+    """``(z, d_hat)``: up to 30 states, ``z`` a draw of ``[-1, 1]^2`` times a
+    scale from 1e-6 to 10, ``d_hat`` from ``[-3, 3]``."""
+    n = draw(st.integers(1, 30))
+    scale = draw(st.sampled_from([1e-6, 1e-3, 1.0, 10.0]))
+    z = scale * draw(arrays(float, (n, 2), elements=st.floats(-1.0, 1.0)))
+    return z, draw(arrays(float, n, elements=st.floats(-3.0, 3.0)))
+
+
+#: the spacing of the floats below 2**-1022 (subnormal and smallest normal)
+_TINY = 2.0 ** -1074
 
 
 @settings(max_examples=80, deadline=None)
 @given(alpha=_ACCEPTED_GAIN, omega0=_ACCEPTED_GAIN, omega_d=_ACCEPTED_GAIN,
-       data=st.data(), n=st.integers(1, 30))
+       states=_scaled_states())
+@example(alpha=1.0, omega0=1.0, omega_d=1.0,
+         states=(1e-6 * np.array([[6.4671752e-155, 0.0]]), np.array([0.0])))
 def test_the_margin_is_the_closed_form_identity_and_never_positive(alpha, omega0,
-                                                                   omega_d, data, n):
+                                                                   omega_d, states):
     """With ``y = e^dhat - 1`` and ``q = z^T P z``,
     ``vdot_margin * (1 + q) = -|z|^2/2 + y z^T G z - b y^2 q``, which is at
     most ``-(|z|^2/2)(1 - |G| |y|)^2``: both to 1e-14 of ``S``, the sum of
     the magnitudes of the terms the margin and the identity are computed
     from, ``S = 2 sum_i |(Pz)_i dz_i| + 2 b y^2 (1 + q) + |z|^2 + |y z^T G z|``
     (the worst of 3000 random draws of gains and 200 states each was
-    4.1e-16 of it)."""
+    4.1e-16 of it), plus ``k = 11`` spacings of ``2**-1074``.
+
+    That absolute term is for underflow. A product or quotient below
+    ``2**-1022`` is rounded to a multiple of ``2**-1074``: besides its
+    relative error, it may be off by half that spacing, which no multiple of
+    ``S`` bounds when every term is that small (the example: ``|z|^2`` is
+    about 4e-321, and the relative term underflows to 0). Sums and
+    differences of such numbers are exact. The absolute errors matter only
+    where ``y = 0``: otherwise ``|y| >= 2**-53`` (``e^dhat`` rounds to a
+    float next to 1) and ``b >= |G|^2 / (2 P22) >= 0.01`` (``|G| >= 2``, the
+    magnitude of ``G22``, and ``P22 = 2/alpha <= 200``), so ``1e-14 S`` is
+    above 1e-48 and covers any subnormal error a bounded factor carries.
+    With ``y = 0``, ``b y^2 = 0`` and ``y z^T G z = 0`` exactly, and the
+    roundings that can underflow are, in half spacings:
+
+    * the margin: the products ``pz1 dz1`` and ``pz2 dz2``, doubled by
+      ``2 (...)`` (4), the quotient of that by ``1 + q >= 1`` (1), the
+      squares ``z1 z1`` and ``z2 z2``, halved by ``-0.5 (...)`` (1), that
+      halving (1), the bound's quotient (1), and ``margin * (1 + q)``, with
+      ``1 + q`` one float above 1 at most where anything underflows (1):
+      9 in all;
+    * the identity ``-0.5 |z|^2``: the two squares, halved (1), and the
+      halving (1): 2.
+
+    That is 11 half spacings between ``lhs`` and the identity, 2 between the
+    identity and the ceiling ``-0.5 |z|^2 (1 - |G| |y|)^2`` (which computes
+    ``-0.5 |z|^2`` the same way, and ``(1 - 0)^2 = 1``), and 8 in the margin
+    before its last product; ``k = 11`` whole spacings bounds each with a
+    factor of two to spare.
+    """
     cert = _accepted_certificate(alpha, omega0, omega_d)
-    scale = data.draw(st.sampled_from([1e-6, 1e-3, 1.0, 10.0]))
-    z = scale * data.draw(arrays(float, (n, 2), elements=st.floats(-1.0, 1.0)))
-    dh = data.draw(arrays(float, n, elements=st.floats(-3.0, 3.0)))
+    z, dh = states
     margin = vdot_margin(z, dh, cert)
 
     y = np.exp(dh) - 1.0
@@ -486,8 +562,8 @@ def test_the_margin_is_the_closed_form_identity_and_never_positive(alpha, omega0
     pz = np.einsum("ij,...j->...i", cert.P, z)
     terms = (2.0 * np.sum(np.abs(pz * dz), axis=-1) + 2.0 * cert.b * y * y * (1.0 + q)
              + zz + np.abs(y * zgz))
+    tol = 1e-14 * terms + 11 * _TINY
     lhs = margin * (1.0 + q)
-    assert np.all(np.abs(lhs - (-0.5 * zz + y * zgz - cert.b * y * y * q))
-                  <= 1e-14 * terms)
-    assert np.all(lhs <= -0.5 * zz * (1.0 - cert.g_norm * np.abs(y)) ** 2 + 1e-14 * terms)
-    assert np.all(margin <= 1e-14 * terms / (1.0 + q))
+    assert np.all(np.abs(lhs - (-0.5 * zz + y * zgz - cert.b * y * y * q)) <= tol)
+    assert np.all(lhs <= -0.5 * zz * (1.0 - cert.g_norm * np.abs(y)) ** 2 + tol)
+    assert np.all(margin <= 1e-14 * terms / (1.0 + q) + 11 * _TINY)
