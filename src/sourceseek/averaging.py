@@ -756,7 +756,8 @@ def check_assumptions(system: ControlAffineSystem) -> AssumptionReport:
     (:func:`_vanishes`) on 10 standard-normal sample states. The states come
     from the standard library's ``random.Random(0)``, seeded afresh at each
     call: one ``gauss(0, 1)`` per component, state after state and clause
-    after clause (the check imports no ``numpy.random``). The coefficients
+    after clause (the check imports no ``numpy.random``), each state a tuple
+    of floats, as a failed finiteness test names it. The coefficients
     are the records of ``system.coefficients``, which the engine reads too;
     their integrals come from the ladder shared by every system on the same
     waves, so a check on a second system of one wave set runs no ladder.
@@ -791,7 +792,7 @@ def check_assumptions(system: ControlAffineSystem) -> AssumptionReport:
         f, g = _bracket(system, c.indices)
         # all() stops at the first failing state, so the draws stay in order
         vanishes = all(
-            _vanishes(f, g, np.array([rng.gauss(0.0, 1.0) for _ in range(system.dimension)]))
+            _vanishes(f, g, tuple([rng.gauss(0.0, 1.0) for _ in range(system.dimension)]))
             for _ in range(10))
         return AssumptionClause(
             name, True, vanishes,

@@ -560,6 +560,8 @@ def directional_derivative(f, x, v) -> tuple:
 
 
 def central_jacobian(f, x) -> np.ndarray:
-    """Jacobian of ``f`` at ``x``, one dual evaluation per column. The name
-    predates the dual path; bench/tracer.py wraps it by name."""
-    return np.column_stack([directional_derivative(f, x, e) for e in np.eye(len(x))])
+    """Jacobian of ``f`` at ``x``, one dual evaluation per column, along the
+    rows of the identity as floats. The name predates the dual path;
+    bench/tracer.py wraps it by name."""
+    return np.column_stack([directional_derivative(f, x, e)
+                            for e in np.eye(len(x)).tolist()])

@@ -2,6 +2,8 @@
 
 The integrator is a classical fourth-order Runge-Kutta scheme with a fixed
 step; the final step is shortened so the requested end time is hit exactly.
+Each step's last stage runs at the time the step's new state is stamped
+with, ``t0 + i * dt`` or the end time, where the next step starts.
 There is deliberately no adaptive error control: the systems in this package
 are forced at known frequencies, so the step is tied to the fastest
 oscillation and results are bit-for-bit reproducible.
@@ -44,19 +46,19 @@ per step:
   the lines that read only the step size and constants (``0.5 * h``,
   ``h / 6.0``) lifted out to run once for the loop and once for the last
   step, and unused lines dropped by the rule applied to the rhs's record;
-* the carried clock: the stage-1 lines that read only the time and
-  constants (the full loops' ``sin`` and ``cos`` of ``omega0 t``,
-  ``omega t`` and ``2 omega t``) run under one ``if t != tc:``, and after a
-  step ``tc`` and those values take the step's stage-4 time ``t + h`` and
-  stage-4 values, so a step that starts at the float its predecessor's
-  stage 4 ran at (75% and 86% of the default full loops' steps) reuses
-  them; equal floats give equal values, so nothing changes but the work
-  (:func:`_carried`);
+* the carried clock: stage 4 of step ``i`` runs at the time its new state
+  is stamped with, ``tn = start + i * dt`` (``t1`` at the last step), where
+  step ``i + 1`` starts, not at ``t + h``, which may round apart from it.
+  So the stage-1 lines that read only the time and constants (the full
+  loops' ``sin`` and ``cos`` of ``omega0 t``, ``omega t`` and ``2 omega
+  t``) run once, before the loop, and each step takes them from the
+  stage-4 values of the step before it, at every step (:func:`_carried`);
 * one float expression that tests the new state for an infinity or a NaN;
 * the guard: one comparison ``x<j> > 0.0`` per component it names, none
   where there is no guard;
-* the time ``t`` the next step starts at, only where the step reads it, so
-  an rhs that reads no time carries no time and computes no stage time;
+* the time ``tn``, and ``t = tn`` after the step, only where the step
+  reads its time, so an rhs that reads no time carries no time and
+  computes no stage time;
 * at a recorded step, one store per component into a memoryview of that
   component's column of the state array, sized up front: a run that
   records every step stores at the step's number, with no test and no
@@ -82,7 +84,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .numdiff import _SILENT, Sym, Tape, Untraceable, _live, _statements
+from .numdiff import Sym, Tape, Untraceable, _live, _statements
 
 __all__ = [
     "IntegratorConfig",
@@ -230,8 +232,8 @@ class Trajectory:
 #: :meth:`~sourceseek.numdiff.Tape.require` in the record raises its own
 #: error out of the loop. The loop runs steps ``1 .. total_steps - 1`` at
 #: ``h = dt``; the last step runs after it at ``h = last`` (``dt`` or the
-#: shortened remainder) and is always recorded, so the loop never tests for
-#: it. ``i`` is the number of the step being taken.
+#: shortened remainder), to the time ``end``, and is always recorded, so the
+#: loop never tests for it. ``i`` is the number of the step being taken.
 #:
 #: Per step the loop runs the step's own lines, one float test of the new
 #: state, one test per guarded component, and ``$record``. Where every step
@@ -240,19 +242,22 @@ class Trajectory:
 #: and no offset. Else ``$record`` stores the state at every ``stride``-th
 #: step, under ``if i % stride == 0:``, at the sample counter ``n``
 #: (``$count`` starts it at 1, the initial state being sample 0). Only a
-#: step that reads its time carries ``t``: the time the step starts at,
-#: advanced to ``start + i * dt`` after the step (``$clock`` and
-#: ``$advance``). A step whose stage 1 reads the time through lines of
-#: their own (``sin(omega t)``) carries them too: ``tc`` is the time they
-#: were computed at (:func:`_carried`). ``$per_size`` holds the step's
-#: lines that read only ``h`` and constants (``0.5 * h``, ``h / 6.0``), run
-#: once per step size. The sample times are not written here:
+#: step that reads its time carries ``t``, the time the step starts at, and
+#: computes ``tn``, the time of its stage 4 and of its new state (``$tick``
+#: of :data:`_STEP`), which ``t`` takes after the step (``$advance``). A
+#: step whose stage 1 reads the time through lines of their own
+#: (``sin(omega t)``) takes their values from the stage 4 of the step
+#: before it (:func:`_carried`); ``$clock`` computes them for the first
+#: step, with the other lines of its stage 1 that can raise, in the rhs's
+#: order, and aborts that step where one raises. ``$per_size`` holds the
+#: step's lines that read only ``h`` and constants (``0.5 * h``, ``h /
+#: 6.0``), run once per step size. The sample times are not written here:
 #: :func:`integrate` computes them before the loop, and ``aborted`` copies
-#: an abort's share of them. The loop's own locals (``start``, ``h``,
-#: ``i``, ``n``, ``t``, ``tc``, ``s<j>``) take no name of the tape's values
-#: ``t<n>``, ``k<n>`` and ``x<n>``.
+#: an abort's share of them. The loop's own locals (``start``, ``end``,
+#: ``h``, ``i``, ``n``, ``t``, ``tn``, ``s<j>``) take no name of the tape's
+#: values ``t<n>``, ``k<n>`` and ``x<n>``.
 _STEP_LOOP = string.Template("""\
-def step_loop(y, start, dt, last, total_steps, stride, states, aborted, constants):
+def step_loop(y, start, end, dt, last, total_steps, stride, states, aborted, constants):
     [$constants] = constants
     [$x] = y
     [$s] = states
@@ -269,19 +274,21 @@ $last_step
 $last_record
 """)
 
-#: One RK4 step of number ``i``: ``$lines`` leave the new state in ``$x``,
-#: whose components must all be finite and whose guarded components must be
-#: above zero, ``$guard``: ``if not x<j> > 0.0:`` per component. The finite
-#: test is one float expression, ``0.0 * x0 * x1 * ... != 0.0``: its running
-#: product is a zero until it meets an infinity or a NaN, and NaN from then
-#: on, so it never overflows and is true exactly when some component is not
-#: finite. It comes first, so a NaN aborts as a non-finite state, not as a
-#: guard trip. ``$advance`` carries the step's values into the next step and
-#: advances the time ``t``. An abort hands ``aborted`` the number of samples
-#: written, ``$written``: ``i`` where every step is recorded, else the
-#: counter ``n``; a guard trip also hands it ``(j, x<j>)``, the component and
-#: its value.
+#: One RK4 step of number ``i``: ``$tick`` computes the time ``tn`` of its
+#: new state where the step reads it, and ``$lines`` leave the new state in
+#: ``$x``, whose components must all be finite and whose guarded components
+#: must be above zero, ``$guard``: ``if not x<j> > 0.0:`` per component.
+#: The finite test is one float expression, ``0.0 * x0 * x1 * ... != 0.0``:
+#: its running product is a zero until it meets an infinity or a NaN, and
+#: NaN from then on, so it never overflows and is true exactly when some
+#: component is not finite. It comes first, so a NaN aborts as a non-finite
+#: state, not as a guard trip. ``$advance`` hands the step's stage-4 time
+#: values to the next step and advances the time ``t`` to ``tn``. An abort
+#: hands ``aborted`` the number of samples written, ``$written``: ``i``
+#: where every step is recorded, else the counter ``n``; a guard trip also
+#: hands it ``(j, x<j>)``, the component and its value.
 _STEP = string.Template("""\
+$tick
 try:
 $lines
 except ArithmeticError as exc:
@@ -292,17 +299,19 @@ $advance
 $guard""")
 
 
-def _rk4_step(stage, t, h, y) -> tuple:
-    """The new state after one RK4 step of ``stage(t, y)`` from ``(t, y)``,
-    the operations of the array form component by component: ``y + half *
-    k`` for a stage argument and ``y + sixth * (k1 + 2 k2 + 2 k3 + k4)`` for
-    the update. The step of :data:`_STEP_LOOP` is this function run on the
-    symbols of a tape."""
+def _rk4_step(stage, t, tn, h, y) -> tuple:
+    """The new state after one RK4 step of ``stage(t, y)`` from ``(t, y)``
+    to the time ``tn``, the operations of the array form component by
+    component: ``y + half * k`` for a stage argument and ``y + sixth * (k1 +
+    2 k2 + 2 k3 + k4)`` for the update. Stage 4 runs at ``tn``, the time the
+    new state is stamped with and the next step starts at, not at ``t +
+    h``, which may round apart from it. The step of :data:`_STEP_LOOP` is
+    this function run on the symbols of a tape."""
     half = 0.5 * h
     a = stage(t, y)
     b = stage(t + half, tuple(v + half * k for v, k in zip(y, a)))
     c = stage(t + half, tuple(v + half * k for v, k in zip(y, b)))
-    e = stage(t + h, tuple(v + h * k for v, k in zip(y, c)))
+    e = stage(tn, tuple(v + h * k for v, k in zip(y, c)))
     sixth = h / 6.0
     return tuple(v + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
                  for v, k1, k2, k3, k4 in zip(y, a, b, c, e))
@@ -359,12 +368,14 @@ def _traced_kernel(shape: tuple, dim: int, positive: tuple = (),
     replays the record on the stage's time and state, so the step's tape
     numbers values across stages, and the step keeps its
     :func:`~sourceseek.numdiff._live` lines (an autonomous rhs reads no
-    stage time). The lines of the record
-    that read only the time and constants give, at stage 1 and at stage 4,
-    the pairs of values a step may carry into the next (:func:`_carried`).
+    stage time). Stage 4 runs at ``tn``, the time the new state is stamped
+    with (:func:`_rk4_step`). The lines of the record that read only the
+    time and constants give, at stage 1 and at stage 4, the pairs of values
+    a step carries into the next (:func:`_carried`), and the names of the
+    stage-1 values say which lines the first step runs before the loop.
     Returns the kernel and the constants it takes after the record's own."""
     lines, outputs, n_constants = shape
-    step = _tape(dim, ("t", "h"))
+    step = _tape(dim, ("t", "tn", "h"))
     constants = {k.name: k for k in step.reserve(n_constants)}
     stages = []
 
@@ -376,15 +387,15 @@ def _traced_kernel(shape: tuple, dim: int, positive: tuple = (),
         return tuple(syms[o] for o in outputs)
 
     new = _rk4_step(stage, *step.inputs, step.state)
-    # the time and the record's lines that read only it and constants, in order
-    clock = dict.fromkeys(["t"])
+    # the time and the record's lines that read only it and constants
+    clock = {"t"}
     for name, _, operands in lines:
-        if clock.keys() & set(operands) and all(o in clock or o[0] == "k" for o in operands):
-            clock[name] = None
+        if clock & set(operands) and all(o in clock or o[0] == "k" for o in operands):
+            clock.add(name)
     first, fourth = stages[0], stages[-1]
     return _kernel(step, _live(step.lines, [v.name for v in new], step.constants),
-                   new, n_constants, [(first[n], fourth[n]) for n in clock], positive,
-                   strided)
+                   new, n_constants, {first[n].name: fourth[n].name for n in clock - {"t"}},
+                   {first[name].name for name, _, _ in lines}, positive, strided)
 
 
 def _tape(dim: int, inputs) -> Tape:
@@ -410,49 +421,23 @@ def _checked(value, dim: int):
     return value
 
 
-def _carried(lines, pairs) -> tuple:
-    """The step's ``lines`` split in three, the lines before those a step
-    may skip, those, and the rest, and the values the step carries into
-    the next: ``{name: value}``.
-
-    ``pairs`` holds, per line of the rhs's record that reads only the time
-    and constants, the symbols of its values at stage 1 and at stage 4, and
-    the time itself, ``(t, t + h)``. Where the next step starts at ``t + h``
-    as a float (``start + i * dt`` often is ``t + h``), its stage-1 values
-    are the stage-4 values of this step, since equal floats give equal
-    values. So the stage-1 lines run only where ``t != tc``, and after a
-    step ``tc`` takes ``t + h`` and each stage-1 value that another line
-    reads takes its stage-4 value, which is the same operations on equal
-    floats: the trajectory and every abort stay the same, bit for bit.
-
-    The stage-1 lines run together, at the top of the step or, where a
-    line that can raise (a division, a call) comes before the first of
-    theirs that can, just after the last such line, so that the same line
-    raises first. The step carries nothing (``[], [], lines, {}``) where a
-    stage-1 value and its stage-4 value are not both lines of the step,
-    where a line that can raise comes between two of theirs that can, or
-    where a line before them reads one of them."""
-    at = {line[0]: n for n, line in enumerate(lines)}
-    pairs = {a.name: b.name for a, b in pairs if a.name in at or b.name in at}
-    following = pairs.pop("t", None)
-    nothing = [], [], lines, {}
-    if following is None or not pairs or not all(a in at and b in at
-                                                 for a, b in pairs.items()):
-        return nothing
-    raising = [n for n, (_, template, _) in enumerate(lines) if template not in _SILENT]
-    mine = [n for n in raising if lines[n][0] in pairs]
-    others = [n for n in raising if lines[n][0] not in pairs]
-    if mine and any(mine[0] < n < mine[-1] for n in others):
-        return nothing
-    split = max([n + 1 for n in others if mine and n < mine[0]], default=0)
-    before = [line for line in lines[:split] if line[0] not in pairs]
-    if any(pairs.keys() & set(operands) for _, _, operands in before):
-        return nothing
-    skipped = [line for line in lines if line[0] in pairs]
-    rest = [line for line in lines[split:] if line[0] not in pairs]
+def _carried(lines, pairs) -> tuple[list, dict]:
+    """The step's ``lines`` but the stage-1 lines it takes from the step
+    before it, and the values of those that the other lines read, ``{stage-1
+    name: stage-4 name}``. ``pairs`` holds, per line of the rhs's record
+    that reads only the time and constants, its values at stage 1 and at
+    stage 4; a step takes a pair whose values are both ``lines`` of it.
+    Stage 4 runs at ``tn``, the time the next step starts at, so its values
+    are the next step's stage-1 values, bit for bit: equal floats give equal
+    values. No error is lost: a stage-1 line that raises at a step's start
+    raised at the stage 4 of the step before it, and the first step runs
+    these lines before the loop, with its other stage-1 lines that can raise
+    (:data:`_STEP_LOOP`)."""
+    at = {name for name, _, _ in lines}
+    pairs = {a: b for a, b in pairs.items() if a in at and b in at}
+    rest = [line for line in lines if line[0] not in pairs]
     read = {o for _, _, operands in rest for o in operands}
-    return before, skipped, rest, {"tc": following,
-                                   **{a: b for a, b in pairs.items() if a in read}}
+    return rest, {a: b for a, b in pairs.items() if a in read}
 
 
 def _named(lines, outputs, names) -> tuple[list[str], list[str]]:
@@ -464,7 +449,8 @@ def _named(lines, outputs, names) -> tuple[list[str], list[str]]:
     return body, values[:len(outputs)]
 
 
-def _kernel(tape: Tape, lines, new, supplied: int, clock=(), positive=(), strided=False):
+def _kernel(tape: Tape, lines, new, supplied: int, clock: dict, first, positive=(),
+            strided=False):
     """The step loop filled with ``lines``, those of ``tape``'s record of
     :func:`_rk4_step` that the step runs, whose new state is ``new``, with
     one test per component of ``positive`` that it is above zero, and
@@ -472,9 +458,11 @@ def _kernel(tape: Tape, lines, new, supplied: int, clock=(), positive=(), stride
     line that reads only ``h`` and constants runs once per step size, and
     the stage-1 values that read only the time are carried from step to
     step where ``clock`` pairs them with their stage-4 values
-    (:func:`_carried`). Also returns the constants the tape recorded after
-    the ``supplied`` ones it reserved. The kernel keeps its source as
-    ``source``."""
+    (:func:`_carried`). For the first step, the lines of ``first``, the
+    stage-1 values, that can raise or that those values read run once
+    before the loop, in their order. Also returns the constants the
+    tape recorded after the ``supplied`` ones it reserved. The kernel keeps
+    its source as ``source``."""
     per_size, per_step, sized = [], [], {"h"}  # sized: names of per-size values
     for line in lines:
         name, template, operands = line
@@ -484,23 +472,24 @@ def _kernel(tape: Tape, lines, new, supplied: int, clock=(), positive=(), stride
         else:
             per_step.append(line)
     timed = any("t" in operands for _, _, operands in per_step)
-    before, skipped, rest, carry = _carried(per_step, clock)
+    rest, carry = _carried(per_step, clock)
+    start = ["t = start"] * timed
+    if len(rest) < len(per_step):
+        stage = _live([line for line in per_step if line[0] in first], carry, tape.constants)
+        stage, _ = _named(stage, [], carry)
+        start += ["try:", *("    " + line for line in stage),
+                  "except ArithmeticError as exc:", "    raise aborted(1, 1, exc) from exc"]
     dim = len(tape.state)
     x = ", ".join(v.name for v in tape.state)
-    step = []
-    if skipped:
-        read = {o for _, _, operands in rest for o in operands}
-        step, _ = _named(before, [], [n for n, _, _ in before if n in read])
-        first, _ = _named(skipped, [], [n for n in carry if n != "tc"])
-        step += ["if t != tc:", *("    " + line for line in first)]
     body, values = _named(rest, [tape.name(v) for v in new], carry.values())
-    step += [*body, f"{x}, = {', '.join(values)},"]
+    step = [*body, f"{x}, = {', '.join(values)},"]
     written = "n" if strided else "i"  # the number of samples stored before step i
     test = [line for j in positive for line in (
         f"if not x{j} > 0.0:", f"    raise aborted(i, {written}, tripped=({j}, x{j}))")]
 
-    def block(advance):
+    def block(tn, advance):
         return _STEP.substitute(
+            tick=f"tn = {tn}" * timed,
             lines=textwrap.indent("\n".join(step), " " * 4), advance="\n".join(advance),
             guard="\n".join(test), written=written,
             finite=" * ".join(["0.0", *(v.name for v in tape.state)]))
@@ -508,20 +497,17 @@ def _kernel(tape: Tape, lines, new, supplied: int, clock=(), positive=(), stride
     store = [f"s{j}[{written}] = x{j}" for j in range(dim)]
     record = ["if i % stride == 0:", *("    " + line for line in store),
               "    n += 1"] if strided else store
-    advance = [f"{name} = {value}" for name, value in carry.items()]
-    if timed:
-        advance.append("t = start + i * dt")
+    advance = [f"{name} = {value}" for name, value in carry.items()] + ["t = tn"] * timed
     source = _STEP_LOOP.substitute(
         constants=", ".join(f"k{i}" for i in range(len(tape.constants))),
         x=x,
         s=", ".join(f"s{j}" for j in range(dim)),
         count="    n = 1" * strided,
         per_size=textwrap.indent("\n".join(per_size), " " * 4),
-        clock=textwrap.indent("\n".join(["t = start"] * timed + ["tc = None"] * bool(carry)),
-                              " " * 4),
-        step=textwrap.indent(block(advance), " " * 8),
+        clock=textwrap.indent("\n".join(start), " " * 4),
+        step=textwrap.indent(block("start + i * dt", advance), " " * 8),
         record=textwrap.indent("\n".join(record), " " * 8),
-        last_step=textwrap.indent(block([]), " " * 4),
+        last_step=textwrap.indent(block("end", []), " " * 4),
         last_record=textwrap.indent("\n".join(store), " " * 4),
     )
     source = "".join(line + "\n" for line in source.splitlines() if line.strip())
@@ -642,7 +628,7 @@ def integrate(rhs, x0, t0: float, t1: float, config: IntegratorConfig,
         shape, supplied = _call_record(rhs, dim)
         rhs_calls = 4 * total_steps
     kernel, constants = _traced_kernel(shape, dim, positive, stride > 1)
-    kernel(y, t0, dt, last, total_steps, stride, tuple(map(memoryview, states.T)),
+    kernel(y, t0, t1, dt, last, total_steps, stride, tuple(map(memoryview, states.T)),
            aborted, (*supplied, *constants))
     return Trajectory(times, states, steps=total_steps, rhs_calls=rhs_calls)
 

@@ -272,7 +272,9 @@ def averaged_closed_loop(scheme: Scheme, params: SeekerParams,
     cascade frames are the newton system pushed forward through their maps
     (see :data:`FRAME_SPECS`).
     Like :func:`closed_loop`, the closure takes a sequence of floats and
-    returns a tuple without checking the state length.
+    returns a tuple without checking the state length; it unpacks an array
+    state through ``tolist()``, so that it computes on floats, not on numpy
+    scalars.
     """
     w0, h, wd, hess = params.omega0, params.h_gain, params.omega_d, field.hessian
     f = field.at_offset
@@ -281,14 +283,14 @@ def averaged_closed_loop(scheme: Scheme, params: SeekerParams,
     if scheme is Scheme.GRADIENT:
 
         def rhs(t, s):
-            z1, z2, nu = s
+            z1, z2, nu = s.tolist() if type(s) is np.ndarray else s
             nu_dot = h * (f(z1, z2) - nu)
             return (w0 * z2, -w0 * z1 + lam * z2, nu_dot)
 
     elif scheme is Scheme.NEWTON:
 
         def rhs(t, s):
-            z1, z2, d, nu = s
+            z1, z2, d, nu = s.tolist() if type(s) is np.ndarray else s
             nu_dot = h * (f(z1, z2) - nu)
             return (w0 * z2, -w0 * z1 + lam * d * z2, wd * d * (1.0 - hess * d), nu_dot)
 

@@ -73,10 +73,11 @@ class Linearization:
 def linearize(f, x_eq) -> Linearization:
     """Linearize the autonomous field ``f`` around the equilibrium ``x_eq``.
 
-    The Jacobian is exact, one dual evaluation of ``f`` per column, and the
-    spectrum comes from QR iteration on the Hessenberg form (LAPACK). The
-    eigenvalues must reproduce the trace and determinant of the Jacobian to
-    1e-8.
+    ``f`` takes the state as a tuple: it is evaluated at ``x_eq`` as a tuple
+    of floats, not numpy scalars. The Jacobian is exact, one dual evaluation
+    of ``f`` per column, and the spectrum comes from QR iteration on the
+    Hessenberg form (LAPACK). The eigenvalues must reproduce the trace and
+    determinant of the Jacobian to 1e-8.
 
     Raises
     ------
@@ -87,13 +88,14 @@ def linearize(f, x_eq) -> Linearization:
         (it calls ``math.exp``, say).
     """
     x_eq = np.asarray(x_eq, dtype=float)
-    residual = float(np.linalg.norm(np.asarray(f(x_eq), dtype=float)))
+    point = tuple(x_eq.tolist())
+    residual = float(np.linalg.norm(np.asarray(f(point), dtype=float)))
     if residual > EQUILIBRIUM_TOL:
         raise EquilibriumError(
             f"field residual {residual:.3e} at the supplied point exceeds "
             f"{EQUILIBRIUM_TOL}", residual,
         )
-    jac = central_jacobian(f, x_eq)
+    jac = central_jacobian(f, point)
     eig = np.linalg.eigvals(jac)
     lin = Linearization(equilibrium=x_eq, jacobian=jac, eigenvalues=eig)
     if lin.trace_residual > EIG_RESIDUAL_TOL * max(1.0, abs(np.trace(jac))):
@@ -374,7 +376,7 @@ def iss_bound_check(r, z_bar, d_hat, hessian: float, h_gain: float,
 
 def _matrix(mat: np.ndarray) -> str:
     """A matrix as report text, ``[row; row | row; row]``."""
-    rows = ["; ".join(f"{v:.12g}" for v in row) for row in np.atleast_2d(mat)]
+    rows = ["; ".join(f"{v:.12g}" for v in row) for row in np.atleast_2d(mat).tolist()]
     return f"[{' | '.join(rows)}]"
 
 
@@ -392,7 +394,7 @@ def stability_report(linearizations: dict, cert: LyapunovCertificate | None = No
             "-alpha/4 newton); constants -alpha*H/2 / -alpha/2 overstate it twofold")
     blocks = [_section("stability_report", [("decay_rate_note", note)])]
     for name, lin in linearizations.items():
-        eig = ", ".join(f"{v.real:.9g}{v.imag:+.9g}j" for v in lin.eigenvalues)
+        eig = ", ".join(f"{v.real:.9g}{v.imag:+.9g}j" for v in lin.eigenvalues.tolist())
         blocks.append(_section(f"linearization {name}", [
             ("equilibrium", _matrix(lin.equilibrium)),
             ("jacobian", _matrix(lin.jacobian)),

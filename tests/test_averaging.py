@@ -208,6 +208,28 @@ class TestGammaQuadrature:
             check_assumptions(system)
 
 
+def test_assumption_sample_states_are_tuples_of_floats(monkeypatch):
+    """``check_assumptions`` tests a bracket past its exponent budget at
+    sample states that are tuples of floats, not arrays of numpy scalars."""
+    system = ControlAffineSystem(
+        drift=lambda s: (0.0, 0.0),
+        channels=((lambda s: (0.0, s[0]), OscillatoryInput(np.sin, 1, 0.7)),
+                  (lambda s: (1.0, 0.0), OscillatoryInput(np.cos, 1, 0.7))),
+        dimension=2,
+    )
+    seen, vanishes = [], averaging._vanishes
+
+    def recorded(f, g, x):
+        seen.append(x)
+        return vanishes(f, g, x)
+
+    monkeypatch.setattr(averaging, "_vanishes", recorded)
+    check_assumptions(system)
+    assert seen and {type(x) for x in seen} == {tuple}
+    assert {type(v) for x in seen for v in x} == {float}
+    assert {type(v) for x in seen for v in x} == {float}
+
+
 class TestLieBracket:
     def test_self_bracket_vanishes(self, newton_system, rng):
         f = newton_system.field(0)

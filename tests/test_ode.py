@@ -391,7 +391,9 @@ class TestCsvExport:
 
 def _array_rk4(rhs, x0, t0, t1, config):
     """The array-based RK4 loop the float loop replaced, kept as the
-    reference for bit-for-bit agreement (no guard, no finiteness check)."""
+    reference for bit-for-bit agreement (no guard, no finiteness check).
+    Stage 4 runs at the time the new state is stamped with, ``t0 + (i + 1)
+    * dt`` or ``t1`` at the last step, where the next step starts."""
     dt, span, stride = config.dt, t1 - t0, config.output_stride
     n_full = int(math.floor(span / dt * (1.0 + 1e-12)))
     remainder = span - n_full * dt
@@ -400,12 +402,13 @@ def _array_rk4(rhs, x0, t0, t1, config):
     times, states = [t0], [y.copy()]
     for i in range(total):
         h = dt if i < n_full else remainder
+        t_next = t1 if i + 1 == total else t0 + (i + 1) * dt
         k1 = np.asarray(rhs(t, y))
         k2 = np.asarray(rhs(t + 0.5 * h, y + (0.5 * h) * k1))
         k3 = np.asarray(rhs(t + 0.5 * h, y + (0.5 * h) * k2))
-        k4 = np.asarray(rhs(t + h, y + h * k3))
+        k4 = np.asarray(rhs(t_next, y + h * k3))
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t = t1 if i + 1 == total else t0 + (i + 1) * dt
+        t = t_next
         if (i + 1) % stride == 0 or i + 1 == total:
             times.append(t)
             states.append(y.copy())
@@ -454,55 +457,63 @@ _POSITION = st.floats(-5.0, 5.0)
 _RICCATI = st.floats(0.5, 1.5)
 _FILTER = st.floats(2.0, 8.0)
 
-#: (rhs, start-point strategy, fastest forcing frequency, output stride)
-#: for every full scheme/frame closure, both averaged forms (the gradient one
-#: at every step, as the hessian sweep records it) and a linear system at
-#: the state lengths no closure has
+#: (rhs, start-point strategy, fastest forcing frequency) for every full
+#: scheme/frame closure, both averaged forms and a linear system at the
+#: state lengths no closure has
 _LOOPS = {
     "gradient-original": (
         closed_loop(Scheme.GRADIENT, Frame.ORIGINAL, _REF_PARAMS, _REF_FIELD),
-        st.tuples(_POSITION, _POSITION, _FILTER), 15.0, 7,
+        st.tuples(_POSITION, _POSITION, _FILTER), 15.0,
     ),
     "gradient-rotating_z": (
         closed_loop(Scheme.GRADIENT, Frame.ROTATING_Z, _REF_PARAMS, _REF_FIELD),
-        st.tuples(_POSITION, _POSITION, _FILTER), 15.0, 7,
+        st.tuples(_POSITION, _POSITION, _FILTER), 15.0,
     ),
     "newton-original": (
         closed_loop(Scheme.NEWTON, Frame.ORIGINAL, _REF_PARAMS, _REF_FIELD),
-        st.tuples(_POSITION, _POSITION, _RICCATI, _FILTER), 30.0, 7,
+        st.tuples(_POSITION, _POSITION, _RICCATI, _FILTER), 30.0,
     ),
     "newton-rotating_z": (
         closed_loop(Scheme.NEWTON, Frame.ROTATING_Z, _REF_PARAMS, _REF_FIELD),
-        st.tuples(_POSITION, _POSITION, _RICCATI, _FILTER), 30.0, 7,
+        st.tuples(_POSITION, _POSITION, _RICCATI, _FILTER), 30.0,
     ),
     "newton-rotating_z_log_d": (
         closed_loop(Scheme.NEWTON, Frame.ROTATING_Z_LOG_D, _REF_PARAMS, _REF_FIELD),
-        st.tuples(_POSITION, _POSITION, st.floats(-0.7, 0.4), _FILTER), 30.0, 7,
+        st.tuples(_POSITION, _POSITION, st.floats(-0.7, 0.4), _FILTER), 30.0,
     ),
     "averaged-newton": (
         averaged_closed_loop(Scheme.NEWTON, _REF_PARAMS, _REF_FIELD),
-        st.tuples(_POSITION, _POSITION, st.floats(0.5, 200.0), _FILTER), 1.0, 7,
+        st.tuples(_POSITION, _POSITION, st.floats(0.5, 200.0), _FILTER), 1.0,
     ),
     "averaged-gradient": (
         averaged_closed_loop(Scheme.GRADIENT, _REF_PARAMS, _REF_FIELD),
-        st.tuples(_POSITION, _POSITION, _FILTER), 1.0, 1,
+        st.tuples(_POSITION, _POSITION, _FILTER), 1.0,
     ),
-    **{f"linear-{dim}": (_linear_rhs(dim), st.tuples(*[_POSITION] * dim), 1.0, 7)
+    **{f"linear-{dim}": (_linear_rhs(dim), st.tuples(*[_POSITION] * dim), 1.0)
        for dim in (1, 2, 5, 6)},
 }
+
+
+#: starts of a run, ``-0.0``, negative and large, from which ``t + h``
+#: and the stamped time ``t0 + i * dt`` may round apart
+_T0 = st.one_of(st.just(-0.0), st.floats(-1e3, -1.0), st.floats(1e3, 1e7))
 
 
 @pytest.mark.parametrize("loop", sorted(_LOOPS))
 @settings(max_examples=8, deadline=None)
 @given(data=st.data())
 def test_float_loop_is_bit_identical_to_the_array_loop(loop, data):
-    rhs, start, omega_max, stride = _LOOPS[loop]
-    x0 = data.draw(start)
-    config = IntegratorConfig.for_frequency(omega_max, 60, output_stride=stride)
-    t_end = 1.0
-    assert (t_end / config.dt) % 1.0 > 1e-6  # the final step is shortened
-    traj = integrate(rhs, x0, 0.0, t_end, config)
-    times, states = _array_rk4(rhs, x0, 0.0, t_end, config)
+    """Every loop steps as the array loop does, bit for bit, from any start,
+    recording every step or every 10th, with a shortened last step whose
+    stage 4 runs at ``t1``."""
+    rhs, start, omega_max = _LOOPS[loop]
+    x0, t0 = data.draw(start), data.draw(_T0)
+    config = IntegratorConfig.for_frequency(omega_max, 60,
+                                            output_stride=data.draw(st.sampled_from([1, 10])))
+    t1 = t0 + 1.0
+    assert ((t1 - t0) / config.dt) % 1.0 > 1e-6  # the final step is shortened
+    traj = integrate(rhs, x0, t0, t1, config)
+    times, states = _array_rk4(rhs, x0, t0, t1, config)
     assert np.array_equal(traj.times, times)
     assert np.array_equal(traj.states, states)
 
@@ -779,14 +790,19 @@ def test_no_full_frame_traces_a_numpy_call_or_a_power():
             assert not any(m.split(".")[0] == "numpy" for m in modules), (frame, template)
 
 
+def _loop_lines(lines):
+    """The stripped lines under the ``for`` of a rendered loop's ``lines``."""
+    start = lines.index("    for i in range(1, total_steps):")
+    return [line.strip() for line in itertools.takewhile(
+        lambda line: line.startswith("        "), lines[start + 1:])]
+
+
 def _loop_body(source):
     """The assignments the rendered step loop runs at every step, each as
     ``(target, names read)``: the lines under its ``for``."""
-    lines = source.splitlines()
-    start = next(n for n, line in enumerate(lines) if line.startswith("    for i in"))
-    body = itertools.takewhile(lambda line: line.startswith("        "), lines[start + 1:])
-    return [(target.strip(), set(re.findall(r"[A-Za-z_]\w*", expression)))
-            for target, _, expression in (line.partition(" = ") for line in body)
+    return [(target, set(re.findall(r"[A-Za-z_]\w*", expression)))
+            for target, _, expression in (line.partition(" = ")
+                                          for line in _loop_lines(source.splitlines()))
             if expression]
 
 
@@ -794,10 +810,10 @@ def _loop_body(source):
                                        ("linear-5", 5)])
 def test_an_autonomous_step_loop_computes_no_stage_time_or_step_size(loop, dim):
     """An rhs that reads no time leaves the stage times ``t + h/2`` and
-    ``t + h`` unused, so the traced step drops them, and ``0.5 * h`` and
-    ``h / 6.0`` run once per step size, outside the loop. The loop carries
-    no time at all, and records none: the sample times are computed after
-    it."""
+    ``tn`` unused, so the traced step drops them, and ``0.5 * h`` and ``h /
+    6.0`` run once per step size, outside the loop. The loop carries no time
+    at all, computes no ``tn = start + i * dt``, as a timed loop does, and
+    records none: the sample times are computed after it."""
     shape, _ = ode._trace(_LOOPS[loop][0], dim)
     source = ode._traced_kernel(shape, dim)[0].source
     body = _loop_body(source)
@@ -807,27 +823,30 @@ def test_an_autonomous_step_loop_computes_no_stage_time_or_step_size(loop, dim):
     for target, names in per_step:
         assert "t" not in names, (target, names)
         assert not names <= {"h"} | {n for n in names if re.fullmatch(r"k\d+", n)}, target
-    assert not [target for target, _ in body if target in ("t", "t_new")]
-    assert "times" not in source and "t_new" not in source
-    # a rhs that reads its time keeps its stage times in the loop, and
-    # advances its time there
+    assert not [target for target, _ in body if target in ("t", "tn")]
+    assert "times" not in source
+    assert not re.search(r"\b(t|tn|end)\b", source.partition("\n")[2])
+    # a rhs that reads its time keeps its stage times in the loop, computes
+    # the time of its stage 4 and of its new state there, and starts the
+    # next step at it
     shape, _ = ode._trace(_LOOPS["newton-rotating_z"][0], 4)
     timed = _loop_body(ode._traced_kernel(shape, 4)[0].source)
     assert any("t" in names and target != "t" for target, names in timed)
-    assert ("t", {"start", "i", "dt"}) in timed
+    assert timed[0] == ("tn", {"start", "i", "dt"})
+    assert ("t", {"tn"}) in timed
 
 
 def _binary_operations(source):
     """The binary float operations the rendered loop runs in one step: the
     operators between operands in the lines of the step's ``try`` block and
-    in the loop's lines that carry a time (``t``, ``t_new``)."""
+    in the loop's lines that carry a time (``t``, ``tn``)."""
     lines = source.splitlines()
     start = lines.index("    for i in range(1, total_steps):")
     body = list(itertools.takewhile(lambda line: line.startswith("        "),
                                     lines[start + 1:]))
     step = itertools.takewhile(lambda line: line.startswith("            "),
                                body[body.index("        try:") + 1:])
-    clock = [line for line in body if re.match(r" +(t|t_new) = ", line)]
+    clock = [line for line in body if re.match(r" +(t|tn) = ", line)]
     return sum(len(re.findall(r" [-+*/] ", line)) for line in [*step, *clock])
 
 
@@ -845,14 +864,15 @@ def test_the_default_averaged_step_folds_its_unit_gains(scheme, dim, operations)
     assert _binary_operations(ode._traced_kernel(shape, dim)[0].source) == operations
 
 
-@pytest.mark.parametrize("scheme, dim, operations", [(Scheme.GRADIENT, 3, 100),
-                                                     (Scheme.NEWTON, 4, 147)],
+@pytest.mark.parametrize("scheme, dim, operations", [(Scheme.GRADIENT, 3, 96),
+                                                     (Scheme.NEWTON, 4, 141)],
                          ids=["gradient", "newton"])
 def test_the_default_original_step_reads_the_plain_offset(scheme, dim, operations):
     """The original-frame step takes its map at ``x - x*``, whose length is
-    that of ``z = Y^T (x - x*)``, without rotating it at each stage: 100 and
-    147 binary operations a step, 24 fewer than the 124 and 171 of the
-    rotated offset."""
+    that of ``z = Y^T (x - x*)``, without rotating it at each stage, 24
+    binary operations fewer than the rotated offset; with its stage-1 time
+    values carried from the step before and stage 4 at ``tn = start + i *
+    dt``, not at ``t + h``, that is 96 and 141 a step."""
     rhs = closed_loop(scheme, Frame.ORIGINAL, DEFAULT_PARAMS, DEFAULT_FIELD)
     shape, _ = ode._trace(rhs, dim)
     assert _binary_operations(ode._traced_kernel(shape, dim)[0].source) == operations
@@ -1263,91 +1283,129 @@ def test_refuses_a_start_whose_guarded_component_is_not_positive(value):
 
 
 #: timed records whose stage 1 reads the time through lines of their own,
-#: which a step carries into the next: trigonometry, a quotient that can
-#: raise at the top of the step, and a cosine after a power that can raise
-#: first
+#: which a step takes from the stage 4 of the step before it, with a start
+#: state and the number of calls in those lines: trigonometry, a quotient,
+#: a cosine after a power that can raise, and the newton rotating-frame
+#: loop's three waves
 _CLOCKED = {
-    "sine": lambda t, y: (y[1], -y[0] + 0.3 * sin(1.7 * t)),
-    "quotient": lambda t, y: (y[1], -y[0] * (1.0 / (t + 9.0))),
-    "after-a-power": lambda t, y: (0.01 * y[1] ** 2 - y[0], cos(2.0 * t) - y[1]),
+    "sine": (lambda t, y: (y[1], -y[0] + 0.3 * sin(1.7 * t)), (1.0, 0.5), 1),
+    "quotient": (lambda t, y: (y[1], -y[0] * (1.0 / (t + 9.0))), (1.0, 0.5), 0),
+    "after-a-power": (lambda t, y: (0.01 * y[1] ** 2 - y[0], cos(2.0 * t) - y[1]),
+                      (1.0, 0.5), 1),
+    "newton-rotating_z": (_LOOPS["newton-rotating_z"][0], (1.0, 0.5, 1.0, 5.0), 3),
 }
 
 
-def _clock_hits(t0, dt, steps):
-    """Per step but the first, whether it starts at the float the stage 4
-    of the step before it ran at: ``t + dt`` with ``t = t0 + (i - 1) * dt``
-    is ``t0 + i * dt``."""
-    starts = [t0] + [t0 + i * dt for i in range(1, steps)]
-    return [starts[i - 1] + dt == starts[i] for i in range(1, steps)]
+def _time_lines(lines):
+    """The numbers of the ``lines`` of a rendered loop that compute a value
+    from the time ``t`` and constants alone, directly or through such
+    values."""
+    clock, found = {"t"}, []
+    for n, line in enumerate(lines):
+        target, _, expression = line.strip().rpartition(" = ")
+        names = set(re.findall(r"[A-Za-z_]\w*", expression))
+        if names & clock and all(m in clock or re.fullmatch(r"k\d+", m) for m in names):
+            found.append(n)
+            clock.add(target)
+    return found
+
+
+def _time_reads(lines):
+    """How often the loop of a rendered loop's ``lines`` reads the time
+    ``t``."""
+    return sum(len(re.findall(r"\bt\b", line.partition(" = ")[2]))
+               for line in _loop_lines(lines))
 
 
 @pytest.mark.parametrize("t0", _STARTS, ids=repr)
 @pytest.mark.parametrize("stride", [1, 10])
 @pytest.mark.parametrize("record", sorted(_CLOCKED))
-def test_a_carried_clock_is_the_clock_computed_at_every_step(record, stride, t0):
-    """A step that starts where the step before it ran its stage 4 reuses
-    that stage's time values, and a step that does not computes its own:
-    at a step that gives both, with a shortened last step, the traced run
-    is the called run and the array loop's, bit for bit."""
-    rhs, t1, config = _CLOCKED[record], t0 + 2.63, _config(0.1, stride)
-    shape, _ = ode._trace(rhs, 2)
-    assert "if t != tc:" in ode._traced_kernel(shape, 2)[0].source
-    traj = integrate(rhs, (1.0, 0.5), t0, t1, config)
-    hits = _clock_hits(t0, 0.1, traj.steps)
-    assert traj.steps == 27 and any(hits) and not all(hits)
-    called = integrate(_called(rhs), (1.0, 0.5), t0, t1, config)
-    assert (traj.rhs_calls, called.rhs_calls) == (1, 4 * 27)
-    assert traj.times.tobytes() == called.times.tobytes()
-    assert traj.states.tobytes() == called.states.tobytes()
-    times, states = _array_rk4(rhs, (1.0, 0.5), t0, t1, config)
-    assert np.array_equal(traj.states, states)
-
-
-def test_the_stage_one_clock_runs_under_one_test():
-    """The ``newton-rotating_z`` step computes its stage-1 time values, the
-    three waves among them, under one ``if t != tc:`` at its top, from the
-    time and constants alone; every other line of the step reads the time
-    only as a stage time ``t + ...``; and after the finite test the step
-    carries ``t + h`` into ``tc`` and a stage-4 value into each stage-1
-    value that another line reads."""
-    shape, _ = ode._trace(_LOOPS["newton-rotating_z"][0], 4)
-    lines = ode._traced_kernel(shape, 4)[0].source.splitlines()
-    start = lines.index("    for i in range(1, total_steps):")
-    body = list(itertools.takewhile(lambda line: line.startswith("        "),
-                                    lines[start + 1:]))
-    assert body[:2] == ["        try:", "            if t != tc:"]
-    assert [line.strip() for line in body].count("if t != tc:") == 1
-    block = list(itertools.takewhile(lambda line: line.startswith(" " * 16), body[2:]))
-    targets = set()
-    for line in block:
-        target, _, expression = line.strip().partition(" = ")
-        names = set(re.findall(r"[A-Za-z_]\w*", expression))
-        assert names <= {"t"} | targets | {n for n in names if re.fullmatch(r"k\d+", n)}, line
-        targets.add(target)
-    assert len(re.findall(r"k\d+\(", "\n".join(block))) == 3
-    rest = [line.strip() for line in body[2 + len(block):]]
-    readers = [line for line in rest
-               if "t" in re.findall(r"[A-Za-z_]\w*", line.partition(" = ")[2])]
-    assert readers and all(re.fullmatch(r"t\d+ = t \+ \w+", line) for line in readers)
-    carry = rest[rest.index("raise aborted(i, i)") + 1:rest.index("t = start + i * dt")]
-    read = {n for line in rest[:rest.index("except ArithmeticError as exc:")]
+def test_a_step_takes_its_stage_one_clock_from_the_step_before(record, stride, t0):
+    """Stage 4 runs at ``tn``, the time the next step starts at, so the
+    loop computes its stage-1 time values once, before it, with no ``tc``
+    and no test of the time; after the finite test each step hands its
+    stage-4 values to the next step's stage-1 names, and ``tn`` to ``t``.
+    Every step's state is a kernel's that computes them at every step, the
+    called run's and the array loop's, bit for bit, with a shortened last
+    step."""
+    rhs, x0, calls = _CLOCKED[record]
+    shape, _ = ode._trace(rhs, len(x0))
+    lines = ode._traced_kernel(shape, len(x0))[0].source.splitlines()
+    assert not [line for line in lines if re.search(r"\btc\b", line)]
+    loop = lines.index("    for i in range(1, total_steps):")
+    clock = _time_lines(lines)
+    assert clock and lines.index("    try:") < clock[0] and clock[-1] < loop
+    assert all(lines.count(lines[n]) == 1 for n in clock)
+    assert len(re.findall(r"k\d+\(", "\n".join(lines[n] for n in clock))) == calls
+    assert lines[lines.index("    try:") - 1] == "    t = start"
+    assert lines[loop - 2:loop] == ["    except ArithmeticError as exc:",
+                                    "        raise aborted(1, 1, exc) from exc"]
+    body = _loop_lines(lines)
+    assert body[:2] == ["tn = start + i * dt", "try:"]
+    handed = body[body.index("raise aborted(i, i)") + 1:body.index("t = tn")]
+    assert all(re.fullmatch(r"t\d+ = t\d+", line) for line in handed)
+    # each stage-1 time value that the step reads, and only those
+    read = {n for line in body[:body.index("except ArithmeticError as exc:")]
             for n in re.findall(r"[A-Za-z_]\w*", line.partition(" = ")[2])}
-    assert carry[0].startswith("tc = t")
-    assert {line.partition(" = ")[0] for line in carry[1:]} == targets & read
-    assert all(re.fullmatch(r"(tc|t\d+) = t\d+", line) for line in carry)
+    targets = {lines[n].strip().partition(" = ")[0] for n in clock}
+    assert {line.partition(" = ")[0] for line in handed} == targets & read != set()
+
+    t1, config = t0 + 2.63, _config(0.1, stride)
+    traj = integrate(rhs, x0, t0, t1, config)
+    assert (traj.steps, traj.rhs_calls) == (27, 1)
+    with pytest.MonkeyPatch.context() as mp:  # a kernel that carries nothing
+        mp.setattr(ode, "_carried", lambda lines, pairs: (lines, {}))
+        mp.setattr(ode, "_traced_kernel", ode._traced_kernel.__wrapped__)
+        every = ode._traced_kernel(shape, len(x0))[0].source.splitlines()
+        assert not [line for line in every if "aborted(1, 1" in line]
+        assert _time_reads(every) > _time_reads(lines)
+        recomputed = integrate(rhs, x0, t0, t1, config)
+    called = integrate(_called(rhs), x0, t0, t1, config)
+    times, states = _array_rk4(rhs, x0, t0, t1, config)
+    for other in (recomputed, called, Trajectory(times, states)):
+        assert traj.times.tobytes() == other.times.tobytes()
+        assert traj.states.tobytes() == other.states.tobytes()
 
 
-@pytest.mark.parametrize("record", ["power-first", "quotient-first"])
+def _unread_quotient(t, y):
+    1.0 / (t - 3.7)  # read by nothing, it stops the run all the same
+    return (y[1], -y[0])
+
+
+#: (rhs, start, t0, error) of runs that raise in a stage: a power of the
+#: state and a quotient of the time in the first step's stage 1, in either
+#: order; a quotient of the time alone at ``t0``, read or not; and the same
+#: at the stamp ``tn`` of the fifth step, at dt = 0.1, where its stage 4
+#: runs
+_FIRST_ERRORS = {
+    "unread-at-the-start": (_unread_quotient, (1.0, 0.5), 3.7, "ZeroDivisionError"),
+    "power-first": (lambda t, y: (y[0] ** 2, 1.0 / t - y[1]), (1e200, 1.0), 0.0,
+                    "OverflowError"),
+    "quotient-first": (lambda t, y: (1.0 / t - y[1], y[0] ** 2), (1e200, 1.0), 0.0,
+                       "ZeroDivisionError"),
+    "at-the-start": (lambda t, y: (y[1], 1.0 / (t - 3.7) - y[0]), (1.0, 0.5), 3.7,
+                     "ZeroDivisionError"),
+    "at-a-stamp": (lambda t, y: (y[1], 1.0 / (t - (3.7 + 5 * 0.1)) - y[0]), (1.0, 0.5),
+                   3.7, "ZeroDivisionError"),
+}
+
+
+@pytest.mark.parametrize("record", sorted(_FIRST_ERRORS))
 def test_a_carried_clock_keeps_the_error_that_comes_first(record):
-    """Where two lines of the first step raise, a power of the state and a
-    quotient of the time, the traced step raises the one that comes first
-    in the rhs, as the called step does: the stage-1 time lines run after a
-    line that can raise before them."""
-    rhs = {"power-first": lambda t, y: (y[0] ** 2, 1.0 / t - y[1]),
-           "quotient-first": lambda t, y: (1.0 / t - y[1], y[0] ** 2)}[record]
+    """The traced step raises the error the called step raises first. The
+    first step's stage 1 runs before the loop, its lines that can raise in
+    the rhs's order, so a time value that raises at ``t0`` aborts the first
+    step, unless a line before it in the rhs raises first. A later step
+    computes no stage-1 time value: each ran at the stage 4 before it, at
+    the same float, so one that raises at a step's stamp ``tn`` raises in
+    that step's stage 4, as the called step's does."""
+    rhs, x0, t0, error = _FIRST_ERRORS[record]
     shape, _ = ode._trace(rhs, 2)
-    assert "if t != tc:" in ode._traced_kernel(shape, 2)[0].source
-    traced = _outcome(rhs, [1e200, 1.0], 1.0, _config(0.1))
-    _assert_same_outcome(traced, _outcome(_called(rhs), [1e200, 1.0], 1.0, _config(0.1)))
-    error = "OverflowError" if record == "power-first" else "ZeroDivisionError"
+    assert "raise aborted(1, 1, exc) from exc" in ode._traced_kernel(shape, 2)[0].source
+    traced = _outcome(rhs, x0, t0 + 1.0, _config(0.1), t0=t0)
+    _assert_same_outcome(traced, _outcome(_called(rhs), x0, t0 + 1.0, _config(0.1), t0=t0))
     assert traced[4] == "arithmetic" and error in traced[0]
+    steps = 5 if record == "at-a-stamp" else 1
+    assert traced[1] == t0 + (steps - 1) * 0.1
+    assert f"non-finite state at t={t0 + steps * 0.1} " in traced[0]
+    assert len(traced[2]) == steps

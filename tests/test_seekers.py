@@ -318,6 +318,17 @@ class TestAveragedRhs:
             want = ref_params.h_gain * (ref_field.at_offset(z1, z2) - nu)
             assert rhs(0.0, (z1, z2, *d, nu))[-1] == want
 
+    @pytest.mark.parametrize("scheme", [Scheme.GRADIENT, Scheme.NEWTON])
+    def test_an_array_state_computes_on_floats(self, scheme, ref_params, ref_field, rng):
+        """An array state is unpacked through ``tolist()``, so the closure
+        computes on floats, not numpy scalars, and gives the values of the
+        same state as a tuple, bit for bit."""
+        rhs = averaged_closed_loop(scheme, ref_params, ref_field)
+        state = rng.uniform(0.1, 5.0, size=3 if scheme is Scheme.GRADIENT else 4)
+        out = rhs(0.0, state)
+        assert all(type(v) is float for v in out)
+        assert out == rhs(0.0, tuple(state.tolist()))
+
     def test_exp_form_matches_plain_form(self, ref_params, ref_field, rng):
         plain = averaged_closed_loop(Scheme.NEWTON, ref_params, ref_field)
         exp = _averaged(Frame.AVERAGED_NEWTON_EXP, ref_params, ref_field)

@@ -106,6 +106,21 @@ def _certify_grid():
 
 
 class TestLinearize:
+    def test_the_field_runs_on_floats(self, ref_params, ref_field):
+        """``f`` sees an array equilibrium as a tuple of floats, and each
+        column's dual point carries float parts, not numpy scalars."""
+        rhs, seen = averaged_closed_loop(Scheme.NEWTON, ref_params, ref_field), []
+
+        def f(s):
+            seen.append(s)
+            return rhs(0.0, s)
+
+        linearize(f, _newton_equilibrium(ref_field))
+        point, *duals = seen
+        assert type(point) is tuple and {type(v) for v in point} == {float}
+        assert len(duals) == 4
+        assert {type(part) for s in duals for v in s for part in (v.real, v.dual)} == {float}
+
     def test_known_diagonal_spectrum(self):
         a_mat = np.diag([2.0, -3.0, 5.0])
         x0 = np.array([1.0, -1.0, 0.5])
