@@ -4,10 +4,11 @@ Systems handled here have the shape
 
     dx/dt = f0(x) + sum_i f_i(x) * omega**p_i * u_i(k_i * omega * t)
 
-with bounded, zero-mean, 2*pi-periodic waveforms ``u_i``. As the base
-frequency ``omega`` grows, the trajectories approach those of an autonomous
-system assembled from the drift and one bracket term per index tuple: the
-Lie bracket ``[f_i, f_j]`` of a pair ``(i, j)`` and the nested bracket
+with bounded, zero-mean, 2*pi-periodic waveforms ``u_i``, the only ones
+:class:`OscillatoryInput` admits. As the base frequency ``omega`` grows,
+the trajectories approach those of an autonomous system assembled from
+the drift and one bracket term per index tuple: the Lie bracket
+``[f_i, f_j]`` of a pair ``(i, j)`` and the nested bracket
 ``[[f_i, f_j], f_m]`` of a triple ``(i, j, m)``, each weighted by an
 iterated-integral coefficient. Every step below (quadrature, coefficient
 record, bracket, vanishing rule) is one code path keyed by the index tuple.
@@ -166,15 +167,16 @@ class OscillatoryInput:
         Positive rational frequency multiplier.
     p_i : float
         Amplitude exponent, strictly inside (0, 1).
-    validate : bool
-        Check boundedness and zero mean on construction. Disable only to
-        build deliberately non-conforming inputs for diagnostics.
+
+    Construction refuses a wave that exceeds unit magnitude or has a
+    nonzero mean (:attr:`wave_checks`): averaging holds only for bounded
+    zero-mean inputs, and a mean term ``omega**p_i * mean * f_i`` grows
+    without bound.
     """
 
     wave: object
     k: Fraction
     p_i: float
-    validate: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "k", _as_fraction(self.k))
@@ -184,12 +186,11 @@ class OscillatoryInput:
             raise ValueError(f"frequency multiplier {self.k} out of supported range")
         if not (0.0 < self.p_i < 1.0):
             raise ValueError(f"p_i must lie in (0, 1), got {self.p_i}")
-        if self.validate:
-            bounded, mean = self.wave_checks
-            if not bounded:
-                raise ValueError("waveform exceeds unit magnitude")
-            if mean >= MEAN_TOL:
-                raise ValueError(f"|waveform mean| {mean:.3e} is not zero")
+        bounded, mean = self.wave_checks
+        if not bounded:
+            raise ValueError("waveform exceeds unit magnitude")
+        if mean >= MEAN_TOL:
+            raise ValueError(f"|waveform mean| {mean:.3e} is not zero")
 
     @property
     def wave_checks(self) -> tuple[bool, float]:
@@ -204,8 +205,8 @@ def _wave_checks(wave) -> tuple[bool, float]:
     """Whether ``|wave| <= 1`` on 1001 phases over one period, ends
     included, and ``|mean|`` over one period on 4096 nodes, endpoint
     excluded, exact for a band below 2048. They depend on the wave alone,
-    so the construction of an input, the engine and ``check_assumptions``
-    share one record per wave."""
+    so the construction of an input and ``check_assumptions`` share one
+    record per wave."""
     bounded = np.abs(np.asarray(wave(np.linspace(0.0, TWO_PI, 1001)))) <= 1.0 + 1e-12
     phases = np.arange(4096) * (TWO_PI / 4096)
     return bool(np.all(bounded)), abs(float(np.mean(np.asarray(wave(phases), dtype=float))))
@@ -397,10 +398,11 @@ def _rung(channels: tuple, span: float,
     antisymmetrized ``u_j U_i - u_i U_j``. Each running integral is
     ``mean * tau + P`` with ``P`` periodic, and the ramp ``tau`` enters the
     full-period means through its Fourier series, so a channel of nonzero
-    mean is integrated exactly too: with ``U_i = c_i tau + P_i``,
-    integration by parts gives ``V_ij = J[f] + tau H`` for
-    ``H = c_i P_j - c_j P_i``, ``f = u_j P_i - u_i P_j - H`` and ``J`` the
-    running integral (``H = 0`` for zero-mean channels).
+    mean (an input's is below ``MEAN_TOL``, not zero) is integrated exactly
+    too: with ``U_i = c_i tau + P_i``, integration by parts gives
+    ``V_ij = J[f] + tau H`` for ``H = c_i P_j - c_j P_i``,
+    ``f = u_j P_i - u_i P_j - H`` and ``J`` the running integral (``H = 0``
+    for zero-mean channels).
     """
     i, j = np.array([ix for ix in _index_tuples(len(channels))
                      if len(ix) == 2]).T
@@ -632,10 +634,8 @@ class AveragedField:
     Raises
     ------
     DivergentAverageError
-        If an input built with ``validate=False`` has a nonzero mean: its
-        term ``omega**p_i * mean * f_i`` grows without bound, and no bracket
-        expansion holds. Checked after the coefficient table is built. At a
-        call, if a divergent coefficient's bracket fails the vanishing rule.
+        At a call, if a divergent coefficient's bracket fails the vanishing
+        rule.
     ValueError
         At a call, if the state does not have ``system.dimension`` entries,
         or if a field value of a bracket is non-finite there.
@@ -647,13 +647,6 @@ class AveragedField:
         if not self.omega_grid:
             raise ValueError("omega grid must be non-empty")
         self.coefficients: dict[tuple, Coefficient] = system.coefficients
-        for i, (_, inp) in enumerate(system.channels):
-            # a validated input had its mean checked at construction
-            if not inp.validate and (mean := inp.wave_checks[1]) >= MEAN_TOL:
-                raise DivergentAverageError(
-                    f"channel {i} has |mean| {mean:.3e}: its term "
-                    f"omega**{inp.p_i:g} * mean * f_{i} diverges"
-                )
         self._evaluate = self._render()
 
     def _render(self):

@@ -396,16 +396,13 @@ def _statements(lines, outputs) -> tuple[list[str], list[str]]:
     that keeps the order in which the operations run, so the first one to
     raise is the same: it must be the last of the temporaries still pending
     when its user takes it. A line whose value nothing reads (a
-    :meth:`Tape.require` call) is a bare expression, and a run of index
-    lines ``v[0]``, ..., ``v[m - 1]`` that reads all of ``v`` is one unpack
-    of ``v`` (:func:`_unpacks`)."""
+    :meth:`Tape.require` call) is a bare expression."""
     uses: dict[str, int] = {}
     for _, _, names in lines:
         for n in names:
             uses[n] = uses.get(n, 0) + 1
     for n in outputs:
         uses[n] = uses.get(n, 0) + 1
-    lines = _unpacks(lines, uses)
     pending: dict[str, tuple[str, int]] = {}  # name -> (expression, depth)
     out: list[str] = []
 
@@ -435,31 +432,6 @@ def _statements(lines, outputs) -> tuple[list[str], list[str]]:
     outputs, _ = inline(outputs)
     flush()
     return out, outputs
-
-
-def _unpacks(lines, uses) -> list:
-    """``lines`` with each run of index lines ``v[0]``, ..., ``v[m - 1]``
-    that are the ``m`` uses of ``v`` made one line, ``n0, ..., = v``: one
-    unpack where there were ``m`` subscripts, and ``v``, now used once, may
-    be written into it. Only a call record indexes a value (see
-    :func:`sourceseek.ode._call_record`), and it checks first that the value
-    has ``m`` components, so the unpack takes the subscripts' values and
-    raises nowhere they do not. ``uses`` is updated to match."""
-    out, n = [], 0
-    while n < len(lines):
-        _, template, names = lines[n]
-        m = uses.get(names[0], 0) if template == "{}[0]" else 0
-        run = lines[n:n + m]
-        if m and len(run) == m and all(line[1:] == (f"{{}}[{j}]", names)
-                                       for j, line in enumerate(run)):
-            target = "".join(line[0] + ", " for line in run).rstrip()
-            uses[names[0]], uses[target] = 1, 0  # the unpack is never inlined
-            out.append((target, "{}", names))
-            n += m
-        else:
-            out.append(lines[n])
-            n += 1
-    return out
 
 
 #: the source of a rendered tape: ``factory`` binds the constants, and the

@@ -29,9 +29,10 @@ four stages, and is compiled once per source text:
 * where the tape refuses ``rhs`` (:class:`~sourceseek.numdiff.Untraceable`:
   it branches on, compares or converts its time or state, calls a ``math``
   or numpy function of them, or builds an array of them), the record is one
-  call of it (:func:`_call_record`), which each stage makes on floats and
-  unpacks into its components in one statement, ``4 * steps`` calls in all. These records differ only in ``rhs``, so one
-  step loop per state length serves them all.
+  call of it (:func:`_call_record`), which each stage makes on floats,
+  checks for length and reads by subscript, ``4 * steps`` calls in all.
+  These records differ only in ``rhs``, so one step loop per state length
+  serves them all.
 
 Both give the same trajectory, bit for bit, and the same aborts.
 
@@ -123,68 +124,41 @@ class IntegrationAborted(RuntimeError):
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Step-size policy for :func:`integrate`.
-
-    ``dt`` must resolve the fastest forcing frequency with at least
-    ``samples_per_period`` steps per period; pass ``omega_max`` to have that
-    checked (use the highest input frequency, which for the
-    curvature-inverting scheme is twice the dither frequency because of the
-    double-frequency demodulation).
-    """
+    """Step-size policy for :func:`integrate`: the step ``dt`` and the
+    ``output_stride``, the number of steps between recorded samples.
+    :meth:`for_frequency` sets ``dt`` from the fastest forcing frequency."""
 
     dt: float
-    samples_per_period: int = 60
     output_stride: int = 1
-    omega_max: float | None = None
 
     def __post_init__(self):
         if not (self.dt > 0.0 and math.isfinite(self.dt)):
             raise ValueError(f"dt must be positive, got {self.dt}")
-        _check_samples(self.samples_per_period)
         _check_stride(self.output_stride)
-        if self.omega_max is not None:
-            limit = _max_step(self.omega_max, self.samples_per_period)
-            if self.dt > limit * (1.0 + 1e-12):
-                raise ValueError(
-                    f"dt={self.dt} too large for omega_max={self.omega_max}: "
-                    f"need dt <= {limit}"
-                )
 
     @classmethod
     def for_frequency(
         cls, omega_max: float, samples_per_period: int = 60, output_stride: int = 1
     ) -> "IntegratorConfig":
-        """Config whose step resolves ``omega_max`` at the requested resolution."""
-        return cls(
-            dt=_max_step(omega_max, samples_per_period),
-            samples_per_period=samples_per_period,
-            output_stride=output_stride,
-            omega_max=omega_max,
-        )
-
-
-def _check_samples(samples_per_period: int) -> None:
-    if not samples_per_period >= 40:
-        raise ValueError(f"samples_per_period must be >= 40, got {samples_per_period}")
+        """Config whose step takes ``samples_per_period`` steps, at least 40,
+        per period of ``omega_max``: use the highest input frequency, which
+        for the curvature-inverting scheme is twice the dither frequency
+        because of the double-frequency demodulation. ``omega_max`` must be
+        finite and positive, and the step it gives a positive float."""
+        if not (math.isfinite(omega_max) and omega_max > 0.0):
+            raise ValueError(f"omega_max must be finite and > 0, got {omega_max}")
+        if not samples_per_period >= 40:
+            raise ValueError(f"samples_per_period must be >= 40, got {samples_per_period}")
+        dt = TWO_PI / (omega_max * samples_per_period)
+        if not 0.0 < dt < math.inf:
+            raise ValueError(f"omega_max={omega_max} has no positive finite step at "
+                             f"{samples_per_period} samples per period, got dt={dt}")
+        return cls(dt=dt, output_stride=output_stride)
 
 
 def _check_stride(output_stride: int) -> None:
     if not (isinstance(output_stride, numbers.Integral) and output_stride >= 1):
         raise ValueError(f"output_stride must be an integer >= 1, got {output_stride!r}")
-
-
-def _max_step(omega_max: float, samples_per_period: int) -> float:
-    """The step of ``samples_per_period`` steps per period of ``omega_max``,
-    checked before it is computed and after, where the division leaves the
-    positive floats."""
-    if not (math.isfinite(omega_max) and omega_max > 0.0):
-        raise ValueError(f"omega_max must be finite and > 0, got {omega_max}")
-    _check_samples(samples_per_period)
-    dt = TWO_PI / (omega_max * samples_per_period)
-    if not 0.0 < dt < math.inf:
-        raise ValueError(f"omega_max={omega_max} has no positive finite step at "
-                         f"{samples_per_period} samples per period, got dt={dt}")
-    return dt
 
 
 @dataclass
@@ -532,6 +506,8 @@ def integrate(rhs, x0, t0: float, t1: float, config: IntegratorConfig,
         times on floats, the first call being the first step's first stage.
         The length of its value is checked on that run and at every call,
         with a ValueError naming both lengths.
+    config : IntegratorConfig
+        The step ``dt`` and the ``output_stride``.
     guard : tuple or list of int, optional
         The indices of the state components that must stay above zero; a
         step that leaves one of them at or below zero aborts, naming the

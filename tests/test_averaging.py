@@ -7,7 +7,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -63,7 +63,6 @@ class TestOscillatoryInput:
             for _ in range(2):
                 with pytest.raises(ValueError, match=match):
                     OscillatoryInput(wave, 1, 0.5)
-            assert OscillatoryInput(wave, 1, 0.5, validate=False).wave is wave
 
     def test_an_unhashable_wave_is_validated(self):
         class Wave:
@@ -75,10 +74,15 @@ class TestOscillatoryInput:
         with pytest.raises(ValueError, match="magnitude"):
             OscillatoryInput(Wave(), 1, 0.5)
 
-    def test_validation_can_be_deferred(self):
-        inp = OscillatoryInput(lambda s: 0.5 * (1.0 + np.sin(s)), 1, 0.5, validate=False)
-        bounded, mean = inp.wave_checks
-        assert bounded and mean > 1e-3
+    def test_validation_cannot_be_switched_off(self):
+        # averaging holds only for bounded zero-mean inputs, so every input
+        # is checked; the refused wave's record still reads its mean
+        wave = lambda s: 0.5 * (1.0 + np.sin(s))  # noqa: E731
+        with pytest.raises(TypeError, match="validate"):
+            OscillatoryInput(wave, 1, 0.5, validate=False)
+        assert [f.name for f in fields(OscillatoryInput)] == ["wave", "k", "p_i"]
+        bounded, mean = averaging._wave_checks(wave)
+        assert bounded and mean == pytest.approx(0.5)
 
     def test_construction_reads_the_reported_mean(self):
         """cos(1000 s) has zero mean. On 1000 nodes it aliases onto the mean
@@ -186,9 +190,10 @@ class TestGammaQuadrature:
     def test_nonconvergent_quadrature_reported(self, newton_system, monkeypatch):
         # a jump off the dyadic node grid keeps the ladder from settling
         # within a small node budget
-        square = OscillatoryInput(
-            lambda s: np.sign(np.sin(s + 0.3)), 1, 0.61, validate=False
-        )
+        # admissible: its samples half a period apart cancel, so its mean
+        # on the record's 4096 nodes is zero
+        square = OscillatoryInput(lambda s: np.sign(np.sin(s + 0.3)), 1, 0.61)
+        assert square.wave_checks == (True, 0.0)
         system = ControlAffineSystem(
             drift=lambda s: np.zeros(2),
             channels=(
@@ -613,38 +618,21 @@ class TestAveragedField:
         with pytest.raises(DivergentAverageError, match="grows like"):
             engine(np.array([1.0, 2.0]))
 
-    @staticmethod
-    def _biased_system(wave):
-        """A channel of ``wave`` at p 0.6, unvalidated, beside a cos channel
-        at p 0.4; the pair's exponent is 0, so its coefficient is finite."""
-        return ControlAffineSystem(
+    def test_a_nonzero_mean_channel_is_refused_before_any_build(self):
+        # its term omega**0.6 * mean * f_0 diverges and no bracket expansion
+        # holds, so the input is refused and there is no system to build
+        with pytest.raises(ValueError, match=r"\|waveform mean\| 5\.000e-01 is not zero"):
+            OscillatoryInput(lambda s: 0.5 * (1.0 + np.sin(s)), 1, 0.6)
+        # the same wave without its mean builds
+        system = ControlAffineSystem(
             drift=lambda s: (0.0,),
             channels=(
-                (lambda s: (1.0,), OscillatoryInput(wave, 1, 0.6, validate=False)),
+                (lambda s: (1.0,), OscillatoryInput(lambda s: 0.5 * np.sin(s), 1, 0.6)),
                 (lambda s: (s[0],), OscillatoryInput(np.cos, 1, 0.4)),
             ),
             dimension=1,
         )
-
-    def test_nonzero_mean_channel_raises_on_build(self):
-        # the mean term omega**0.6 * mean * f_0 diverges; no bracket
-        # expansion holds, so there is no field to return
-        system = self._biased_system(lambda s: 0.5 * (1.0 + np.sin(s)))
-        with pytest.raises(DivergentAverageError,
-                           match=r"channel 0 has \|mean\| 5\.000e-01"):
-            build_averaged_field(system, default_omega_grid(10.0))
-        assert not check_assumptions(system).ok
-        # the same wave without its mean builds
-        build_averaged_field(self._biased_system(lambda s: 0.5 * np.sin(s)),
-                             default_omega_grid(10.0))
-
-    def test_quadrature_error_comes_before_the_mean(self, monkeypatch):
-        # a biased square wave fails both the ladder and the mean; the table
-        # is built first, so its error is the one raised
-        system = self._biased_system(lambda s: 0.5 + 0.5 * np.sign(np.sin(s + 0.3)))
-        monkeypatch.setattr(averaging, "QUAD_MAX_NODES", 2048)
-        with pytest.raises(QuadratureError, match="did not converge"):
-            build_averaged_field(system, default_omega_grid(10.0))
+        build_averaged_field(system, default_omega_grid(10.0))
 
     def test_report_lists_every_coefficient(self, newton_system):
         engine = build_averaged_field(newton_system, default_omega_grid(15.0))
@@ -1037,37 +1025,30 @@ def _cumulative_trapezoid(values, s):
 
 
 def test_nonzero_mean_channels_against_nested_trapezoid():
-    """Channels of nonzero mean (validation off) and fractional multipliers:
-    every coefficient matches a nested trapezoid rule on 2**15 intervals,
-    whose own error is below 1e-8 here."""
-    def unit(s):
-        return np.ones(1)
-
-    system = ControlAffineSystem(
-        drift=lambda s: np.zeros(1),
-        channels=(
-            (unit, OscillatoryInput(lambda s: 0.5 + 0.5 * np.sin(s), 1, 0.5,
-                                    validate=False)),
-            (unit, OscillatoryInput(np.cos, Fraction(1, 2), 0.5)),
-            (unit, OscillatoryInput(lambda s: 0.3 - 0.6 * np.cos(2 * s + 0.4), 3,
-                                    0.5, validate=False)),
-        ),
-        dimension=1,
-    )
+    """The ladder's channels of nonzero mean, which no input admits but
+    whose mean terms keep a mean below ``MEAN_TOL`` exact, and fractional
+    multipliers: every ``raw`` matches a nested trapezoid rule on 2**15
+    intervals, whose own error is below 1e-8 here."""
+    channels = ((lambda s: 0.5 + 0.5 * np.sin(s), Fraction(1)),
+                (np.cos, Fraction(1, 2)),
+                (lambda s: 0.3 - 0.6 * np.cos(2 * s + 0.4), Fraction(3)))
+    settings = (averaging.QUAD_MIN_NODES, averaging.QUAD_NODES_PER_CYCLE,
+                averaging.QUAD_HALT_TOL, averaging.QUAD_FAIL_TOL, averaging.QUAD_MAX_NODES)
+    ladder = averaging._ladder(channels, settings)
     span = 4.0 * math.pi
     s = np.linspace(0.0, span, 2**15 + 1)
-    waves = [np.asarray(system.input(k).wave(float(system.input(k).k) * s))
-             for k in range(3)]
+    waves = [np.asarray(wave(float(k) * s)) for wave, k in channels]
     running = [_cumulative_trapezoid(w, s) for w in waves]
-    for indices in averaging._index_tuples(3):
-        i, j, *m = indices
+    indices = averaging._index_tuples(3)
+    assert len(ladder) == len(indices)
+    for (i, j, *m), (raw, _, _, _) in zip(indices, ladder):
         if m:
             inner = _cumulative_trapezoid(waves[j] * running[i]
                                           - waves[i] * running[j], s)
             expected = _cumulative_trapezoid(waves[m[0]] * inner, s)[-1] / (3.0 * span)
         else:
             expected = _cumulative_trapezoid(waves[j] * running[i], s)[-1] / span
-        assert system.coefficients[indices].raw == pytest.approx(expected, abs=1e-7)
+        assert raw == pytest.approx(expected, abs=1e-7)
 
 
 def test_import_does_not_load_scipy():
@@ -1413,19 +1394,22 @@ class TestCheckAssumptions:
         ]
         assert exponent_clauses == []
 
-    def test_zero_mean_violation_flagged(self):
-        biased = OscillatoryInput(
-            lambda s: 0.5 * (1.0 + np.sin(s)), 1, 0.6, validate=False
-        )
+    def test_zero_mean_violation_flagged(self, monkeypatch):
+        # no input admits such a wave; the input clauses read the wave's
+        # record, here one of an unbounded wave of mean 0.5
         system = ControlAffineSystem(
             drift=lambda s: np.zeros(1),
-            channels=((lambda s: np.ones(1), biased),),
+            channels=((lambda s: np.ones(1), OscillatoryInput(np.sin, 1, 0.6)),),
             dimension=1,
         )
+        monkeypatch.setattr(averaging, "_wave_checks", lambda wave: (False, 0.5))
         report = check_assumptions(system)
         assert not report.ok
         by_name = {c.name: c for c in report.clauses}
         assert not by_name["input_0_zero_mean"].passed
+        assert by_name["input_0_zero_mean"].detail == "mean defect 5.000e-01"
+        assert not by_name["input_0_bounded"].passed
+        assert by_name["input_0_bounded"].detail == "|u| exceeds 1"
 
     def test_fourth_order_clause_reports_declared_flag(self, ref_params, ref_field):
         from dataclasses import replace

@@ -98,7 +98,7 @@ class TestSweepCommands:
         assert code == 0
         text = (out / "omega_sweep_report.txt").read_text()
         assert "check_newton_deviation = pass" in text
-        assert "averaged_identical_across_sweep = True" in text
+        assert "averaged_identical" not in text
 
     def test_omega_flag_overrides(self, tmp_path):
         cfg = _cfg(tmp_path, "[sweep_omega]\nt_end = 8.0\n")

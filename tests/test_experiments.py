@@ -174,13 +174,24 @@ class TestFrameSpecs:
 
 class TestEstimateRate:
     def _traj(self, t, values):
-        return Trajectory(times=t, states=np.column_stack([values]))
+        """A position ``(values, 0)`` of magnitude ``values``, and a third
+        component, which the fit does not read, growing fast."""
+        return Trajectory(times=t, states=np.column_stack(
+            [values, np.zeros_like(values), np.exp(3.0 * t)]))
 
     def test_exact_exponential(self):
         t = np.linspace(0.0, 10.0, 1001)
-        est = estimate_rate(self._traj(t, np.exp(-0.5 * t)), (0.0, 10.0), (0,))
+        est = estimate_rate(self._traj(t, np.exp(-0.5 * t)), (0.0, 10.0))
         assert est.rate == pytest.approx(0.5, abs=1e-6)
         assert est.reliable
+
+    def test_the_fit_reads_the_position_alone(self):
+        t = np.linspace(0.0, 10.0, 1001)
+        traj = self._traj(t, np.exp(-0.5 * t))
+        with pytest.raises(TypeError):
+            estimate_rate(traj, (0.0, 10.0), (0, 1, 2))
+        position = Trajectory(times=t, states=traj.states[:, :2])
+        assert estimate_rate(traj, (0.0, 10.0)) == estimate_rate(position, (0.0, 10.0))
 
     def test_damped_rotation_envelope(self):
         # spiral with spectral abscissa 1/2: alpha 2, omega0 1, unit curvature
@@ -194,7 +205,7 @@ class TestEstimateRate:
 
     def test_constant_signal_rate_zero(self):
         t = np.linspace(0.0, 10.0, 101)
-        est = estimate_rate(self._traj(t, np.full(101, 2.0)), (0.0, 10.0), (0,))
+        est = estimate_rate(self._traj(t, np.full(101, 2.0)), (0.0, 10.0))
         assert est.rate == pytest.approx(0.0, abs=1e-12)
         assert est.reliable
 
@@ -202,7 +213,7 @@ class TestEstimateRate:
         t = np.linspace(0.0, 10.0, 101)
         values = 2.0 * (1.0 + 0.01 * rng.standard_normal(101))
         values = np.abs(values)
-        est = estimate_rate(self._traj(t, values), (0.0, 10.0), (0,))
+        est = estimate_rate(self._traj(t, values), (0.0, 10.0))
         assert abs(est.rate) < 0.01
         assert not est.reliable
 
@@ -211,12 +222,12 @@ class TestEstimateRate:
         values = np.exp(-0.1 * t) * np.abs(np.cos(t))
         values[values <= 0.0] = 1e-6
         with pytest.raises(ValueError, match="envelope"):
-            estimate_rate(self._traj(t, values), (0.0, 10.0), (0,))
+            estimate_rate(self._traj(t, values), (0.0, 10.0))
 
     def test_window_outside_span_rejected(self):
         t = np.linspace(0.0, 1.0, 11)
         with pytest.raises(ValueError, match="span"):
-            estimate_rate(self._traj(t, np.exp(-t)), (0.0, 2.0), (0,))
+            estimate_rate(self._traj(t, np.exp(-t)), (0.0, 2.0))
 
     @pytest.mark.parametrize("scheme, frame, hessian, t_end, window, expected, lstsq", [
         (Scheme.GRADIENT, Frame.AVERAGED_GRADIENT, 0.05, 400.0, (0.0, 400.0),
@@ -249,7 +260,7 @@ class TestEstimateRate:
     def test_zero_magnitude_rejected(self):
         t = np.linspace(0.0, 1.0, 11)
         with pytest.raises(ValueError, match="positive"):
-            estimate_rate(self._traj(t, np.zeros(11)), (0.0, 1.0), (0,))
+            estimate_rate(self._traj(t, np.zeros(11)), (0.0, 1.0))
 
 
 def _fancy_peaks(magnitude):
@@ -515,7 +526,6 @@ class TestRunOmegaSweep:
     def test_short_horizon_sweep(self):
         report = run_omega_sweep(OmegaSweepConfig(t_end=12.0))
         assert all(row.error is None for row in report.rows)
-        assert report.averaged_identical
         for scheme in (Scheme.GRADIENT, Scheme.NEWTON):
             assert report.checks[f"{scheme.value}_deviation"]
             assert report.checks[f"{scheme.value}_ball"]
@@ -535,17 +545,17 @@ class TestRunOmegaSweep:
         import sourceseek.experiments as experiments
 
         real_integrate = experiments.integrate
+        config = OmegaSweepConfig(schemes=(Scheme.NEWTON,), t_end=6.0)
+        (_, at_80), = [run for run in config.runs if run[0].params.omega == 80.0]
 
-        def flaky(rhs, x0, t0, t1, config, **kwargs):
-            # the full curvature-inverting run at omega 80 steps at 2*omega
-            if config.omega_max == 160.0:
+        def flaky(rhs, x0, t0, t1, step, **kwargs):
+            # the full run at omega 80
+            if step is at_80:
                 raise RuntimeError("injected failure")
-            return real_integrate(rhs, x0, t0, t1, config, **kwargs)
+            return real_integrate(rhs, x0, t0, t1, step, **kwargs)
 
         monkeypatch.setattr(experiments, "integrate", flaky)
-        report = experiments.run_omega_sweep(
-            OmegaSweepConfig(schemes=(Scheme.NEWTON,), t_end=6.0)
-        )
+        report = experiments.run_omega_sweep(config)
         by_omega = {row.omega: row for row in report.rows}
         assert by_omega[80.0].error is not None
         assert "injected failure" in by_omega[80.0].error
@@ -553,6 +563,41 @@ class TestRunOmegaSweep:
         assert by_omega[20.0].error is None and by_omega[20.0].deviation is not None
         assert by_omega[40.0].error is None
         assert not report.passed
+
+    def test_each_scheme_s_averaged_loop_runs_once(self, monkeypatch):
+        """Every row of a scheme reads one averaged run: integrate sees one
+        run at the averaged loop's fixed substep, ``record_dt / 8``, per
+        scheme, and one full run per row."""
+        import sourceseek.experiments as experiments
+
+        real_integrate, steps = experiments.integrate, []
+
+        def counted(rhs, x0, t0, t1, step, **kwargs):
+            steps.append(step.dt)
+            return real_integrate(rhs, x0, t0, t1, step, **kwargs)
+
+        monkeypatch.setattr(experiments, "integrate", counted)
+        config = OmegaSweepConfig(t_end=3.0)
+        report = experiments.run_omega_sweep(config)
+        assert all(row.error is None for row in report.rows)
+        assert len(steps) == 2 + 6
+        assert steps.count(config.record_dt / 8.0) == 2
+
+    def test_a_failed_averaged_run_fails_every_row_of_its_scheme(self, monkeypatch):
+        import sourceseek.experiments as experiments
+
+        real_integrate = experiments.integrate
+        config = OmegaSweepConfig(schemes=(Scheme.GRADIENT,), t_end=3.0)
+        (_, averaged), = config.averaged
+
+        def flaky(rhs, x0, t0, t1, step, **kwargs):
+            if step is averaged:
+                raise RuntimeError("injected failure")
+            return real_integrate(rhs, x0, t0, t1, step, **kwargs)
+
+        monkeypatch.setattr(experiments, "integrate", flaky)
+        report = experiments.run_omega_sweep(config)
+        assert [row.error for row in report.rows] == ["RuntimeError: injected failure"] * 3
 
     def test_unexpected_errors_propagate(self, monkeypatch):
         import sourceseek.experiments as experiments
@@ -874,11 +919,13 @@ class TestStudyRuns:
     def test_omega_sweep_runs_share_the_recording_grid(self):
         config = OmegaSweepConfig(schemes=(Scheme.NEWTON,), record_dt=0.1)
         assert len(config.runs) == 3
-        for (full, full_cfg, avg, avg_cfg), omega in zip(config.runs, config.omegas):
-            assert full.params.omega == avg.params.omega == omega
-            assert (full.frame, avg.frame) == (Frame.ROTATING_Z, Frame.AVERAGED_NEWTON)
+        (avg, avg_cfg), = config.averaged
+        assert avg.frame is Frame.AVERAGED_NEWTON and avg.params == config.params
+        assert avg_cfg.dt * avg_cfg.output_stride == pytest.approx(0.1)
+        for (full, full_cfg), omega in zip(config.runs, config.omegas):
+            assert full.params.omega == omega
+            assert full.frame is Frame.ROTATING_Z
             assert full_cfg.dt * full_cfg.output_stride == pytest.approx(0.1)
-            assert avg_cfg.dt * avg_cfg.output_stride == pytest.approx(0.1)
             assert full_cfg.dt <= full.integrator_config().dt * (1.0 + 1e-12)
 
     def test_hessian_sweep_runs(self):
@@ -973,7 +1020,7 @@ _STUDIES = {
         [OmegaSweepRow("newton", 20.0, 1.0, 1.0),
          OmegaSweepRow("newton", 40.0, 0.5, 0.5),
          OmegaSweepRow("newton", 80.0, None, None, "RuntimeError: aborted")],
-        slack=0.2, averaged_identical=True),
+        slack=0.2),
     "hessian-pass": lambda: run_hessian_invariance(HessianSweepConfig()),
     "hessian-unreliable-fit": lambda: _hessian_report(gradient_r_squared=0.5),
     "hessian-growing-fits": lambda: _hessian_report(newton=(-0.5, -0.5, -0.5),

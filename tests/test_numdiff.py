@@ -209,18 +209,15 @@ class TestTape:
 
         assert _run(self.rendered(field, 2), x) == _run(field, x)
 
-    def test_an_index_run_over_a_whole_value_is_one_unpack(self):
+    def test_index_lines_read_their_value_by_subscript(self):
         # as a call record indexes the checked value of its call
         tape = Tape(1)
         (x,) = tape.state
         value = tape.call(divmod, x, 2.0)
         parts = [tape.record(f"{{}}[{j}]", value) for j in range(2)]
         lines, outputs = _statements(tape.lines, [tape.name(o) for o in parts])
-        assert lines == ["t1, t2, = (k0(x0, k1))"] and outputs == ["t1", "t2"]
+        assert lines == ["t0 = k0(x0, k1)"] and outputs == ["(t0[0])", "(t0[1])"]
         assert tape.render(parts)((7.5,)) == (3.0, 1.5)
-        # a value read elsewhere too keeps its subscripts
-        lines, outputs = _statements(tape.lines, [tape.name(o) for o in [*parts, value]])
-        assert lines == ["t0 = k0(x0, k1)"] and outputs == ["(t0[0])", "(t0[1])", "t0"]
 
     def test_constants_are_arguments_of_one_compiled_source(self):
         def field(gain):
