@@ -541,6 +541,27 @@ def test_float_loop_is_bit_identical_to_the_array_loop(loop, data):
     assert np.array_equal(traj.states, states)
 
 
+@pytest.mark.parametrize("stride", [1, 10])
+@pytest.mark.parametrize("loop", ["newton-original", "newton-rotating_z"])
+def test_a_newton_loop_that_escapes_aborts_where_the_array_loop_does(loop, stride):
+    """From the Riccati state 1.5 at the source, with the dither phase of
+    ``t0 = -1.5``, both full Newton loops leave the finite floats within
+    the unit horizon; each aborts at the array loop's first non-finite
+    state, with its samples before it."""
+    rhs, _, omega_max = _LOOPS[loop]
+    x0, t0 = (0.0, 0.0, 1.5, 8.0), -1.5
+    config = IntegratorConfig.for_frequency(omega_max, 60, output_stride=stride)
+    with pytest.raises(IntegrationAborted) as info:
+        integrate(rhs, x0, t0, t0 + 1.0, config)
+    with np.errstate(all="ignore"):
+        times, states = _array_rk4(rhs, x0, t0, t0 + 1.0, _config(config.dt), stop=True)
+    valid = np.isfinite(states).all(axis=1)
+    assert str(info.value).startswith("non-finite state at t=-1.4406588054321927;")
+    assert float(times[np.argmin(valid)]) == -1.4406588054321927
+    assert info.value.reason == "nonfinite"
+    _assert_oracle_prefix(info.value, times, states, valid, stride)
+
+
 #: (start, end, steps) at dt = 0.25 of the three shapes a span takes: one
 #: shortened step, a whole number of steps, and whole steps then a
 #: shortened one
