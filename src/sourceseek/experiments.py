@@ -168,11 +168,14 @@ class Scenario(_Start):
             omega_max, self.samples_per_period, self.output_stride
         )
 
-    def run(self, config: IntegratorConfig | None = None) -> Trajectory:
+    def run(self, config: IntegratorConfig | None = None, components=None) -> Trajectory:
         """Integrate this run's loop from its start over ``[0, t_end]``, with
-        ``config`` in place of :meth:`integrator_config` when given."""
+        ``config`` in place of :meth:`integrator_config` when given, stepping
+        and recording only what the state ``components`` need where given
+        (see :func:`~sourceseek.ode.integrate`)."""
         return integrate(self.build_rhs(), self.initial_state(), 0.0, self.t_end,
-                         config or self.integrator_config(), guard=self.guard())
+                         config or self.integrator_config(), guard=self.guard(),
+                         components=components)
 
     def guard(self) -> tuple[int, ...]:
         """The components :func:`~sourceseek.ode.integrate` keeps above zero:
@@ -185,10 +188,11 @@ class Scenario(_Start):
         return self.spec.position, np.asarray(center, dtype=float)
 
     def d_series(self, traj: Trajectory) -> np.ndarray | None:
-        """Riccati state along the trajectory, mapped back to raw d units."""
+        """Riccati state along the trajectory, mapped back to raw d units;
+        ValueError where the trajectory does not hold every component."""
         if self.scheme is Scheme.GRADIENT:
             return None
-        states, coordinates = traj.states.T, self._coordinates()
+        states, coordinates = traj.states[:, traj.columns(range(4))].T, self._coordinates()
         return (states if coordinates is None else coordinates[1](states))[2]
 
 
@@ -236,8 +240,10 @@ class RateEstimate:
 
 
 def estimate_rate(traj: Trajectory, window) -> RateEstimate:
-    """Least-squares decay rate of the position's magnitude, ``|state[0:2]|``,
-    over ``window``.
+    """Least-squares decay rate of the position's magnitude, the norm of
+    state components 0 and 1, over ``window``. The trajectory's columns of
+    those components are read (:meth:`~sourceseek.ode.Trajectory.columns`),
+    so a trajectory that records only some components is read right.
 
     The trajectory's times are strictly increasing (:class:`Trajectory`), so
     the samples in the window are one slice (:func:`_window`). When the
@@ -250,9 +256,11 @@ def estimate_rate(traj: Trajectory, window) -> RateEstimate:
     Raises
     ------
     ValueError
-        If the window leaves fewer than 5 usable points, exceeds the
-        trajectory span, or the magnitude is not strictly positive.
+        If the trajectory holds no state component 0 or 1, or the window
+        leaves fewer than 5 usable points, exceeds the trajectory span, or
+        the magnitude is not strictly positive.
     """
+    columns = traj.columns((0, 1))
     t0, t1 = float(window[0]), float(window[1])
     if not (t1 > t0):
         raise ValueError(f"empty window {window}")
@@ -267,7 +275,7 @@ def estimate_rate(traj: Trajectory, window) -> RateEstimate:
     # the Euclidean norm of the position columns, read one column at a
     # time, squares summed in component order as np.linalg.norm sums a row
     magnitude = np.zeros(len(ts))
-    for c in (0, 1):
+    for c in columns:
         column = traj.states[rows, c]
         magnitude += column * column
     np.sqrt(magnitude, out=magnitude)
@@ -639,7 +647,12 @@ class HessianSweepConfig(_Start):
     with its own. The curvature-inverting run is fitted after its
     inverse-curvature filter has settled (ten filter time constants plus
     margin); the gradient run is fitted from the start over a horizon scaled
-    to its expected decay, so every fit sees comparable decay depth.
+    to its expected decay, so every fit sees comparable decay depth. A fit
+    reads the position alone, so each run steps and records only what it
+    needs (``components``, :meth:`Scenario.run`): the position and, in the
+    curvature-inverting run, the guarded Riccati state, which the position
+    reads. Neither steps the filter state ``nu``, which nothing else reads;
+    it can no longer abort a run, and every fit is that of the full run.
     """
 
     hessians: tuple = (0.01, 0.1, 1.0)
@@ -717,8 +730,9 @@ def run_hessian_invariance(config: HessianSweepConfig) -> HessianSweepReport:
     """Fit the decay rate of each of ``config.runs``."""
     rows = []
     for newton, gradient, window in config.runs:
-        rate_n = estimate_rate(newton.run(), window)
-        rate_g = estimate_rate(gradient.run(), (0.0, gradient.t_end))
+        rate_n = estimate_rate(newton.run(components=newton.spec.position), window)
+        rate_g = estimate_rate(gradient.run(components=gradient.spec.position),
+                               (0.0, gradient.t_end))
         rows.append(HessianSweepRow(hessian=newton.field.hessian,
                                     newton=rate_n, gradient=rate_g))
     return HessianSweepReport(

@@ -36,6 +36,18 @@ four stages, and is compiled once per source text:
 
 Both give the same trajectory, bit for bit, and the same aborts.
 
+A caller that reads some state components only names them
+(``components``): the step then computes only the closure of those and the
+guarded components, the least set of components that holds them and every
+component that the live lines of their new state read
+(:func:`_stepped`). Those lines include the ones that
+:func:`~sourceseek.numdiff._live` keeps whatever reads them (a call, a
+``/``), so a component such a line reads is stepped, and a called rhs,
+whose one call reads every component, steps them all. The other components
+keep their start: they are neither stepped nor tested, so they cannot abort
+the run, and no other component reads them, so every value and every error
+of the stepped ones is the full run's.
+
 Each step spends its time on its own float operations. The loop runs every
 step but the last at the full step and records every ``output_stride``-th;
 the last step, full or shortened, is the same rendered block after the loop
@@ -46,7 +58,8 @@ per step:
   a constant is ``1.0`` or ``-1.0`` (:class:`~sourceseek.numdiff.Tape`), with
   the lines that read only the step size and constants (``0.5 * h``,
   ``h / 6.0``) lifted out to run once for the loop and once for the last
-  step, and unused lines dropped by the rule applied to the rhs's record;
+  step, and the lines that the new state of no stepped component needs
+  dropped by the rule applied to the rhs's record;
 * the carried clock: stage 4 of step ``i`` runs at the time its new state
   is stamped with, ``tn = start + i * dt`` (``t1`` at the last step), where
   step ``i + 1`` starts, not at ``t + h``, which may round apart from it.
@@ -54,14 +67,15 @@ per step:
   loops' ``sin`` and ``cos`` of ``omega0 t``, ``omega t`` and ``2 omega
   t``) run once, before the loop, and each step takes them from the
   stage-4 values of the step before it, at every step (:func:`_carried`);
-* one float expression that tests the new state for an infinity or a NaN;
+* one float expression that tests the stepped components of the new state
+  for an infinity or a NaN;
 * the guard: one comparison ``x<j> > 0.0`` per component it names, none
   where there is no guard;
 * the time ``tn``, and ``t = tn`` after the step, only where the step
   reads its time, so an rhs that reads no time carries no time and
   computes no stage time;
-* at a recorded step, one store per component into a memoryview of that
-  component's column of the state array, sized up front: a run that
+* at a recorded step, one store per recorded component into a memoryview
+  of that component's column of the state array, sized up front: a run that
   records every step stores at the step's number, with no test and no
   offset; a strided run stores under ``if i % stride == 0:`` at its one
   sample counter.
@@ -166,12 +180,15 @@ class Trajectory:
     """Time-stamped state samples at strictly increasing times, which
     :func:`first_entry_time` and :func:`~sourceseek.experiments.estimate_rate`
     read in order; ``steps`` and ``rhs_calls`` are what :func:`integrate`
-    did to make them (0 where it did not)."""
+    did to make them (0 where it did not). Column ``c`` of ``states`` holds
+    the state component ``components[c]``, by default ``c`` itself; a run
+    that records some components only holds those (:meth:`columns`)."""
 
     times: np.ndarray
     states: np.ndarray
     steps: int = 0
     rhs_calls: int = 0
+    components: tuple | None = None
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -181,16 +198,32 @@ class Trajectory:
         # a NaN compares false, so it is refused with an equal or falling time
         if not np.all(self.times[1:] > self.times[:-1]):
             raise ValueError("times must be strictly increasing")
+        self.components = tuple(range(self.dim) if self.components is None
+                                else self.components)
+        if not len(set(self.components)) == len(self.components) == self.dim:
+            raise ValueError(f"components {self.components} do not name the "
+                             f"{self.dim} columns of states once each")
 
     @property
     def dim(self) -> int:
         return self.states.shape[1]
 
+    def columns(self, components) -> list[int]:
+        """The columns of ``states`` that hold the state ``components``, in
+        their order; ValueError naming those this trajectory does not hold."""
+        held = self.components
+        missing = [j for j in components if j not in held]
+        if missing:
+            raise ValueError(f"the trajectory holds state components {held}, "
+                             f"not {missing}")
+        return [held.index(j) for j in components]
+
     def to_csv(self, path) -> Path:
-        """Write ``t,s0,s1,...`` rows in full double precision."""
+        """Write ``t,s<j>,...`` rows, one column per held state component
+        ``j``, in full double precision."""
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        header = "t," + ",".join(f"s{i}" for i in range(self.dim))
+        header = "t," + ",".join(f"s{j}" for j in self.components)
         data = np.column_stack([self.times, self.states])
         np.savetxt(path, data, fmt="%.17g", delimiter=",", header=header, comments="")
         return path
@@ -199,8 +232,9 @@ class Trajectory:
 #: The RK4 step loop, one source for every rhs. :func:`_kernel` fills it
 #: for a state of ``dim`` components with one step, whose stages replay the
 #: rhs's record, traced or a call (:func:`_call_record`): ``$x`` stands for
-#: ``x0, x1, ...``, the state's locals, ``$s`` for ``s0, s1, ...``, one
-#: memoryview per component over its column of the state array, and
+#: ``x0, x1, ...``, the state's locals, ``$s`` for ``s<j>, ...``, one
+#: memoryview per recorded component ``j`` over its column of the state
+#: array, and
 #: ``$constants`` for ``k0, k1, ...``, the record's constants (a call
 #: record's rhs among them), then the step's. A failed
 #: :meth:`~sourceseek.numdiff.Tape.require` in the record raises its own
@@ -209,10 +243,11 @@ class Trajectory:
 #: shortened remainder), to the time ``end``, and is always recorded, so the
 #: loop never tests for it. ``i`` is the number of the step being taken.
 #:
-#: Per step the loop runs the step's own lines, one float test of the new
-#: state, one test per guarded component, and ``$record``. Where every step
-#: is recorded (``stride == 1``), sample ``i`` is step ``i``'s state, so
-#: ``$record`` is one store per component, ``s<j>[i] = x<j>``, with no test
+#: Per step the loop runs the step's own lines, one float test of the
+#: stepped components of the new state, one test per guarded component, and
+#: ``$record``. Where every step is recorded (``stride == 1``), sample ``i``
+#: is step ``i``'s state, so ``$record`` is one store per recorded
+#: component, ``s<j>[i] = x<j>``, with no test
 #: and no offset. Else ``$record`` stores the state at every ``stride``-th
 #: step, under ``if i % stride == 0:``, at the sample counter ``n``
 #: (``$count`` starts it at 1, the initial state being sample 0). Only a
@@ -249,9 +284,10 @@ $last_record
 """)
 
 #: One RK4 step of number ``i``: ``$tick`` computes the time ``tn`` of its
-#: new state where the step reads it, and ``$lines`` leave the new state in
-#: ``$x``, whose components must all be finite and whose guarded components
-#: must be above zero, ``$guard``: ``if not x<j> > 0.0:`` per component.
+#: new state where the step reads it, and ``$lines`` leave the new state of
+#: the stepped components in their locals, which must all be finite, and
+#: whose guarded components must be above zero, ``$guard``: ``if not x<j> >
+#: 0.0:`` per component.
 #: The finite test is one float expression, ``0.0 * x0 * x1 * ... != 0.0``:
 #: its running product is a zero until it meets an infinity or a NaN, and
 #: NaN from then on, so it never overflows and is true exactly when some
@@ -334,20 +370,22 @@ def _call_record(rhs, dim: int) -> tuple:
 
 @functools.lru_cache(maxsize=64)
 def _traced_kernel(shape: tuple, dim: int, positive: tuple = (),
-                   strided: bool = False):
+                   strided: bool = False, recorded: tuple | None = None):
     """The step loop for an rhs record of this shape (:func:`_trace`,
     :func:`_call_record`) that aborts where a component of ``positive`` is
-    not above zero after a step, recording every step, or every
-    ``stride``-th where ``strided`` (:data:`_STEP_LOOP`): each stage
-    replays the record on the stage's time and state, so the step's tape
-    numbers values across stages, and the step keeps its
-    :func:`~sourceseek.numdiff._live` lines (an autonomous rhs reads no
-    stage time). Stage 4 runs at ``tn``, the time the new state is stamped
-    with (:func:`_rk4_step`). The lines of the record that read only the
-    time and constants give, at stage 1 and at stage 4, the pairs of values
-    a step carries into the next (:func:`_carried`), and the names of the
-    stage-1 values say which lines the first step runs before the loop.
-    Returns the kernel and the constants it takes after the record's own."""
+    not above zero after a step, recording the components of ``recorded``
+    (None: every component) at every step, or every ``stride``-th where
+    ``strided`` (:data:`_STEP_LOOP`): each stage replays the record on the
+    stage's time and state, so the step's tape numbers values across
+    stages, and the step keeps the :func:`~sourceseek.numdiff._live` lines
+    of the new state of the components it steps (:func:`_stepped`), so an
+    autonomous rhs reads no stage time. Stage 4 runs at ``tn``, the time
+    the new state is stamped with (:func:`_rk4_step`). The lines of the
+    record that read only the time and constants give, at stage 1 and at
+    stage 4, the pairs of values a step carries into the next
+    (:func:`_carried`), and the names of the stage-1 values say which lines
+    the first step runs before the loop. Returns the kernel and the
+    constants it takes after the record's own."""
     lines, outputs, n_constants = shape
     step = _tape(dim, ("t", "tn", "h"))
     constants = {k.name: k for k in step.reserve(n_constants)}
@@ -367,9 +405,30 @@ def _traced_kernel(shape: tuple, dim: int, positive: tuple = (),
         if clock & set(operands) and all(o in clock or o[0] == "k" for o in operands):
             clock.add(name)
     first, fourth = stages[0], stages[-1]
-    return _kernel(step, _live(step.lines, [v.name for v in new], step.constants),
-                   new, n_constants, {first[n].name: fourth[n].name for n in clock - {"t"}},
+    recorded = tuple(range(dim)) if recorded is None else recorded
+    live, stepped = _stepped(step, new, {*recorded, *positive})
+    return _kernel(step, live, {j: new[j] for j in stepped}, recorded, n_constants,
+                   {first[n].name: fourth[n].name for n in clock - {"t"}},
                    {first[name].name for name, _, _ in lines}, positive, strided)
+
+
+def _stepped(step: Tape, new, wanted) -> tuple[tuple, list[int]]:
+    """The :func:`~sourceseek.numdiff._live` lines of ``step``, a tape of
+    :func:`_rk4_step` whose new state is ``new``, that give the new state
+    of the components it steps, and those components, in order: the
+    closure of ``wanted``, the least set of components holding ``wanted``
+    and every component that the live lines of their new state read. These
+    include the lines that ``_live`` keeps whatever reads them (a call, a
+    ``/``), so a component that such a line reads is stepped. A component
+    outside the closure never changes a stepped one, so dropping its lines
+    changes no value and no error of the others."""
+    stepped = set(wanted)
+    while True:
+        lines = _live(step.lines, [new[j].name for j in sorted(stepped)], step.constants)
+        read = {int(o[1:]) for _, _, operands in lines for o in operands if o[0] == "x"}
+        if read <= stepped:
+            return lines, sorted(stepped)
+        stepped |= read
 
 
 def _tape(dim: int, inputs) -> Tape:
@@ -386,6 +445,19 @@ def _guarded(guard, dim: int) -> tuple:
         raise ValueError(f"guard must be distinct indices of the {dim} state "
                          f"components, got {guard!r}")
     return tuple(positive)
+
+
+def _recorded(components, dim: int) -> tuple:
+    """``components``, a non-empty tuple or list of increasing ints in
+    ``range(dim)``, as a tuple; None is every component."""
+    if components is None:
+        return tuple(range(dim))
+    if not (isinstance(components, (tuple, list)) and components
+            and all(type(j) is int and 0 <= j < dim for j in components)
+            and all(a < b for a, b in zip(components, components[1:]))):
+        raise ValueError(f"components must be increasing indices of the {dim} state "
+                         f"components, got {components!r}")
+    return tuple(components)
 
 
 def _checked(value, dim: int):
@@ -423,12 +495,13 @@ def _named(lines, outputs, names) -> tuple[list[str], list[str]]:
     return body, values[:len(outputs)]
 
 
-def _kernel(tape: Tape, lines, new, supplied: int, clock: dict, first, positive=(),
-            strided=False):
+def _kernel(tape: Tape, lines, new: dict, recorded, supplied: int, clock: dict, first,
+            positive=(), strided=False):
     """The step loop filled with ``lines``, those of ``tape``'s record of
-    :func:`_rk4_step` that the step runs, whose new state is ``new``, with
-    one test per component of ``positive`` that it is above zero, and
-    recording every step, or every ``stride``-th where ``strided``. A
+    :func:`_rk4_step` that the step runs, whose new state is ``new``, the
+    new value of each component it steps, with one test per component of
+    ``positive`` that it is above zero, and recording the components of
+    ``recorded`` every step, or every ``stride``-th where ``strided``. A
     line that reads only ``h`` and constants runs once per step size, and
     the stage-1 values that read only the time are carried from step to
     step where ``clock`` pairs them with their stage-4 values
@@ -453,9 +526,8 @@ def _kernel(tape: Tape, lines, new, supplied: int, clock: dict, first, positive=
         stage, _ = _named(stage, [], carry)
         start += ["try:", *("    " + line for line in stage),
                   "except ArithmeticError as exc:", "    raise aborted(1, 1, exc) from exc"]
-    dim = len(tape.state)
-    x = ", ".join(v.name for v in tape.state)
-    body, values = _named(rest, [tape.name(v) for v in new], carry.values())
+    x = ", ".join(tape.state[j].name for j in new)
+    body, values = _named(rest, [tape.name(v) for v in new.values()], carry.values())
     step = [*body, f"{x}, = {', '.join(values)},"]
     written = "n" if strided else "i"  # the number of samples stored before step i
     test = [line for j in positive for line in (
@@ -466,16 +538,16 @@ def _kernel(tape: Tape, lines, new, supplied: int, clock: dict, first, positive=
             tick=f"tn = {tn}" * timed,
             lines=textwrap.indent("\n".join(step), " " * 4), advance="\n".join(advance),
             guard="\n".join(test), written=written,
-            finite=" * ".join(["0.0", *(v.name for v in tape.state)]))
+            finite=" * ".join(["0.0", *(tape.state[j].name for j in new)]))
 
-    store = [f"s{j}[{written}] = x{j}" for j in range(dim)]
+    store = [f"s{j}[{written}] = x{j}" for j in recorded]
     record = ["if i % stride == 0:", *("    " + line for line in store),
               "    n += 1"] if strided else store
     advance = [f"{name} = {value}" for name, value in carry.items()] + ["t = tn"] * timed
     source = _STEP_LOOP.substitute(
         constants=", ".join(f"k{i}" for i in range(len(tape.constants))),
-        x=x,
-        s=", ".join(f"s{j}" for j in range(dim)),
+        x=", ".join(v.name for v in tape.state),
+        s=", ".join(f"s{j}" for j in recorded),
         count="    n = 1" * strided,
         per_size=textwrap.indent("\n".join(per_size), " " * 4),
         clock=textwrap.indent("\n".join(start), " " * 4),
@@ -493,7 +565,7 @@ def _kernel(tape: Tape, lines, new, supplied: int, clock: dict, first, positive=
 
 
 def integrate(rhs, x0, t0: float, t1: float, config: IntegratorConfig,
-              guard=None) -> Trajectory:
+              guard=None, components=None) -> Trajectory:
     """Integrate ``dx/dt = rhs(t, x)`` from ``t0`` to ``t1`` with fixed-step RK4.
 
     Parameters
@@ -512,15 +584,27 @@ def integrate(rhs, x0, t0: float, t1: float, config: IntegratorConfig,
         The indices of the state components that must stay above zero; a
         step that leaves one of them at or below zero aborts, naming the
         component and its new value. None or ``()`` is no guard.
+    components : tuple or list of int, optional
+        The increasing indices of the state components the caller reads;
+        None is every component. Only these are recorded, and only their
+        closure with the guarded components is stepped (see the module
+        docstring): the least set of components holding them and every
+        component the step's lines for their new state read, a call's or a
+        ``/``'s operands among them. So a called rhs steps every component.
+        The recorded columns, the times and the steps are those of the full
+        run, bit for bit, and so is an abort on a stepped component. A
+        component outside the closure keeps its start and cannot abort the
+        run: where the full run aborts on it alone, this run completes.
 
     Returns
     -------
     Trajectory
         States recorded every ``config.output_stride`` steps; the initial and
         final states are always included, so at stride 1 sample ``i`` is the
-        state after step ``i``. The step loop stores each component through
-        a memoryview of its column of the C-ordered ``(n_samples, dim)``
-        array, at the step's number at stride 1, else at a sample counter.
+        state after step ``i``. The step loop stores each recorded component
+        through a memoryview of its column of the C-ordered ``(n_samples,
+        len(components))`` array, at the step's number at stride 1, else at
+        a sample counter; ``components`` names the column's component.
         ``steps`` counts the steps and ``rhs_calls`` the runs of ``rhs``: 1
         where it was traced.
 
@@ -536,8 +620,10 @@ def integrate(rhs, x0, t0: float, t1: float, config: IntegratorConfig,
         do not strictly increase (a ``dt`` below their float spacing), a
         non-finite initial state or one that violates the guard, a
         ``guard`` that is not distinct component indices (a callable among
-        them), or an ``rhs`` whose output length differs from the state
-        length. All but the last are raised before ``rhs`` runs.
+        them), ``components`` that are not a non-empty increasing tuple or
+        list of component indices, or an ``rhs`` whose output length differs
+        from the state length. All but the last are raised before ``rhs``
+        runs.
     """
     if not (math.isfinite(t0) and math.isfinite(t1)):
         raise ValueError(f"t0 and t1 must be finite, got [{t0}, {t1}]")
@@ -557,6 +643,7 @@ def integrate(rhs, x0, t0: float, t1: float, config: IntegratorConfig,
     if not all(map(math.isfinite, y)):
         raise ValueError(f"initial state is not finite: {y}")
     positive = _guarded(guard, dim)
+    recorded = _recorded(components, dim)
     for j in positive:
         if not y[j] > 0.0:
             raise ValueError(f"initial state violates the guard at t={t0}: "
@@ -573,8 +660,8 @@ def integrate(rhs, x0, t0: float, t1: float, config: IntegratorConfig,
         raise ValueError(f"dt={dt} is below the float spacing of the sample times "
                          f"t0 + i * dt on [t0={t0}, t1={t1}]: they do not strictly "
                          f"increase")
-    states = np.empty((n_samples, dim))
-    states[0] = y
+    states = np.empty((n_samples, len(recorded)))
+    states[0] = [y[j] for j in recorded]
     last = remainder if has_tail else dt
 
     def aborted(i: int, n: int, exc=None, tripped=None) -> IntegrationAborted:
@@ -591,7 +678,7 @@ def integrate(rhs, x0, t0: float, t1: float, config: IntegratorConfig,
         else:
             what = f"non-finite state at t={when}" + ("" if exc is None else f" ({exc!r})")
             reason = "nonfinite" if exc is None else "arithmetic"
-        partial = Trajectory(times[:n].copy(), states[:n].copy())
+        partial = Trajectory(times[:n].copy(), states[:n].copy(), components=recorded)
         return IntegrationAborted(f"{what}; last valid time t={valid}", valid, partial,
                                   reason)
 
@@ -603,17 +690,21 @@ def integrate(rhs, x0, t0: float, t1: float, config: IntegratorConfig,
     except (Untraceable, ArithmeticError):
         shape, supplied = _call_record(rhs, dim)
         rhs_calls = 4 * total_steps
-    kernel, constants = _traced_kernel(shape, dim, positive, stride > 1)
+    kernel, constants = _traced_kernel(shape, dim, positive, stride > 1, recorded)
     kernel(y, t0, t1, dt, last, total_steps, stride, tuple(map(memoryview, states.T)),
            aborted, (*supplied, *constants))
-    return Trajectory(times, states, steps=total_steps, rhs_calls=rhs_calls)
+    return Trajectory(times, states, steps=total_steps, rhs_calls=rhs_calls,
+                      components=recorded)
 
 
 def first_entry_time(traj: Trajectory, center, radius: float, components) -> float | None:
-    """Earliest recorded time after which the selected components stay inside
-    the ball of ``radius`` around ``center`` through the end of the trajectory.
+    """Earliest recorded time after which the selected state components stay
+    inside the ball of ``radius`` around ``center`` through the end of the
+    trajectory, read from their columns (:meth:`Trajectory.columns`).
 
-    Returns None when the trajectory never settles into the ball.
+    Returns None when the trajectory never settles into the ball; raises
+    ValueError naming any of ``components`` that the trajectory does not
+    hold.
     """
     if not radius > 0.0:
         raise ValueError(f"radius must be > 0, got {radius}")
@@ -625,7 +716,7 @@ def first_entry_time(traj: Trajectory, center, radius: float, components) -> flo
         raise ValueError(
             f"center shape {center.shape} does not match {len(comps)} components"
         )
-    sel = traj.states[:, comps]
+    sel = traj.states[:, traj.columns(comps)]
     inside = np.linalg.norm(sel - center, axis=1) <= radius
     if inside.all():
         return float(traj.times[0])

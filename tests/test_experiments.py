@@ -138,6 +138,10 @@ class TestFrameSpecs:
         d = scn.d_series(Trajectory(np.zeros(1), state[None, :]))
         if scheme is Scheme.NEWTON:
             assert d[0] == pytest.approx(d0, rel=1e-12)
+            # a trajectory without every component is refused, not misread
+            reduced = Trajectory(np.zeros(1), state[None, [0, 1, 3]], components=(0, 1, 3))
+            with pytest.raises(ValueError, match=r"not \[2\]"):
+                scn.d_series(reduced)
         else:
             assert d is None
 
@@ -192,6 +196,18 @@ class TestEstimateRate:
             estimate_rate(traj, (0.0, 10.0), (0, 1, 2))
         position = Trajectory(times=t, states=traj.states[:, :2])
         assert estimate_rate(traj, (0.0, 10.0)) == estimate_rate(position, (0.0, 10.0))
+
+    def test_the_fit_reads_the_position_by_component(self):
+        """A trajectory that holds the position in other columns fits as the
+        whole one does, bit for bit; one without it is refused, naming the
+        component it lacks, and never read from another column."""
+        t = np.linspace(0.0, 10.0, 1001)
+        traj = self._traj(t, np.exp(-0.5 * t) * (2.0 + np.cos(6.0 * t)))
+        swapped = Trajectory(t, traj.states[:, [2, 1, 0]], components=(2, 1, 0))
+        assert estimate_rate(swapped, (0.0, 10.0)) == estimate_rate(traj, (0.0, 10.0))
+        shifted = Trajectory(t, traj.states[:, 1:], components=(1, 2))
+        with pytest.raises(ValueError, match=r"not \[0\]"):
+            estimate_rate(shifted, (0.0, 10.0))
 
     def test_damped_rotation_envelope(self):
         # spiral with spectral abscissa 1/2: alpha 2, omega0 1, unit curvature
@@ -649,6 +665,25 @@ class TestRunHessianInvariance:
     def test_requires_two_decades(self):
         with pytest.raises(ValueError, match="decades"):
             HessianSweepConfig(hessians=(0.1, 1.0))
+
+    def test_each_run_records_what_its_fit_reads(self, monkeypatch):
+        """Every run records its position alone, the Newton run under its
+        Riccati guard, and each fit is the fit of the run that records every
+        component, bit for bit."""
+        config = HessianSweepConfig()
+        runs = []
+
+        def recorded(rhs, *args, **kwargs):
+            traj = integrate(rhs, *args, **kwargs)
+            runs.append((kwargs["guard"], traj.components, traj.states.shape[1]))
+            return traj
+
+        monkeypatch.setattr(experiments, "integrate", recorded)
+        report = run_hessian_invariance(config)
+        assert runs == [((2,), (0, 1), 2), ((), (0, 1), 2)] * len(config.hessians)
+        for row, (newton, gradient, window) in zip(report.rows, config.runs):
+            assert row.newton == estimate_rate(newton.run(), window)
+            assert row.gradient == estimate_rate(gradient.run(), (0.0, gradient.t_end))
 
 
 class TestRunAverage:

@@ -7,7 +7,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 import sourceseek.averaging as averaging
@@ -326,6 +326,24 @@ class TestTrajectory:
     def test_accepts_times_with_no_pair_out_of_order(self, times):
         assert Trajectory(times, np.zeros((len(times), 2))).times.shape == (len(times),)
 
+    def test_each_column_holds_its_own_component_by_default(self):
+        traj = Trajectory([0.0, 1.0], np.zeros((2, 3)))
+        assert traj.components == (0, 1, 2)
+        assert traj.columns((2, 0)) == [2, 0]
+
+    def test_columns_are_found_by_the_component_they_hold(self):
+        traj = Trajectory([0.0, 1.0], [[1.0, 2.0], [3.0, 4.0]], components=(1, 3))
+        assert traj.columns((3,)) == [1]
+        assert traj.columns([1, 3]) == [0, 1]
+        with pytest.raises(ValueError, match=r"holds state components \(1, 3\), not \[0, 2\]"):
+            traj.columns((0, 1, 2))
+
+    @pytest.mark.parametrize("components", [(0,), (0, 1, 2), (1, 1)],
+                             ids=["too-few", "too-many", "repeated"])
+    def test_refuses_components_that_do_not_name_each_column_once(self, components):
+        with pytest.raises(ValueError, match="columns of states once each"):
+            Trajectory([0.0, 1.0], np.zeros((2, 2)), components=components)
+
 
 class TestFirstEntryTime:
     def test_trajectory_already_at_center(self):
@@ -368,6 +386,18 @@ class TestFirstEntryTime:
         with pytest.raises(ValueError):
             first_entry_time(traj, np.zeros(0), 0.5, ())
 
+    def test_reads_the_columns_of_the_components_it_is_given(self):
+        """A trajectory holding components 1 and 2 is read by component, and
+        a component it does not hold is named, not read from another
+        column."""
+        times = np.arange(4.0)
+        states = np.array([[2.0, 9.0], [0.1, 9.0], [0.1, 0.2], [0.0, 0.1]])
+        traj = Trajectory(times, states, components=(1, 2))
+        assert first_entry_time(traj, np.zeros(1), 0.5, (1,)) == 1.0
+        assert first_entry_time(traj, np.zeros(1), 0.5, (2,)) == 2.0
+        with pytest.raises(ValueError, match=r"not \[0\]"):
+            first_entry_time(traj, np.zeros(2), 0.5, (0, 1))
+
 
 class TestCsvExport:
     def test_header_and_exact_roundtrip(self, tmp_path):
@@ -381,6 +411,8 @@ class TestCsvExport:
         path = traj.to_csv(tmp_path / "traj.csv")
         lines = path.read_text().splitlines()
         assert lines[0] == "t,s0,s1"
+        reduced = Trajectory(traj.times, traj.states[:, 1:], components=(1,))
+        assert reduced.to_csv(tmp_path / "s1.csv").read_text().splitlines()[0] == "t,s1"
         parsed = np.loadtxt(path, delimiter=",", skiprows=1)
         # 17 significant digits reproduce doubles exactly
         np.testing.assert_array_equal(parsed[:, 0], traj.times)
@@ -1454,3 +1486,221 @@ def test_a_carried_clock_keeps_the_error_that_comes_first(record):
     assert traced[1] == t0 + (steps - 1) * 0.1
     assert f"non-finite state at t={t0 + steps * 0.1} " in traced[0]
     assert len(traced[2]) == steps
+
+
+def _run(rhs, x0, t0, t1, config, guard=(), components=None):
+    """A run's trajectory, or its abort."""
+    try:
+        return integrate(rhs, x0, t0, t1, config, guard=guard, components=components)
+    except IntegrationAborted as err:
+        return err
+
+
+def _kept(result, components) -> tuple:
+    """What a reader of ``components`` sees of a :func:`_run`: the steps of
+    a trajectory, or an abort's message, last valid time and reason, then
+    the times and the columns of ``components``, as bytes."""
+    if isinstance(result, IntegrationAborted):
+        traj, head = result.partial, (str(result), result.last_valid_time, result.reason)
+    else:
+        traj, head = result, ("completed", result.steps)
+    return (*head, traj.times.tobytes(), traj.states[:, traj.columns(components)].tobytes())
+
+
+def _frozen(rhs, stepped):
+    """``rhs`` with a zero rate for each component outside ``stepped``: the
+    full loop whose other components keep their start."""
+    def frozen(t, y):
+        return tuple([v if j in stepped else 0.0 for j, v in enumerate(rhs(t, y))])
+    return frozen
+
+
+#: per averaged (scheme, frame) pair, the components that each component's
+#: rate reads (:func:`~sourceseek.seekers.averaged_closed_loop`, pushed
+#: forward through the frame's map); in a full loop every rate reads every
+#: component, through the filter's error
+_READS = {
+    (Scheme.GRADIENT, Frame.AVERAGED_GRADIENT): ({1}, {0, 1}, {0, 1, 2}),
+    (Scheme.NEWTON, Frame.AVERAGED_NEWTON): ({1}, {0, 1, 2}, {2}, {0, 1, 3}),
+    (Scheme.NEWTON, Frame.AVERAGED_NEWTON_EXP): ({1}, {0, 1, 2}, {2}, {0, 1, 3}),
+    (Scheme.NEWTON, Frame.CASCADE_SHIFTED): ({0, 1, 2, 3}, {2}, {1, 2, 3}, {3}),
+}
+
+
+def _closure(pair, wanted, dim) -> set:
+    """The components a run of ``pair`` that reads ``wanted`` must step."""
+    reads = _READS.get(pair, [set(range(dim))] * dim)
+    stepped = set(wanted)
+    while not (more := stepped.union(*(reads[j] for j in stepped))) <= stepped:
+        stepped = more
+    return stepped
+
+
+_PAIRS = sorted(FRAME_SPECS, key=str)
+
+
+def _pair_id(pair):
+    return f"{pair[0].value}-{pair[1].value}"
+
+
+def _subsets(dim):
+    return [c for n in range(1, dim + 1) for c in itertools.combinations(range(dim), n)]
+
+
+@pytest.mark.parametrize("pair", _PAIRS, ids=_pair_id)
+def test_a_step_steps_the_closure_of_the_components_it_records(pair):
+    """For every set of recorded components, the step updates, tests for a
+    non-finite value and stores exactly those that the components it
+    records or guards read, however indirectly, and takes its other
+    components' starts unchanged; a full loop steps them all."""
+    scenario = Scenario(scheme=pair[0], frame=pair[1])
+    guard, dim = scenario.guard(), len(scenario.initial_state())
+    shape, _ = ode._trace(scenario.build_rhs(), dim)
+    for components in _subsets(dim):
+        source = ode._traced_kernel(shape, dim, guard, False, components)[0].source
+        stepped = sorted(_closure(pair, {*components, *guard}, dim))
+        body = _loop_lines(source.splitlines())
+        names = [f"x{j}" for j in stepped]
+        [update] = [line for line in body if line.startswith("x") and ", = " in line]
+        assert update.startswith(f"{', '.join(names)}, = ")
+        assert f"if {' * '.join(['0.0', *names])} != 0.0:" in body
+        assert [line for line in body if line.startswith("s")] == [
+            f"s{j}[i] = x{j}" for j in components]
+        assert f"[{', '.join(f's{j}' for j in components)}] = states" in source
+        assert f"[{', '.join(f'x{j}' for j in range(dim))}] = y" in source
+
+
+_HUGE = st.floats(1e150, 1e170)
+
+
+@pytest.mark.parametrize("pair", _PAIRS, ids=_pair_id)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_a_run_of_some_components_records_the_full_run_s_columns(pair, data):
+    """A run that records some components gives the full run's columns of
+    them, its times and its steps, bit for bit. It steps the closure of its
+    recorded and guarded components, so it aborts as the full run whose
+    other components keep their start does: at the same step, for the same
+    reason, with the same samples. So where the full run trips its guard or
+    steps nothing more, both abort alike, and where the full run aborts on
+    an unstepped component, the reduced run carries on past it. A called
+    rhs has no record, so it steps every component, as the full run does."""
+    scheme, frame = pair
+    params = SeekerParams(
+        omega=data.draw(st.floats(8.0, 30.0)), omega0=data.draw(_GAIN),
+        alpha=data.draw(st.floats(0.5, 3.0)), p_exp=data.draw(st.floats(0.55, 0.9)),
+        h_gain=data.draw(_GAIN), omega_d=data.draw(st.floats(0.1, 0.5)),
+    )
+    field = FieldParams(f_star=data.draw(st.floats(-5.0, 5.0)),
+                        hessian=data.draw(st.floats(0.01, 2.0)),
+                        source=np.array([1.0, -1.0]))
+    # a huge position overflows the field's map, a huge Riccati state the
+    # step; the cascade frame's own start holds the map
+    huge = frame is not Frame.CASCADE_SHIFTED and data.draw(st.booleans())
+    position = st.one_of(_HUGE, _HUGE.map(lambda v: -v)) if huge else _POSITION
+    scenario = Scenario(scheme=scheme, frame=frame, field=field, params=params,
+                        x0=(data.draw(position), data.draw(_POSITION)),
+                        d0=data.draw(st.one_of(_RICCATI, st.floats(1e3, 1e8))),
+                        nu0=data.draw(st.floats(-10.0, 10.0)))
+    rhs, x0, guard = scenario.build_rhs(), scenario.initial_state(), scenario.guard()
+    dim = len(x0)
+    components = data.draw(st.sampled_from(_subsets(dim)))
+    config = replace(scenario.integrator_config(),
+                     output_stride=data.draw(st.sampled_from([1, 10])))
+    # a whole number of steps from zero, else one more shortened step: from
+    # another start, a whole span may round to a last step below the spacing
+    t0 = data.draw(_T0)
+    tail = data.draw(st.sampled_from([0.0, 0.37])) if t0 == 0.0 else 0.37
+    t1 = t0 + (data.draw(st.integers(20, 200)) + tail) * config.dt
+    stepped = _closure(pair, {*components, *guard}, dim)
+
+    def run(rhs, components=None):
+        return _run(rhs, x0, t0, t1, config, guard, components)
+
+    full, reduced = run(rhs), run(rhs, components)
+    event(" ".join(getattr(r, "reason", "completed") for r in (full, reduced)))
+    kept = _kept(reduced, components)
+    traj = reduced.partial if isinstance(reduced, IntegrationAborted) else reduced
+    assert traj.components == components and traj.dim == len(components)
+    assert kept == _kept(run(_frozen(rhs, stepped)), components)
+    assert _kept(run(_called(rhs), components), components) == _kept(full, components)
+    if not isinstance(full, IntegrationAborted) or full.reason == "guard" or len(stepped) == dim:
+        assert kept == _kept(full, components)
+    else:  # on an unstepped component, perhaps: its samples begin the reduced run's
+        n = len(full.partial.times)
+        assert traj.times[:n].tobytes() == full.partial.times.tobytes()
+        assert (traj.states[:n].tobytes()
+                == full.partial.states[:, list(components)].tobytes())
+
+
+@pytest.mark.parametrize("components", [(), [], (1, 0), (0, 0), (0, 2), (-1,), (0.0,),
+                                        (True,), "01", range(2), {0, 1}, np.array([0, 1]),
+                                        1],
+                         ids=["empty", "empty-list", "unsorted", "repeated", "past-the-end",
+                              "negative", "float", "bool", "string", "range", "set",
+                              "array", "integer"])
+def test_refuses_components_that_are_not_increasing_component_indices(components):
+    calls = []
+
+    def rhs(t, y):
+        calls.append(t)
+        return (y[1], -y[0])
+
+    with pytest.raises(ValueError, match=r"^components must be increasing indices of the 2 "
+                                         r"state components, got "):
+        integrate(rhs, [1.0, 0.5], 0.0, 1.0, _config(0.25), components=components)
+    assert calls == []
+
+
+def test_a_guarded_component_that_is_not_recorded_is_stepped_and_trips():
+    """Component 0 falls by 1 a unit time and no other reads it. Guarded,
+    it is stepped where only component 1 is recorded, and trips where the
+    full run trips, named by its state index; unguarded, it is not
+    stepped, and the run completes."""
+    def rhs(t, y):
+        return (-1.0, -0.5 * y[1])
+
+    x0, config = (0.35, 1.0), _config(0.1)
+    reduced = _run(rhs, x0, 0.0, 1.0, config, guard=(0,), components=(1,))
+    assert isinstance(reduced, IntegrationAborted) and reduced.reason == "guard"
+    assert str(reduced).startswith("state guard violated at t=0.4: component 0 = -0.05")
+    assert _kept(reduced, (1,)) == _kept(_run(rhs, x0, 0.0, 1.0, config, guard=(0,)), (1,))
+    assert reduced.partial.components == (1,) and reduced.partial.dim == 1
+    unguarded = integrate(rhs, x0, 0.0, 1.0, config, components=(1,))
+    assert _kept(unguarded, (1,)) == _kept(integrate(rhs, x0, 0.0, 1.0, config), (1,))
+
+
+def test_an_unread_component_that_overflows_aborts_only_the_full_run():
+    """Component 1 leaves the finite floats in the first step, and no other
+    reads it: the full run aborts, and the run that records component 0
+    completes, as the loop of component 0 alone does, bit for bit."""
+    def rhs(t, y):
+        return (-y[0], y[1] * y[1])
+
+    x0, config = (1.0, 1e200), _config(0.1)
+    full = _run(rhs, x0, 0.0, 1.0, config)
+    assert isinstance(full, IntegrationAborted) and full.reason == "nonfinite"
+    reduced = integrate(rhs, x0, 0.0, 1.0, config, components=(0,))
+    alone = integrate(lambda t, y: (-y[0],), (1.0,), 0.0, 1.0, config)
+    assert reduced.components == (0,) and reduced.steps == alone.steps == 10
+    assert reduced.times.tobytes() == alone.times.tobytes()
+    assert reduced.states.tobytes() == alone.states.tobytes()
+
+
+@pytest.mark.parametrize("pair", _PAIRS, ids=_pair_id)
+def test_recording_every_component_is_the_default_kernel(pair, monkeypatch):
+    """Every component named is the run that names none: the same cached
+    kernel, and the same trajectory, bit for bit."""
+    scenario = Scenario(scheme=pair[0], frame=pair[1], t_end=1.0)
+    dim, kernels = len(scenario.initial_state()), []
+    cached = ode._traced_kernel
+
+    def kernel(*args):
+        kernels.append(cached(*args))
+        return kernels[-1]
+
+    monkeypatch.setattr(ode, "_traced_kernel", kernel)
+    default, every = scenario.run(), scenario.run(components=tuple(range(dim)))
+    assert kernels[0] is kernels[1]
+    assert default.components == every.components == tuple(range(dim))
+    assert _kept(default, range(dim)) == _kept(every, range(dim))
