@@ -268,13 +268,37 @@ class ControlAffineSystem:
                     raise ValueError(f"{name} is non-finite at probe state {probe}")
 
     @cached_property
-    def coefficients(self) -> dict:
-        """One :class:`Coefficient` per index tuple, keyed by its indices,
-        pairs first; built once per system, on first use, from the exponents
-        of its ``p_i`` and the ladder that every system on the same
-        ``(wave, k)`` channels shares, a wave keyed by its identity or hash
-        (see :func:`_coefficient_table`)."""
-        return _coefficient_table(self)
+    def coefficients(self) -> dict[tuple, Coefficient]:
+        """One :class:`Coefficient` per index tuple, keyed by its indices, in
+        :func:`_index_tuples` order, built once per system, on first use:
+        its ``raw``, ``disagreement``, ``rounding`` and ``nodes`` from the
+        ladder of the system's ``(wave, k)`` channels (:func:`_ladder`), and
+        its exponent from the channels' ``p_i``. An exponent ``q`` within
+        ``EXPONENT_ULPS`` units in the last place of its exponent sum is
+        exactly 0: it is the rounding of a sum such as ``(1 - p) + p``.
+
+        The ladder depends on the waves and multipliers alone, never on the
+        gains or the ``p_i``, so every system on one wave set reads one
+        ladder: a wave is keyed by its identity or hash, as
+        :attr:`OscillatoryInput.wave_checks` keys it, and a set holding an
+        unhashable wave runs its ladder uncached.
+
+        Raises
+        ------
+        QuadratureError
+            From :func:`_ladder`; a failed ladder is not cached.
+        """
+        channels = tuple((inp.wave, inp.k) for _, inp in self.channels)
+        hashable = all(isinstance(wave, Hashable) for wave, _ in channels)
+        ladder = (_ladder if hashable else _ladder.__wrapped__)(channels)
+        table = {}
+        for ix, (raw, disagreement, rounding, nodes) in zip(
+                _index_tuples(self.n_channels), ladder):
+            p_sum = sum(self.input(k).p_i for k in ix)
+            q = p_sum - (len(ix) - 1)
+            q = 0.0 if abs(q) <= EXPONENT_ULPS * math.ulp(p_sum) else q
+            table[ix] = Coefficient(ix, q, raw, disagreement, rounding, nodes)
+        return table
 
     @property
     def n_channels(self) -> int:
@@ -322,7 +346,7 @@ def _index_tuples(l: int) -> list[tuple]:
 @dataclass(frozen=True)
 class Coefficient:
     """Averaging coefficient ``gamma(omega) = omega**exponent * raw`` of one
-    index tuple, as built by :func:`_coefficient_table`.
+    index tuple, as built by :attr:`ControlAffineSystem.coefficients`.
 
     ``exponent`` is exact; ``raw`` is the iterated integral over one common
     phase period divided by its length for a pair ``(i, j)``, and by three
@@ -424,51 +448,13 @@ def _rung(channels: tuple, span: float,
     return values, magnitudes
 
 
-def _coefficient_table(system: ControlAffineSystem) -> dict[tuple, Coefficient]:
-    """One :class:`Coefficient` per index tuple of ``system``, in
-    :func:`_index_tuples` order: its ``raw``, ``disagreement``, ``rounding``
-    and ``nodes`` from the ladder of the system's ``(wave, k)`` channels
-    (:func:`_ladder`), and its exponent from the channels' ``p_i``.
-
-    The ladder depends on the waves and multipliers alone, never on the
-    gains or the ``p_i``, so every system on one wave set reads one ladder:
-    a wave is keyed by its identity or hash, as
-    :attr:`OscillatoryInput.wave_checks` keys it, and a set holding an
-    unhashable wave runs its ladder uncached. The ``QUAD_*`` settings read
-    now are part of the key, so a ladder built under other settings is
-    never served.
-
-    An exponent ``q`` within ``EXPONENT_ULPS`` units in the last place of
-    its exponent sum is exactly 0: it is the rounding of a sum such as
-    ``(1 - p) + p``.
-
-    Raises
-    ------
-    QuadratureError
-        From :func:`_ladder`; a failed ladder is not cached.
-    """
-    channels = tuple((inp.wave, inp.k) for _, inp in system.channels)
-    settings = (QUAD_MIN_NODES, QUAD_NODES_PER_CYCLE, QUAD_HALT_TOL,
-                QUAD_FAIL_TOL, QUAD_MAX_NODES)
-    hashable = all(isinstance(wave, Hashable) for wave, _ in channels)
-    ladder = (_ladder if hashable else _ladder.__wrapped__)(channels, settings)
-    table = {}
-    for ix, (raw, disagreement, rounding, nodes) in zip(
-            _index_tuples(system.n_channels), ladder):
-        p_sum = sum(system.input(k).p_i for k in ix)
-        q = p_sum - (len(ix) - 1)
-        q = 0.0 if abs(q) <= EXPONENT_ULPS * math.ulp(p_sum) else q
-        table[ix] = Coefficient(ix, q, raw, disagreement, rounding, nodes)
-    return table
-
-
 @functools.lru_cache(maxsize=256)
-def _ladder(channels: tuple, settings: tuple) -> tuple:
+def _ladder(channels: tuple) -> tuple:
     """``(raw, disagreement, rounding, nodes)`` of every index tuple of the
     ``(wave, k)`` channels, in :func:`_index_tuples` order, from one ladder
-    of spectral rungs run under ``settings``, the values of
-    ``(QUAD_MIN_NODES, QUAD_NODES_PER_CYCLE, QUAD_HALT_TOL, QUAD_FAIL_TOL,
-    QUAD_MAX_NODES)``.
+    of spectral rungs. It is cached by the channels alone: the ``QUAD_*``
+    settings it reads are module constants, and a test that changes one
+    clears the cache.
 
     The first rung has ``QUAD_MIN_NODES`` nodes per common phase period, or
     more so that the fastest channel gets at least ``QUAD_NODES_PER_CYCLE``
@@ -483,7 +469,6 @@ def _ladder(channels: tuple, settings: tuple) -> tuple:
         or if a coefficient's ladder disagreement still exceeds
         ``QUAD_FAIL_TOL`` on the last rung.
     """
-    min_nodes, per_cycle, halt_tol, fail_tol, max_nodes = settings
     tuples = _index_tuples(len(channels))
     if not tuples:
         return ()
@@ -491,22 +476,22 @@ def _ladder(channels: tuple, settings: tuple) -> tuple:
     cycles = _lcm_fraction([1 / k for k in multipliers])
     span = float(cycles) * TWO_PI
     fastest = int(max(multipliers) * cycles)
-    n = 1 << (max(min_nodes, per_cycle * fastest) - 1).bit_length()
-    if 2 * n > max_nodes:
+    n = 1 << (max(QUAD_MIN_NODES, QUAD_NODES_PER_CYCLE * fastest) - 1).bit_length()
+    if 2 * n > QUAD_MAX_NODES:
         raise QuadratureError(
             f"the fastest channel runs {fastest} cycles per common period, "
-            f"which needs {2 * n} nodes, above {max_nodes}"
+            f"which needs {2 * n} nodes, above {QUAD_MAX_NODES}"
         )
     previous, _ = _rung(channels, span, n)
     while True:
         n *= 2
         values, magnitudes = _rung(channels, span, n)
         disagreement = np.abs(values - previous)
-        if disagreement.max() < halt_tol or n >= max_nodes:
+        if disagreement.max() < QUAD_HALT_TOL or n >= QUAD_MAX_NODES:
             break
         previous = values
     worst = int(np.argmax(disagreement))
-    if disagreement[worst] > fail_tol:
+    if disagreement[worst] > QUAD_FAIL_TOL:
         raise QuadratureError(
             f"iterated-integral quadrature did not converge: disagreement "
             f"{disagreement[worst]:.3e} for channels {tuples[worst]} at {n} nodes"

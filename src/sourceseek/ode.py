@@ -2,8 +2,6 @@
 
 The integrator is a classical fourth-order Runge-Kutta scheme with a fixed
 step; the final step is shortened so the requested end time is hit exactly.
-Each step's last stage runs at the time the step's new state is stamped
-with, ``t0 + i * dt`` or the end time, where the next step starts.
 There is deliberately no adaptive error control: the systems in this package
 are forced at known frequencies, so the step is tied to the fastest
 oscillation and results are bit-for-bit reproducible.
@@ -17,7 +15,8 @@ unrolled over the components, and one RK4 step (:func:`_rk4_step`), whose
 float operations, and their order, are those of the array form of RK4, so
 trajectories are bit-for-bit those of an array loop. The step replays one
 record of ``rhs`` (a :class:`~sourceseek.numdiff.Tape`'s) at each of its
-four stages, and is compiled once per source text:
+four stages, and :func:`_traced_kernel` renders and compiles it once per
+record shape:
 
 * ``rhs`` runs once, on symbols, and the record is its float operations, so
   a step is one straight-line block with no call of ``rhs``; a value the
@@ -34,57 +33,10 @@ four stages, and is compiled once per source text:
   These records differ only in ``rhs``, so one step loop per state length
   serves them all.
 
-Both give the same trajectory, bit for bit, and the same aborts.
-
-A caller that reads some state components only names them
-(``components``): the step then computes only the closure of those and the
-guarded components, the least set of components that holds them and every
-component that the live lines of their new state read
-(:func:`_stepped`). Those lines include the ones that
-:func:`~sourceseek.numdiff._live` keeps whatever reads them (a call, a
-``/``), so a component such a line reads is stepped, and a called rhs,
-whose one call reads every component, steps them all. The other components
-keep their start: they are neither stepped nor tested, so they cannot abort
-the run, and no other component reads them, so every value and every error
-of the stepped ones is the full run's.
-
-Each step spends its time on its own float operations. The loop runs every
-step but the last at the full step and records every ``output_stride``-th;
-the last step, full or shortened, is the same rendered block after the loop
-and is always recorded, so no step tests whether it is the last. What runs
-per step:
-
-* the step's lines: the rhs's record replayed at four stages, folded where
-  a constant is ``1.0`` or ``-1.0`` (:class:`~sourceseek.numdiff.Tape`), with
-  the lines that read only the step size and constants (``0.5 * h``,
-  ``h / 6.0``) lifted out to run once for the loop and once for the last
-  step, and the lines that the new state of no stepped component needs
-  dropped by the rule applied to the rhs's record;
-* the carried clock: stage 4 of step ``i`` runs at the time its new state
-  is stamped with, ``tn = start + i * dt`` (``t1`` at the last step), where
-  step ``i + 1`` starts, not at ``t + h``, which may round apart from it.
-  So the stage-1 lines that read only the time and constants (the full
-  loops' ``sin`` and ``cos`` of ``omega0 t``, ``omega t`` and ``2 omega
-  t``) run once, before the loop, and each step takes them from the
-  stage-4 values of the step before it, at every step (:func:`_carried`);
-* one float expression that tests the stepped components of the new state
-  for an infinity or a NaN;
-* the guard: one comparison ``x<j> > 0.0`` per component it names, none
-  where there is no guard;
-* the time ``tn``, and ``t = tn`` after the step, only where the step
-  reads its time, so an rhs that reads no time carries no time and
-  computes no stage time;
-* at a recorded step, one store per recorded component into a memoryview
-  of that component's column of the state array, sized up front: a run that
-  records every step stores at the step's number, with no test and no
-  offset; a strided run stores under ``if i % stride == 0:`` at its one
-  sample counter.
-
-What runs outside the loop: before it, the sample times, as
-``t0 + i * dt`` by two numpy ufuncs (the float operations of the scalar
-expression) and ``t1`` last, which must strictly increase; on an abort
-only, its message and last valid time, from the number of the failed step,
-and the copy of the samples and times written so far.
+Both give the same trajectory, bit for bit, and the same aborts. A caller
+that reads some state components only names them (``components``): the step
+then computes only their closure with the guarded components
+(:func:`_stepped`), and the other components keep their start.
 """
 
 from __future__ import annotations
@@ -229,42 +181,19 @@ class Trajectory:
         return path
 
 
-#: The RK4 step loop, one source for every rhs. :func:`_kernel` fills it
-#: for a state of ``dim`` components with one step, whose stages replay the
-#: rhs's record, traced or a call (:func:`_call_record`): ``$x`` stands for
-#: ``x0, x1, ...``, the state's locals, ``$s`` for ``s<j>, ...``, one
-#: memoryview per recorded component ``j`` over its column of the state
-#: array, and
-#: ``$constants`` for ``k0, k1, ...``, the record's constants (a call
-#: record's rhs among them), then the step's. A failed
-#: :meth:`~sourceseek.numdiff.Tape.require` in the record raises its own
-#: error out of the loop. The loop runs steps ``1 .. total_steps - 1`` at
-#: ``h = dt``; the last step runs after it at ``h = last`` (``dt`` or the
-#: shortened remainder), to the time ``end``, and is always recorded, so the
-#: loop never tests for it. ``i`` is the number of the step being taken.
-#:
-#: Per step the loop runs the step's own lines, one float test of the
-#: stepped components of the new state, one test per guarded component, and
-#: ``$record``. Where every step is recorded (``stride == 1``), sample ``i``
-#: is step ``i``'s state, so ``$record`` is one store per recorded
-#: component, ``s<j>[i] = x<j>``, with no test
-#: and no offset. Else ``$record`` stores the state at every ``stride``-th
-#: step, under ``if i % stride == 0:``, at the sample counter ``n``
-#: (``$count`` starts it at 1, the initial state being sample 0). Only a
-#: step that reads its time carries ``t``, the time the step starts at, and
-#: computes ``tn``, the time of its stage 4 and of its new state (``$tick``
-#: of :data:`_STEP`), which ``t`` takes after the step (``$advance``). A
-#: step whose stage 1 reads the time through lines of their own
-#: (``sin(omega t)``) takes their values from the stage 4 of the step
-#: before it (:func:`_carried`); ``$clock`` computes them for the first
-#: step, with the other lines of its stage 1 that can raise, in the rhs's
-#: order, and aborts that step where one raises. ``$per_size`` holds the
-#: step's lines that read only ``h`` and constants (``0.5 * h``, ``h /
-#: 6.0``), run once per step size. The sample times are not written here:
-#: :func:`integrate` computes them before the loop, and ``aborted`` copies
-#: an abort's share of them. The loop's own locals (``start``, ``end``,
-#: ``h``, ``i``, ``n``, ``t``, ``tn``, ``s<j>``) take no name of the tape's
-#: values ``t<n>``, ``k<n>`` and ``x<n>``.
+#: The RK4 step loop, one source for every rhs, filled by
+#: :func:`_traced_kernel`: ``$x`` stands for ``x0, x1, ...``, the state's
+#: locals, ``$s`` for ``s<j>, ...``, one memoryview per recorded component
+#: ``j`` over its column of the state array, and ``$constants`` for ``k0,
+#: k1, ...``, the record's constants (a call record's rhs among them), then
+#: the step's. The loop runs steps ``1 .. total_steps - 1`` at ``h = dt``,
+#: ``i`` being the number of the step it takes; the last step, full or
+#: shortened, runs after it at ``h = last`` to the time ``end`` and is always
+#: recorded, so no step tests whether it is the last. ``$per_size`` runs
+#: once per step size and ``$clock`` once, before the first step. The loop's
+#: own locals (``start``, ``end``, ``h``, ``i``, ``n``, ``t``, ``tn``,
+#: ``s<j>``) take no name of the tape's values ``t<n>``, ``k<n>`` and
+#: ``x<n>``.
 _STEP_LOOP = string.Template("""\
 def step_loop(y, start, end, dt, last, total_steps, stride, states, aborted, constants):
     [$constants] = constants
@@ -284,19 +213,17 @@ $last_record
 """)
 
 #: One RK4 step of number ``i``: ``$tick`` computes the time ``tn`` of its
-#: new state where the step reads it, and ``$lines`` leave the new state of
-#: the stepped components in their locals, which must all be finite, and
-#: whose guarded components must be above zero, ``$guard``: ``if not x<j> >
-#: 0.0:`` per component.
-#: The finite test is one float expression, ``0.0 * x0 * x1 * ... != 0.0``:
-#: its running product is a zero until it meets an infinity or a NaN, and
-#: NaN from then on, so it never overflows and is true exactly when some
-#: component is not finite. It comes first, so a NaN aborts as a non-finite
-#: state, not as a guard trip. ``$advance`` hands the step's stage-4 time
-#: values to the next step and advances the time ``t`` to ``tn``. An abort
-#: hands ``aborted`` the number of samples written, ``$written``: ``i``
-#: where every step is recorded, else the counter ``n``; a guard trip also
-#: hands it ``(j, x<j>)``, the component and its value.
+#: new state, and ``$lines`` leave the new state of the stepped components
+#: in their locals. The finite test is one float expression, ``0.0 * x0 *
+#: x1 * ... != 0.0``: its running product is a zero until it meets an
+#: infinity or a NaN, and NaN from then on, so it never overflows and is
+#: true exactly when some component is not finite. It comes before the
+#: guard, so a NaN aborts as a non-finite state, not as a guard trip.
+#: ``$advance`` hands the step's carried values to the next step. An
+#: ArithmeticError of a line aborts the step; any other error, a failed
+#: :meth:`~sourceseek.numdiff.Tape.require` of the record among them, leaves
+#: the loop as it is. An abort hands ``aborted`` the number of samples
+#: written, ``$written``, and a guard trip also the component and its value.
 _STEP = string.Template("""\
 $tick
 try:
@@ -334,19 +261,11 @@ def _trace(rhs, dim: int) -> tuple:
     is named as a constant, so records that differ only in its value share
     a shape and a kernel.
 
-    The tape folds as it records (:class:`~sourceseek.numdiff.Tape`), by
-    rules exact on every float: ``x * 1.0``, ``x + (-0.0)`` and ``x - 0.0``
-    are ``x`` (so are ``1.0 * x`` and ``(-0.0) + x``), ``-(-x)`` is ``x``,
-    and ``x * -1.0``, ``a + (-b)``, ``(-b) + a`` and ``a - (-b)`` are
-    ``-x``, ``a - b``, ``a - b`` and ``a + b``, which IEEE 754 rounds to the
-    same value, zeros included, and which differ at most in the sign bit of
-    a NaN. A folded operation never raises, so no line that can stop a run
-    is dropped. A gain of exactly ``1.0`` or ``-1.0`` is therefore no
-    constant of the record: its shape, and so its kernel, depends on which
-    constants fold, and records that differ only in a constant share a
-    kernel only where neither value folds (a factor ``±1.0``, an addend
-    ``-0.0``, a subtrahend ``0.0``)."""
-    tape = _tape(dim, ("t",))
+    The tape folds as it records (:class:`~sourceseek.numdiff.Tape`), so a
+    constant that folds (a factor ``±1.0``, an addend ``-0.0``, a
+    subtrahend ``0.0``) is no constant of the record: records that differ
+    only in a constant share a kernel only where neither value folds."""
+    tape = Tape(dim, ("t",), object_arrays=False)
     outputs = []
     for v in _checked(rhs(*tape.inputs, tape.state), dim):
         if not isinstance(v, (Sym, numbers.Real)):
@@ -361,7 +280,7 @@ def _call_record(rhs, dim: int) -> tuple:
     returns: ``_checked(rhs(t, (x0, ...)), dim)`` and one ``value[j]`` per
     component. Records of one ``dim`` differ only in their constant
     ``rhs``, so they share one shape and one kernel."""
-    tape = _tape(dim, ("t",))
+    tape = Tape(dim, ("t",), object_arrays=False)
     value = tape.record("{}({}({}, (" + "{}, " * dim + f")), {dim})",
                         _checked, rhs, *tape.inputs, *tape.state)
     outputs = tuple([tape.record(f"{{}}[{j}]", value).name for j in range(dim)])
@@ -369,25 +288,22 @@ def _call_record(rhs, dim: int) -> tuple:
 
 
 @functools.lru_cache(maxsize=64)
-def _traced_kernel(shape: tuple, dim: int, positive: tuple = (),
-                   strided: bool = False, recorded: tuple | None = None):
-    """The step loop for an rhs record of this shape (:func:`_trace`,
-    :func:`_call_record`) that aborts where a component of ``positive`` is
-    not above zero after a step, recording the components of ``recorded``
-    (None: every component) at every step, or every ``stride``-th where
-    ``strided`` (:data:`_STEP_LOOP`): each stage replays the record on the
-    stage's time and state, so the step's tape numbers values across
-    stages, and the step keeps the :func:`~sourceseek.numdiff._live` lines
-    of the new state of the components it steps (:func:`_stepped`), so an
-    autonomous rhs reads no stage time. Stage 4 runs at ``tn``, the time
-    the new state is stamped with (:func:`_rk4_step`). The lines of the
-    record that read only the time and constants give, at stage 1 and at
-    stage 4, the pairs of values a step carries into the next
-    (:func:`_carried`), and the names of the stage-1 values say which lines
-    the first step runs before the loop. Returns the kernel and the
-    constants it takes after the record's own."""
+def _traced_kernel(shape: tuple, positive: tuple = (), strided: bool = False,
+                   recorded: tuple | None = None):
+    """The step loop (:data:`_STEP_LOOP`) for an rhs record of this shape
+    (:func:`_trace`, :func:`_call_record`), of one state component per
+    output, that aborts where a component of ``positive`` is not above zero
+    after a step, recording the components of ``recorded`` (None: every
+    component) at every step, or at every ``stride``-th where ``strided``.
+    Each stage of :func:`_rk4_step` replays the record on its time and
+    state, so the step's tape numbers values across stages, and the step
+    runs the :func:`~sourceseek.numdiff._live` lines of the new state of
+    the components it steps (:func:`_stepped`). Returns the kernel, which
+    keeps its source as ``source``, and the constants the step recorded
+    after the record's own. The source depends on the arguments alone."""
     lines, outputs, n_constants = shape
-    step = _tape(dim, ("t", "tn", "h"))
+    dim = len(outputs)
+    step = Tape(dim, inputs=("t", "tn", "h"), object_arrays=False)
     constants = {k.name: k for k in step.reserve(n_constants)}
     stages = []
 
@@ -399,17 +315,82 @@ def _traced_kernel(shape: tuple, dim: int, positive: tuple = (),
         return tuple(syms[o] for o in outputs)
 
     new = _rk4_step(stage, *step.inputs, step.state)
-    # the time and the record's lines that read only it and constants
-    clock = {"t"}
-    for name, _, operands in lines:
-        if clock & set(operands) and all(o in clock or o[0] == "k" for o in operands):
-            clock.add(name)
-    first, fourth = stages[0], stages[-1]
     recorded = tuple(range(dim)) if recorded is None else recorded
     live, stepped = _stepped(step, new, {*recorded, *positive})
-    return _kernel(step, live, {j: new[j] for j in stepped}, recorded, n_constants,
-                   {first[n].name: fourth[n].name for n in clock - {"t"}},
-                   {first[name].name for name, _, _ in lines}, positive, strided)
+    # a line that reads only h and constants (0.5 * h, h / 6.0) runs once
+    # per step size, before the loop and before the last step
+    per_size, per_step, sized = [], [], {"h"}
+    for line in live:
+        name, template, operands = line
+        if all(o in sized or o[0] == "k" for o in operands):
+            sized.add(name)
+            per_size.append(f"{name} = {template.format(*operands)}")
+        else:
+            per_step.append(line)
+    # only a step that reads its time carries ``t``, the time it starts at,
+    # and computes ``tn``, which ``t`` takes after the step
+    timed = any("t" in operands for _, _, operands in per_step)
+    # the record's lines that read only the time and constants, in the
+    # record's order; a step takes their stage-1 values from the stage 4 of
+    # the step before it (:func:`_carried`)
+    clock = ["t"]
+    for name, _, operands in lines:
+        if any(o in clock for o in operands) and all(o in clock or o[0] == "k"
+                                                     for o in operands):
+            clock.append(name)
+    first, fourth = stages[0], stages[-1]
+    rest, carry = _carried(per_step, {first[n].name: fourth[n].name for n in clock[1:]})
+    start = ["t = start"] * timed
+    if len(rest) < len(per_step):
+        # the first step's stage-1 lines that can raise or that its carried
+        # values read run before the loop, in the rhs's order, and abort that
+        # step where one raises. A name given twice as an output of
+        # _statements is assigned, not written into its user: so is each
+        # carried value, here and in the step
+        opening = {first[name].name for name, _, _ in lines}
+        head = _live([line for line in per_step if line[0] in opening], carry, step.constants)
+        head, _ = _statements(head, [*carry, *carry])
+        start += ["try:", *("    " + line for line in head),
+                  "except ArithmeticError as exc:", "    raise aborted(1, 1, exc) from exc"]
+    x = [f"x{j}" for j in stepped]
+    body, values = _statements(rest, [*(step.name(new[j]) for j in stepped),
+                                      *carry.values(), *carry.values()])
+    update = [*body, f"{', '.join(x)}, = {', '.join(values[:len(x)])},"]
+    written = "n" if strided else "i"  # the number of samples stored before step i
+    guard = [line for j in positive for line in (
+        f"if not x{j} > 0.0:", f"    raise aborted(i, {written}, tripped=({j}, x{j}))")]
+
+    def block(tn, advance):
+        return _STEP.substitute(
+            tick=f"tn = {tn}" * timed,
+            lines=textwrap.indent("\n".join(update), " " * 4), advance="\n".join(advance),
+            guard="\n".join(guard), written=written, finite=" * ".join(["0.0", *x]))
+
+    # a run that records every step stores sample i at step i; a strided
+    # one stores every stride-th step at its sample counter n, the initial
+    # state being sample 0
+    store = [f"s{j}[{written}] = x{j}" for j in recorded]
+    record = ["if i % stride == 0:", *("    " + line for line in store),
+              "    n += 1"] if strided else store
+    advance = [f"{name} = {value}" for name, value in carry.items()] + ["t = tn"] * timed
+    source = _STEP_LOOP.substitute(
+        constants=", ".join(f"k{i}" for i in range(len(step.constants))),
+        x=", ".join(v.name for v in step.state),
+        s=", ".join(f"s{j}" for j in recorded),
+        count="    n = 1" * strided,
+        per_size=textwrap.indent("\n".join(per_size), " " * 4),
+        clock=textwrap.indent("\n".join(start), " " * 4),
+        step=textwrap.indent(block("start + i * dt", advance), " " * 8),
+        record=textwrap.indent("\n".join(record), " " * 8),
+        last_step=textwrap.indent(block("end", []), " " * 4),
+        last_record=textwrap.indent("\n".join(store), " " * 4),
+    )
+    source = "".join(line + "\n" for line in source.splitlines() if line.strip())
+    namespace: dict = {}
+    exec(compile(source, "<RK4 step loop>", "exec"), namespace)
+    kernel = namespace["step_loop"]
+    kernel.source = source
+    return kernel, tuple(step.constants[n_constants:])
 
 
 def _stepped(step: Tape, new, wanted) -> tuple[tuple, list[int]]:
@@ -429,11 +410,6 @@ def _stepped(step: Tape, new, wanted) -> tuple[tuple, list[int]]:
         if read <= stepped:
             return lines, sorted(stepped)
         stepped |= read
-
-
-def _tape(dim: int, inputs) -> Tape:
-    """A tape of code that runs on floats: it refuses arrays of symbols."""
-    return Tape(dim, inputs=inputs, object_arrays=False)
 
 
 def _guarded(guard, dim: int) -> tuple:
@@ -484,84 +460,6 @@ def _carried(lines, pairs) -> tuple[list, dict]:
     rest = [line for line in lines if line[0] not in pairs]
     read = {o for _, _, operands in rest for o in operands}
     return rest, {a: b for a, b in pairs.items() if a in read}
-
-
-def _named(lines, outputs, names) -> tuple[list[str], list[str]]:
-    """``lines`` as statements, in which each of ``names`` is assigned, not
-    written into its users, and the expressions of ``outputs``
-    (:func:`~sourceseek.numdiff._statements`): a name taken twice as an
-    output is read more than once."""
-    body, values = _statements(lines, [*outputs, *names, *names])
-    return body, values[:len(outputs)]
-
-
-def _kernel(tape: Tape, lines, new: dict, recorded, supplied: int, clock: dict, first,
-            positive=(), strided=False):
-    """The step loop filled with ``lines``, those of ``tape``'s record of
-    :func:`_rk4_step` that the step runs, whose new state is ``new``, the
-    new value of each component it steps, with one test per component of
-    ``positive`` that it is above zero, and recording the components of
-    ``recorded`` every step, or every ``stride``-th where ``strided``. A
-    line that reads only ``h`` and constants runs once per step size, and
-    the stage-1 values that read only the time are carried from step to
-    step where ``clock`` pairs them with their stage-4 values
-    (:func:`_carried`). For the first step, the lines of ``first``, the
-    stage-1 values, that can raise or that those values read run once
-    before the loop, in their order. Also returns the constants the
-    tape recorded after the ``supplied`` ones it reserved. The kernel keeps
-    its source as ``source``."""
-    per_size, per_step, sized = [], [], {"h"}  # sized: names of per-size values
-    for line in lines:
-        name, template, operands = line
-        if all(o in sized or o[0] == "k" for o in operands):
-            sized.add(name)
-            per_size.append(f"{name} = {template.format(*operands)}")
-        else:
-            per_step.append(line)
-    timed = any("t" in operands for _, _, operands in per_step)
-    rest, carry = _carried(per_step, clock)
-    start = ["t = start"] * timed
-    if len(rest) < len(per_step):
-        stage = _live([line for line in per_step if line[0] in first], carry, tape.constants)
-        stage, _ = _named(stage, [], carry)
-        start += ["try:", *("    " + line for line in stage),
-                  "except ArithmeticError as exc:", "    raise aborted(1, 1, exc) from exc"]
-    x = ", ".join(tape.state[j].name for j in new)
-    body, values = _named(rest, [tape.name(v) for v in new.values()], carry.values())
-    step = [*body, f"{x}, = {', '.join(values)},"]
-    written = "n" if strided else "i"  # the number of samples stored before step i
-    test = [line for j in positive for line in (
-        f"if not x{j} > 0.0:", f"    raise aborted(i, {written}, tripped=({j}, x{j}))")]
-
-    def block(tn, advance):
-        return _STEP.substitute(
-            tick=f"tn = {tn}" * timed,
-            lines=textwrap.indent("\n".join(step), " " * 4), advance="\n".join(advance),
-            guard="\n".join(test), written=written,
-            finite=" * ".join(["0.0", *(tape.state[j].name for j in new)]))
-
-    store = [f"s{j}[{written}] = x{j}" for j in recorded]
-    record = ["if i % stride == 0:", *("    " + line for line in store),
-              "    n += 1"] if strided else store
-    advance = [f"{name} = {value}" for name, value in carry.items()] + ["t = tn"] * timed
-    source = _STEP_LOOP.substitute(
-        constants=", ".join(f"k{i}" for i in range(len(tape.constants))),
-        x=", ".join(v.name for v in tape.state),
-        s=", ".join(f"s{j}" for j in recorded),
-        count="    n = 1" * strided,
-        per_size=textwrap.indent("\n".join(per_size), " " * 4),
-        clock=textwrap.indent("\n".join(start), " " * 4),
-        step=textwrap.indent(block("start + i * dt", advance), " " * 8),
-        record=textwrap.indent("\n".join(record), " " * 8),
-        last_step=textwrap.indent(block("end", []), " " * 4),
-        last_record=textwrap.indent("\n".join(store), " " * 4),
-    )
-    source = "".join(line + "\n" for line in source.splitlines() if line.strip())
-    namespace: dict = {}
-    exec(compile(source, "<RK4 step loop>", "exec"), namespace)
-    kernel = namespace["step_loop"]
-    kernel.source = source
-    return kernel, tuple(tape.constants[supplied:])
 
 
 def integrate(rhs, x0, t0: float, t1: float, config: IntegratorConfig,
@@ -633,8 +531,11 @@ def integrate(rhs, x0, t0: float, t1: float, config: IntegratorConfig,
     span = t1 - t0
     n_full = int(math.floor(span / dt * (1.0 + 1e-12)))
     remainder = span - n_full * dt
-    # a span too short for one full step is still one (shortened) step
-    has_tail = n_full == 0 or remainder > 1e-12 * max(span, dt)
+    # a span too short for one full step is still one (shortened) step; a
+    # longer span ends in one only where the last full step's stamp falls
+    # short of t1, which ``span``, rounded far from zero, may overstate
+    has_tail = n_full == 0 or (remainder > 1e-12 * max(span, dt)
+                               and t0 + n_full * dt < t1)
     total_steps = n_full + (1 if has_tail else 0)
     stride = config.output_stride
 
@@ -650,7 +551,7 @@ def integrate(rhs, x0, t0: float, t1: float, config: IntegratorConfig,
                              f"component {j} is {y[j]}, not > 0")
 
     # interior samples every ``stride`` steps, plus the initial and final states
-    n_samples = 1 + ((total_steps - 1) // stride + 1 if total_steps else 0)
+    n_samples = 1 + (total_steps - 1) // stride + 1
     # ``t0``, then ``t0 + i * dt`` at every ``stride``-th step ``i``, by the
     # float operations of the scalar expression, one ufunc each, then ``t1``
     times = t0 + np.arange(0, n_samples * stride, stride) * dt
@@ -690,7 +591,7 @@ def integrate(rhs, x0, t0: float, t1: float, config: IntegratorConfig,
     except (Untraceable, ArithmeticError):
         shape, supplied = _call_record(rhs, dim)
         rhs_calls = 4 * total_steps
-    kernel, constants = _traced_kernel(shape, dim, positive, stride > 1, recorded)
+    kernel, constants = _traced_kernel(shape, positive, stride > 1, recorded)
     kernel(y, t0, t1, dt, last, total_steps, stride, tuple(map(memoryview, states.T)),
            aborted, (*supplied, *constants))
     return Trajectory(times, states, steps=total_steps, rhs_calls=rhs_calls,

@@ -42,6 +42,18 @@ TWO_PI = 2.0 * math.pi
 _SRC = Path(__file__).resolve().parents[1] / "src"
 
 
+@pytest.fixture
+def quad_settings(monkeypatch):
+    """``monkeypatch``, for a test that changes a ``QUAD_*`` setting: the
+    ladder cache is keyed by the channels alone, so it is cleared before the
+    test and again once the settings are back, and no ladder built under
+    one setting is served under another."""
+    averaging._ladder.cache_clear()
+    yield monkeypatch
+    monkeypatch.undo()
+    averaging._ladder.cache_clear()
+
+
 class TestOscillatoryInput:
     def test_accepts_standard_waves(self):
         OscillatoryInput(np.sin, 1, 0.39)
@@ -187,7 +199,7 @@ class TestGammaQuadrature:
         with pytest.raises(ValueError, match="omega must be finite and positive"):
             gamma_triple(1, 2, 1, newton_system, -15.0)
 
-    def test_nonconvergent_quadrature_reported(self, newton_system, monkeypatch):
+    def test_nonconvergent_quadrature_reported(self, newton_system, quad_settings):
         # a jump off the dyadic node grid keeps the ladder from settling
         # within a small node budget
         # admissible: its samples half a period apart cancel, so its mean
@@ -202,7 +214,7 @@ class TestGammaQuadrature:
             ),
             dimension=2,
         )
-        monkeypatch.setattr(averaging, "QUAD_MAX_NODES", 2048)
+        quad_settings.setattr(averaging, "QUAD_MAX_NODES", 2048)
         # the table is checked once, when it is built, whoever reads it
         with pytest.raises(QuadratureError, match="did not converge"):
             gamma_pair(0, 1, system, 10.0)
@@ -940,31 +952,28 @@ def test_multipliers_beyond_the_node_cap_rejected():
         system.coefficients
 
 
-def test_a_ladder_built_under_other_settings_is_never_served(monkeypatch):
-    """The QUAD_* settings read at a build key its ladder, on a wave set of
-    hashable waves: a node cap the first rung cannot meet refuses the set
-    every time, the refusal is not cached once the cap is back, and a finer
-    first rung gets a ladder of its own, not the default one."""
-    def table():
-        return _three_channels((np.sin, 1), (np.cos, 1), (np.cos, 2)).coefficients
+def _reference_table() -> dict:
+    return _three_channels((np.sin, 1), (np.cos, 1), (np.cos, 2)).coefficients
 
-    averaging._ladder.cache_clear()
-    monkeypatch.setattr(averaging, "QUAD_MAX_NODES", 1024)
+
+def test_a_node_cap_the_first_rung_cannot_meet_refuses_every_build(quad_settings):
+    """A wave set of hashable waves whose first rung needs more nodes than
+    the cap is refused at every build: a refusal is not cached."""
+    quad_settings.setattr(averaging, "QUAD_MAX_NODES", 1024)
     for _ in range(2):
         with pytest.raises(QuadratureError, match="needs 2048 nodes, above 1024"):
-            table()
-    monkeypatch.undo()
-    default = table()
-    assert {c.nodes for c in default.values()} == {2048}
-    monkeypatch.setattr(averaging, "QUAD_MAX_NODES", 1024)
-    with pytest.raises(QuadratureError, match="needs 2048 nodes, above 1024"):
-        table()
-    monkeypatch.undo()
-    monkeypatch.setattr(averaging, "QUAD_MIN_NODES", 4096)
-    assert {c.nodes for c in table().values()} == {8192}
-    monkeypatch.undo()
+            _reference_table()
+    assert averaging._ladder.cache_info().currsize == 0
+
+
+def test_a_finer_first_rung_is_the_ladder_s_first(quad_settings):
+    """A ladder climbs from the ``QUAD_MIN_NODES`` read at its build, and
+    later systems on the same waves read it from the cache."""
+    quad_settings.setattr(averaging, "QUAD_MIN_NODES", 4096)
+    table = _reference_table()
+    assert {c.nodes for c in table.values()} == {8192}
     hits = averaging._ladder.cache_info().hits
-    assert table() == default
+    assert _reference_table() == table
     assert averaging._ladder.cache_info().hits == hits + 1
 
 
@@ -1032,9 +1041,7 @@ def test_nonzero_mean_channels_against_nested_trapezoid():
     channels = ((lambda s: 0.5 + 0.5 * np.sin(s), Fraction(1)),
                 (np.cos, Fraction(1, 2)),
                 (lambda s: 0.3 - 0.6 * np.cos(2 * s + 0.4), Fraction(3)))
-    settings = (averaging.QUAD_MIN_NODES, averaging.QUAD_NODES_PER_CYCLE,
-                averaging.QUAD_HALT_TOL, averaging.QUAD_FAIL_TOL, averaging.QUAD_MAX_NODES)
-    ladder = averaging._ladder(channels, settings)
+    ladder = averaging._ladder(channels)
     span = 4.0 * math.pi
     s = np.linspace(0.0, span, 2**15 + 1)
     waves = [np.asarray(wave(float(k) * s)) for wave, k in channels]

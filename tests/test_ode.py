@@ -2,8 +2,12 @@ import functools
 import itertools
 import math
 import numbers
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -84,6 +88,23 @@ class TestIntegrate:
         traj = integrate(lambda t, y: (1.0,), [0.0], 0.0, 1e-15, _config(0.01))
         np.testing.assert_array_equal(traj.times, [0.0, 1e-15])
         assert traj.states[-1, 0] == pytest.approx(1e-15, rel=1e-12)
+
+    def test_a_whole_span_far_from_zero_is_whole_steps(self):
+        # t1 - t0 rounds 7.4e-11 above 20 * dt, past the tail threshold, but
+        # the stamp t0 + 20 * dt of the 20th step is t1 itself, so no 21st,
+        # shortened step is planned, whose stamp would repeat t1
+        t0, dt = 1048574.0, 0.10471975511965977
+        t1 = t0 + 20 * dt
+        assert t1 - t0 - 20 * dt > 1e-12 * (t1 - t0)
+
+        def rhs(t, y):
+            return (y[1], 1e-6 * t - y[0])
+
+        traj = integrate(rhs, [1.0, 0.0], t0, t1, _config(dt))
+        assert traj.steps == 20 and len(traj.times) == 21 and traj.times[-1] == t1
+        times, states = _array_rk4(rhs, [1.0, 0.0], t0, t1, _config(dt))
+        assert traj.times.tobytes() == times.tobytes()
+        assert traj.states.tobytes() == states.tobytes()
 
     def test_bit_identical_reruns(self):
         def rhs(t, y):
@@ -432,7 +453,8 @@ def _array_rk4(rhs, x0, t0, t1, config, stop=False):
     dt, span, stride = config.dt, t1 - t0, config.output_stride
     n_full = int(math.floor(span / dt * (1.0 + 1e-12)))
     remainder = span - n_full * dt
-    total = n_full + (1 if remainder > 1e-12 * max(span, dt) else 0)
+    tail = remainder > 1e-12 * max(span, dt) and t0 + n_full * dt < t1
+    total = n_full + (1 if tail else 0)
     y, t = np.array(x0, dtype=float), t0
     times, states = [t0], [y.copy()]
     for i in range(total):
@@ -776,8 +798,8 @@ def test_a_run_that_records_every_step_stores_at_the_step_number(guard):
     loop keeps one sample counter ``n``, started once and advanced once,
     under one ``if i % stride == 0:``."""
     shape, _ = ode._trace(_linear_rhs(3), 3)
-    every = ode._traced_kernel(shape, 3, guard, False)[0].source
-    strided = ode._traced_kernel(shape, 3, guard, True)[0].source
+    every = ode._traced_kernel(shape, guard, False)[0].source
+    strided = ode._traced_kernel(shape, guard, True)[0].source
     assert "%" not in every and not re.search(r"\b(at|n)\b", every)
     lines = [line.strip() for line in every.splitlines()]
     for j in range(3):
@@ -831,7 +853,7 @@ def test_rhs_that_differ_only_in_a_constant_component_share_a_kernel():
     rhs = {c: (lambda t, y, c=c: (y[1], c)) for c in (1.0, 2.0)}
     shapes = {c: ode._trace(f, 2)[0] for c, f in rhs.items()}
     assert shapes[1.0] == shapes[2.0]
-    assert ode._traced_kernel(shapes[1.0], 2) is ode._traced_kernel(shapes[2.0], 2)
+    assert ode._traced_kernel(shapes[1.0]) is ode._traced_kernel(shapes[2.0])
     for f in rhs.values():
         traj = integrate(f, (0.5, -1.0), 0.0, 1.0, _config(0.03, 3))
         times, states = _array_rk4(f, (0.5, -1.0), 0.0, 1.0, _config(0.03, 3))
@@ -891,7 +913,7 @@ def test_an_autonomous_step_loop_computes_no_stage_time_or_step_size(loop, dim):
     at all, computes no ``tn = start + i * dt``, as a timed loop does, and
     records none: the sample times are computed after it."""
     shape, _ = ode._trace(_LOOPS[loop][0], dim)
-    source = ode._traced_kernel(shape, dim)[0].source
+    source = ode._traced_kernel(shape)[0].source
     body = _loop_body(source)
     per_step = [(target, names) for target, names in body
                 if re.fullmatch(r"t\d+|x\d+(, x\d+)*,", target)]
@@ -906,7 +928,7 @@ def test_an_autonomous_step_loop_computes_no_stage_time_or_step_size(loop, dim):
     # the time of its stage 4 and of its new state there, and starts the
     # next step at it
     shape, _ = ode._trace(_LOOPS["newton-rotating_z"][0], 4)
-    timed = _loop_body(ode._traced_kernel(shape, 4)[0].source)
+    timed = _loop_body(ode._traced_kernel(shape)[0].source)
     assert any("t" in names and target != "t" for target, names in timed)
     assert timed[0] == ("tn", {"start", "i", "dt"})
     assert ("t", {"tn"}) in timed
@@ -937,7 +959,7 @@ def test_the_default_averaged_step_folds_its_unit_gains(scheme, dim, operations)
     rhs = averaged_closed_loop(scheme, DEFAULT_PARAMS, DEFAULT_FIELD)
     shape, constants = ode._trace(rhs, dim)
     assert -1.0 not in constants  # -omega0 * z1 is -z1
-    assert _binary_operations(ode._traced_kernel(shape, dim)[0].source) == operations
+    assert _binary_operations(ode._traced_kernel(shape)[0].source) == operations
 
 
 @pytest.mark.parametrize("scheme, dim, operations", [(Scheme.GRADIENT, 3, 96),
@@ -951,7 +973,7 @@ def test_the_default_original_step_reads_the_plain_offset(scheme, dim, operation
     dt``, not at ``t + h``, that is 96 and 141 a step."""
     rhs = closed_loop(scheme, Frame.ORIGINAL, DEFAULT_PARAMS, DEFAULT_FIELD)
     shape, _ = ode._trace(rhs, dim)
-    assert _binary_operations(ode._traced_kernel(shape, dim)[0].source) == operations
+    assert _binary_operations(ode._traced_kernel(shape)[0].source) == operations
 
 
 def _engine_rhs(field):
@@ -1243,7 +1265,7 @@ def test_a_called_step_reads_each_stage_s_value_by_subscript():
     """A call record's step checks each stage's value once, then reads its
     components by subscript, one line each."""
     shape, _ = ode._call_record(_called(_linear_rhs(3)), 3)
-    body = [line.strip() for line in ode._traced_kernel(shape, 3)[0].source.splitlines()]
+    body = [line.strip() for line in ode._traced_kernel(shape)[0].source.splitlines()]
     calls = [line for line in body if re.match(r"t\d+ = k0\(k1\(", line)]
     assert len(calls) == 8  # four stages, in the loop and after it
     reads = [line for line in body if re.fullmatch(r"t\d+ = t\d+\[[012]\]", line)]
@@ -1318,8 +1340,8 @@ def test_a_guard_is_one_comparison_per_positive_component(pair, stride):
     scenario = Scenario(scheme=pair[0], frame=pair[1])
     positive, dim = scenario.guard(), len(scenario.initial_state())
     shape, _ = ode._trace(scenario.build_rhs(), dim)
-    guarded, constants = ode._traced_kernel(shape, dim, positive, stride > 1)
-    plain, _ = ode._traced_kernel(shape, dim, (), stride > 1)
+    guarded, constants = ode._traced_kernel(shape, positive, stride > 1)
+    plain, _ = ode._traced_kernel(shape, (), stride > 1)
     lines = guarded.source.splitlines()
     tests = [line.strip() for line in lines if "if not" in line]
     assert tests == [f"if not x{j} > 0.0:" for j in positive] * 2
@@ -1407,7 +1429,7 @@ def test_a_step_takes_its_stage_one_clock_from_the_step_before(record, stride, t
     step."""
     rhs, x0, calls = _CLOCKED[record]
     shape, _ = ode._trace(rhs, len(x0))
-    lines = ode._traced_kernel(shape, len(x0))[0].source.splitlines()
+    lines = ode._traced_kernel(shape)[0].source.splitlines()
     assert not [line for line in lines if re.search(r"\btc\b", line)]
     loop = lines.index("    for i in range(1, total_steps):")
     clock = _time_lines(lines)
@@ -1433,7 +1455,7 @@ def test_a_step_takes_its_stage_one_clock_from_the_step_before(record, stride, t
     with pytest.MonkeyPatch.context() as mp:  # a kernel that carries nothing
         mp.setattr(ode, "_carried", lambda lines, pairs: (lines, {}))
         mp.setattr(ode, "_traced_kernel", ode._traced_kernel.__wrapped__)
-        every = ode._traced_kernel(shape, len(x0))[0].source.splitlines()
+        every = ode._traced_kernel(shape)[0].source.splitlines()
         assert not [line for line in every if "aborted(1, 1" in line]
         assert _time_reads(every) > _time_reads(lines)
         recomputed = integrate(rhs, x0, t0, t1, config)
@@ -1478,7 +1500,7 @@ def test_a_carried_clock_keeps_the_error_that_comes_first(record):
     that step's stage 4, as the called step's does."""
     rhs, x0, t0, error = _FIRST_ERRORS[record]
     shape, _ = ode._trace(rhs, 2)
-    assert "raise aborted(1, 1, exc) from exc" in ode._traced_kernel(shape, 2)[0].source
+    assert "raise aborted(1, 1, exc) from exc" in ode._traced_kernel(shape)[0].source
     traced = _outcome(rhs, x0, t0 + 1.0, _config(0.1), t0=t0)
     _assert_same_outcome(traced, _outcome(_called(rhs), x0, t0 + 1.0, _config(0.1), t0=t0))
     assert traced[4] == "arithmetic" and error in traced[0]
@@ -1557,7 +1579,7 @@ def test_a_step_steps_the_closure_of_the_components_it_records(pair):
     guard, dim = scenario.guard(), len(scenario.initial_state())
     shape, _ = ode._trace(scenario.build_rhs(), dim)
     for components in _subsets(dim):
-        source = ode._traced_kernel(shape, dim, guard, False, components)[0].source
+        source = ode._traced_kernel(shape, guard, False, components)[0].source
         stepped = sorted(_closure(pair, {*components, *guard}, dim))
         body = _loop_lines(source.splitlines())
         names = [f"x{j}" for j in stepped]
@@ -1607,10 +1629,8 @@ def test_a_run_of_some_components_records_the_full_run_s_columns(pair, data):
     components = data.draw(st.sampled_from(_subsets(dim)))
     config = replace(scenario.integrator_config(),
                      output_stride=data.draw(st.sampled_from([1, 10])))
-    # a whole number of steps from zero, else one more shortened step: from
-    # another start, a whole span may round to a last step below the spacing
-    t0 = data.draw(_T0)
-    tail = data.draw(st.sampled_from([0.0, 0.37])) if t0 == 0.0 else 0.37
+    # a whole number of steps, or one more shortened step
+    t0, tail = data.draw(_T0), data.draw(st.sampled_from([0.0, 0.37]))
     t1 = t0 + (data.draw(st.integers(20, 200)) + tail) * config.dt
     stepped = _closure(pair, {*components, *guard}, dim)
 
@@ -1704,3 +1724,31 @@ def test_recording_every_component_is_the_default_kernel(pair, monkeypatch):
     assert kernels[0] is kernels[1]
     assert default.components == every.components == tuple(range(dim))
     assert _kept(default, range(dim)) == _kept(every, range(dim))
+
+
+#: every frame's kernel at output strides 1 and 10, with its guard and
+#: without, written out in one process
+_KERNEL_SOURCES = """\
+import sys
+from sourceseek import FRAME_SPECS, Scenario, ode
+for scheme, frame in sorted(FRAME_SPECS, key=str):
+    scenario = Scenario(scheme=scheme, frame=frame)
+    shape, _ = ode._trace(scenario.build_rhs(), len(scenario.initial_state()))
+    for guard in (scenario.guard(), ()):
+        for stride in (1, 10):
+            sys.stdout.write(ode._traced_kernel(shape, guard, stride > 1)[0].source)
+"""
+
+
+def test_a_kernel_s_source_is_the_same_under_every_hash_seed():
+    """A kernel's source depends on its cache key alone: rendered in two
+    processes whose string hashes differ, every frame's kernels are the
+    same text, the order of the lines that hand a step's time values to the
+    next among them."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    sources = [subprocess.run(
+        [sys.executable, "-c", _KERNEL_SOURCES], capture_output=True, text=True,
+        check=True, timeout=120, env=dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=seed),
+    ).stdout for seed in ("0", "1")]
+    assert sources[0].count("def step_loop(") == 4 * len(FRAME_SPECS)
+    assert sources[0] == sources[1]
